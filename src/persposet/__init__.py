@@ -6,6 +6,7 @@ from .errors import (
     EmptyAfterNonempty,
     HypothesisUnmet,
     InconsistentTransfer,
+    InternalError,
     NegativeMultiplicity,
     NonMonotoneStructureMap,
     NotASubposet,
@@ -23,7 +24,6 @@ from .errors import (
 from .posets import (
     FinitePoset,
     MonotoneMap,
-    downset,
     is_monotone,
     linear_extension,
     mapping_cylinder,
@@ -38,7 +38,6 @@ from .pposets import (
     persistence_linear_extension,
     persistence_mapping_cylinder,
     puncture,
-    sub_downset,
     tracks,
     validate,
 )
@@ -48,10 +47,8 @@ from .complexes import (
     SimplicialMap,
     induced_map,
     join,
-    link,
     order_complex,
     order_complex_tower,
-    star,
 )
 from .homology import (
     FieldSpec,
@@ -60,11 +57,11 @@ from .homology import (
     homology,
     homology_tower,
     induced_on_homology,
+    tower_barcodes,
 )
 from .modules import (
     Barcode,
     PersistenceModule,
-    ShiftMorphism,
     barcode,
     bottleneck_distance,
     direct_sum,

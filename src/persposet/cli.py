@@ -8,6 +8,7 @@ document next to the human-readable text on stdout.
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 from pathlib import Path
@@ -24,10 +25,10 @@ from .documents import (
     random_instance,
     random_pposet,
 )
-from .errors import HypothesisUnmet, PersistenceError, SchemaError, ValidationError
-from .homology import FieldSpec, homology_tower
+from .errors import HypothesisUnmet, PersistenceError, ValidationError
+from .homology import FieldSpec, tower_barcodes
 from .complexes import order_complex_tower
-from .modules import INF, barcode
+from .modules import INF
 from .pposets import persistence_linear_extension, top_degree, tracks
 from .verifier import (
     TheoremCertificate,
@@ -58,11 +59,20 @@ def _timestamp(v, scale: Scale | None):
     return scale.origin + scale.step * v
 
 
+def _parse_scale(flag: str) -> Scale:
+    try:
+        origin, step = (float(part) for part in flag.split(","))
+    except ValueError:
+        raise ValidationError(f"--scale expects ORIGIN,STEP, got {flag!r}") from None
+    if not (math.isfinite(origin) and math.isfinite(step)):
+        raise ValidationError(f"--scale values must be finite, got {flag!r}")
+    return Scale(origin, step)
+
+
 def _load_instance(path: str, scale_flag: str | None) -> InstanceDocument:
     inst = parse_instance(Path(path).read_text(encoding="utf-8"))
     if scale_flag is not None:
-        origin, step = (float(part) for part in scale_flag.split(","))
-        inst.scale = Scale(origin, step)
+        inst.scale = _parse_scale(scale_flag)
     return inst
 
 
@@ -121,9 +131,7 @@ def _cmd_barcode(args) -> int:
     k_max = args.kmax if args.kmax is not None else max(top_degree(inst.x), top_degree(inst.y))
     report = {"schema": "barcode/1", "field": field.p, "k_max": k_max, "x": {}, "y": {}}
     for name, pp in (("x", inst.x), ("y", inst.y)):
-        tower = order_complex_tower(pp)
-        for k in range(k_max + 1):
-            code = barcode(homology_tower(tower, k, field))
+        for k, code in enumerate(tower_barcodes(order_complex_tower(pp), field, k_max)):
             report[name][str(k)] = [[b, _enc(d)] for b, d in code.bars]
             for b, d in code.bars:
                 line = f"{name}\t{k}\t{b}\t{_enc(d)}"
@@ -177,31 +185,23 @@ def _cmd_verify(args) -> int:
 def _cmd_lemma(args) -> int:
     field = FieldSpec(args.field)
     if args.suite == "puncture":
-        inst = _load_instance(args.instance, None)
-        report = chain_puncture_suite(inst.map, field, args.kmax)
-        print(
+        report = chain_puncture_suite(_load_instance(args.instance, None).map, field, args.kmax)
+        lines = [
             f"puncture steps: {report.checked} checked, {report.trivial} trivial, "
             f"{report.skipped} skipped, {len(report.violations)} violations"
-        )
-        for v in report.violations:
-            print(f"  VIOLATION {v}")
-        _write_report(args.report, {
-            "schema": "lemma/1", "suite": "puncture", "checked": report.checked,
-            "trivial": report.trivial, "skipped": report.skipped, "violations": report.violations,
-        })
-        return 0 if report.ok else 1
-    if args.suite == "cylinder":
-        inst = _load_instance(args.instance, None)
-        report = verify_cylinder_retraction(inst.map, field, args.kmax)
-        print(f"cylinder distances: { {k: _enc(v) for k, v in sorted(report.distances.items())} }")
-        print(f"cone steps acyclic: {report.cone_steps_ok}")
-        _write_report(args.report, {
-            "schema": "lemma/1", "suite": "cylinder",
-            "distances": {str(k): _enc(v) for k, v in sorted(report.distances.items())},
-            "cone_steps_ok": report.cone_steps_ok, "ok": report.ok,
-        })
-        return 0 if report.ok else 1
-    if args.suite == "join":
+        ]
+        lines += [f"  VIOLATION {v}" for v in report.violations]
+        doc = {"checked": report.checked, "trivial": report.trivial,
+               "skipped": report.skipped, "violations": report.violations}
+        ok = report.ok
+    elif args.suite == "cylinder":
+        report = verify_cylinder_retraction(_load_instance(args.instance, None).map, field, args.kmax)
+        distances = {k: _enc(v) for k, v in sorted(report.distances.items())}
+        lines = [f"cylinder distances: {distances}", f"cone steps acyclic: {report.cone_steps_ok}"]
+        doc = {"distances": {str(k): v for k, v in distances.items()},
+               "cone_steps_ok": report.cone_steps_ok, "ok": report.ok}
+        ok = report.ok
+    elif args.suite == "join":
         violations = 0
         applicable = 0
         limits = GeneratorLimits()
@@ -217,22 +217,19 @@ def _cmd_lemma(args) -> int:
             applicable += 1
             if not report.ok:
                 violations += 1
-        print(f"join suite: {applicable} applicable of {args.count}, {violations} violations")
-        _write_report(args.report, {
-            "schema": "lemma/1", "suite": "join", "count": args.count,
-            "applicable": applicable, "violations": violations,
-        })
-        return 0 if violations == 0 else 1
-    # ses
-    report = verify_split_ses_properties(args.seed, args.count, field)
-    print(f"ses suite: {report.cases} cases, {len(report.violations)} violations")
-    for v in report.violations:
-        print(f"  VIOLATION {v}")
-    _write_report(args.report, {
-        "schema": "lemma/1", "suite": "ses", "cases": report.cases,
-        "violations": report.violations,
-    })
-    return 0 if report.ok else 1
+        lines = [f"join suite: {applicable} applicable of {args.count}, {violations} violations"]
+        doc = {"count": args.count, "applicable": applicable, "violations": violations}
+        ok = violations == 0
+    else:
+        report = verify_split_ses_properties(args.seed, args.count, field)
+        lines = [f"ses suite: {report.cases} cases, {len(report.violations)} violations"]
+        lines += [f"  VIOLATION {v}" for v in report.violations]
+        doc = {"cases": report.cases, "violations": report.violations}
+        ok = report.ok
+    for line in lines:
+        print(line)
+    _write_report(args.report, {"schema": "lemma/1", "suite": args.suite, **doc})
+    return 0 if ok else 1
 
 
 def _cmd_cover(args) -> int:
@@ -316,20 +313,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "lemma" and args.suite in ("puncture", "cylinder") and not args.instance:
-        print("error: this suite needs an instance document", file=sys.stderr)
-        return 2
+    args = build_parser().parse_args(argv)
     try:
+        if args.command == "lemma" and args.suite in ("puncture", "cylinder") and not args.instance:
+            raise ValidationError("this suite needs an instance document")
+        if getattr(args, "kmax", None) is not None and args.kmax < 0:
+            raise ValidationError(f"--kmax must be non-negative, got {args.kmax}")
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (SchemaError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PersistenceError as exc:
+    except (OSError, UnicodeDecodeError, PersistenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,7 +7,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
 
-from .errors import DuplicateElement, UnknownVertex
+from .errors import DuplicateElement, ShapeMismatch, UnknownVertex
 from .posets import FinitePoset, MonotoneMap, check_map
 from .pposets import PersistencePoset
 
@@ -47,9 +47,6 @@ class SimplicialComplex:
 
     def is_empty(self) -> bool:
         return not self.simplices
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** (len(s) - 1) for s in self.simplices)
 
 
 @dataclass(eq=False)
@@ -119,22 +116,6 @@ def join(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialComplex:
     )
 
 
-def star(K: SimplicialComplex, v: str) -> SimplicialComplex:
-    """Minimal subcomplex containing every simplex through v."""
-    if v not in set(K.vertices):
-        raise UnknownVertex(f"{v!r} is not a vertex")
-    tops = [s for s in K.simplices if v in s]
-    return SimplicialComplex.from_simplices(tops)
-
-
-def link(K: SimplicialComplex, v: str) -> SimplicialComplex:
-    """Faces of the star that avoid v."""
-    st = star(K, v)
-    kept = frozenset(s for s in st.simplices if v not in s)
-    verts = sorted({w for s in kept for w in s})
-    return SimplicialComplex(vertices=tuple(verts), simplices=kept)
-
-
 @dataclass(eq=False)
 class ComplexTower:
     """Complexes indexed by {0..T} with slice-to-slice simplicial maps."""
@@ -145,9 +126,11 @@ class ComplexTower:
     def __post_init__(self) -> None:
         self.complexes = tuple(self.complexes)
         self.maps = tuple(self.maps)
-        assert len(self.maps) == len(self.complexes) - 1
+        if len(self.maps) != len(self.complexes) - 1:
+            raise ShapeMismatch(f"expected {len(self.complexes) - 1} maps, got {len(self.maps)}")
         for i, m in enumerate(self.maps):
-            assert m.source == self.complexes[i] and m.target == self.complexes[i + 1]
+            if m.source != self.complexes[i] or m.target != self.complexes[i + 1]:
+                raise ShapeMismatch(f"map {i} does not connect complexes {i} -> {i + 1}")
 
     @property
     def T(self) -> int:
@@ -167,7 +150,8 @@ def order_complex_tower(pp: PersistencePoset) -> ComplexTower:
 
 def join_tower(A: ComplexTower, B: ComplexTower) -> ComplexTower:
     """Slicewise join with the joined vertex maps; vertex sets must be disjoint."""
-    assert A.T == B.T, "towers must have the same length"
+    if A.T != B.T:
+        raise ShapeMismatch("towers must have the same length")
     complexes = tuple(join(A.complexes[i], B.complexes[i]) for i in range(A.T + 1))
     maps = []
     for i in range(A.T):

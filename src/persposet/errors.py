@@ -7,6 +7,14 @@ class PersistenceError(Exception):
     """Base class for every library-specific error."""
 
 
+class InternalError(Exception):
+    """A consistency check inside the library failed.
+
+    This signals a bug, never invalid input, so it is deliberately not a
+    PersistenceError and the CLI does not report it as exit code 2.
+    """
+
+
 # -- finite posets ------------------------------------------------------------
 
 class DuplicateElement(PersistenceError):

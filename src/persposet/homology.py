@@ -15,7 +15,8 @@ import numpy as np
 
 from . import linalg
 from .complexes import ComplexTower, SimplicialComplex, SimplicialMap
-from .modules import FieldSpec, PersistenceModule
+from .errors import InternalError
+from .modules import Barcode, FieldSpec, PersistenceModule, barcode
 
 __all__ = [
     "FieldSpec",
@@ -25,6 +26,7 @@ __all__ = [
     "homology_tower",
     "induced_on_homology",
     "reduced_dim",
+    "tower_barcodes",
 ]
 
 
@@ -86,7 +88,8 @@ def homology(K: SimplicialComplex, k: int, field: FieldSpec, reduced: bool = Fal
     b = image.shape[1]
     reps = [kernel[:, c - b] for c in pivots if c >= b]
     dim = kernel.shape[1] - b
-    assert len(reps) == dim, "independent cycle count disagrees with rank computation"
+    if len(reps) != dim:
+        raise InternalError("independent cycle count disagrees with rank computation")
     cycles = np.stack(reps, axis=1) if reps else linalg.zeros(kernel.shape[0], 0)
     return HomologyBasis(
         degree=k,
@@ -140,18 +143,27 @@ def induced_on_homology(
     boundaries = _boundary(sm.target, k + 1, p)
     system = np.hstack([target_basis.cycles, boundaries])
     coords = linalg.solve_matrix(system, images, p)
-    assert coords is not None, "image of a cycle failed to decompose over the target basis"
+    if coords is None:
+        raise InternalError("image of a cycle failed to decompose over the target basis")
     return coords[: target_basis.dimension, :]
 
 
-def homology_tower(
-    tower: ComplexTower, k: int, field: FieldSpec, reduced: bool = False
-) -> PersistenceModule:
+def homology_tower(tower: ComplexTower, k: int, field: FieldSpec) -> PersistenceModule:
     """Persistence module of degree-k homology along a complex tower."""
-    bases = [homology(K, k, field, reduced) for K in tower.complexes]
+    bases = [homology(K, k, field) for K in tower.complexes]
     dims = tuple(b.dimension for b in bases)
     transitions = tuple(
         induced_on_homology(tower.maps[i], k, field, bases[i], bases[i + 1])
         for i in range(tower.T)
     )
     return PersistenceModule(field=field, dims=dims, transitions=transitions)
+
+
+def tower_barcodes(tower: ComplexTower, field: FieldSpec, k_max: int) -> list[Barcode]:
+    """Barcodes of the tower's homology in degrees 0..k_max, indexed by degree.
+
+    The one path from a complex tower to barcodes: every verifier routine
+    and the CLI go through it.
+    """
+    modules = [homology_tower(tower, k, field) for k in range(k_max + 1)]
+    return [barcode(M) for M in modules]

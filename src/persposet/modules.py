@@ -16,20 +16,28 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import linalg
-from .errors import NegativeMultiplicity, ShapeMismatch, TooLarge
+from .errors import InternalError, NegativeMultiplicity, ShapeMismatch, TooLarge, ValidationError
 
 INF = math.inf
 
 
+# Below this bound every int64 dot product n * (p - 1)**2 with n < 2**31
+# terms is exact, so linalg never wraps around.
+MAX_CHARACTERISTIC = 2**16
+
+
 @dataclass(frozen=True)
 class FieldSpec:
-    """A prime field, given by its characteristic."""
+    """A prime field, given by its characteristic p < MAX_CHARACTERISTIC."""
 
     p: int
 
     def __post_init__(self) -> None:
-        if self.p < 2 or any(self.p % d == 0 for d in range(2, int(self.p**0.5) + 1)):
-            raise ValueError(f"{self.p} is not prime")
+        in_range = 2 <= self.p < MAX_CHARACTERISTIC
+        if not in_range or any(self.p % d == 0 for d in range(2, int(self.p**0.5) + 1)):
+            raise ValidationError(
+                f"field characteristic must be a prime below {MAX_CHARACTERISTIC}, got {self.p}"
+            )
 
 
 @dataclass(eq=False)
@@ -80,16 +88,6 @@ def zero_module(field: FieldSpec, T: int) -> PersistenceModule:
 
 
 @dataclass(frozen=True)
-class ShiftMorphism:
-    """The endomorphism family given by composing epsilon consecutive transitions."""
-
-    epsilon: int
-
-    def matrix(self, M: PersistenceModule, i: int) -> np.ndarray:
-        return M.composite(i, i + self.epsilon)
-
-
-@dataclass(frozen=True)
 class Barcode:
     """Multiset of intervals [b, d); d = INF marks essential classes."""
 
@@ -112,9 +110,6 @@ class Barcode:
 
     def essential_count(self) -> int:
         return sum(1 for _, d in self.bars if d == INF)
-
-    def max_length(self) -> int | float:
-        return max((d - b for b, d in self.bars), default=0)
 
     def count_through(self, i: int, j: int) -> int:
         """Bars alive at both i and j (the rank the barcode predicts)."""
@@ -160,7 +155,8 @@ def barcode(M: PersistenceModule) -> Barcode:
         bars.extend([(b, INF)] * mult)
     code = Barcode.of(bars)
     for i in range(T + 1):
-        assert code.count_through(i, i) == M.dims[i], "barcode does not account for every dimension"
+        if code.count_through(i, i) != M.dims[i]:
+            raise InternalError(f"barcode does not account for every dimension at index {i}")
     return code
 
 
@@ -209,30 +205,22 @@ def eps_trivial(M: PersistenceModule, eps: int) -> bool:
     code = barcode(M)
     by_barcode = all(d != INF and d - b <= 2 * eps for b, d in code.bars)
     by_nilpotency = not any(M.composite(i, i + 2 * eps).any() for i in range(M.T + 1))
-    assert by_barcode == by_nilpotency, "barcode and nilpotency criteria disagree"
+    if by_barcode != by_nilpotency:
+        raise InternalError("barcode and nilpotency criteria disagree")
     return by_barcode
 
 
-def triviality_defect(M: PersistenceModule) -> int | float:
-    """Least eps with eps_trivial true; INF when an essential class survives."""
-    code = barcode(M)
-    if code.essential_count():
-        return INF
-    worst = 0
-    for b, d in code.bars:
-        worst = max(worst, math.ceil((d - b) / 2))
-    return worst
-
-
-def barcode_triviality_defect(code: Barcode) -> int | float:
+def triviality_defect(code: Barcode) -> int | float:
+    """Least eps with eps_trivial true for a module with this barcode;
+    INF when an essential class survives."""
     if code.essential_count():
         return INF
     return max((math.ceil((d - b) / 2) for b, d in code.bars), default=0)
 
 
-def point_comparison_defect(M: PersistenceModule) -> int | float:
-    """Distance from the barcode to the barcode of a point (one bar [0, inf))."""
-    return bottleneck_distance(barcode(M), Barcode.of([(0, INF)]))
+def point_comparison_defect(code: Barcode) -> int | float:
+    """Distance from a barcode to the barcode of a point (one bar [0, inf))."""
+    return bottleneck_distance(code, Barcode.of([(0, INF)]))
 
 
 # -- bottleneck distance -------------------------------------------------------
@@ -304,7 +292,8 @@ def bottleneck_distance(B1: Barcode, B2: Barcode) -> int | float:
     finite_values += [d for _, d in B1.bars + B2.bars if d != INF]
     hi = max(finite_values, default=0)
     lo = 0
-    assert _matching_feasible(B1.bars, B2.bars, hi)
+    if not _matching_feasible(B1.bars, B2.bars, hi):
+        raise InternalError("no matching at the largest endpoint, where every bar is skippable")
     while lo < hi:
         mid = (lo + hi) // 2
         if _matching_feasible(B1.bars, B2.bars, mid):

@@ -1,8 +1,8 @@
 """Finite posets and order-preserving maps.
 
 Single time-slice building blocks: validated strict partial orders,
-down-sets and up-sets, deterministic linear extensions, and the poset
-mapping cylinder of a monotone map.  All values are immutable after
+the one check of monotone maps, deterministic linear extensions, and the
+poset mapping cylinder of a monotone map.  All values are immutable after
 construction and safe to share.
 """
 
@@ -68,9 +68,6 @@ class FinitePoset:
     def leq(self, a: str, b: str) -> bool:
         return a == b or (a, b) in self.relation
 
-    def comparable(self, a: str, b: str) -> bool:
-        return a == b or (a, b) in self.relation or (b, a) in self.relation
-
     def strictly_above(self, x: str) -> list[str]:
         return [b for b in self.elements if (x, b) in self.relation]
 
@@ -102,21 +99,6 @@ def new_poset(elements: Iterable[str], strict_pairs: Iterable[tuple[str, str]]) 
         raise DuplicateElement(f"duplicate identifiers: {sorted(dupes)!r}")
     relation = transitive_closure(elems, strict_pairs)
     return FinitePoset(elements=tuple(sorted(elems)), relation=relation)
-
-
-def downset(P: FinitePoset, x: str, strict: bool = True, direction: Direction = "below") -> FinitePoset:
-    """Induced subposet of everything below (or above) x, strictly or weakly."""
-    if x not in P:
-        raise UnknownElement(f"{x!r} not in poset")
-    if direction == "below":
-        keep = [a for a in P.elements if P.less(a, x)]
-    elif direction == "above":
-        keep = [b for b in P.elements if P.less(x, b)]
-    else:
-        raise ValueError(f"direction must be 'below' or 'above', got {direction!r}")
-    if not strict:
-        keep.append(x)
-    return P.restrict(keep)
 
 
 def linear_extension(P: FinitePoset) -> list[str]:
@@ -155,26 +137,11 @@ def identity_map(P: FinitePoset) -> MonotoneMap:
     return MonotoneMap(P, P, {e: e for e in P.elements})
 
 
-def compose(g: MonotoneMap, f: MonotoneMap) -> MonotoneMap:
-    if f.target != g.source:
-        raise PartialStructureMap("composition mismatch: f.target != g.source")
-    return MonotoneMap(f.source, g.target, {x: g.assignment[f.assignment[x]] for x in f.source.elements})
-
-
-def is_monotone(f: MonotoneMap) -> bool:
-    """True iff f is total, lands in its target, and preserves strict order."""
-    for x in f.source.elements:
-        y = f.assignment.get(x)
-        if y is None or y not in f.target:
-            return False
-    for a, b in f.source.relation:
-        if not f.target.leq(f.assignment[a], f.assignment[b]):
-            return False
-    return True
-
-
 def check_map(f: MonotoneMap) -> None:
-    """Raise the specific failure for an invalid map."""
+    """Raise the specific failure for an invalid map.
+
+    This is the library's only check of totality and monotonicity.
+    """
     for x in f.source.elements:
         y = f.assignment.get(x)
         if y is None:
@@ -186,6 +153,15 @@ def check_map(f: MonotoneMap) -> None:
             raise NonMonotoneStructureMap(
                 f"{a!r} < {b!r} but images {f.assignment[a]!r}, {f.assignment[b]!r} are not ordered"
             )
+
+
+def is_monotone(f: MonotoneMap) -> bool:
+    """True iff f is total, lands in its target, and preserves strict order."""
+    try:
+        check_map(f)
+    except (PartialStructureMap, NonMonotoneStructureMap):
+        return False
+    return True
 
 
 def mapping_cylinder(f: MonotoneMap) -> tuple[FinitePoset, MonotoneMap, MonotoneMap]:

@@ -2,7 +2,7 @@
 
 Components are connected by total monotone structure maps and extend
 constantly beyond the last explicit index.  This module also provides
-element tracks, persistence subposets (down-sets, fibers, punctures),
+element tracks, persistence subposets (comparison sets, fibers, punctures),
 coherent linear extensions, the persistence mapping cylinder, and the
 two interpolation chains used to compare a map's source and target
 inside the cylinder.
@@ -11,7 +11,7 @@ inside the cylinder.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     CycleError,
@@ -30,8 +30,8 @@ from .posets import (
     Direction,
     FinitePoset,
     MonotoneMap,
+    check_map,
     identity_map,
-    is_monotone,
     linear_extension,
     longest_chain,
     mapping_cylinder,
@@ -59,28 +59,6 @@ class PersistencePoset:
     def T(self) -> int:
         return len(self.components) - 1
 
-    def component(self, i: int) -> FinitePoset:
-        if i < 0:
-            raise IndexError("negative index")
-        return self.components[min(i, self.T)]
-
-    def structure_map(self, i: int) -> MonotoneMap:
-        """Map component(i) -> component(i+1); identity beyond T."""
-        if i < 0:
-            raise IndexError("negative index")
-        if i >= self.T:
-            return identity_map(self.components[self.T])
-        return self.maps[i]
-
-    def apply(self, i: int, j: int, x: str) -> str:
-        """Image of x under the composite of structure maps from i to j."""
-        if j < i:
-            raise IndexError("composite runs forward only")
-        cur = x
-        for k in range(i, min(j, self.T)):
-            cur = self.maps[k].assignment[cur]
-        return cur
-
     def is_empty(self) -> bool:
         return all(c.is_empty() for c in self.components)
 
@@ -97,17 +75,17 @@ def validate(pp: PersistencePoset) -> None:
             raise EmptyAfterNonempty(f"component {i} is empty after a nonempty one")
         seen_nonempty = seen_nonempty or not comp.is_empty()
     for i, f in enumerate(pp.maps):
-        if f.source != pp.components[i] or f.target != pp.components[i + 1]:
-            raise PartialStructureMap(f"structure map {i} does not connect components {i}->{i + 1}")
-        for x in f.source.elements:
-            y = f.assignment.get(x)
-            if y is None or y not in f.target:
-                raise PartialStructureMap(f"structure map {i} is not total at {x!r}")
-        for a, b in f.source.relation:
-            if not f.target.leq(f.assignment[a], f.assignment[b]):
-                raise NonMonotoneStructureMap(
-                    f"structure map {i} breaks {a!r} < {b!r}"
-                )
+        _check_arrow(f, pp.components[i], pp.components[i + 1], f"structure map {i}")
+
+
+def _check_arrow(f: MonotoneMap, source: FinitePoset, target: FinitePoset, name: str) -> None:
+    """f runs source -> target and passes check_map; failures are prefixed by name."""
+    if f.source != source or f.target != target:
+        raise PartialStructureMap(f"{name} does not connect the components")
+    try:
+        check_map(f)
+    except (PartialStructureMap, NonMonotoneStructureMap) as exc:
+        raise type(exc)(f"{name}: {exc}") from None
 
 
 def constant_pposet(P: FinitePoset, T: int) -> PersistencePoset:
@@ -153,14 +131,7 @@ class PersistenceMap:
         if len(self.slices) != self.source.T + 1:
             raise PartialStructureMap(f"expected {self.source.T + 1} slice maps")
         for i, f in enumerate(self.slices):
-            if f.source != self.source.components[i] or f.target != self.target.components[i]:
-                raise PartialStructureMap(f"slice map {i} does not connect the components")
-            for x in f.source.elements:
-                y = f.assignment.get(x)
-                if y is None or y not in f.target:
-                    raise PartialStructureMap(f"slice map {i} is not total at {x!r}")
-            if not is_monotone(f):
-                raise NonMonotoneStructureMap(f"slice map {i} is not monotone")
+            _check_arrow(f, self.source.components[i], self.target.components[i], f"slice map {i}")
         for i in range(self.source.T):
             phi = self.source.maps[i]
             psi = self.target.maps[i]
@@ -263,54 +234,30 @@ def tracks(pp: PersistencePoset) -> list[ElementTrack]:
     return out
 
 
-def sub_downset(
+def _restrict_along(
     pp: PersistencePoset,
-    y: ElementTrack,
-    strict: bool = True,
-    direction: Direction = "below",
+    row: Sequence[str | None],
+    keep: Callable[[int, str, str], bool],
 ) -> PersistencePoset:
-    """Componentwise down-set (or up-set) of a track's full trajectory.
+    """Persistence subposet of the elements a of component i with keep(i, a, row[i]).
 
-    Components before the birth index are empty.  The result is checked
-    for closure under the structure maps; closure can genuinely fail
-    when another element merges into the trajectory, in which case
-    NotASubposet propagates.
+    Components where the row is None (before a track's birth) are empty.
+    Raises NotASubposet when the subsets are not closed under the
+    structure maps.
     """
-    subsets: list[set[str]] = []
-    for i in range(pp.T + 1):
-        if i < y.birth:
-            subsets.append(set())
-            continue
-        comp = pp.components[i]
-        v = y.value(i)
-        if v not in comp:
-            raise UnknownElement(f"trajectory value {v!r} missing from component {i}")
-        if direction == "below":
-            keep = {a for a in comp.elements if comp.less(a, v)}
-        else:
-            keep = {b for b in comp.elements if comp.less(v, b)}
-        if not strict:
-            keep.add(v)
-        subsets.append(keep)
-    return restrict(pp, subsets)
+    return restrict(pp, [
+        set() if v is None else {a for a in pp.components[i].elements if keep(i, a, v)}
+        for i, v in enumerate(row)
+    ])
 
 
 def fiber(f: PersistenceMap, y: ElementTrack) -> PersistencePoset:
     """Preimage of the weak down-set of a target track; always a subposet."""
-    subsets: list[set[str]] = []
-    for i in range(f.T + 1):
-        if i < y.birth:
-            subsets.append(set())
-            continue
-        comp_y = f.target.components[i]
-        v = y.value(i)
-        keep = {
-            x
-            for x in f.source.components[i].elements
-            if comp_y.leq(f.slices[i].assignment[x], v)
-        }
-        subsets.append(keep)
-    return restrict(f.source, subsets)
+    return _restrict_along(
+        f.source,
+        _trajectory_row(y, f.T),
+        lambda i, x, v: f.target.components[i].leq(f.slices[i].assignment[x], v),
+    )
 
 
 def persistence_mapping_cylinder(
@@ -498,35 +445,19 @@ def comparison_set(
     extend past the removed piece.  Raises NotASubposet when an element
     merges into the trajectory.
     """
-    subsets: list[set[str]] = []
-    for i in range(pp.T + 1):
-        v = trajectory[i]
-        if v is None:
-            subsets.append(set())
-            continue
-        comp = pp.components[i]
-        if v not in comp:
+    for i, v in enumerate(trajectory):
+        if v is not None and v not in pp.components[i]:
             raise UnknownElement(f"slice {i}: trajectory value {v!r} not in component")
-        if direction == "below":
-            subsets.append({a for a in comp.elements if comp.less(a, v)})
-        else:
-            subsets.append({b for b in comp.elements if comp.less(v, b)})
-    return restrict(pp, subsets)
+    if direction == "below":
+        return _restrict_along(pp, trajectory, lambda i, a, v: pp.components[i].less(a, v))
+    return _restrict_along(pp, trajectory, lambda i, b, v: pp.components[i].less(v, b))
 
 
 def up_set_of_image_track(
     pp: PersistencePoset, track_values: Sequence[str | None]
 ) -> PersistencePoset:
     """Weak up-set of a trajectory row; always closed under structure maps."""
-    subsets: list[set[str]] = []
-    for i in range(pp.T + 1):
-        v = track_values[i]
-        if v is None:
-            subsets.append(set())
-            continue
-        comp = pp.components[i]
-        subsets.append({b for b in comp.elements if comp.leq(v, b)})
-    return restrict(pp, subsets)
+    return _restrict_along(pp, track_values, lambda i, b, v: pp.components[i].leq(v, b))
 
 
 def relabel(pp: PersistencePoset, prefix: str) -> PersistencePoset:

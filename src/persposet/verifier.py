@@ -13,10 +13,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .complexes import ComplexTower, join_tower, order_complex_tower
+from .complexes import ComplexTower, induced_map, join_tower, order_complex_tower
 from .errors import HypothesisUnmet, NotASubposet
-from .homology import FieldSpec, homology, homology_tower, induced_on_homology, reduced_dim
-from .complexes import induced_map
+from .homology import FieldSpec, homology, induced_on_homology, reduced_dim, tower_barcodes
 from .linalg import rank
 from .modules import (
     INF,
@@ -50,19 +49,23 @@ DEFAULT_FIELD = FieldSpec(2)
 def acyclicity_defect(tower: ComplexTower, field: FieldSpec, k_max: int) -> int | float:
     """Least eps such that the tower's homology is eps-close to a point.
 
-    Degree 0 is compared against the constant point module; every higher
-    degree must be eps-trivial.  INF when no finite eps works.
+    Degree 0, always checked, is compared against the constant point
+    module; every higher degree must be eps-trivial.  INF when no finite
+    eps works.
     """
-    worst: int | float = point_comparison_defect(homology_tower(tower, 0, field))
-    for k in range(1, k_max + 1):
-        worst = max(worst, triviality_defect(homology_tower(tower, k, field)))
+    codes = tower_barcodes(tower, field, max(k_max, 0))
+    worst = point_comparison_defect(codes[0])
+    for code in codes[1:]:
+        worst = max(worst, triviality_defect(code))
     return worst
 
 
-def poset_acyclicity_defect(pp: PersistencePoset, field: FieldSpec, k_max: int | None = None) -> int | float:
-    if k_max is None:
-        k_max = top_degree(pp)
-    return acyclicity_defect(order_complex_tower(pp), field, k_max)
+def _distances(
+    tower_a: ComplexTower, tower_b: ComplexTower, field: FieldSpec, k_max: int
+) -> dict[int, int | float]:
+    """Bottleneck distance of the two towers' barcodes in each degree 0..k_max."""
+    pairs = zip(tower_barcodes(tower_a, field, k_max), tower_barcodes(tower_b, field, k_max))
+    return {k: bottleneck_distance(a, b) for k, (a, b) in enumerate(pairs)}
 
 
 def fiber_defects(
@@ -117,17 +120,16 @@ def verify_theorem(
 
     tower_x = order_complex_tower(f.source)
     tower_y = order_complex_tower(f.target)
-    distances: dict[int, int | float] = {}
+    distances = _distances(tower_x, tower_y, field, k_max)
+    slice_maps = [
+        induced_map(f.slices[i], tower_x.complexes[i], tower_y.complexes[i]) for i in range(f.T + 1)
+    ]
     induced_ranks: dict[int, list[int]] = {}
     for k in range(k_max + 1):
-        hx = homology_tower(tower_x, k, field)
-        hy = homology_tower(tower_y, k, field)
-        distances[k] = bottleneck_distance(barcode(hx), barcode(hy))
         ranks = []
-        for i in range(f.T + 1):
-            sm = induced_map(f.slices[i], tower_x.complexes[i], tower_y.complexes[i])
+        for sm in slice_maps:
             mat = induced_on_homology(
-                sm, k, field, homology(tower_x.complexes[i], k, field), homology(tower_y.complexes[i], k, field)
+                sm, k, field, homology(sm.source, k, field), homology(sm.target, k, field)
             )
             ranks.append(rank(mat, field.p))
         induced_ranks[k] = ranks
@@ -200,15 +202,7 @@ def verify_puncture_lemma(
         raise HypothesisUnmet("both comparison sets have infinite acyclicity defect")
 
     bound = 4 * epsilon
-    tower_full = order_complex_tower(pp)
-    tower_cut = order_complex_tower(complement)
-    distances = {
-        k: bottleneck_distance(
-            barcode(homology_tower(tower_full, k, field)),
-            barcode(homology_tower(tower_cut, k, field)),
-        )
-        for k in range(k_max + 1)
-    }
+    distances = _distances(order_complex_tower(pp), order_complex_tower(complement), field, k_max)
     ok = all(d <= bound for d in distances.values())
     return PunctureReport(
         epsilon=epsilon,
@@ -292,15 +286,7 @@ def verify_cylinder_retraction(
     cylinder, _, _ = persistence_mapping_cylinder(f)
     if k_max is None:
         k_max = top_degree(cylinder)
-    tower_m = order_complex_tower(cylinder)
-    tower_y = order_complex_tower(f.target)
-    distances = {
-        k: bottleneck_distance(
-            barcode(homology_tower(tower_m, k, field)),
-            barcode(homology_tower(tower_y, k, field)),
-        )
-        for k in range(k_max + 1)
-    }
+    distances = _distances(order_complex_tower(cylinder), order_complex_tower(f.target), field, k_max)
 
     cone_steps_ok = True
     for tr in tracks(f.source):
@@ -401,15 +387,15 @@ def verify_split_ses_properties(seed: int, count: int, field: FieldSpec = DEFAUL
         T = rng.randint(0, 5)
         M = random_module(rng, field, max_dim=3, T=T)
         N = random_module(rng, field, max_dim=3, T=T)
-        L = direct_sum(M, N)
-        e1, e2, el = triviality_defect(M), triviality_defect(N), triviality_defect(L)
+        code_m, code_n, code_l = barcode(M), barcode(N), barcode(direct_sum(M, N))
+        e1, e2, el = triviality_defect(code_m), triviality_defect(code_n), triviality_defect(code_l)
         if el > e1 + e2:
             violations.append(f"case {case}: defect(L)={el} > {e1}+{e2}")
         if e1 > el or e2 > el:
             violations.append(f"case {case}: summand defect exceeds defect(L)={el}")
-        if e1 != INF and bottleneck_distance(barcode(L), barcode(N)) > 2 * e1:
+        if e1 != INF and bottleneck_distance(code_l, code_n) > 2 * e1:
             violations.append(f"case {case}: d(L,N) > 2*{e1}")
-        if e2 != INF and bottleneck_distance(barcode(M), barcode(L)) > 2 * e2:
+        if e2 != INF and bottleneck_distance(code_m, code_l) > 2 * e2:
             violations.append(f"case {case}: d(M,L) > 2*{e2}")
 
         eps = rng.randint(0, 3)

@@ -30,6 +30,13 @@ def test_missing_file():
     assert main(["validate", "/nonexistent/file.json"]) == 2
 
 
+def test_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xcc\xff")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_extend(instance_file, capsys):
     assert main(["extend", str(instance_file)]) == 0
     out = capsys.readouterr().out
@@ -116,3 +123,16 @@ def test_random_deterministic(capsys):
     assert capsys.readouterr().out == first
     doc = json.loads(first)
     assert doc["schema"] == "instance/1"
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--field", "4"], ["--scale", "abc"], ["--kmax", "-3"], ["--field", "4294967311"]],
+    ids=["field-not-prime", "scale-malformed", "kmax-negative", "field-too-large"],
+)
+def test_verify_rejects_bad_flags(instance_file, capsys, flags):
+    assert main(["verify", str(instance_file), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

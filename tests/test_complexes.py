@@ -9,13 +9,11 @@ from persposet.complexes import (
     induced_map,
     join,
     join_tower,
-    link,
     order_complex,
     order_complex_tower,
-    star,
 )
-from persposet.errors import DuplicateElement, UnknownVertex
-from persposet.posets import MonotoneMap, compose, downset, new_poset
+from persposet.errors import DuplicateElement, ShapeMismatch
+from persposet.posets import MonotoneMap, new_poset
 from persposet.pposets import PersistencePoset, constant_pposet
 
 
@@ -24,7 +22,7 @@ def chains_oracle(P):
     out = set()
     for k in range(1, len(P.elements) + 1):
         for sub in combinations(P.elements, k):
-            if all(P.comparable(a, b) for a in sub for b in sub):
+            if all(a == b or P.less(a, b) or P.less(b, a) for a in sub for b in sub):
                 out.add(frozenset(sub))
     return out
 
@@ -97,7 +95,7 @@ class TestInducedMap:
         if not is_monotone(f):
             return
         g = MonotoneMap(Q, Q, {y: y for y in Q.elements})
-        left = induced_map(compose(g, f))
+        left = induced_map(MonotoneMap(P, Q, {x: g.assignment[f.assignment[x]] for x in P.elements}))
         right_f = induced_map(f)
         right_g = induced_map(g)
         assert left.vertex_map == {
@@ -129,49 +127,6 @@ class TestJoinStarLink:
         with pytest.raises(DuplicateElement):
             join(K, K)
 
-    def test_link_in_full_simplex(self):
-        K = order_complex(new_poset("abc", [("a", "b"), ("b", "c"), ("a", "c")]))
-        assert link(K, "b").simplices == {frozenset("a"), frozenset("c"), frozenset(["a", "c"])}
-
-    def test_link_in_discrete(self):
-        K = SimplicialComplex.from_simplices([], vertices=["a", "b"])
-        assert link(K, "a").simplices == frozenset()
-
-    def test_link_in_four_cycle(self):
-        K = order_complex(S)
-        assert link(K, "a").simplices == {frozenset("c"), frozenset("d")}
-
-    def test_unknown_vertex(self):
-        K = SimplicialComplex.from_simplices([["a"]])
-        with pytest.raises(UnknownVertex):
-            star(K, "z")
-
-    @given(posets())
-    @settings(max_examples=40, deadline=None)
-    def test_star_is_cone_over_link(self, P):
-        K = order_complex(P)
-        for v in K.vertices:
-            lk = link(K, v)
-            apex = SimplicialComplex.from_simplices([], vertices=[v])
-            assert star(K, v).simplices == join(lk, apex).simplices
-
-    @given(posets())
-    @settings(max_examples=40, deadline=None)
-    def test_link_is_join_of_up_and_down_complexes(self, P):
-        K = order_complex(P)
-        for v in P.elements:
-            below = order_complex(downset(P, v, strict=True, direction="below"))
-            above = order_complex(downset(P, v, strict=True, direction="above"))
-            assert link(K, v).simplices == join(below, above).simplices
-
-    @given(posets())
-    @settings(max_examples=40, deadline=None)
-    def test_covering_identity(self, P):
-        K = order_complex(P)
-        for v in P.elements:
-            rest = order_complex(P.restrict([e for e in P.elements if e != v]))
-            assert K.simplices == rest.simplices | star(K, v).simplices
-
 
 class TestTowers:
     def test_constant(self):
@@ -201,3 +156,9 @@ class TestTowers:
         B = order_complex_tower(constant_pposet(new_poset(["b1", "b2"], []), 1))
         J = join_tower(A, B)
         assert all(K.top_degree() == 1 and len(K.k_simplices(1)) == 4 for K in J.complexes)
+
+    def test_join_tower_length_mismatch(self):
+        A = order_complex_tower(constant_pposet(new_poset(["a1"], []), 1))
+        B = order_complex_tower(constant_pposet(new_poset(["b1"], []), 2))
+        with pytest.raises(ShapeMismatch):
+            join_tower(A, B)

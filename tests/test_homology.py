@@ -161,7 +161,7 @@ class TestHomology:
                     (-1) ** k * homology(K, k, field).dimension
                     for k in range(K.top_degree() + 1)
                 )
-                assert chi == K.euler_characteristic()
+                assert chi == sum((-1) ** (len(s) - 1) for s in K.simplices)
 
 
 class TestInduced:

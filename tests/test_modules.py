@@ -11,7 +11,6 @@ from persposet.modules import (
     Barcode,
     FieldSpec,
     PersistenceModule,
-    ShiftMorphism,
     barcode,
     bottleneck_distance,
     direct_sum,
@@ -118,9 +117,9 @@ class TestTriviality:
         assert not eps_trivial(M, 5)
 
     def test_defects(self):
-        assert triviality_defect(module_from_barcode(F2, 2, [(0, 1)])) == 1
-        assert triviality_defect(zero_module(F2, 1)) == 0
-        assert triviality_defect(module_from_barcode(F2, 2, [(0, INF)])) == INF
+        assert triviality_defect(Barcode.of([(0, 1)])) == 1
+        assert triviality_defect(barcode(zero_module(F2, 1))) == 0
+        assert triviality_defect(Barcode.of([(0, INF)])) == INF
 
     @given(modules(), st.integers(0, 5))
     @settings(max_examples=60, deadline=None)
@@ -131,7 +130,7 @@ class TestTriviality:
     @given(modules())
     @settings(max_examples=60, deadline=None)
     def test_defect_is_least(self, M):
-        d = triviality_defect(M)
+        d = triviality_defect(barcode(M))
         if d == INF:
             assert not eps_trivial(M, M.T + 1)
         else:
@@ -160,7 +159,9 @@ class TestDirectSum:
         if M.T != N.T:
             return
         L = direct_sum(M, N)
-        assert triviality_defect(L) == max(triviality_defect(M), triviality_defect(N))
+        assert triviality_defect(barcode(L)) == max(
+            triviality_defect(barcode(M)), triviality_defect(barcode(N))
+        )
         left = sorted(barcode(M).bars + barcode(N).bars)
         assert list(barcode(L).bars) == left
 
@@ -179,9 +180,9 @@ class TestBottleneck:
         assert bottleneck_distance(Barcode.of([(0, INF)]), Barcode.of([])) == INF
 
     def test_point_comparison(self):
-        assert point_comparison_defect(module_from_barcode(F2, 2, [(0, INF)])) == 0
-        assert point_comparison_defect(module_from_barcode(F2, 3, [(2, INF)])) == 2
-        assert point_comparison_defect(zero_module(F2, 2)) == INF
+        assert point_comparison_defect(Barcode.of([(0, INF)])) == 0
+        assert point_comparison_defect(Barcode.of([(2, INF)])) == 2
+        assert point_comparison_defect(barcode(zero_module(F2, 2))) == INF
 
     @given(modules(max_dim=2, t_max=3), modules(max_dim=2, t_max=3))
     @settings(max_examples=40, deadline=None)
@@ -253,7 +254,7 @@ class TestBruteforce:
 
 
 def test_shift_morphism():
+    """The eps-shift of a module at index i is its composite transition i -> i + eps."""
     M = mod([1, 1, 1], [[1], [0]])
-    s = ShiftMorphism(2)
-    assert s.matrix(M, 0)[0, 0] == 0
-    assert ShiftMorphism(0).matrix(M, 1)[0, 0] == 1
+    assert M.composite(0, 2)[0, 0] == 0
+    assert M.composite(1, 1)[0, 0] == 1

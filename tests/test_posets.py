@@ -10,7 +10,7 @@ from persposet.errors import (
 )
 from persposet.posets import (
     MonotoneMap,
-    downset,
+    identity_map,
     is_monotone,
     linear_extension,
     longest_chain,
@@ -18,6 +18,7 @@ from persposet.posets import (
     new_poset,
     transitive_closure,
 )
+from persposet.pposets import PersistenceMap, comparison_set, constant_pposet, fiber, tracks
 
 
 def closure_oracle(elements, pairs):
@@ -83,32 +84,41 @@ class TestNewPoset:
         assert set(P.relation) == closure_oracle(P.elements, P.relation)
 
 
+def strict_set(P, x, direction):
+    """Strict down- or up-set of x, as the comparison set of a one-slice row."""
+    return comparison_set(constant_pposet(P, 0), [x], direction).components[0]
+
+
 class TestDownset:
     def test_chain_prefix(self):
         P = new_poset("abc", [("a", "b"), ("b", "c")])
-        D = downset(P, "c", strict=True, direction="below")
+        D = strict_set(P, "c", "below")
         assert D.elements == ("a", "b") and D.relation == frozenset({("a", "b")})
 
     def test_circle_antichain(self):
         P = new_poset("abcd", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
-        D = downset(P, "c", strict=True, direction="below")
+        D = strict_set(P, "c", "below")
         assert D.elements == ("a", "b") and not D.relation
 
     def test_minimum_has_empty_downset(self):
         P = new_poset("abc", [("a", "b"), ("a", "c")])
-        assert downset(P, "a", strict=True, direction="below").is_empty()
+        assert strict_set(P, "a", "below").is_empty()
 
     def test_weak_includes_element(self):
+        # the weak down-set of b is the fiber of the identity over b's track
         P = new_poset("ab", [("a", "b")])
-        assert downset(P, "b", strict=False, direction="below").elements == ("a", "b")
+        pp = constant_pposet(P, 0)
+        track_b = [t for t in tracks(pp) if t.initial == "b"][0]
+        weak = fiber(PersistenceMap(pp, pp, (identity_map(P),)), track_b)
+        assert weak.components[0].elements == ("a", "b")
 
     def test_above(self):
         P = new_poset("abc", [("a", "b"), ("a", "c")])
-        assert downset(P, "a", strict=True, direction="above").elements == ("b", "c")
+        assert strict_set(P, "a", "above").elements == ("b", "c")
 
     def test_unknown(self):
         with pytest.raises(UnknownElement):
-            downset(new_poset("a", []), "z")
+            strict_set(new_poset("a", []), "z", "below")
 
 
 class TestLinearExtension:

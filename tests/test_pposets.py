@@ -19,7 +19,6 @@ from persposet.pposets import (
     persistence_mapping_cylinder,
     puncture,
     relabel,
-    sub_downset,
     top_degree,
     tracks,
     validate,
@@ -36,6 +35,15 @@ def pmap(x, y, slices):
     return PersistenceMap(x, y, tuple(
         MonotoneMap(x.components[i], y.components[i], dict(s)) for i, s in enumerate(slices)
     ))
+
+
+def row(track, T):
+    """A track's trajectory per index, None before its birth."""
+    return [track.value(i) if i >= track.birth else None for i in range(T + 1)]
+
+
+def identity(pp):
+    return pmap(pp, pp, [{e: e for e in c.elements} for c in pp.components])
 
 
 class TestValidate:
@@ -144,17 +152,20 @@ class TestLinearExtension:
 
 
 class TestSubDownset:
+    """Down-sets of a track: strict ones are comparison sets of its trajectory
+    row, the weak one is the fiber of the identity over it."""
+
     def test_constant_chain(self):
         pp = constant_pposet(new_poset("ab", [("a", "b")]), 1)
         tb = [t for t in tracks(pp) if t.initial == "b"][0]
-        sub = sub_downset(pp, tb, strict=True, direction="below")
+        sub = comparison_set(pp, row(tb, pp.T), "below")
         assert all(c.elements == ("a",) for c in sub.components)
 
     def test_circle_weak(self):
         S = new_poset("abcd", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
         pp = constant_pposet(S, 1)
         tc = [t for t in tracks(pp) if t.initial == "c"][0]
-        sub = sub_downset(pp, tc, strict=False, direction="below")
+        sub = fiber(identity(pp), tc)
         assert all(c.elements == ("a", "b", "c") for c in sub.components)
         assert all(c.relation == frozenset({("a", "c"), ("b", "c")}) for c in sub.components)
 
@@ -165,7 +176,7 @@ class TestSubDownset:
         )
         tb = [t for t in tracks(pp) if t.initial == "b"][0]
         assert tb.birth == 2
-        sub = sub_downset(pp, tb, strict=True, direction="below")
+        sub = comparison_set(pp, row(tb, pp.T), "below")
         assert [c.elements for c in sub.components] == [(), (), ("a",)]
 
     def test_merge_into_track_fails_closure(self):
@@ -174,7 +185,7 @@ class TestSubDownset:
         pp = pposet([(["a", "b"], [("a", "b")]), ("z", [])], [{"a": "z", "b": "z"}])
         tb = [t for t in tracks(pp) if t.initial == "b"][0]
         with pytest.raises(NotASubposet):
-            sub_downset(pp, tb, strict=True, direction="below")
+            comparison_set(pp, row(tb, pp.T), "below")
 
 
 class TestFiber:
@@ -189,11 +200,10 @@ class TestFiber:
     def test_identity_fiber_is_weak_downset(self):
         P = new_poset("abc", [("a", "b"), ("b", "c")])
         pp = constant_pposet(P, 1)
-        f = pmap(pp, pp, [{e: e for e in P.elements}] * 2)
         for t in tracks(pp):
-            fib = fiber(f, t)
-            sub = sub_downset(pp, t, strict=False, direction="below")
-            assert [c.elements for c in fib.components] == [c.elements for c in sub.components]
+            fib = fiber(identity(pp), t)
+            weak = [tuple(e for e in P.elements if P.leq(e, v)) for v in row(t, pp.T)]
+            assert [c.elements for c in fib.components] == weak
 
     def test_constant_map_fiber_is_everything(self):
         X = constant_pposet(new_poset("ab", [("a", "b")]), 0)

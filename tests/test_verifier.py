@@ -1,5 +1,6 @@
 import pytest
 
+from persposet.complexes import order_complex_tower
 from persposet.errors import HypothesisUnmet
 from persposet.homology import FieldSpec
 from persposet.modules import INF
@@ -8,11 +9,12 @@ from persposet.pposets import (
     PersistenceMap,
     PersistencePoset,
     constant_pposet,
+    top_degree,
 )
 from persposet.verifier import (
+    acyclicity_defect,
     chain_puncture_suite,
     fiber_defects,
-    poset_acyclicity_defect,
     verify_cylinder_retraction,
     verify_join_acyclicity,
     verify_puncture_lemma,
@@ -207,7 +209,8 @@ class TestSesSuite:
 
 
 def test_poset_acyclicity_defect_of_cone():
-    pp = constant_pposet(new_poset("at", [("a", "t")]), 1)
-    assert poset_acyclicity_defect(pp, F2) == 0
-    empty = pposet([([], [])], [])
-    assert poset_acyclicity_defect(empty, F2) == INF
+    def poset_defect(pp):
+        return acyclicity_defect(order_complex_tower(pp), F2, top_degree(pp))
+
+    assert poset_defect(constant_pposet(new_poset("at", [("a", "t")]), 1)) == 0
+    assert poset_defect(pposet([([], [])], [])) == INF
