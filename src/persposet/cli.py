@@ -8,7 +8,6 @@ document next to the human-readable text on stdout.
 from __future__ import annotations
 
 import argparse
-import math
 import random
 import sys
 from pathlib import Path
@@ -27,7 +26,7 @@ from .documents import (
 )
 from .errors import HypothesisUnmet, PersistenceError, ValidationError
 from .homology import FieldSpec, tower_barcodes
-from .complexes import order_complex_tower
+from .complexes import core_tower
 from .modules import INF
 from .pposets import persistence_linear_extension, top_degree, tracks
 from .verifier import (
@@ -64,8 +63,6 @@ def _parse_scale(flag: str) -> Scale:
         origin, step = (float(part) for part in flag.split(","))
     except ValueError:
         raise ValidationError(f"--scale expects ORIGIN,STEP, got {flag!r}") from None
-    if not (math.isfinite(origin) and math.isfinite(step)):
-        raise ValidationError(f"--scale values must be finite, got {flag!r}")
     return Scale(origin, step)
 
 
@@ -131,7 +128,7 @@ def _cmd_barcode(args) -> int:
     k_max = args.kmax if args.kmax is not None else max(top_degree(inst.x), top_degree(inst.y))
     report = {"schema": "barcode/1", "field": field.p, "k_max": k_max, "x": {}, "y": {}}
     for name, pp in (("x", inst.x), ("y", inst.y)):
-        for k, code in enumerate(tower_barcodes(order_complex_tower(pp), field, k_max)):
+        for k, code in enumerate(tower_barcodes(core_tower(pp), field, k_max)):
             report[name][str(k)] = [[b, _enc(d)] for b, d in code.bars]
             for b, d in code.bars:
                 line = f"{name}\t{k}\t{b}\t{_enc(d)}"
@@ -312,13 +309,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Smallest accepted value of each integer flag; a generated slice needs an element.
+_FLAG_MINIMUM = {"kmax": 0, "count": 0, "t_max": 0, "max_slice": 1, "max_y_tracks": 0}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "lemma" and args.suite in ("puncture", "cylinder") and not args.instance:
             raise ValidationError("this suite needs an instance document")
-        if getattr(args, "kmax", None) is not None and args.kmax < 0:
-            raise ValidationError(f"--kmax must be non-negative, got {args.kmax}")
+        for name, least in _FLAG_MINIMUM.items():
+            value = getattr(args, name, None)
+            if value is not None and value < least:
+                raise ValidationError(f"--{name.replace('_', '-')} must be at least {least}, got {value}")
         return args.func(args)
     except (OSError, UnicodeDecodeError, PersistenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,6 +9,7 @@ every list so a round trip is bit-exact.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from itertools import combinations
@@ -32,6 +33,8 @@ class Scale:
     step: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.origin) and math.isfinite(self.step)):
+            raise ValidationError(f"scale values must be finite, got origin {self.origin}, step {self.step}")
         if not self.step > 0:
             raise ValidationError(f"scale step must be positive, got {self.step}")
 

@@ -163,7 +163,11 @@ def tower_barcodes(tower: ComplexTower, field: FieldSpec, k_max: int) -> list[Ba
     """Barcodes of the tower's homology in degrees 0..k_max, indexed by degree.
 
     The one path from a complex tower to barcodes: every verifier routine
-    and the CLI go through it.
+    and the CLI go through it.  A degree above the tower's top degree has
+    no homology, so its barcode is empty and nothing is built for it.
     """
-    modules = [homology_tower(tower, k, field) for k in range(k_max + 1)]
-    return [barcode(M) for M in modules]
+    top = tower.top_degree()
+    return [
+        barcode(homology_tower(tower, k, field)) if k <= top else Barcode.of(())
+        for k in range(k_max + 1)
+    ]

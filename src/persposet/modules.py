@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -242,40 +243,60 @@ def _skippable(bar: tuple[int, int | float], e: int) -> bool:
 
 
 def _perfect_matching(adjacency: list[list[int]], n_right: int) -> bool:
-    """Kuhn's augmenting paths; True iff every left node can be matched."""
+    """Kuhn's augmenting paths; True iff every left node can be matched.
+
+    The depth-first search keeps an explicit stack and visits edges in
+    adjacency order, so long augmenting paths need no recursion.
+    """
     match_right: list[int | None] = [None] * n_right
-
-    def try_augment(u: int, seen: list[bool]) -> bool:
-        for v in adjacency[u]:
-            if not seen[v]:
-                seen[v] = True
-                if match_right[v] is None or try_augment(match_right[v], seen):
-                    match_right[v] = u
-                    return True
-        return False
-
-    for u in range(len(adjacency)):
-        if not try_augment(u, [False] * n_right):
-            return False
+    for root in range(len(adjacency)):
+        seen = [False] * n_right
+        stack = [(root, iter(adjacency[root]))]
+        via: list[int] = []  # via[d]: the right node through which stack[d + 1] was entered
+        while True:
+            u, edges = stack[-1]
+            v = next((v for v in edges if not seen[v]), None)
+            if v is None:  # no augmenting path through u
+                stack.pop()
+                if not stack:
+                    return False
+                via.pop()
+                continue
+            seen[v] = True
+            w = match_right[v]
+            if w is None:
+                match_right[v] = u
+                for (left, _), right in zip(stack, via):
+                    match_right[right] = left
+                break
+            via.append(v)
+            stack.append((w, iter(adjacency[w])))
     return True
 
 
-def _matching_feasible(b1: Sequence[tuple[int, int | float]], b2: Sequence[tuple[int, int | float]], e: int) -> bool:
-    n1, n2 = len(b1), len(b2)
-    # Left: bars of b1 then a dummy per bar of b2; right: bars of b2 then a
-    # dummy per bar of b1.  Dummies absorb skippable bars and each other.
+def _covers(left: Sequence[tuple[int, int | float]], right: Sequence[tuple[int, int | float]], e: int) -> bool:
+    """True iff some matching of compatible bars covers every unskippable bar of left.
+
+    right must be sorted by birth: each bar's candidates are the window of
+    births within e, found by bisection.
+    """
+    births = [b for b, _ in right]
     adjacency: list[list[int]] = []
-    for i, bar in enumerate(b1):
-        row = [j for j, other in enumerate(b2) if _compatible(bar, other, e)]
-        if _skippable(bar, e):
-            row.append(n2 + i)
-        adjacency.append(row)
-    for j, other in enumerate(b2):
-        row = list(range(n2, n2 + n1))
-        if _skippable(other, e):
-            row.append(j)
-        adjacency.append(row)
-    return _perfect_matching(adjacency, n1 + n2)
+    for bar in left:
+        if not _skippable(bar, e):
+            lo, hi = bisect_left(births, bar[0] - e), bisect_right(births, bar[0] + e)
+            adjacency.append([j for j in range(lo, hi) if _compatible(bar, right[j], e)])
+    return _perfect_matching(adjacency, len(right))
+
+
+def _matching_feasible(b1: Sequence[tuple[int, int | float]], b2: Sequence[tuple[int, int | float]], e: int) -> bool:
+    """True iff a matching of compatible bars leaves only skippable bars unmatched.
+
+    By the Mendelsohn-Dulmage theorem, a bipartite matching covering the
+    unskippable bars of both sides exists iff one matching covers those
+    of b1 and another covers those of b2.
+    """
+    return _covers(b1, b2, e) and _covers(b2, b1, e)
 
 
 def bottleneck_distance(B1: Barcode, B2: Barcode) -> int | float:

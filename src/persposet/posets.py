@@ -1,9 +1,9 @@
 """Finite posets and order-preserving maps.
 
 Single time-slice building blocks: validated strict partial orders,
-the one check of monotone maps, deterministic linear extensions, and the
-poset mapping cylinder of a monotone map.  All values are immutable after
-construction and safe to share.
+the one check of monotone maps, deterministic linear extensions,
+beat-point cores, and the poset mapping cylinder of a monotone map.  All
+values are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -162,6 +162,64 @@ def is_monotone(f: MonotoneMap) -> bool:
     except (PartialStructureMap, NonMonotoneStructureMap):
         return False
     return True
+
+
+def _extreme(candidates: set[str], inner: dict[str, set[str]]) -> str | None:
+    """The element of candidates whose inner set holds all the others, if any.
+
+    With inner = strictly-below sets this is the maximum of candidates,
+    with strictly-above sets the minimum.
+    """
+    if not candidates:
+        return None
+    best = max(candidates, key=lambda e: len(inner[e]))
+    return best if len(inner[best]) == len(candidates) - 1 else None
+
+
+def core(P: FinitePoset) -> tuple[FinitePoset, MonotoneMap]:
+    """Remove beat points until none is left: the core C and the retraction r: P -> C.
+
+    A beat point covers exactly one element or is covered by exactly one;
+    it is sent to that element.  Each removal is a strong deformation
+    retraction of the order complex (Stong), so C has the homotopy type of
+    P.  Elements are scanned in order, down before up, and the scan
+    repeats until a pass removes nothing.  r composes the removals: it is
+    monotone and fixes C.
+    """
+    below: dict[str, set[str]] = {e: set() for e in P.elements}
+    above: dict[str, set[str]] = {e: set() for e in P.elements}
+    for a, b in P.relation:
+        below[b].add(a)
+        above[a].add(b)
+    sent: dict[str, str] = {}
+    removed = True
+    while removed:
+        removed = False
+        for x in P.elements:
+            if x in sent:
+                continue
+            y = _extreme(below[x], below)
+            if y is None:
+                y = _extreme(above[x], above)
+            if y is None:
+                continue
+            sent[x] = y
+            for a in below[x]:
+                above[a].discard(x)
+            for b in above[x]:
+                below[b].discard(x)
+            removed = True
+    C = FinitePoset(
+        elements=tuple(e for e in P.elements if e not in sent),
+        relation=frozenset((a, b) for (a, b) in P.relation if a not in sent and b not in sent),
+    )
+    assignment = {}
+    for x in P.elements:
+        y = x
+        while y in sent:
+            y = sent[y]
+        assignment[x] = y
+    return C, MonotoneMap(P, C, assignment)
 
 
 def mapping_cylinder(f: MonotoneMap) -> tuple[FinitePoset, MonotoneMap, MonotoneMap]:

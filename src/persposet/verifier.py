@@ -6,6 +6,11 @@ classifying spaces of a map's source and target against the bound
 worst acyclicity defect among the fibers.  The remaining routines check
 the supporting statements: the puncture step, join acyclicity, the
 cylinder retraction, and the split/exact sequence bounds.
+
+Every barcode of a persistence poset is computed on its slicewise
+beat-point core (complexes.core_tower), which has the same barcodes.  The
+join lemma is the exception: its Kunneth identity is a statement about
+the full order complexes, so it stays on them.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .complexes import ComplexTower, induced_map, join_tower, order_complex_tower
+from .complexes import ComplexTower, SimplicialMap, core_tower, join_tower, order_complex_tower
 from .errors import HypothesisUnmet, NotASubposet
 from .homology import FieldSpec, homology, induced_on_homology, reduced_dim, tower_barcodes
 from .linalg import rank
@@ -34,6 +39,7 @@ from .pposets import (
     PersistencePoset,
     chain_filtrations,
     comparison_set,
+    core,
     fiber,
     persistence_mapping_cylinder,
     puncture,
@@ -76,7 +82,7 @@ def fiber_defects(
         k_max = top_degree(f.source)
     out: dict[ElementTrack, int | float] = {}
     for y in tracks(f.target):
-        out[y] = acyclicity_defect(order_complex_tower(fiber(f, y)), field, k_max)
+        out[y] = acyclicity_defect(core_tower(fiber(f, y)), field, k_max)
     return out
 
 
@@ -109,7 +115,9 @@ def verify_theorem(
     When some fiber has infinite defect the hypothesis fails and the
     verdict is "vacuous".  The induced map of the instance on homology
     is reported as a per-slice rank table; the bound itself only claims
-    existence of an interleaving, so the verdict ignores it.
+    existence of an interleaving, so the verdict ignores it.  The table is
+    computed on the cores through r^Y_i . f_i . incl^X_i, which has the
+    same ranks because incl^X_i and r^Y_i are isomorphisms on homology.
     """
     if k_max is None:
         k_max = max(top_degree(f.source), top_degree(f.target))
@@ -118,16 +126,22 @@ def verify_theorem(
     epsilon: int | float = max(defects.values(), default=0)
     bound: int | float = INF if epsilon == INF else 4 * m * epsilon
 
-    tower_x = order_complex_tower(f.source)
-    tower_y = order_complex_tower(f.target)
+    tower_x = core_tower(f.source)
+    core_y, retract_y = core(f.target)
+    tower_y = order_complex_tower(core_y)
     distances = _distances(tower_x, tower_y, field, k_max)
     slice_maps = [
-        induced_map(f.slices[i], tower_x.complexes[i], tower_y.complexes[i]) for i in range(f.T + 1)
+        SimplicialMap(K, L, {x: retract_y[i].assignment[f.slices[i].assignment[x]] for x in K.vertices})
+        for i, (K, L) in enumerate(zip(tower_x.complexes, tower_y.complexes))
     ]
+    tops = [min(sm.source.top_degree(), sm.target.top_degree()) for sm in slice_maps]
     induced_ranks: dict[int, list[int]] = {}
     for k in range(k_max + 1):
         ranks = []
-        for sm in slice_maps:
+        for sm, top in zip(slice_maps, tops):
+            if k > top:
+                ranks.append(0)
+                continue
             mat = induced_on_homology(
                 sm, k, field, homology(sm.source, k, field), homology(sm.target, k, field)
             )
@@ -196,13 +210,13 @@ def verify_puncture_lemma(
         except NotASubposet:
             side[direction] = INF
             continue
-        side[direction] = acyclicity_defect(order_complex_tower(sub), field, k_max)
+        side[direction] = acyclicity_defect(core_tower(sub), field, k_max)
     epsilon = min(side["below"], side["above"])
     if epsilon == INF:
         raise HypothesisUnmet("both comparison sets have infinite acyclicity defect")
 
     bound = 4 * epsilon
-    distances = _distances(order_complex_tower(pp), order_complex_tower(complement), field, k_max)
+    distances = _distances(core_tower(pp), core_tower(complement), field, k_max)
     ok = all(d <= bound for d in distances.values())
     return PunctureReport(
         epsilon=epsilon,
@@ -286,7 +300,7 @@ def verify_cylinder_retraction(
     cylinder, _, _ = persistence_mapping_cylinder(f)
     if k_max is None:
         k_max = top_degree(cylinder)
-    distances = _distances(order_complex_tower(cylinder), order_complex_tower(f.target), field, k_max)
+    distances = _distances(core_tower(cylinder), core_tower(f.target), field, k_max)
 
     cone_steps_ok = True
     for tr in tracks(f.source):
@@ -294,10 +308,10 @@ def verify_cylinder_retraction(
             f.apply(i, tr.value(i)) if i >= tr.birth else None for i in range(f.T + 1)
         ]
         upset = up_set_of_image_track(f.target, row)
-        for K in order_complex_tower(upset).complexes:
+        for K in core_tower(upset).complexes:
             if K.is_empty():
                 continue
-            for k in range(k_max + 1):
+            for k in range(min(k_max, K.top_degree()) + 1):
                 if reduced_dim(K, k, field) != 0:
                     cone_steps_ok = False
     ok = all(d == 0 for d in distances.values()) and cone_steps_ok

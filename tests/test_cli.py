@@ -136,3 +136,37 @@ def test_verify_rejects_bad_flags(instance_file, capsys, flags):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["random", "--t-max", "-1"],
+        ["random", "--max-slice", "-1"],
+        ["random", "--max-slice", "0"],
+        ["random", "--max-y-tracks", "-1"],
+        ["lemma", "ses", "--count", "-5"],
+        ["lemma", "join", "--count", "-1"],
+    ],
+    ids=["t-max-negative", "max-slice-negative", "max-slice-zero", "max-y-tracks-negative",
+         "ses-count-negative", "join-count-negative"],
+)
+def test_rejects_bad_generator_flags(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("origin, step", [("nan", "1"), ("0", "inf"), ("-inf", "1")])
+def test_verify_rejects_non_finite_scale(tmp_path, capsys, origin, step):
+    doc = random_instance(1, GeneratorLimits(t_max=2))
+    doc["scale"] = {"origin": float(origin), "step": float(step)}
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")  # writes the NaN/Infinity literals
+    assert main(["verify", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -1,0 +1,175 @@
+"""Beat-point cores: the poset retraction, the persistence core, and exactness.
+
+The reference for every barcode is the full order-complex tower,
+``tower_barcodes(order_complex_tower(pp), ...)``; the library itself only
+computes barcodes of persistence posets on their cores.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from persposet.complexes import core_tower, induced_map, order_complex, order_complex_tower
+from persposet.documents import GeneratorLimits, parse_instance, random_instance
+from persposet.errors import NotASubposet
+from persposet.homology import FieldSpec, homology, induced_on_homology, reduced_dim, tower_barcodes
+from persposet.linalg import rank
+from persposet.posets import check_map, new_poset
+from persposet.posets import core as poset_core
+from persposet.pposets import comparison_set, constant_pposet, core, fiber, tracks
+from persposet.verifier import verify_theorem
+
+TIER_S = GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4)
+FIELDS = (2, 3, 5)
+
+
+def covers(P, x):
+    """Lower and upper covers of x, from the relation alone."""
+    below = set(P.strictly_below(x))
+    above = set(P.strictly_above(x))
+    lower = {a for a in below if not any(P.less(a, c) for c in below)}
+    upper = {b for b in above if not any(P.less(c, b) for c in above)}
+    return lower, upper
+
+
+def is_beat_point(P, x):
+    lower, upper = covers(P, x)
+    return len(lower) == 1 or len(upper) == 1
+
+
+CROWN = new_poset("abcd", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
+
+
+@st.composite
+def posets(draw):
+    elements = draw(st.lists(st.sampled_from("abcdefgh"), min_size=0, max_size=7, unique=True))
+    pairs = [
+        (elements[i], elements[j])
+        for i in range(len(elements))
+        for j in range(i + 1, len(elements))
+        if draw(st.booleans())
+    ]
+    return new_poset(elements, pairs)
+
+
+class TestPosetCore:
+    def test_chain_reduces_to_a_point(self):
+        C, r = poset_core(new_poset("abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")]))
+        assert len(C) == 1
+        assert set(r.assignment.values()) == set(C.elements)
+
+    def test_cone_reduces_to_a_point(self):
+        cone = new_poset("abcdt", list(CROWN.relation) + [(x, "t") for x in "abcd"])
+        C, _ = poset_core(cone)
+        assert len(C) == 1
+
+    def test_crown_is_its_own_core(self):
+        C, r = poset_core(CROWN)
+        assert C == CROWN
+        assert r.assignment == {e: e for e in CROWN.elements}
+
+    def test_empty_and_point(self):
+        for P in (new_poset([], []), new_poset("a", [])):
+            C, r = poset_core(P)
+            assert C == P and r.assignment == {e: e for e in P.elements}
+
+    @settings(max_examples=150, deadline=None)
+    @given(posets())
+    def test_retraction_properties(self, P):
+        C, r = poset_core(P)
+        check_map(r)
+        assert r.source == P and r.target == C
+        assert set(C.elements) <= set(P.elements)
+        assert C.relation == frozenset((a, b) for (a, b) in P.relation if a in C and b in C)
+        assert all(r.assignment[c] == c for c in C.elements)
+        assert not any(is_beat_point(C, x) for x in C.elements)
+        C2, r2 = poset_core(C)
+        assert C2 == C and r2.assignment == {c: c for c in C.elements}
+        assert (len(C) == 0) == (len(P) == 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(posets(), st.sampled_from(FIELDS))
+    def test_same_reduced_homology(self, P, p):
+        C, _ = poset_core(P)
+        field = FieldSpec(p)
+        K, L = order_complex(P), order_complex(C)
+        for k in range(-1, K.top_degree() + 1):
+            assert reduced_dim(K, k, field) == reduced_dim(L, k, field)
+
+
+class TestPersistenceCore:
+    def test_constant_crown(self):
+        pp = constant_pposet(CROWN, 2)
+        C, retractions = core(pp)
+        assert C.components == pp.components
+        assert all(r.assignment == {e: e for e in CROWN.elements} for r in retractions)
+
+    def test_maps_compose_structure_with_retraction(self):
+        doc = random_instance(3, TIER_S)
+        pp = parse_instance(doc).x
+        C, retractions = core(pp)
+        assert len(retractions) == pp.T + 1
+        for i in range(pp.T):
+            for x in C.components[i].elements:
+                assert C.maps[i].assignment[x] == retractions[i + 1].assignment[pp.maps[i].assignment[x]]
+
+
+def tier_s_pposets(seed):
+    """Source, target, fibers and closed comparison sets of one tier-S instance."""
+    f = parse_instance(random_instance(seed, TIER_S)).map
+    out = [f.source, f.target]
+    for y in tracks(f.target):
+        out.append(fiber(f, y))
+    for pp in (f.source, f.target):
+        for t in tracks(pp):
+            row = [t.value(i) if i >= t.birth else None for i in range(pp.T + 1)]
+            for direction in ("below", "above"):
+                try:
+                    out.append(comparison_set(pp, row, direction))
+                except NotASubposet:
+                    pass
+    return f, out
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000))
+def test_core_barcodes_equal_full_barcodes(seed):
+    _, pps = tier_s_pposets(seed)
+    for pp in pps:
+        full = order_complex_tower(pp)
+        k_top = max(full.top_degree(), 0)
+        small = core_tower(pp)
+        for p in FIELDS:
+            field = FieldSpec(p)
+            assert tower_barcodes(small, field, k_top) == tower_barcodes(full, field, k_top)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(FIELDS))
+def test_induced_ranks_equal_full_ranks(seed, p):
+    f, _ = tier_s_pposets(seed)
+    field = FieldSpec(p)
+    cert = verify_theorem(f, field)
+    tx, ty = order_complex_tower(f.source), order_complex_tower(f.target)
+    for k, ranks in cert.induced_ranks.items():
+        expected = []
+        for i in range(f.T + 1):
+            sm = induced_map(f.slices[i], tx.complexes[i], ty.complexes[i])
+            mat = induced_on_homology(sm, k, field, homology(sm.source, k, field), homology(sm.target, k, field))
+            expected.append(rank(mat, p))
+        assert ranks == expected
+
+
+def test_core_shrinks_tier_m_complexes():
+    doc = random_instance(7, GeneratorLimits(t_max=8, max_slice=10, max_y_tracks=6))
+    pp = parse_instance(doc).x
+    full = sum(len(K.simplices) for K in order_complex_tower(pp).complexes)
+    small = sum(len(K.simplices) for K in core_tower(pp).complexes)
+    assert small < full
+
+
+@pytest.mark.parametrize("p", FIELDS)
+def test_degree_above_top_is_empty(p):
+    tower = core_tower(constant_pposet(CROWN, 1))
+    codes = tower_barcodes(tower, FieldSpec(p), 4)
+    assert [len(code) for code in codes] == [1, 1, 0, 0, 0]

@@ -71,6 +71,10 @@ class TestInstanceDocuments:
         doc["scale"] = {"origin": 0.0, "step": 0.0}
         with pytest.raises(ValidationError):
             parse_instance(doc)
+        for origin, step in [(float("nan"), 1.0), (0.0, float("inf")), (float("-inf"), 1.0)]:
+            doc["scale"] = {"origin": origin, "step": step}
+            with pytest.raises(ValidationError):
+                parse_instance(doc)
         doc["scale"] = {"origin": 2.5, "step": 0.5}
         assert parse_instance(doc).scale == Scale(2.5, 0.5)
 

@@ -3,8 +3,11 @@
 Each case runs one CLI command in process and hashes the bytes of the
 report it writes.  Instance commands run on ``persposet random`` documents
 at the acceptance tier S (``--t-max 5 --max-slice 6 --max-y-tracks 4``)
-for six seeds and the fields 2 and 3; the two self-seeded suites run with
-``--seed 0 --count 20``.  A changed digest means a changed certificate.
+for six seeds and the fields 2 and 3; ``verify`` and ``fibers`` also run
+at tier M (``--t-max 8 --max-slice 10 --max-y-tracks 6``, cases named
+``<command>-M-s<seed>-p<field>``) for three seeds, where the order
+complexes are large.  The two self-seeded suites run with ``--seed 0
+--count 20``.  A changed digest means a changed certificate.
 After an intended, documented schema change, print the new table with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -22,8 +25,13 @@ import pytest
 
 from persposet.cli import main
 
-TIER_S = ("--t-max", "5", "--max-slice", "6", "--max-y-tracks", "4")
+TIERS = {
+    "S": ("--t-max", "5", "--max-slice", "6", "--max-y-tracks", "4"),
+    "M": ("--t-max", "8", "--max-slice", "10", "--max-y-tracks", "6"),
+}
 SEEDS = (0, 1, 2, 3, 4, 5)
+TIER_M_SEEDS = (0, 1, 2)
+TIER_M_COMMANDS = ("verify", "fibers")
 FIELDS = (2, 3)
 INSTANCE_COMMANDS = {
     "verify": ("verify",),
@@ -102,12 +110,27 @@ GOLDEN = {
     "ses-p3": "a994f3d1131a84cbe5cbada44421aa208f0f95ec1cc91be0a4783665125b201b",
     "join-p2": "4dd3df861fe2e7baab782a8e677a178c8a68077a295148f777c07bd9ac9f3942",
     "join-p3": "4dd3df861fe2e7baab782a8e677a178c8a68077a295148f777c07bd9ac9f3942",
+    "verify-M-s0-p2": "d7d57a058b031de1ad2c966f969820c1c53aab0a241c199f28159c2b528143dc",
+    "verify-M-s0-p3": "c7c018dc99f5c9d0abc005d4b2c0963957dc8e9fda9381adf74aac66a8f64a5e",
+    "verify-M-s1-p2": "0506c1d79db65e4174275013c87f4fc380641256049b0faf2c337db722087609",
+    "verify-M-s1-p3": "cf42b81c55ee851b33e5c90dcb520ee03759b5eaa64cf13cf3b4610e28c76c47",
+    "verify-M-s2-p2": "7ba59474109cb5740b33e8d0621ddf26d87f76979432422f92a5c372508d8939",
+    "verify-M-s2-p3": "a0f9d5baeecd2dbd02a2d06fe083d78f7757f43d8e1d1b0b527d82fc9eee4788",
+    "fibers-M-s0-p2": "5438cea310d0c5cf47a68a9d27d42ce65f702b474266b776244a35817888d8db",
+    "fibers-M-s0-p3": "3ddd19fd04a194d5b3e6798ddc5b24b77b048937fdf36e548964ca23b747ae33",
+    "fibers-M-s1-p2": "b0a85318e75a2acbf57aa97c2b8dd13479fa216e951d024b37c0b3576578d3be",
+    "fibers-M-s1-p3": "f12d01d18cc50595cc5ad9573aa886499adeb01d4a65325681353cdc93513484",
+    "fibers-M-s2-p2": "2a6b1af05b9c2d01d3e0d0853bd60f9213f52b8afb0eb6927442397b8e160a36",
+    "fibers-M-s2-p3": "80268f49b2662f2313db258b53ea4dd422a448cbbffa9c2023c54a2a8920371a",
 }
 
 
 def _cases() -> list[str]:
     names = [f"{cmd}-s{seed}-p{p}" for cmd in INSTANCE_COMMANDS for seed in SEEDS for p in FIELDS]
-    return names + [f"{cmd}-p{p}" for cmd in SUITE_COMMANDS for p in FIELDS]
+    names += [f"{cmd}-p{p}" for cmd in SUITE_COMMANDS for p in FIELDS]
+    return names + [
+        f"{cmd}-M-s{seed}-p{p}" for cmd in TIER_M_COMMANDS for seed in TIER_M_SEEDS for p in FIELDS
+    ]
 
 
 def _run(argv: list[str]) -> int:
@@ -121,10 +144,11 @@ def _report_digest(case: str, workdir: Path) -> str:
     if parts[0] in SUITE_COMMANDS:
         words = list(SUITE_COMMANDS[parts[0]])
     else:
-        seed = parts[1][1:]
-        instance = workdir / f"instance-{seed}.json"
+        tier = parts[1] if len(parts) == 4 else "S"
+        seed = parts[-2][1:]
+        instance = workdir / f"instance-{tier}-{seed}.json"
         if not instance.exists():
-            assert _run(["random", "--seed", seed, *TIER_S, "--report", str(instance)]) == 0
+            assert _run(["random", "--seed", seed, *TIERS[tier], "--report", str(instance)]) == 0
         words = [*INSTANCE_COMMANDS[parts[0]], str(instance)]
     report = workdir / f"{case}.json"
     assert _run([*words, "--field", field, "--report", str(report)]) in (0, 1)

@@ -23,6 +23,7 @@ from persposet.modules import (
     triviality_defect,
     zero_module,
 )
+from persposet.modules import _compatible, _matching_feasible, _perfect_matching, _skippable
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -166,6 +167,24 @@ class TestDirectSum:
         assert list(barcode(L).bars) == left
 
 
+bars = st.tuples(st.integers(0, 8), st.one_of(st.integers(1, 8), st.just(INF))).map(
+    lambda bd: (bd[0], bd[1] if bd[1] == INF else bd[0] + bd[1])
+)
+
+
+def _dummy_feasible(b1, b2, e):
+    """Reference feasibility: a perfect matching in which dummies absorb skippable bars."""
+    n1, n2 = len(b1), len(b2)
+    adjacency = []
+    for i, bar in enumerate(b1):
+        row = [j for j, other in enumerate(b2) if _compatible(bar, other, e)]
+        adjacency.append(row + [n2 + i] if _skippable(bar, e) else row)
+    for j, other in enumerate(b2):
+        row = list(range(n2, n2 + n1))
+        adjacency.append(row + [j] if _skippable(other, e) else row)
+    return _perfect_matching(adjacency, n1 + n2)
+
+
 class TestBottleneck:
     def test_essential_shift(self):
         assert bottleneck_distance(Barcode.of([(0, INF)]), Barcode.of([(2, INF)])) == 2
@@ -183,6 +202,24 @@ class TestBottleneck:
         assert point_comparison_defect(Barcode.of([(0, INF)])) == 0
         assert point_comparison_defect(Barcode.of([(2, INF)])) == 2
         assert point_comparison_defect(barcode(zero_module(F2, 2))) == INF
+
+    def test_three_thousand_bars(self):
+        shifted = Barcode.of([(i + 1, i + 2) for i in range(3000)])
+        assert bottleneck_distance(Barcode.of([(i, i + 1) for i in range(3000)]), shifted) == 1
+
+    def test_deep_augmenting_path(self):
+        # Left node i < n-1 first takes right node i; the last left node then
+        # needs the augmenting path that shifts all n-1 of them by one.
+        n = 3000
+        chain = [[i, i + 1] for i in range(n - 1)] + [[0]]
+        assert _perfect_matching(chain, n)
+        assert not _perfect_matching(chain + [[0]], n)
+
+    @given(st.lists(bars, max_size=6), st.lists(bars, max_size=6), st.integers(0, 9))
+    @settings(max_examples=300, deadline=None)
+    def test_feasibility_agrees_with_dummy_construction(self, bars1, bars2, e):
+        b1, b2 = Barcode.of(bars1).bars, Barcode.of(bars2).bars
+        assert _matching_feasible(b1, b2, e) == _dummy_feasible(b1, b2, e)
 
     @given(modules(max_dim=2, t_max=3), modules(max_dim=2, t_max=3))
     @settings(max_examples=40, deadline=None)
