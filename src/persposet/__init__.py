@@ -7,7 +7,6 @@ from .errors import (
     HypothesisUnmet,
     InconsistentTransfer,
     InternalError,
-    NegativeMultiplicity,
     NonMonotoneStructureMap,
     NotASubposet,
     NotClosed,

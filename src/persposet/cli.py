@@ -11,6 +11,7 @@ import argparse
 import random
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from .documents import (
     GeneratorLimits,
@@ -255,57 +256,76 @@ def _add_common(p: argparse.ArgumentParser, scale: bool = True) -> None:
                        help="report distances also as timestamps t = origin + step*i")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="persposet")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="parse and validate an instance document")
+def _args_instance(p: argparse.ArgumentParser) -> None:
     p.add_argument("instance")
-    p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("extend", help="coherent linear extension of both posets")
+
+def _args_extend(p: argparse.ArgumentParser) -> None:
     p.add_argument("instance")
     p.add_argument("--report", default=None)
-    p.set_defaults(func=_cmd_extend)
 
-    p = sub.add_parser("barcode", help="barcodes of both classifying-space towers")
+
+def _args_measure(p: argparse.ArgumentParser) -> None:
     p.add_argument("instance")
     _add_common(p)
-    p.set_defaults(func=_cmd_barcode)
 
-    p = sub.add_parser("fibers", help="acyclicity defect of every fiber")
-    p.add_argument("instance")
-    _add_common(p)
-    p.set_defaults(func=_cmd_fibers)
 
-    p = sub.add_parser("verify", help="verify the 4*m*epsilon bound")
+def _args_verify(p: argparse.ArgumentParser) -> None:
     p.add_argument("instance")
     p.add_argument("--json", action="store_true", help="print the certificate as JSON")
     _add_common(p)
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("lemma", help="run a lemma suite")
+
+def _args_lemma(p: argparse.ArgumentParser) -> None:
     p.add_argument("suite", choices=["puncture", "cylinder", "join", "ses"])
     p.add_argument("instance", nargs="?", help="instance document (puncture and cylinder)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=100)
     _add_common(p, scale=False)
-    p.set_defaults(func=_cmd_lemma)
 
-    p = sub.add_parser("cover", help="intersection poset of a nested cover")
+
+def _args_cover(p: argparse.ArgumentParser) -> None:
     p.add_argument("cover")
     p.add_argument("--max-arity", type=int, default=None)
     p.add_argument("--report", default=None)
-    p.set_defaults(func=_cmd_cover)
 
-    p = sub.add_parser("random", help="generate a random instance document")
+
+def _args_random(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--t-max", type=int, default=4)
     p.add_argument("--max-slice", type=int, default=6)
     p.add_argument("--max-y-tracks", type=int, default=4)
     p.add_argument("--report", default=None)
-    p.set_defaults(func=_cmd_random)
 
+
+# The one definition of every command: name -> (help, arguments, handler).
+_COMMANDS = {
+    "validate": ("parse and validate an instance document", _args_instance, _cmd_validate),
+    "extend": ("coherent linear extension of both posets", _args_extend, _cmd_extend),
+    "barcode": ("barcodes of both classifying-space towers", _args_measure, _cmd_barcode),
+    "fibers": ("acyclicity defect of every fiber", _args_measure, _cmd_fibers),
+    "verify": ("verify the 4*m*epsilon bound", _args_verify, _cmd_verify),
+    "lemma": ("run a lemma suite", _args_lemma, _cmd_lemma),
+    "cover": ("intersection poset of a nested cover", _args_cover, _cmd_cover),
+    "random": ("generate a random instance document", _args_random, _cmd_random),
+}
+
+
+def build_parser(commands: Iterable[str] = tuple(_COMMANDS)) -> argparse.ArgumentParser:
+    """The CLI parser with subparsers for the given commands only.
+
+    A parser for fewer commands still names them all in its usage line, so
+    it prints the same messages as the full one.
+    """
+    commands = tuple(commands)
+    parser = argparse.ArgumentParser(prog="persposet")
+    usage = None if len(commands) == len(_COMMANDS) else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=usage)
+    for name in commands:
+        help_text, add_arguments, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -314,7 +334,10 @@ _FLAG_MINIMUM = {"kmax": 0, "count": 0, "t_max": 0, "max_slice": 1, "max_y_track
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # Building one subparser instead of eight is most of the parse cost.
+    known = argv[:1] if argv and argv[0] in _COMMANDS else tuple(_COMMANDS)
+    args = build_parser(known).parse_args(argv)
     try:
         if args.command == "lemma" and args.suite in ("puncture", "cylinder") and not args.instance:
             raise ValidationError("this suite needs an instance document")

@@ -70,7 +70,7 @@ class SimplicialMap:
         return frozenset(self.vertex_map[v] for v in s)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def order_complex(P: FinitePoset) -> SimplicialComplex:
     """Simplices are exactly the nonempty chains of the poset."""
     above = {e: sorted(P.strictly_above(e)) for e in P.elements}

@@ -75,10 +75,6 @@ class TooLarge(PersistenceError):
     """Input exceeds the scale the exhaustive search is meant for."""
 
 
-class NegativeMultiplicity(PersistenceError):
-    """Internal consistency failure while extracting a barcode."""
-
-
 # -- verification ----------------------------------------------------------------
 
 class HypothesisUnmet(PersistenceError):

@@ -1,12 +1,20 @@
-"""Dense exact linear algebra over a prime field.
+"""Exact linear algebra over a prime field: dense matrices and sparse columns.
 
 Deterministic elimination (first nonzero entry in a fixed scan order is
 the pivot) so that every basis and every induced matrix is reproducible.
+
+The sparse kernel works on columns given as ``dict[int, int]``, a row
+index to a nonzero coefficient mod p, and on pivot tables that map a
+row to the normalised column whose lowest (largest) nonzero row it is.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import InternalError
+
+Column = dict[int, int]  # sparse column: row index -> nonzero coefficient mod p
 
 
 def normalize(a: np.ndarray, p: int) -> np.ndarray:
@@ -110,3 +118,30 @@ def column_space_basis(a: np.ndarray, p: int) -> np.ndarray:
         return zeros(a.shape[0], 0)
     _, pivots = row_reduce(a, p)
     return a[:, pivots] if pivots else zeros(a.shape[0], 0)
+
+
+def reduce_column(column: Column, pivots: dict[int, Column], p: int) -> Column:
+    """A new column: column minus pivot columns until it is zero or its lowest row has no pivot."""
+    col = dict(column)
+    while col:
+        low = max(col)
+        pivot = pivots.get(low)
+        if pivot is None:
+            break
+        c = col[low]
+        for r, v in pivot.items():
+            x = (col.get(r, 0) - c * v) % p
+            if x:
+                col[r] = x
+            else:
+                del col[r]
+    return col
+
+
+def insert_pivot(column: Column, pivots: dict[int, Column], p: int) -> None:
+    """File a nonzero reduced column, scaled to 1 at its lowest row, under that row."""
+    low = max(column)
+    if low in pivots:
+        raise InternalError(f"row {low} already has a pivot; the column was not reduced")
+    inv = _inv_scalar(column[low], p)
+    pivots[low] = {r: v * inv % p for r, v in column.items()}

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import linalg
-from .errors import InternalError, NegativeMultiplicity, ShapeMismatch, TooLarge, ValidationError
+from .errors import InternalError, ShapeMismatch, TooLarge, ValidationError
 
 INF = math.inf
 
@@ -121,7 +121,9 @@ def rank_invariant(M: PersistenceModule) -> np.ndarray:
     """r[i][j] = rank of the composite i -> j, for 0 <= i <= j <= T+1.
 
     Column T+1 is the composite into the stable regime and equals
-    column T because transitions are identities past T.
+    column T because transitions are identities past T.  The library does
+    not call it: it is the reference that the tests check every barcode
+    against, through Barcode.count_through.
     """
     T = M.T
     r = np.zeros((T + 2, T + 2), dtype=np.int64)
@@ -135,30 +137,73 @@ def rank_invariant(M: PersistenceModule) -> np.ndarray:
     return r
 
 
-def barcode(M: PersistenceModule) -> Barcode:
-    """Interval decomposition extracted from the rank invariant."""
-    T = M.T
-    r = rank_invariant(M)
+def _apply(columns: Sequence[linalg.Column], column: linalg.Column, p: int) -> linalg.Column:
+    """The image of a sparse column under the matrix with the given sparse columns."""
+    out: linalg.Column = {}
+    for j, c in column.items():
+        for r, v in columns[j].items():
+            x = (out.get(r, 0) + c * v) % p
+            if x:
+                out[r] = x
+            else:
+                del out[r]
+    return out
 
-    def rr(i: int, j: int) -> int:
-        return 0 if i < 0 else int(r[i, j])
 
+_Step = tuple[Sequence[linalg.Column], dict[int, linalg.Column], Sequence[linalg.Column]]
+
+
+def elder_barcode(steps: Iterable[_Step], p: int) -> Barcode:
+    """Barcode of V_0 -> V_1 -> ... -> V_T from one forward sweep with the elder rule.
+
+    Step i is (map, boundaries, generators): the map V_{i-1} -> V_i as
+    sparse columns (ignored at i = 0), the pivot table of a subspace B_i,
+    and sparse generators of a space Z_i with V_i = Z_i / B_i.
+    Representatives are kept oldest first.  Each is pushed through the map
+    and reduced, in that order, against B_i and the survivors so far, so in
+    a dependent set the youngest class reduces to zero and dies: a bar
+    [birth, i).  The new generators are reduced next, and each survivor
+    opens a bar at i.  Bars alive at T never die.
+    """
     bars: list[tuple[int, int | float]] = []
-    for b in range(T + 1):
-        for d in range(b + 1, T + 1):
-            mult = (rr(b, d - 1) - rr(b, d)) - (rr(b - 1, d - 1) - rr(b - 1, d))
-            if mult < 0:
-                raise NegativeMultiplicity(f"interval [{b}, {d}) has multiplicity {mult}")
-            bars.extend([(b, d)] * mult)
-        mult = rr(b, T) - rr(b - 1, T)
-        if mult < 0:
-            raise NegativeMultiplicity(f"interval [{b}, inf) has multiplicity {mult}")
-        bars.extend([(b, INF)] * mult)
-    code = Barcode.of(bars)
-    for i in range(T + 1):
-        if code.count_through(i, i) != M.dims[i]:
-            raise InternalError(f"barcode does not account for every dimension at index {i}")
-    return code
+    reps: list[tuple[int, linalg.Column]] = []  # (birth, representative), oldest first
+    for i, (columns, boundaries, generators) in enumerate(steps):
+        table = dict(boundaries)
+        survivors = []
+        candidates = [(birth, _apply(columns, rep, p)) for birth, rep in reps]
+        candidates += [(i, g) for g in generators]
+        for birth, column in candidates:
+            reduced = linalg.reduce_column(column, table, p)
+            if reduced:
+                linalg.insert_pivot(reduced, table, p)
+                survivors.append((birth, reduced))
+            elif birth < i:
+                bars.append((birth, i))
+        if len(survivors) != len(generators) - len(boundaries):
+            raise InternalError(
+                f"index {i}: {len(survivors)} classes, but dim Z - rank B = {len(generators) - len(boundaries)}"
+            )
+        reps = survivors
+    bars.extend((birth, INF) for birth, _ in reps)
+    return Barcode.of(bars)
+
+
+def _sparse_columns(mat: np.ndarray) -> list[linalg.Column]:
+    columns: list[linalg.Column] = [{} for _ in range(mat.shape[1])]
+    for r, row in enumerate(mat.tolist()):
+        for j, v in enumerate(row):
+            if v:
+                columns[j][r] = v
+    return columns
+
+
+def barcode(M: PersistenceModule) -> Barcode:
+    """Interval decomposition by the elder-rule sweep, seeding each index with its standard basis."""
+    steps = (
+        (_sparse_columns(M.transitions[i - 1]) if i else [], {}, [{j: 1} for j in range(d)])
+        for i, d in enumerate(M.dims)
+    )
+    return elder_barcode(steps, M.field.p)
 
 
 def module_from_barcode(field: FieldSpec, T: int, bars: Iterable[tuple[int, int | float]]) -> PersistenceModule:

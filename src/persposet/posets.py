@@ -9,6 +9,7 @@ values are immutable after construction and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Literal
 
 from .errors import (
@@ -176,6 +177,7 @@ def _extreme(candidates: set[str], inner: dict[str, set[str]]) -> str | None:
     return best if len(inner[best]) == len(candidates) - 1 else None
 
 
+@lru_cache(maxsize=4096)
 def core(P: FinitePoset) -> tuple[FinitePoset, MonotoneMap]:
     """Remove beat points until none is left: the core C and the retraction r: P -> C.
 
@@ -185,6 +187,9 @@ def core(P: FinitePoset) -> tuple[FinitePoset, MonotoneMap]:
     P.  Elements are scanned in order, down before up, and the scan
     repeats until a pass removes nothing.  r composes the removals: it is
     monotone and fixes C.
+
+    Cached: equal posets share one result, so r.source may be an equal
+    poset rather than P itself, and no caller may mutate r.assignment.
     """
     below: dict[str, set[str]] = {e: set() for e in P.elements}
     above: dict[str, set[str]] = {e: set() for e in P.elements}

@@ -109,7 +109,7 @@ def module_batch():
 def test_criterion_3_barcode_correctness(module_batch):
     bad = 0
     for M in module_batch:
-        code = barcode(M)  # raises NegativeMultiplicity on failure
+        code = barcode(M)  # raises InternalError on failure
         r = rank_invariant(M)
         for i in range(M.T + 1):
             for j in range(i, M.T + 1):

@@ -1,8 +1,9 @@
 import json
+import re
 
 import pytest
 
-from persposet.cli import main
+from persposet.cli import build_parser, main
 from persposet.documents import GeneratorLimits, canonical_json, random_instance
 
 
@@ -12,6 +13,37 @@ def instance_file(tmp_path):
     path = tmp_path / "instance.json"
     path.write_text(canonical_json(doc), encoding="utf-8")
     return path
+
+
+COMMANDS = ["validate", "extend", "barcode", "fibers", "verify", "lemma", "cover", "random"]
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for name in COMMANDS:
+        assert re.search(rf"^ +{name} +\S", out, re.MULTILINE), name
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_command_help_matches_full_parser(capsys, name):
+    """main builds only the named command's subparser; its help must not change."""
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([name, "--help"])
+    expected = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_unknown_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 def test_validate_ok(instance_file, capsys):
