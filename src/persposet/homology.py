@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,18 +52,45 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+Simplex = tuple[str, ...]
+
+
+def _boundary_column(simplex: Simplex, faces: dict[Simplex, int], p: int) -> linalg.Column:
+    """The boundary of a simplex, its faces with alternating signs, as a sparse column."""
+    if len(simplex) < 2:
+        return {}
+    return {faces[simplex[:i] + simplex[i + 1 :]]: 1 if i % 2 == 0 else p - 1 for i in range(len(simplex))}
+
+
+def _chain_columns(
+    sm: SimplicialMap, source: Sequence[Simplex], target: dict[Simplex, int], p: int
+) -> list[linalg.Column]:
+    """The chain map of sm on the given source simplices, as sparse columns with signs."""
+    columns: list[linalg.Column] = []
+    for simplex in source:
+        image = [sm.vertex_map[v] for v in simplex]
+        if len(set(image)) < len(image):
+            columns.append({})  # degenerate image contributes nothing
+            continue
+        inversions = sum(
+            1 for a in range(len(image)) for b in range(a + 1, len(image)) if image[a] > image[b]
+        )
+        columns.append({target[tuple(sorted(image))]: 1 if inversions % 2 == 0 else p - 1})
+    return columns
+
+
+def _dense(columns: list[linalg.Column], rows: int) -> np.ndarray:
+    mat = linalg.zeros(rows, len(columns))
+    for j, column in enumerate(columns):
+        for r, v in column.items():
+            mat[r, j] = v
+    return mat
+
+
 @lru_cache(maxsize=4096)
 def _boundary(K: SimplicialComplex, k: int, p: int) -> np.ndarray:
-    rows = K.k_simplices(k - 1) if k >= 1 else []
-    cols = K.k_simplices(k)
-    row_index = {s: i for i, s in enumerate(rows)}
-    mat = linalg.zeros(len(rows), len(cols))
-    for j, simplex in enumerate(cols):
-        for drop in range(len(simplex)):
-            face = simplex[:drop] + simplex[drop + 1 :]
-            if face:
-                mat[row_index[face], j] = (-1) ** drop % p
-    return _freeze(mat)
+    faces = {s: i for i, s in enumerate(K.k_simplices(k - 1))}
+    return _freeze(_dense([_boundary_column(s, faces, p) for s in K.k_simplices(k)], len(faces)))
 
 
 def boundary_matrix(K: SimplicialComplex, k: int, field: FieldSpec) -> np.ndarray:
@@ -116,20 +143,8 @@ def reduced_dim(K: SimplicialComplex, k: int, field: FieldSpec) -> int:
 
 
 def _chain_map_matrix(sm: SimplicialMap, k: int, p: int) -> np.ndarray:
-    source = sm.source.k_simplices(k)
-    target = sm.target.k_simplices(k)
-    target_index = {s: i for i, s in enumerate(target)}
-    mat = linalg.zeros(len(target), len(source))
-    for j, simplex in enumerate(source):
-        image = [sm.vertex_map[v] for v in simplex]
-        if len(set(image)) < len(image):
-            continue  # degenerate image contributes nothing
-        inversions = sum(
-            1 for a in range(len(image)) for b in range(a + 1, len(image)) if image[a] > image[b]
-        )
-        sign = (-1) ** inversions % p
-        mat[target_index[tuple(sorted(image))], j] = sign
-    return mat
+    target = {s: i for i, s in enumerate(sm.target.k_simplices(k))}
+    return _dense(_chain_columns(sm, sm.source.k_simplices(k), target, p), len(target))
 
 
 def induced_on_homology(
@@ -167,9 +182,6 @@ def homology_tower(tower: ComplexTower, k: int, field: FieldSpec) -> Persistence
         for i in range(tower.T)
     )
     return PersistenceModule(field=field, dims=dims, transitions=transitions)
-
-
-Simplex = tuple[str, ...]
 
 
 class _Chains(NamedTuple):
@@ -211,11 +223,8 @@ def _chains(K: SimplicialComplex, p: int) -> _Chains:
         pivots: dict[int, linalg.Column] = {}
         found = []
         for j, simplex in enumerate(group):
-            column = {-1 - j: 1}
-            if k:
-                for drop in range(k + 1):
-                    face = simplex[:drop] + simplex[drop + 1 :]
-                    column[index[k - 1][face]] = 1 if drop % 2 == 0 else p - 1
+            column = _boundary_column(simplex, index[k - 1] if k else {}, p)
+            column[-1 - j] = 1
             reduced = linalg.reduce_column(column, pivots, p)
             if max(reduced) < 0:
                 found.append({-1 - r: v for r, v in reduced.items()})
@@ -226,23 +235,6 @@ def _chains(K: SimplicialComplex, p: int) -> _Chains:
             boundaries.append({low: {r: v for r, v in col.items() if r >= 0} for low, col in pivots.items()})
     boundaries.append({})
     return _Chains(simplices, index, tuple(cycles), tuple(boundaries))
-
-
-def _chain_columns(
-    sm: SimplicialMap, source: tuple[Simplex, ...], target: dict[Simplex, int], p: int
-) -> list[linalg.Column]:
-    """The chain map of sm on the given source simplices, as sparse columns with signs."""
-    columns: list[linalg.Column] = []
-    for simplex in source:
-        image = [sm.vertex_map[v] for v in simplex]
-        if len(set(image)) < len(image):
-            columns.append({})  # degenerate image contributes nothing
-            continue
-        inversions = sum(
-            1 for a in range(len(image)) for b in range(a + 1, len(image)) if image[a] > image[b]
-        )
-        columns.append({target[tuple(sorted(image))]: 1 if inversions % 2 == 0 else p - 1})
-    return columns
 
 
 def tower_barcodes(tower: ComplexTower, field: FieldSpec, k_max: int) -> list[Barcode]:
