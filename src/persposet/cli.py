@@ -332,6 +332,12 @@ def build_parser(commands: Iterable[str] = tuple(_COMMANDS)) -> argparse.Argumen
 # Smallest accepted value of each integer flag; a generated slice needs an element.
 _FLAG_MINIMUM = {"kmax": 0, "count": 0, "t_max": 0, "max_slice": 1, "max_y_tracks": 0}
 
+# Largest accepted --kmax.  Homology in degree k needs a chain of k + 1
+# elements in a core slice, whose order complex has 2**(k + 1) - 1
+# simplices, so no instance that can be computed has a class in degree 256;
+# the bound keeps the per-degree lists of barcodes and ranks small.
+MAX_KMAX = 256
+
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
@@ -345,6 +351,8 @@ def main(argv: list[str] | None = None) -> int:
             value = getattr(args, name, None)
             if value is not None and value < least:
                 raise ValidationError(f"--{name.replace('_', '-')} must be at least {least}, got {value}")
+        if getattr(args, "kmax", None) is not None and args.kmax > MAX_KMAX:
+            raise ValidationError(f"--kmax must be at most {MAX_KMAX}, got {args.kmax}")
         return args.func(args)
     except (OSError, UnicodeDecodeError, PersistenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -80,6 +80,30 @@ def _require(cond: bool, message: str) -> None:
         raise SchemaError(message)
 
 
+def _load_json(text: str) -> Any:
+    """Parse JSON text; every failure, deep nesting included, is a SchemaError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise SchemaError("not valid JSON: nested too deeply") from None
+    except ValueError as exc:  # malformed text, or an integer past the digit limit
+        raise SchemaError(f"not valid JSON: {exc}") from None
+
+
+def _is_count(value: Any) -> bool:
+    """A non-negative JSON integer; booleans are not numbers here."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _scale_value(block: dict, key: str) -> float:
+    value = block.get(key)
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool), "scale: expected {origin, step}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"scale: {key} is too large for a float") from None
+
+
 def _parse_poset_block(obj: Any, where: str, T: int) -> PersistencePoset:
     _require(isinstance(obj, dict), f"{where}: expected an object")
     comps_raw = obj.get("components")
@@ -127,7 +151,7 @@ def pposet_from_doc(obj: Any) -> PersistencePoset:
     _require(isinstance(obj, dict), "expected a JSON object")
     _require(obj.get("schema") == PPOSET_SCHEMA, f"schema must be {PPOSET_SCHEMA!r}")
     T = obj.get("T")
-    _require(isinstance(T, int) and T >= 0, "T must be a non-negative integer")
+    _require(_is_count(T), "T must be a non-negative integer")
     return _parse_poset_block(obj, "poset", T)
 
 
@@ -151,14 +175,11 @@ def serialize_instance(inst: InstanceDocument) -> dict:
 def parse_instance(document: Any) -> InstanceDocument:
     """Validate a document into an instance; errors carry locations."""
     if isinstance(document, str):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"not valid JSON: {exc}") from exc
+        document = _load_json(document)
     _require(isinstance(document, dict), "expected a JSON object")
     _require(document.get("schema") == INSTANCE_SCHEMA, f"schema must be {INSTANCE_SCHEMA!r}")
     T = document.get("T")
-    _require(isinstance(T, int) and T >= 0, "T must be a non-negative integer")
+    _require(_is_count(T), "T must be a non-negative integer")
     x = _parse_poset_block(document.get("x"), "x", T)
     y = _parse_poset_block(document.get("y"), "y", T)
     map_raw = document.get("map")
@@ -177,11 +198,8 @@ def parse_instance(document: Any) -> InstanceDocument:
     scale = None
     if "scale" in document:
         s = document["scale"]
-        _require(
-            isinstance(s, dict) and isinstance(s.get("origin"), (int, float)) and isinstance(s.get("step"), (int, float)),
-            "scale: expected {origin, step}",
-        )
-        scale = Scale(float(s["origin"]), float(s["step"]))
+        _require(isinstance(s, dict), "scale: expected {origin, step}")
+        scale = Scale(_scale_value(s, "origin"), _scale_value(s, "step"))
     return InstanceDocument(map=pm, scale=scale)
 
 
@@ -208,20 +226,18 @@ class CoverTower:
 
 def cover_from_doc(obj: Any) -> CoverTower:
     if isinstance(obj, str):
-        try:
-            obj = json.loads(obj)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"not valid JSON: {exc}") from exc
+        obj = _load_json(obj)
     _require(isinstance(obj, dict), "expected a JSON object")
     _require(obj.get("schema") == COVER_SCHEMA, f"schema must be {COVER_SCHEMA!r}")
     T = obj.get("T")
-    _require(isinstance(T, int) and T >= 0, "T must be a non-negative integer")
+    _require(_is_count(T), "T must be a non-negative integer")
     sets_raw = obj.get("sets")
     _require(isinstance(sets_raw, dict) and sets_raw, "sets: expected a nonempty object")
     sets = {}
     for name, seq in sets_raw.items():
         _require(
-            isinstance(seq, list) and all(isinstance(stage, list) for stage in seq),
+            isinstance(seq, list)
+            and all(isinstance(stage, list) and all(isinstance(e, str) for e in stage) for stage in seq),
             f"sets[{name}]: expected a list of point-id lists",
         )
         sets[name] = tuple(frozenset(stage) for stage in seq)

@@ -350,8 +350,11 @@ def bottleneck_distance(B1: Barcode, B2: Barcode) -> int | float:
     Matched bars must agree within eps at both endpoints (infinite
     deaths only match infinite deaths); unmatched bars must have length
     at most 2*eps.  Found by binary search over eps with a bipartite
-    matching feasibility test.
+    matching feasibility test.  Equal barcodes are at distance 0 without a
+    search: bars are stored sorted, so equal tuples are equal multisets.
     """
+    if B1.bars == B2.bars:
+        return 0
     if B1.essential_count() != B2.essential_count():
         return INF
     finite_values = [b for b, _ in B1.bars + B2.bars]

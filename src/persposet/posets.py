@@ -79,13 +79,19 @@ class FinitePoset:
         return not self.elements
 
     def restrict(self, subset: Iterable[str]) -> "FinitePoset":
-        """Induced subposet on a subset of the elements."""
+        """Induced subposet on a subset of the elements.
+
+        The induced relation of a closed relation is closed, and the stored
+        elements are sorted and unique, so both are filtered, not rebuilt.
+        """
         keep = set(subset)
-        unknown = keep - set(self.elements)
+        unknown = keep.difference(self.elements)
         if unknown:
             raise UnknownElement(f"elements {sorted(unknown)!r} not in poset")
-        pairs = [(a, b) for (a, b) in self.relation if a in keep and b in keep]
-        return new_poset(sorted(keep), pairs)
+        return FinitePoset(
+            elements=tuple(e for e in self.elements if e in keep),
+            relation=frozenset((a, b) for (a, b) in self.relation if a in keep and b in keep),
+        )
 
 
 def new_poset(elements: Iterable[str], strict_pairs: Iterable[tuple[str, str]]) -> FinitePoset:

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from .complexes import ComplexTower, SimplicialMap, core_tower, join_tower, order_complex_tower
 from .errors import HypothesisUnmet, NotASubposet
@@ -24,6 +26,7 @@ from .homology import FieldSpec, homology, induced_on_homology, reduced_dim, tow
 from .linalg import rank
 from .modules import (
     INF,
+    Barcode,
     PersistenceModule,
     barcode,
     bottleneck_distance,
@@ -66,12 +69,9 @@ def acyclicity_defect(tower: ComplexTower, field: FieldSpec, k_max: int) -> int 
     return worst
 
 
-def _distances(
-    tower_a: ComplexTower, tower_b: ComplexTower, field: FieldSpec, k_max: int
-) -> dict[int, int | float]:
-    """Bottleneck distance of the two towers' barcodes in each degree 0..k_max."""
-    pairs = zip(tower_barcodes(tower_a, field, k_max), tower_barcodes(tower_b, field, k_max))
-    return {k: bottleneck_distance(a, b) for k, (a, b) in enumerate(pairs)}
+def _distances(codes_a: list[Barcode], codes_b: list[Barcode]) -> dict[int, int | float]:
+    """Bottleneck distance of two towers' barcodes (tower_barcodes) in each degree."""
+    return {k: bottleneck_distance(a, b) for k, (a, b) in enumerate(zip(codes_a, codes_b))}
 
 
 def fiber_defects(
@@ -129,7 +129,7 @@ def verify_theorem(
     tower_x = core_tower(f.source)
     core_y, retract_y = core(f.target)
     tower_y = order_complex_tower(core_y)
-    distances = _distances(tower_x, tower_y, field, k_max)
+    distances = _distances(tower_barcodes(tower_x, field, k_max), tower_barcodes(tower_y, field, k_max))
     slice_maps = [
         SimplicialMap(K, L, {x: retract_y[i].assignment[f.slices[i].assignment[x]] for x in K.vertices})
         for i, (K, L) in enumerate(zip(tower_x.complexes, tower_y.complexes))
@@ -202,7 +202,29 @@ def verify_puncture_lemma(
     if k_max is None:
         k_max = top_degree(pp)
     complement = puncture(pp, removal)
+    return _puncture_step(
+        pp,
+        trajectory,
+        field,
+        k_max,
+        lambda: tower_barcodes(core_tower(pp), field, k_max),
+        lambda: tower_barcodes(core_tower(complement), field, k_max),
+    )
 
+
+def _puncture_step(
+    pp: PersistencePoset,
+    trajectory,
+    field: FieldSpec,
+    k_max: int,
+    larger_codes: Callable[[], list[Barcode]],
+    smaller_codes: Callable[[], list[Barcode]],
+) -> PunctureReport:
+    """The puncture bound of one step, given the barcodes of pp and of its complement.
+
+    The barcodes are asked for only once the hypothesis holds, so a caller
+    may compute them lazily and share them between steps.
+    """
     side: dict[str, int | float] = {}
     for direction in ("below", "above"):
         try:
@@ -216,7 +238,7 @@ def verify_puncture_lemma(
         raise HypothesisUnmet("both comparison sets have infinite acyclicity defect")
 
     bound = 4 * epsilon
-    distances = _distances(core_tower(pp), core_tower(complement), field, k_max)
+    distances = _distances(larger_codes(), smaller_codes())
     ok = all(d <= bound for d in distances.values())
     return PunctureReport(
         epsilon=epsilon,
@@ -300,7 +322,10 @@ def verify_cylinder_retraction(
     cylinder, _, _ = persistence_mapping_cylinder(f)
     if k_max is None:
         k_max = top_degree(cylinder)
-    distances = _distances(core_tower(cylinder), core_tower(f.target), field, k_max)
+    distances = _distances(
+        tower_barcodes(core_tower(cylinder), field, k_max),
+        tower_barcodes(core_tower(f.target), field, k_max),
+    )
 
     cone_steps_ok = True
     for tr in tracks(f.source):
@@ -339,20 +364,38 @@ def chain_puncture_suite(
     counted as trivial; steps whose hypothesis cannot be evaluated (both
     comparison sets fail to be subposets or have infinite defect) are
     counted as skipped.
+
+    A step's smaller member is its complement, and each chain member is
+    the larger side of one step and the smaller side of the next, so the
+    barcodes of each member are computed once, on the first step that
+    reaches the distance check.
     """
     chains = chain_filtrations(f)
     if k_max is None:
         k_max = top_degree(chains.cylinder)
     checked = trivial = skipped = 0
     violations: list[str] = []
+    # Chain members compare by identity, so each one keys its own barcodes.
+    codes: dict[PersistencePoset, list[Barcode]] = {}
+
+    def member_codes(member: PersistencePoset) -> list[Barcode]:
+        if member not in codes:
+            codes[member] = tower_barcodes(core_tower(member), field, k_max)
+        return codes[member]
+
     for name, steps in (("grow", chains.target_steps), ("shrink", chains.source_steps)):
         for idx, step in enumerate(steps):
             if all(r is None for r in step.removed):
                 trivial += 1
                 continue
             try:
-                report = verify_puncture_lemma(
-                    step.larger, step.removed, field, k_max, trajectory=step.trajectory
+                report = _puncture_step(
+                    step.larger,
+                    step.trajectory,
+                    field,
+                    k_max,
+                    partial(member_codes, step.larger),
+                    partial(member_codes, step.smaller),
                 )
             except HypothesisUnmet:
                 skipped += 1

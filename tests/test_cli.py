@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from persposet.cli import build_parser, main
+from persposet.cli import MAX_KMAX, build_parser, main
 from persposet.documents import GeneratorLimits, canonical_json, random_instance
 
 
@@ -13,6 +13,13 @@ def instance_file(tmp_path):
     path = tmp_path / "instance.json"
     path.write_text(canonical_json(doc), encoding="utf-8")
     return path
+
+
+def _assert_one_error_line(captured):
+    """Exit 2 output: nothing on stdout, exactly one error line on stderr."""
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 COMMANDS = ["validate", "extend", "barcode", "fibers", "verify", "lemma", "cover", "random"]
@@ -164,10 +171,7 @@ def test_random_deterministic(capsys):
 )
 def test_verify_rejects_bad_flags(instance_file, capsys, flags):
     assert main(["verify", str(instance_file), *flags]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
+    _assert_one_error_line(capsys.readouterr())
 
 
 @pytest.mark.parametrize(
@@ -185,10 +189,7 @@ def test_verify_rejects_bad_flags(instance_file, capsys, flags):
 )
 def test_rejects_bad_generator_flags(capsys, argv):
     assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
+    _assert_one_error_line(capsys.readouterr())
 
 
 @pytest.mark.parametrize("origin, step", [("nan", "1"), ("0", "inf"), ("-inf", "1")])
@@ -198,7 +199,61 @@ def test_verify_rejects_non_finite_scale(tmp_path, capsys, origin, step):
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(doc), encoding="utf-8")  # writes the NaN/Infinity literals
     assert main(["verify", str(path), "--json"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
+    _assert_one_error_line(capsys.readouterr())
+
+
+def _with(doc, **fields):
+    return json.dumps({**doc, **fields})
+
+
+# Seed 0 has T = 1, so "T": true would read as a valid T if booleans counted as numbers.
+_DOC = random_instance(0, GeneratorLimits(t_max=2))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 100_000 + "]" * 100_000,
+        _with(_DOC, T="__T__").replace('"__T__"', "7" * 5000),
+        _with(_DOC, scale={"origin": 10**400, "step": 1}),
+        _with(_DOC, scale={"origin": 0, "step": 10**400}),
+        _with(_DOC, T=True),
+        _with(_DOC, scale={"origin": True, "step": 1}),
+        _with(_DOC, scale={"origin": 0, "step": True}),
+    ],
+    ids=["nested-too-deeply", "T-5000-digits", "origin-401-digits", "step-401-digits",
+         "T-boolean", "origin-boolean", "step-boolean"],
+)
+def test_validate_rejects_bad_documents(tmp_path, capsys, text):
+    assert _DOC["T"] == 1
+    path = tmp_path / "instance.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    _assert_one_error_line(capsys.readouterr())
+
+
+def test_cover_rejects_nested_point_ids(tmp_path, capsys):
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps({"schema": "cover/1", "T": 0, "sets": {"U": [[["p1"]]]}}), encoding="utf-8")
+    assert main(["cover", str(path)]) == 2
+    _assert_one_error_line(capsys.readouterr())
+
+
+@pytest.mark.parametrize(
+    "command, kmax",
+    [
+        (["fibers"], "999999999999999999999"),
+        (["verify"], str(MAX_KMAX + 1)),
+        (["barcode"], str(MAX_KMAX + 1)),
+        (["lemma", "puncture"], str(MAX_KMAX + 1)),
+    ],
+    ids=["fibers-huge", "verify-past-ceiling", "barcode-past-ceiling", "puncture-past-ceiling"],
+)
+def test_rejects_kmax_above_ceiling(instance_file, capsys, command, kmax):
+    """Only the rejection path runs: nothing is computed for these values."""
+    assert main([*command, str(instance_file), "--kmax", kmax]) == 2
+    _assert_one_error_line(capsys.readouterr())
+
+
+def test_kmax_ceiling_is_accepted(instance_file, capsys):
+    assert main(["barcode", str(instance_file), "--kmax", str(MAX_KMAX)]) == 0

@@ -1,0 +1,113 @@
+"""Fuzzing the CLI with mutated instance documents and flag values near their bounds.
+
+Every run of cli.main must end with exit code 0, 1 or 2; an exception
+escaping it (a traceback) fails the test.  Exit 2 always comes with an
+error message on stderr.  Documents stay at tier S and --kmax stays small,
+so no example computes much.
+"""
+
+import contextlib
+import copy
+import io
+import json
+
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
+
+from persposet.cli import MAX_KMAX, main
+from persposet.documents import GeneratorLimits, random_instance
+
+TIER_S = GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4)
+
+# Values json.dumps cannot write are spliced into the text after dumping.
+RAW = {
+    '"__LONG_INT__"': "9" * 5000,
+    '"__DEEP__"': "[" * 100_000 + "]" * 100_000,
+}
+
+BASES = [random_instance(seed, TIER_S) for seed in range(3)]
+BASES += [{**doc, "scale": {"origin": 0, "step": 1}} for doc in BASES[:2]]
+
+values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 8),
+    st.just(10**400),
+    st.floats(),
+    st.text(max_size=4),
+    st.just([]),
+    st.just({}),
+    st.sampled_from(list(RAW)).map(lambda key: key.strip('"')),
+)
+
+
+@st.composite
+def documents(draw):
+    """A tier-S document with up to three keys dropped or values replaced."""
+    doc = copy.deepcopy(draw(st.sampled_from(BASES)))
+    for _ in range(draw(st.integers(0, 3))):
+        node = doc
+        while True:
+            keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+            if not keys:
+                break
+            key = draw(st.sampled_from(keys))
+            child = node[key]
+            if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+                node = child
+                continue
+            if draw(st.booleans()):
+                del node[key]
+            else:
+                node[key] = draw(values)
+            break
+    text = json.dumps(doc)
+    for placeholder, raw in RAW.items():
+        text = text.replace(placeholder, raw)
+    return text
+
+
+def flag(name, valid, invalid):
+    """Absent, a value in range, or a value just past a bound."""
+    values = st.one_of(st.sampled_from(valid), st.sampled_from(invalid))
+    return st.one_of(st.just([]), values.map(lambda v: [name, str(v)]))
+
+
+fields = flag("--field", [2, 3, 5, 65521], [1, 4, 0, -2, 65536, 65537])
+kmaxes = flag("--kmax", [0, 1, 2, 3], [-1, MAX_KMAX + 1])
+scales = flag("--scale", ["0,1", "10,0.5"], ["abc", "1,0", "0,-1", "nan,1", "1e309,1", "1,2,3"])
+counts = flag("--count", [0, 1, 3], [-1])
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(
+        [["validate"], ["extend"], ["barcode"], ["fibers"], ["verify"],
+         ["lemma", "puncture"], ["lemma", "cylinder"], ["lemma", "ses"], ["lemma", "join"]]
+    ))
+    argv = list(command)
+    if command[-1] not in ("ses", "join"):
+        argv.append(None)  # the document's path
+    if command[0] in ("barcode", "fibers", "verify"):
+        argv += draw(fields) + draw(kmaxes) + draw(scales)
+    elif command[0] == "lemma":
+        argv += draw(fields) + draw(kmaxes) + draw(counts)
+    return argv
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(documents(), argvs())
+def test_cli_exits_0_1_or_2_without_traceback(tmp_path_factory, text, argv):
+    path = tmp_path_factory.mktemp("fuzz") / "instance.json"
+    path.write_text(text, encoding="utf-8")
+    argv = [str(path) if a is None else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a flag value
+            code = exc.code
+    event(f"exit {code}")
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert "error: " in err.getvalue().splitlines()[-1]

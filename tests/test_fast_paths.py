@@ -1,0 +1,162 @@
+"""Fast paths of the puncture suite against the slower paths they replace.
+
+- FinitePoset.restrict filters the stored closed relation; the reference
+  rebuilds the induced order with new_poset.
+- chain_puncture_suite takes each step's complement from the chain and
+  computes each member's barcodes once; the reference runs
+  verify_puncture_lemma on every step, which punctures and computes both
+  sides afresh.
+- bottleneck_distance returns 0 for equal barcodes; the reference is the
+  feasibility search itself.
+"""
+
+from unittest import mock
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from persposet import verifier
+from persposet.documents import GeneratorLimits, parse_instance, random_instance
+from persposet.errors import HypothesisUnmet
+from persposet.complexes import core_tower
+from persposet.homology import FieldSpec, tower_barcodes
+from persposet.modules import INF, Barcode, _matching_feasible, bottleneck_distance
+from persposet.posets import new_poset
+from persposet.pposets import chain_filtrations, puncture, top_degree
+from persposet.verifier import chain_puncture_suite, verify_puncture_lemma
+
+TIER_S = GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4)
+FIELDS = (2, 3, 5)
+
+
+def tier_s_map(seed):
+    return parse_instance(random_instance(seed, TIER_S)).map
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.data())
+def test_restrict_equals_rebuilt_induced_order(seed, data):
+    f = tier_s_map(seed)
+    cylinder = chain_filtrations(f).cylinder
+    for pp in (f.source, f.target, cylinder):
+        for P in pp.components:
+            subset = data.draw(st.sets(st.sampled_from(P.elements))) if P.elements else set()
+            pairs = [(a, b) for (a, b) in P.relation if a in subset and b in subset]
+            reference = new_poset(sorted(subset), pairs)
+            fast = P.restrict(subset)
+            assert fast.elements == reference.elements
+            assert fast.relation == reference.relation
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_step_complement_is_the_smaller_member(seed):
+    chains = chain_filtrations(tier_s_map(seed))
+    for step in chains.target_steps + chains.source_steps:
+        complement = puncture(step.larger, step.removed)
+        assert complement.components == step.smaller.components
+        assert [m.assignment for m in complement.maps] == [m.assignment for m in step.smaller.maps]
+
+
+def reference_suite(f, field):
+    """The suite as a loop of verify_puncture_lemma calls, one per nontrivial step."""
+    chains = chain_filtrations(f)
+    k_max = top_degree(chains.cylinder)
+    every = chains.target_steps + chains.source_steps
+    steps = [s for s in every if any(r is not None for r in s.removed)]
+    reports = []
+    for step in steps:
+        try:
+            reports.append(
+                verify_puncture_lemma(step.larger, step.removed, field, k_max, trajectory=step.trajectory)
+            )
+        except HypothesisUnmet:
+            reports.append(None)
+    return k_max, len(every), steps, reports
+
+
+def recorded_suite(f, field):
+    """The suite's report, and the arguments and report of every step it evaluated."""
+    calls = []
+    step = verifier._puncture_step
+
+    def recording_step(*args):
+        try:
+            report = step(*args)
+        except HypothesisUnmet:
+            calls.append((args, None))
+            raise
+        calls.append((args, report))
+        return report
+
+    with mock.patch.object(verifier, "_puncture_step", recording_step):
+        suite = chain_puncture_suite(f, field)
+    return suite, calls
+
+
+def summary(report):
+    if report is None:
+        return None
+    return (report.epsilon, report.below_defect, report.above_defect, report.bound, report.distances, report.ok)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(FIELDS))
+def test_suite_equals_per_step_lemma_loop(seed, p):
+    f = tier_s_map(seed)
+    field = FieldSpec(p)
+    suite, calls = recorded_suite(f, field)
+    k_max, total, steps, reports = reference_suite(f, field)
+    checked = [r for r in reports if r is not None]
+    assert (suite.checked, suite.skipped) == (len(checked), len(reports) - len(checked))
+    assert suite.trivial == total - len(steps)
+    assert len(suite.violations) == sum(not r.ok for r in checked)
+    assert [summary(r) for _, r in calls] == [summary(r) for r in reports]
+    # The barcodes the suite hands to each step are those of the step's two sides.
+    for ((pp, _, _, _, larger_codes, smaller_codes), _), step in zip(calls, steps):
+        assert pp.components == step.larger.components
+        assert larger_codes() == tower_barcodes(core_tower(step.larger), field, k_max)
+        complement = puncture(step.larger, step.removed)
+        assert smaller_codes() == tower_barcodes(core_tower(complement), field, k_max)
+
+
+def test_suite_steps_have_nonzero_distances():
+    """Comparing distances is only sharp if some step moves a barcode."""
+    _, calls = recorded_suite(tier_s_map(1), FieldSpec(2))
+    assert any(d > 0 for _, r in calls if r is not None for d in r.distances.values())
+
+
+bars = st.lists(
+    st.tuples(st.integers(0, 8), st.one_of(st.integers(1, 8), st.just(INF))).map(
+        lambda bd: (bd[0], bd[1] if bd[1] == INF else bd[0] + bd[1])
+    ),
+    max_size=6,
+)
+
+
+def searched_distance(B1, B2):
+    """The least eps with a feasible matching, by linear scan; INF on essential mismatch."""
+    if B1.essential_count() != B2.essential_count():
+        return INF
+    eps = 0
+    while not _matching_feasible(B1.bars, B2.bars, eps):
+        eps += 1
+    return eps
+
+
+@settings(max_examples=200, deadline=None)
+@given(bars)
+def test_equal_barcodes_are_at_distance_zero(raw):
+    B = Barcode.of(raw)
+    assert bottleneck_distance(B, Barcode.of(list(reversed(raw)))) == 0
+    assert _matching_feasible(B.bars, B.bars, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bars, bars)
+def test_unequal_barcodes_take_the_search_path(raw1, raw2):
+    B1, B2 = Barcode.of(raw1), Barcode.of(raw2)
+    assume(B1 != B2)
+    d = bottleneck_distance(B1, B2)
+    assert d > 0
+    assert d == searched_distance(B1, B2)
