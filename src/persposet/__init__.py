@@ -49,25 +49,14 @@ from .complexes import (
     order_complex,
     order_complex_tower,
 )
-from .homology import (
-    FieldSpec,
-    HomologyBasis,
-    boundary_matrix,
-    homology,
-    homology_tower,
-    induced_on_homology,
-    tower_barcodes,
-)
+from .homology import FieldSpec, tower_barcodes
 from .modules import (
     Barcode,
     PersistenceModule,
     barcode,
     bottleneck_distance,
     direct_sum,
-    eps_trivial,
-    interleaving_bruteforce,
     point_comparison_defect,
-    rank_invariant,
     triviality_defect,
 )
 from .verifier import (

@@ -330,7 +330,7 @@ def build_parser(commands: Iterable[str] = tuple(_COMMANDS)) -> argparse.Argumen
 
 
 # Smallest accepted value of each integer flag; a generated slice needs an element.
-_FLAG_MINIMUM = {"kmax": 0, "count": 0, "t_max": 0, "max_slice": 1, "max_y_tracks": 0}
+_FLAG_MINIMUM = {"kmax": 0, "count": 0, "t_max": 0, "max_slice": 1, "max_y_tracks": 0, "max_arity": 1}
 
 # Largest accepted --kmax.  Homology in degree k needs a chain of k + 1
 # elements in a core slice, whose order complex has 2**(k + 1) - 1

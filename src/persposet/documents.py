@@ -260,8 +260,10 @@ def cover_to_pposet(cover: CoverTower, max_arity: int | None = None) -> Persiste
     sets; structure maps are the identity on labels, which nestedness
     makes total.
     """
+    if max_arity is not None and max_arity < 1:
+        raise ValidationError(f"max_arity must be at least 1, got {max_arity}")
     names = sorted(cover.sets)
-    arity = len(names) if max_arity is None else max(1, min(max_arity, len(names)))
+    arity = len(names) if max_arity is None else min(max_arity, len(names))
     subsets = [
         tuple(combo) for k in range(1, arity + 1) for combo in combinations(names, k)
     ]

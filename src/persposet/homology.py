@@ -1,56 +1,23 @@
-"""Simplicial homology over a prime field with explicit bases.
+"""Simplicial homology over a prime field, on sparse columns.
 
-Boundary matrices use the fixed lexicographic simplex order, so bases,
-induced matrices, and the persistence modules built from towers are
-bit-reproducible.  Results are cached per complex; cached arrays are
-read-only.
-
-Barcodes of towers come from tower_barcodes: one sparse reduction of
-each complex's boundary matrices and one elder-rule sweep per degree.
-homology, induced_on_homology and homology_tower are the dense reference
-that the tests check it against; the rank table of a certificate and
-reduced_dim use them too.
+Simplices are ordered lexicographically within each degree, so every
+reduction, barcode and rank is bit-reproducible.  Each complex's boundary
+matrices are reduced once over F_p and cached per complex (_chains); the
+cycle bases and boundary pivot tables it keeps serve the barcodes of
+towers (tower_barcodes), the rank of a map on homology (_induced_rank)
+and the reduced Betti numbers (reduced_dim).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 from . import linalg
 from .complexes import ComplexTower, SimplicialComplex, SimplicialMap
-from .errors import InternalError
-from .modules import Barcode, FieldSpec, PersistenceModule, elder_barcode
+from .modules import Barcode, FieldSpec, elder_barcode
 
-__all__ = [
-    "FieldSpec",
-    "HomologyBasis",
-    "boundary_matrix",
-    "homology",
-    "homology_tower",
-    "induced_on_homology",
-    "reduced_dim",
-    "tower_barcodes",
-]
-
-
-@dataclass(frozen=True)
-class HomologyBasis:
-    """Representative cycles spanning H_k, as columns over the k-simplex basis."""
-
-    degree: int
-    dimension: int
-    cycles: np.ndarray
-    simplices: tuple[tuple[str, ...], ...]
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
+__all__ = ["FieldSpec", "reduced_dim", "tower_barcodes"]
 
 Simplex = tuple[str, ...]
 
@@ -77,111 +44,6 @@ def _chain_columns(
         )
         columns.append({target[tuple(sorted(image))]: 1 if inversions % 2 == 0 else p - 1})
     return columns
-
-
-def _dense(columns: list[linalg.Column], rows: int) -> np.ndarray:
-    mat = linalg.zeros(rows, len(columns))
-    for j, column in enumerate(columns):
-        for r, v in column.items():
-            mat[r, j] = v
-    return mat
-
-
-@lru_cache(maxsize=4096)
-def _boundary(K: SimplicialComplex, k: int, p: int) -> np.ndarray:
-    faces = {s: i for i, s in enumerate(K.k_simplices(k - 1))}
-    return _freeze(_dense([_boundary_column(s, faces, p) for s in K.k_simplices(k)], len(faces)))
-
-
-def boundary_matrix(K: SimplicialComplex, k: int, field: FieldSpec) -> np.ndarray:
-    """The k-th boundary matrix; rows are (k-1)-simplices, columns k-simplices."""
-    return _boundary(K, k, field.p)
-
-
-@lru_cache(maxsize=4096)
-def _augmentation(K: SimplicialComplex, p: int) -> np.ndarray:
-    return _freeze(np.ones((1, len(K.k_simplices(0))), dtype=np.int64))
-
-
-def _low_boundary(K: SimplicialComplex, k: int, p: int, reduced: bool) -> np.ndarray:
-    if k == 0 and reduced:
-        return _augmentation(K, p)
-    return _boundary(K, k, p)
-
-
-@lru_cache(maxsize=4096)
-def homology(K: SimplicialComplex, k: int, field: FieldSpec, reduced: bool = False) -> HomologyBasis:
-    """Basis of H_k = ker d_k / im d_{k+1} (augmented in degree 0 if reduced)."""
-    p = field.p
-    d_k = _low_boundary(K, k, p, reduced)
-    d_k1 = _boundary(K, k + 1, p)
-    kernel = linalg.nullspace(d_k, p)
-    image = linalg.column_space_basis(d_k1, p)
-    combined = np.hstack([image, kernel]) if kernel.size or image.size else linalg.zeros(kernel.shape[0], 0)
-    _, pivots = linalg.row_reduce(combined, p)
-    b = image.shape[1]
-    reps = [kernel[:, c - b] for c in pivots if c >= b]
-    dim = kernel.shape[1] - b
-    if len(reps) != dim:
-        raise InternalError("independent cycle count disagrees with rank computation")
-    cycles = np.stack(reps, axis=1) if reps else linalg.zeros(kernel.shape[0], 0)
-    return HomologyBasis(
-        degree=k,
-        dimension=dim,
-        cycles=_freeze(cycles),
-        simplices=tuple(K.k_simplices(k)),
-    )
-
-
-def reduced_dim(K: SimplicialComplex, k: int, field: FieldSpec) -> int:
-    """Reduced Betti number; degree -1 is 1 for the empty complex by convention."""
-    if k == -1:
-        return 1 if K.is_empty() else 0
-    if k < -1:
-        return 0
-    return homology(K, k, field, reduced=True).dimension
-
-
-def _chain_map_matrix(sm: SimplicialMap, k: int, p: int) -> np.ndarray:
-    target = {s: i for i, s in enumerate(sm.target.k_simplices(k))}
-    return _dense(_chain_columns(sm, sm.source.k_simplices(k), target, p), len(target))
-
-
-def induced_on_homology(
-    sm: SimplicialMap,
-    k: int,
-    field: FieldSpec,
-    source_basis: HomologyBasis,
-    target_basis: HomologyBasis,
-) -> np.ndarray:
-    """Matrix of the induced map H_k(source) -> H_k(target) in the given bases."""
-    p = field.p
-    chain = _chain_map_matrix(sm, k, p)
-    images = (
-        linalg.matmul(chain, source_basis.cycles, p)
-        if source_basis.cycles.size
-        else linalg.zeros(chain.shape[0], source_basis.dimension)
-    )
-    boundaries = _boundary(sm.target, k + 1, p)
-    system = np.hstack([target_basis.cycles, boundaries])
-    coords = linalg.solve_matrix(system, images, p)
-    if coords is None:
-        raise InternalError("image of a cycle failed to decompose over the target basis")
-    return coords[: target_basis.dimension, :]
-
-
-def homology_tower(tower: ComplexTower, k: int, field: FieldSpec) -> PersistenceModule:
-    """Persistence module of degree-k homology along a complex tower.
-
-    The dense reference for tower_barcodes, which does not build it.
-    """
-    bases = [homology(K, k, field) for K in tower.complexes]
-    dims = tuple(b.dimension for b in bases)
-    transitions = tuple(
-        induced_on_homology(tower.maps[i], k, field, bases[i], bases[i + 1])
-        for i in range(tower.T)
-    )
-    return PersistenceModule(field=field, dims=dims, transitions=transitions)
 
 
 class _Chains(NamedTuple):
@@ -261,3 +123,35 @@ def tower_barcodes(tower: ComplexTower, field: FieldSpec, k_max: int) -> list[Ba
             previous = simplices
 
     return [elder_barcode(steps(k), p) if k <= top else Barcode.of(()) for k in range(k_max + 1)]
+
+
+def _induced_rank(sm: SimplicialMap, k: int, p: int) -> int:
+    """rank H_k(sm), from the cached reductions of sm's source and target.
+
+    A chain map sends B_k(K) into B_k(L), so the rank is the number of
+    cycles of Z_k(K) whose images stay independent modulo B_k(L): each is
+    pushed through the chain map and reduced against the boundary pivots
+    of L and the survivors so far.
+    """
+    simplices, _, cycles, _ = _chains(sm.source, p).degree(k)
+    _, index, _, boundaries = _chains(sm.target, p).degree(k)
+    columns = _chain_columns(sm, simplices, index, p)
+    table = dict(boundaries)
+    for cycle in cycles:
+        reduced = linalg.reduce_column(linalg.apply(columns, cycle, p), table, p)
+        if reduced:
+            linalg.insert_pivot(reduced, table, p)
+    return len(table) - len(boundaries)
+
+
+def reduced_dim(K: SimplicialComplex, k: int, field: FieldSpec) -> int:
+    """Reduced Betti number dim Z_k - rank B_k, less one in degree 0 of a nonempty complex.
+
+    Degree -1 is 1 for the empty complex and 0 otherwise, by convention.
+    """
+    if k == -1:
+        return 1 if K.is_empty() else 0
+    if k < -1:
+        return 0
+    _, _, cycles, boundaries = _chains(K, field.p).degree(k)
+    return len(cycles) - len(boundaries) - (k == 0 and not K.is_empty())

@@ -1,29 +1,27 @@
 """Persistence modules over a prime field, barcodes, and interleaving.
 
 Indices run over the non-negative integers: a module stores dimensions
-and transition matrices for 0..T and extends constantly (identity
-transitions) beyond T.  Bars that survive into the stable regime are
+and transition matrices, as sparse columns, for 0..T and extends
+constantly (identity transitions) beyond T.  Bars that survive into the stable regime are
 recorded with death = infinity.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from . import linalg
-from .errors import InternalError, ShapeMismatch, TooLarge, ValidationError
+from .errors import InternalError, ShapeMismatch, ValidationError
 
 INF = math.inf
 
 
 # Below this bound every int64 dot product n * (p - 1)**2 with n < 2**31
-# terms is exact, so linalg never wraps around.
+# terms is exact, so a dense int64 reference for the sparse arithmetic
+# never wraps around.
 MAX_CHARACTERISTIC = 2**16
 
 
@@ -43,26 +41,28 @@ class FieldSpec:
 
 @dataclass(eq=False)
 class PersistenceModule:
-    """Vector-space dimensions per index with transition matrices."""
+    """Vector-space dimensions per index with transition matrices as sparse columns.
+
+    Transition i maps index i to i + 1: dims[i] columns over rows
+    0..dims[i + 1] - 1, with coefficients reduced mod p.
+    """
 
     field: FieldSpec
     dims: tuple[int, ...]
-    transitions: tuple[np.ndarray, ...]
+    transitions: tuple[tuple[linalg.Column, ...], ...]
 
     def __post_init__(self) -> None:
         self.dims = tuple(int(d) for d in self.dims)
         if len(self.transitions) != len(self.dims) - 1:
             raise ShapeMismatch(f"expected {len(self.dims) - 1} transitions")
-        mats = []
-        for i, t in enumerate(self.transitions):
-            t = linalg.normalize(t, self.field.p)
-            if t.shape != (self.dims[i + 1], self.dims[i]):
-                raise ShapeMismatch(
-                    f"transition {i} has shape {t.shape}, expected {(self.dims[i + 1], self.dims[i])}"
-                )
-            t.setflags(write=False)
-            mats.append(t)
-        self.transitions = tuple(mats)
+        p = self.field.p
+        reduced = []
+        for i, columns in enumerate(self.transitions):
+            rows, cols = self.dims[i + 1], self.dims[i]
+            if len(columns) != cols or any(not 0 <= r < rows for column in columns for r in column):
+                raise ShapeMismatch(f"transition {i} is not {cols} columns over {rows} rows")
+            reduced.append(tuple({r: v % p for r, v in column.items() if v % p} for column in columns))
+        self.transitions = tuple(reduced)
 
     @property
     def T(self) -> int:
@@ -71,21 +71,12 @@ class PersistenceModule:
     def dim_at(self, i: int) -> int:
         return self.dims[min(i, self.T)]
 
-    def composite(self, i: int, j: int) -> np.ndarray:
-        """Matrix of the composite transition from index i to index j >= i."""
-        if j < i:
-            raise IndexError("composites run forward only")
-        mat = linalg.identity(self.dim_at(i))
-        for k in range(min(i, self.T), min(j, self.T)):
-            mat = linalg.matmul(self.transitions[k], mat, self.field.p)
-        return mat
-
     def is_zero(self) -> bool:
         return all(d == 0 for d in self.dims)
 
 
 def zero_module(field: FieldSpec, T: int) -> PersistenceModule:
-    return PersistenceModule(field, tuple(0 for _ in range(T + 1)), tuple(linalg.zeros(0, 0) for _ in range(T)))
+    return PersistenceModule(field, tuple(0 for _ in range(T + 1)), tuple(() for _ in range(T)))
 
 
 @dataclass(frozen=True)
@@ -117,39 +108,6 @@ class Barcode:
         return sum(1 for b, d in self.bars if b <= i and j < d)
 
 
-def rank_invariant(M: PersistenceModule) -> np.ndarray:
-    """r[i][j] = rank of the composite i -> j, for 0 <= i <= j <= T+1.
-
-    Column T+1 is the composite into the stable regime and equals
-    column T because transitions are identities past T.  The library does
-    not call it: it is the reference that the tests check every barcode
-    against, through Barcode.count_through.
-    """
-    T = M.T
-    r = np.zeros((T + 2, T + 2), dtype=np.int64)
-    for i in range(T + 2):
-        mat = linalg.identity(M.dim_at(i))
-        r[i, i] = M.dim_at(i)
-        for j in range(i + 1, T + 2):
-            if j <= T:
-                mat = linalg.matmul(M.transitions[j - 1], mat, M.field.p)
-            r[i, j] = linalg.rank(mat, M.field.p)
-    return r
-
-
-def _apply(columns: Sequence[linalg.Column], column: linalg.Column, p: int) -> linalg.Column:
-    """The image of a sparse column under the matrix with the given sparse columns."""
-    out: linalg.Column = {}
-    for j, c in column.items():
-        for r, v in columns[j].items():
-            x = (out.get(r, 0) + c * v) % p
-            if x:
-                out[r] = x
-            else:
-                del out[r]
-    return out
-
-
 _Step = tuple[Sequence[linalg.Column], dict[int, linalg.Column], Sequence[linalg.Column]]
 
 
@@ -170,7 +128,7 @@ def elder_barcode(steps: Iterable[_Step], p: int) -> Barcode:
     for i, (columns, boundaries, generators) in enumerate(steps):
         table = dict(boundaries)
         survivors = []
-        candidates = [(birth, _apply(columns, rep, p)) for birth, rep in reps]
+        candidates = [(birth, linalg.apply(columns, rep, p)) for birth, rep in reps]
         candidates += [(i, g) for g in generators]
         for birth, column in candidates:
             reduced = linalg.reduce_column(column, table, p)
@@ -188,19 +146,10 @@ def elder_barcode(steps: Iterable[_Step], p: int) -> Barcode:
     return Barcode.of(bars)
 
 
-def _sparse_columns(mat: np.ndarray) -> list[linalg.Column]:
-    columns: list[linalg.Column] = [{} for _ in range(mat.shape[1])]
-    for r, row in enumerate(mat.tolist()):
-        for j, v in enumerate(row):
-            if v:
-                columns[j][r] = v
-    return columns
-
-
 def barcode(M: PersistenceModule) -> Barcode:
     """Interval decomposition by the elder-rule sweep, seeding each index with its standard basis."""
     steps = (
-        (_sparse_columns(M.transitions[i - 1]) if i else [], {}, [{j: 1} for j in range(d)])
+        (M.transitions[i - 1] if i else (), {}, [{j: 1} for j in range(d)])
         for i, d in enumerate(M.dims)
     )
     return elder_barcode(steps, M.field.p)
@@ -216,12 +165,8 @@ def module_from_barcode(field: FieldSpec, T: int, bars: Iterable[tuple[int, int 
     dims = tuple(len(a) for a in alive)
     transitions = []
     for i in range(T):
-        mat = linalg.zeros(dims[i + 1], dims[i])
         pos_next = {idx: r for r, idx in enumerate(alive[i + 1])}
-        for c, idx in enumerate(alive[i]):
-            if idx in pos_next:
-                mat[pos_next[idx], c] = 1
-        transitions.append(mat)
+        transitions.append(tuple({pos_next[idx]: 1} if idx in pos_next else {} for idx in alive[i]))
     return PersistenceModule(field, dims, tuple(transitions))
 
 
@@ -233,31 +178,14 @@ def direct_sum(M: PersistenceModule, N: PersistenceModule) -> PersistenceModule:
     dims = tuple(M.dims[i] + N.dims[i] for i in range(M.T + 1))
     transitions = []
     for i in range(M.T):
-        mat = linalg.zeros(dims[i + 1], dims[i])
-        mat[: M.dims[i + 1], : M.dims[i]] = M.transitions[i]
-        mat[M.dims[i + 1] :, M.dims[i] :] = N.transitions[i]
-        transitions.append(mat)
+        shift = M.dims[i + 1]
+        lower = tuple({r + shift: v for r, v in column.items()} for column in N.transitions[i])
+        transitions.append(M.transitions[i] + lower)
     return PersistenceModule(M.field, dims, tuple(transitions))
 
 
-def eps_trivial(M: PersistenceModule, eps: int) -> bool:
-    """Whether every class dies within 2*eps steps of its birth.
-
-    Decided on the barcode and cross-checked against nilpotency of the
-    2*eps-fold composite transition from every start index.
-    """
-    if eps < 0:
-        raise ValueError("eps must be non-negative")
-    code = barcode(M)
-    by_barcode = all(d != INF and d - b <= 2 * eps for b, d in code.bars)
-    by_nilpotency = not any(M.composite(i, i + 2 * eps).any() for i in range(M.T + 1))
-    if by_barcode != by_nilpotency:
-        raise InternalError("barcode and nilpotency criteria disagree")
-    return by_barcode
-
-
 def triviality_defect(code: Barcode) -> int | float:
-    """Least eps with eps_trivial true for a module with this barcode;
+    """Least eps such that every bar has length at most 2*eps;
     INF when an essential class survives."""
     if code.essential_count():
         return INF
@@ -372,130 +300,6 @@ def bottleneck_distance(B1: Barcode, B2: Barcode) -> int | float:
     return lo
 
 
-# -- exhaustive interleaving oracle ---------------------------------------------
-
-
-def _morphism_layout(M: PersistenceModule, N: PersistenceModule, eps: int) -> list[tuple[int, int]]:
-    """Shapes of the unknown slice maps phi_i : M_i -> N_{i+eps}, i = 0..T."""
-    return [(N.dim_at(i + eps), M.dims[i]) for i in range(M.T + 1)]
-
-
-def _commuting_nullspace(M: PersistenceModule, N: PersistenceModule, eps: int) -> tuple[np.ndarray, list[tuple[int, int]], list[int]]:
-    """Basis of all families commuting with the structure maps."""
-    p = M.field.p
-    shapes = _morphism_layout(M, N, eps)
-    offsets = []
-    total = 0
-    for rows, cols in shapes:
-        offsets.append(total)
-        total += rows * cols
-
-    def unknown(i: int, r: int, c: int) -> int:
-        return offsets[i] + r * shapes[i][1] + c
-
-    eq_rows: list[np.ndarray] = []
-    for i in range(M.T):
-        A = M.transitions[i]  # m_{i+1} x m_i
-        B = N.composite(i + eps, i + 1 + eps)
-        rows_next, _ = shapes[i + 1]
-        for r in range(rows_next):
-            for c in range(M.dims[i]):
-                row = np.zeros(total, dtype=np.int64)
-                for k in range(M.dims[i + 1]):
-                    row[unknown(i + 1, r, k)] = (row[unknown(i + 1, r, k)] + A[k, c]) % p
-                for k in range(shapes[i][0]):
-                    row[unknown(i, k, c)] = (row[unknown(i, k, c)] - B[r, k]) % p
-                eq_rows.append(row)
-    system = np.stack(eq_rows) if eq_rows else linalg.zeros(0, total)
-    basis = linalg.nullspace(system, p)
-    return basis, shapes, offsets
-
-
-def _unpack(vec: np.ndarray, shapes: list[tuple[int, int]], offsets: list[int]) -> list[np.ndarray]:
-    mats = []
-    for (rows, cols), off in zip(shapes, offsets):
-        mats.append(vec[off : off + rows * cols].reshape(rows, cols))
-    return mats
-
-
-def interleaving_bruteforce(M: PersistenceModule, N: PersistenceModule, eps: int) -> bool:
-    """Exhaustively decide whether an eps-interleaving exists.
-
-    Every commuting family M -> N (shifted by eps) is enumerated; for
-    each, the two composite-equals-shift equations become a linear
-    system in the opposite family, which is solved exactly.  Only meant
-    for tiny inputs and guarded accordingly.
-    """
-    if eps < 0:
-        raise ValueError("eps must be non-negative")
-    for mod in (M, N):
-        if mod.field.p != 2:
-            raise TooLarge("oracle scale requires p = 2")
-        if mod.T > 3:
-            raise TooLarge("oracle scale requires T <= 3")
-        if any(d > 2 for d in mod.dims):
-            raise TooLarge("oracle scale requires dims <= 2")
-    if M.T != N.T:
-        raise ShapeMismatch("modules must have the same length")
-
-    phi_basis, _, _ = _commuting_nullspace(M, N, eps)
-    psi_basis, _, _ = _commuting_nullspace(N, M, eps)
-    if phi_basis.shape[1] <= psi_basis.shape[1]:
-        return _search_pairs(M, N, eps)
-    return _search_pairs(N, M, eps)
-
-
-def _search_pairs(M: PersistenceModule, N: PersistenceModule, eps: int) -> bool:
-    p = M.field.p
-    T = M.T
-    phi_basis, phi_shapes, phi_offsets = _commuting_nullspace(M, N, eps)
-    psi_basis, psi_shapes, psi_offsets = _commuting_nullspace(N, M, eps)
-    n_psi = psi_basis.shape[0]
-
-    # Rows of the linear conditions on psi, given phi:
-    #   psi_at(i+eps) @ phi_i = M.composite(i, i+2eps)      (i = 0..T)
-    #   phi_at(i+eps) @ psi_i = N.composite(i, i+2eps)      (i = 0..T)
-    def psi_unknown(i: int, r: int, c: int) -> int:
-        return psi_offsets[i] + r * psi_shapes[i][1] + c
-
-    def conditions(phi_mats: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        rows: list[np.ndarray] = []
-        rhs: list[int] = []
-        for i in range(T + 1):
-            shift = M.composite(i, i + 2 * eps)
-            j = min(i + eps, T)
-            phi_i = phi_mats[i]
-            for r in range(shift.shape[0]):
-                for c in range(shift.shape[1]):
-                    row = np.zeros(n_psi, dtype=np.int64)
-                    for k in range(phi_i.shape[0]):
-                        row[psi_unknown(j, r, k)] = (row[psi_unknown(j, r, k)] + phi_i[k, c]) % p
-                    rows.append(row)
-                    rhs.append(int(shift[r, c]))
-        for i in range(T + 1):
-            shift = N.composite(i, i + 2 * eps)
-            phi_j = phi_mats[min(i + eps, T)]
-            for r in range(shift.shape[0]):
-                for c in range(shift.shape[1]):
-                    row = np.zeros(n_psi, dtype=np.int64)
-                    for k in range(psi_shapes[i][0]):
-                        row[psi_unknown(i, k, c)] = (row[psi_unknown(i, k, c)] + phi_j[r, k]) % p
-                    rows.append(row)
-                    rhs.append(int(shift[r, c]))
-        mat = np.stack(rows) if rows else linalg.zeros(0, n_psi)
-        return mat, np.array(rhs, dtype=np.int64)
-
-    k = phi_basis.shape[1]
-    for coeffs in itertools.product(range(p), repeat=k):
-        vec = linalg.normalize(phi_basis @ np.array(coeffs, dtype=np.int64), p) if k else np.zeros(phi_basis.shape[0], dtype=np.int64)
-        phi_mats = _unpack(vec, phi_shapes, phi_offsets)
-        cond, rhs = conditions(phi_mats)
-        reduced = linalg.matmul(cond, psi_basis, p) if psi_basis.size else linalg.zeros(cond.shape[0], 0)
-        if linalg.solve(reduced, rhs, p) is not None:
-            return True
-    return False
-
-
 # -- random module generation (for property suites) ------------------------------
 
 
@@ -506,9 +310,7 @@ def random_module(rng, field: FieldSpec, max_dim: int = 4, t_max: int = 6, T: in
     dims = tuple(rng.randint(0, max_dim) for _ in range(T + 1))
     transitions = []
     for i in range(T):
-        mat = np.array(
-            [[rng.randrange(field.p) for _ in range(dims[i])] for _ in range(dims[i + 1])],
-            dtype=np.int64,
-        ).reshape(dims[i + 1], dims[i])
-        transitions.append(mat)
+        # Entries are drawn row by row, the order seeded suites and digests depend on.
+        rows = [[rng.randrange(field.p) for _ in range(dims[i])] for _ in range(dims[i + 1])]
+        transitions.append(tuple({r: row[j] for r, row in enumerate(rows) if row[j]} for j in range(dims[i])))
     return PersistenceModule(field, dims, tuple(transitions))

@@ -374,9 +374,11 @@ def chain_filtrations(f: PersistenceMap) -> ChainFiltrations:
         )
         target_chain.append(member)
 
-    # Shrinking chain: start from the full cylinder, remove target tracks.
+    # Shrinking chain: start from the full cylinder, the growing chain's last
+    # member (the same object, so its barcodes can be shared), and remove
+    # target tracks.
     current = [set(x_part[i]) | set(y_part[i]) for i in range(T + 1)]
-    source_chain = [restrict(cylinder, current)]
+    source_chain = [target_chain[-1]]
     source_steps: list[ChainStep] = []
     for r, tr in enumerate(y_tracks):
         later = y_tracks[r + 1 :]

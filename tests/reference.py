@@ -1,0 +1,440 @@
+"""Dense reference paths that the tests check the library against.
+
+The library computes on sparse columns only.  This module keeps the
+slower dense paths they replaced, over numpy int64 matrices:
+
+- dense linear algebra over F_p: row reduction, rank, nullspace, solve;
+- dense homology: boundary matrices, homology bases with representative
+  cycles, matrices induced on homology, and homology_tower;
+- the module oracles: the rank invariant, eps-triviality cross-checked by
+  nilpotency, composite transitions, and the exhaustive interleaving
+  search;
+- converters between dense matrices and the sparse columns of
+  PersistenceModule.transitions.
+
+Elimination is deterministic (the first nonzero entry in a fixed scan
+order is the pivot).  FieldSpec keeps p below 2**16, so every int64 dot
+product of n < 2**31 terms is exact.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Sequence
+
+import numpy as np
+
+from persposet.complexes import ComplexTower, SimplicialComplex, SimplicialMap
+from persposet.errors import InternalError, ShapeMismatch, TooLarge
+from persposet.homology import _boundary_column, _chain_columns
+from persposet.linalg import Column, _inv_scalar
+from persposet.modules import INF, FieldSpec, PersistenceModule, barcode
+
+
+# -- dense <-> sparse -------------------------------------------------------------
+
+
+def columns(mat) -> tuple[Column, ...]:
+    """The sparse columns of a dense matrix; _dense is the inverse."""
+    mat = np.asarray(mat, dtype=np.int64)
+    return tuple({r: int(v) for r, v in enumerate(mat[:, j]) if v} for j in range(mat.shape[1]))
+
+
+def module(field: FieldSpec, dims: Sequence[int], mats: Sequence) -> PersistenceModule:
+    """A PersistenceModule from dense transition matrices."""
+    return PersistenceModule(field, tuple(dims), tuple(columns(m) for m in mats))
+
+
+def transition(M: PersistenceModule, i: int) -> np.ndarray:
+    """Transition i of M as a dense dims[i + 1] x dims[i] matrix."""
+    return _dense(M.transitions[i], M.dims[i + 1])
+
+
+def composite(M: PersistenceModule, i: int, j: int) -> np.ndarray:
+    """Matrix of the composite transition from index i to index j >= i."""
+    if j < i:
+        raise IndexError("composites run forward only")
+    mat = identity(M.dim_at(i))
+    for k in range(min(i, M.T), min(j, M.T)):
+        mat = matmul(transition(M, k), mat, M.field.p)
+    return mat
+
+
+# -- dense linear algebra over F_p -----------------------------------------------------
+
+
+def normalize(a: np.ndarray, p: int) -> np.ndarray:
+    return np.mod(np.asarray(a, dtype=np.int64), p)
+
+
+def zeros(rows: int, cols: int) -> np.ndarray:
+    return np.zeros((rows, cols), dtype=np.int64)
+
+
+def identity(n: int) -> np.ndarray:
+    return np.eye(n, dtype=np.int64)
+
+
+def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    return np.mod(a @ b, p)
+
+
+def row_reduce(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form and the pivot column list."""
+    m = normalize(a, p).copy()
+    rows, cols = m.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            m[[r, i]] = m[[i, r]]
+        m[r] = np.mod(m[r] * _inv_scalar(m[r, c], p), p)
+        other = np.nonzero(m[:, c])[0]
+        for j in other:
+            if j != r:
+                m[j] = np.mod(m[j] - m[j, c] * m[r], p)
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def rank(a: np.ndarray, p: int) -> int:
+    if a.size == 0:
+        return 0
+    return len(row_reduce(a, p)[1])
+
+
+def nullspace(a: np.ndarray, p: int) -> np.ndarray:
+    """Columns form a deterministic basis of the kernel."""
+    a = normalize(a, p)
+    rows, cols = a.shape
+    if cols == 0:
+        return zeros(0, 0)
+    red, pivots = row_reduce(a, p)
+    free = [c for c in range(cols) if c not in set(pivots)]
+    basis = zeros(cols, len(free))
+    for k, fc in enumerate(free):
+        basis[fc, k] = 1
+        for r, pc in enumerate(pivots):
+            basis[pc, k] = (-red[r, fc]) % p
+    return basis
+
+
+def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
+    """One solution of a x = b (free variables zero), or None if inconsistent."""
+    a = normalize(a, p)
+    b = normalize(b.reshape(-1, 1), p)
+    aug = np.hstack([a, b])
+    red, pivots = row_reduce(aug, p)
+    if a.shape[1] in pivots:
+        return None
+    x = zeros(a.shape[1], 1)
+    for r, pc in enumerate(pivots):
+        x[pc, 0] = red[r, -1]
+    return x[:, 0]
+
+
+def solve_matrix(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
+    """Columnwise solve of a X = b; None if any column is inconsistent."""
+    cols = []
+    for j in range(b.shape[1]):
+        x = solve(a, b[:, j], p)
+        if x is None:
+            return None
+        cols.append(x)
+    if not cols:
+        return zeros(a.shape[1], 0)
+    return np.stack(cols, axis=1)
+
+
+def column_space_basis(a: np.ndarray, p: int) -> np.ndarray:
+    """The pivot columns of a, as a deterministic basis of the column space."""
+    a = normalize(a, p)
+    if a.size == 0:
+        return zeros(a.shape[0], 0)
+    _, pivots = row_reduce(a, p)
+    return a[:, pivots] if pivots else zeros(a.shape[0], 0)
+
+
+# -- dense homology ------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class HomologyBasis:
+    """Representative cycles spanning H_k, as columns over the k-simplex basis."""
+
+    degree: int
+    dimension: int
+    cycles: np.ndarray
+    simplices: tuple[tuple[str, ...], ...]
+
+
+def _freeze(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _dense(columns: list[Column], rows: int) -> np.ndarray:
+    mat = zeros(rows, len(columns))
+    for j, column in enumerate(columns):
+        for r, v in column.items():
+            mat[r, j] = v
+    return mat
+
+
+@lru_cache(maxsize=4096)
+def _boundary(K: SimplicialComplex, k: int, p: int) -> np.ndarray:
+    faces = {s: i for i, s in enumerate(K.k_simplices(k - 1))}
+    return _freeze(_dense([_boundary_column(s, faces, p) for s in K.k_simplices(k)], len(faces)))
+
+
+def boundary_matrix(K: SimplicialComplex, k: int, field: FieldSpec) -> np.ndarray:
+    """The k-th boundary matrix; rows are (k-1)-simplices, columns k-simplices."""
+    return _boundary(K, k, field.p)
+
+
+@lru_cache(maxsize=4096)
+def _augmentation(K: SimplicialComplex, p: int) -> np.ndarray:
+    return _freeze(np.ones((1, len(K.k_simplices(0))), dtype=np.int64))
+
+
+def _low_boundary(K: SimplicialComplex, k: int, p: int, reduced: bool) -> np.ndarray:
+    if k == 0 and reduced:
+        return _augmentation(K, p)
+    return _boundary(K, k, p)
+
+
+@lru_cache(maxsize=4096)
+def homology(K: SimplicialComplex, k: int, field: FieldSpec, reduced: bool = False) -> HomologyBasis:
+    """Basis of H_k = ker d_k / im d_{k+1} (augmented in degree 0 if reduced)."""
+    p = field.p
+    d_k = _low_boundary(K, k, p, reduced)
+    d_k1 = _boundary(K, k + 1, p)
+    kernel = nullspace(d_k, p)
+    image = column_space_basis(d_k1, p)
+    combined = np.hstack([image, kernel]) if kernel.size or image.size else zeros(kernel.shape[0], 0)
+    _, pivots = row_reduce(combined, p)
+    b = image.shape[1]
+    reps = [kernel[:, c - b] for c in pivots if c >= b]
+    dim = kernel.shape[1] - b
+    if len(reps) != dim:
+        raise InternalError("independent cycle count disagrees with rank computation")
+    cycles = np.stack(reps, axis=1) if reps else zeros(kernel.shape[0], 0)
+    return HomologyBasis(
+        degree=k,
+        dimension=dim,
+        cycles=_freeze(cycles),
+        simplices=tuple(K.k_simplices(k)),
+    )
+
+
+def _chain_map_matrix(sm: SimplicialMap, k: int, p: int) -> np.ndarray:
+    target = {s: i for i, s in enumerate(sm.target.k_simplices(k))}
+    return _dense(_chain_columns(sm, sm.source.k_simplices(k), target, p), len(target))
+
+
+def induced_on_homology(
+    sm: SimplicialMap,
+    k: int,
+    field: FieldSpec,
+    source_basis: HomologyBasis,
+    target_basis: HomologyBasis,
+) -> np.ndarray:
+    """Matrix of the induced map H_k(source) -> H_k(target) in the given bases."""
+    p = field.p
+    chain = _chain_map_matrix(sm, k, p)
+    images = (
+        matmul(chain, source_basis.cycles, p)
+        if source_basis.cycles.size
+        else zeros(chain.shape[0], source_basis.dimension)
+    )
+    boundaries = _boundary(sm.target, k + 1, p)
+    system = np.hstack([target_basis.cycles, boundaries])
+    coords = solve_matrix(system, images, p)
+    if coords is None:
+        raise InternalError("image of a cycle failed to decompose over the target basis")
+    return coords[: target_basis.dimension, :]
+
+
+def homology_tower(tower: ComplexTower, k: int, field: FieldSpec) -> PersistenceModule:
+    """Persistence module of degree-k homology along a complex tower.
+
+    The dense reference for tower_barcodes, which does not build it.
+    """
+    bases = [homology(K, k, field) for K in tower.complexes]
+    dims = tuple(b.dimension for b in bases)
+    transitions = tuple(
+        induced_on_homology(tower.maps[i], k, field, bases[i], bases[i + 1])
+        for i in range(tower.T)
+    )
+    return module(field, dims, transitions)
+
+
+# -- module oracles ------------------------------------------------------------------
+
+
+def rank_invariant(M: PersistenceModule) -> np.ndarray:
+    """r[i][j] = rank of the composite i -> j, for 0 <= i <= j <= T+1.
+
+    Column T+1 is the composite into the stable regime and equals
+    column T because transitions are identities past T.  The tests check
+    every barcode against it, through Barcode.count_through.
+    """
+    T = M.T
+    r = np.zeros((T + 2, T + 2), dtype=np.int64)
+    for i in range(T + 2):
+        mat = identity(M.dim_at(i))
+        r[i, i] = M.dim_at(i)
+        for j in range(i + 1, T + 2):
+            if j <= T:
+                mat = matmul(transition(M, j - 1), mat, M.field.p)
+            r[i, j] = rank(mat, M.field.p)
+    return r
+
+
+def eps_trivial(M: PersistenceModule, eps: int) -> bool:
+    """Whether every class dies within 2*eps steps of its birth.
+
+    Decided on the barcode and cross-checked against nilpotency of the
+    2*eps-fold composite transition from every start index.
+    """
+    if eps < 0:
+        raise ValueError("eps must be non-negative")
+    code = barcode(M)
+    by_barcode = all(d != INF and d - b <= 2 * eps for b, d in code.bars)
+    by_nilpotency = not any(composite(M, i, i + 2 * eps).any() for i in range(M.T + 1))
+    if by_barcode != by_nilpotency:
+        raise InternalError("barcode and nilpotency criteria disagree")
+    return by_barcode
+
+
+# -- exhaustive interleaving oracle ---------------------------------------------
+
+
+def _morphism_layout(M: PersistenceModule, N: PersistenceModule, eps: int) -> list[tuple[int, int]]:
+    """Shapes of the unknown slice maps phi_i : M_i -> N_{i+eps}, i = 0..T."""
+    return [(N.dim_at(i + eps), M.dims[i]) for i in range(M.T + 1)]
+
+
+def _commuting_nullspace(M: PersistenceModule, N: PersistenceModule, eps: int) -> tuple[np.ndarray, list[tuple[int, int]], list[int]]:
+    """Basis of all families commuting with the structure maps."""
+    p = M.field.p
+    shapes = _morphism_layout(M, N, eps)
+    offsets = []
+    total = 0
+    for rows, cols in shapes:
+        offsets.append(total)
+        total += rows * cols
+
+    def unknown(i: int, r: int, c: int) -> int:
+        return offsets[i] + r * shapes[i][1] + c
+
+    eq_rows: list[np.ndarray] = []
+    for i in range(M.T):
+        A = transition(M, i)  # m_{i+1} x m_i
+        B = composite(N, i + eps, i + 1 + eps)
+        rows_next, _ = shapes[i + 1]
+        for r in range(rows_next):
+            for c in range(M.dims[i]):
+                row = np.zeros(total, dtype=np.int64)
+                for k in range(M.dims[i + 1]):
+                    row[unknown(i + 1, r, k)] = (row[unknown(i + 1, r, k)] + A[k, c]) % p
+                for k in range(shapes[i][0]):
+                    row[unknown(i, k, c)] = (row[unknown(i, k, c)] - B[r, k]) % p
+                eq_rows.append(row)
+    system = np.stack(eq_rows) if eq_rows else zeros(0, total)
+    basis = nullspace(system, p)
+    return basis, shapes, offsets
+
+
+def _unpack(vec: np.ndarray, shapes: list[tuple[int, int]], offsets: list[int]) -> list[np.ndarray]:
+    mats = []
+    for (rows, cols), off in zip(shapes, offsets):
+        mats.append(vec[off : off + rows * cols].reshape(rows, cols))
+    return mats
+
+
+def interleaving_bruteforce(M: PersistenceModule, N: PersistenceModule, eps: int) -> bool:
+    """Exhaustively decide whether an eps-interleaving exists.
+
+    Every commuting family M -> N (shifted by eps) is enumerated; for
+    each, the two composite-equals-shift equations become a linear
+    system in the opposite family, which is solved exactly.  Only meant
+    for tiny inputs and guarded accordingly.
+    """
+    if eps < 0:
+        raise ValueError("eps must be non-negative")
+    for mod in (M, N):
+        if mod.field.p != 2:
+            raise TooLarge("oracle scale requires p = 2")
+        if mod.T > 3:
+            raise TooLarge("oracle scale requires T <= 3")
+        if any(d > 2 for d in mod.dims):
+            raise TooLarge("oracle scale requires dims <= 2")
+    if M.T != N.T:
+        raise ShapeMismatch("modules must have the same length")
+
+    phi_basis, _, _ = _commuting_nullspace(M, N, eps)
+    psi_basis, _, _ = _commuting_nullspace(N, M, eps)
+    if phi_basis.shape[1] <= psi_basis.shape[1]:
+        return _search_pairs(M, N, eps)
+    return _search_pairs(N, M, eps)
+
+
+def _search_pairs(M: PersistenceModule, N: PersistenceModule, eps: int) -> bool:
+    p = M.field.p
+    T = M.T
+    phi_basis, phi_shapes, phi_offsets = _commuting_nullspace(M, N, eps)
+    psi_basis, psi_shapes, psi_offsets = _commuting_nullspace(N, M, eps)
+    n_psi = psi_basis.shape[0]
+
+    # Rows of the linear conditions on psi, given phi:
+    #   psi_at(i+eps) @ phi_i = composite(M, i, i+2eps)      (i = 0..T)
+    #   phi_at(i+eps) @ psi_i = composite(N, i, i+2eps)      (i = 0..T)
+    def psi_unknown(i: int, r: int, c: int) -> int:
+        return psi_offsets[i] + r * psi_shapes[i][1] + c
+
+    def conditions(phi_mats: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        rows: list[np.ndarray] = []
+        rhs: list[int] = []
+        for i in range(T + 1):
+            shift = composite(M, i, i + 2 * eps)
+            j = min(i + eps, T)
+            phi_i = phi_mats[i]
+            for r in range(shift.shape[0]):
+                for c in range(shift.shape[1]):
+                    row = np.zeros(n_psi, dtype=np.int64)
+                    for k in range(phi_i.shape[0]):
+                        row[psi_unknown(j, r, k)] = (row[psi_unknown(j, r, k)] + phi_i[k, c]) % p
+                    rows.append(row)
+                    rhs.append(int(shift[r, c]))
+        for i in range(T + 1):
+            shift = composite(N, i, i + 2 * eps)
+            phi_j = phi_mats[min(i + eps, T)]
+            for r in range(shift.shape[0]):
+                for c in range(shift.shape[1]):
+                    row = np.zeros(n_psi, dtype=np.int64)
+                    for k in range(psi_shapes[i][0]):
+                        row[psi_unknown(i, k, c)] = (row[psi_unknown(i, k, c)] + phi_j[r, k]) % p
+                    rows.append(row)
+                    rhs.append(int(shift[r, c]))
+        mat = np.stack(rows) if rows else zeros(0, n_psi)
+        return mat, np.array(rhs, dtype=np.int64)
+
+    k = phi_basis.shape[1]
+    for coeffs in itertools.product(range(p), repeat=k):
+        vec = normalize(phi_basis @ np.array(coeffs, dtype=np.int64), p) if k else np.zeros(phi_basis.shape[0], dtype=np.int64)
+        phi_mats = _unpack(vec, phi_shapes, phi_offsets)
+        cond, rhs = conditions(phi_mats)
+        reduced = matmul(cond, psi_basis, p) if psi_basis.size else zeros(cond.shape[0], 0)
+        if solve(reduced, rhs, p) is not None:
+            return True
+    return False

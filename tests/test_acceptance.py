@@ -11,16 +11,8 @@ import pytest
 from persposet.complexes import SimplicialComplex, join, order_complex_tower
 from persposet.documents import GeneratorLimits, parse_instance, random_instance, random_pposet
 from persposet.errors import HypothesisUnmet
-from persposet.homology import FieldSpec, homology_tower, reduced_dim
-from persposet.modules import (
-    INF,
-    barcode,
-    bottleneck_distance,
-    eps_trivial,
-    interleaving_bruteforce,
-    random_module,
-    rank_invariant,
-)
+from persposet.homology import FieldSpec, reduced_dim
+from persposet.modules import INF, barcode, bottleneck_distance, random_module
 from persposet.pposets import persistence_linear_extension
 from persposet.verifier import (
     chain_puncture_suite,
@@ -30,6 +22,7 @@ from persposet.verifier import (
     verify_split_ses_properties,
     verify_theorem,
 )
+from reference import eps_trivial, homology_tower, interleaving_bruteforce, rank_invariant
 
 MAIN_LIMITS = GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4)
 MAIN_COUNT = 500

@@ -155,6 +155,15 @@ def test_cover(tmp_path, capsys):
     assert main(["cover", str(path)]) == 2
 
 
+@pytest.mark.parametrize("arity", ["-1", "0"])
+def test_cover_rejects_max_arity_below_one(tmp_path, capsys, arity):
+    cover = {"schema": "cover/1", "T": 0, "sets": {"U1": [["p1"]], "U2": [["p1"]]}}
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps(cover), encoding="utf-8")
+    assert main(["cover", str(path), "--max-arity", arity]) == 2
+    _assert_one_error_line(capsys.readouterr())
+
+
 def test_random_deterministic(capsys):
     assert main(["random", "--seed", "9"]) == 0
     first = capsys.readouterr().out

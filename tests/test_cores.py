@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 from persposet.complexes import core_tower, induced_map, order_complex, order_complex_tower
 from persposet.documents import GeneratorLimits, parse_instance, random_instance
 from persposet.errors import NotASubposet
-from persposet.homology import FieldSpec, homology, induced_on_homology, reduced_dim, tower_barcodes
-from persposet.linalg import rank
+from persposet.homology import FieldSpec, reduced_dim, tower_barcodes
 from persposet.posets import check_map, new_poset
 from persposet.posets import core as poset_core
 from persposet.pposets import comparison_set, constant_pposet, core, fiber, tracks
 from persposet.verifier import verify_theorem
+from reference import homology, induced_on_homology, rank
 
 TIER_S = GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4)
 FIELDS = (2, 3, 5)

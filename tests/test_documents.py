@@ -125,6 +125,12 @@ class TestCover:
         assert "A&B&C" not in capped.components[0].elements
         assert "A&B" in capped.components[0].elements
 
+    @pytest.mark.parametrize("arity", [-1, 0])
+    def test_max_arity_below_one_rejected(self, arity):
+        cover = CoverTower(T=0, sets={"A": (frozenset(["p"]),)})
+        with pytest.raises(ValidationError):
+            cover_to_pposet(cover, max_arity=arity)
+
     def test_chains_are_flags(self):
         cover = cover_from_doc(self.doc())
         pp = cover_to_pposet(cover)

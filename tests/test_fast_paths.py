@@ -6,10 +6,14 @@
   computes each member's barcodes once; the reference runs
   verify_puncture_lemma on every step, which punctures and computes both
   sides afresh.
+- chain_filtrations starts the shrinking chain from the growing chain's
+  last member, the full cylinder, so the suite builds its barcodes once;
+  the reference gives the shrinking chain its own equal copy.
 - bottleneck_distance returns 0 for equal barcodes; the reference is the
   feasibility search itself.
 """
 
+from dataclasses import replace
 from unittest import mock
 
 from hypothesis import assume, given, settings
@@ -22,7 +26,7 @@ from persposet.complexes import core_tower
 from persposet.homology import FieldSpec, tower_barcodes
 from persposet.modules import INF, Barcode, _matching_feasible, bottleneck_distance
 from persposet.posets import new_poset
-from persposet.pposets import chain_filtrations, puncture, top_degree
+from persposet.pposets import PersistencePoset, chain_filtrations, puncture, top_degree
 from persposet.verifier import chain_puncture_suite, verify_puncture_lemma
 
 TIER_S = GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4)
@@ -118,6 +122,32 @@ def test_suite_equals_per_step_lemma_loop(seed, p):
         assert larger_codes() == tower_barcodes(core_tower(step.larger), field, k_max)
         complement = puncture(step.larger, step.removed)
         assert smaller_codes() == tower_barcodes(core_tower(complement), field, k_max)
+
+
+def unshared_chains(f):
+    """chain_filtrations(f) with the shrinking chain's first member an equal but distinct object."""
+    chains = chain_filtrations(f)
+    if chains.source_steps:
+        full = chains.source_steps[0].larger
+        copy = PersistencePoset(full.components, full.maps)
+        chains.source_chain[0] = copy
+        chains.source_steps[0] = replace(chains.source_steps[0], larger=copy)
+    return chains
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(FIELDS))
+def test_chains_share_the_full_cylinder(seed, p):
+    f = tier_s_map(seed)
+    chains = chain_filtrations(f)
+    assert chains.source_chain[0] is chains.target_chain[-1]
+    if chains.source_steps and chains.target_steps:
+        assert chains.source_steps[0].larger is chains.target_steps[-1].larger
+    field = FieldSpec(p)
+    shared = chain_puncture_suite(f, field)
+    with mock.patch.object(verifier, "chain_filtrations", unshared_chains):
+        reference = chain_puncture_suite(f, field)
+    assert vars(shared) == vars(reference)
 
 
 def test_suite_steps_have_nonzero_distances():

@@ -14,16 +14,14 @@ from persposet.modules import (
     barcode,
     bottleneck_distance,
     direct_sum,
-    eps_trivial,
-    interleaving_bruteforce,
     module_from_barcode,
     point_comparison_defect,
     random_module,
-    rank_invariant,
     triviality_defect,
     zero_module,
 )
 from persposet.modules import _compatible, _matching_feasible, _perfect_matching, _skippable
+from reference import composite, eps_trivial, interleaving_bruteforce, module, rank_invariant, transition
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -34,7 +32,7 @@ def mod(dims, transitions, field=F2):
         np.array(t, dtype=np.int64).reshape(dims[i + 1], dims[i])
         for i, t in enumerate(transitions)
     ]
-    return PersistenceModule(field, tuple(dims), tuple(mats))
+    return module(field, dims, mats)
 
 
 @st.composite
@@ -47,7 +45,35 @@ def modules(draw, max_dim=3, t_max=4, p=2):
             draw(st.integers(0, p - 1)) for _ in range(dims[i] * dims[i + 1])
         ]
         transitions.append(np.array(entries, dtype=np.int64).reshape(dims[i + 1], dims[i]))
-    return PersistenceModule(FieldSpec(p), tuple(dims), tuple(transitions))
+    return module(FieldSpec(p), dims, transitions)
+
+
+class TestSparseTransitions:
+    def test_shape_checks(self):
+        with pytest.raises(ShapeMismatch):
+            PersistenceModule(F2, (1, 1), ())
+        with pytest.raises(ShapeMismatch):
+            PersistenceModule(F2, (2, 1), (({0: 1},),))
+        with pytest.raises(ShapeMismatch):
+            PersistenceModule(F2, (1, 1), (({1: 1},),))
+        with pytest.raises(ShapeMismatch):
+            PersistenceModule(F2, (1, 1), (({-1: 1},),))
+
+    def test_coefficients_reduced_mod_p(self):
+        M = PersistenceModule(F3, (2, 2), (({0: 5, 1: 3}, {1: -1}),))
+        assert M.transitions == (({0: 2}, {1: 2}),)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_random_module_draws_row_by_row(self, p):
+        """The dense matrix the draws fill row by row, as seeded suites expect."""
+        for seed in range(20):
+            M = random_module(random.Random(seed), FieldSpec(p), max_dim=3, T=3)
+            rng = random.Random(seed)
+            dims = [rng.randint(0, 3) for _ in range(4)]
+            assert list(M.dims) == dims
+            for i in range(3):
+                rows = [[rng.randrange(p) for _ in range(dims[i])] for _ in range(dims[i + 1])]
+                assert transition(M, i).tolist() == rows
 
 
 class TestRankInvariant:
@@ -293,5 +319,5 @@ class TestBruteforce:
 def test_shift_morphism():
     """The eps-shift of a module at index i is its composite transition i -> i + eps."""
     M = mod([1, 1, 1], [[1], [0]])
-    assert M.composite(0, 2)[0, 0] == 0
-    assert M.composite(1, 1)[0, 0] == 1
+    assert composite(M, 0, 2)[0, 0] == 0
+    assert composite(M, 1, 1)[0, 0] == 1

@@ -1,0 +1,125 @@
+"""The certificate's rank table and reduced Betti numbers against the dense reference.
+
+The library reads both from the sparse reduction of each complex
+(homology._chains): rank H_k(f) by reducing the images of a cycle basis of
+the source against the boundary pivots of the target (homology._induced_rank),
+and the reduced Betti number as dim Z_k - rank B_k, less one in degree 0.
+The reference is the dense path of tests/reference.py: homology bases,
+the matrix induced on homology and its rank.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from persposet.complexes import SimplicialComplex, SimplicialMap, core_tower, induced_map, order_complex_tower
+from persposet.documents import GeneratorLimits, parse_instance, random_instance
+from persposet.homology import FieldSpec, _induced_rank, reduced_dim
+from persposet.verifier import verify_theorem
+from reference import homology, induced_on_homology, rank
+
+TIERS = {
+    "S": GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4),
+    "M": GeneratorLimits(t_max=8, max_slice=10, max_y_tracks=6),
+    "L": GeneratorLimits(t_max=8, max_slice=12, max_y_tracks=8),
+}
+# Tier L order complexes reach about 2,000 simplices, where the dense path is slow.
+EXAMPLES = {"S": 30, "M": 15, "L": 4}
+FIELDS = (2, 3, 5)
+
+
+def dense_rank(sm, k, field):
+    """rank H_k(sm) from dense homology bases and the induced matrix."""
+    mat = induced_on_homology(sm, k, field, homology(sm.source, k, field), homology(sm.target, k, field))
+    return rank(mat, field.p)
+
+
+def instance(tier, seed):
+    return parse_instance(random_instance(seed, TIERS[tier])).map
+
+
+@pytest.mark.parametrize("tier", TIERS)
+def test_rank_table_matches_dense(tier):
+    """Every slice and degree of the certificate, and the helper on the full slice maps."""
+
+    @given(st.integers(0, 10_000), st.sampled_from(FIELDS))
+    @settings(max_examples=EXAMPLES[tier], deadline=None)
+    def check(seed, p):
+        f = instance(tier, seed)
+        field = FieldSpec(p)
+        cert = verify_theorem(f, field)
+        tx, ty = order_complex_tower(f.source), order_complex_tower(f.target)
+        slice_maps = [induced_map(f.slices[i], tx.complexes[i], ty.complexes[i]) for i in range(f.T + 1)]
+        assert sorted(cert.induced_ranks) == list(range(cert.k_max + 1))
+        for k, ranks in cert.induced_ranks.items():
+            expected = [dense_rank(sm, k, field) for sm in slice_maps]
+            assert ranks == expected
+            assert [_induced_rank(sm, k, p) for sm in slice_maps] == expected
+
+    check()
+
+
+@pytest.mark.parametrize("tier", TIERS)
+def test_reduced_dim_matches_dense(tier):
+    """On every slice complex of the full and core towers of source and target."""
+
+    @given(st.integers(0, 10_000), st.sampled_from(FIELDS))
+    @settings(max_examples=EXAMPLES[tier], deadline=None)
+    def check(seed, p):
+        f = instance(tier, seed)
+        field = FieldSpec(p)
+        for pp in (f.source, f.target):
+            for tower in (order_complex_tower(pp), core_tower(pp)):
+                for K in tower.complexes:
+                    assert reduced_dim(K, -1, field) == int(K.is_empty())
+                    for k in range(K.top_degree() + 2):
+                        assert reduced_dim(K, k, field) == homology(K, k, field, reduced=True).dimension
+
+    check()
+
+
+EMPTY = SimplicialComplex.from_simplices([])
+POINT = SimplicialComplex.from_simplices([["p"]])
+CIRCLE = SimplicialComplex.from_simplices([["a", "b"], ["b", "c"], ["a", "c"]])
+TETRAHEDRON_BOUNDARY = SimplicialComplex.from_simplices(["abc", "abd", "acd", "bcd"])
+# The six-vertex triangulation of the real projective plane.
+RP2 = SimplicialComplex.from_simplices(
+    ["123", "134", "145", "156", "162", "235", "346", "452", "563", "624"]
+)
+
+
+def identity(K):
+    return SimplicialMap(K, K, {v: v for v in K.vertices})
+
+
+def ranks(sm, p, degrees):
+    return tuple(_induced_rank(sm, k, p) for k in range(degrees))
+
+
+@pytest.mark.parametrize("p", FIELDS)
+def test_identity_on_a_two_sphere(p):
+    assert ranks(identity(TETRAHEDRON_BOUNDARY), p, 3) == (1, 0, 1)
+    assert [reduced_dim(TETRAHEDRON_BOUNDARY, k, FieldSpec(p)) for k in range(-1, 3)] == [0, 0, 0, 1]
+
+
+@pytest.mark.parametrize("p", FIELDS)
+def test_circle_to_a_point(p):
+    collapse = SimplicialMap(CIRCLE, POINT, {v: "p" for v in CIRCLE.vertices})
+    assert ranks(collapse, p, 2) == (1, 0)
+    assert ranks(identity(CIRCLE), p, 2) == (1, 1)
+
+
+@pytest.mark.parametrize("p, expected", [(2, (1, 1, 1)), (3, (1, 0, 0)), (5, (1, 0, 0))])
+def test_projective_plane_depends_on_the_field(p, expected):
+    field = FieldSpec(p)
+    assert ranks(identity(RP2), p, 3) == expected
+    assert tuple(dense_rank(identity(RP2), k, field) for k in range(3)) == expected
+    assert [reduced_dim(RP2, k, field) for k in range(3)] == [0, *expected[1:]]
+
+
+def test_empty_complex():
+    field = FieldSpec(3)
+    assert [reduced_dim(EMPTY, k, field) for k in (-2, -1, 0, 1)] == [0, 1, 0, 0]
+    assert [reduced_dim(POINT, k, field) for k in (-2, -1, 0, 1)] == [0, 0, 0, 0]
+    assert ranks(identity(EMPTY), 3, 2) == (0, 0)
+    assert ranks(SimplicialMap(EMPTY, POINT, {}), 3, 1) == (0,)

@@ -1,19 +1,26 @@
 """Checks on the library source and its error hierarchy."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import persposet
 import persposet.cli  # noqa: F401  (not imported by the package itself)
+from persposet.documents import GeneratorLimits, canonical_json, random_instance
 from persposet.errors import InternalError, PersistenceError
+
+SOURCES = sorted(Path(persposet.__file__).parent.glob("*.py"))
 
 
 def test_no_assert_statements():
     """python -O strips assert statements, so internal checks must raise explicitly."""
     found = [
         f"{path.name}:{node.lineno}"
-        for path in sorted(Path(persposet.__file__).parent.glob("*.py"))
+        for path in SOURCES
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
     ]
@@ -25,7 +32,11 @@ def test_internal_error_is_not_an_input_error():
 
 
 def test_every_cache_is_bounded():
-    """An unbounded functools cache grows for the life of the process."""
+    """An unbounded functools cache grows for the life of the process.
+
+    The set of caches is pinned exactly, so a cache that is added or
+    removed (or that this scan stops finding) fails here until it is named.
+    """
     caches = {}
     for modname, module in sorted(sys.modules.items()):
         if module is None or not modname.startswith("persposet."):
@@ -37,6 +48,54 @@ def test_every_cache_is_bounded():
             for qualname, candidate in candidates:
                 if hasattr(candidate, "cache_info"):
                     caches.setdefault(id(candidate), (qualname, candidate))
-    assert len(caches) >= 6
+    assert sorted(qualname for qualname, _ in caches.values()) == [
+        "persposet.complexes.order_complex",
+        "persposet.homology._chains",
+        "persposet.posets.core",
+    ]
     unbounded = [qualname for qualname, cache in caches.values() if cache.cache_info().maxsize is None]
     assert unbounded == []
+
+
+def test_cli_runs_without_numpy(tmp_path):
+    """Importing the CLI and verifying an instance loads no numpy; only the tests use it."""
+    path = tmp_path / "instance.json"
+    tier_s = GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4)
+    path.write_text(canonical_json(random_instance(5, tier_s)), encoding="utf-8")
+    script = (
+        "import sys\n"
+        "from persposet.cli import main\n"
+        f"code = main(['verify', {str(path)!r}])\n"
+        "print('numpy' in sys.modules, code)\n"
+    )
+    src = str(Path(persposet.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.split("\n")[-2] == "False 0"
+
+
+def test_no_module_imports_numpy():
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names if name.split(".")[0] == "numpy"]
+    assert found == []
+
+
+def test_numpy_is_only_a_test_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).parent.parent / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+
+    def numpy_in(deps):
+        return any(dep.split(">")[0].split("=")[0].strip() == "numpy" for dep in deps)
+
+    assert not numpy_in(project.get("dependencies", []))
+    extras = project["optional-dependencies"]
+    assert [name for name, deps in extras.items() if numpy_in(deps)] == ["test"]
