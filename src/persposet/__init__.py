@@ -5,7 +5,6 @@ from .errors import (
     DuplicateElement,
     EmptyAfterNonempty,
     HypothesisUnmet,
-    InconsistentTransfer,
     InternalError,
     NonMonotoneStructureMap,
     NotASubposet,
@@ -15,7 +14,6 @@ from .errors import (
     PersistenceError,
     SchemaError,
     ShapeMismatch,
-    TooLarge,
     UnknownElement,
     UnknownVertex,
     ValidationError,

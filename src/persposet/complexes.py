@@ -58,9 +58,10 @@ class SimplicialMap:
     vertex_map: dict[str, str]
 
     def __post_init__(self) -> None:
+        target_vertices = set(self.target.vertices)
         for v in self.source.vertices:
             w = self.vertex_map.get(v)
-            if w is None or w not in set(self.target.vertices):
+            if w is None or w not in target_vertices:
                 raise UnknownVertex(f"vertex {v!r} has no valid image")
         for s in self.source.simplices:
             if self.apply_simplex(s) not in self.target.simplices:

@@ -320,29 +320,30 @@ def _random_linear_order(rng: random.Random, P: FinitePoset) -> list[str]:
     return out
 
 
+def _forward_pairs(rng: random.Random, order: list[str], pair_prob: float, compatible) -> list[tuple[str, str]]:
+    """Pairs (a, b) with a before b in order, each kept with probability pair_prob.
+
+    One draw per pair, in order, whether or not the pair is compatible.
+    """
+    return [
+        (a, b)
+        for i, a in enumerate(order)
+        for b in order[i + 1 :]
+        if rng.random() < pair_prob and (compatible is None or compatible(a, b))
+    ]
+
+
 def _random_poset(rng: random.Random, elements: list[str], pair_prob: float,
                   compatible=None) -> FinitePoset:
     order = list(elements)
     rng.shuffle(order)
-    pairs = []
-    for i in range(len(order)):
-        for j in range(i + 1, len(order)):
-            a, b = order[i], order[j]
-            if rng.random() < pair_prob and (compatible is None or compatible(a, b)):
-                pairs.append((a, b))
-    return new_poset(elements, pairs)
+    return new_poset(elements, _forward_pairs(rng, order, pair_prob, compatible))
 
 
 def _enrich_poset(rng: random.Random, base: FinitePoset, pair_prob: float, compatible=None) -> FinitePoset:
     """Add random forward pairs along a random topological order of base."""
     order = _random_linear_order(rng, base)
-    pairs = set(base.relation)
-    for i in range(len(order)):
-        for j in range(i + 1, len(order)):
-            a, b = order[i], order[j]
-            if rng.random() < pair_prob and (compatible is None or compatible(a, b)):
-                pairs.add((a, b))
-    return new_poset(base.elements, pairs)
+    return new_poset(base.elements, [*base.relation, *_forward_pairs(rng, order, pair_prob, compatible)])
 
 
 def _try_merges(rng: random.Random, P: FinitePoset, attempts: int,

@@ -51,10 +51,6 @@ class NotASubposet(PersistenceError):
     """Component subsets are not closed under the structure maps."""
 
 
-class InconsistentTransfer(PersistenceError):
-    """Order transferred from images contradicts an existing relation."""
-
-
 class NotClosed(PersistenceError):
     """A surviving element maps into the removed set."""
 
@@ -69,10 +65,6 @@ class UnknownVertex(PersistenceError):
 
 class ShapeMismatch(PersistenceError):
     pass
-
-
-class TooLarge(PersistenceError):
-    """Input exceeds the scale the exhaustive search is meant for."""
 
 
 # -- verification ----------------------------------------------------------------

@@ -133,12 +133,6 @@ class MonotoneMap:
     target: FinitePoset
     assignment: dict[str, str]
 
-    def __call__(self, x: str) -> str:
-        try:
-            return self.assignment[x]
-        except KeyError:
-            raise UnknownElement(f"{x!r} has no assigned image") from None
-
 
 def identity_map(P: FinitePoset) -> MonotoneMap:
     return MonotoneMap(P, P, {e: e for e in P.elements})

@@ -14,9 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
-    CycleError,
     EmptyAfterNonempty,
-    InconsistentTransfer,
     NaturalityError,
     NonMonotoneStructureMap,
     NotASubposet,
@@ -145,12 +143,6 @@ class PersistenceMap:
     def T(self) -> int:
         return self.source.T
 
-    def slice_at(self, i: int) -> MonotoneMap:
-        return self.slices[min(i, self.T)]
-
-    def apply(self, i: int, x: str) -> str:
-        return self.slice_at(i).assignment[x]
-
 
 def restrict(pp: PersistencePoset, subsets: Sequence[Iterable[str]]) -> PersistencePoset:
     """Persistence subposet on per-component subsets.
@@ -184,28 +176,24 @@ def persistence_linear_extension(pp: PersistencePoset) -> list[list[str]]:
     """Total orders per component making every structure map monotone.
 
     The last component is extended by the deterministic topological
-    sort.  Walking right to left, each component first inherits the
-    pair (a, b) whenever the images of a and b are strictly ordered in
-    the already-extended next component, then is extended to a total
-    order with the same tie-break.
+    sort.  Walking right to left, each component lists the fibers of its
+    structure map in the order of their images in the already-extended
+    next component, and extends each fiber with the same tie-break.  This
+    is the extension of the component's order enriched by every pair
+    whose images are strictly ordered: a path in the enriched order
+    between two elements of one fiber never leaves that fiber.
     """
     T = pp.T
     extended: list[list[str]] = [[] for _ in range(T + 1)]
     extended[T] = linear_extension(pp.components[T])
     for i in range(T - 1, -1, -1):
         comp = pp.components[i]
-        f = pp.maps[i].assignment
-        pos = {e: r for r, e in enumerate(extended[i + 1])}
-        pairs = set(comp.relation)
+        fibers: dict[str, list[str]] = {}
         for a in comp.elements:
-            for b in comp.elements:
-                if a != b and pos[f[a]] < pos[f[b]]:
-                    pairs.add((a, b))
-        try:
-            enriched = new_poset(comp.elements, pairs)
-        except CycleError as exc:  # unreachable for a valid persistence poset
-            raise InconsistentTransfer(f"slice {i}: {exc}") from exc
-        extended[i] = linear_extension(enriched)
+            fibers.setdefault(pp.maps[i].assignment[a], []).append(a)
+        extended[i] = [
+            a for y in extended[i + 1] if y in fibers for a in linear_extension(comp.restrict(fibers[y]))
+        ]
     return extended
 
 
@@ -261,21 +249,11 @@ def fiber(f: PersistenceMap, y: ElementTrack) -> PersistencePoset:
     )
 
 
-def persistence_mapping_cylinder(
-    f: PersistenceMap,
-) -> tuple[PersistencePoset, PersistenceMap, PersistenceMap]:
-    """Componentwise mapping cylinder with the two canonical inclusions."""
-    T = f.T
-    cyls = []
-    incl_x = []
-    incl_y = []
-    for i in range(T + 1):
-        M, i_x, i_y = mapping_cylinder(f.slices[i])
-        cyls.append(M)
-        incl_x.append(i_x)
-        incl_y.append(i_y)
+def persistence_mapping_cylinder(f: PersistenceMap) -> PersistencePoset:
+    """Componentwise mapping cylinder, with the source and target copies tagged."""
+    cyls = [mapping_cylinder(g)[0] for g in f.slices]
     maps = []
-    for i in range(T):
+    for i in range(f.T):
         phi = f.source.maps[i].assignment
         psi = f.target.maps[i].assignment
         assignment: dict[str, str] = {}
@@ -284,10 +262,7 @@ def persistence_mapping_cylinder(
         for y in f.target.components[i].elements:
             assignment[CYLINDER_TARGET_TAG + y] = CYLINDER_TARGET_TAG + psi[y]
         maps.append(MonotoneMap(cyls[i], cyls[i + 1], assignment))
-    cylinder = PersistencePoset(tuple(cyls), tuple(maps))
-    i_x_pm = PersistenceMap(f.source, cylinder, tuple(incl_x))
-    i_y_pm = PersistenceMap(f.target, cylinder, tuple(incl_y))
-    return cylinder, i_x_pm, i_y_pm
+    return PersistencePoset(tuple(cyls), tuple(maps))
 
 
 @dataclass(eq=False)
@@ -312,8 +287,6 @@ class ChainFiltrations:
     """The two interpolation chains inside a persistence mapping cylinder."""
 
     cylinder: PersistencePoset
-    inclusion_source: PersistenceMap
-    inclusion_target: PersistenceMap
     target_chain: list[PersistencePoset]
     target_steps: list[ChainStep]
     source_chain: list[PersistencePoset]
@@ -328,93 +301,64 @@ def _trajectory_row(track: ElementTrack, T: int) -> tuple[str | None, ...]:
     return tuple(track.value(i) if i >= track.birth else None for i in range(T + 1))
 
 
+def _grow(
+    cylinder: PersistencePoset,
+    start: Sequence[set[str]],
+    tracks: Iterable[ElementTrack],
+    members: dict[tuple[frozenset[str], ...], PersistencePoset],
+) -> tuple[list[PersistencePoset], list[ChainStep]]:
+    """Add tracks to the subposet on start one at a time: the members and the steps.
+
+    A step adds only the part of the trajectory not already present, so
+    every member is a persistence subposet of the cylinder.  Members are
+    looked up in members by their element sets, so a subposet reached
+    twice is one object.
+    """
+    current = [set(s) for s in start]
+
+    def member() -> PersistencePoset:
+        key = tuple(frozenset(s) for s in current)
+        if key not in members:
+            members[key] = restrict(cylinder, current)
+        return members[key]
+
+    chain = [member()]
+    steps: list[ChainStep] = []
+    for tr in tracks:
+        row = _trajectory_row(tr, cylinder.T)
+        added = tuple(None if v is None or v in current[i] else v for i, v in enumerate(row))
+        for i, v in enumerate(added):
+            if v is not None:
+                current[i].add(v)
+        chain.append(member())
+        steps.append(ChainStep(larger=chain[-1], smaller=chain[-2], removed=added, trajectory=row, track=tr))
+    return chain, steps
+
+
 def chain_filtrations(f: PersistenceMap) -> ChainFiltrations:
     """Build Y = Y^0 <= ... <= Y^n = M(f) and M(f) = X^0 >= ... >= X^m = X.
 
     The growing chain adds the source tracks one at a time in track
-    order; the shrinking chain removes the target tracks in track
-    order.  When tracks merge, a step only adds or removes the part of
-    the trajectory not shared with the tracks already present, so every
-    chain member is a genuine persistence subposet of the cylinder.
+    order; the shrinking chain removes the target tracks in track order,
+    so each step removes the part of its trajectory not shared with a
+    later target track.  That is the growing of the source copy by the
+    target tracks in reverse order, read backwards.  Both chains reach the
+    full cylinder as one object, so its barcodes can be shared.
     """
-    cylinder, i_x, i_y = persistence_mapping_cylinder(f)
-    T = f.T
+    cylinder = persistence_mapping_cylinder(f)
     x_tracks = [_tagged_track(t, CYLINDER_SOURCE_TAG) for t in tracks(f.source)]
     y_tracks = [_tagged_track(t, CYLINDER_TARGET_TAG) for t in tracks(f.target)]
-
-    y_part = [
-        {CYLINDER_TARGET_TAG + e for e in f.target.components[i].elements} for i in range(T + 1)
-    ]
-    x_part = [
-        {CYLINDER_SOURCE_TAG + e for e in f.source.components[i].elements} for i in range(T + 1)
-    ]
-
-    # Growing chain: start from the target copy, add source tracks.
-    current = [set(s) for s in y_part]
-    target_chain = [restrict(cylinder, current)]
-    target_steps: list[ChainStep] = []
-    for tr in x_tracks:
-        removed: list[str | None] = []
-        for i in range(T + 1):
-            if i < tr.birth or tr.value(i) in current[i]:
-                removed.append(None)
-            else:
-                removed.append(tr.value(i))
-        for i in range(tr.birth, T + 1):
-            current[i].add(tr.value(i))
-        member = restrict(cylinder, current)
-        target_steps.append(
-            ChainStep(
-                larger=member,
-                smaller=target_chain[-1],
-                removed=tuple(removed),
-                trajectory=_trajectory_row(tr, T),
-                track=tr,
-            )
-        )
-        target_chain.append(member)
-
-    # Shrinking chain: start from the full cylinder, the growing chain's last
-    # member (the same object, so its barcodes can be shared), and remove
-    # target tracks.
-    current = [set(x_part[i]) | set(y_part[i]) for i in range(T + 1)]
-    source_chain = [target_chain[-1]]
-    source_steps: list[ChainStep] = []
-    for r, tr in enumerate(y_tracks):
-        later = y_tracks[r + 1 :]
-        removed = []
-        for i in range(T + 1):
-            if i < tr.birth:
-                removed.append(None)
-                continue
-            v = tr.value(i)
-            shared = any(lt.birth <= i and lt.value(i) == v for lt in later)
-            removed.append(None if shared else v)
-        nxt = [set(s) for s in current]
-        for i in range(T + 1):
-            if removed[i] is not None:
-                nxt[i].discard(removed[i])
-        member = restrict(cylinder, nxt)
-        source_steps.append(
-            ChainStep(
-                larger=source_chain[-1],
-                smaller=member,
-                removed=tuple(removed),
-                trajectory=_trajectory_row(tr, T),
-                track=tr,
-            )
-        )
-        source_chain.append(member)
-        current = nxt
-
+    x_part = [{CYLINDER_SOURCE_TAG + e for e in c.elements} for c in f.source.components]
+    y_part = [{CYLINDER_TARGET_TAG + e for e in c.elements} for c in f.target.components]
+    members: dict[tuple[frozenset[str], ...], PersistencePoset] = {}
+    target_chain, target_steps = _grow(cylinder, y_part, x_tracks, members)
+    source_chain, source_steps = _grow(cylinder, x_part, reversed(y_tracks), members)
     return ChainFiltrations(
         cylinder=cylinder,
-        inclusion_source=i_x,
-        inclusion_target=i_y,
         target_chain=target_chain,
         target_steps=target_steps,
-        source_chain=source_chain,
-        source_steps=source_steps,
+        source_chain=source_chain[::-1],
+        source_steps=source_steps[::-1],
     )
 
 

@@ -101,10 +101,6 @@ class TheoremCertificate:
     induced_ranks: dict[int, list[int]]
     schema: str = "certificate/1"
 
-    @property
-    def max_distance(self) -> int | float:
-        return max(self.distances.values(), default=0)
-
 
 def verify_theorem(
     f: PersistenceMap, field: FieldSpec = DEFAULT_FIELD, k_max: int | None = None
@@ -307,7 +303,7 @@ def verify_cylinder_retraction(
     the weak up-set in the target of the removed track's image has
     vanishing reduced homology at every nonempty slice.
     """
-    cylinder, _, _ = persistence_mapping_cylinder(f)
+    cylinder = persistence_mapping_cylinder(f)
     if k_max is None:
         k_max = top_degree(cylinder)
     distances = _distances(
@@ -317,9 +313,7 @@ def verify_cylinder_retraction(
 
     cone_steps_ok = True
     for tr in tracks(f.source):
-        row = [
-            f.apply(i, tr.value(i)) if i >= tr.birth else None for i in range(f.T + 1)
-        ]
+        row = [f.slices[i].assignment[tr.value(i)] if i >= tr.birth else None for i in range(f.T + 1)]
         upset = up_set_of_image_track(f.target, row)
         for K in core_tower(upset).complexes:
             if K.is_empty():

@@ -10,7 +10,10 @@ slower dense paths they replaced, over numpy int64 matrices:
   nilpotency, composite transitions, and the exhaustive interleaving
   search;
 - converters between dense matrices and the sparse columns of
-  PersistenceModule.transitions.
+  PersistenceModule.transitions;
+- the interpolation chains built as two mirrored loops, and the coherent
+  linear extension of the order enriched by every image-ordered pair,
+  closed again with Warshall.
 
 Elimination is deterministic (the first nonzero entry in a fixed scan
 order is the pivot).  FieldSpec keeps p below 2**16, so every int64 dot
@@ -27,10 +30,26 @@ from typing import Sequence
 import numpy as np
 
 from persposet.complexes import ComplexTower, SimplicialComplex, SimplicialMap
-from persposet.errors import InternalError, ShapeMismatch, TooLarge
+from persposet.errors import InternalError, PersistenceError, ShapeMismatch
 from persposet.homology import _boundary_column, _chain_columns
 from persposet.linalg import Column, _inv_scalar
 from persposet.modules import INF, FieldSpec, PersistenceModule, barcode
+from persposet.posets import CYLINDER_SOURCE_TAG, CYLINDER_TARGET_TAG, linear_extension, new_poset
+from persposet.pposets import (
+    ChainFiltrations,
+    ChainStep,
+    PersistenceMap,
+    PersistencePoset,
+    _tagged_track,
+    _trajectory_row,
+    persistence_mapping_cylinder,
+    restrict,
+    tracks,
+)
+
+
+class TooLarge(PersistenceError):
+    """Input exceeds the scale the exhaustive search is meant for."""
 
 
 # -- dense <-> sparse -------------------------------------------------------------
@@ -438,3 +457,120 @@ def _search_pairs(M: PersistenceModule, N: PersistenceModule, eps: int) -> bool:
         if solve(reduced, rhs, p) is not None:
             return True
     return False
+
+
+# -- interpolation chains and coherent linear extensions ------------------------
+
+
+def persistence_linear_extension(pp: PersistencePoset) -> list[list[str]]:
+    """Total orders per component making every structure map monotone.
+
+    The last component is extended by the deterministic topological
+    sort.  Walking right to left, each component first inherits the
+    pair (a, b) whenever the images of a and b are strictly ordered in
+    the already-extended next component, then is extended to a total
+    order with the same tie-break.
+    """
+    T = pp.T
+    extended: list[list[str]] = [[] for _ in range(T + 1)]
+    extended[T] = linear_extension(pp.components[T])
+    for i in range(T - 1, -1, -1):
+        comp = pp.components[i]
+        f = pp.maps[i].assignment
+        pos = {e: r for r, e in enumerate(extended[i + 1])}
+        pairs = set(comp.relation)
+        for a in comp.elements:
+            for b in comp.elements:
+                if a != b and pos[f[a]] < pos[f[b]]:
+                    pairs.add((a, b))
+        enriched = new_poset(comp.elements, pairs)
+        extended[i] = linear_extension(enriched)
+    return extended
+
+
+def chain_filtrations(f: PersistenceMap) -> ChainFiltrations:
+    """Build Y = Y^0 <= ... <= Y^n = M(f) and M(f) = X^0 >= ... >= X^m = X.
+
+    The growing chain adds the source tracks one at a time in track
+    order; the shrinking chain removes the target tracks in track
+    order.  When tracks merge, a step only adds or removes the part of
+    the trajectory not shared with the tracks already present, so every
+    chain member is a genuine persistence subposet of the cylinder.
+    """
+    cylinder = persistence_mapping_cylinder(f)
+    T = f.T
+    x_tracks = [_tagged_track(t, CYLINDER_SOURCE_TAG) for t in tracks(f.source)]
+    y_tracks = [_tagged_track(t, CYLINDER_TARGET_TAG) for t in tracks(f.target)]
+
+    y_part = [
+        {CYLINDER_TARGET_TAG + e for e in f.target.components[i].elements} for i in range(T + 1)
+    ]
+    x_part = [
+        {CYLINDER_SOURCE_TAG + e for e in f.source.components[i].elements} for i in range(T + 1)
+    ]
+
+    # Growing chain: start from the target copy, add source tracks.
+    current = [set(s) for s in y_part]
+    target_chain = [restrict(cylinder, current)]
+    target_steps: list[ChainStep] = []
+    for tr in x_tracks:
+        removed: list[str | None] = []
+        for i in range(T + 1):
+            if i < tr.birth or tr.value(i) in current[i]:
+                removed.append(None)
+            else:
+                removed.append(tr.value(i))
+        for i in range(tr.birth, T + 1):
+            current[i].add(tr.value(i))
+        member = restrict(cylinder, current)
+        target_steps.append(
+            ChainStep(
+                larger=member,
+                smaller=target_chain[-1],
+                removed=tuple(removed),
+                trajectory=_trajectory_row(tr, T),
+                track=tr,
+            )
+        )
+        target_chain.append(member)
+
+    # Shrinking chain: start from the full cylinder, the growing chain's last
+    # member (the same object, so its barcodes can be shared), and remove
+    # target tracks.
+    current = [set(x_part[i]) | set(y_part[i]) for i in range(T + 1)]
+    source_chain = [target_chain[-1]]
+    source_steps: list[ChainStep] = []
+    for r, tr in enumerate(y_tracks):
+        later = y_tracks[r + 1 :]
+        removed = []
+        for i in range(T + 1):
+            if i < tr.birth:
+                removed.append(None)
+                continue
+            v = tr.value(i)
+            shared = any(lt.birth <= i and lt.value(i) == v for lt in later)
+            removed.append(None if shared else v)
+        nxt = [set(s) for s in current]
+        for i in range(T + 1):
+            if removed[i] is not None:
+                nxt[i].discard(removed[i])
+        member = restrict(cylinder, nxt)
+        source_steps.append(
+            ChainStep(
+                larger=source_chain[-1],
+                smaller=member,
+                removed=tuple(removed),
+                trajectory=_trajectory_row(tr, T),
+                track=tr,
+            )
+        )
+        source_chain.append(member)
+        current = nxt
+
+    return ChainFiltrations(
+        cylinder=cylinder,
+        target_chain=target_chain,
+        target_steps=target_steps,
+        source_chain=source_chain,
+        source_steps=source_steps,
+    )

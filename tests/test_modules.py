@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persposet.errors import ShapeMismatch, TooLarge
+from persposet.errors import ShapeMismatch
 from persposet.modules import (
     INF,
     Barcode,
@@ -21,7 +21,7 @@ from persposet.modules import (
     zero_module,
 )
 from persposet.modules import _compatible, _matching_feasible, _perfect_matching, _skippable
-from reference import composite, eps_trivial, interleaving_bruteforce, module, rank_invariant, transition
+from reference import TooLarge, composite, eps_trivial, interleaving_bruteforce, module, rank_invariant, transition
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)

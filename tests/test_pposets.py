@@ -218,7 +218,7 @@ class TestCylinderAndChains:
         X = pposet([("a", []), ("a", [])], [{"a": "a"}])
         Y = constant_pposet(new_poset("b", []), 1)
         f = pmap(X, Y, [{"a": "b"}, {"a": "b"}])
-        M, i_x, i_y = persistence_mapping_cylinder(f)
+        M = persistence_mapping_cylinder(f)
         for c in M.components:
             assert c.elements == ("X:a", "Y:b")
             assert c.relation == frozenset({("X:a", "Y:b")})
@@ -227,7 +227,7 @@ class TestCylinderAndChains:
         X = pposet([([], [])], [])
         Y = constant_pposet(new_poset("b", []), 0)
         f = pmap(X, Y, [{}])
-        M, _, _ = persistence_mapping_cylinder(f)
+        M = persistence_mapping_cylinder(f)
         assert M.components[0].elements == ("Y:b",)
         chains = chain_filtrations(f)
         assert len(chains.target_chain) == 1

@@ -31,6 +31,23 @@ def test_internal_error_is_not_an_input_error():
     assert not issubclass(InternalError, PersistenceError)
 
 
+def test_every_leaf_error_is_raised():
+    """Each error class that no other class in errors.py subclasses is raised somewhere else in the library."""
+    errors = next(path for path in SOURCES if path.name == "errors.py")
+    classes = [node for node in ast.parse(errors.read_text(encoding="utf-8")).body if isinstance(node, ast.ClassDef)]
+    bases = {base.id for node in classes for base in node.bases if isinstance(base, ast.Name)}
+    raised = {
+        name.id
+        for path in SOURCES
+        if path != errors
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Raise) and node.exc is not None
+        for name in ast.walk(node.exc)
+        if isinstance(name, ast.Name)
+    }
+    assert sorted({node.name for node in classes} - bases - raised) == []
+
+
 def test_every_cache_is_bounded():
     """An unbounded functools cache grows for the life of the process.
 
