@@ -47,7 +47,7 @@ from .complexes import (
     order_complex,
     order_complex_tower,
 )
-from .homology import FieldSpec, tower_barcodes
+from .homology import FieldSpec, pposet_barcodes, tower_barcodes
 from .modules import (
     Barcode,
     PersistenceModule,

@@ -1,6 +1,7 @@
 """Command line surface: validate, extend, barcode, fibers, verify, lemma, cover, random.
 
-Exit codes: 0 success / bound holds, 1 verdict violated, 2 invalid input.
+Exit codes: 0 success / bound holds, 1 verdict violated (verify also
+exits 1 on a vacuous verdict, and lemma on any violation), 2 invalid input.
 All output is deterministic; --report writes the machine-readable JSON
 document next to the human-readable text on stdout.
 """
@@ -26,8 +27,7 @@ from .documents import (
     random_pposet,
 )
 from .errors import HypothesisUnmet, PersistenceError, ValidationError
-from .homology import FieldSpec, tower_barcodes
-from .complexes import core_tower
+from .homology import FieldSpec, pposet_barcodes
 from .modules import INF
 from .pposets import persistence_linear_extension, top_degree, tracks
 from .verifier import (
@@ -129,7 +129,7 @@ def _cmd_barcode(args) -> int:
     k_max = args.kmax if args.kmax is not None else max(top_degree(inst.x), top_degree(inst.y))
     report = {"schema": "barcode/1", "field": field.p, "k_max": k_max, "x": {}, "y": {}}
     for name, pp in (("x", inst.x), ("y", inst.y)):
-        for k, code in enumerate(tower_barcodes(core_tower(pp), field, k_max)):
+        for k, code in enumerate(pposet_barcodes(pp, field, k_max)):
             report[name][str(k)] = [[b, _enc(d)] for b, d in code.bars]
             for b, d in code.bars:
                 line = f"{name}\t{k}\t{b}\t{_enc(d)}"

@@ -153,7 +153,9 @@ def core_tower(pp: PersistencePoset) -> ComplexTower:
     """Order-complex tower of pp's slicewise beat-point core (pposets.core).
 
     It has the barcodes of order_complex_tower(pp) in every degree, on far
-    fewer simplices; every barcode of a persistence poset is computed on it.
+    fewer simplices.  homology.pposet_barcodes computes every barcode of a
+    persistence poset on the core; the certificate uses this tower because
+    its rank table reads the core's complexes.
     """
     return order_complex_tower(core(pp)[0])
 

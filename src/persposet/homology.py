@@ -5,7 +5,9 @@ reduction, barcode and rank is bit-reproducible.  Each complex's boundary
 matrices are reduced once over F_p and cached per complex (_chains); the
 cycle bases and boundary pivot tables it keeps serve the barcodes of
 towers (tower_barcodes), the rank of a map on homology (_induced_rank)
-and the reduced Betti numbers (reduced_dim).
+and the reduced Betti numbers (reduced_dim).  The barcodes of a
+persistence poset (pposet_barcodes) are computed on its core, once per
+distinct content.
 """
 
 from __future__ import annotations
@@ -14,10 +16,11 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from . import linalg
-from .complexes import ComplexTower, SimplicialComplex, SimplicialMap
+from .complexes import ComplexTower, SimplicialComplex, SimplicialMap, order_complex_tower
 from .modules import Barcode, FieldSpec, elder_barcode
+from .pposets import PersistencePoset, core
 
-__all__ = ["FieldSpec", "reduced_dim", "tower_barcodes"]
+__all__ = ["FieldSpec", "pposet_barcodes", "reduced_dim", "tower_barcodes"]
 
 Simplex = tuple[str, ...]
 
@@ -123,6 +126,54 @@ def tower_barcodes(tower: ComplexTower, field: FieldSpec, k_max: int) -> list[Ba
             previous = simplices
 
     return [elder_barcode(steps(k), p) if k <= top else Barcode.of(()) for k in range(k_max + 1)]
+
+
+class _Content:
+    """A persistence poset that hashes and compares by its content.
+
+    The content is the components, which compare by value, and each
+    structure map's (element, image) pairs in the order the map holds
+    them.  Equal keys mean equal posets; equal maps held in another order
+    only cost a miss.  The poset itself rides along for the cache miss
+    that needs it.
+    """
+
+    __slots__ = ("pp", "key")
+
+    def __init__(self, pp: PersistencePoset) -> None:
+        self.pp = pp
+        self.key = (pp.components, tuple(tuple(m.assignment.items()) for m in pp.maps))
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Content) and self.key == other.key
+
+
+def pposet_barcodes(pp: PersistencePoset, field: FieldSpec, k_max: int) -> list[Barcode]:
+    """Barcodes of pp's order-complex tower in degrees 0..k_max, indexed by degree.
+
+    The one path from a persistence poset to its barcodes.  They are
+    computed on pp's slicewise beat-point core (pposets.core), which has
+    the same barcodes, and depend only on pp's content, the field and
+    k_max; so do the core's.  Each distinct content is therefore looked
+    up before and after taking the core, and its barcodes are built once
+    while the caches hold it.  The list returned is the caller's own.
+    """
+    return list(_content_barcodes(_Content(pp), field, k_max))
+
+
+@lru_cache(maxsize=4096)
+def _content_barcodes(content: _Content, field: FieldSpec, k_max: int) -> tuple[Barcode, ...]:
+    """pposet_barcodes by content; a miss takes the core and looks it up by content."""
+    return _core_barcodes(_Content(core(content.pp)[0]), field, k_max)
+
+
+@lru_cache(maxsize=4096)
+def _core_barcodes(content: _Content, field: FieldSpec, k_max: int) -> tuple[Barcode, ...]:
+    """tower_barcodes of a core's order-complex tower, by the core's content."""
+    return tuple(tower_barcodes(order_complex_tower(content.pp), field, k_max))
 
 
 def _induced_rank(sm: SimplicialMap, k: int, p: int) -> int:

@@ -227,12 +227,12 @@ def core(P: FinitePoset) -> tuple[FinitePoset, MonotoneMap]:
     return C, MonotoneMap(P, C, assignment)
 
 
-def mapping_cylinder(f: MonotoneMap) -> tuple[FinitePoset, MonotoneMap, MonotoneMap]:
+def mapping_cylinder(f: MonotoneMap) -> FinitePoset:
     """Poset on the tagged disjoint union of source and target.
 
     The order keeps both original orders and adds x < y exactly when
-    f(x) <= y in the target.  Returns the cylinder together with the two
-    canonical inclusions.
+    f(x) <= y in the target.  The canonical inclusions send x to
+    CYLINDER_SOURCE_TAG + x and y to CYLINDER_TARGET_TAG + y.
     """
     check_map(f)
     X, Y = f.source, f.target
@@ -245,10 +245,7 @@ def mapping_cylinder(f: MonotoneMap) -> tuple[FinitePoset, MonotoneMap, Monotone
         for y in Y.elements:
             if Y.leq(fx, y):
                 pairs.append((CYLINDER_SOURCE_TAG + x, CYLINDER_TARGET_TAG + y))
-    M = new_poset(elems, pairs)
-    i_x = MonotoneMap(X, M, {x: CYLINDER_SOURCE_TAG + x for x in X.elements})
-    i_y = MonotoneMap(Y, M, {y: CYLINDER_TARGET_TAG + y for y in Y.elements})
-    return M, i_x, i_y
+    return new_poset(elems, pairs)
 
 
 def longest_chain(P: FinitePoset) -> int:

@@ -251,7 +251,7 @@ def fiber(f: PersistenceMap, y: ElementTrack) -> PersistencePoset:
 
 def persistence_mapping_cylinder(f: PersistenceMap) -> PersistencePoset:
     """Componentwise mapping cylinder, with the source and target copies tagged."""
-    cyls = [mapping_cylinder(g)[0] for g in f.slices]
+    cyls = [mapping_cylinder(g) for g in f.slices]
     maps = []
     for i in range(f.T):
         phi = f.source.maps[i].assignment

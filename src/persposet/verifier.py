@@ -7,10 +7,13 @@ worst acyclicity defect among the fibers.  The remaining routines check
 the supporting statements: the puncture step, join acyclicity, the
 cylinder retraction, and the split/exact sequence bounds.
 
-Every barcode of a persistence poset is computed on its slicewise
-beat-point core (complexes.core_tower), which has the same barcodes.  The
-join lemma is the exception: its Kunneth identity is a statement about
-the full order complexes, so it stays on them.
+Every barcode of a persistence poset comes from homology.pposet_barcodes,
+which computes it on the slicewise beat-point core, with the same
+barcodes, once per distinct content.  The certificate takes its two
+towers from the cores itself (complexes.core_tower), because its rank
+table reads their complexes.  The join lemma is the exception: its
+Kunneth identity is a statement about the full order complexes, so it
+stays on them.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Callable
 
 from .complexes import ComplexTower, SimplicialMap, core_tower, join_tower, order_complex_tower
 from .errors import HypothesisUnmet, NotASubposet
-from .homology import FieldSpec, _induced_rank, reduced_dim, tower_barcodes
+from .homology import FieldSpec, _induced_rank, pposet_barcodes, reduced_dim, tower_barcodes
 from .modules import (
     INF,
     Barcode,
@@ -61,7 +64,11 @@ def acyclicity_defect(tower: ComplexTower, field: FieldSpec, k_max: int) -> int 
     module; every higher degree must be eps-trivial.  INF when no finite
     eps works.
     """
-    codes = tower_barcodes(tower, field, max(k_max, 0))
+    return _defect(tower_barcodes(tower, field, max(k_max, 0)))
+
+
+def _defect(codes: list[Barcode]) -> int | float:
+    """The acyclicity defect read off barcodes indexed by degree from 0."""
     worst = point_comparison_defect(codes[0])
     for code in codes[1:]:
         worst = max(worst, triviality_defect(code))
@@ -69,7 +76,7 @@ def acyclicity_defect(tower: ComplexTower, field: FieldSpec, k_max: int) -> int 
 
 
 def _distances(codes_a: list[Barcode], codes_b: list[Barcode]) -> dict[int, int | float]:
-    """Bottleneck distance of two towers' barcodes (tower_barcodes) in each degree."""
+    """Bottleneck distance of two lists of barcodes, indexed by degree, in each degree."""
     return {k: bottleneck_distance(a, b) for k, (a, b) in enumerate(zip(codes_a, codes_b))}
 
 
@@ -81,7 +88,7 @@ def fiber_defects(
         k_max = top_degree(f.source)
     out: dict[ElementTrack, int | float] = {}
     for y in tracks(f.target):
-        out[y] = acyclicity_defect(core_tower(fiber(f, y)), field, k_max)
+        out[y] = _defect(pposet_barcodes(fiber(f, y), field, max(k_max, 0)))
     return out
 
 
@@ -191,8 +198,8 @@ def verify_puncture_lemma(
         trajectory,
         field,
         k_max,
-        lambda: tower_barcodes(core_tower(pp), field, k_max),
-        lambda: tower_barcodes(core_tower(complement), field, k_max),
+        partial(pposet_barcodes, pp, field, k_max),
+        partial(pposet_barcodes, complement, field, k_max),
     )
 
 
@@ -206,8 +213,8 @@ def _puncture_step(
 ) -> PunctureReport:
     """The puncture bound of one step, given the barcodes of pp and of its complement.
 
-    The barcodes are asked for only once the hypothesis holds, so a caller
-    may compute them lazily and share them between steps.
+    The barcodes are asked for only once the hypothesis holds, so a step
+    whose hypothesis fails builds none.
     """
     side: dict[str, int | float] = {}
     for direction in ("below", "above"):
@@ -216,7 +223,7 @@ def _puncture_step(
         except NotASubposet:
             side[direction] = INF
             continue
-        side[direction] = acyclicity_defect(core_tower(sub), field, k_max)
+        side[direction] = _defect(pposet_barcodes(sub, field, max(k_max, 0)))
     epsilon = min(side["below"], side["above"])
     if epsilon == INF:
         raise HypothesisUnmet("both comparison sets have infinite acyclicity defect")
@@ -306,10 +313,7 @@ def verify_cylinder_retraction(
     cylinder = persistence_mapping_cylinder(f)
     if k_max is None:
         k_max = top_degree(cylinder)
-    distances = _distances(
-        tower_barcodes(core_tower(cylinder), field, k_max),
-        tower_barcodes(core_tower(f.target), field, k_max),
-    )
+    distances = _distances(pposet_barcodes(cylinder, field, k_max), pposet_barcodes(f.target, field, k_max))
 
     cone_steps_ok = True
     for tr in tracks(f.source):
@@ -347,23 +351,16 @@ def chain_puncture_suite(
     comparison sets fail to be subposets or have infinite defect) are
     counted as skipped.
 
-    A step's smaller member is its complement, and each chain member is
-    the larger side of one step and the smaller side of the next, so the
-    barcodes of each member are computed once, on the first step that
-    reaches the distance check.
+    A step's smaller member is its complement.  Each chain member is the
+    larger side of one step and the smaller side of the next, and the
+    members, their complements and comparison sets share many cores;
+    pposet_barcodes builds each distinct one's barcodes once.
     """
     chains = chain_filtrations(f)
     if k_max is None:
         k_max = top_degree(chains.cylinder)
     checked = trivial = skipped = 0
     violations: list[str] = []
-    # Chain members compare by identity, so each one keys its own barcodes.
-    codes: dict[PersistencePoset, list[Barcode]] = {}
-
-    def member_codes(member: PersistencePoset) -> list[Barcode]:
-        if member not in codes:
-            codes[member] = tower_barcodes(core_tower(member), field, k_max)
-        return codes[member]
 
     for name, steps in (("grow", chains.target_steps), ("shrink", chains.source_steps)):
         for idx, step in enumerate(steps):
@@ -376,8 +373,8 @@ def chain_puncture_suite(
                     step.trajectory,
                     field,
                     k_max,
-                    partial(member_codes, step.larger),
-                    partial(member_codes, step.smaller),
+                    partial(pposet_barcodes, step.larger, field, k_max),
+                    partial(pposet_barcodes, step.smaller, field, k_max),
                 )
             except HypothesisUnmet:
                 skipped += 1

@@ -1,0 +1,138 @@
+"""pposet_barcodes, the content-keyed path from a persistence poset to its barcodes.
+
+The reference for every barcode is the full order-complex tower,
+``tower_barcodes(order_complex_tower(pp), ...)``.  The lookups here run in
+one warm cache on purpose: a key that forgets part of the content (the
+structure maps, the field or k_max) hands out another poset's barcodes.
+"""
+
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from persposet import homology
+from persposet.complexes import order_complex_tower
+from persposet.documents import GeneratorLimits, parse_instance, random_instance
+from persposet.errors import NotASubposet
+from persposet.homology import FieldSpec, pposet_barcodes, tower_barcodes
+from persposet.modules import INF
+from persposet.posets import MonotoneMap, new_poset
+from persposet.pposets import (
+    PersistencePoset,
+    chain_filtrations,
+    comparison_set,
+    constant_pposet,
+    fiber,
+    top_degree,
+    tracks,
+)
+
+TIERS = {
+    "S": GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4),
+    "M": GeneratorLimits(t_max=8, max_slice=10, max_y_tracks=6),
+}
+FIELDS = (2, 3, 5)
+
+
+def reference(pp, field, k_max):
+    return tower_barcodes(order_complex_tower(pp), field, k_max)
+
+
+def two_points(images):
+    """Two points a, b at indices 0 and 1; the structure map sends them to images."""
+    P = new_poset("ab", [])
+    return PersistencePoset((P, P), (MonotoneMap(P, P, dict(zip("ab", images))),))
+
+
+def face_poset(facets):
+    """Nonempty faces of the facets, ordered by proper inclusion."""
+    faces = {"".join(face) for s in facets for k in range(1, len(s) + 1) for face in combinations(s, k)}
+    pairs = [(a, b) for a in faces for b in faces if a != b and set(a) <= set(b)]
+    return new_poset(sorted(faces), pairs)
+
+
+# The six-vertex real projective plane: H_1 = Z/2, so its homology depends on the field.
+RP2 = face_poset(["123", "134", "145", "156", "126", "235", "346", "245", "356", "246"])
+
+
+def test_structure_maps_are_in_the_key():
+    apart, merged = two_points("ab"), two_points("aa")
+    assert apart.components == merged.components
+    field = FieldSpec(2)
+    homology._content_barcodes.cache_clear()
+    kept, joined = ((0, INF), (0, INF)), ((0, 1), (0, INF), (1, INF))
+    for pp, bars in ((apart, kept), (merged, joined), (apart, kept)):
+        codes = pposet_barcodes(pp, field, 0)
+        assert codes[0].bars == bars
+        assert codes == reference(pp, field, 0)
+
+
+def test_field_is_in_the_key():
+    pp = constant_pposet(RP2, 1)
+    homology._content_barcodes.cache_clear()
+    betti = {}
+    for p in (2, 3, 2, 5):
+        codes = pposet_barcodes(pp, FieldSpec(p), 2)
+        assert codes == reference(pp, FieldSpec(p), 2)
+        betti[p] = [len(code) for code in codes]
+    assert betti == {2: [1, 1, 1], 3: [1, 0, 0], 5: [1, 0, 0]}
+
+
+def test_degree_bound_is_in_the_key():
+    crown = constant_pposet(new_poset("abcd", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")]), 1)
+    field = FieldSpec(3)
+    homology._content_barcodes.cache_clear()
+    for k_max in (0, 2, 1, 0):
+        codes = pposet_barcodes(crown, field, k_max)
+        assert len(codes) == k_max + 1
+        assert codes == reference(crown, field, k_max)
+
+
+def test_equal_content_is_one_miss():
+    f = parse_instance(random_instance(3, TIERS["S"])).map
+    y = tracks(f.target)[0]
+    first, second = fiber(f, y), fiber(f, y)
+    assert first is not second
+    field = FieldSpec(2)
+    homology._content_barcodes.cache_clear()
+    codes = pposet_barcodes(first, field, 1)
+    again = pposet_barcodes(second, field, 1)
+    info = homology._content_barcodes.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert codes == again and codes is not again
+    codes.clear()
+    assert pposet_barcodes(second, field, 1) == again
+
+
+def instance_pposets(f):
+    """Source, target, fibers, chain members and their closed comparison sets."""
+    chains = chain_filtrations(f)
+    out = [f.source, f.target]
+    out += [fiber(f, y) for y in tracks(f.target)]
+    out += chains.target_chain + chains.source_chain
+    for step in chains.target_steps + chains.source_steps:
+        for direction in ("below", "above"):
+            try:
+                out.append(comparison_set(step.larger, step.trajectory, direction))
+            except NotASubposet:
+                pass
+    return out
+
+
+@pytest.fixture(scope="module")
+def warm_cache():
+    """Clear the memo once; every example of the reference test then shares it."""
+    homology._content_barcodes.cache_clear()
+    homology._core_barcodes.cache_clear()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(sorted(TIERS)), st.sampled_from(FIELDS))
+def test_memo_equals_full_tower_barcodes(warm_cache, seed, tier, p):
+    f = parse_instance(random_instance(seed, TIERS[tier])).map
+    field = FieldSpec(p)
+    for pp in instance_pposets(f):
+        k_max = top_degree(pp)
+        assert pposet_barcodes(pp, field, k_max) == reference(pp, field, k_max)

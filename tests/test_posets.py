@@ -162,27 +162,36 @@ class TestMonotone:
         assert not is_monotone(MonotoneMap(P, P, {"a": "a"}))
 
 
+def inclusions(X, Y, M):
+    """The canonical inclusions of X and Y into their mapping cylinder M."""
+    i_x = MonotoneMap(X, M, {x: "X:" + x for x in X.elements})
+    i_y = MonotoneMap(Y, M, {y: "Y:" + y for y in Y.elements})
+    return i_x, i_y
+
+
 class TestMappingCylinder:
     def test_point_to_point(self):
         X = new_poset("a", [])
         Y = new_poset("b", [])
-        M, i_x, i_y = mapping_cylinder(MonotoneMap(X, Y, {"a": "b"}))
+        M = mapping_cylinder(MonotoneMap(X, Y, {"a": "b"}))
         assert M.elements == ("X:a", "Y:b")
         assert M.relation == frozenset({("X:a", "Y:b")})
+        i_x, i_y = inclusions(X, Y, M)
         assert is_monotone(i_x) and is_monotone(i_y)
 
     def test_constant_from_antichain(self):
         X = new_poset(["a1", "a2"], [])
         Y = new_poset("b", [])
-        M, _, _ = mapping_cylinder(MonotoneMap(X, Y, {"a1": "b", "a2": "b"}))
+        M = mapping_cylinder(MonotoneMap(X, Y, {"a1": "b", "a2": "b"}))
         assert M.relation == frozenset({("X:a1", "Y:b"), ("X:a2", "Y:b")})
 
     def test_empty_source(self):
         X = new_poset([], [])
         Y = new_poset("ab", [("a", "b")])
-        M, _, i_y = mapping_cylinder(MonotoneMap(X, Y, {}))
+        M = mapping_cylinder(MonotoneMap(X, Y, {}))
         assert M.elements == ("Y:a", "Y:b")
-        assert i_y.assignment == {"a": "Y:a", "b": "Y:b"}
+        i_x, i_y = inclusions(X, Y, M)
+        assert is_monotone(i_x) and is_monotone(i_y)
 
     def test_invalid_map_rejected(self):
         P = new_poset("ab", [("a", "b")])
@@ -199,7 +208,9 @@ class TestMappingCylinder:
         f = MonotoneMap(X, Y, assignment)
         if not is_monotone(f):
             return
-        M, i_x, i_y = mapping_cylinder(f)
+        M = mapping_cylinder(f)
+        i_x, i_y = inclusions(X, Y, M)
+        assert is_monotone(i_x) and is_monotone(i_y)
         # restrictions of the cylinder order equal the original orders
         assert {(a, b) for (a, b) in M.relation if a.startswith("X:") and b.startswith("X:")} == {
             ("X:" + a, "X:" + b) for (a, b) in X.relation

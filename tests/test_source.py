@@ -1,6 +1,8 @@
 """Checks on the library source and its error hierarchy."""
 
 import ast
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -48,12 +50,8 @@ def test_every_leaf_error_is_raised():
     assert sorted({node.name for node in classes} - bases - raised) == []
 
 
-def test_every_cache_is_bounded():
-    """An unbounded functools cache grows for the life of the process.
-
-    The set of caches is pinned exactly, so a cache that is added or
-    removed (or that this scan stops finding) fails here until it is named.
-    """
+def functools_caches():
+    """Every functools cache among the attributes of the persposet modules and their classes, by name."""
     caches = {}
     for modname, module in sorted(sys.modules.items()):
         if module is None or not modname.startswith("persposet."):
@@ -65,13 +63,49 @@ def test_every_cache_is_bounded():
             for qualname, candidate in candidates:
                 if hasattr(candidate, "cache_info"):
                     caches.setdefault(id(candidate), (qualname, candidate))
-    assert sorted(qualname for qualname, _ in caches.values()) == [
+    return dict(sorted(caches.values(), key=lambda item: item[0]))
+
+
+def test_every_cache_is_bounded():
+    """An unbounded functools cache grows for the life of the process.
+
+    The set of caches is pinned exactly, so a cache that is added or
+    removed (or that this scan stops finding) fails here until it is named.
+    """
+    caches = functools_caches()
+    assert sorted(caches) == [
         "persposet.complexes.order_complex",
         "persposet.homology._chains",
+        "persposet.homology._content_barcodes",
+        "persposet.homology._core_barcodes",
         "persposet.posets.core",
     ]
-    unbounded = [qualname for qualname, cache in caches.values() if cache.cache_info().maxsize is None]
+    unbounded = [qualname for qualname, cache in caches.items() if cache.cache_info().maxsize is None]
     assert unbounded == []
+
+
+@pytest.mark.parametrize("command", [["lemma", "puncture"], ["verify"]], ids=["puncture", "verify"])
+def test_caches_clear_and_repeat_cold(tmp_path, command):
+    """A cold run leaves the same cache traffic twice, and clearing empties every cache.
+
+    A cache that clearing misses would warm the second run and change its
+    hits and misses, so each cold run costs what a fresh process pays.
+    """
+    path = tmp_path / "instance.json"
+    tier_s = GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4)
+    path.write_text(canonical_json(random_instance(1, tier_s)), encoding="utf-8")
+    caches = functools_caches()
+    traffic = []
+    for _ in range(2):
+        for cache in caches.values():
+            cache.cache_clear()
+        infos = {name: cache.cache_info() for name, cache in caches.items()}
+        assert [name for name, info in infos.items() if (info.hits, info.misses, info.currsize) != (0, 0, 0)] == []
+        with contextlib.redirect_stdout(io.StringIO()):
+            persposet.cli.main([*command, str(path)])
+        traffic.append({name: cache.cache_info()[:2] for name, cache in caches.items()})
+    assert traffic[0] == traffic[1]
+    assert any(misses for _, misses in traffic[0].values())
 
 
 def test_cli_runs_without_numpy(tmp_path):
