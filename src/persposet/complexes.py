@@ -9,7 +9,7 @@ from typing import Iterable
 
 from .errors import DuplicateElement, ShapeMismatch, UnknownVertex
 from .posets import FinitePoset, MonotoneMap, check_map
-from .pposets import PersistencePoset, core
+from .pposets import PersistencePoset
 
 
 @dataclass(frozen=True)
@@ -147,17 +147,6 @@ def order_complex_tower(pp: PersistencePoset) -> ComplexTower:
         induced_map(pp.maps[i], complexes[i], complexes[i + 1]) for i in range(pp.T)
     )
     return ComplexTower(complexes, maps)
-
-
-def core_tower(pp: PersistencePoset) -> ComplexTower:
-    """Order-complex tower of pp's slicewise beat-point core (pposets.core).
-
-    It has the barcodes of order_complex_tower(pp) in every degree, on far
-    fewer simplices.  homology.pposet_barcodes computes every barcode of a
-    persistence poset on the core; the certificate uses this tower because
-    its rank table reads the core's complexes.
-    """
-    return order_complex_tower(core(pp)[0])
 
 
 def join_tower(A: ComplexTower, B: ComplexTower) -> ComplexTower:

@@ -6,8 +6,10 @@ matrices are reduced once over F_p and cached per complex (_chains); the
 cycle bases and boundary pivot tables it keeps serve the barcodes of
 towers (tower_barcodes), the rank of a map on homology (_induced_rank)
 and the reduced Betti numbers (reduced_dim).  The barcodes of a
-persistence poset (pposet_barcodes) are computed on its core, once per
-distinct content.
+persistence poset (pposet_barcodes) are computed on its slicewise
+beat-point cores, once per distinct set of cores and maps between them;
+every barcode of a persistence poset in the verifier and the CLI comes
+from there.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from . import linalg
-from .complexes import ComplexTower, SimplicialComplex, SimplicialMap, order_complex_tower
+from . import linalg, posets
+from .complexes import ComplexTower, SimplicialComplex, SimplicialMap, order_complex
 from .modules import Barcode, FieldSpec, elder_barcode
-from .pposets import PersistencePoset, core
+from .pposets import PersistencePoset
 
 __all__ = ["FieldSpec", "pposet_barcodes", "reduced_dim", "tower_barcodes"]
 
@@ -128,52 +130,38 @@ def tower_barcodes(tower: ComplexTower, field: FieldSpec, k_max: int) -> list[Ba
     return [elder_barcode(steps(k), p) if k <= top else Barcode.of(()) for k in range(k_max + 1)]
 
 
-class _Content:
-    """A persistence poset that hashes and compares by its content.
-
-    The content is the components, which compare by value, and each
-    structure map's (element, image) pairs in the order the map holds
-    them.  Equal keys mean equal posets; equal maps held in another order
-    only cost a miss.  The poset itself rides along for the cache miss
-    that needs it.
-    """
-
-    __slots__ = ("pp", "key")
-
-    def __init__(self, pp: PersistencePoset) -> None:
-        self.pp = pp
-        self.key = (pp.components, tuple(tuple(m.assignment.items()) for m in pp.maps))
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Content) and self.key == other.key
-
-
 def pposet_barcodes(pp: PersistencePoset, field: FieldSpec, k_max: int) -> list[Barcode]:
     """Barcodes of pp's order-complex tower in degrees 0..k_max, indexed by degree.
 
-    The one path from a persistence poset to its barcodes.  They are
-    computed on pp's slicewise beat-point core (pposets.core), which has
-    the same barcodes, and depend only on pp's content, the field and
-    k_max; so do the core's.  Each distinct content is therefore looked
-    up before and after taking the core, and its barcodes are built once
-    while the caches hold it.  The list returned is the caller's own.
+    The one path from a persistence poset to its barcodes.  Each slice is
+    replaced by its beat-point core (posets.core, cached, so equal slices
+    share one core), which keeps the barcodes in every degree: the
+    inclusions of the cores are homotopy equivalences with the
+    retractions as inverses, and they commute with the structure maps on
+    homology.  Each structure map becomes the next retraction after it,
+    restricted to the core.  The barcodes then depend only on the cores,
+    those maps, the field and k_max, and are built once per distinct key
+    while the cache holds it.  The list returned is the caller's own.
     """
-    return list(_content_barcodes(_Content(pp), field, k_max))
+    cores = [posets.core(c) for c in pp.components]
+    maps = tuple(
+        tuple((x, cores[i + 1][1].assignment[f.assignment[x]]) for x in cores[i][0].elements)
+        for i, f in enumerate(pp.maps)
+    )
+    return list(_core_barcodes(tuple(C for C, _ in cores), maps, field, k_max))
 
 
 @lru_cache(maxsize=4096)
-def _content_barcodes(content: _Content, field: FieldSpec, k_max: int) -> tuple[Barcode, ...]:
-    """pposet_barcodes by content; a miss takes the core and looks it up by content."""
-    return _core_barcodes(_Content(core(content.pp)[0]), field, k_max)
-
-
-@lru_cache(maxsize=4096)
-def _core_barcodes(content: _Content, field: FieldSpec, k_max: int) -> tuple[Barcode, ...]:
-    """tower_barcodes of a core's order-complex tower, by the core's content."""
-    return tuple(tower_barcodes(order_complex_tower(content.pp), field, k_max))
+def _core_barcodes(
+    core_components: tuple[posets.FinitePoset, ...],
+    core_maps: tuple[tuple[tuple[str, str], ...], ...],
+    field: FieldSpec,
+    k_max: int,
+) -> tuple[Barcode, ...]:
+    """tower_barcodes of the order-complex tower of cores joined by (element, image) maps."""
+    complexes = [order_complex(C) for C in core_components]
+    maps = [SimplicialMap(complexes[i], complexes[i + 1], dict(m)) for i, m in enumerate(core_maps)]
+    return tuple(tower_barcodes(ComplexTower(tuple(complexes), tuple(maps)), field, k_max))
 
 
 def _induced_rank(sm: SimplicialMap, k: int, p: int) -> int:

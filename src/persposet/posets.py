@@ -141,7 +141,8 @@ def identity_map(P: FinitePoset) -> MonotoneMap:
 def check_map(f: MonotoneMap) -> None:
     """Raise the specific failure for an invalid map.
 
-    This is the library's only check of totality and monotonicity.
+    This is the library's only check that a map assigns an image to
+    exactly the source elements and is monotone.
     """
     for x in f.source.elements:
         y = f.assignment.get(x)
@@ -149,6 +150,9 @@ def check_map(f: MonotoneMap) -> None:
             raise PartialStructureMap(f"no image assigned to {x!r}")
         if y not in f.target:
             raise PartialStructureMap(f"image {y!r} of {x!r} is not a target element")
+    if len(f.assignment) != len(f.source):
+        extra = next(x for x in f.assignment if x not in f.source)
+        raise PartialStructureMap(f"{extra!r} is assigned an image but is not a source element")
     for a, b in f.source.relation:
         if not f.target.leq(f.assignment[a], f.assignment[b]):
             raise NonMonotoneStructureMap(

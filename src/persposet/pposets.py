@@ -3,9 +3,9 @@
 Components are connected by total monotone structure maps and extend
 constantly beyond the last explicit index.  This module also provides
 element tracks, persistence subposets (comparison sets, fibers, punctures),
-slicewise beat-point cores, coherent linear extensions, the persistence
-mapping cylinder, and the two interpolation chains used to compare a
-map's source and target inside the cylinder.
+coherent linear extensions, the persistence mapping cylinder, and the two
+interpolation chains used to compare a map's source and target inside
+the cylinder.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .posets import (
     FinitePoset,
     MonotoneMap,
     check_map,
-    core as poset_core,
     identity_map,
     linear_extension,
     longest_chain,
@@ -425,27 +424,6 @@ def relabel(pp: PersistencePoset, prefix: str) -> PersistencePoset:
         for i in range(pp.T)
     )
     return PersistencePoset(comps, maps)
-
-
-def core(pp: PersistencePoset) -> tuple[PersistencePoset, tuple[MonotoneMap, ...]]:
-    """Slicewise beat-point cores C_i with maps g_i = r_{i+1} . phi_i restricted to C_i.
-
-    Also returns the retractions r_i: P_i -> C_i.  The inclusions C_i -> P_i
-    are homotopy equivalences with inverses r_i, and they commute with the
-    structure maps on homology, so the core has the barcodes of pp in every
-    degree.
-    """
-    cores = [poset_core(c) for c in pp.components]
-    comps = tuple(C for C, _ in cores)
-    maps = tuple(
-        MonotoneMap(
-            comps[i],
-            comps[i + 1],
-            {x: cores[i + 1][1].assignment[pp.maps[i].assignment[x]] for x in comps[i].elements},
-        )
-        for i in range(pp.T)
-    )
-    return PersistencePoset(comps, maps), tuple(r for _, r in cores)
 
 
 def top_degree(pp: PersistencePoset) -> int:

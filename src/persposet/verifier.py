@@ -7,13 +7,13 @@ worst acyclicity defect among the fibers.  The remaining routines check
 the supporting statements: the puncture step, join acyclicity, the
 cylinder retraction, and the split/exact sequence bounds.
 
-Every barcode of a persistence poset comes from homology.pposet_barcodes,
-which computes it on the slicewise beat-point core, with the same
-barcodes, once per distinct content.  The certificate takes its two
-towers from the cores itself (complexes.core_tower), because its rank
-table reads their complexes.  The join lemma is the exception: its
-Kunneth identity is a statement about the full order complexes, so it
-stays on them.
+Every barcode of a persistence poset, the certificate's included, comes
+from homology.pposet_barcodes, which computes it on the slicewise
+beat-point cores, with the same barcodes, once per distinct set of cores
+and maps.  The certificate's rank table and the cylinder's cone check
+read the order complexes of the same cached cores (posets.core).  The
+join lemma is the exception: its Kunneth identity is a statement about
+the full order complexes, so it stays on them.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
-from .complexes import ComplexTower, SimplicialMap, core_tower, join_tower, order_complex_tower
+from . import posets
+from .complexes import ComplexTower, SimplicialMap, join_tower, order_complex, order_complex_tower
 from .errors import HypothesisUnmet, NotASubposet
 from .homology import FieldSpec, _induced_rank, pposet_barcodes, reduced_dim, tower_barcodes
 from .modules import (
@@ -44,7 +45,6 @@ from .pposets import (
     PersistencePoset,
     chain_filtrations,
     comparison_set,
-    core,
     fiber,
     persistence_mapping_cylinder,
     puncture,
@@ -118,9 +118,9 @@ def verify_theorem(
     verdict is "vacuous".  The induced map of the instance on homology
     is reported as a per-slice rank table; the bound itself only claims
     existence of an interleaving, so the verdict ignores it.  The table is
-    computed on the cores through r^Y_i . f_i . incl^X_i, which has the
-    same ranks because incl^X_i and r^Y_i are isomorphisms on homology,
-    from the reductions that the barcodes of both towers already cached.
+    computed on the cached slice cores through r^Y_i . f_i . incl^X_i,
+    which has the same ranks because incl^X_i and r^Y_i are isomorphisms
+    on homology, from the cached reductions of the cores' order complexes.
     """
     if k_max is None:
         k_max = max(top_degree(f.source), top_degree(f.target))
@@ -129,14 +129,12 @@ def verify_theorem(
     epsilon: int | float = max(defects.values(), default=0)
     bound: int | float = INF if epsilon == INF else 4 * m * epsilon
 
-    tower_x = core_tower(f.source)
-    core_y, retract_y = core(f.target)
-    tower_y = order_complex_tower(core_y)
-    distances = _distances(tower_barcodes(tower_x, field, k_max), tower_barcodes(tower_y, field, k_max))
-    slice_maps = [
-        SimplicialMap(K, L, {x: retract_y[i].assignment[f.slices[i].assignment[x]] for x in K.vertices})
-        for i, (K, L) in enumerate(zip(tower_x.complexes, tower_y.complexes))
-    ]
+    distances = _distances(pposet_barcodes(f.source, field, k_max), pposet_barcodes(f.target, field, k_max))
+    slice_maps = []
+    for g in f.slices:
+        (core_x, _), (core_y, retract_y) = posets.core(g.source), posets.core(g.target)
+        vertex_map = {x: retract_y.assignment[g.assignment[x]] for x in core_x.elements}
+        slice_maps.append(SimplicialMap(order_complex(core_x), order_complex(core_y), vertex_map))
     induced_ranks = {k: [_induced_rank(sm, k, field.p) for sm in slice_maps] for k in range(k_max + 1)}
 
     max_d = max(distances.values(), default=0)
@@ -319,7 +317,8 @@ def verify_cylinder_retraction(
     for tr in tracks(f.source):
         row = [f.slices[i].assignment[tr.value(i)] if i >= tr.birth else None for i in range(f.T + 1)]
         upset = up_set_of_image_track(f.target, row)
-        for K in core_tower(upset).complexes:
+        for P in upset.components:
+            K = order_complex(posets.core(P)[0])
             if K.is_empty():
                 continue
             for k in range(min(k_max, K.top_degree()) + 1):

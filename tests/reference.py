@@ -13,7 +13,9 @@ slower dense paths they replaced, over numpy int64 matrices:
   PersistenceModule.transitions;
 - the interpolation chains built as two mirrored loops, and the coherent
   linear extension of the order enriched by every image-ordered pair,
-  closed again with Warshall.
+  closed again with Warshall;
+- the slicewise beat-point core as a validated persistence poset, with
+  its retractions, and its order-complex tower.
 
 Elimination is deterministic (the first nonzero entry in a fixed scan
 order is the pivot).  FieldSpec keeps p below 2**16, so every int64 dot
@@ -29,12 +31,12 @@ from typing import Sequence
 
 import numpy as np
 
-from persposet.complexes import ComplexTower, SimplicialComplex, SimplicialMap
+from persposet.complexes import ComplexTower, SimplicialComplex, SimplicialMap, order_complex_tower
 from persposet.errors import InternalError, PersistenceError, ShapeMismatch
 from persposet.homology import _boundary_column, _chain_columns
 from persposet.linalg import Column, _inv_scalar
 from persposet.modules import INF, FieldSpec, PersistenceModule, barcode
-from persposet.posets import CYLINDER_SOURCE_TAG, CYLINDER_TARGET_TAG, linear_extension, new_poset
+from persposet.posets import CYLINDER_SOURCE_TAG, CYLINDER_TARGET_TAG, MonotoneMap, core, linear_extension, new_poset
 from persposet.pposets import (
     ChainFiltrations,
     ChainStep,
@@ -574,3 +576,30 @@ def chain_filtrations(f: PersistenceMap) -> ChainFiltrations:
         source_chain=source_chain,
         source_steps=source_steps,
     )
+
+
+# -- slicewise beat-point cores ---------------------------------------------------
+
+
+def core_pposet(pp: PersistencePoset) -> tuple[PersistencePoset, tuple[MonotoneMap, ...]]:
+    """Slicewise beat-point cores C_i with maps g_i = r_{i+1} . phi_i restricted to C_i.
+
+    Also returns the retractions r_i: P_i -> C_i.  The result is a
+    PersistencePoset, so validate checks every g_i.
+    """
+    cores = [core(c) for c in pp.components]
+    comps = tuple(C for C, _ in cores)
+    maps = tuple(
+        MonotoneMap(
+            comps[i],
+            comps[i + 1],
+            {x: cores[i + 1][1].assignment[pp.maps[i].assignment[x]] for x in comps[i].elements},
+        )
+        for i in range(pp.T)
+    )
+    return PersistencePoset(comps, maps), tuple(r for _, r in cores)
+
+
+def core_tower(pp: PersistencePoset) -> ComplexTower:
+    """Order-complex tower of pp's slicewise beat-point core; it has pp's barcodes."""
+    return order_complex_tower(core_pposet(pp)[0])

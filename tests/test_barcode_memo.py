@@ -1,6 +1,8 @@
-"""pposet_barcodes, the content-keyed path from a persistence poset to its barcodes.
+"""pposet_barcodes, the core-keyed path from a persistence poset to its barcodes.
 
-The reference for every barcode is the full order-complex tower,
+The memo (homology._core_barcodes) is keyed on the slicewise beat-point
+cores, the structure maps carried onto them, the field and k_max.  The
+reference for every barcode is the full order-complex tower,
 ``tower_barcodes(order_complex_tower(pp), ...)``.  The lookups here run in
 one warm cache on purpose: a key that forgets part of the content (the
 structure maps, the field or k_max) hands out another poset's barcodes.
@@ -17,9 +19,10 @@ from persposet.complexes import order_complex_tower
 from persposet.documents import GeneratorLimits, parse_instance, random_instance
 from persposet.errors import NotASubposet
 from persposet.homology import FieldSpec, pposet_barcodes, tower_barcodes
-from persposet.modules import INF
+from persposet.modules import INF, bottleneck_distance
 from persposet.posets import MonotoneMap, new_poset
 from persposet.pposets import (
+    PersistenceMap,
     PersistencePoset,
     chain_filtrations,
     comparison_set,
@@ -28,6 +31,7 @@ from persposet.pposets import (
     top_degree,
     tracks,
 )
+from persposet.verifier import acyclicity_defect, verify_theorem
 
 TIERS = {
     "S": GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4),
@@ -61,7 +65,7 @@ def test_structure_maps_are_in_the_key():
     apart, merged = two_points("ab"), two_points("aa")
     assert apart.components == merged.components
     field = FieldSpec(2)
-    homology._content_barcodes.cache_clear()
+    homology._core_barcodes.cache_clear()
     kept, joined = ((0, INF), (0, INF)), ((0, 1), (0, INF), (1, INF))
     for pp, bars in ((apart, kept), (merged, joined), (apart, kept)):
         codes = pposet_barcodes(pp, field, 0)
@@ -71,7 +75,7 @@ def test_structure_maps_are_in_the_key():
 
 def test_field_is_in_the_key():
     pp = constant_pposet(RP2, 1)
-    homology._content_barcodes.cache_clear()
+    homology._core_barcodes.cache_clear()
     betti = {}
     for p in (2, 3, 2, 5):
         codes = pposet_barcodes(pp, FieldSpec(p), 2)
@@ -83,7 +87,7 @@ def test_field_is_in_the_key():
 def test_degree_bound_is_in_the_key():
     crown = constant_pposet(new_poset("abcd", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")]), 1)
     field = FieldSpec(3)
-    homology._content_barcodes.cache_clear()
+    homology._core_barcodes.cache_clear()
     for k_max in (0, 2, 1, 0):
         codes = pposet_barcodes(crown, field, k_max)
         assert len(codes) == k_max + 1
@@ -96,10 +100,10 @@ def test_equal_content_is_one_miss():
     first, second = fiber(f, y), fiber(f, y)
     assert first is not second
     field = FieldSpec(2)
-    homology._content_barcodes.cache_clear()
+    homology._core_barcodes.cache_clear()
     codes = pposet_barcodes(first, field, 1)
     again = pposet_barcodes(second, field, 1)
-    info = homology._content_barcodes.cache_info()
+    info = homology._core_barcodes.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert codes == again and codes is not again
     codes.clear()
@@ -123,8 +127,7 @@ def instance_pposets(f):
 
 @pytest.fixture(scope="module")
 def warm_cache():
-    """Clear the memo once; every example of the reference test then shares it."""
-    homology._content_barcodes.cache_clear()
+    """Clear the memo once; every example of the reference tests then shares it."""
     homology._core_barcodes.cache_clear()
 
 
@@ -136,3 +139,42 @@ def test_memo_equals_full_tower_barcodes(warm_cache, seed, tier, p):
     for pp in instance_pposets(f):
         k_max = top_degree(pp)
         assert pposet_barcodes(pp, field, k_max) == reference(pp, field, k_max)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(sorted(TIERS)), st.sampled_from(FIELDS))
+def test_certificate_equals_full_tower_reference(warm_cache, seed, tier, p):
+    """The certificate's distances and fiber defects, from the full towers of source, target and fibers."""
+    f = parse_instance(random_instance(seed, TIERS[tier])).map
+    field = FieldSpec(p)
+    cert = verify_theorem(f, field)
+    codes_x = reference(f.source, field, cert.k_max)
+    codes_y = reference(f.target, field, cert.k_max)
+    assert cert.distances == {k: bottleneck_distance(a, b) for k, (a, b) in enumerate(zip(codes_x, codes_y))}
+    assert cert.fiber_eps == {
+        y.label: acyclicity_defect(order_complex_tower(fiber(f, y)), field, cert.k_max) for y in tracks(f.target)
+    }
+
+
+def test_source_sharing_a_fiber_core_is_one_miss():
+    """The source is not its fiber over p, but both retract to the point c: one miss serves both.
+
+    X is the cone a < b > c and Y the chain p < q, constant over two
+    indices; c goes to p and a, b to q.  The fiber over p is {c}, the
+    fiber over q is all of X, and every one of them has the core {c}.
+    The target's core {q} is the only other miss.
+    """
+    X = new_poset("abc", [("a", "b"), ("c", "b")])
+    Y = new_poset("pq", [("p", "q")])
+    g = MonotoneMap(X, Y, {"a": "q", "b": "q", "c": "p"})
+    f = PersistenceMap(constant_pposet(X, 1), constant_pposet(Y, 1), (g, g))
+    over_p = fiber(f, tracks(f.target)[0])
+    assert over_p.components[0].elements == ("c",)
+    field = FieldSpec(2)
+    homology._core_barcodes.cache_clear()
+    cert = verify_theorem(f, field)
+    info = homology._core_barcodes.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+    assert cert.fiber_eps == {"0:p": 0, "0:q": 0}
+    assert cert.distances == {0: 0, 1: 0}
+    assert pposet_barcodes(f.source, field, cert.k_max) == reference(over_p, field, cert.k_max)

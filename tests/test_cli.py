@@ -241,6 +241,21 @@ def test_validate_rejects_bad_documents(tmp_path, capsys, text):
     _assert_one_error_line(capsys.readouterr())
 
 
+@pytest.mark.parametrize("table", ["map", "x.maps", "y.maps"])
+def test_validate_rejects_an_image_of_a_non_element(tmp_path, capsys, table):
+    """A table entry for an element the source does not have is an error, not a key to write back."""
+    doc = json.loads(canonical_json(_DOC))
+    owner, _, key = table.rpartition(".")
+    tables = doc[owner][key] if owner else doc[key]
+    tables[0]["ghost"] = next(iter(tables[0].values()))
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured)
+    assert "'ghost'" in captured.err
+
+
 def test_cover_rejects_nested_point_ids(tmp_path, capsys):
     path = tmp_path / "cover.json"
     path.write_text(json.dumps({"schema": "cover/1", "T": 0, "sets": {"U": [[["p1"]]]}}), encoding="utf-8")

@@ -2,22 +2,26 @@
 
 The reference for every barcode is the full order-complex tower,
 ``tower_barcodes(order_complex_tower(pp), ...)``; the library itself only
-computes barcodes of persistence posets on their cores.
+computes barcodes of persistence posets on their cores.  The persistence
+core exists in the library only as the key of homology.pposet_barcodes;
+tests/reference.py builds it as a validated persistence poset.
 """
+
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persposet.complexes import core_tower, induced_map, order_complex, order_complex_tower
+from persposet.complexes import induced_map, order_complex, order_complex_tower
 from persposet.documents import GeneratorLimits, parse_instance, random_instance
 from persposet.errors import NotASubposet
-from persposet.homology import FieldSpec, reduced_dim, tower_barcodes
+from persposet.homology import FieldSpec, _core_barcodes, pposet_barcodes, reduced_dim, tower_barcodes
 from persposet.posets import check_map, new_poset
 from persposet.posets import core as poset_core
-from persposet.pposets import comparison_set, constant_pposet, core, fiber, tracks
+from persposet.pposets import comparison_set, constant_pposet, fiber, tracks
 from persposet.verifier import verify_theorem
-from reference import homology, induced_on_homology, rank
+from reference import core_pposet, core_tower, homology, induced_on_homology, rank
 
 TIER_S = GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4)
 FIELDS = (2, 3, 5)
@@ -97,21 +101,34 @@ class TestPosetCore:
             assert reduced_dim(K, k, field) == reduced_dim(L, k, field)
 
 
+def memo_key(pp):
+    """The cores and (element, image) maps that pposet_barcodes looks pp's barcodes up by."""
+    with mock.patch("persposet.homology._core_barcodes", wraps=_core_barcodes) as spy:
+        pposet_barcodes(pp, FieldSpec(2), 0)
+    components, maps, _, _ = spy.call_args.args
+    return components, maps
+
+
 class TestPersistenceCore:
     def test_constant_crown(self):
         pp = constant_pposet(CROWN, 2)
-        C, retractions = core(pp)
-        assert C.components == pp.components
+        components, maps = memo_key(pp)
+        assert components == pp.components
+        assert maps == tuple(tuple((e, e) for e in CROWN.elements) for _ in range(pp.T))
+        _, retractions = core_pposet(pp)
         assert all(r.assignment == {e: e for e in CROWN.elements} for r in retractions)
 
     def test_maps_compose_structure_with_retraction(self):
         doc = random_instance(3, TIER_S)
         pp = parse_instance(doc).x
-        C, retractions = core(pp)
+        components, maps = memo_key(pp)
+        C, retractions = core_pposet(pp)
         assert len(retractions) == pp.T + 1
+        assert components == C.components
+        assert maps == tuple(tuple(m.assignment.items()) for m in C.maps)
         for i in range(pp.T):
-            for x in C.components[i].elements:
-                assert C.maps[i].assignment[x] == retractions[i + 1].assignment[pp.maps[i].assignment[x]]
+            for x, image in maps[i]:
+                assert image == retractions[i + 1].assignment[pp.maps[i].assignment[x]]
 
 
 def tier_s_pposets(seed):

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from persposet import verifier
 from persposet.documents import GeneratorLimits, parse_instance, random_instance
 from persposet.errors import HypothesisUnmet
-from persposet.complexes import core_tower
+from persposet.complexes import order_complex_tower
 from persposet.homology import FieldSpec, tower_barcodes
 from persposet.modules import INF, Barcode, _matching_feasible, bottleneck_distance
 from persposet.posets import new_poset
@@ -119,9 +119,9 @@ def test_suite_equals_per_step_lemma_loop(seed, p):
     # The barcodes the suite hands to each step are those of the step's two sides.
     for ((pp, _, _, _, larger_codes, smaller_codes), _), step in zip(calls, steps):
         assert pp.components == step.larger.components
-        assert larger_codes() == tower_barcodes(core_tower(step.larger), field, k_max)
+        assert larger_codes() == tower_barcodes(order_complex_tower(step.larger), field, k_max)
         complement = puncture(step.larger, step.removed)
-        assert smaller_codes() == tower_barcodes(core_tower(complement), field, k_max)
+        assert smaller_codes() == tower_barcodes(order_complex_tower(complement), field, k_max)
 
 
 def unshared_chains(f):

@@ -6,10 +6,12 @@ from persposet.errors import (
     CycleError,
     DuplicateElement,
     NonMonotoneStructureMap,
+    PartialStructureMap,
     UnknownElement,
 )
 from persposet.posets import (
     MonotoneMap,
+    check_map,
     identity_map,
     is_monotone,
     linear_extension,
@@ -160,6 +162,13 @@ class TestMonotone:
     def test_partial_not_monotone(self):
         P = new_poset("ab", [("a", "b")])
         assert not is_monotone(MonotoneMap(P, P, {"a": "a"}))
+
+    def test_image_of_a_non_element_rejected(self):
+        P = new_poset("ab", [("a", "b")])
+        f = MonotoneMap(P, P, {"a": "a", "b": "b", "ghost": "a"})
+        assert not is_monotone(f)
+        with pytest.raises(PartialStructureMap, match="'ghost'"):
+            check_map(f)
 
 
 def inclusions(X, Y, M):

@@ -50,6 +50,23 @@ def test_every_leaf_error_is_raised():
     assert sorted({node.name for node in classes} - bases - raised) == []
 
 
+def test_tower_barcodes_has_two_callers():
+    """Every barcode of a persistence poset goes through the memo of homology.pposet_barcodes.
+
+    Only the memo's miss calls tower_barcodes on cores, and only the join
+    lemma's acyclicity_defect on full towers, whose Kunneth check is about
+    the full complexes.  Any other use would bypass the memo.
+    """
+    found = set()
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+                if name == "tower_barcodes":
+                    found.add((path.stem, getattr(top, "name", "<module>")))
+    assert sorted(found) == [("homology", "_core_barcodes"), ("verifier", "acyclicity_defect")]
+
+
 def functools_caches():
     """Every functools cache among the attributes of the persposet modules and their classes, by name."""
     caches = {}
@@ -76,7 +93,6 @@ def test_every_cache_is_bounded():
     assert sorted(caches) == [
         "persposet.complexes.order_complex",
         "persposet.homology._chains",
-        "persposet.homology._content_barcodes",
         "persposet.homology._core_barcodes",
         "persposet.posets.core",
     ]
