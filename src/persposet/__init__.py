@@ -42,10 +42,7 @@ from .complexes import (
     ComplexTower,
     SimplicialComplex,
     SimplicialMap,
-    induced_map,
-    join,
     order_complex,
-    order_complex_tower,
 )
 from .homology import FieldSpec, pposet_barcodes, tower_barcodes
 from .modules import (

@@ -209,7 +209,7 @@ def _cmd_lemma(args) -> int:
             A = random_pposet(rng, T, 3, 3, limits, name_prefix="a")
             B = random_pposet(rng, T, 3, 3, limits, name_prefix="b")
             try:
-                report = verify_join_acyclicity(A, B, field)
+                report = verify_join_acyclicity(A, B, field, args.kmax)
             except HypothesisUnmet:
                 continue
             applicable += 1

@@ -1,4 +1,9 @@
-"""Order complexes of posets and towers of simplicial complexes."""
+"""Simplicial complexes, order complexes of posets, and towers of complexes.
+
+Towers are built only from the slicewise beat-point cores of persistence
+posets (homology._core_barcodes); the join of two order-complex towers is
+the tower of their ordinal sum (pposets.ordinal_sum).
+"""
 
 from __future__ import annotations
 
@@ -7,9 +12,8 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
 
-from .errors import DuplicateElement, ShapeMismatch, UnknownVertex
-from .posets import FinitePoset, MonotoneMap, check_map
-from .pposets import PersistencePoset
+from .errors import ShapeMismatch, UnknownVertex
+from .posets import FinitePoset
 
 
 @dataclass(frozen=True)
@@ -91,32 +95,6 @@ def order_complex(P: FinitePoset) -> SimplicialComplex:
     )
 
 
-def induced_map(
-    f: MonotoneMap,
-    source_complex: SimplicialComplex | None = None,
-    target_complex: SimplicialComplex | None = None,
-) -> SimplicialMap:
-    """Simplicial map of order complexes induced by a monotone map."""
-    check_map(f)
-    K = source_complex if source_complex is not None else order_complex(f.source)
-    L = target_complex if target_complex is not None else order_complex(f.target)
-    return SimplicialMap(K, L, dict(f.assignment))
-
-
-def join(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialComplex:
-    """All unions of a simplex of K (or nothing) with a simplex of L (or nothing)."""
-    overlap = set(K.vertices) & set(L.vertices)
-    if overlap:
-        raise DuplicateElement(f"join requires disjoint vertex sets, shared: {sorted(overlap)!r}")
-    simplices = set(K.simplices) | set(L.simplices)
-    for s in K.simplices:
-        for t in L.simplices:
-            simplices.add(s | t)
-    return SimplicialComplex(
-        vertices=tuple(sorted(K.vertices + L.vertices)), simplices=frozenset(simplices)
-    )
-
-
 @dataclass(eq=False)
 class ComplexTower:
     """Complexes indexed by {0..T} with slice-to-slice simplicial maps."""
@@ -139,24 +117,3 @@ class ComplexTower:
 
     def top_degree(self) -> int:
         return max((K.top_degree() for K in self.complexes), default=-1)
-
-
-def order_complex_tower(pp: PersistencePoset) -> ComplexTower:
-    complexes = tuple(order_complex(c) for c in pp.components)
-    maps = tuple(
-        induced_map(pp.maps[i], complexes[i], complexes[i + 1]) for i in range(pp.T)
-    )
-    return ComplexTower(complexes, maps)
-
-
-def join_tower(A: ComplexTower, B: ComplexTower) -> ComplexTower:
-    """Slicewise join with the joined vertex maps; vertex sets must be disjoint."""
-    if A.T != B.T:
-        raise ShapeMismatch("towers must have the same length")
-    complexes = tuple(join(A.complexes[i], B.complexes[i]) for i in range(A.T + 1))
-    maps = []
-    for i in range(A.T):
-        vm = dict(A.maps[i].vertex_map)
-        vm.update(B.maps[i].vertex_map)
-        maps.append(SimplicialMap(complexes[i], complexes[i + 1], vm))
-    return ComplexTower(complexes, tuple(maps))

@@ -22,7 +22,6 @@ from .pposets import PersistenceMap, PersistencePoset
 INSTANCE_SCHEMA = "instance/1"
 PPOSET_SCHEMA = "pposet/1"
 COVER_SCHEMA = "cover/1"
-CERTIFICATE_SCHEMA = "certificate/1"
 
 
 @dataclass(frozen=True)

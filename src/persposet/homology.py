@@ -8,8 +8,8 @@ towers (tower_barcodes), the rank of a map on homology (_induced_rank)
 and the reduced Betti numbers (reduced_dim).  The barcodes of a
 persistence poset (pposet_barcodes) are computed on its slicewise
 beat-point cores, once per distinct set of cores and maps between them;
-every barcode of a persistence poset in the verifier and the CLI comes
-from there.
+every barcode in the verifier and the CLI, the join lemma's included,
+comes from there.
 """
 
 from __future__ import annotations
@@ -107,13 +107,13 @@ def _chains(K: SimplicialComplex, p: int) -> _Chains:
 def tower_barcodes(tower: ComplexTower, field: FieldSpec, k_max: int) -> list[Barcode]:
     """Barcodes of the tower's homology in degrees 0..k_max, indexed by degree.
 
-    The one path from a complex tower to barcodes: every verifier routine
-    and the CLI go through it.  Each complex's boundary matrices are
-    reduced once (and cached per complex); each degree is then one
-    elder-rule sweep (modules.elder_barcode) of the cycles, pushed along
-    the chain maps, against the boundaries.  Degree 0 is unreduced.  A
-    degree above the tower's top degree has no homology, so its barcode
-    is empty and nothing is built for it.
+    Its one caller in the library is the memo's miss (_core_barcodes).
+    Each complex's boundary matrices are reduced once (and cached per
+    complex); each degree is then one elder-rule sweep
+    (modules.elder_barcode) of the cycles, pushed along the chain maps,
+    against the boundaries.  Degree 0 is unreduced.  A degree above the
+    tower's top degree has no homology, so its barcode is empty and
+    nothing is built for it.
     """
     p = field.p
     top = tower.top_degree()

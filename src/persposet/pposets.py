@@ -3,9 +3,10 @@
 Components are connected by total monotone structure maps and extend
 constantly beyond the last explicit index.  This module also provides
 element tracks, persistence subposets (comparison sets, fibers, punctures),
-coherent linear extensions, the persistence mapping cylinder, and the two
+coherent linear extensions, the persistence mapping cylinder, the two
 interpolation chains used to compare a map's source and target inside
-the cylinder.
+the cylinder, and the slicewise ordinal sum, whose order-complex tower is
+the join of the factors' towers.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .errors import (
     NotASubposet,
     NotClosed,
     PartialStructureMap,
+    ShapeMismatch,
     UnknownElement,
 )
 from .posets import (
@@ -406,24 +408,30 @@ def up_set_of_image_track(
     return _restrict_along(pp, track_values, lambda i, b, v: pp.components[i].leq(v, b))
 
 
-def relabel(pp: PersistencePoset, prefix: str) -> PersistencePoset:
-    """Prefix every element identifier, preserving all structure."""
+def ordinal_sum(A: PersistencePoset, B: PersistencePoset) -> PersistencePoset:
+    """Slicewise ordinal sum: A's slice, tagged "A:", below B's slice, tagged "B:".
+
+    Every element of A's slice lies below every element of B's slice, so
+    the order complex of each slice is the join of the factors' order
+    complexes.  Each structure map is the union of the two tagged maps.
+    """
+    if A.T != B.T:
+        raise ShapeMismatch(f"ordinal sum of lengths {A.T + 1} and {B.T + 1}")
     comps = tuple(
         new_poset(
-            [prefix + e for e in c.elements],
-            [(prefix + a, prefix + b) for (a, b) in c.relation],
+            ["A:" + a for a in P.elements] + ["B:" + b for b in Q.elements],
+            [("A:" + a, "A:" + b) for a, b in P.relation]
+            + [("B:" + a, "B:" + b) for a, b in Q.relation]
+            + [("A:" + a, "B:" + b) for a in P.elements for b in Q.elements],
         )
-        for c in pp.components
+        for P, Q in zip(A.components, B.components)
     )
-    maps = tuple(
-        MonotoneMap(
-            comps[i],
-            comps[i + 1],
-            {prefix + x: prefix + pp.maps[i].assignment[x] for x in pp.components[i].elements},
-        )
-        for i in range(pp.T)
-    )
-    return PersistencePoset(comps, maps)
+    maps = []
+    for i, (f, g) in enumerate(zip(A.maps, B.maps)):
+        assignment = {"A:" + x: "A:" + y for x, y in f.assignment.items()}
+        assignment.update({"B:" + x: "B:" + y for x, y in g.assignment.items()})
+        maps.append(MonotoneMap(comps[i], comps[i + 1], assignment))
+    return PersistencePoset(comps, tuple(maps))
 
 
 def top_degree(pp: PersistencePoset) -> int:

@@ -7,26 +7,25 @@ worst acyclicity defect among the fibers.  The remaining routines check
 the supporting statements: the puncture step, join acyclicity, the
 cylinder retraction, and the split/exact sequence bounds.
 
-Every barcode of a persistence poset, the certificate's included, comes
-from homology.pposet_barcodes, which computes it on the slicewise
-beat-point cores, with the same barcodes, once per distinct set of cores
-and maps.  The certificate's rank table and the cylinder's cone check
-read the order complexes of the same cached cores (posets.core).  The
-join lemma is the exception: its Kunneth identity is a statement about
-the full order complexes, so it stays on them.
+Every barcode of a persistence poset, the certificate's and the join
+lemma's included, comes from homology.pposet_barcodes, which computes it
+on the slicewise beat-point cores, with the same barcodes, once per
+distinct set of cores and maps.  The join of two towers is the tower of
+their ordinal sum.  The certificate's rank table and the cylinder's cone
+check read the order complexes of the same cached cores (posets.core).
+Only the join lemma's Kunneth identity, a statement about the complexes
+themselves, reads the full order complexes.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable
 
 from . import posets
-from .complexes import ComplexTower, SimplicialMap, join_tower, order_complex, order_complex_tower
+from .complexes import SimplicialMap, order_complex
 from .errors import HypothesisUnmet, NotASubposet
-from .homology import FieldSpec, _induced_rank, pposet_barcodes, reduced_dim, tower_barcodes
+from .homology import FieldSpec, _induced_rank, pposet_barcodes, reduced_dim
 from .modules import (
     INF,
     Barcode,
@@ -46,9 +45,9 @@ from .pposets import (
     chain_filtrations,
     comparison_set,
     fiber,
+    ordinal_sum,
     persistence_mapping_cylinder,
     puncture,
-    relabel,
     top_degree,
     tracks,
     up_set_of_image_track,
@@ -57,18 +56,12 @@ from .pposets import (
 DEFAULT_FIELD = FieldSpec(2)
 
 
-def acyclicity_defect(tower: ComplexTower, field: FieldSpec, k_max: int) -> int | float:
-    """Least eps such that the tower's homology is eps-close to a point.
-
-    Degree 0, always checked, is compared against the constant point
-    module; every higher degree must be eps-trivial.  INF when no finite
-    eps works.
-    """
-    return _defect(tower_barcodes(tower, field, max(k_max, 0)))
-
-
 def _defect(codes: list[Barcode]) -> int | float:
-    """The acyclicity defect read off barcodes indexed by degree from 0."""
+    """Least eps such that the barcodes, indexed by degree from 0, are eps-close to a point.
+
+    Degree 0 is compared against the constant point module; every higher
+    degree must be eps-trivial.  INF when no finite eps works.
+    """
     worst = point_comparison_defect(codes[0])
     for code in codes[1:]:
         worst = max(worst, triviality_defect(code))
@@ -190,34 +183,21 @@ def verify_puncture_lemma(
         trajectory = removal
     if k_max is None:
         k_max = top_degree(pp)
-    complement = puncture(pp, removal)
-    return _puncture_step(
-        pp,
-        trajectory,
-        field,
-        k_max,
-        partial(pposet_barcodes, pp, field, k_max),
-        partial(pposet_barcodes, complement, field, k_max),
-    )
+    return _puncture_step(pp, puncture(pp, removal), trajectory, field, k_max)
 
 
 def _puncture_step(
-    pp: PersistencePoset,
-    trajectory,
-    field: FieldSpec,
-    k_max: int,
-    larger_codes: Callable[[], list[Barcode]],
-    smaller_codes: Callable[[], list[Barcode]],
+    larger: PersistencePoset, smaller: PersistencePoset, trajectory, field: FieldSpec, k_max: int
 ) -> PunctureReport:
-    """The puncture bound of one step, given the barcodes of pp and of its complement.
+    """The puncture bound of one step from larger to its complement smaller.
 
-    The barcodes are asked for only once the hypothesis holds, so a step
-    whose hypothesis fails builds none.
+    The barcodes of both sides are asked for only once the hypothesis
+    holds, so a step whose hypothesis fails builds none.
     """
     side: dict[str, int | float] = {}
     for direction in ("below", "above"):
         try:
-            sub = comparison_set(pp, trajectory, direction)
+            sub = comparison_set(larger, trajectory, direction)
         except NotASubposet:
             side[direction] = INF
             continue
@@ -227,7 +207,7 @@ def _puncture_step(
         raise HypothesisUnmet("both comparison sets have infinite acyclicity defect")
 
     bound = 4 * epsilon
-    distances = _distances(larger_codes(), smaller_codes())
+    distances = _distances(pposet_barcodes(larger, field, k_max), pposet_barcodes(smaller, field, k_max))
     ok = all(d <= bound for d in distances.values())
     return PunctureReport(
         epsilon=epsilon,
@@ -255,32 +235,27 @@ def verify_join_acyclicity(
 ) -> JoinReport:
     """The slicewise join of towers inherits the better acyclicity defect.
 
-    Also asserts the field coefficient join dimension identity at every
-    slice: reduced Betti numbers of the join are the convolution of the
-    factors' reduced Betti numbers (degree -1 of an empty complex counts
-    as 1).
+    The join of the factors' order-complex towers is the tower of their
+    ordinal sum, so all three defects are read off pposet_barcodes.  Also
+    asserts the field coefficient join dimension identity at every slice,
+    on the full order complexes: reduced Betti numbers of the join are the
+    convolution of the factors' reduced Betti numbers (degree -1 of an
+    empty complex counts as 1).
     """
     if ppA.T != ppB.T:
         raise HypothesisUnmet("inputs must have the same length")
-    A = relabel(ppA, "A:")
-    B = relabel(ppB, "B:")
-    tower_a = order_complex_tower(A)
-    tower_b = order_complex_tower(B)
-    eps = min(
-        acyclicity_defect(tower_a, field, max(top_degree(A), 0)),
-        acyclicity_defect(tower_b, field, max(top_degree(B), 0)),
-    )
+    eps = min(_defect(pposet_barcodes(pp, field, top_degree(pp))) for pp in (ppA, ppB))
     if eps == INF:
         raise HypothesisUnmet("neither factor has a finite acyclicity defect")
 
-    joined = join_tower(tower_a, tower_b)
+    joined = ordinal_sum(ppA, ppB)
     if k_max is None:
-        k_max = max(joined.top_degree(), 0)
-    join_defect = acyclicity_defect(joined, field, k_max)
+        k_max = top_degree(joined)
+    join_defect = _defect(pposet_barcodes(joined, field, max(k_max, 0)))
 
     kunneth_ok = True
-    for i in range(joined.T + 1):
-        ka, kb, kj = tower_a.complexes[i], tower_b.complexes[i], joined.complexes[i]
+    for slices in zip(ppA.components, ppB.components, joined.components):
+        ka, kb, kj = (order_complex(P) for P in slices)
         for g in range(kj.top_degree() + 2):
             expected = sum(
                 reduced_dim(ka, a, field) * reduced_dim(kb, g - 1 - a, field)
@@ -367,14 +342,7 @@ def chain_puncture_suite(
                 trivial += 1
                 continue
             try:
-                report = _puncture_step(
-                    step.larger,
-                    step.trajectory,
-                    field,
-                    k_max,
-                    partial(pposet_barcodes, step.larger, field, k_max),
-                    partial(pposet_barcodes, step.smaller, field, k_max),
-                )
+                report = _puncture_step(step.larger, step.smaller, step.trajectory, field, k_max)
             except HypothesisUnmet:
                 skipped += 1
                 continue

@@ -14,6 +14,12 @@ slower dense paths they replaced, over numpy int64 matrices:
 - the interpolation chains built as two mirrored loops, and the coherent
   linear extension of the order enriched by every image-ordered pair,
   closed again with Warshall;
+- the full order-complex tower of a persistence poset, with the induced
+  simplicial maps, the simplicial join, the slicewise join of towers and
+  the relabelling of a persistence poset;
+- the join lemma on those full towers: each factor relabelled, the towers
+  joined complex by complex, and each defect read off tower_barcodes
+  (acyclicity_defect); the library reads it off the ordinal sum instead;
 - the slicewise beat-point core as a validated persistence poset, with
   its retractions, and its order-complex tower.
 
@@ -31,12 +37,20 @@ from typing import Sequence
 
 import numpy as np
 
-from persposet.complexes import ComplexTower, SimplicialComplex, SimplicialMap, order_complex_tower
-from persposet.errors import InternalError, PersistenceError, ShapeMismatch
-from persposet.homology import _boundary_column, _chain_columns
+from persposet.complexes import ComplexTower, SimplicialComplex, SimplicialMap, order_complex
+from persposet.errors import DuplicateElement, HypothesisUnmet, InternalError, PersistenceError, ShapeMismatch
+from persposet.homology import _boundary_column, _chain_columns, reduced_dim, tower_barcodes
 from persposet.linalg import Column, _inv_scalar
 from persposet.modules import INF, FieldSpec, PersistenceModule, barcode
-from persposet.posets import CYLINDER_SOURCE_TAG, CYLINDER_TARGET_TAG, MonotoneMap, core, linear_extension, new_poset
+from persposet.posets import (
+    CYLINDER_SOURCE_TAG,
+    CYLINDER_TARGET_TAG,
+    MonotoneMap,
+    check_map,
+    core,
+    linear_extension,
+    new_poset,
+)
 from persposet.pposets import (
     ChainFiltrations,
     ChainStep,
@@ -46,8 +60,10 @@ from persposet.pposets import (
     _trajectory_row,
     persistence_mapping_cylinder,
     restrict,
+    top_degree,
     tracks,
 )
+from persposet.verifier import DEFAULT_FIELD, JoinReport, _defect
 
 
 class TooLarge(PersistenceError):
@@ -576,6 +592,131 @@ def chain_filtrations(f: PersistenceMap) -> ChainFiltrations:
         source_chain=source_chain,
         source_steps=source_steps,
     )
+
+
+# -- full order-complex towers and the join lemma ---------------------------------
+
+
+def induced_map(
+    f: MonotoneMap,
+    source_complex: SimplicialComplex | None = None,
+    target_complex: SimplicialComplex | None = None,
+) -> SimplicialMap:
+    """Simplicial map of order complexes induced by a monotone map."""
+    check_map(f)
+    K = source_complex if source_complex is not None else order_complex(f.source)
+    L = target_complex if target_complex is not None else order_complex(f.target)
+    return SimplicialMap(K, L, dict(f.assignment))
+
+
+def join(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialComplex:
+    """All unions of a simplex of K (or nothing) with a simplex of L (or nothing)."""
+    overlap = set(K.vertices) & set(L.vertices)
+    if overlap:
+        raise DuplicateElement(f"join requires disjoint vertex sets, shared: {sorted(overlap)!r}")
+    simplices = set(K.simplices) | set(L.simplices)
+    for s in K.simplices:
+        for t in L.simplices:
+            simplices.add(s | t)
+    return SimplicialComplex(
+        vertices=tuple(sorted(K.vertices + L.vertices)), simplices=frozenset(simplices)
+    )
+
+
+def order_complex_tower(pp: PersistencePoset) -> ComplexTower:
+    complexes = tuple(order_complex(c) for c in pp.components)
+    maps = tuple(
+        induced_map(pp.maps[i], complexes[i], complexes[i + 1]) for i in range(pp.T)
+    )
+    return ComplexTower(complexes, maps)
+
+
+def join_tower(A: ComplexTower, B: ComplexTower) -> ComplexTower:
+    """Slicewise join with the joined vertex maps; vertex sets must be disjoint."""
+    if A.T != B.T:
+        raise ShapeMismatch("towers must have the same length")
+    complexes = tuple(join(A.complexes[i], B.complexes[i]) for i in range(A.T + 1))
+    maps = []
+    for i in range(A.T):
+        vm = dict(A.maps[i].vertex_map)
+        vm.update(B.maps[i].vertex_map)
+        maps.append(SimplicialMap(complexes[i], complexes[i + 1], vm))
+    return ComplexTower(complexes, tuple(maps))
+
+
+def relabel(pp: PersistencePoset, prefix: str) -> PersistencePoset:
+    """Prefix every element identifier, preserving all structure."""
+    comps = tuple(
+        new_poset(
+            [prefix + e for e in c.elements],
+            [(prefix + a, prefix + b) for (a, b) in c.relation],
+        )
+        for c in pp.components
+    )
+    maps = tuple(
+        MonotoneMap(
+            comps[i],
+            comps[i + 1],
+            {prefix + x: prefix + pp.maps[i].assignment[x] for x in pp.components[i].elements},
+        )
+        for i in range(pp.T)
+    )
+    return PersistencePoset(comps, maps)
+
+
+def acyclicity_defect(tower: ComplexTower, field: FieldSpec, k_max: int) -> int | float:
+    """Least eps such that the tower's homology is eps-close to a point.
+
+    Degree 0, always checked, is compared against the constant point
+    module; every higher degree must be eps-trivial.  INF when no finite
+    eps works.
+    """
+    return _defect(tower_barcodes(tower, field, max(k_max, 0)))
+
+
+def verify_join_acyclicity(
+    ppA: PersistencePoset,
+    ppB: PersistencePoset,
+    field: FieldSpec = DEFAULT_FIELD,
+    k_max: int | None = None,
+) -> JoinReport:
+    """The slicewise join of towers inherits the better acyclicity defect.
+
+    Also asserts the field coefficient join dimension identity at every
+    slice: reduced Betti numbers of the join are the convolution of the
+    factors' reduced Betti numbers (degree -1 of an empty complex counts
+    as 1).
+    """
+    if ppA.T != ppB.T:
+        raise HypothesisUnmet("inputs must have the same length")
+    A = relabel(ppA, "A:")
+    B = relabel(ppB, "B:")
+    tower_a = order_complex_tower(A)
+    tower_b = order_complex_tower(B)
+    eps = min(
+        acyclicity_defect(tower_a, field, max(top_degree(A), 0)),
+        acyclicity_defect(tower_b, field, max(top_degree(B), 0)),
+    )
+    if eps == INF:
+        raise HypothesisUnmet("neither factor has a finite acyclicity defect")
+
+    joined = join_tower(tower_a, tower_b)
+    if k_max is None:
+        k_max = max(joined.top_degree(), 0)
+    join_defect = acyclicity_defect(joined, field, k_max)
+
+    kunneth_ok = True
+    for i in range(joined.T + 1):
+        ka, kb, kj = tower_a.complexes[i], tower_b.complexes[i], joined.complexes[i]
+        for g in range(kj.top_degree() + 2):
+            expected = sum(
+                reduced_dim(ka, a, field) * reduced_dim(kb, g - 1 - a, field)
+                for a in range(-1, g + 1)
+            )
+            if reduced_dim(kj, g, field) != expected:
+                kunneth_ok = False
+    ok = join_defect <= eps and kunneth_ok
+    return JoinReport(epsilon=eps, join_defect=join_defect, kunneth_ok=kunneth_ok, ok=ok)
 
 
 # -- slicewise beat-point cores ---------------------------------------------------

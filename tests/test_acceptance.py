@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from persposet.complexes import SimplicialComplex, join, order_complex_tower
+from persposet.complexes import SimplicialComplex
 from persposet.documents import GeneratorLimits, parse_instance, random_instance, random_pposet
 from persposet.errors import HypothesisUnmet
 from persposet.homology import FieldSpec, reduced_dim
@@ -22,7 +22,7 @@ from persposet.verifier import (
     verify_split_ses_properties,
     verify_theorem,
 )
-from reference import eps_trivial, homology_tower, interleaving_bruteforce, rank_invariant
+from reference import eps_trivial, homology_tower, interleaving_bruteforce, join, order_complex_tower, rank_invariant
 
 MAIN_LIMITS = GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4)
 MAIN_COUNT = 500

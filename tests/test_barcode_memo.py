@@ -3,7 +3,7 @@
 The memo (homology._core_barcodes) is keyed on the slicewise beat-point
 cores, the structure maps carried onto them, the field and k_max.  The
 reference for every barcode is the full order-complex tower,
-``tower_barcodes(order_complex_tower(pp), ...)``.  The lookups here run in
+``tower_barcodes(reference.order_complex_tower(pp), ...)``.  The lookups here run in
 one warm cache on purpose: a key that forgets part of the content (the
 structure maps, the field or k_max) hands out another poset's barcodes.
 """
@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persposet import homology
-from persposet.complexes import order_complex_tower
 from persposet.documents import GeneratorLimits, parse_instance, random_instance
 from persposet.errors import NotASubposet
 from persposet.homology import FieldSpec, pposet_barcodes, tower_barcodes
@@ -31,7 +30,8 @@ from persposet.pposets import (
     top_degree,
     tracks,
 )
-from persposet.verifier import acyclicity_defect, verify_theorem
+from persposet.verifier import verify_theorem
+from reference import acyclicity_defect, order_complex_tower
 
 TIERS = {
     "S": GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4),

@@ -1,8 +1,10 @@
 import json
 import re
+from unittest import mock
 
 import pytest
 
+from persposet import cli
 from persposet.cli import MAX_KMAX, build_parser, main
 from persposet.documents import GeneratorLimits, canonical_json, random_instance
 
@@ -135,6 +137,22 @@ def test_lemma_join_and_ses(capsys):
     assert "join suite" in capsys.readouterr().out
     assert main(["lemma", "ses", "--seed", "5", "--count", "50"]) == 0
     assert "ses suite" in capsys.readouterr().out
+
+
+def test_lemma_join_passes_kmax(capsys):
+    """--kmax reaches every join lemma call, not only the flag check."""
+    calls = []
+    verify = cli.verify_join_acyclicity
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return verify(*args, **kwargs)
+
+    with mock.patch.object(cli, "verify_join_acyclicity", spy):
+        assert main(["lemma", "join", "--seed", "0", "--count", "8", "--kmax", "1"]) == 0
+    assert "join suite" in capsys.readouterr().out
+    assert len(calls) == 8
+    assert all(args[3:] == (1,) or kwargs.get("k_max") == 1 for args, kwargs in calls)
 
 
 def test_cover(tmp_path, capsys):

@@ -1,7 +1,7 @@
 """Beat-point cores: the poset retraction, the persistence core, and exactness.
 
 The reference for every barcode is the full order-complex tower,
-``tower_barcodes(order_complex_tower(pp), ...)``; the library itself only
+``tower_barcodes(reference.order_complex_tower(pp), ...)``; the library itself only
 computes barcodes of persistence posets on their cores.  The persistence
 core exists in the library only as the key of homology.pposet_barcodes;
 tests/reference.py builds it as a validated persistence poset.
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persposet.complexes import induced_map, order_complex, order_complex_tower
+from persposet.complexes import order_complex
 from persposet.documents import GeneratorLimits, parse_instance, random_instance
 from persposet.errors import NotASubposet
 from persposet.homology import FieldSpec, _core_barcodes, pposet_barcodes, reduced_dim, tower_barcodes
@@ -21,7 +21,7 @@ from persposet.posets import check_map, new_poset
 from persposet.posets import core as poset_core
 from persposet.pposets import comparison_set, constant_pposet, fiber, tracks
 from persposet.verifier import verify_theorem
-from reference import core_pposet, core_tower, homology, induced_on_homology, rank
+from reference import core_pposet, core_tower, homology, induced_map, induced_on_homology, order_complex_tower, rank
 
 TIER_S = GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4)
 FIELDS = (2, 3, 5)

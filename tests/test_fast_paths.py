@@ -5,7 +5,7 @@
 - chain_puncture_suite takes each step's complement from the chain and
   computes each member's barcodes once; the reference runs
   verify_puncture_lemma on every step, which punctures and computes both
-  sides afresh.
+  sides afresh, and the full towers give both sides' barcodes.
 - chain_filtrations starts the shrinking chain from the growing chain's
   last member, the full cylinder, so the suite builds its barcodes once;
   the reference gives the shrinking chain its own equal copy.
@@ -22,12 +22,12 @@ from hypothesis import strategies as st
 from persposet import verifier
 from persposet.documents import GeneratorLimits, parse_instance, random_instance
 from persposet.errors import HypothesisUnmet
-from persposet.complexes import order_complex_tower
-from persposet.homology import FieldSpec, tower_barcodes
+from persposet.homology import FieldSpec, pposet_barcodes, tower_barcodes
 from persposet.modules import INF, Barcode, _matching_feasible, bottleneck_distance
 from persposet.posets import new_poset
 from persposet.pposets import PersistencePoset, chain_filtrations, puncture, top_degree
 from persposet.verifier import chain_puncture_suite, verify_puncture_lemma
+from reference import order_complex_tower
 
 TIER_S = GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4)
 FIELDS = (2, 3, 5)
@@ -116,12 +116,15 @@ def test_suite_equals_per_step_lemma_loop(seed, p):
     assert suite.trivial == total - len(steps)
     assert len(suite.violations) == sum(not r.ok for r in checked)
     assert [summary(r) for _, r in calls] == [summary(r) for r in reports]
-    # The barcodes the suite hands to each step are those of the step's two sides.
-    for ((pp, _, _, _, larger_codes, smaller_codes), _), step in zip(calls, steps):
-        assert pp.components == step.larger.components
-        assert larger_codes() == tower_barcodes(order_complex_tower(step.larger), field, k_max)
+    # Each step is handed the step's two sides, whose barcodes are those of their full towers.
+    for ((larger, smaller, _, _, step_k_max), _), step in zip(calls, steps):
+        assert step_k_max == k_max
+        assert larger.components == step.larger.components
         complement = puncture(step.larger, step.removed)
-        assert smaller_codes() == tower_barcodes(order_complex_tower(complement), field, k_max)
+        assert smaller.components == complement.components
+        assert [m.assignment for m in smaller.maps] == [m.assignment for m in complement.maps]
+        for side in (larger, smaller):
+            assert pposet_barcodes(side, field, k_max) == tower_barcodes(order_complex_tower(side), field, k_max)
 
 
 def unshared_chains(f):

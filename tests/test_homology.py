@@ -5,18 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persposet.complexes import (
-    SimplicialComplex,
-    SimplicialMap,
-    join,
-    order_complex,
-    order_complex_tower,
-)
+from persposet.complexes import SimplicialComplex, SimplicialMap, order_complex
 from persposet.homology import FieldSpec, reduced_dim
 from persposet.posets import MonotoneMap, new_poset
 from persposet.pposets import PersistencePoset, constant_pposet
 import reference
-from reference import boundary_matrix, homology, homology_tower, induced_on_homology, transition
+from reference import boundary_matrix, homology, homology_tower, induced_on_homology, join, order_complex_tower, transition
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)

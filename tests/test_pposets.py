@@ -6,6 +6,7 @@ from persposet.errors import (
     NotASubposet,
     NotClosed,
     PartialStructureMap,
+    ShapeMismatch,
 )
 from persposet.posets import MonotoneMap, new_poset
 from persposet.pposets import (
@@ -15,10 +16,10 @@ from persposet.pposets import (
     comparison_set,
     constant_pposet,
     fiber,
+    ordinal_sum,
     persistence_linear_extension,
     persistence_mapping_cylinder,
     puncture,
-    relabel,
     top_degree,
     tracks,
     validate,
@@ -301,9 +302,16 @@ def test_comparison_set_uses_full_trajectory():
     assert [c.elements for c in above.components] == [("b",), ("w",)]
 
 
-def test_relabel_and_top_degree():
+def test_ordinal_sum_and_top_degree():
     pp = constant_pposet(new_poset("ab", [("a", "b")]), 1)
-    re = relabel(pp, "Q:")
-    assert re.components[0].elements == ("Q:a", "Q:b")
+    empty = pposet([([], []), (["x"], [])], [{}])
+    total = ordinal_sum(pp, empty)
+    assert total.components[0].elements == ("A:a", "A:b")
+    assert total.components[1].elements == ("A:a", "A:b", "B:x")
+    assert total.components[1].less("A:a", "B:x") and total.components[1].less("A:b", "B:x")
+    assert total.maps[0].assignment == {"A:a": "A:a", "A:b": "A:b"}
     assert top_degree(pp) == 1
+    assert top_degree(total) == 2
     assert top_degree(pposet([([], [])], [])) == 0
+    with pytest.raises(ShapeMismatch):
+        ordinal_sum(pp, constant_pposet(new_poset("x", []), 2))

@@ -12,11 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persposet.complexes import SimplicialComplex, SimplicialMap, induced_map, order_complex_tower
+from persposet.complexes import SimplicialComplex, SimplicialMap
 from persposet.documents import GeneratorLimits, parse_instance, random_instance
 from persposet.homology import FieldSpec, _induced_rank, reduced_dim
 from persposet.verifier import verify_theorem
-from reference import core_tower, homology, induced_on_homology, rank
+from reference import core_tower, homology, induced_map, induced_on_homology, order_complex_tower, rank
 
 TIERS = {
     "S": GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4),

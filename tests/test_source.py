@@ -50,12 +50,12 @@ def test_every_leaf_error_is_raised():
     assert sorted({node.name for node in classes} - bases - raised) == []
 
 
-def test_tower_barcodes_has_two_callers():
-    """Every barcode of a persistence poset goes through the memo of homology.pposet_barcodes.
+def test_tower_barcodes_has_one_caller():
+    """Every barcode goes through the memo of homology.pposet_barcodes.
 
-    Only the memo's miss calls tower_barcodes on cores, and only the join
-    lemma's acyclicity_defect on full towers, whose Kunneth check is about
-    the full complexes.  Any other use would bypass the memo.
+    Only the memo's miss calls tower_barcodes, on cores; the join lemma
+    reads its towers' barcodes off the ordinal sum.  Any other use would
+    bypass the memo.
     """
     found = set()
     for path in SOURCES:
@@ -64,7 +64,20 @@ def test_tower_barcodes_has_two_callers():
                 name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
                 if name == "tower_barcodes":
                     found.add((path.stem, getattr(top, "name", "<module>")))
-    assert sorted(found) == [("homology", "_core_barcodes"), ("verifier", "acyclicity_defect")]
+    assert sorted(found) == [("homology", "_core_barcodes")]
+
+
+def test_complexes_does_not_import_pposets():
+    """Complexes are built from posets; persistence posets reach them only through the memo."""
+    complexes = next(path for path in SOURCES if path.name == "complexes.py")
+    imported = set()
+    for node in ast.walk(ast.parse(complexes.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert [name for name in sorted(imported) if "pposets" in name.split(".")] == []
 
 
 def functools_caches():

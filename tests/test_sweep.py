@@ -11,14 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persposet import linalg
-from persposet.complexes import ComplexTower, SimplicialComplex, SimplicialMap, order_complex_tower
+from persposet.complexes import ComplexTower, SimplicialComplex, SimplicialMap
 from persposet.documents import GeneratorLimits, parse_instance, random_instance
 from persposet.errors import InternalError
 from persposet.homology import FieldSpec, tower_barcodes
 from persposet.modules import INF, Barcode, PersistenceModule, barcode, zero_module
 from persposet.pposets import fiber, tracks
 import reference
-from reference import core_tower, homology_tower, rank_invariant
+from reference import core_tower, homology_tower, order_complex_tower, rank_invariant
 
 TIER_S = GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4)
 PRIMES = (2, 3, 5, 7)

