@@ -21,7 +21,6 @@ from .errors import (
 from .posets import (
     FinitePoset,
     MonotoneMap,
-    is_monotone,
     linear_extension,
     mapping_cylinder,
     new_poset,

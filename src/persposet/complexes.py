@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable
 
 from .errors import ShapeMismatch, UnknownVertex
@@ -22,29 +21,6 @@ class SimplicialComplex:
 
     vertices: tuple[str, ...]
     simplices: frozenset[frozenset[str]]
-
-    @staticmethod
-    def from_simplices(
-        simplices: Iterable[Iterable[str]], vertices: Iterable[str] = ()
-    ) -> "SimplicialComplex":
-        """Close the given simplices downward; extra isolated vertices allowed."""
-        closed: set[frozenset[str]] = set()
-        verts: set[str] = set(vertices)
-        for s in simplices:
-            fs = frozenset(s)
-            if not fs:
-                continue
-            verts |= fs
-            for k in range(1, len(fs) + 1):
-                for face in combinations(sorted(fs), k):
-                    closed.add(frozenset(face))
-        for v in verts:
-            closed.add(frozenset([v]))
-        return SimplicialComplex(vertices=tuple(sorted(verts)), simplices=frozenset(closed))
-
-    def k_simplices(self, k: int) -> list[tuple[str, ...]]:
-        """All k-dimensional simplices as sorted tuples, in lexicographic order."""
-        return sorted(tuple(sorted(s)) for s in self.simplices if len(s) == k + 1)
 
     def top_degree(self) -> int:
         return max((len(s) for s in self.simplices), default=0) - 1

@@ -22,6 +22,8 @@ from .pposets import PersistenceMap, PersistencePoset
 INSTANCE_SCHEMA = "instance/1"
 PPOSET_SCHEMA = "pposet/1"
 COVER_SCHEMA = "cover/1"
+# Joins the set names of an intersection into its element label, so no set name may contain it.
+_LABEL_SEPARATOR = "&"
 
 
 @dataclass(frozen=True)
@@ -216,6 +218,8 @@ class CoverTower:
         for name, seq in self.sets.items():
             if not name:
                 raise SchemaError("cover set names must be nonempty")
+            if _LABEL_SEPARATOR in name:
+                raise SchemaError(f"cover set {name!r}: {_LABEL_SEPARATOR!r} separates intersection labels")
             if len(seq) != self.T + 1:
                 raise SchemaError(f"cover set {name!r}: need {self.T + 1} stages")
             for i in range(self.T):
@@ -268,7 +272,7 @@ def cover_to_pposet(cover: CoverTower, max_arity: int | None = None) -> Persiste
     ]
 
     def label(combo: tuple[str, ...]) -> str:
-        return "&".join(combo)
+        return _LABEL_SEPARATOR.join(combo)
 
     comps = []
     for i in range(cover.T + 1):

@@ -1,15 +1,19 @@
 """Simplicial homology over a prime field, on sparse columns.
 
+The library's one view of homology: persistence posets and monotone maps
+go in, barcodes and ranks come out.  Homology is a homotopy invariant,
+so every complex is the order complex of a beat-point core (posets.core):
+a slice's core for the barcodes of a persistence poset (pposet_barcodes),
+computed once per distinct set of cores and maps between them, and the
+cores of a map's source and target for its ranks on homology
+(induced_ranks).  Every barcode and rank in the verifier and the CLI
+comes from these two.
+
 Simplices are ordered lexicographically within each degree, so every
 reduction, barcode and rank is bit-reproducible.  Each complex's boundary
 matrices are reduced once over F_p and cached per complex (_chains); the
 cycle bases and boundary pivot tables it keeps serve the barcodes of
-towers (tower_barcodes), the rank of a map on homology (_induced_rank)
-and the reduced Betti numbers (reduced_dim).  The barcodes of a
-persistence poset (pposet_barcodes) are computed on its slicewise
-beat-point cores, once per distinct set of cores and maps between them;
-every barcode in the verifier and the CLI, the join lemma's included,
-comes from there.
+towers (tower_barcodes) and the rank of a map on homology (_induced_rank).
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .complexes import ComplexTower, SimplicialComplex, SimplicialMap, order_com
 from .modules import Barcode, FieldSpec, elder_barcode
 from .pposets import PersistencePoset
 
-__all__ = ["FieldSpec", "pposet_barcodes", "reduced_dim", "tower_barcodes"]
+__all__ = ["FieldSpec", "induced_ranks", "pposet_barcodes", "tower_barcodes"]
 
 Simplex = tuple[str, ...]
 
@@ -144,11 +148,27 @@ def pposet_barcodes(pp: PersistencePoset, field: FieldSpec, k_max: int) -> list[
     while the cache holds it.  The list returned is the caller's own.
     """
     cores = [posets.core(c) for c in pp.components]
-    maps = tuple(
-        tuple((x, cores[i + 1][1].assignment[f.assignment[x]]) for x in cores[i][0].elements)
-        for i, f in enumerate(pp.maps)
-    )
+    maps = tuple(_onto_cores(f, cores[i][0], cores[i + 1][1]) for i, f in enumerate(pp.maps))
     return list(_core_barcodes(tuple(C for C, _ in cores), maps, field, k_max))
+
+
+def induced_ranks(g: posets.MonotoneMap, field: FieldSpec, k_max: int) -> list[int]:
+    """rank H_k of g's map of order complexes in degrees 0..k_max, indexed by degree.
+
+    Computed on the cores through r . g . incl, where incl includes the
+    source's core and r retracts the target onto its core: both are
+    isomorphisms on homology, so the ranks are g's.
+    """
+    (core_x, _), (core_y, retract_y) = posets.core(g.source), posets.core(g.target)
+    sm = SimplicialMap(order_complex(core_x), order_complex(core_y), dict(_onto_cores(g, core_x, retract_y)))
+    return [_induced_rank(sm, k, field.p) for k in range(k_max + 1)]
+
+
+def _onto_cores(
+    g: posets.MonotoneMap, source_core: posets.FinitePoset, target_retraction: posets.MonotoneMap
+) -> tuple[tuple[str, str], ...]:
+    """r . g on the source's core, as (element, image) pairs in core element order."""
+    return tuple((x, target_retraction.assignment[g.assignment[x]]) for x in source_core.elements)
 
 
 @lru_cache(maxsize=4096)
@@ -182,15 +202,3 @@ def _induced_rank(sm: SimplicialMap, k: int, p: int) -> int:
             linalg.insert_pivot(reduced, table, p)
     return len(table) - len(boundaries)
 
-
-def reduced_dim(K: SimplicialComplex, k: int, field: FieldSpec) -> int:
-    """Reduced Betti number dim Z_k - rank B_k, less one in degree 0 of a nonempty complex.
-
-    Degree -1 is 1 for the empty complex and 0 otherwise, by convention.
-    """
-    if k == -1:
-        return 1 if K.is_empty() else 0
-    if k < -1:
-        return 0
-    _, _, cycles, boundaries = _chains(K, field.p).degree(k)
-    return len(cycles) - len(boundaries) - (k == 0 and not K.is_empty())

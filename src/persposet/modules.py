@@ -68,15 +68,6 @@ class PersistenceModule:
     def T(self) -> int:
         return len(self.dims) - 1
 
-    def dim_at(self, i: int) -> int:
-        return self.dims[min(i, self.T)]
-
-    def is_zero(self) -> bool:
-        return all(d == 0 for d in self.dims)
-
-
-def zero_module(field: FieldSpec, T: int) -> PersistenceModule:
-    return PersistenceModule(field, tuple(0 for _ in range(T + 1)), tuple(() for _ in range(T)))
 
 
 @dataclass(frozen=True)

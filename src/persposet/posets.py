@@ -127,7 +127,7 @@ def linear_extension(P: FinitePoset) -> list[str]:
 
 @dataclass(eq=False)
 class MonotoneMap:
-    """A candidate order-preserving map; validity is checked by is_monotone."""
+    """A candidate order-preserving map; validity is checked by check_map."""
 
     source: FinitePoset
     target: FinitePoset
@@ -158,15 +158,6 @@ def check_map(f: MonotoneMap) -> None:
             raise NonMonotoneStructureMap(
                 f"{a!r} < {b!r} but images {f.assignment[a]!r}, {f.assignment[b]!r} are not ordered"
             )
-
-
-def is_monotone(f: MonotoneMap) -> bool:
-    """True iff f is total, lands in its target, and preserves strict order."""
-    try:
-        check_map(f)
-    except (PartialStructureMap, NonMonotoneStructureMap):
-        return False
-    return True
 
 
 def _extreme(candidates: set[str], inner: dict[str, set[str]]) -> str | None:

@@ -11,10 +11,11 @@ Every barcode of a persistence poset, the certificate's and the join
 lemma's included, comes from homology.pposet_barcodes, which computes it
 on the slicewise beat-point cores, with the same barcodes, once per
 distinct set of cores and maps.  The join of two towers is the tower of
-their ordinal sum.  The certificate's rank table and the cylinder's cone
-check read the order complexes of the same cached cores (posets.core).
-Only the join lemma's Kunneth identity, a statement about the complexes
-themselves, reads the full order complexes.
+their ordinal sum.  The certificate's rank table comes from
+homology.induced_ranks.  The cylinder's cone check and the join lemma's
+Kunneth identity read barcodes too: a tower of cones has the barcode of
+a point, and the bars through an index count the Betti numbers of that
+slice.  So this module builds no complex.
 """
 
 from __future__ import annotations
@@ -22,10 +23,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from . import posets
-from .complexes import SimplicialMap, order_complex
 from .errors import HypothesisUnmet, NotASubposet
-from .homology import FieldSpec, _induced_rank, pposet_barcodes, reduced_dim
+from .homology import FieldSpec, induced_ranks, pposet_barcodes
 from .modules import (
     INF,
     Barcode,
@@ -109,11 +108,9 @@ def verify_theorem(
 
     When some fiber has infinite defect the hypothesis fails and the
     verdict is "vacuous".  The induced map of the instance on homology
-    is reported as a per-slice rank table; the bound itself only claims
-    existence of an interleaving, so the verdict ignores it.  The table is
-    computed on the cached slice cores through r^Y_i . f_i . incl^X_i,
-    which has the same ranks because incl^X_i and r^Y_i are isomorphisms
-    on homology, from the cached reductions of the cores' order complexes.
+    is reported as a per-slice rank table (homology.induced_ranks); the
+    bound itself only claims existence of an interleaving, so the verdict
+    ignores it.
     """
     if k_max is None:
         k_max = max(top_degree(f.source), top_degree(f.target))
@@ -123,12 +120,7 @@ def verify_theorem(
     bound: int | float = INF if epsilon == INF else 4 * m * epsilon
 
     distances = _distances(pposet_barcodes(f.source, field, k_max), pposet_barcodes(f.target, field, k_max))
-    slice_maps = []
-    for g in f.slices:
-        (core_x, _), (core_y, retract_y) = posets.core(g.source), posets.core(g.target)
-        vertex_map = {x: retract_y.assignment[g.assignment[x]] for x in core_x.elements}
-        slice_maps.append(SimplicialMap(order_complex(core_x), order_complex(core_y), vertex_map))
-    induced_ranks = {k: [_induced_rank(sm, k, field.p) for sm in slice_maps] for k in range(k_max + 1)}
+    ranks = [induced_ranks(g, field, k_max) for g in f.slices]
 
     max_d = max(distances.values(), default=0)
     if epsilon == INF:
@@ -150,7 +142,7 @@ def verify_theorem(
         distances=distances,
         verdict=verdict,
         ratio=ratio,
-        induced_ranks=induced_ranks,
+        induced_ranks={k: [r[k] for r in ranks] for k in range(k_max + 1)},
     )
 
 
@@ -238,33 +230,53 @@ def verify_join_acyclicity(
     The join of the factors' order-complex towers is the tower of their
     ordinal sum, so all three defects are read off pposet_barcodes.  Also
     asserts the field coefficient join dimension identity at every slice,
-    on the full order complexes: reduced Betti numbers of the join are the
+    on the same barcodes: reduced Betti numbers of the join are the
     convolution of the factors' reduced Betti numbers (degree -1 of an
-    empty complex counts as 1).
+    empty complex counts as 1).  The ordinal sum's barcodes are asked for
+    once, in every degree it has and up to k_max.
     """
     if ppA.T != ppB.T:
         raise HypothesisUnmet("inputs must have the same length")
-    eps = min(_defect(pposet_barcodes(pp, field, top_degree(pp))) for pp in (ppA, ppB))
+    codes_a, codes_b = (pposet_barcodes(pp, field, top_degree(pp)) for pp in (ppA, ppB))
+    eps = min(_defect(codes_a), _defect(codes_b))
     if eps == INF:
         raise HypothesisUnmet("neither factor has a finite acyclicity defect")
 
     joined = ordinal_sum(ppA, ppB)
     if k_max is None:
         k_max = top_degree(joined)
-    join_defect = _defect(pposet_barcodes(joined, field, max(k_max, 0)))
+    codes = pposet_barcodes(joined, field, max(k_max, top_degree(joined), 0))
+    join_defect = _defect(codes[: max(k_max, 0) + 1])
 
-    kunneth_ok = True
-    for slices in zip(ppA.components, ppB.components, joined.components):
-        ka, kb, kj = (order_complex(P) for P in slices)
-        for g in range(kj.top_degree() + 2):
-            expected = sum(
-                reduced_dim(ka, a, field) * reduced_dim(kb, g - 1 - a, field)
-                for a in range(-1, g + 1)
-            )
-            if reduced_dim(kj, g, field) != expected:
-                kunneth_ok = False
+    kunneth_ok = all(
+        _is_join_of(_reduced_bettis(codes_a, i), _reduced_bettis(codes_b, i), _reduced_bettis(codes, i))
+        for i in range(joined.T + 1)
+    )
     ok = join_defect <= eps and kunneth_ok
     return JoinReport(epsilon=eps, join_defect=join_defect, kunneth_ok=kunneth_ok, ok=ok)
+
+
+def _reduced_bettis(codes: list[Barcode], i: int) -> list[int]:
+    """Reduced Betti numbers of slice i in degrees -1, 0, 1, ..., off its tower's barcodes by degree.
+
+    The bars through i count H_k of slice i.  A slice is empty exactly
+    when it has no degree-0 bar, so degree -1 is 1 there, and degree 0
+    loses one on a nonempty slice.
+    """
+    betti = [code.count_through(i, i) for code in codes]
+    return [int(betti[0] == 0), max(betti[0] - 1, 0), *betti[1:]]
+
+
+def _is_join_of(a: list[int], b: list[int], joined: list[int]) -> bool:
+    """Whether reduced Betti numbers listed from degree -1 satisfy the join identity.
+
+    dim H~_{g+1}(A * B) is the sum of dim H~_i(A) dim H~_j(B) over i + j = g
+    from -1 up; counted from degree -1 that is a plain convolution.  The
+    identity is checked in the degrees joined covers, which must reach the
+    join's top degree; above it both sides vanish.
+    """
+    expected = [sum(x * b[n - m] for m, x in enumerate(a) if 0 <= n - m < len(b)) for n in range(len(joined))]
+    return expected == joined
 
 
 @dataclass(eq=False)
@@ -280,8 +292,8 @@ def verify_cylinder_retraction(
     """The cylinder of a map has the homology of the target, at distance 0.
 
     Additionally checks that every growing-chain step sits over a cone:
-    the weak up-set in the target of the removed track's image has
-    vanishing reduced homology at every nonempty slice.
+    the weak up-set in the target of the removed track's image has the
+    barcodes of a point born with the track.
     """
     cylinder = persistence_mapping_cylinder(f)
     if k_max is None:
@@ -292,15 +304,20 @@ def verify_cylinder_retraction(
     for tr in tracks(f.source):
         row = [f.slices[i].assignment[tr.value(i)] if i >= tr.birth else None for i in range(f.T + 1)]
         upset = up_set_of_image_track(f.target, row)
-        for P in upset.components:
-            K = order_complex(posets.core(P)[0])
-            if K.is_empty():
-                continue
-            for k in range(min(k_max, K.top_degree()) + 1):
-                if reduced_dim(K, k, field) != 0:
-                    cone_steps_ok = False
+        if not _is_point_from(pposet_barcodes(upset, field, max(k_max, 0)), tr.birth):
+            cone_steps_ok = False
     ok = all(d == 0 for d in distances.values()) and cone_steps_ok
     return CylinderReport(distances=distances, cone_steps_ok=cone_steps_ok, ok=ok)
+
+
+def _is_point_from(codes: list[Barcode], birth: int) -> bool:
+    """Whether barcodes, indexed by degree, are those of a point born at birth.
+
+    They are exactly when every slice from birth on is nonempty with
+    vanishing reduced homology in the degrees given, and every earlier
+    slice is empty.
+    """
+    return codes[0] == Barcode.of([(birth, INF)]) and not any(codes[1:])
 
 
 @dataclass(eq=False)

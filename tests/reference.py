@@ -21,7 +21,13 @@ slower dense paths they replaced, over numpy int64 matrices:
   joined complex by complex, and each defect read off tower_barcodes
   (acyclicity_defect); the library reads it off the ordinal sum instead;
 - the slicewise beat-point core as a validated persistence poset, with
-  its retractions, and its order-complex tower.
+  its retractions, and its order-complex tower;
+- the reduced Betti number of a complex off its sparse reduction
+  (reduced_dim), which the join lemma reference reads;
+- small constructors and accessors the library itself no longer needs:
+  a complex closed downward from its simplices, a degree's simplices in
+  order, the zero module, a module's dimension at any index, and the
+  boolean form of posets.check_map.
 
 Elimination is deterministic (the first nonzero entry in a fixed scan
 order is the pivot).  FieldSpec keeps p below 2**16, so every int64 dot
@@ -33,13 +39,21 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from persposet.complexes import ComplexTower, SimplicialComplex, SimplicialMap, order_complex
-from persposet.errors import DuplicateElement, HypothesisUnmet, InternalError, PersistenceError, ShapeMismatch
-from persposet.homology import _boundary_column, _chain_columns, reduced_dim, tower_barcodes
+from persposet.errors import (
+    DuplicateElement,
+    HypothesisUnmet,
+    InternalError,
+    NonMonotoneStructureMap,
+    PartialStructureMap,
+    PersistenceError,
+    ShapeMismatch,
+)
+from persposet.homology import _boundary_column, _chain_columns, _chains, tower_barcodes
 from persposet.linalg import Column, _inv_scalar
 from persposet.modules import INF, FieldSpec, PersistenceModule, barcode
 from persposet.posets import (
@@ -70,6 +84,49 @@ class TooLarge(PersistenceError):
     """Input exceeds the scale the exhaustive search is meant for."""
 
 
+# -- small constructors and accessors ------------------------------------------
+
+
+def from_simplices(simplices: Iterable[Iterable[str]], vertices: Iterable[str] = ()) -> SimplicialComplex:
+    """Close the given simplices downward; extra isolated vertices allowed."""
+    closed: set[frozenset[str]] = set()
+    verts: set[str] = set(vertices)
+    for s in simplices:
+        fs = frozenset(s)
+        if not fs:
+            continue
+        verts |= fs
+        for k in range(1, len(fs) + 1):
+            for face in itertools.combinations(sorted(fs), k):
+                closed.add(frozenset(face))
+    for v in verts:
+        closed.add(frozenset([v]))
+    return SimplicialComplex(vertices=tuple(sorted(verts)), simplices=frozenset(closed))
+
+
+def k_simplices(K: SimplicialComplex, k: int) -> list[tuple[str, ...]]:
+    """All k-dimensional simplices as sorted tuples, in lexicographic order."""
+    return sorted(tuple(sorted(s)) for s in K.simplices if len(s) == k + 1)
+
+
+def zero_module(field: FieldSpec, T: int) -> PersistenceModule:
+    return PersistenceModule(field, tuple(0 for _ in range(T + 1)), tuple(() for _ in range(T)))
+
+
+def dim_at(M: PersistenceModule, i: int) -> int:
+    """Dimension at any index i >= 0; the module is constant beyond T."""
+    return M.dims[min(i, M.T)]
+
+
+def is_monotone(f: MonotoneMap) -> bool:
+    """True iff f is total, lands in its target, and preserves strict order."""
+    try:
+        check_map(f)
+    except (PartialStructureMap, NonMonotoneStructureMap):
+        return False
+    return True
+
+
 # -- dense <-> sparse -------------------------------------------------------------
 
 
@@ -93,7 +150,7 @@ def composite(M: PersistenceModule, i: int, j: int) -> np.ndarray:
     """Matrix of the composite transition from index i to index j >= i."""
     if j < i:
         raise IndexError("composites run forward only")
-    mat = identity(M.dim_at(i))
+    mat = identity(dim_at(M, i))
     for k in range(min(i, M.T), min(j, M.T)):
         mat = matmul(transition(M, k), mat, M.field.p)
     return mat
@@ -229,8 +286,8 @@ def _dense(columns: list[Column], rows: int) -> np.ndarray:
 
 @lru_cache(maxsize=4096)
 def _boundary(K: SimplicialComplex, k: int, p: int) -> np.ndarray:
-    faces = {s: i for i, s in enumerate(K.k_simplices(k - 1))}
-    return _freeze(_dense([_boundary_column(s, faces, p) for s in K.k_simplices(k)], len(faces)))
+    faces = {s: i for i, s in enumerate(k_simplices(K, k - 1))}
+    return _freeze(_dense([_boundary_column(s, faces, p) for s in k_simplices(K, k)], len(faces)))
 
 
 def boundary_matrix(K: SimplicialComplex, k: int, field: FieldSpec) -> np.ndarray:
@@ -240,7 +297,7 @@ def boundary_matrix(K: SimplicialComplex, k: int, field: FieldSpec) -> np.ndarra
 
 @lru_cache(maxsize=4096)
 def _augmentation(K: SimplicialComplex, p: int) -> np.ndarray:
-    return _freeze(np.ones((1, len(K.k_simplices(0))), dtype=np.int64))
+    return _freeze(np.ones((1, len(k_simplices(K, 0))), dtype=np.int64))
 
 
 def _low_boundary(K: SimplicialComplex, k: int, p: int, reduced: bool) -> np.ndarray:
@@ -269,13 +326,13 @@ def homology(K: SimplicialComplex, k: int, field: FieldSpec, reduced: bool = Fal
         degree=k,
         dimension=dim,
         cycles=_freeze(cycles),
-        simplices=tuple(K.k_simplices(k)),
+        simplices=tuple(k_simplices(K, k)),
     )
 
 
 def _chain_map_matrix(sm: SimplicialMap, k: int, p: int) -> np.ndarray:
-    target = {s: i for i, s in enumerate(sm.target.k_simplices(k))}
-    return _dense(_chain_columns(sm, sm.source.k_simplices(k), target, p), len(target))
+    target = {s: i for i, s in enumerate(k_simplices(sm.target, k))}
+    return _dense(_chain_columns(sm, k_simplices(sm.source, k), target, p), len(target))
 
 
 def induced_on_homology(
@@ -328,8 +385,8 @@ def rank_invariant(M: PersistenceModule) -> np.ndarray:
     T = M.T
     r = np.zeros((T + 2, T + 2), dtype=np.int64)
     for i in range(T + 2):
-        mat = identity(M.dim_at(i))
-        r[i, i] = M.dim_at(i)
+        mat = identity(dim_at(M, i))
+        r[i, i] = dim_at(M, i)
         for j in range(i + 1, T + 2):
             if j <= T:
                 mat = matmul(transition(M, j - 1), mat, M.field.p)
@@ -358,7 +415,7 @@ def eps_trivial(M: PersistenceModule, eps: int) -> bool:
 
 def _morphism_layout(M: PersistenceModule, N: PersistenceModule, eps: int) -> list[tuple[int, int]]:
     """Shapes of the unknown slice maps phi_i : M_i -> N_{i+eps}, i = 0..T."""
-    return [(N.dim_at(i + eps), M.dims[i]) for i in range(M.T + 1)]
+    return [(dim_at(N, i + eps), M.dims[i]) for i in range(M.T + 1)]
 
 
 def _commuting_nullspace(M: PersistenceModule, N: PersistenceModule, eps: int) -> tuple[np.ndarray, list[tuple[int, int]], list[int]]:
@@ -662,6 +719,19 @@ def relabel(pp: PersistencePoset, prefix: str) -> PersistencePoset:
         for i in range(pp.T)
     )
     return PersistencePoset(comps, maps)
+
+
+def reduced_dim(K: SimplicialComplex, k: int, field: FieldSpec) -> int:
+    """Reduced Betti number dim Z_k - rank B_k, less one in degree 0 of a nonempty complex.
+
+    Degree -1 is 1 for the empty complex and 0 otherwise, by convention.
+    """
+    if k == -1:
+        return 1 if K.is_empty() else 0
+    if k < -1:
+        return 0
+    _, _, cycles, boundaries = _chains(K, field.p).degree(k)
+    return len(cycles) - len(boundaries) - (k == 0 and not K.is_empty())
 
 
 def acyclicity_defect(tower: ComplexTower, field: FieldSpec, k_max: int) -> int | float:

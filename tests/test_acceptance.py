@@ -8,10 +8,9 @@ import time
 
 import pytest
 
-from persposet.complexes import SimplicialComplex
 from persposet.documents import GeneratorLimits, parse_instance, random_instance, random_pposet
 from persposet.errors import HypothesisUnmet
-from persposet.homology import FieldSpec, reduced_dim
+from persposet.homology import FieldSpec
 from persposet.modules import INF, barcode, bottleneck_distance, random_module
 from persposet.pposets import persistence_linear_extension
 from persposet.verifier import (
@@ -22,7 +21,16 @@ from persposet.verifier import (
     verify_split_ses_properties,
     verify_theorem,
 )
-from reference import eps_trivial, homology_tower, interleaving_bruteforce, join, order_complex_tower, rank_invariant
+from reference import (
+    eps_trivial,
+    from_simplices,
+    homology_tower,
+    interleaving_bruteforce,
+    join,
+    order_complex_tower,
+    rank_invariant,
+    reduced_dim,
+)
 
 MAIN_LIMITS = GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4)
 MAIN_COUNT = 500
@@ -148,10 +156,10 @@ def test_criterion_5_triviality_dual_check(module_batch):
 def _random_complex(rng, prefix, max_simplices=8):
     pool = [f"{prefix}{i}" for i in range(4)]
     chosen = []
-    current = SimplicialComplex.from_simplices([])
+    current = from_simplices([])
     for _ in range(6):
         cand = chosen + [rng.sample(pool, rng.randint(1, 3))]
-        K = SimplicialComplex.from_simplices(cand)
+        K = from_simplices(cand)
         if len(K.simplices) <= max_simplices:
             chosen = cand
             current = K

@@ -274,6 +274,16 @@ def test_validate_rejects_an_image_of_a_non_element(tmp_path, capsys, table):
     assert "'ghost'" in captured.err
 
 
+def test_cover_rejects_a_set_name_with_the_label_separator(tmp_path, capsys):
+    path = tmp_path / "cover.json"
+    cover = {"schema": "cover/1", "T": 0, "sets": {"a": [["p1"]], "b": [["p1"]], "a&b": [["p1"]]}}
+    path.write_text(json.dumps(cover), encoding="utf-8")
+    assert main(["cover", str(path)]) == 2
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured)
+    assert "cover set 'a&b'" in captured.err
+
+
 def test_cover_rejects_nested_point_ids(tmp_path, capsys):
     path = tmp_path / "cover.json"
     path.write_text(json.dumps({"schema": "cover/1", "T": 0, "sets": {"U": [[["p1"]]]}}), encoding="utf-8")

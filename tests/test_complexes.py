@@ -8,7 +8,7 @@ from persposet.complexes import SimplicialComplex, order_complex
 from persposet.errors import DuplicateElement, ShapeMismatch
 from persposet.posets import MonotoneMap, new_poset
 from persposet.pposets import PersistencePoset, constant_pposet
-from reference import induced_map, join, join_tower, order_complex_tower
+from reference import from_simplices, induced_map, is_monotone, join, join_tower, k_simplices, order_complex_tower
 
 
 def chains_oracle(P):
@@ -84,7 +84,6 @@ class TestInducedMap:
         Q = data.draw(posets(), label="Q")
         f_assign = {x: data.draw(st.sampled_from(Q.elements), label=f"f({x})") for x in P.elements}
         f = MonotoneMap(P, Q, f_assign)
-        from persposet.posets import is_monotone
 
         if not is_monotone(f):
             return
@@ -99,25 +98,25 @@ class TestInducedMap:
 
 class TestJoinStarLink:
     def test_sphere_join(self):
-        K = SimplicialComplex.from_simplices([], vertices=["a", "b"])
-        L = SimplicialComplex.from_simplices([], vertices=["c", "d"])
+        K = from_simplices([], vertices=["a", "b"])
+        L = from_simplices([], vertices=["c", "d"])
         J = join(K, L)
         assert J.simplices == FOUR_CYCLE
 
     def test_cone(self):
         K = order_complex(S)
-        apex = SimplicialComplex.from_simplices([], vertices=["t"])
+        apex = from_simplices([], vertices=["t"])
         J = join(K, apex)
         assert frozenset(["a", "c", "t"]) in J.simplices
 
     def test_join_empty(self):
-        K = SimplicialComplex.from_simplices([["a", "b"]])
+        K = from_simplices([["a", "b"]])
         E = SimplicialComplex(vertices=(), simplices=frozenset())
         assert join(E, K).simplices == K.simplices
         assert join(K, E).simplices == K.simplices
 
     def test_join_requires_disjoint(self):
-        K = SimplicialComplex.from_simplices([["a"]])
+        K = from_simplices([["a"]])
         with pytest.raises(DuplicateElement):
             join(K, K)
 
@@ -149,7 +148,7 @@ class TestTowers:
         A = order_complex_tower(constant_pposet(new_poset(["a1", "a2"], []), 1))
         B = order_complex_tower(constant_pposet(new_poset(["b1", "b2"], []), 1))
         J = join_tower(A, B)
-        assert all(K.top_degree() == 1 and len(K.k_simplices(1)) == 4 for K in J.complexes)
+        assert all(K.top_degree() == 1 and len(k_simplices(K, 1)) == 4 for K in J.complexes)
 
     def test_join_tower_length_mismatch(self):
         A = order_complex_tower(constant_pposet(new_poset(["a1"], []), 1))

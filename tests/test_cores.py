@@ -16,12 +16,21 @@ from hypothesis import strategies as st
 from persposet.complexes import order_complex
 from persposet.documents import GeneratorLimits, parse_instance, random_instance
 from persposet.errors import NotASubposet
-from persposet.homology import FieldSpec, _core_barcodes, pposet_barcodes, reduced_dim, tower_barcodes
+from persposet.homology import FieldSpec, _core_barcodes, pposet_barcodes, tower_barcodes
 from persposet.posets import check_map, new_poset
 from persposet.posets import core as poset_core
 from persposet.pposets import comparison_set, constant_pposet, fiber, tracks
 from persposet.verifier import verify_theorem
-from reference import core_pposet, core_tower, homology, induced_map, induced_on_homology, order_complex_tower, rank
+from reference import (
+    core_pposet,
+    core_tower,
+    homology,
+    induced_map,
+    induced_on_homology,
+    order_complex_tower,
+    rank,
+    reduced_dim,
+)
 
 TIER_S = GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4)
 FIELDS = (2, 3, 5)

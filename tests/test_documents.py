@@ -147,6 +147,14 @@ class TestCover:
         cover = cover_from_doc(self.doc())
         assert cover_from_doc(cover_to_doc(cover)).sets == cover.sets
 
+    def test_label_separator_in_a_set_name_rejected(self):
+        """With sets a, b and a&b, two elements would both be labelled a&b."""
+        doc = {"schema": "cover/1", "T": 0, "sets": {"a": [["p"]], "b": [["p"]], "a&b": [["p"]]}}
+        with pytest.raises(SchemaError, match="'a&b'"):
+            cover_from_doc(doc)
+        with pytest.raises(SchemaError, match="'&x'"):
+            CoverTower(T=0, sets={"&x": (frozenset(["p"]),)})
+
 
 class TestGenerator:
     def test_deterministic(self):

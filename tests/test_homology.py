@@ -6,11 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persposet.complexes import SimplicialComplex, SimplicialMap, order_complex
-from persposet.homology import FieldSpec, reduced_dim
+from persposet.homology import FieldSpec
 from persposet.posets import MonotoneMap, new_poset
 from persposet.pposets import PersistencePoset, constant_pposet
 import reference
-from reference import boundary_matrix, homology, homology_tower, induced_on_homology, join, order_complex_tower, transition
+from reference import (
+    boundary_matrix,
+    from_simplices,
+    homology,
+    homology_tower,
+    induced_on_homology,
+    join,
+    order_complex_tower,
+    reduced_dim,
+    transition,
+)
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -87,9 +97,9 @@ class TestLinalg:
 
 S = new_poset("abcd", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
 FOUR_CYCLE = order_complex(S)
-CONE = join(FOUR_CYCLE, SimplicialComplex.from_simplices([], vertices=["t"]))
+CONE = join(FOUR_CYCLE, from_simplices([], vertices=["t"]))
 EMPTY = SimplicialComplex(vertices=(), simplices=frozenset())
-POINT = SimplicialComplex.from_simplices([], vertices=["p"])
+POINT = from_simplices([], vertices=["p"])
 
 
 class TestBoundary:
@@ -216,19 +226,19 @@ class TestJoinFormula:
     def random_complex(rng, prefix, max_simplices=8):
         pool = [f"{prefix}{i}" for i in range(4)]
         simplices = []
-        current = SimplicialComplex.from_simplices([])
+        current = from_simplices([])
         for _ in range(6):
             size = rng.randint(1, 3)
             cand = simplices + [rng.sample(pool, size)]
-            K = SimplicialComplex.from_simplices(cand)
+            K = from_simplices(cand)
             if len(K.simplices) <= max_simplices:
                 simplices = cand
                 current = K
         return current
 
     def test_sphere_join_dimension(self):
-        K = SimplicialComplex.from_simplices([], vertices=["a", "b"])
-        L = SimplicialComplex.from_simplices([], vertices=["c", "d"])
+        K = from_simplices([], vertices=["a", "b"])
+        L = from_simplices([], vertices=["c", "d"])
         assert reduced_dim(join(K, L), 1, F2) == 1
         assert reduced_dim(K, 0, F2) * reduced_dim(L, 0, F2) == 1
 

@@ -18,10 +18,18 @@ from persposet.modules import (
     point_comparison_defect,
     random_module,
     triviality_defect,
-    zero_module,
 )
 from persposet.modules import _compatible, _matching_feasible, _perfect_matching, _skippable
-from reference import TooLarge, composite, eps_trivial, interleaving_bruteforce, module, rank_invariant, transition
+from reference import (
+    TooLarge,
+    composite,
+    eps_trivial,
+    interleaving_bruteforce,
+    module,
+    rank_invariant,
+    transition,
+    zero_module,
+)
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)

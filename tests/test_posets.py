@@ -13,7 +13,6 @@ from persposet.posets import (
     MonotoneMap,
     check_map,
     identity_map,
-    is_monotone,
     linear_extension,
     longest_chain,
     mapping_cylinder,
@@ -21,6 +20,7 @@ from persposet.posets import (
     transitive_closure,
 )
 from persposet.pposets import PersistenceMap, comparison_set, constant_pposet, fiber, tracks
+from reference import is_monotone
 
 
 def closure_oracle(elements, pairs):

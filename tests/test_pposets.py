@@ -1,5 +1,11 @@
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from persposet import pposets
+from persposet.documents import GeneratorLimits, parse_instance, random_instance
 from persposet.errors import (
     EmptyAfterNonempty,
     NonMonotoneStructureMap,
@@ -21,7 +27,9 @@ from persposet.pposets import (
     persistence_mapping_cylinder,
     puncture,
     top_degree,
+    restrict,
     tracks,
+    up_set_of_image_track,
     validate,
 )
 
@@ -315,3 +323,49 @@ def test_ordinal_sum_and_top_degree():
     assert top_degree(pposet([([], [])], [])) == 0
     with pytest.raises(ShapeMismatch):
         ordinal_sum(pp, constant_pposet(new_poset("x", []), 2))
+
+
+TIERS = {
+    "S": GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4),
+    "M": GeneratorLimits(t_max=8, max_slice=10, max_y_tracks=6),
+}
+
+
+@pytest.mark.parametrize("tier", TIERS)
+def test_restricted_pposets_pass_validate(tier):
+    """restrict builds its result without validate; every kind it returns would pass it.
+
+    A spy records each result of restrict while the fibers, chain
+    members, comparison sets, punctures and up-sets of an instance are
+    built, and each is then validated.
+    """
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=15, deadline=None)
+    def check(seed):
+        f = parse_instance(random_instance(seed, TIERS[tier])).map
+        built = []
+
+        def spy(*args):
+            built.append(restrict(*args))
+            return built[-1]
+
+        with mock.patch.object(pposets, "restrict", spy):
+            for y in tracks(f.target):
+                fiber(f, y)
+            chains = chain_filtrations(f)
+            for step in chains.target_steps + chains.source_steps:
+                for direction in ("below", "above"):
+                    try:
+                        comparison_set(step.larger, step.trajectory, direction)
+                    except NotASubposet:
+                        pass
+                puncture(step.larger, step.removed)
+            for tr in tracks(f.source):
+                row = [f.slices[i].assignment[tr.value(i)] if i >= tr.birth else None for i in range(f.T + 1)]
+                up_set_of_image_track(f.target, row)
+        assert len(built) > len(tracks(f.target))
+        for pp in built:
+            validate(pp)
+
+    check()

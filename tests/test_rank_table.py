@@ -12,11 +12,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persposet.complexes import SimplicialComplex, SimplicialMap
+from persposet.complexes import SimplicialMap
 from persposet.documents import GeneratorLimits, parse_instance, random_instance
-from persposet.homology import FieldSpec, _induced_rank, reduced_dim
+from persposet.homology import FieldSpec, _induced_rank
 from persposet.verifier import verify_theorem
-from reference import core_tower, homology, induced_map, induced_on_homology, order_complex_tower, rank
+from reference import (
+    core_tower,
+    from_simplices,
+    homology,
+    induced_map,
+    induced_on_homology,
+    order_complex_tower,
+    rank,
+    reduced_dim,
+)
 
 TIERS = {
     "S": GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4),
@@ -78,12 +87,12 @@ def test_reduced_dim_matches_dense(tier):
     check()
 
 
-EMPTY = SimplicialComplex.from_simplices([])
-POINT = SimplicialComplex.from_simplices([["p"]])
-CIRCLE = SimplicialComplex.from_simplices([["a", "b"], ["b", "c"], ["a", "c"]])
-TETRAHEDRON_BOUNDARY = SimplicialComplex.from_simplices(["abc", "abd", "acd", "bcd"])
+EMPTY = from_simplices([])
+POINT = from_simplices([["p"]])
+CIRCLE = from_simplices([["a", "b"], ["b", "c"], ["a", "c"]])
+TETRAHEDRON_BOUNDARY = from_simplices(["abc", "abd", "acd", "bcd"])
 # The six-vertex triangulation of the real projective plane.
-RP2 = SimplicialComplex.from_simplices(
+RP2 = from_simplices(
     ["123", "134", "145", "156", "162", "235", "346", "452", "563", "624"]
 )
 

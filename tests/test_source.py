@@ -67,17 +67,92 @@ def test_tower_barcodes_has_one_caller():
     assert sorted(found) == [("homology", "_core_barcodes")]
 
 
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def package_imports(path: Path) -> set[str]:
+    """The persposet modules that the module at path imports, by short name."""
+    found = set()
+    for node in ast.walk(parse(path)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "persposet":
+                    continue
+                module = module.partition(".")[2]
+            found.update([module.split(".")[0]] if module else [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names if alias.name.startswith("persposet."))
+    return found
+
+
+def module_path(stem: str) -> Path:
+    return next(path for path in SOURCES if path.stem == stem)
+
+
 def test_complexes_does_not_import_pposets():
     """Complexes are built from posets; persistence posets reach them only through the memo."""
-    complexes = next(path for path in SOURCES if path.name == "complexes.py")
-    imported = set()
-    for node in ast.walk(ast.parse(complexes.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.ImportFrom):
-            imported.add(node.module or "")
-            imported.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
-        elif isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
-    assert [name for name in sorted(imported) if "pposets" in name.split(".")] == []
+    assert "pposets" not in package_imports(module_path("complexes"))
+
+
+def test_homology_is_the_only_view_of_complexes():
+    """Every complex the library builds is the order complex of a core, built in homology.
+
+    Only homology (and the package's re-exports) imports complexes, only
+    homology calls order_complex, and the verifier imports neither posets
+    nor complexes: it reads homology through barcodes and ranks alone.
+    """
+    assert sorted(path.stem for path in SOURCES if "complexes" in package_imports(path)) == ["__init__", "homology"]
+    callers = {
+        path.stem
+        for path in SOURCES
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Call)
+        and (node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)) == "order_complex"
+    }
+    assert sorted(callers) == ["homology"]
+    assert package_imports(module_path("verifier")) & {"posets", "complexes"} == set()
+
+
+# Library API that no module of the package calls.
+UNCALLED_API = {"constant_pposet", "cover_to_doc", "pposet_from_doc", "verify_puncture_lemma"}
+
+
+def test_every_public_function_is_used():
+    """Every public function and method is named somewhere in the package besides its re-export.
+
+    A name that only __init__ and the tests mention is dead code in the
+    library; it belongs in tests/reference.py, or on UNCALLED_API if it
+    is library API.  Names are matched as identifiers, so a method that
+    shares its name with a used one passes.
+    """
+    named = set()
+    for path in SOURCES:
+        if path.stem == "__init__":
+            continue
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    unused = []
+    for path in SOURCES:
+        for top in parse(path).body:
+            if isinstance(top, ast.FunctionDef):
+                defs = [(top.name, top.name)]
+            elif isinstance(top, ast.ClassDef) and not top.name.startswith("_"):
+                defs = [(f"{top.name}.{node.name}", node.name) for node in top.body if isinstance(node, ast.FunctionDef)]
+            else:
+                continue
+            unused += [
+                f"{path.stem}.{qualname}"
+                for qualname, name in defs
+                if not name.startswith("_") and name not in named | UNCALLED_API
+            ]
+    assert unused == []
 
 
 def functools_caches():

@@ -11,14 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persposet import linalg
-from persposet.complexes import ComplexTower, SimplicialComplex, SimplicialMap
+from persposet.complexes import ComplexTower, SimplicialMap
 from persposet.documents import GeneratorLimits, parse_instance, random_instance
 from persposet.errors import InternalError
 from persposet.homology import FieldSpec, tower_barcodes
-from persposet.modules import INF, Barcode, PersistenceModule, barcode, zero_module
+from persposet.modules import INF, Barcode, PersistenceModule, barcode
 from persposet.pposets import fiber, tracks
 import reference
-from reference import core_tower, homology_tower, order_complex_tower, rank_invariant
+from reference import core_tower, from_simplices, homology_tower, order_complex_tower, rank_invariant, zero_module
 
 TIER_S = GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4)
 PRIMES = (2, 3, 5, 7)
@@ -111,7 +111,7 @@ def test_module_hand_cases(M, bars):
 
 
 def tower(complexes, vertex_maps):
-    cs = [SimplicialComplex.from_simplices(s) for s in complexes]
+    cs = [from_simplices(s) for s in complexes]
     maps = [SimplicialMap(cs[i], cs[i + 1], vm) for i, vm in enumerate(vertex_maps)]
     return ComplexTower(tuple(cs), tuple(maps))
 
@@ -133,7 +133,7 @@ def test_tower_loop_dies_where_another_is_born():
 
 
 def test_tower_t0_and_empty_complex():
-    empty = ComplexTower((SimplicialComplex.from_simplices([]),), ())
+    empty = ComplexTower((from_simplices([]),), ())
     assert tower_barcodes(empty, FieldSpec(2), 2) == [Barcode.of(())] * 3
     point = tower([[["a"]]], [])
     assert tower_barcodes(point, FieldSpec(5), 1) == [Barcode.of([(0, INF)]), Barcode.of(())]
