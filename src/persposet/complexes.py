@@ -25,9 +25,6 @@ class SimplicialComplex:
     def top_degree(self) -> int:
         return max((len(s) for s in self.simplices), default=0) - 1
 
-    def is_empty(self) -> bool:
-        return not self.simplices
-
 
 @dataclass(eq=False)
 class SimplicialMap:

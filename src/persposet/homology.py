@@ -9,11 +9,19 @@ cores of a map's source and target for its ranks on homology
 (induced_ranks).  Every barcode and rank in the verifier and the CLI
 comes from these two.
 
-Simplices are ordered lexicographically within each degree, so every
-reduction, barcode and rank is bit-reproducible.  Each complex's boundary
-matrices are reduced once over F_p and cached per complex (_chains); the
-cycle bases and boundary pivot tables it keeps serve the barcodes of
-towers (tower_barcodes) and the rank of a map on homology (_induced_rank).
+Most cores are antichains.  The order complex of an antichain is a set
+of vertices, whose only homology is H_0, free on the elements over every
+field; so a tower of antichains gets its barcode from the elder rule on
+the element maps (_discrete_barcode), and a map between antichains has
+rank the number of distinct images in degree 0 and 0 above.  Neither
+builds a complex.
+
+Otherwise simplices are ordered lexicographically within each degree, so
+every reduction, barcode and rank is bit-reproducible.  Each complex's
+boundary matrices are reduced once over F_p and cached per complex
+(_chains); the cycle bases and boundary pivot tables it keeps serve the
+barcodes of towers (tower_barcodes) and the rank of a map on homology
+(_induced_rank).
 """
 
 from __future__ import annotations
@@ -23,7 +31,8 @@ from typing import NamedTuple, Sequence
 
 from . import linalg, posets
 from .complexes import ComplexTower, SimplicialComplex, SimplicialMap, order_complex
-from .modules import Barcode, FieldSpec, elder_barcode
+from .errors import InternalError
+from .modules import INF, Barcode, FieldSpec, elder_barcode
 from .pposets import PersistencePoset
 
 __all__ = ["FieldSpec", "induced_ranks", "pposet_barcodes", "tower_barcodes"]
@@ -157,10 +166,16 @@ def induced_ranks(g: posets.MonotoneMap, field: FieldSpec, k_max: int) -> list[i
 
     Computed on the cores through r . g . incl, where incl includes the
     source's core and r retracts the target onto its core: both are
-    isomorphisms on homology, so the ranks are g's.
+    isomorphisms on homology, so the ranks are g's.  When both cores are
+    antichains, H_0 of each is free on its elements and nothing lies
+    above, so the rank is the number of distinct images in degree 0 and
+    0 above, with no complex built.
     """
     (core_x, _), (core_y, retract_y) = posets.core(g.source), posets.core(g.target)
-    sm = SimplicialMap(order_complex(core_x), order_complex(core_y), dict(_onto_cores(g, core_x, retract_y)))
+    pairs = _onto_cores(g, core_x, retract_y)
+    if not (core_x.relation or core_y.relation):
+        return [len({y for _, y in pairs}) if k == 0 else 0 for k in range(k_max + 1)]
+    sm = SimplicialMap(order_complex(core_x), order_complex(core_y), dict(pairs))
     return [_induced_rank(sm, k, field.p) for k in range(k_max + 1)]
 
 
@@ -178,10 +193,48 @@ def _core_barcodes(
     field: FieldSpec,
     k_max: int,
 ) -> tuple[Barcode, ...]:
-    """tower_barcodes of the order-complex tower of cores joined by (element, image) maps."""
+    """tower_barcodes of the order-complex tower of cores joined by (element, image) maps.
+
+    A tower of antichains builds no complex: its barcode in degree 0 is
+    _discrete_barcode, the same bars tower_barcodes gives over every
+    field, and its barcodes above are empty.  tower_barcodes stays the
+    reference for it.
+    """
+    if not any(C.relation for C in core_components):
+        h0 = _discrete_barcode(core_components, core_maps)
+        return tuple(h0 if k == 0 else Barcode.of(()) for k in range(k_max + 1))
     complexes = [order_complex(C) for C in core_components]
     maps = [SimplicialMap(complexes[i], complexes[i + 1], dict(m)) for i, m in enumerate(core_maps)]
     return tuple(tower_barcodes(ComplexTower(tuple(complexes), tuple(maps)), field, k_max))
+
+
+def _discrete_barcode(
+    components: tuple[posets.FinitePoset, ...], maps: tuple[tuple[tuple[str, str], ...], ...]
+) -> Barcode:
+    """The H_0 barcode of a tower of antichains, by the elder rule on the element maps.
+
+    H_0 of an antichain is free on its elements over every field, and a
+    map of antichains sends basis elements to basis elements, so the
+    sweep of tower_barcodes never forms a sum: each class, oldest first,
+    claims its image or dies, and each unclaimed element opens a bar.
+    """
+    bars: list[tuple[int, int | float]] = []
+    live: list[tuple[int, str]] = []  # (birth, element), oldest first
+    for i, C in enumerate(components):
+        image = dict(maps[i - 1]) if i else {}
+        claimed: dict[str, int] = {}
+        for birth, x in live:
+            y = image[x]
+            if y in claimed:
+                bars.append((birth, i))
+            else:
+                claimed[y] = birth
+        live = [(birth, y) for y, birth in claimed.items()]
+        live += [(i, y) for y in C.elements if y not in claimed]
+        if len(live) != len(C):
+            raise InternalError(f"index {i}: {len(live)} classes on {len(C)} elements")
+    bars.extend((birth, INF) for birth, _ in live)
+    return Barcode.of(bars)
 
 
 def _induced_rank(sm: SimplicialMap, k: int, p: int) -> int:

@@ -59,9 +59,6 @@ class PersistencePoset:
     def T(self) -> int:
         return len(self.components) - 1
 
-    def is_empty(self) -> bool:
-        return all(c.is_empty() for c in self.components)
-
 
 def validate(pp: PersistencePoset) -> None:
     """Check totality, monotonicity, and the empty-prefix rule."""
@@ -260,7 +257,14 @@ def fiber(f: PersistenceMap, y: ElementTrack) -> PersistencePoset:
 
 
 def persistence_mapping_cylinder(f: PersistenceMap) -> PersistencePoset:
-    """Componentwise mapping cylinder, with the source and target copies tagged."""
+    """Componentwise mapping cylinder, with the source and target copies tagged.
+
+    Valid by construction, so validate is skipped: each slice is the
+    union of a source and a target slice, so no empty slice follows a
+    nonempty one; every tagged element gets an image; and the structure
+    maps are monotone, because x < y across the copies means f_i(x) <= y,
+    and then f_{i+1}(phi x) = psi(f_i x) <= psi(y) by naturality.
+    """
     cyls = [mapping_cylinder(g) for g in f.slices]
     maps = []
     for i in range(f.T):
@@ -272,7 +276,7 @@ def persistence_mapping_cylinder(f: PersistenceMap) -> PersistencePoset:
         for y in f.target.components[i].elements:
             assignment[CYLINDER_TARGET_TAG + y] = CYLINDER_TARGET_TAG + psi[y]
         maps.append(MonotoneMap(cyls[i], cyls[i + 1], assignment))
-    return PersistencePoset(tuple(cyls), tuple(maps))
+    return _valid_by_construction(tuple(cyls), tuple(maps))
 
 
 @dataclass(eq=False)
@@ -423,6 +427,9 @@ def ordinal_sum(A: PersistencePoset, B: PersistencePoset) -> PersistencePoset:
     Every element of A's slice lies below every element of B's slice, so
     the order complex of each slice is the join of the factors' order
     complexes.  Each structure map is the union of the two tagged maps.
+    It is valid by construction, so validate is skipped: the union of two
+    empty prefixes is one, and the tagged maps are total, monotone on each
+    factor, and keep A's tag below B's.
     """
     if A.T != B.T:
         raise ShapeMismatch(f"ordinal sum of lengths {A.T + 1} and {B.T + 1}")
@@ -440,7 +447,7 @@ def ordinal_sum(A: PersistencePoset, B: PersistencePoset) -> PersistencePoset:
         assignment = {"A:" + x: "A:" + y for x, y in f.assignment.items()}
         assignment.update({"B:" + x: "B:" + y for x, y in g.assignment.items()})
         maps.append(MonotoneMap(comps[i], comps[i + 1], assignment))
-    return PersistencePoset(comps, tuple(maps))
+    return _valid_by_construction(comps, tuple(maps))
 
 
 def top_degree(pp: PersistencePoset) -> int:

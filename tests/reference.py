@@ -727,11 +727,11 @@ def reduced_dim(K: SimplicialComplex, k: int, field: FieldSpec) -> int:
     Degree -1 is 1 for the empty complex and 0 otherwise, by convention.
     """
     if k == -1:
-        return 1 if K.is_empty() else 0
+        return 1 if not K.simplices else 0
     if k < -1:
         return 0
     _, _, cycles, boundaries = _chains(K, field.p).degree(k)
-    return len(cycles) - len(boundaries) - (k == 0 and not K.is_empty())
+    return len(cycles) - len(boundaries) - (k == 0 and bool(K.simplices))
 
 
 def acyclicity_defect(tower: ComplexTower, field: FieldSpec, k_max: int) -> int | float:

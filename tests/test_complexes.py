@@ -142,7 +142,7 @@ class TestTowers:
         pt = new_poset("a", [])
         pp = PersistencePoset((empty, pt), (MonotoneMap(empty, pt, {}),))
         tower = order_complex_tower(pp)
-        assert tower.complexes[0].is_empty() and not tower.complexes[1].is_empty()
+        assert not tower.complexes[0].simplices and tower.complexes[1].simplices
 
     def test_join_tower(self):
         A = order_complex_tower(constant_pposet(new_poset(["a1", "a2"], []), 1))

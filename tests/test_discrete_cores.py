@@ -1,0 +1,154 @@
+"""Towers of discrete cores: barcodes and ranks read off the element maps.
+
+When every slice core is an antichain, its order complex is a set of
+vertices, so the only homology is H_0, free on the elements over every
+field.  homology._core_barcodes then runs the elder rule on the element
+maps (homology._discrete_barcode) and induced_ranks counts distinct
+images, with no complex built.  The references are the complex paths
+those shortcuts skip: tower_barcodes of the full order-complex tower, and
+homology._induced_rank on the order complexes of the cores.
+"""
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from persposet import complexes, homology, posets
+from persposet.complexes import SimplicialMap, order_complex
+from persposet.documents import GeneratorLimits, parse_instance, random_instance
+from persposet.homology import FieldSpec, induced_ranks, pposet_barcodes, tower_barcodes
+from persposet.modules import INF
+from persposet.posets import MonotoneMap, new_poset
+from persposet.pposets import PersistenceMap, PersistencePoset, constant_pposet
+from persposet.verifier import verify_theorem
+from reference import order_complex_tower
+
+FIELDS = (2, 3, 5)
+TIERS = {
+    "S": GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4),
+    "M": GeneratorLimits(t_max=8, max_slice=10, max_y_tracks=6),
+}
+CROWN = new_poset("abcd", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
+
+
+def clear_caches():
+    for cache in (complexes.order_complex, homology._chains, homology._core_barcodes, posets.core):
+        cache.cache_clear()
+
+
+def discrete_pposet(sizes, images):
+    """Antichains of the given sizes; images[i][j] is the index of element j's image at i + 1."""
+    comps = [new_poset([f"e{j}" for j in range(n)], []) for n in sizes]
+    maps = [
+        MonotoneMap(comps[i], comps[i + 1], {f"e{j}": f"e{k}" for j, k in enumerate(row)})
+        for i, row in enumerate(images)
+    ]
+    return PersistencePoset(tuple(comps), tuple(maps))
+
+
+@st.composite
+def antichain_towers(draw):
+    """T <= 5, an empty prefix of any length (all of it included), then slices of 1 to 4 elements."""
+    T = draw(st.integers(0, 5))
+    first = draw(st.integers(0, T + 1))
+    sizes = [0 if i < first else draw(st.integers(1, 4)) for i in range(T + 1)]
+    images = [[draw(st.integers(0, sizes[i + 1] - 1)) for _ in range(sizes[i])] for i in range(T)]
+    return discrete_pposet(sizes, images)
+
+
+@settings(max_examples=300, deadline=None)
+@given(antichain_towers(), st.integers(0, 3), st.sampled_from(FIELDS))
+def test_discrete_barcodes_equal_tower_barcodes(pp, k_max, p):
+    field = FieldSpec(p)
+    homology._core_barcodes.cache_clear()
+    codes = pposet_barcodes(pp, field, k_max)
+    assert codes == tower_barcodes(order_complex_tower(pp), field, k_max)
+    assert len(codes) == k_max + 1 and all(not code.bars for code in codes[1:])
+
+
+@pytest.mark.parametrize("p", FIELDS)
+def test_younger_class_dies_at_a_merge(p):
+    """Classes born at 0 and 1 merge at 2: the one born at 1 dies there."""
+    pp = discrete_pposet([1, 2, 1], [[0], [0, 0]])
+    assert pposet_barcodes(pp, FieldSpec(p), 1)[0].bars == ((0, INF), (1, 2))
+
+
+def test_empty_tower_has_no_bars():
+    pp = discrete_pposet([0, 0, 0], [[], []])
+    assert [code.bars for code in pposet_barcodes(pp, FieldSpec(2), 2)] == [(), (), ()]
+
+
+def test_discrete_tower_builds_no_complex():
+    pp = discrete_pposet([2, 3, 1], [[0, 2], [0, 0, 0]])
+    clear_caches()
+    assert pposet_barcodes(pp, FieldSpec(3), 2)[0].bars == ((0, 2), (0, INF), (1, 2))
+    assert complexes.order_complex.cache_info().misses == 0
+    assert homology._chains.cache_info().misses == 0
+
+
+def test_crown_tower_still_builds_its_complexes():
+    """The crown is its own core and has relations, so it takes the complex path."""
+    clear_caches()
+    codes = pposet_barcodes(constant_pposet(CROWN, 1), FieldSpec(2), 2)
+    assert [len(code) for code in codes] == [1, 1, 0]
+    assert complexes.order_complex.cache_info().misses == 1
+    assert homology._chains.cache_info().misses == 1
+
+
+def core_ranks(g, p, k_max):
+    """rank H_k of r . g . incl on the order complexes of the cores, by the sparse reduction."""
+    (core_x, _), (core_y, retract_y) = posets.core(g.source), posets.core(g.target)
+    sm = SimplicialMap(order_complex(core_x), order_complex(core_y), dict(homology._onto_cores(g, core_x, retract_y)))
+    return [homology._induced_rank(sm, k, p) for k in range(k_max + 1)]
+
+
+def is_discrete(g):
+    return not (posets.core(g.source)[0].relation or posets.core(g.target)[0].relation)
+
+
+@pytest.mark.parametrize("tier", TIERS)
+def test_induced_ranks_equal_core_ranks(tier):
+    """On discrete and mixed slice maps of tiers S and M; both kinds occur.
+
+    Few tier-S slice maps are mixed (8 of 1,326 on seeds 0-399), so the
+    seeds of two of them are always run.
+    """
+    seen = {True: 0, False: 0}
+
+    @given(st.integers(0, 10_000), st.sampled_from(FIELDS))
+    @example(67, 3)
+    @example(71, 5)
+    @settings(max_examples=20, deadline=None)
+    def check(seed, p):
+        f = parse_instance(random_instance(seed, TIERS[tier])).map
+        for g in f.slices:
+            seen[is_discrete(g)] += 1
+            for k_max in (0, 2):
+                assert induced_ranks(g, FieldSpec(p), k_max) == core_ranks(g, p, k_max)
+
+    check()
+    assert seen[True] and seen[False]
+
+
+@pytest.mark.parametrize("p", FIELDS)
+def test_rank_counts_distinct_images(p):
+    """Three points onto two, two of them merged: rank 2 in degree 0, not 3."""
+    X, Y = new_poset("abc", []), new_poset("xy", [])
+    g = MonotoneMap(X, Y, {"a": "x", "b": "x", "c": "y"})
+    assert induced_ranks(g, FieldSpec(p), 2) == [2, 0, 0] == core_ranks(g, p, 2)
+
+
+def test_cold_verify_on_a_discrete_instance_builds_no_complex():
+    """Every core of the source, the target and the fibers is an antichain."""
+    X, Y = new_poset("abc", []), new_poset("xy", [])
+    Z = new_poset("z", [])
+    source = PersistencePoset((X, X), (MonotoneMap(X, X, {"a": "a", "b": "a", "c": "c"}),))
+    target = PersistencePoset((Y, Z), (MonotoneMap(Y, Z, {"x": "z", "y": "z"}),))
+    slices = (MonotoneMap(X, Y, {"a": "x", "b": "x", "c": "y"}), MonotoneMap(X, Z, {"a": "z", "b": "z", "c": "z"}))
+    f = PersistenceMap(source, target, slices)
+    clear_caches()
+    cert = verify_theorem(f, FieldSpec(2), 1)
+    assert complexes.order_complex.cache_info().misses == 0
+    assert homology._chains.cache_info().misses == 0
+    assert homology._core_barcodes.cache_info().misses > 0
+    assert cert.induced_ranks == {0: [2, 1], 1: [0, 0]}

@@ -241,7 +241,7 @@ class TestCylinderAndChains:
         chains = chain_filtrations(f)
         assert len(chains.target_chain) == 1
         assert len(chains.source_chain) == 2
-        assert chains.source_chain[-1].is_empty()
+        assert all(not c.elements for c in chains.source_chain[-1].components)
 
     def test_one_track_each(self):
         X = constant_pposet(new_poset("a", []), 0)
@@ -367,5 +367,27 @@ def test_restricted_pposets_pass_validate(tier):
         assert len(built) > len(tracks(f.target))
         for pp in built:
             validate(pp)
+
+    check()
+
+
+@pytest.mark.parametrize("tier", TIERS)
+def test_cylinders_and_ordinal_sums_pass_validate(tier):
+    """persistence_mapping_cylinder and ordinal_sum build without validate; each result would pass it.
+
+    The ordinal sums pair the source, the target, the cylinder and the
+    fibers, whose empty prefixes differ from their partners'.
+    """
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=15, deadline=None)
+    def check(seed):
+        f = parse_instance(random_instance(seed, TIERS[tier])).map
+        cylinder = persistence_mapping_cylinder(f)
+        validate(cylinder)
+        fibers = [fiber(f, y) for y in tracks(f.target)]
+        for A, B in [(f.source, f.target), (f.target, f.source), (cylinder, f.source)] + [(fb, f.target) for fb in fibers]:
+            validate(ordinal_sum(A, B))
+            validate(ordinal_sum(B, A))
 
     check()
