@@ -4,10 +4,15 @@ Single time-slice building blocks: validated strict partial orders,
 the one check of monotone maps, deterministic linear extensions,
 beat-point cores, and the poset mapping cylinder of a monotone map.  All
 values are immutable after construction and safe to share.
+
+Only new_poset validates and closes a relation.  Everything derived from
+a poset that is already closed (induced subposets, cores, cylinders)
+filters or unions closed relations and is built directly.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Literal
@@ -63,9 +68,6 @@ class FinitePoset:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def less(self, a: str, b: str) -> bool:
-        return (a, b) in self.relation
-
     def leq(self, a: str, b: str) -> bool:
         return a == b or (a, b) in self.relation
 
@@ -110,18 +112,26 @@ def new_poset(elements: Iterable[str], strict_pairs: Iterable[tuple[str, str]]) 
 
 def linear_extension(P: FinitePoset) -> list[str]:
     """Deterministic topological sort: always pop the lexicographically
-    smallest currently-minimal element."""
-    remaining = set(P.elements)
-    preds: dict[str, set[str]] = {e: set() for e in P.elements}
+    smallest currently-minimal element.
+
+    Kahn's algorithm with a heap of the ready elements.  The relation is
+    closed, so an element is ready once all its strict predecessors are out.
+    """
+    waiting = {e: 0 for e in P.elements}
+    succ: dict[str, list[str]] = {e: [] for e in P.elements}
     for a, b in P.relation:
-        preds[b].add(a)
+        waiting[b] += 1
+        succ[a].append(b)
+    ready = [e for e, n in waiting.items() if n == 0]
+    heapq.heapify(ready)
     out: list[str] = []
-    while remaining:
-        ready = sorted(e for e in remaining if not (preds[e] & remaining))
-        # P is a validated poset, so some element is always minimal.
-        nxt = ready[0]
+    while ready:
+        nxt = heapq.heappop(ready)
         out.append(nxt)
-        remaining.remove(nxt)
+        for b in succ[nxt]:
+            waiting[b] -= 1
+            if waiting[b] == 0:
+                heapq.heappush(ready, b)
     return out
 
 
@@ -183,9 +193,14 @@ def core(P: FinitePoset) -> tuple[FinitePoset, MonotoneMap]:
     repeats until a pass removes nothing.  r composes the removals: it is
     monotone and fixes C.
 
+    An antichain has no beat point, so with an empty relation the core is
+    P itself and r the identity, with no scan.
+
     Cached: equal posets share one result, so r.source may be an equal
     poset rather than P itself, and no caller may mutate r.assignment.
     """
+    if not P.relation:
+        return P, identity_map(P)
     below: dict[str, set[str]] = {e: set() for e in P.elements}
     above: dict[str, set[str]] = {e: set() for e in P.elements}
     for a, b in P.relation:
@@ -228,28 +243,36 @@ def mapping_cylinder(f: MonotoneMap) -> FinitePoset:
     The order keeps both original orders and adds x < y exactly when
     f(x) <= y in the target.  The canonical inclusions send x to
     CYLINDER_SOURCE_TAG + x and y to CYLINDER_TARGET_TAG + y.
+
+    Built directly, not through new_poset: both orders are closed and f is
+    monotone, so the union is closed (x < x' and f(x') <= y give f(x) <= y;
+    f(x) <= y < y' gives f(x) <= y'), and the source tag sorts before the
+    target tag, so the tagged element lists stay sorted and unique.
     """
     check_map(f)
     X, Y = f.source, f.target
-    elems = [CYLINDER_SOURCE_TAG + x for x in X.elements] + [CYLINDER_TARGET_TAG + y for y in Y.elements]
-    pairs: list[tuple[str, str]] = []
-    pairs += [(CYLINDER_SOURCE_TAG + a, CYLINDER_SOURCE_TAG + b) for (a, b) in X.relation]
-    pairs += [(CYLINDER_TARGET_TAG + a, CYLINDER_TARGET_TAG + b) for (a, b) in Y.relation]
-    for x in X.elements:
-        fx = f.assignment[x]
-        for y in Y.elements:
-            if Y.leq(fx, y):
-                pairs.append((CYLINDER_SOURCE_TAG + x, CYLINDER_TARGET_TAG + y))
-    return new_poset(elems, pairs)
+    weak_up: dict[str, list[str]] = {y: [y] for y in Y.elements}
+    for a, b in Y.relation:
+        weak_up[a].append(b)
+    xs = {x: CYLINDER_SOURCE_TAG + x for x in X.elements}
+    ys = {y: CYLINDER_TARGET_TAG + y for y in Y.elements}
+    relation = [(xs[a], xs[b]) for a, b in X.relation]
+    relation += [(ys[a], ys[b]) for a, b in Y.relation]
+    relation += [(xs[x], ys[y]) for x in X.elements for y in weak_up[f.assignment[x]]]
+    return FinitePoset(elements=(*xs.values(), *ys.values()), relation=frozenset(relation))
 
 
 def longest_chain(P: FinitePoset) -> int:
-    """Number of elements in a longest chain (0 for the empty poset)."""
-    order = linear_extension(P)
+    """Number of elements in a longest chain (0 for the empty poset).
+
+    The relation is closed, so a < b gives below(a) a proper subset of
+    below(b): sorted by the size of their down-sets, the elements come in
+    an order where every element follows all those below it.
+    """
+    below: dict[str, list[str]] = {e: [] for e in P.elements}
+    for a, b in P.relation:
+        below[b].append(a)
     best: dict[str, int] = {}
-    top = 0
-    for e in order:
-        below = [best[a] for a in P.strictly_below(e)]
-        best[e] = 1 + (max(below) if below else 0)
-        top = max(top, best[e])
-    return top
+    for e in sorted(P.elements, key=lambda e: len(below[e])):
+        best[e] = 1 + max((best[a] for a in below[e]), default=0)
+    return max(best.values(), default=0)

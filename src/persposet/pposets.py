@@ -7,12 +7,18 @@ coherent linear extensions, the persistence mapping cylinder, the two
 interpolation chains used to compare a map's source and target inside
 the cylinder, and the slicewise ordinal sum, whose order-complex tower is
 the join of the factors' towers.
+
+Only validate checks a persistence poset.  restrict checks that its
+subsets are closed; every other derived persistence poset (chain
+members, the cylinder, ordinal sums) is valid by construction and is
+built without either check.  Subposets of a trajectory row are read off
+the closed relation of each slice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     EmptyAfterNonempty,
@@ -35,7 +41,6 @@ from .posets import (
     linear_extension,
     longest_chain,
     mapping_cylinder,
-    new_poset,
 )
 
 
@@ -154,16 +159,15 @@ def restrict(pp: PersistencePoset, subsets: Sequence[Iterable[str]]) -> Persiste
         raise NotASubposet(f"expected {pp.T + 1} subsets")
     sets = [set(s) for s in subsets]
     for i, s in enumerate(sets):
-        extra = s - set(pp.components[i].elements)
+        extra = s.difference(pp.components[i].elements)
         if extra:
             raise UnknownElement(f"slice {i}: {sorted(extra)!r} not in component")
     for i in range(pp.T):
-        f = pp.maps[i]
-        for x in sorted(sets[i]):
-            if f.assignment[x] not in sets[i + 1]:
-                raise NotASubposet(
-                    f"slice {i}: image {f.assignment[x]!r} of {x!r} leaves the subset"
-                )
+        f, kept = pp.maps[i].assignment, sets[i + 1]
+        leaving = [x for x in sets[i] if f[x] not in kept]
+        if leaving:
+            x = min(leaving)
+            raise NotASubposet(f"slice {i}: image {f[x]!r} of {x!r} leaves the subset")
     comps = tuple(pp.components[i].restrict(sets[i]) for i in range(pp.T + 1))
     maps = tuple(
         MonotoneMap(comps[i], comps[i + 1], {x: pp.maps[i].assignment[x] for x in comps[i].elements})
@@ -230,30 +234,23 @@ def tracks(pp: PersistencePoset) -> list[ElementTrack]:
     return out
 
 
-def _restrict_along(
-    pp: PersistencePoset,
-    row: Sequence[str | None],
-    keep: Callable[[int, str, str], bool],
-) -> PersistencePoset:
-    """Persistence subposet of the elements a of component i with keep(i, a, row[i]).
-
-    Components where the row is None (before a track's birth) are empty.
-    Raises NotASubposet when the subsets are not closed under the
-    structure maps.
-    """
-    return restrict(pp, [
-        set() if v is None else {a for a in pp.components[i].elements if keep(i, a, v)}
-        for i, v in enumerate(row)
-    ])
-
-
 def fiber(f: PersistenceMap, y: ElementTrack) -> PersistencePoset:
-    """Preimage of the weak down-set of a target track; always a subposet."""
-    return _restrict_along(
-        f.source,
-        _trajectory_row(y, f.T),
-        lambda i, x, v: f.target.components[i].leq(f.slices[i].assignment[x], v),
-    )
+    """Preimage of the weak down-set of a target track; always a subposet.
+
+    Slice i is the preimage under f_i of {v} and the a with (a, v) in the
+    target's relation, where v is the track's value; it is empty before
+    the track's birth.
+    """
+    subsets = []
+    for i, v in enumerate(_trajectory_row(y, f.T)):
+        if v is None:
+            subsets.append(set())
+            continue
+        down = _strict_set(f.target.components[i], v, "below")
+        down.add(v)
+        g = f.slices[i].assignment
+        subsets.append({x for x in f.source.components[i].elements if g[x] in down})
+    return restrict(f.source, subsets)
 
 
 def persistence_mapping_cylinder(f: PersistenceMap) -> PersistencePoset:
@@ -327,26 +324,51 @@ def _grow(
     every member is a persistence subposet of the cylinder.  Members are
     looked up in members by their element sets, so a subposet reached
     twice is one object.
+
+    Only the first member goes through restrict.  Each later one is built
+    from the member before it: the slices where the step adds a value are
+    restricted again, the structure maps next to them are rebuilt, and
+    every other component and map is the previous member's object.  It is
+    valid by construction: the family stays closed, since each added v_i
+    maps to v_{i+1}, which is added or already present, so the maps stay
+    total; restricted maps stay monotone; and a slice that gains a value
+    at i gains or keeps one at every later index.
     """
     current = [set(s) for s in start]
-
-    def member() -> PersistencePoset:
-        key = tuple(frozenset(s) for s in current)
-        if key not in members:
-            members[key] = restrict(cylinder, current)
-        return members[key]
-
-    chain = [member()]
+    slice_keys = [frozenset(s) for s in current]
+    key = tuple(slice_keys)
+    if key not in members:
+        members[key] = restrict(cylinder, current)
+    chain = [members[key]]
     steps: list[ChainStep] = []
     for tr in tracks:
         row = _trajectory_row(tr, cylinder.T)
         added = tuple(None if v is None or v in current[i] else v for i, v in enumerate(row))
-        for i, v in enumerate(added):
-            if v is not None:
-                current[i].add(v)
-        chain.append(member())
-        steps.append(ChainStep(larger=chain[-1], smaller=chain[-2], removed=added, trajectory=row, track=tr))
+        changed = [i for i, v in enumerate(added) if v is not None]
+        for i in changed:
+            current[i].add(added[i])
+            slice_keys[i] = frozenset(current[i])
+        key = tuple(slice_keys)
+        member = members.get(key)
+        if member is None:
+            member = members[key] = _extend(cylinder, chain[-1], current, changed)
+        chain.append(member)
+        steps.append(ChainStep(larger=member, smaller=chain[-2], removed=added, trajectory=row, track=tr))
     return chain, steps
+
+
+def _extend(
+    cylinder: PersistencePoset, previous: PersistencePoset, current: Sequence[set[str]], changed: Sequence[int]
+) -> PersistencePoset:
+    """The subposet of cylinder on current, from previous, which differs from it only in the changed slices."""
+    comps = list(previous.components)
+    for i in changed:
+        comps[i] = cylinder.components[i].restrict(current[i])
+    maps = list(previous.maps)
+    for i in {j for c in changed for j in (c - 1, c) if 0 <= j < cylinder.T}:
+        assignment = cylinder.maps[i].assignment
+        maps[i] = MonotoneMap(comps[i], comps[i + 1], {x: assignment[x] for x in comps[i].elements})
+    return _valid_by_construction(tuple(comps), tuple(maps))
 
 
 def chain_filtrations(f: PersistenceMap) -> ChainFiltrations:
@@ -403,22 +425,32 @@ def comparison_set(
     """Strict down- or up-set of a trajectory row, empty before its birth.
 
     Used for the side hypotheses of puncture steps; the trajectory may
-    extend past the removed piece.  Raises NotASubposet when an element
-    merges into the trajectory.
+    extend past the removed piece.  Each slice's set is read off one scan
+    of its relation.  Raises NotASubposet when an element merges into the
+    trajectory.
     """
     for i, v in enumerate(trajectory):
         if v is not None and v not in pp.components[i]:
             raise UnknownElement(f"slice {i}: trajectory value {v!r} not in component")
-    if direction == "below":
-        return _restrict_along(pp, trajectory, lambda i, a, v: pp.components[i].less(a, v))
-    return _restrict_along(pp, trajectory, lambda i, b, v: pp.components[i].less(v, b))
+    return restrict(pp, [
+        set() if v is None else _strict_set(pp.components[i], v, direction) for i, v in enumerate(trajectory)
+    ])
 
 
 def up_set_of_image_track(
     pp: PersistencePoset, track_values: Sequence[str | None]
 ) -> PersistencePoset:
     """Weak up-set of a trajectory row; always closed under structure maps."""
-    return _restrict_along(pp, track_values, lambda i, b, v: pp.components[i].leq(v, b))
+    return restrict(pp, [
+        set() if v is None else _strict_set(pp.components[i], v, "above") | {v} for i, v in enumerate(track_values)
+    ])
+
+
+def _strict_set(P: FinitePoset, v: str, direction: Direction) -> set[str]:
+    """The elements strictly below or above v in P, from one scan of the closed relation."""
+    if direction == "below":
+        return {a for a, b in P.relation if b == v}
+    return {b for a, b in P.relation if a == v}
 
 
 def ordinal_sum(A: PersistencePoset, B: PersistencePoset) -> PersistencePoset:
@@ -429,16 +461,20 @@ def ordinal_sum(A: PersistencePoset, B: PersistencePoset) -> PersistencePoset:
     complexes.  Each structure map is the union of the two tagged maps.
     It is valid by construction, so validate is skipped: the union of two
     empty prefixes is one, and the tagged maps are total, monotone on each
-    factor, and keep A's tag below B's.
+    factor, and keep A's tag below B's.  Its slices skip new_poset too:
+    the union of two closed orders and A x B is closed, and "A:" sorts
+    before "B:", so the tagged element lists stay sorted and unique.
     """
     if A.T != B.T:
         raise ShapeMismatch(f"ordinal sum of lengths {A.T + 1} and {B.T + 1}")
     comps = tuple(
-        new_poset(
-            ["A:" + a for a in P.elements] + ["B:" + b for b in Q.elements],
-            [("A:" + a, "A:" + b) for a, b in P.relation]
-            + [("B:" + a, "B:" + b) for a, b in Q.relation]
-            + [("A:" + a, "B:" + b) for a in P.elements for b in Q.elements],
+        FinitePoset(
+            elements=(*("A:" + a for a in P.elements), *("B:" + b for b in Q.elements)),
+            relation=frozenset(
+                [("A:" + a, "A:" + b) for a, b in P.relation]
+                + [("B:" + a, "B:" + b) for a, b in Q.relation]
+                + [("A:" + a, "B:" + b) for a in P.elements for b in Q.elements]
+            ),
         )
         for P, Q in zip(A.components, B.components)
     )

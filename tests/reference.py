@@ -14,6 +14,13 @@ slower dense paths they replaced, over numpy int64 matrices:
 - the interpolation chains built as two mirrored loops, and the coherent
   linear extension of the order enriched by every image-ordered pair,
   closed again with Warshall;
+- the slice routines the poset layer replaced: the topological sort that
+  re-scans every remaining element at each step, the longest chain over
+  it, the beat-point loop without the antichain shortcut, and the poset
+  mapping cylinder and ordinal-sum slice rebuilt through new_poset;
+- the subposets of a trajectory row selected element by element with a
+  predicate (comparison sets, fibers, weak up-sets), which the library
+  reads off the closed relation instead;
 - the full order-complex tower of a persistence poset, with the induced
   simplicial maps, the simplicial join, the slicewise join of towers and
   the relabelling of a persistence poset;
@@ -39,7 +46,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -52,6 +59,7 @@ from persposet.errors import (
     PartialStructureMap,
     PersistenceError,
     ShapeMismatch,
+    UnknownElement,
 )
 from persposet.homology import _boundary_column, _chain_columns, _chains, tower_barcodes
 from persposet.linalg import Column, _inv_scalar
@@ -59,16 +67,18 @@ from persposet.modules import INF, FieldSpec, PersistenceModule, barcode
 from persposet.posets import (
     CYLINDER_SOURCE_TAG,
     CYLINDER_TARGET_TAG,
+    FinitePoset,
     MonotoneMap,
+    _extreme,
     check_map,
     core,
-    linear_extension,
     new_poset,
 )
 from persposet.pposets import (
     ChainFiltrations,
     ChainStep,
     PersistenceMap,
+    ElementTrack,
     PersistencePoset,
     _tagged_track,
     _trajectory_row,
@@ -532,6 +542,136 @@ def _search_pairs(M: PersistenceModule, N: PersistenceModule, eps: int) -> bool:
         if solve(reduced, rhs, p) is not None:
             return True
     return False
+
+
+# -- slice routines and subposets of a trajectory row ---------------------------
+
+
+def linear_extension(P: FinitePoset) -> list[str]:
+    """Deterministic topological sort: always pop the lexicographically
+    smallest currently-minimal element, re-scanning every remaining one."""
+    remaining = set(P.elements)
+    preds: dict[str, set[str]] = {e: set() for e in P.elements}
+    for a, b in P.relation:
+        preds[b].add(a)
+    out: list[str] = []
+    while remaining:
+        ready = sorted(e for e in remaining if not (preds[e] & remaining))
+        nxt = ready[0]
+        out.append(nxt)
+        remaining.remove(nxt)
+    return out
+
+
+def longest_chain(P: FinitePoset) -> int:
+    """Number of elements in a longest chain (0 for the empty poset), over a linear extension."""
+    best: dict[str, int] = {}
+    top = 0
+    for e in linear_extension(P):
+        below = [best[a] for a in P.strictly_below(e)]
+        best[e] = 1 + (max(below) if below else 0)
+        top = max(top, best[e])
+    return top
+
+
+def beat_point_core(P: FinitePoset) -> tuple[FinitePoset, MonotoneMap]:
+    """posets.core by its removal loop alone, uncached and with no antichain shortcut."""
+    below: dict[str, set[str]] = {e: set() for e in P.elements}
+    above: dict[str, set[str]] = {e: set() for e in P.elements}
+    for a, b in P.relation:
+        below[b].add(a)
+        above[a].add(b)
+    sent: dict[str, str] = {}
+    removed = True
+    while removed:
+        removed = False
+        for x in P.elements:
+            if x in sent:
+                continue
+            y = _extreme(below[x], below)
+            if y is None:
+                y = _extreme(above[x], above)
+            if y is None:
+                continue
+            sent[x] = y
+            for a in below[x]:
+                above[a].discard(x)
+            for b in above[x]:
+                below[b].discard(x)
+            removed = True
+    C = FinitePoset(
+        elements=tuple(e for e in P.elements if e not in sent),
+        relation=frozenset((a, b) for (a, b) in P.relation if a not in sent and b not in sent),
+    )
+    assignment = {}
+    for x in P.elements:
+        y = x
+        while y in sent:
+            y = sent[y]
+        assignment[x] = y
+    return C, MonotoneMap(P, C, assignment)
+
+
+def mapping_cylinder(f: MonotoneMap) -> FinitePoset:
+    """The poset mapping cylinder of f, its generating pairs closed again by new_poset."""
+    check_map(f)
+    X, Y = f.source, f.target
+    elems = [CYLINDER_SOURCE_TAG + x for x in X.elements] + [CYLINDER_TARGET_TAG + y for y in Y.elements]
+    pairs: list[tuple[str, str]] = []
+    pairs += [(CYLINDER_SOURCE_TAG + a, CYLINDER_SOURCE_TAG + b) for (a, b) in X.relation]
+    pairs += [(CYLINDER_TARGET_TAG + a, CYLINDER_TARGET_TAG + b) for (a, b) in Y.relation]
+    for x in X.elements:
+        fx = f.assignment[x]
+        for y in Y.elements:
+            if Y.leq(fx, y):
+                pairs.append((CYLINDER_SOURCE_TAG + x, CYLINDER_TARGET_TAG + y))
+    return new_poset(elems, pairs)
+
+
+def ordinal_sum_slice(P: FinitePoset, Q: FinitePoset) -> FinitePoset:
+    """One slice of pposets.ordinal_sum, closed again by new_poset."""
+    return new_poset(
+        ["A:" + a for a in P.elements] + ["B:" + b for b in Q.elements],
+        [("A:" + a, "A:" + b) for a, b in P.relation]
+        + [("B:" + a, "B:" + b) for a, b in Q.relation]
+        + [("A:" + a, "B:" + b) for a in P.elements for b in Q.elements],
+    )
+
+
+def _restrict_along(
+    pp: PersistencePoset,
+    row: Sequence[str | None],
+    keep: Callable[[int, str, str], bool],
+) -> PersistencePoset:
+    """Persistence subposet of the elements a of component i with keep(i, a, row[i]); empty where row is None."""
+    return restrict(pp, [
+        set() if v is None else {a for a in pp.components[i].elements if keep(i, a, v)}
+        for i, v in enumerate(row)
+    ])
+
+
+def fiber(f: PersistenceMap, y: ElementTrack) -> PersistencePoset:
+    """Preimage of the weak down-set of a target track, element by element."""
+    return _restrict_along(
+        f.source,
+        _trajectory_row(y, f.T),
+        lambda i, x, v: f.target.components[i].leq(f.slices[i].assignment[x], v),
+    )
+
+
+def comparison_set(pp: PersistencePoset, trajectory: Sequence[str | None], direction: str) -> PersistencePoset:
+    """Strict down- or up-set of a trajectory row, element by element."""
+    for i, v in enumerate(trajectory):
+        if v is not None and v not in pp.components[i]:
+            raise UnknownElement(f"slice {i}: trajectory value {v!r} not in component")
+    if direction == "below":
+        return _restrict_along(pp, trajectory, lambda i, a, v: (a, v) in pp.components[i].relation)
+    return _restrict_along(pp, trajectory, lambda i, b, v: (v, b) in pp.components[i].relation)
+
+
+def up_set_of_image_track(pp: PersistencePoset, track_values: Sequence[str | None]) -> PersistencePoset:
+    """Weak up-set of a trajectory row, element by element."""
+    return _restrict_along(pp, track_values, lambda i, b, v: pp.components[i].leq(v, b))
 
 
 # -- interpolation chains and coherent linear extensions ------------------------

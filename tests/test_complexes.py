@@ -16,7 +16,7 @@ def chains_oracle(P):
     out = set()
     for k in range(1, len(P.elements) + 1):
         for sub in combinations(P.elements, k):
-            if all(a == b or P.less(a, b) or P.less(b, a) for a in sub for b in sub):
+            if all(a == b or (a, b) in P.relation or (b, a) in P.relation for a in sub for b in sub):
                 out.add(frozenset(sub))
     return out
 

@@ -40,8 +40,8 @@ def covers(P, x):
     """Lower and upper covers of x, from the relation alone."""
     below = set(P.strictly_below(x))
     above = set(P.strictly_above(x))
-    lower = {a for a in below if not any(P.less(a, c) for c in below)}
-    upper = {b for b in above if not any(P.less(c, b) for c in above)}
+    lower = {a for a in below if not any((a, c) in P.relation for c in below)}
+    upper = {b for b in above if not any((c, b) in P.relation for c in above)}
     return lower, upper
 
 
