@@ -80,7 +80,7 @@ def test_slice_routines_equal_their_references(tier):
                 assert linear_extension(P) == reference.linear_extension(P)
                 assert longest_chain(P) == reference.longest_chain(P)
                 (C, r), (C_ref, r_ref) = core(P), reference.beat_point_core(P)
-                assert (C.elements, C.relation, r.assignment) == (C_ref.elements, C_ref.relation, r_ref.assignment)
+                assert (C, r.source, r.target, r.assignment) == (C_ref, r_ref.source, r_ref.target, r_ref.assignment)
         for g in f.slices:
             fast, slow = mapping_cylinder(g), reference.mapping_cylinder(g)
             assert (fast.elements, fast.relation) == (slow.elements, slow.relation)
@@ -104,6 +104,7 @@ def test_ordinal_sum_slices_equal_new_poset(tier):
 
 
 def test_core_of_an_antichain_is_the_loop_result():
+    """Includes the empty poset, which the tier instances rarely have as a slice."""
     for elements in ["", "a", "abc", ["x:1", "x:10", "y"]]:
         P = new_poset(elements, [])
         C, r = core(P)
