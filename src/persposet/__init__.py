@@ -15,7 +15,6 @@ from .errors import (
     SchemaError,
     ShapeMismatch,
     UnknownElement,
-    UnknownVertex,
     ValidationError,
 )
 from .posets import (
@@ -37,12 +36,7 @@ from .pposets import (
     tracks,
     validate,
 )
-from .complexes import (
-    ComplexTower,
-    SimplicialComplex,
-    SimplicialMap,
-    order_complex,
-)
+from .complexes import SimplicialComplex, order_complex
 from .homology import FieldSpec, pposet_barcodes, tower_barcodes
 from .modules import (
     Barcode,

@@ -9,6 +9,7 @@ document next to the human-readable text on stdout.
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 from pathlib import Path
@@ -45,18 +46,16 @@ def _enc(v):
     return "inf" if v == INF else v
 
 
-def _scaled(v, scale: Scale | None):
-    """Durations (eps values, distances) scale by the step only."""
-    if scale is None or v == INF:
+def _scaled(v, scale: Scale, timestamp: bool = False):
+    """Durations (eps values, distances) scale by the step only; index
+    positions (births, deaths) are timestamps t = origin + step * i.  A
+    finite value that the scale sends past the float range is rejected."""
+    if v == INF:
         return _enc(v)
-    return scale.step * v
-
-
-def _timestamp(v, scale: Scale | None):
-    """Index positions (births, deaths) map to t = origin + step * i."""
-    if scale is None or v == INF:
-        return _enc(v)
-    return scale.origin + scale.step * v
+    t = (scale.origin if timestamp else 0) + scale.step * v
+    if not math.isfinite(t):
+        raise ValidationError(f"scale origin {scale.origin}, step {scale.step} overflows at value {v}")
+    return t
 
 
 def _parse_scale(flag: str) -> Scale:
@@ -128,14 +127,17 @@ def _cmd_barcode(args) -> int:
     field = FieldSpec(args.field)
     k_max = args.kmax if args.kmax is not None else max(top_degree(inst.x), top_degree(inst.y))
     report = {"schema": "barcode/1", "field": field.p, "k_max": k_max, "x": {}, "y": {}}
+    lines = []
     for name, pp in (("x", inst.x), ("y", inst.y)):
         for k, code in enumerate(pposet_barcodes(pp, field, k_max)):
             report[name][str(k)] = [[b, _enc(d)] for b, d in code.bars]
             for b, d in code.bars:
                 line = f"{name}\t{k}\t{b}\t{_enc(d)}"
                 if inst.scale is not None:
-                    line += f"\t{_timestamp(b, inst.scale)}\t{_timestamp(d, inst.scale)}"
-                print(line)
+                    line += f"\t{_scaled(b, inst.scale, timestamp=True)}\t{_scaled(d, inst.scale, timestamp=True)}"
+                lines.append(line)
+    for line in lines:
+        print(line)
     _write_report(args.report, report)
     return 0
 
@@ -144,12 +146,11 @@ def _cmd_fibers(args) -> int:
     inst = _load_instance(args.instance, args.scale)
     field = FieldSpec(args.field)
     defects = fiber_defects(inst.map, field, args.kmax)
-    doc = {"schema": "fibers/1", "field": field.p, "defects": {}}
-    for track, eps in defects.items():
-        doc["defects"][track.label] = _enc(eps)
-        line = f"{track.label}\t{_enc(eps)}"
-        if inst.scale is not None:
-            line += f"\t{_scaled(eps, inst.scale)}"
+    doc = {"schema": "fibers/1", "field": field.p, "defects": {t.label: _enc(eps) for t, eps in defects.items()}}
+    lines = [f"{t.label}\t{_enc(eps)}" for t, eps in defects.items()]
+    if inst.scale is not None:
+        lines = [f"{line}\t{_scaled(eps, inst.scale)}" for line, eps in zip(lines, defects.values())]
+    for line in lines:
         print(line)
     _write_report(args.report, doc)
     return 0

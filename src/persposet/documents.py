@@ -313,7 +313,9 @@ class GeneratorLimits:
 def _random_linear_order(rng: random.Random, P: FinitePoset) -> list[str]:
     """A random-but-seeded topological order of P."""
     remaining = set(P.elements)
-    preds = {e: set(P.strictly_below(e)) for e in P.elements}
+    preds: dict[str, set[str]] = {e: set() for e in P.elements}
+    for a, b in P.relation:
+        preds[b].add(a)
     out = []
     while remaining:
         ready = sorted(e for e in remaining if not (preds[e] & remaining))

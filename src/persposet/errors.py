@@ -55,12 +55,6 @@ class NotClosed(PersistenceError):
     """A surviving element maps into the removed set."""
 
 
-# -- simplicial complexes ------------------------------------------------------
-
-class UnknownVertex(PersistenceError):
-    pass
-
-
 # -- persistence modules -------------------------------------------------------
 
 class ShapeMismatch(PersistenceError):

@@ -16,21 +16,22 @@ the element maps (_discrete_barcode), and a map between antichains has
 rank the number of distinct images in degree 0 and 0 above.  Neither
 builds a complex.
 
-Otherwise simplices are ordered lexicographically within each degree, so
-every reduction, barcode and rank is bit-reproducible.  Each complex's
+Otherwise simplices come from complexes.order_complex in a fixed order,
+so every reduction, barcode and rank is bit-reproducible.  Each complex's
 boundary matrices are reduced once over F_p and cached per complex
 (_chains); the cycle bases and boundary pivot tables it keeps serve the
 barcodes of towers (tower_barcodes) and the rank of a map on homology
-(_induced_rank).
+(_induced_rank), which both take maps as plain vertex maps.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import groupby
 from typing import NamedTuple, Sequence
 
 from . import linalg, posets
-from .complexes import ComplexTower, SimplicialComplex, SimplicialMap, order_complex
+from .complexes import SimplicialComplex, order_complex
 from .errors import InternalError
 from .modules import INF, Barcode, FieldSpec, elder_barcode
 from .pposets import PersistencePoset
@@ -48,12 +49,12 @@ def _boundary_column(simplex: Simplex, faces: dict[Simplex, int], p: int) -> lin
 
 
 def _chain_columns(
-    sm: SimplicialMap, source: Sequence[Simplex], target: dict[Simplex, int], p: int
+    vertex_map: dict[str, str], source: Sequence[Simplex], target: dict[Simplex, int], p: int
 ) -> list[linalg.Column]:
-    """The chain map of sm on the given source simplices, as sparse columns with signs."""
+    """The chain map of a vertex map on the given source simplices, as sparse columns with signs."""
     columns: list[linalg.Column] = []
     for simplex in source:
-        image = [sm.vertex_map[v] for v in simplex]
+        image = [vertex_map[v] for v in simplex]
         if len(set(image)) < len(image):
             columns.append({})  # degenerate image contributes nothing
             continue
@@ -91,11 +92,9 @@ def _chains(K: SimplicialComplex, p: int) -> _Chains:
     non-negative, so a column whose boundary part reduces to zero has a
     negative lowest row, is never filed as a pivot, and its negative rows
     are the cycle it came from.  In degree 0 every vertex is a cycle.
+    K's simplices are already in degree, then lexicographic, order.
     """
-    by_degree: list[list[Simplex]] = [[] for _ in range(K.top_degree() + 1)]
-    for s in K.simplices:
-        by_degree[len(s) - 1].append(tuple(sorted(s)))
-    simplices = tuple(tuple(sorted(group)) for group in by_degree)
+    simplices = tuple(tuple(group) for _, group in groupby(K.simplices, len))
     index = tuple({s: j for j, s in enumerate(group)} for group in simplices)
     cycles: list[tuple[linalg.Column, ...]] = []
     boundaries: list[dict[int, linalg.Column]] = []
@@ -117,9 +116,12 @@ def _chains(K: SimplicialComplex, p: int) -> _Chains:
     return _Chains(simplices, index, tuple(cycles), tuple(boundaries))
 
 
-def tower_barcodes(tower: ComplexTower, field: FieldSpec, k_max: int) -> list[Barcode]:
-    """Barcodes of the tower's homology in degrees 0..k_max, indexed by degree.
+def tower_barcodes(
+    complexes: Sequence[SimplicialComplex], maps: Sequence[dict[str, str]], field: FieldSpec, k_max: int
+) -> list[Barcode]:
+    """Barcodes of a tower's homology in degrees 0..k_max, indexed by degree.
 
+    maps[i] is a simplicial vertex map from complexes[i] to complexes[i + 1].
     Its one caller in the library is the memo's miss (_core_barcodes).
     Each complex's boundary matrices are reduced once (and cached per
     complex); each degree is then one elder-rule sweep
@@ -129,14 +131,14 @@ def tower_barcodes(tower: ComplexTower, field: FieldSpec, k_max: int) -> list[Ba
     nothing is built for it.
     """
     p = field.p
-    top = tower.top_degree()
-    chains = [_chains(K, p) for K in tower.complexes] if min(k_max, top) >= 0 else []
+    top = max((len(K.simplices[-1]) for K in complexes if K.simplices), default=0) - 1
+    chains = [_chains(K, p) for K in complexes] if min(k_max, top) >= 0 else []
 
     def steps(k: int):
         previous: tuple[Simplex, ...] = ()
         for i, c in enumerate(chains):
             simplices, index, cycles, boundaries = c.degree(k)
-            columns = _chain_columns(tower.maps[i - 1], previous, index, p) if i else []
+            columns = _chain_columns(maps[i - 1], previous, index, p) if i else []
             yield columns, boundaries, cycles
             previous = simplices
 
@@ -175,8 +177,8 @@ def induced_ranks(g: posets.MonotoneMap, field: FieldSpec, k_max: int) -> list[i
     pairs = _onto_cores(g, core_x, retract_y)
     if not (core_x.relation or core_y.relation):
         return [len({y for _, y in pairs}) if k == 0 else 0 for k in range(k_max + 1)]
-    sm = SimplicialMap(order_complex(core_x), order_complex(core_y), dict(pairs))
-    return [_induced_rank(sm, k, field.p) for k in range(k_max + 1)]
+    source, target, vertex_map = order_complex(core_x), order_complex(core_y), dict(pairs)
+    return [_induced_rank(source, target, vertex_map, k, field.p) for k in range(k_max + 1)]
 
 
 def _onto_cores(
@@ -204,8 +206,7 @@ def _core_barcodes(
         h0 = _discrete_barcode(core_components, core_maps)
         return tuple(h0 if k == 0 else Barcode.of(()) for k in range(k_max + 1))
     complexes = [order_complex(C) for C in core_components]
-    maps = [SimplicialMap(complexes[i], complexes[i + 1], dict(m)) for i, m in enumerate(core_maps)]
-    return tuple(tower_barcodes(ComplexTower(tuple(complexes), tuple(maps)), field, k_max))
+    return tuple(tower_barcodes(complexes, [dict(m) for m in core_maps], field, k_max))
 
 
 def _discrete_barcode(
@@ -237,17 +238,17 @@ def _discrete_barcode(
     return Barcode.of(bars)
 
 
-def _induced_rank(sm: SimplicialMap, k: int, p: int) -> int:
-    """rank H_k(sm), from the cached reductions of sm's source and target.
+def _induced_rank(K: SimplicialComplex, L: SimplicialComplex, vertex_map: dict[str, str], k: int, p: int) -> int:
+    """rank H_k of a simplicial vertex map K -> L, from the cached reductions of K and L.
 
     A chain map sends B_k(K) into B_k(L), so the rank is the number of
     cycles of Z_k(K) whose images stay independent modulo B_k(L): each is
     pushed through the chain map and reduced against the boundary pivots
     of L and the survivors so far.
     """
-    simplices, _, cycles, _ = _chains(sm.source, p).degree(k)
-    _, index, _, boundaries = _chains(sm.target, p).degree(k)
-    columns = _chain_columns(sm, simplices, index, p)
+    simplices, _, cycles, _ = _chains(K, p).degree(k)
+    _, index, _, boundaries = _chains(L, p).degree(k)
+    columns = _chain_columns(vertex_map, simplices, index, p)
     table = dict(boundaries)
     for cycle in cycles:
         reduced = linalg.reduce_column(linalg.apply(columns, cycle, p), table, p)

@@ -71,12 +71,6 @@ class FinitePoset:
     def leq(self, a: str, b: str) -> bool:
         return a == b or (a, b) in self.relation
 
-    def strictly_above(self, x: str) -> list[str]:
-        return [b for b in self.elements if (x, b) in self.relation]
-
-    def strictly_below(self, x: str) -> list[str]:
-        return [a for a in self.elements if (a, x) in self.relation]
-
     def is_empty(self) -> bool:
         return not self.elements
 

@@ -21,6 +21,11 @@ slower dense paths they replaced, over numpy int64 matrices:
 - the subposets of a trajectory row selected element by element with a
   predicate (comparison sets, fibers, weak up-sets), which the library
   reads off the closed relation instead;
+- simplicial maps and towers of complexes (SimplicialMap, ComplexTower),
+  which check every vertex and simplex image when built; the library
+  hands tower_barcodes and _induced_rank plain vertex maps of monotone
+  maps, which are simplicial by construction, and the tests pass those
+  maps through SimplicialMap instead;
 - the full order-complex tower of a persistence poset, with the induced
   simplicial maps, the simplicial join, the slicewise join of towers and
   the relabelling of a persistence poset;
@@ -32,9 +37,11 @@ slower dense paths they replaced, over numpy int64 matrices:
 - the reduced Betti number of a complex off its sparse reduction
   (reduced_dim), which the join lemma reference reads;
 - small constructors and accessors the library itself no longer needs:
-  a complex closed downward from its simplices, a degree's simplices in
-  order, the zero module, a module's dimension at any index, and the
-  boolean form of posets.check_map.
+  a complex closed downward from its simplices (in the library's form:
+  name-sorted simplex tuples, by degree and then lexicographically), a
+  complex's top degree, a degree's simplices in order, the zero module,
+  a module's dimension at any index, and the boolean form of
+  posets.check_map.
 
 Elimination is deterministic (the first nonzero entry in a fixed scan
 order is the pivot).  FieldSpec keeps p below 2**16, so every int64 dot
@@ -50,7 +57,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from persposet.complexes import ComplexTower, SimplicialComplex, SimplicialMap, order_complex
+from persposet.complexes import SimplicialComplex, order_complex
 from persposet.errors import (
     DuplicateElement,
     HypothesisUnmet,
@@ -63,7 +70,7 @@ from persposet.errors import (
 )
 from persposet.homology import _boundary_column, _chain_columns, _chains, tower_barcodes
 from persposet.linalg import Column, _inv_scalar
-from persposet.modules import INF, FieldSpec, PersistenceModule, barcode
+from persposet.modules import INF, Barcode, FieldSpec, PersistenceModule, barcode
 from persposet.posets import (
     CYLINDER_SOURCE_TAG,
     CYLINDER_TARGET_TAG,
@@ -97,9 +104,15 @@ class TooLarge(PersistenceError):
 # -- small constructors and accessors ------------------------------------------
 
 
+def complex_of(simplices: Iterable[Iterable[str]], vertices: Iterable[str]) -> SimplicialComplex:
+    """A complex in the library's form from a closed family of simplices, duplicates dropped."""
+    ordered = sorted({tuple(sorted(s)) for s in simplices}, key=lambda s: (len(s), s))
+    return SimplicialComplex(vertices=tuple(sorted(vertices)), simplices=tuple(ordered))
+
+
 def from_simplices(simplices: Iterable[Iterable[str]], vertices: Iterable[str] = ()) -> SimplicialComplex:
     """Close the given simplices downward; extra isolated vertices allowed."""
-    closed: set[frozenset[str]] = set()
+    closed: set[tuple[str, ...]] = set()
     verts: set[str] = set(vertices)
     for s in simplices:
         fs = frozenset(s)
@@ -107,16 +120,19 @@ def from_simplices(simplices: Iterable[Iterable[str]], vertices: Iterable[str] =
             continue
         verts |= fs
         for k in range(1, len(fs) + 1):
-            for face in itertools.combinations(sorted(fs), k):
-                closed.add(frozenset(face))
-    for v in verts:
-        closed.add(frozenset([v]))
-    return SimplicialComplex(vertices=tuple(sorted(verts)), simplices=frozenset(closed))
+            closed.update(itertools.combinations(sorted(fs), k))
+    closed.update((v,) for v in verts)
+    return complex_of(closed, verts)
+
+
+def complex_top_degree(K: SimplicialComplex) -> int:
+    """The largest dimension of a simplex of K; -1 for the empty complex."""
+    return len(K.simplices[-1]) - 1 if K.simplices else -1
 
 
 def k_simplices(K: SimplicialComplex, k: int) -> list[tuple[str, ...]]:
     """All k-dimensional simplices as sorted tuples, in lexicographic order."""
-    return sorted(tuple(sorted(s)) for s in K.simplices if len(s) == k + 1)
+    return [s for s in K.simplices if len(s) == k + 1]
 
 
 def zero_module(field: FieldSpec, T: int) -> PersistenceModule:
@@ -268,6 +284,61 @@ def column_space_basis(a: np.ndarray, p: int) -> np.ndarray:
     return a[:, pivots] if pivots else zeros(a.shape[0], 0)
 
 
+# -- simplicial maps and towers -------------------------------------------------------
+
+
+@dataclass(eq=False)
+class SimplicialMap:
+    """Vertex map whose simplex images (with collapses) are simplices."""
+
+    source: SimplicialComplex
+    target: SimplicialComplex
+    vertex_map: dict[str, str]
+
+    def __post_init__(self) -> None:
+        target_vertices = set(self.target.vertices)
+        for v in self.source.vertices:
+            w = self.vertex_map.get(v)
+            if w is None or w not in target_vertices:
+                raise AssertionError(f"vertex {v!r} has no valid image")
+        target_simplices = set(self.target.simplices)
+        for s in self.source.simplices:
+            if self.apply_simplex(s) not in target_simplices:
+                raise AssertionError(f"image of simplex {s!r} is not a target simplex")
+
+    def apply_simplex(self, s: Iterable[str]) -> tuple[str, ...]:
+        return tuple(sorted({self.vertex_map[v] for v in s}))
+
+
+@dataclass(eq=False)
+class ComplexTower:
+    """Complexes indexed by {0..T} with slice-to-slice simplicial maps."""
+
+    complexes: tuple[SimplicialComplex, ...]
+    maps: tuple[SimplicialMap, ...]
+
+    def __post_init__(self) -> None:
+        self.complexes = tuple(self.complexes)
+        self.maps = tuple(self.maps)
+        if len(self.maps) != len(self.complexes) - 1:
+            raise ShapeMismatch(f"expected {len(self.complexes) - 1} maps, got {len(self.maps)}")
+        for i, m in enumerate(self.maps):
+            if m.source is not self.complexes[i] or m.target is not self.complexes[i + 1]:
+                raise ShapeMismatch(f"map {i} does not connect complexes {i} -> {i + 1}")
+
+    @property
+    def T(self) -> int:
+        return len(self.complexes) - 1
+
+    def top_degree(self) -> int:
+        return max((complex_top_degree(K) for K in self.complexes), default=-1)
+
+
+def barcodes_of(tower: ComplexTower, field: FieldSpec, k_max: int) -> list[Barcode]:
+    """tower_barcodes of a checked tower, its maps handed over as plain vertex maps."""
+    return tower_barcodes(tower.complexes, [m.vertex_map for m in tower.maps], field, k_max)
+
+
 # -- dense homology ------------------------------------------------------------------
 
 
@@ -342,7 +413,7 @@ def homology(K: SimplicialComplex, k: int, field: FieldSpec, reduced: bool = Fal
 
 def _chain_map_matrix(sm: SimplicialMap, k: int, p: int) -> np.ndarray:
     target = {s: i for i, s in enumerate(k_simplices(sm.target, k))}
-    return _dense(_chain_columns(sm, k_simplices(sm.source, k), target, p), len(target))
+    return _dense(_chain_columns(sm.vertex_map, k_simplices(sm.source, k), target, p), len(target))
 
 
 def induced_on_homology(
@@ -568,7 +639,7 @@ def longest_chain(P: FinitePoset) -> int:
     best: dict[str, int] = {}
     top = 0
     for e in linear_extension(P):
-        below = [best[a] for a in P.strictly_below(e)]
+        below = [best[a] for a, b in P.relation if b == e]
         best[e] = 1 + (max(below) if below else 0)
         top = max(top, best[e])
     return top
@@ -811,13 +882,8 @@ def join(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialComplex:
     overlap = set(K.vertices) & set(L.vertices)
     if overlap:
         raise DuplicateElement(f"join requires disjoint vertex sets, shared: {sorted(overlap)!r}")
-    simplices = set(K.simplices) | set(L.simplices)
-    for s in K.simplices:
-        for t in L.simplices:
-            simplices.add(s | t)
-    return SimplicialComplex(
-        vertices=tuple(sorted(K.vertices + L.vertices)), simplices=frozenset(simplices)
-    )
+    simplices = [*K.simplices, *L.simplices, *(s + t for s in K.simplices for t in L.simplices)]
+    return complex_of(simplices, K.vertices + L.vertices)
 
 
 def order_complex_tower(pp: PersistencePoset) -> ComplexTower:
@@ -881,7 +947,7 @@ def acyclicity_defect(tower: ComplexTower, field: FieldSpec, k_max: int) -> int 
     module; every higher degree must be eps-trivial.  INF when no finite
     eps works.
     """
-    return _defect(tower_barcodes(tower, field, max(k_max, 0)))
+    return _defect(barcodes_of(tower, field, max(k_max, 0)))
 
 
 def verify_join_acyclicity(
@@ -918,7 +984,7 @@ def verify_join_acyclicity(
     kunneth_ok = True
     for i in range(joined.T + 1):
         ka, kb, kj = tower_a.complexes[i], tower_b.complexes[i], joined.complexes[i]
-        for g in range(kj.top_degree() + 2):
+        for g in range(complex_top_degree(kj) + 2):
             expected = sum(
                 reduced_dim(ka, a, field) * reduced_dim(kb, g - 1 - a, field)
                 for a in range(-1, g + 1)

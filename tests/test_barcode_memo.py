@@ -3,7 +3,7 @@
 The memo (homology._core_barcodes) is keyed on the slicewise beat-point
 cores, the structure maps carried onto them, the field and k_max.  The
 reference for every barcode is the full order-complex tower,
-``tower_barcodes(reference.order_complex_tower(pp), ...)``.  The lookups here run in
+``reference.barcodes_of(reference.order_complex_tower(pp), ...)``.  The lookups here run in
 one warm cache on purpose: a key that forgets part of the content (the
 structure maps, the field or k_max) hands out another poset's barcodes.
 """
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from persposet import homology
 from persposet.documents import GeneratorLimits, parse_instance, random_instance
 from persposet.errors import NotASubposet
-from persposet.homology import FieldSpec, pposet_barcodes, tower_barcodes
+from persposet.homology import FieldSpec, pposet_barcodes
 from persposet.modules import INF, bottleneck_distance
 from persposet.posets import MonotoneMap, new_poset
 from persposet.pposets import (
@@ -31,7 +31,7 @@ from persposet.pposets import (
     tracks,
 )
 from persposet.verifier import verify_theorem
-from reference import acyclicity_defect, order_complex_tower
+from reference import acyclicity_defect, barcodes_of, order_complex_tower
 
 TIERS = {
     "S": GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4),
@@ -41,7 +41,7 @@ FIELDS = (2, 3, 5)
 
 
 def reference(pp, field, k_max):
-    return tower_barcodes(order_complex_tower(pp), field, k_max)
+    return barcodes_of(order_complex_tower(pp), field, k_max)
 
 
 def two_points(images):

@@ -229,6 +229,50 @@ def test_verify_rejects_non_finite_scale(tmp_path, capsys, origin, step):
     _assert_one_error_line(capsys.readouterr())
 
 
+@pytest.mark.parametrize(
+    "argv, scale",
+    [
+        (["verify", "--json"], "0,1e308"),
+        (["verify"], "0,1e308"),
+        (["fibers"], "0,1e308"),
+        (["barcode"], "1e308,1e308"),
+        (["verify", "--json"], None),
+    ],
+    ids=["verify-json", "verify-text", "fibers", "barcode", "verify-document-scale"],
+)
+def test_rejects_a_scale_that_overflows(tmp_path, capsys, argv, scale):
+    """A finite scale that sends a finite value (epsilon 4, bound 64, death 1) past the float range.
+
+    Without the check, verify --json printed "bound": Infinity, which is not
+    JSON, and barcode printed the timestamp inf for a finite death.
+    """
+    doc = random_instance(5, GeneratorLimits(t_max=5))
+    if scale is None:
+        doc["scale"] = {"origin": 0.0, "step": 1e308}
+    path, report = tmp_path / "instance.json", tmp_path / "report.json"
+    path.write_text(canonical_json(doc), encoding="utf-8")
+    flags = [f"--scale={scale}"] if scale else []
+    assert main([argv[0], str(path), *argv[1:], *flags, "--report", str(report)]) == 2
+    _assert_one_error_line(capsys.readouterr())
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("scale", [None, "0,1", "-1e300,1e300"])
+def test_verify_json_and_report_are_strict_json(tmp_path, capsys, scale):
+    """No Infinity or NaN literal in what verify --json prints or --report writes."""
+
+    def reject(literal):
+        raise AssertionError(f"{literal} is not JSON")
+
+    path, report = tmp_path / "instance.json", tmp_path / "report.json"
+    path.write_text(canonical_json(random_instance(5, GeneratorLimits(t_max=5))), encoding="utf-8")
+    flags = [f"--scale={scale}"] if scale else []
+    assert main(["verify", str(path), "--json", *flags, "--report", str(report)]) == 0
+    for text in (capsys.readouterr().out, report.read_text(encoding="utf-8")):
+        doc = json.loads(text, parse_constant=reject)
+        assert (doc["epsilon"], doc["bound"]) == (4, 64)
+
+
 def _with(doc, **fields):
     return json.dumps({**doc, **fields})
 

@@ -14,14 +14,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from persposet import complexes, homology, posets
-from persposet.complexes import SimplicialMap, order_complex
+from persposet.complexes import order_complex
 from persposet.documents import GeneratorLimits, parse_instance, random_instance
-from persposet.homology import FieldSpec, induced_ranks, pposet_barcodes, tower_barcodes
+from persposet.homology import FieldSpec, induced_ranks, pposet_barcodes
 from persposet.modules import INF
 from persposet.posets import MonotoneMap, new_poset
 from persposet.pposets import PersistenceMap, PersistencePoset, constant_pposet
 from persposet.verifier import verify_theorem
-from reference import order_complex_tower
+from reference import SimplicialMap, barcodes_of, order_complex_tower
 
 FIELDS = (2, 3, 5)
 TIERS = {
@@ -62,7 +62,7 @@ def test_discrete_barcodes_equal_tower_barcodes(pp, k_max, p):
     field = FieldSpec(p)
     homology._core_barcodes.cache_clear()
     codes = pposet_barcodes(pp, field, k_max)
-    assert codes == tower_barcodes(order_complex_tower(pp), field, k_max)
+    assert codes == barcodes_of(order_complex_tower(pp), field, k_max)
     assert len(codes) == k_max + 1 and all(not code.bars for code in codes[1:])
 
 
@@ -99,7 +99,7 @@ def core_ranks(g, p, k_max):
     """rank H_k of r . g . incl on the order complexes of the cores, by the sparse reduction."""
     (core_x, _), (core_y, retract_y) = posets.core(g.source), posets.core(g.target)
     sm = SimplicialMap(order_complex(core_x), order_complex(core_y), dict(homology._onto_cores(g, core_x, retract_y)))
-    return [homology._induced_rank(sm, k, p) for k in range(k_max + 1)]
+    return [homology._induced_rank(sm.source, sm.target, sm.vertex_map, k, p) for k in range(k_max + 1)]
 
 
 def is_discrete(g):

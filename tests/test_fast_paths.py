@@ -22,12 +22,12 @@ from hypothesis import strategies as st
 from persposet import verifier
 from persposet.documents import GeneratorLimits, parse_instance, random_instance
 from persposet.errors import HypothesisUnmet
-from persposet.homology import FieldSpec, pposet_barcodes, tower_barcodes
+from persposet.homology import FieldSpec, pposet_barcodes
 from persposet.modules import INF, Barcode, _matching_feasible, bottleneck_distance
 from persposet.posets import new_poset
 from persposet.pposets import PersistencePoset, chain_filtrations, puncture, top_degree
 from persposet.verifier import chain_puncture_suite, verify_puncture_lemma
-from reference import order_complex_tower
+from reference import barcodes_of, order_complex_tower
 
 TIER_S = GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4)
 FIELDS = (2, 3, 5)
@@ -124,7 +124,7 @@ def test_suite_equals_per_step_lemma_loop(seed, p):
         assert smaller.components == complement.components
         assert [m.assignment for m in smaller.maps] == [m.assignment for m in complement.maps]
         for side in (larger, smaller):
-            assert pposet_barcodes(side, field, k_max) == tower_barcodes(order_complex_tower(side), field, k_max)
+            assert pposet_barcodes(side, field, k_max) == barcodes_of(order_complex_tower(side), field, k_max)
 
 
 def unshared_chains(f):

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persposet.complexes import SimplicialComplex, SimplicialMap, order_complex
+from persposet.complexes import SimplicialComplex, order_complex
 from persposet.homology import FieldSpec
 from persposet.posets import MonotoneMap, new_poset
 from persposet.pposets import PersistencePoset, constant_pposet
 import reference
 from reference import (
+    SimplicialMap,
     boundary_matrix,
+    complex_top_degree,
     from_simplices,
     homology,
     homology_tower,
@@ -98,7 +100,7 @@ class TestLinalg:
 S = new_poset("abcd", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
 FOUR_CYCLE = order_complex(S)
 CONE = join(FOUR_CYCLE, from_simplices([], vertices=["t"]))
-EMPTY = SimplicialComplex(vertices=(), simplices=frozenset())
+EMPTY = SimplicialComplex(vertices=(), simplices=())
 POINT = from_simplices([], vertices=["p"])
 
 
@@ -121,7 +123,7 @@ class TestBoundary:
     def test_boundary_squared_zero(self):
         for K in (FOUR_CYCLE, CONE):
             for field in (F2, F3):
-                for k in range(1, K.top_degree() + 1):
+                for k in range(1, complex_top_degree(K) + 1):
                     d_k = boundary_matrix(K, k, field)
                     d_k1 = boundary_matrix(K, k + 1, field)
                     assert not reference.matmul(d_k, d_k1, field.p).any()
@@ -157,7 +159,7 @@ class TestHomology:
             for field in (F2, F3):
                 chi = sum(
                     (-1) ** k * homology(K, k, field).dimension
-                    for k in range(K.top_degree() + 1)
+                    for k in range(complex_top_degree(K) + 1)
                 )
                 assert chi == sum((-1) ** (len(s) - 1) for s in K.simplices)
 
@@ -251,7 +253,7 @@ class TestJoinFormula:
             A = self.random_complex(rng, "a")
             B = self.random_complex(rng, "b")
             J = join(A, B)
-            for g in range(J.top_degree() + 2):
+            for g in range(complex_top_degree(J) + 2):
                 expected = sum(
                     reduced_dim(A, i, field) * reduced_dim(B, g - 1 - i, field)
                     for i in range(-1, g + 1)

@@ -22,7 +22,7 @@ from persposet.posets import MonotoneMap, new_poset
 from persposet.pposets import PersistencePoset, constant_pposet, fiber, ordinal_sum, restrict, top_degree, tracks
 from persposet.verifier import _is_join_of, _is_point_from, _reduced_bettis, verify_join_acyclicity
 import reference
-from reference import homology
+from reference import complex_top_degree, homology
 
 TIERS = {
     "S": GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4),
@@ -68,8 +68,8 @@ def test_reduced_bettis_equal_dense_slice_homology(tier):
             for i, P in enumerate(pp.components):
                 K = order_complex(P)
                 bettis = _reduced_bettis(codes, i)
-                read = [bettis[k + 1] if k + 1 < len(bettis) else 0 for k in range(-1, K.top_degree() + 2)]
-                dense = [homology(K, k, field, reduced=True).dimension for k in range(K.top_degree() + 2)]
+                read = [bettis[k + 1] if k + 1 < len(bettis) else 0 for k in range(-1, complex_top_degree(K) + 2)]
+                dense = [homology(K, k, field, reduced=True).dimension for k in range(complex_top_degree(K) + 2)]
                 assert read == [int(not K.simplices), *dense]
 
     check()

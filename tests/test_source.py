@@ -115,6 +115,26 @@ def test_homology_is_the_only_view_of_complexes():
     assert package_imports(module_path("verifier")) & {"posets", "complexes"} == set()
 
 
+def test_complexes_has_one_form():
+    """complexes defines the complex and the cached order complex, and nothing else.
+
+    Simplicial maps and towers, with their checks, live in tests/reference.py:
+    the library hands the reduction plain vertex maps of monotone maps.
+    """
+    defined = [
+        node.name for node in parse(module_path("complexes")).body
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+    ]
+    assert defined == ["SimplicialComplex", "order_complex"]
+    named = [
+        f"{path.name}: {name}"
+        for path in SOURCES
+        for name in ("SimplicialMap", "ComplexTower")
+        if name in path.read_text(encoding="utf-8")
+    ]
+    assert named == []
+
+
 # Library API that no module of the package calls.
 UNCALLED_API = {"constant_pposet", "cover_to_doc", "pposet_from_doc", "verify_puncture_lemma"}
 

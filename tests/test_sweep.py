@@ -11,14 +11,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persposet import linalg
-from persposet.complexes import ComplexTower, SimplicialMap
 from persposet.documents import GeneratorLimits, parse_instance, random_instance
 from persposet.errors import InternalError
-from persposet.homology import FieldSpec, tower_barcodes
+from persposet.homology import FieldSpec
 from persposet.modules import INF, Barcode, PersistenceModule, barcode
 from persposet.pposets import fiber, tracks
 import reference
-from reference import core_tower, from_simplices, homology_tower, order_complex_tower, rank_invariant, zero_module
+from reference import (
+    ComplexTower,
+    SimplicialMap,
+    barcodes_of,
+    core_tower,
+    from_simplices,
+    homology_tower,
+    order_complex_tower,
+    rank_invariant,
+    zero_module,
+)
 
 TIER_S = GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4)
 PRIMES = (2, 3, 5, 7)
@@ -84,7 +93,7 @@ def test_tower_sweep_matches_rank_invariant(seed, p):
     for tower in tier_s_towers(seed):
         k_top = max(tower.top_degree(), 0)
         expected = [barcode_from_ranks(homology_tower(tower, k, field)) for k in range(k_top + 1)]
-        assert tower_barcodes(tower, field, k_top) == expected
+        assert barcodes_of(tower, field, k_top) == expected
 
 
 def module(dims, transitions, p=2):
@@ -119,7 +128,7 @@ def tower(complexes, vertex_maps):
 def test_tower_merge_kills_the_younger_point():
     t = tower([[["a"]], [["a"], ["b"]], [["a", "b"]]], [{"a": "a"}, {"a": "a", "b": "b"}])
     for p in (2, 3):
-        assert tower_barcodes(t, FieldSpec(p), 0) == [Barcode.of([(0, INF), (1, 2)])]
+        assert barcodes_of(t, FieldSpec(p), 0) == [Barcode.of([(0, INF), (1, 2)])]
 
 
 def test_tower_loop_dies_where_another_is_born():
@@ -127,16 +136,16 @@ def test_tower_loop_dies_where_another_is_born():
     second = [["x", "y"], ["y", "z"], ["x", "z"]]
     t = tower([hollow, [["a", "b", "c"]] + second], [{v: v for v in "abc"}])
     for p in (2, 3):
-        codes = tower_barcodes(t, FieldSpec(p), 1)
+        codes = barcodes_of(t, FieldSpec(p), 1)
         assert codes[1] == Barcode.of([(0, 1), (1, INF)])
         assert codes[0] == Barcode.of([(0, INF), (1, INF)])
 
 
 def test_tower_t0_and_empty_complex():
     empty = ComplexTower((from_simplices([]),), ())
-    assert tower_barcodes(empty, FieldSpec(2), 2) == [Barcode.of(())] * 3
+    assert barcodes_of(empty, FieldSpec(2), 2) == [Barcode.of(())] * 3
     point = tower([[["a"]]], [])
-    assert tower_barcodes(point, FieldSpec(5), 1) == [Barcode.of([(0, INF)]), Barcode.of(())]
+    assert barcodes_of(point, FieldSpec(5), 1) == [Barcode.of([(0, INF)]), Barcode.of(())]
 
 
 @given(
