@@ -4,16 +4,21 @@ Exit codes: 0 success / bound holds, 1 verdict violated (verify also
 exits 1 on a vacuous verdict, and lemma on any violation), 2 invalid input.
 All output is deterministic; --report writes the machine-readable JSON
 document next to the human-readable text on stdout.
+
+The table _COMMANDS defines the command line, and parse_args reads argv
+against it: `--flag value` or `--flag=value` anywhere after the command,
+in full and at most once.  Every rejection raises ValidationError, so it
+exits 2 with one `error:` line and nothing on stdout.  Handlers return
+their stdout text and report; main writes --report before it prints.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import random
 import sys
 from pathlib import Path
-from typing import Iterable
+from types import SimpleNamespace
 
 from .documents import (
     GeneratorLimits,
@@ -58,24 +63,19 @@ def _scaled(v, scale: Scale, timestamp: bool = False):
     return t
 
 
-def _parse_scale(flag: str) -> Scale:
-    try:
-        origin, step = (float(part) for part in flag.split(","))
-    except ValueError:
-        raise ValidationError(f"--scale expects ORIGIN,STEP, got {flag!r}") from None
-    return Scale(origin, step)
-
-
-def _load_instance(path: str, scale_flag: str | None) -> InstanceDocument:
+def _load_instance(path: str, scale_flag: str | None = None) -> InstanceDocument:
     inst = parse_instance(Path(path).read_text(encoding="utf-8"))
     if scale_flag is not None:
-        inst.scale = _parse_scale(scale_flag)
+        try:
+            origin, step = (float(part) for part in scale_flag.split(","))
+        except ValueError:
+            raise ValidationError(f"--scale expects ORIGIN,STEP, got {scale_flag!r}") from None
+        inst.scale = Scale(origin, step)
     return inst
 
 
-def _write_report(path: str | None, doc: dict) -> None:
-    if path:
-        Path(path).write_text(canonical_json(doc), encoding="utf-8")
+def _text(lines: list[str]) -> str:
+    return "".join(f"{line}\n" for line in lines)
 
 
 def _certificate_doc(cert: TheoremCertificate, scale: Scale | None) -> dict:
@@ -102,27 +102,21 @@ def _certificate_doc(cert: TheoremCertificate, scale: Scale | None) -> dict:
     return doc
 
 
-def _cmd_validate(args) -> int:
-    inst = _load_instance(args.instance, None)
-    m = len(tracks(inst.y))
-    n = len(tracks(inst.x))
-    print(f"valid instance: T={inst.map.T}, {n} source tracks, {m} target tracks")
-    return 0
+def _cmd_validate(args):
+    inst = _load_instance(args.instance)
+    n, m = len(tracks(inst.x)), len(tracks(inst.y))
+    return f"valid instance: T={inst.map.T}, {n} source tracks, {m} target tracks\n", None, 0
 
 
-def _cmd_extend(args) -> int:
-    inst = _load_instance(args.instance, None)
-    doc = {}
-    for name, pp in (("x", inst.x), ("y", inst.y)):
-        orders = persistence_linear_extension(pp)
-        doc[name] = orders
-        for i, order in enumerate(orders):
-            print(f"{name}[{i}]: " + (" < ".join(order) if order else "(empty)"))
-    _write_report(args.report, {"schema": "extension/1", "orders": doc})
-    return 0
+def _cmd_extend(args):
+    inst = _load_instance(args.instance)
+    orders = {name: persistence_linear_extension(pp) for name, pp in (("x", inst.x), ("y", inst.y))}
+    lines = [f"{name}[{i}]: " + (" < ".join(order) if order else "(empty)")
+             for name, per_index in orders.items() for i, order in enumerate(per_index)]
+    return _text(lines), {"schema": "extension/1", "orders": orders}, 0
 
 
-def _cmd_barcode(args) -> int:
+def _cmd_barcode(args):
     inst = _load_instance(args.instance, args.scale)
     field = FieldSpec(args.field)
     k_max = args.kmax if args.kmax is not None else max(top_degree(inst.x), top_degree(inst.y))
@@ -136,13 +130,10 @@ def _cmd_barcode(args) -> int:
                 if inst.scale is not None:
                     line += f"\t{_scaled(b, inst.scale, timestamp=True)}\t{_scaled(d, inst.scale, timestamp=True)}"
                 lines.append(line)
-    for line in lines:
-        print(line)
-    _write_report(args.report, report)
-    return 0
+    return _text(lines), report, 0
 
 
-def _cmd_fibers(args) -> int:
+def _cmd_fibers(args):
     inst = _load_instance(args.instance, args.scale)
     field = FieldSpec(args.field)
     defects = fiber_defects(inst.map, field, args.kmax)
@@ -150,41 +141,33 @@ def _cmd_fibers(args) -> int:
     lines = [f"{t.label}\t{_enc(eps)}" for t, eps in defects.items()]
     if inst.scale is not None:
         lines = [f"{line}\t{_scaled(eps, inst.scale)}" for line, eps in zip(lines, defects.values())]
-    for line in lines:
-        print(line)
-    _write_report(args.report, doc)
-    return 0
+    return _text(lines), doc, 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     inst = _load_instance(args.instance, args.scale)
     field = FieldSpec(args.field)
     cert = verify_theorem(inst.map, field, args.kmax)
     doc = _certificate_doc(cert, inst.scale)
+    code = 0 if cert.verdict == "holds" else 1
     if args.json:
-        print(canonical_json(doc), end="")
-    else:
-        print(f"m = {cert.m}")
-        line = f"epsilon = {_enc(cert.epsilon)}"
-        if inst.scale is not None:
-            line += f" (scaled: {_scaled(cert.epsilon, inst.scale)})"
-        print(line)
-        for label, eps in sorted(cert.fiber_eps.items()):
-            print(f"  fiber {label}: {_enc(eps)}")
-        print(f"bound 4*m*epsilon = {_enc(cert.bound)}")
-        for k, d in sorted(cert.distances.items()):
-            print(f"  degree {k}: distance {_enc(d)}")
-        if cert.ratio is not None:
-            print(f"observed ratio = {cert.ratio:.4f}")
-        print(f"verdict: {cert.verdict}")
-    _write_report(args.report, doc)
-    return 0 if cert.verdict == "holds" else 1
+        return canonical_json(doc), doc, code
+    lines = [f"m = {cert.m}", f"epsilon = {_enc(cert.epsilon)}"]
+    if inst.scale is not None:
+        lines[-1] += f" (scaled: {_scaled(cert.epsilon, inst.scale)})"
+    lines += [f"  fiber {label}: {_enc(eps)}" for label, eps in sorted(cert.fiber_eps.items())]
+    lines.append(f"bound 4*m*epsilon = {_enc(cert.bound)}")
+    lines += [f"  degree {k}: distance {_enc(d)}" for k, d in sorted(cert.distances.items())]
+    if cert.ratio is not None:
+        lines.append(f"observed ratio = {cert.ratio:.4f}")
+    lines.append(f"verdict: {cert.verdict}")
+    return _text(lines), doc, code
 
 
-def _cmd_lemma(args) -> int:
+def _cmd_lemma(args):
     field = FieldSpec(args.field)
     if args.suite == "puncture":
-        report = chain_puncture_suite(_load_instance(args.instance, None).map, field, args.kmax)
+        report = chain_puncture_suite(_load_instance(args.instance).map, field, args.kmax)
         lines = [
             f"puncture steps: {report.checked} checked, {report.trivial} trivial, "
             f"{report.skipped} skipped, {len(report.violations)} violations"
@@ -194,15 +177,14 @@ def _cmd_lemma(args) -> int:
                "skipped": report.skipped, "violations": report.violations}
         ok = report.ok
     elif args.suite == "cylinder":
-        report = verify_cylinder_retraction(_load_instance(args.instance, None).map, field, args.kmax)
+        report = verify_cylinder_retraction(_load_instance(args.instance).map, field, args.kmax)
         distances = {k: _enc(v) for k, v in sorted(report.distances.items())}
         lines = [f"cylinder distances: {distances}", f"cone steps acyclic: {report.cone_steps_ok}"]
         doc = {"distances": {str(k): v for k, v in distances.items()},
                "cone_steps_ok": report.cone_steps_ok, "ok": report.ok}
         ok = report.ok
     elif args.suite == "join":
-        violations = 0
-        applicable = 0
+        violations = applicable = 0
         limits = GeneratorLimits()
         for i in range(args.count):
             rng = random.Random(args.seed + i)
@@ -225,113 +207,20 @@ def _cmd_lemma(args) -> int:
         lines += [f"  VIOLATION {v}" for v in report.violations]
         doc = {"cases": report.cases, "violations": report.violations}
         ok = report.ok
-    for line in lines:
-        print(line)
-    _write_report(args.report, {"schema": "lemma/1", "suite": args.suite, **doc})
-    return 0 if ok else 1
+    return _text(lines), {"schema": "lemma/1", "suite": args.suite, **doc}, 0 if ok else 1
 
 
-def _cmd_cover(args) -> int:
+def _cmd_cover(args):
     cover = cover_from_doc(Path(args.cover).read_text(encoding="utf-8"))
-    pp = cover_to_pposet(cover, args.max_arity)
-    doc = pposet_to_doc(pp)
-    print(canonical_json(doc), end="")
-    _write_report(args.report, doc)
-    return 0
+    doc = pposet_to_doc(cover_to_pposet(cover, args.max_arity))
+    return canonical_json(doc), doc, 0
 
 
-def _cmd_random(args) -> int:
+def _cmd_random(args):
     limits = GeneratorLimits(t_max=args.t_max, max_slice=args.max_slice, max_y_tracks=args.max_y_tracks)
     doc = random_instance(args.seed, limits)
-    print(canonical_json(doc), end="")
-    _write_report(args.report, doc)
-    return 0
+    return canonical_json(doc), doc, 0
 
-
-def _add_common(p: argparse.ArgumentParser, scale: bool = True) -> None:
-    p.add_argument("--field", type=int, default=2, help="prime characteristic (default 2)")
-    p.add_argument("--kmax", type=int, default=None, help="top homology degree to check")
-    p.add_argument("--report", default=None, help="write the machine-readable report here")
-    if scale:
-        p.add_argument("--scale", default=None, metavar="ORIGIN,STEP",
-                       help="report distances also as timestamps t = origin + step*i")
-
-
-def _args_instance(p: argparse.ArgumentParser) -> None:
-    p.add_argument("instance")
-
-
-def _args_extend(p: argparse.ArgumentParser) -> None:
-    p.add_argument("instance")
-    p.add_argument("--report", default=None)
-
-
-def _args_measure(p: argparse.ArgumentParser) -> None:
-    p.add_argument("instance")
-    _add_common(p)
-
-
-def _args_verify(p: argparse.ArgumentParser) -> None:
-    p.add_argument("instance")
-    p.add_argument("--json", action="store_true", help="print the certificate as JSON")
-    _add_common(p)
-
-
-def _args_lemma(p: argparse.ArgumentParser) -> None:
-    p.add_argument("suite", choices=["puncture", "cylinder", "join", "ses"])
-    p.add_argument("instance", nargs="?", help="instance document (puncture and cylinder)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=100)
-    _add_common(p, scale=False)
-
-
-def _args_cover(p: argparse.ArgumentParser) -> None:
-    p.add_argument("cover")
-    p.add_argument("--max-arity", type=int, default=None)
-    p.add_argument("--report", default=None)
-
-
-def _args_random(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--t-max", type=int, default=4)
-    p.add_argument("--max-slice", type=int, default=6)
-    p.add_argument("--max-y-tracks", type=int, default=4)
-    p.add_argument("--report", default=None)
-
-
-# The one definition of every command: name -> (help, arguments, handler).
-_COMMANDS = {
-    "validate": ("parse and validate an instance document", _args_instance, _cmd_validate),
-    "extend": ("coherent linear extension of both posets", _args_extend, _cmd_extend),
-    "barcode": ("barcodes of both classifying-space towers", _args_measure, _cmd_barcode),
-    "fibers": ("acyclicity defect of every fiber", _args_measure, _cmd_fibers),
-    "verify": ("verify the 4*m*epsilon bound", _args_verify, _cmd_verify),
-    "lemma": ("run a lemma suite", _args_lemma, _cmd_lemma),
-    "cover": ("intersection poset of a nested cover", _args_cover, _cmd_cover),
-    "random": ("generate a random instance document", _args_random, _cmd_random),
-}
-
-
-def build_parser(commands: Iterable[str] = tuple(_COMMANDS)) -> argparse.ArgumentParser:
-    """The CLI parser with subparsers for the given commands only.
-
-    A parser for fewer commands still names them all in its usage line, so
-    it prints the same messages as the full one.
-    """
-    commands = tuple(commands)
-    parser = argparse.ArgumentParser(prog="persposet")
-    usage = None if len(commands) == len(_COMMANDS) else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=usage)
-    for name in commands:
-        help_text, add_arguments, handler = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        add_arguments(p)
-        p.set_defaults(func=handler)
-    return parser
-
-
-# Smallest accepted value of each integer flag; a generated slice needs an element.
-_FLAG_MINIMUM = {"kmax": 0, "count": 0, "t_max": 0, "max_slice": 1, "max_y_tracks": 0, "max_arity": 1}
 
 # Largest accepted --kmax.  Homology in degree k needs a chain of k + 1
 # elements in a core slice, whose order complex has 2**(k + 1) - 1
@@ -339,22 +228,129 @@ _FLAG_MINIMUM = {"kmax": 0, "count": 0, "t_max": 0, "max_slice": 1, "max_y_track
 # the bound keeps the per-degree lists of barcodes and ranks small.
 MAX_KMAX = 256
 
+# A flag is (kind, default, help).  Its kind is None for a switch, a
+# metavar for a string, or (least, greatest) for an integer, None meaning
+# unbounded; a generated slice needs an element, hence --max-slice >= 1.
+_REPORT = {"--report": ("PATH", None, "write the machine-readable report here")}
+_COMMON = {"--field": ((None, None), 2, "prime characteristic (default 2)"),
+           "--kmax": ((0, MAX_KMAX), None, "top homology degree to check"), **_REPORT}
+_MEASURE = {**_COMMON, "--scale": ("ORIGIN,STEP", None, "report distances also as timestamps t = origin + step*i")}
+_SEED = {"--seed": ((None, None), 0, "random seed (default 0)")}
+
+# The one definition of the command line: name -> (help, positionals,
+# flags, handler).  A positional is a name, or (name, choices) where each
+# accepted word maps to the positionals that follow it.
+_COMMANDS = {
+    "validate": ("parse and validate an instance document", ("instance",), {}, _cmd_validate),
+    "extend": ("coherent linear extension of both posets", ("instance",), _REPORT, _cmd_extend),
+    "barcode": ("barcodes of both classifying-space towers", ("instance",), _MEASURE, _cmd_barcode),
+    "fibers": ("acyclicity defect of every fiber", ("instance",), _MEASURE, _cmd_fibers),
+    "verify": ("verify the 4*m*epsilon bound", ("instance",),
+               {"--json": (None, False, "print the certificate as JSON"), **_MEASURE}, _cmd_verify),
+    "lemma": ("run a lemma suite",
+              (("suite", {"puncture": ("instance",), "cylinder": ("instance",), "join": (), "ses": ()}),),
+              {**_SEED, "--count": ((0, None), 100, "number of random cases (default 100)"), **_COMMON},
+              _cmd_lemma),
+    "cover": ("intersection poset of a nested cover", ("cover",),
+              {"--max-arity": ((1, None), None, "deepest intersection to keep"), **_REPORT}, _cmd_cover),
+    "random": ("generate a random instance document", (), {
+        **_SEED, "--t-max": ((0, None), 4, "last index T (default 4)"),
+        "--max-slice": ((1, None), 6, "most elements in a source slice (default 6)"),
+        "--max-y-tracks": ((0, None), 4, "most target tracks (default 4)"), **_REPORT}, _cmd_random),
+}
+
+
+def _slot(slot) -> str:
+    if isinstance(slot, str):
+        return slot.upper()
+    return "{" + " | ".join(" ".join([word, *map(str.upper, rest)]) for word, rest in slot[1].items()) + "}"
+
+
+def _usage(name: str | None) -> str:
+    """The --help text of one command, or of the whole command line."""
+    if name is None:
+        rows = ["usage: persposet COMMAND ... (persposet COMMAND --help for its flags)", "", "commands:"]
+        return _text(rows + [f"  {cmd:<10}{entry[0]}" for cmd, entry in _COMMANDS.items()])
+    help_text, positionals, flags, _ = _COMMANDS[name]
+    words = ["usage: persposet", name, *map(_slot, positionals), "[flags]" if flags else ""]
+    rows = [" ".join(words).rstrip(), "", help_text, "", "flags:"]
+    for flag, (kind, _, text) in flags.items():
+        metavar = "" if kind is None else kind if isinstance(kind, str) else "N"
+        rows.append(f"  {flag + ' ' + metavar:<26}{text}")
+    return _text(rows + ["  -h, --help                show this help"])
+
+
+def _integer(flag: str, text: str, least: int | None, greatest: int | None) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValidationError(f"{flag} expects an integer, got {text!r}") from None
+    if least is not None and value < least:
+        raise ValidationError(f"{flag} must be at least {least}, got {value}")
+    if greatest is not None and value > greatest:
+        raise ValidationError(f"{flag} must be at most {greatest}, got {value}")
+    return value
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """Read argv against _COMMANDS: the handler, then one attribute per positional and flag."""
+    name = argv[0] if argv else None
+    if "-h" in argv or "--help" in argv:
+        text = _usage(name if name in _COMMANDS else None)
+        return SimpleNamespace(handler=lambda args: (text, None, 0))
+    if name not in _COMMANDS:
+        what = f"unknown command {name!r}" if argv else "no command given"
+        raise ValidationError(f"{what}; the commands are {', '.join(_COMMANDS)}")
+    _, slots, flags, handler = _COMMANDS[name]
+    cut = argv.index("--") if "--" in argv else len(argv)  # every word after "--" is a positional
+    given, words, rest = {}, [], iter(argv[1:cut])
+    for word in rest:
+        if not word.startswith("--"):
+            words.append(word)
+            continue
+        flag, has_value, value = word.partition("=")
+        if flag not in flags:
+            raise ValidationError(f"{name} takes no flag {flag}")
+        if flag in given:
+            raise ValidationError(f"{flag} is given twice")
+        kind = flags[flag][0]
+        if kind is None:
+            if has_value:
+                raise ValidationError(f"{flag} takes no value")
+            value = True
+        elif not has_value:
+            value = next(rest, "--")  # a missing value reads as the end of the flags
+            if value.startswith("--"):
+                raise ValidationError(f"{flag} needs a value")
+        given[flag] = _integer(flag, value, *kind) if isinstance(kind, tuple) else value
+    words += argv[cut + 1:]
+    args, slots = {}, list(slots)
+    for word in words:
+        said = " ".join([name, *args.values()])
+        if not slots:
+            raise ValidationError(f"{said}: unexpected argument {word!r}")
+        slot = slots.pop(0)
+        if not isinstance(slot, str):
+            slot, choices = slot
+            if word not in choices:
+                raise ValidationError(f"{said}: {slot} must be one of {', '.join(choices)}, got {word!r}")
+            slots = list(choices[word])
+        args[slot] = word
+    if slots:
+        raise ValidationError(f"{' '.join([name, *args.values()])}: missing {_slot(slots[0])}")
+    for flag, (_, default, _) in flags.items():
+        args[flag[2:].replace("-", "_")] = given.get(flag, default)
+    return SimpleNamespace(handler=handler, **args)
+
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    # Building one subparser instead of eight is most of the parse cost.
-    known = argv[:1] if argv and argv[0] in _COMMANDS else tuple(_COMMANDS)
-    args = build_parser(known).parse_args(argv)
     try:
-        if args.command == "lemma" and args.suite in ("puncture", "cylinder") and not args.instance:
-            raise ValidationError("this suite needs an instance document")
-        for name, least in _FLAG_MINIMUM.items():
-            value = getattr(args, name, None)
-            if value is not None and value < least:
-                raise ValidationError(f"--{name.replace('_', '-')} must be at least {least}, got {value}")
-        if getattr(args, "kmax", None) is not None and args.kmax > MAX_KMAX:
-            raise ValidationError(f"--kmax must be at most {MAX_KMAX}, got {args.kmax}")
-        return args.func(args)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        text, report, code = args.handler(args)
+        if getattr(args, "report", None):
+            Path(args.report).write_text(canonical_json(report), encoding="utf-8")
+        print(text, end="")
+        return code
     except (OSError, UnicodeDecodeError, PersistenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

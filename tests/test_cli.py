@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 
 from persposet import cli
-from persposet.cli import MAX_KMAX, build_parser, main
+from persposet.cli import MAX_KMAX, main
 from persposet.documents import GeneratorLimits, canonical_json, random_instance
 
 
@@ -27,32 +27,69 @@ def _assert_one_error_line(captured):
 COMMANDS = ["validate", "extend", "barcode", "fibers", "verify", "lemma", "cover", "random"]
 
 
+# The flags each command accepts, pinned so that a table edit that adds or drops one fails here.
+_MEASURE = {"--field", "--kmax", "--report", "--scale"}
+FLAGS = {
+    "validate": set(),
+    "extend": {"--report"},
+    "barcode": _MEASURE,
+    "fibers": _MEASURE,
+    "verify": _MEASURE | {"--json"},
+    "lemma": {"--field", "--kmax", "--report", "--seed", "--count"},
+    "cover": {"--max-arity", "--report"},
+    "random": {"--seed", "--t-max", "--max-slice", "--max-y-tracks", "--report"},
+}
+
+
 def test_help_lists_every_command(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["--help"])
-    assert exc.value.code == 0
-    out = capsys.readouterr().out
-    for name in COMMANDS:
-        assert re.search(rf"^ +{name} +\S", out, re.MULTILINE), name
+    for flag in ("--help", "-h"):
+        assert main([flag]) == 0
+        out = capsys.readouterr().out
+        for name in COMMANDS:
+            assert re.search(rf"^ +{name} +\S", out, re.MULTILINE), name
 
 
 @pytest.mark.parametrize("name", COMMANDS)
 def test_command_help_matches_full_parser(capsys, name):
-    """main builds only the named command's subparser; its help must not change."""
-    with pytest.raises(SystemExit):
-        build_parser().parse_args([name, "--help"])
-    expected = capsys.readouterr().out
-    with pytest.raises(SystemExit) as exc:
-        main([name, "--help"])
-    assert exc.value.code == 0
-    assert capsys.readouterr().out == expected
+    """<command> --help returns 0 and lists exactly the flags the command accepts.
+
+    The help text and the parser both read the one command table; FLAGS
+    pins its flags, and test_command_takes_exactly_its_flags checks that
+    the parser rejects every other one.
+    """
+    assert main([name, "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith(f"usage: persposet {name}")
+    assert set(re.findall(r"^  (--[\w-]+)", captured.out, re.MULTILINE)) == FLAGS[name]
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_command_takes_exactly_its_flags(capsys, name):
+    """The parser reads each of the command's flags, and rejects every other one before anything runs."""
+    positionals = {"lemma": ["ses"], "random": []}.get(name, ["PATH"])
+    for flag in FLAGS[name]:
+        switch = flag == "--json"
+        args = cli.parse_args([name, *positionals, flag, *([] if switch else ["7"])])
+        value = getattr(args, flag[2:].replace("-", "_"))
+        assert (value is True) if switch else (str(value) == "7")
+    for flag in sorted(set().union(*FLAGS.values()) - FLAGS[name]):
+        assert main([name, flag, "1"]) == 2, flag
+        captured = capsys.readouterr()
+        _assert_one_error_line(captured)
+        assert f"takes no flag {flag}" in captured.err
 
 
 def test_unknown_command(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["bogus"])
-    assert exc.value.code == 2
-    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    assert main(["bogus"]) == 2
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured)
+    assert "unknown command 'bogus'" in captured.err
+
+
+def test_no_command(capsys):
+    assert main([]) == 2
+    _assert_one_error_line(capsys.readouterr())
 
 
 def test_validate_ok(instance_file, capsys):
@@ -64,18 +101,19 @@ def test_validate_bad_input(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"schema": "instance/1", "T": 0}', encoding="utf-8")
     assert main(["validate", str(bad)]) == 2
-    assert "error" in capsys.readouterr().err
+    _assert_one_error_line(capsys.readouterr())
 
 
-def test_missing_file():
-    assert main(["validate", "/nonexistent/file.json"]) == 2
+def test_missing_file(tmp_path, capsys):
+    assert main(["validate", str(tmp_path / "missing.json")]) == 2
+    _assert_one_error_line(capsys.readouterr())
 
 
 def test_non_utf8_file(tmp_path, capsys):
     path = tmp_path / "binary.json"
     path.write_bytes(b"\xcc\xff")
     assert main(["validate", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    _assert_one_error_line(capsys.readouterr())
 
 
 def test_extend(instance_file, capsys):
@@ -129,7 +167,25 @@ def test_lemma_puncture_and_cylinder(instance_file, capsys):
 
 
 def test_lemma_needs_instance(capsys):
-    assert main(["lemma", "puncture"]) == 2
+    for suite in ("puncture", "cylinder"):
+        assert main(["lemma", suite]) == 2
+        captured = capsys.readouterr()
+        _assert_one_error_line(captured)
+        assert f"lemma {suite}: missing INSTANCE" in captured.err
+
+
+@pytest.mark.parametrize("suite", ["join", "ses"])
+def test_lemma_rejects_an_instance_it_would_ignore(instance_file, capsys, suite):
+    """join and ses generate their own cases; a document given to them is an error, not ignored."""
+    assert main(["lemma", suite, str(instance_file), "--count", "1"]) == 2
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured)
+    assert f"lemma {suite}: unexpected argument" in captured.err
+
+
+def test_lemma_rejects_an_unknown_suite(capsys):
+    assert main(["lemma", "bogus"]) == 2
+    _assert_one_error_line(capsys.readouterr())
 
 
 def test_lemma_join_and_ses(capsys):
@@ -171,6 +227,7 @@ def test_cover(tmp_path, capsys):
     bad = {"schema": "cover/1", "T": 1, "sets": {"U": [["p1", "p2"], ["p1"]]}}
     path.write_text(json.dumps(bad), encoding="utf-8")
     assert main(["cover", str(path)]) == 2
+    _assert_one_error_line(capsys.readouterr())
 
 
 @pytest.mark.parametrize("arity", ["-1", "0"])
@@ -353,3 +410,83 @@ def test_rejects_kmax_above_ceiling(instance_file, capsys, command, kmax):
 
 def test_kmax_ceiling_is_accepted(instance_file, capsys):
     assert main(["barcode", str(instance_file), "--kmax", str(MAX_KMAX)]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["random", "--se", "3"], "random takes no flag --se"),
+        (["random", "--seed", "3", "--seed", "4"], "--seed is given twice"),
+        (["random", "--seed=3", "--seed", "3"], "--seed is given twice"),
+        (["lemma", "ses", "--count", "x"], "--count expects an integer, got 'x'"),
+        (["lemma", "ses", "--count", "1.5"], "--count expects an integer"),
+        (["random", "--seed"], "--seed needs a value"),
+        (["random", "--seed", "--t-max", "2"], "--seed needs a value"),
+        (["verify"], "verify: missing INSTANCE"),
+        (["lemma"], "lemma: missing {puncture INSTANCE | cylinder INSTANCE | join | ses}"),
+        (["validate", "a.json", "b.json"], "validate a.json: unexpected argument 'b.json'"),
+        (["verify", "a.json", "--json=yes"], "--json takes no value"),
+        (["verify", "a.json", "-j"], "verify a.json: unexpected argument '-j'"),
+    ],
+    ids=["prefix", "repeated", "repeated-mixed-forms", "non-integer", "float", "no-value",
+         "flag-as-value", "missing-positional", "missing-suite", "extra-positional", "switch-with-value",
+         "single-dash"],
+)
+def test_rejects_bad_syntax(capsys, argv, message):
+    """argv is checked in full before any file is read."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured)
+    assert message in captured.err
+
+
+def test_flags_in_any_position_and_either_form(instance_file, capsys):
+    """--flag value and --flag=value, before, between and after positionals, give the same output.
+
+    Every word after `--` is a positional.
+    """
+    expected = None
+    for argv in (
+        ["lemma", "puncture", str(instance_file), "--field", "3", "--kmax", "1"],
+        ["lemma", "--field=3", "puncture", "--kmax=1", str(instance_file)],
+        ["lemma", "--kmax", "1", "--field", "3", "puncture", str(instance_file)],
+        ["lemma", "--kmax", "1", "--field", "3", "--", "puncture", str(instance_file)],
+    ):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == (expected or out)
+        expected = out
+    assert "puncture steps" in expected
+
+
+def test_flag_defaults(capsys):
+    """Absent flags take the table's defaults: random --seed 0 --t-max 4 --max-slice 6 --max-y-tracks 4."""
+    assert main(["random"]) == 0
+    assert capsys.readouterr().out == canonical_json(random_instance(0, GeneratorLimits(4, 6, 4)))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extend", "INSTANCE"],
+        ["barcode", "INSTANCE"],
+        ["fibers", "INSTANCE"],
+        ["verify", "INSTANCE"],
+        ["verify", "INSTANCE", "--json"],
+        ["lemma", "puncture", "INSTANCE"],
+        ["lemma", "cylinder", "INSTANCE"],
+        ["lemma", "join", "--count", "2"],
+        ["lemma", "ses", "--count", "2"],
+        ["cover", "COVER"],
+        ["random"],
+    ],
+    ids=lambda argv: "-".join(word.strip("-").lower() for word in argv),
+)
+def test_unwritable_report_prints_nothing(instance_file, tmp_path, capsys, argv):
+    """A --report under a missing directory exits 2 before anything reaches stdout."""
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps({"schema": "cover/1", "T": 0, "sets": {"U": [["p1"]]}}), encoding="utf-8")
+    paths = {"INSTANCE": str(instance_file), "COVER": str(cover)}
+    argv = [paths.get(word, word) for word in argv]
+    assert main([*argv, "--report", str(tmp_path / "missing" / "report.json")]) == 2
+    _assert_one_error_line(capsys.readouterr())

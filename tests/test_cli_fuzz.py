@@ -1,9 +1,11 @@
 """Fuzzing the CLI with mutated instance documents and flag values near their bounds.
 
 Every run of cli.main must end with exit code 0, 1 or 2; an exception
-escaping it (a traceback) fails the test.  Exit 2 always comes with an
-error message on stderr.  Documents stay at tier S and --kmax stays small,
-so no example computes much.
+escaping it (a traceback) fails the test.  Exit 2 always comes with exactly
+one `error:` line on stderr and nothing on stdout.  About half of the argv
+lists carry one syntax change: the `--flag=value` form, or one of the
+rejections in REJECTED, which must exit 2.  Documents stay at tier S and
+--kmax stays small, so no example computes much.
 """
 
 import contextlib
@@ -79,8 +81,22 @@ scales = flag("--scale", ["0,1", "10,0.5"], ["abc", "1,0", "0,-1", "nan,1", "1e3
 counts = flag("--count", [0, 1, 3], [-1])
 
 
+# Syntax changes that the parser must reject, whatever the document.
+REJECTED = ("unknown-command", "unknown-flag", "prefix-flag", "non-integer", "no-value", "repeated",
+            "missing-positional")
+
+
+def equals_form(argv):
+    """Each `--flag value` pair written as `--flag=value`."""
+    words, out = iter(argv), []
+    for word in words:
+        out.append(f"{word}={next(words)}" if isinstance(word, str) and word.startswith("--") else word)
+    return out
+
+
 @st.composite
 def argvs(draw):
+    """An argv (None marks the document's path) and the syntax change drawn for it, if any."""
     command = draw(st.sampled_from(
         [["validate"], ["extend"], ["barcode"], ["fibers"], ["verify"],
          ["lemma", "puncture"], ["lemma", "cylinder"], ["lemma", "ses"], ["lemma", "join"]]
@@ -92,22 +108,44 @@ def argvs(draw):
         argv += draw(fields) + draw(kmaxes) + draw(scales)
     elif command[0] == "lemma":
         argv += draw(fields) + draw(kmaxes) + draw(counts)
-    return argv
+    change = draw(st.one_of(st.none(), st.sampled_from(("equals-form", *REJECTED))))
+    if change == "equals-form":
+        argv = equals_form(argv)
+    elif change == "unknown-command":
+        argv[0] = draw(st.sampled_from(["bogus", "verif", "Verify", ""]))
+    elif change == "unknown-flag":
+        argv += [draw(st.sampled_from(["--bogus", "--Field", "--k-max"])), "1"]
+    elif change == "prefix-flag":
+        argv += [draw(st.sampled_from(["--fi", "--km", "--rep", "--sca", "--cou", "--se"])), "1"]
+    elif change == "non-integer":
+        argv += [draw(st.sampled_from(["--kmax", "--count", "--field"])),
+                 draw(st.sampled_from(["x", "1.5", "", "1e3", "0x1", "--"]))]
+    elif change == "no-value":
+        argv.append(draw(st.sampled_from(["--field", "--kmax", "--count", "--scale"])))
+    elif change == "repeated":
+        argv += ["--kmax", "1", "--kmax", "1"]
+    elif change == "missing-positional":
+        argv = [word for word in argv if word is not None] if None in argv else [argv[0], *argv[2:]]
+    return argv, change
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(documents(), argvs())
-def test_cli_exits_0_1_or_2_without_traceback(tmp_path_factory, text, argv):
+def test_cli_exits_0_1_or_2_without_traceback(tmp_path_factory, text, drawn):
+    argv, change = drawn
     path = tmp_path_factory.mktemp("fuzz") / "instance.json"
     path.write_text(text, encoding="utf-8")
     argv = [str(path) if a is None else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects a flag value
-            code = exc.code
-    event(f"exit {code}")
+        code = main(argv)
+    event(f"{change or 'no change'}: exit {code}")
     assert code in (0, 1, 2)
+    if change in REJECTED:
+        assert code == 2
     if code == 2:
-        assert "error: " in err.getvalue().splitlines()[-1]
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    else:
+        assert err.getvalue() == ""

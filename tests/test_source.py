@@ -249,18 +249,28 @@ def test_cli_runs_without_numpy(tmp_path):
     assert done.stdout.split("\n")[-2] == "False 0"
 
 
-def test_no_module_imports_numpy():
+def imports_of(top: str) -> list[str]:
+    """file:line of every import of the top-level module top in the package."""
     found = []
     for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        for node in ast.walk(parse(path)):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
                 names = [node.module or ""]
             else:
                 continue
-            found += [f"{path.name}:{node.lineno}" for name in names if name.split(".")[0] == "numpy"]
-    assert found == []
+            found += [f"{path.name}:{node.lineno}" for name in names if name.split(".")[0] == top]
+    return found
+
+
+def test_no_module_imports_numpy():
+    assert imports_of("numpy") == []
+
+
+def test_no_module_imports_argparse():
+    """The CLI reads argv against its own command table; argparse would bring back a second grammar."""
+    assert imports_of("argparse") == []
 
 
 def test_numpy_is_only_a_test_dependency():

@@ -1,0 +1,86 @@
+"""Every verdict of the CLI, reached by injecting the numbers its decision reads.
+
+Valid instances never violate the bound, so the `violated` branch of
+verify_theorem and the violation branch of the puncture suite are reached
+here by monkeypatching their inputs (verifier._distances, fiber_defects,
+_defect) on a real tier-S instance and running cli.main.  Seed 0 has
+m = 4 target tracks, every fiber defect 1, so its bound is 16.
+"""
+
+import json
+
+import pytest
+
+from persposet import verifier
+from persposet.cli import main
+from persposet.documents import GeneratorLimits, canonical_json, random_instance
+from persposet.modules import INF
+
+TIER_S = GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4)
+BOUND = 16
+
+
+@pytest.fixture()
+def instance_file(tmp_path):
+    path = tmp_path / "instance.json"
+    path.write_text(canonical_json(random_instance(0, TIER_S)), encoding="utf-8")
+    return path
+
+
+def _verify(path, report, capsys):
+    code = main(["verify", str(path), "--report", str(report)])
+    out = capsys.readouterr().out
+    return code, out, json.loads(report.read_text(encoding="utf-8"))
+
+
+def test_unpatched_instance_holds_with_bound_16(instance_file, tmp_path, capsys):
+    code, out, doc = _verify(instance_file, tmp_path / "cert.json", capsys)
+    assert (code, doc["verdict"], doc["m"], doc["epsilon"], doc["bound"]) == (0, "holds", 4, 1, BOUND)
+
+
+def test_distance_above_the_bound_is_violated(instance_file, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(verifier, "_distances", lambda a, b: {0: BOUND + 1, 1: 0})
+    code, out, doc = _verify(instance_file, tmp_path / "cert.json", capsys)
+    assert code == 1
+    assert "verdict: violated" in out
+    assert doc["verdict"] == "violated"
+    assert doc["ratio"] == (BOUND + 1) / BOUND > 1
+    assert doc["distances"] == {"0": BOUND + 1, "1": 0}
+
+
+def test_distance_equal_to_the_bound_holds(instance_file, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(verifier, "_distances", lambda a, b: {0: BOUND, 1: 0})
+    code, out, doc = _verify(instance_file, tmp_path / "cert.json", capsys)
+    assert code == 0
+    assert "verdict: holds" in out
+    assert (doc["verdict"], doc["ratio"]) == ("holds", 1.0)
+
+
+def test_infinite_epsilon_is_vacuous(instance_file, tmp_path, capsys, monkeypatch):
+    real = verifier.fiber_defects
+
+    def one_infinite(*args):
+        defects = real(*args)
+        first = next(iter(defects))
+        return {t: INF if t is first else eps for t, eps in defects.items()}
+
+    monkeypatch.setattr(verifier, "fiber_defects", one_infinite)
+    code, out, doc = _verify(instance_file, tmp_path / "cert.json", capsys)
+    assert code == 1
+    assert "verdict: vacuous" in out
+    assert (doc["verdict"], doc["epsilon"], doc["bound"], doc["ratio"]) == ("vacuous", "inf", "inf", None)
+
+
+@pytest.mark.parametrize("distance, code", [(1, 1), (0, 0)], ids=["above", "equal"])
+def test_puncture_step_reports_a_distance_above_its_bound(instance_file, tmp_path, capsys, monkeypatch,
+                                                          distance, code):
+    """Every comparison set reads defect 0, so each checked step's bound is 0."""
+    monkeypatch.setattr(verifier, "_defect", lambda codes: 0)
+    monkeypatch.setattr(verifier, "_distances", lambda a, b: {0: distance})
+    report = tmp_path / "lemma.json"
+    assert main(["lemma", "puncture", str(instance_file), "--report", str(report)]) == code
+    out = capsys.readouterr().out
+    doc = json.loads(report.read_text(encoding="utf-8"))
+    assert doc["checked"] > 0
+    assert len(doc["violations"]) == (doc["checked"] if distance else 0)
+    assert out.count("VIOLATION") == len(doc["violations"])
