@@ -7,7 +7,8 @@ document next to the human-readable text on stdout.
 
 The table _COMMANDS defines the command line, and parse_args reads argv
 against it: `--flag value` or `--flag=value` anywhere after the command,
-in full and at most once.  Every rejection raises ValidationError, so it
+in full and at most once.  A lemma suite takes only the flags it reads
+(_SUITES).  Every rejection raises ValidationError, so it
 exits 2 with one `error:` line and nothing on stdout.  Handlers return
 their stdout text and report; main writes --report before it prints.
 """
@@ -232,14 +233,25 @@ MAX_KMAX = 256
 # metavar for a string, or (least, greatest) for an integer, None meaning
 # unbounded; a generated slice needs an element, hence --max-slice >= 1.
 _REPORT = {"--report": ("PATH", None, "write the machine-readable report here")}
-_COMMON = {"--field": ((None, None), 2, "prime characteristic (default 2)"),
-           "--kmax": ((0, MAX_KMAX), None, "top homology degree to check"), **_REPORT}
+_FIELD = {"--field": ((None, None), 2, "prime characteristic (default 2)")}
+_COMMON = {**_FIELD, "--kmax": ((0, MAX_KMAX), None, "top homology degree to check"), **_REPORT}
 _MEASURE = {**_COMMON, "--scale": ("ORIGIN,STEP", None, "report distances also as timestamps t = origin + step*i")}
 _SEED = {"--seed": ((None, None), 0, "random seed (default 0)")}
+_CASES = {**_SEED, "--count": ((0, None), 100, "number of random cases (default 100)")}
+
+# Each lemma suite's positionals and flags: puncture and cylinder read one
+# instance, join and ses draw their own cases, and ses takes no degree.
+_SUITES = {
+    "puncture": (("instance",), _COMMON),
+    "cylinder": (("instance",), _COMMON),
+    "join": ((), {**_CASES, **_COMMON}),
+    "ses": ((), {**_CASES, **_FIELD, **_REPORT}),
+}
 
 # The one definition of the command line: name -> (help, positionals,
 # flags, handler).  A positional is a name, or (name, choices) where each
-# accepted word maps to the positionals that follow it.
+# accepted word maps to the positionals that follow it and the flags it
+# takes, which the command's flags must hold.
 _COMMANDS = {
     "validate": ("parse and validate an instance document", ("instance",), {}, _cmd_validate),
     "extend": ("coherent linear extension of both posets", ("instance",), _REPORT, _cmd_extend),
@@ -247,10 +259,7 @@ _COMMANDS = {
     "fibers": ("acyclicity defect of every fiber", ("instance",), _MEASURE, _cmd_fibers),
     "verify": ("verify the 4*m*epsilon bound", ("instance",),
                {"--json": (None, False, "print the certificate as JSON"), **_MEASURE}, _cmd_verify),
-    "lemma": ("run a lemma suite",
-              (("suite", {"puncture": ("instance",), "cylinder": ("instance",), "join": (), "ses": ()}),),
-              {**_SEED, "--count": ((0, None), 100, "number of random cases (default 100)"), **_COMMON},
-              _cmd_lemma),
+    "lemma": ("run a lemma suite", (("suite", _SUITES),), {**_CASES, **_COMMON}, _cmd_lemma),
     "cover": ("intersection poset of a nested cover", ("cover",),
               {"--max-arity": ((1, None), None, "deepest intersection to keep"), **_REPORT}, _cmd_cover),
     "random": ("generate a random instance document", (), {
@@ -263,7 +272,7 @@ _COMMANDS = {
 def _slot(slot) -> str:
     if isinstance(slot, str):
         return slot.upper()
-    return "{" + " | ".join(" ".join([word, *map(str.upper, rest)]) for word, rest in slot[1].items()) + "}"
+    return "{" + " | ".join(" ".join([word, *map(str.upper, rest)]) for word, (rest, _) in slot[1].items()) + "}"
 
 
 def _usage(name: str | None) -> str:
@@ -277,7 +286,12 @@ def _usage(name: str | None) -> str:
     for flag, (kind, _, text) in flags.items():
         metavar = "" if kind is None else kind if isinstance(kind, str) else "N"
         rows.append(f"  {flag + ' ' + metavar:<26}{text}")
-    return _text(rows + ["  -h, --help                show this help"])
+    rows.append("  -h, --help                show this help")
+    for slot in positionals:
+        if not isinstance(slot, str):
+            rows += ["", f"flags by {slot[0]}:"]
+            rows += [f"  {word:<26}{' '.join(taken)}" for word, (_, taken) in slot[1].items()]
+    return _text(rows)
 
 
 def _integer(flag: str, text: str, least: int | None, greatest: int | None) -> int:
@@ -334,7 +348,10 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
             slot, choices = slot
             if word not in choices:
                 raise ValidationError(f"{said}: {slot} must be one of {', '.join(choices)}, got {word!r}")
-            slots = list(choices[word])
+            slots, taken = list(choices[word][0]), choices[word][1]
+            extra = next((flag for flag in given if flag not in taken), None)
+            if extra is not None:
+                raise ValidationError(f"{name} {word} takes no flag {extra}")
         args[slot] = word
     if slots:
         raise ValidationError(f"{' '.join([name, *args.values()])}: missing {_slot(slots[0])}")

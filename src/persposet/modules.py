@@ -4,6 +4,11 @@ Indices run over the non-negative integers: a module stores dimensions
 and transition matrices, as sparse columns, for 0..T and extends
 constantly (identity transitions) beyond T.  Bars that survive into the stable regime are
 recorded with death = infinity.
+
+The distance to the barcode of a point (point_comparison_defect) has a
+closed form: INF unless exactly one bar is essential, and otherwise the
+larger of that bar's birth and max ceil((d - b) / 2) over the finite
+bars.  bottleneck_distance, with its matching search, is its reference.
 """
 
 from __future__ import annotations
@@ -184,8 +189,19 @@ def triviality_defect(code: Barcode) -> int | float:
 
 
 def point_comparison_defect(code: Barcode) -> int | float:
-    """Distance from a barcode to the barcode of a point (one bar [0, inf))."""
-    return bottleneck_distance(code, Barcode.of([(0, INF)]))
+    """Distance from a barcode to the barcode of a point (one bar [0, inf)), in closed form.
+
+    This is bottleneck_distance(code, Barcode.of([(0, INF)])) without the
+    matching search.  Essential bars match only essential bars, so it is
+    INF unless exactly one bar is essential.  That bar then matches the
+    point's bar at the cost of its birth, and every finite bar is left
+    unmatched at the cost of half its length, rounded up: the distance is
+    the larger of the two.
+    """
+    essential = [b for b, d in code.bars if d == INF]
+    if len(essential) != 1:
+        return INF
+    return max([essential[0], *(math.ceil((d - b) / 2) for b, d in code.bars if d != INF)])
 
 
 # -- bottleneck distance -------------------------------------------------------

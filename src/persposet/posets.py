@@ -2,8 +2,9 @@
 
 Single time-slice building blocks: validated strict partial orders,
 the one check of monotone maps, deterministic linear extensions,
-beat-point cores, and the poset mapping cylinder of a monotone map.  All
-values are immutable after construction and safe to share.
+beat-point cores, connected subsets, and the poset mapping cylinder of
+a monotone map.  All values are immutable after construction and safe
+to share.
 
 Only new_poset validates and closes a relation.  Everything derived from
 a poset that is already closed (induced subposets, cores, cylinders)
@@ -79,15 +80,25 @@ class FinitePoset:
 
         The induced relation of a closed relation is closed, and the stored
         elements are sorted and unique, so both are filtered, not rebuilt.
+        An empty subset gives the one shared empty poset, and a subset
+        holding every element gives the poset itself: both are frozen,
+        so sharing them is safe.
         """
         keep = set(subset)
+        if not keep:
+            return _EMPTY
         unknown = keep.difference(self.elements)
         if unknown:
             raise UnknownElement(f"elements {sorted(unknown)!r} not in poset")
+        if len(keep) == len(self.elements):
+            return self
         return FinitePoset(
             elements=tuple(e for e in self.elements if e in keep),
             relation=frozenset((a, b) for (a, b) in self.relation if a in keep and b in keep),
         )
+
+
+_EMPTY = FinitePoset((), frozenset())
 
 
 def new_poset(elements: Iterable[str], strict_pairs: Iterable[tuple[str, str]]) -> FinitePoset:
@@ -254,6 +265,30 @@ def mapping_cylinder(f: MonotoneMap) -> FinitePoset:
     relation += [(ys[a], ys[b]) for a, b in Y.relation]
     relation += [(xs[x], ys[y]) for x in X.elements for y in weak_up[f.assignment[x]]]
     return FinitePoset(elements=(*xs.values(), *ys.values()), relation=frozenset(relation))
+
+
+def is_connected(P: FinitePoset, subset: Iterable[str]) -> bool:
+    """Whether subset induces a connected subposet of P: one component, so not empty.
+
+    Two elements share a component when a path of comparable pairs inside
+    subset joins them; the pairs are read off the closed relation and
+    merged with union-find.
+    """
+    parent = {x: x for x in subset}
+
+    def root(x: str) -> str:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    components = len(parent)
+    for a, b in P.relation:
+        if a in parent and b in parent:
+            ra, rb = root(a), root(b)
+            if ra != rb:
+                parent[ra] = rb
+                components -= 1
+    return components == 1
 
 
 def longest_chain(P: FinitePoset) -> int:

@@ -12,7 +12,11 @@ Only validate checks a persistence poset.  restrict checks that its
 subsets are closed; every other derived persistence poset (chain
 members, the cylinder, ordinal sums) is valid by construction and is
 built without either check.  Subposets of a trajectory row are read off
-the closed relation of each slice.
+the closed relation of each slice.  Whether the last slice of a fiber or
+of a comparison set is connected is read off that slice alone
+(fiber_ends_connected, comparison_ends_connected), without building the
+subposet: the verifier's defect of one whose last slice is not is
+infinite.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .posets import (
     MonotoneMap,
     check_map,
     identity_map,
+    is_connected,
     linear_extension,
     longest_chain,
     mapping_cylinder,
@@ -241,16 +246,22 @@ def fiber(f: PersistenceMap, y: ElementTrack) -> PersistencePoset:
     target's relation, where v is the track's value; it is empty before
     the track's birth.
     """
-    subsets = []
-    for i, v in enumerate(_trajectory_row(y, f.T)):
-        if v is None:
-            subsets.append(set())
-            continue
-        down = _strict_set(f.target.components[i], v, "below")
-        down.add(v)
-        g = f.slices[i].assignment
-        subsets.append({x for x in f.source.components[i].elements if g[x] in down})
-    return restrict(f.source, subsets)
+    return restrict(f.source, [_fiber_slice(f, i, v) for i, v in enumerate(_trajectory_row(y, f.T))])
+
+
+def fiber_ends_connected(f: PersistenceMap, y: ElementTrack) -> bool:
+    """Whether the last slice of fiber(f, y) is connected, read without building the fiber."""
+    return is_connected(f.source.components[f.T], _fiber_slice(f, f.T, y.value(f.T)))
+
+
+def _fiber_slice(f: PersistenceMap, i: int, v: str | None) -> set[str]:
+    """Slice i of a fiber: the preimage under f_i of the weak down-set of v, empty for None."""
+    if v is None:
+        return set()
+    down = _strict_set(f.target.components[i], v, "below")
+    down.add(v)
+    g = f.slices[i].assignment
+    return {x for x in f.source.components[i].elements if g[x] in down}
 
 
 def persistence_mapping_cylinder(f: PersistenceMap) -> PersistencePoset:
@@ -426,15 +437,33 @@ def comparison_set(
 
     Used for the side hypotheses of puncture steps; the trajectory may
     extend past the removed piece.  Each slice's set is read off one scan
-    of its relation.  Raises NotASubposet when an element merges into the
+    of its relation.  Raises UnknownElement when a trajectory value is not
+    in its slice, and NotASubposet when an element merges into the
     trajectory.
     """
-    for i, v in enumerate(trajectory):
-        if v is not None and v not in pp.components[i]:
-            raise UnknownElement(f"slice {i}: trajectory value {v!r} not in component")
+    _check_row(pp, trajectory)
     return restrict(pp, [
         set() if v is None else _strict_set(pp.components[i], v, direction) for i, v in enumerate(trajectory)
     ])
+
+
+def comparison_ends_connected(pp: PersistencePoset, trajectory: Sequence[str | None], direction: Direction) -> bool:
+    """Whether the last slice of comparison_set(pp, trajectory, direction) is connected, read without building it.
+
+    Raises UnknownElement as comparison_set does, before anything else.
+    A row without one value per slice has no comparison set: False.
+    """
+    _check_row(pp, trajectory)
+    if len(trajectory) != pp.T + 1:
+        return False
+    last, v = pp.components[pp.T], trajectory[pp.T]
+    return v is not None and is_connected(last, _strict_set(last, v, direction))
+
+
+def _check_row(pp: PersistencePoset, trajectory: Sequence[str | None]) -> None:
+    for i, v in enumerate(trajectory):
+        if v is not None and v not in pp.components[i]:
+            raise UnknownElement(f"slice {i}: trajectory value {v!r} not in component")
 
 
 def up_set_of_image_track(

@@ -16,6 +16,17 @@ homology.induced_ranks.  The cylinder's cone check and the join lemma's
 Kunneth identity read barcodes too: a tower of cones has the barcode of
 a point, and the bars through an index count the Betti numbers of that
 slice.  So this module builds no complex.
+
+A defect is INF whenever its degree-0 barcode does not have exactly one
+essential bar, and the essential bars of degree 0 count the components
+of the last slice.  So a fiber or a comparison set whose last slice is
+empty or disconnected has defect INF, and is not built: no subposet, no
+cores, no barcodes (the last-slice rule, read by
+pposets.fiber_ends_connected and pposets.comparison_ends_connected).
+For a comparison set this is exact even when the set is not closed,
+since a set that is not a subposet counts as INF too.  The distance of
+degree 0 to a point is read in closed form
+(modules.point_comparison_defect), with no matching search.
 """
 
 from __future__ import annotations
@@ -42,8 +53,10 @@ from .pposets import (
     PersistenceMap,
     PersistencePoset,
     chain_filtrations,
+    comparison_ends_connected,
     comparison_set,
     fiber,
+    fiber_ends_connected,
     ordinal_sum,
     persistence_mapping_cylinder,
     puncture,
@@ -59,7 +72,9 @@ def _defect(codes: list[Barcode]) -> int | float:
     """Least eps such that the barcodes, indexed by degree from 0, are eps-close to a point.
 
     Degree 0 is compared against the constant point module; every higher
-    degree must be eps-trivial.  INF when no finite eps works.
+    degree must be eps-trivial.  INF when no finite eps works, and so
+    whenever degree 0 has no essential bar or more than one: when the
+    last slice is empty or disconnected.
     """
     worst = point_comparison_defect(codes[0])
     for code in codes[1:]:
@@ -75,12 +90,19 @@ def _distances(codes_a: list[Barcode], codes_b: list[Barcode]) -> dict[int, int 
 def fiber_defects(
     f: PersistenceMap, field: FieldSpec = DEFAULT_FIELD, k_max: int | None = None
 ) -> dict[ElementTrack, int | float]:
-    """Acyclicity defect of the fiber over every track of the target."""
+    """Acyclicity defect of the fiber over every track of the target.
+
+    A fiber whose last slice is empty or disconnected has defect INF and
+    is not built.
+    """
     if k_max is None:
         k_max = top_degree(f.source)
     out: dict[ElementTrack, int | float] = {}
     for y in tracks(f.target):
-        out[y] = _defect(pposet_barcodes(fiber(f, y), field, max(k_max, 0)))
+        if fiber_ends_connected(f, y):
+            out[y] = _defect(pposet_barcodes(fiber(f, y), field, max(k_max, 0)))
+        else:
+            out[y] = INF
     return out
 
 
@@ -183,17 +205,21 @@ def _puncture_step(
 ) -> PunctureReport:
     """The puncture bound of one step from larger to its complement smaller.
 
-    The barcodes of both sides are asked for only once the hypothesis
-    holds, so a step whose hypothesis fails builds none.
+    A comparison set whose last slice is empty or disconnected has defect
+    INF and is not built; an unknown trajectory value raises
+    UnknownElement before that.  The barcodes of both members are asked
+    for only once the hypothesis holds, so a step whose hypothesis fails
+    builds none.
     """
     side: dict[str, int | float] = {}
     for direction in ("below", "above"):
-        try:
-            sub = comparison_set(larger, trajectory, direction)
-        except NotASubposet:
-            side[direction] = INF
-            continue
-        side[direction] = _defect(pposet_barcodes(sub, field, max(k_max, 0)))
+        side[direction] = INF
+        if comparison_ends_connected(larger, trajectory, direction):
+            try:
+                sub = comparison_set(larger, trajectory, direction)
+            except NotASubposet:
+                continue
+            side[direction] = _defect(pposet_barcodes(sub, field, max(k_max, 0)))
     epsilon = min(side["below"], side["above"])
     if epsilon == INF:
         raise HypothesisUnmet("both comparison sets have infinite acyclicity defect")

@@ -21,6 +21,12 @@ slower dense paths they replaced, over numpy int64 matrices:
 - the subposets of a trajectory row selected element by element with a
   predicate (comparison sets, fibers, weak up-sets), which the library
   reads off the closed relation instead;
+- a slice restriction that always filters into a new poset, where the
+  library shares the empty poset and the whole one, and a connectivity
+  search that tests each pair with leq;
+- the verifier's fiber and comparison-set defects and its puncture step
+  with every subposet and its barcodes built, where the library reads an
+  INF defect off a last slice that is empty or disconnected;
 - simplicial maps and towers of complexes (SimplicialMap, ComplexTower),
   which check every vertex and simplex image when built; the library
   hands tower_barcodes and _induced_rank plain vertex maps of monotone
@@ -63,12 +69,13 @@ from persposet.errors import (
     HypothesisUnmet,
     InternalError,
     NonMonotoneStructureMap,
+    NotASubposet,
     PartialStructureMap,
     PersistenceError,
     ShapeMismatch,
     UnknownElement,
 )
-from persposet.homology import _boundary_column, _chain_columns, _chains, tower_barcodes
+from persposet.homology import _boundary_column, _chain_columns, _chains, pposet_barcodes, tower_barcodes
 from persposet.linalg import Column, _inv_scalar
 from persposet.modules import INF, Barcode, FieldSpec, PersistenceModule, barcode
 from persposet.posets import (
@@ -94,7 +101,7 @@ from persposet.pposets import (
     top_degree,
     tracks,
 )
-from persposet.verifier import DEFAULT_FIELD, JoinReport, _defect
+from persposet.verifier import DEFAULT_FIELD, JoinReport, _defect, _distances
 
 
 class TooLarge(PersistenceError):
@@ -743,6 +750,59 @@ def comparison_set(pp: PersistencePoset, trajectory: Sequence[str | None], direc
 def up_set_of_image_track(pp: PersistencePoset, track_values: Sequence[str | None]) -> PersistencePoset:
     """Weak up-set of a trajectory row, element by element."""
     return _restrict_along(pp, track_values, lambda i, b, v: pp.components[i].leq(v, b))
+
+
+def is_connected(P: FinitePoset, subset: Iterable[str]) -> bool:
+    """Whether subset induces a connected subposet, by a search that tests each pair with leq."""
+    rest = set(subset)
+    if not rest:
+        return False
+    frontier = [rest.pop()]
+    while frontier:
+        x = frontier.pop()
+        joined = {y for y in rest if P.leq(x, y) or P.leq(y, x)}
+        rest -= joined
+        frontier += joined
+    return not rest
+
+
+def restrict_slice(P: FinitePoset, subset: Iterable[str]) -> FinitePoset:
+    """Induced subposet, always filtered into a new poset."""
+    keep = set(subset)
+    if keep - set(P.elements):
+        raise UnknownElement(f"elements {sorted(keep - set(P.elements))!r} not in poset")
+    return FinitePoset(
+        elements=tuple(e for e in P.elements if e in keep),
+        relation=frozenset((a, b) for a, b in P.relation if a in keep and b in keep),
+    )
+
+
+# -- the verifier's defects, every subposet built -------------------------------
+
+
+def fiber_defects(f: PersistenceMap, field: FieldSpec, k_max: int) -> dict[ElementTrack, int | float]:
+    """The defect of every fiber off its built barcodes, with no last-slice rule."""
+    return {y: _defect(pposet_barcodes(fiber(f, y), field, max(k_max, 0))) for y in tracks(f.target)}
+
+
+def comparison_defect(pp: PersistencePoset, trajectory, direction: str, field: FieldSpec, k_max: int) -> int | float:
+    """The defect of a comparison set off its built barcodes; INF when it is not a subposet."""
+    try:
+        sub = comparison_set(pp, trajectory, direction)
+    except NotASubposet:
+        return INF
+    return _defect(pposet_barcodes(sub, field, max(k_max, 0)))
+
+
+def puncture_step(larger: PersistencePoset, smaller: PersistencePoset, trajectory, field: FieldSpec, k_max: int):
+    """verifier._puncture_step with both comparison sets built: (eps below, eps above, distances).
+
+    Raises HypothesisUnmet when both defects are INF.
+    """
+    below, above = (comparison_defect(larger, trajectory, d, field, k_max) for d in ("below", "above"))
+    if min(below, above) == INF:
+        raise HypothesisUnmet("both comparison sets have infinite acyclicity defect")
+    return below, above, _distances(pposet_barcodes(larger, field, k_max), pposet_barcodes(smaller, field, k_max))
 
 
 # -- interpolation chains and coherent linear extensions ------------------------

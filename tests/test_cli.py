@@ -67,7 +67,7 @@ def test_command_help_matches_full_parser(capsys, name):
 @pytest.mark.parametrize("name", COMMANDS)
 def test_command_takes_exactly_its_flags(capsys, name):
     """The parser reads each of the command's flags, and rejects every other one before anything runs."""
-    positionals = {"lemma": ["ses"], "random": []}.get(name, ["PATH"])
+    positionals = {"lemma": ["join"], "random": []}.get(name, ["PATH"])
     for flag in FLAGS[name]:
         switch = flag == "--json"
         args = cli.parse_args([name, *positionals, flag, *([] if switch else ["7"])])
@@ -78,6 +78,49 @@ def test_command_takes_exactly_its_flags(capsys, name):
         captured = capsys.readouterr()
         _assert_one_error_line(captured)
         assert f"takes no flag {flag}" in captured.err
+
+
+# The flags each lemma suite reads, pinned like FLAGS.
+SUITE_FLAGS = {
+    "puncture": {"--field", "--kmax", "--report"},
+    "cylinder": {"--field", "--kmax", "--report"},
+    "join": FLAGS["lemma"],
+    "ses": {"--field", "--report", "--seed", "--count"},
+}
+
+
+@pytest.mark.parametrize("suite", SUITE_FLAGS)
+def test_lemma_suite_takes_exactly_its_flags(instance_file, capsys, suite):
+    """A lemma suite reads each of its flags and rejects every other lemma flag, which it would ignore."""
+    positionals = [suite, str(instance_file)] if suite in ("puncture", "cylinder") else [suite]
+    for flag in SUITE_FLAGS[suite]:
+        assert str(getattr(cli.parse_args(["lemma", *positionals, flag, "7"]), flag[2:])) == "7"
+    assert main(["lemma", suite, "--help"]) == 0
+    assert f"  {suite}  " in capsys.readouterr().out
+    for flag in sorted(FLAGS["lemma"] - SUITE_FLAGS[suite]):
+        for argv in (["lemma", *positionals, flag, "1"], ["lemma", flag, "1", *positionals]):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            _assert_one_error_line(captured)
+            assert f"lemma {suite} takes no flag {flag}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lemma", "puncture", "INSTANCE", "--field", "3", "--report", "REPORT"],
+        ["lemma", "ses", "--seed", "4", "--count", "1", "--field", "2", "--report", "REPORT"],
+        ["verify", "INSTANCE", "--field", "3", "--report", "REPORT"],
+    ],
+    ids=["puncture", "ses", "verify"],
+)
+def test_bench_argv_forms_parse(instance_file, tmp_path, capsys, argv):
+    """The argv forms the benchmark runs exit 0 and write their report."""
+    report = tmp_path / "report.json"
+    paths = {"INSTANCE": str(instance_file), "REPORT": str(report)}
+    assert main([paths.get(word, word) for word in argv]) in (0, 1)
+    assert capsys.readouterr().err == ""
+    assert json.loads(report.read_text(encoding="utf-8"))
 
 
 def test_unknown_command(capsys):

@@ -12,6 +12,9 @@
   relation; the references test each element with a predicate.
 - chain members after the first are built from the member before them,
   restricting only the slices a step changes.
+- the puncture suite and fiber_defects build only the comparison sets
+  and fibers whose last slice is connected; the counts come from the
+  reference connectivity search.
 """
 
 import sys
@@ -23,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from persposet import posets, pposets
+from persposet import posets, pposets, verifier
 from persposet.complexes import order_complex
 from persposet.documents import GeneratorLimits, parse_instance, random_instance
 from persposet.errors import NotASubposet, UnknownElement
@@ -39,7 +42,7 @@ from persposet.pposets import (
     up_set_of_image_track,
     validate,
 )
-from persposet.verifier import chain_puncture_suite
+from persposet.verifier import chain_puncture_suite, fiber_defects
 
 TIERS = {
     "S": GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4),
@@ -157,12 +160,22 @@ def test_chain_members_pass_validate(tier):
     check()
 
 
+def last_slice_connected(pp, row, direction):
+    """Whether the last slice of a row's comparison set is connected, by the reference search."""
+    P, v = pp.components[-1], row[-1]
+    if v is None:
+        return False
+    ends = [a for a in P.elements if a != v and (P.leq(a, v) if direction == "below" else P.leq(v, a))]
+    return reference.is_connected(P, ends)
+
+
 def test_puncture_suite_traffic():
     """A cold puncture suite builds no poset through new_poset and restricts only what changed.
 
     pposets.restrict builds each chain's first member and the comparison
-    sets; every later member restricts only the slices its step adds to,
-    and shares the other components with the member before it.
+    sets whose last slice is connected; every later member restricts only
+    the slices its step adds to, and shares the other components with the
+    member before it.
     """
     f = instance("S", 3)
     chains = chain_filtrations(f)
@@ -195,8 +208,28 @@ def test_puncture_suite_traffic():
             mock.patch.object(pposets, "restrict", spy_restrict), \
             mock.patch.object(FinitePoset, "restrict", spy_slice):
         report = chain_puncture_suite(f, FieldSpec(2))
-    steps = report.checked + report.skipped
-    assert steps > 0
+    steps = [step for step in build_order if any(v is not None for v in step.removed)]
+    assert len(steps) == report.checked + report.skipped > 0
+    connected = sum(
+        last_slice_connected(step.larger, step.trajectory, direction)
+        for step in steps
+        for direction in ("below", "above")
+    )
+    assert 0 < connected < 2 * len(steps)
     assert spy_new.call_count == 0
-    assert Counter(restrict_callers) == {"_grow": len(firsts), "comparison_set": 2 * steps}
+    assert Counter(restrict_callers) == {"_grow": len(firsts), "comparison_set": connected}
     assert Counter(slice_callers)["_extend"] == changed
+
+
+def test_fiber_defects_traffic():
+    """fiber_defects builds, and asks barcodes for, exactly the fibers whose last slice is connected."""
+    f = instance("M", 6)
+    connected = sum(
+        reference.is_connected(f.source.components[-1], reference.fiber(f, y).components[-1].elements)
+        for y in tracks(f.target)
+    )
+    assert 0 < connected < len(tracks(f.target))
+    with mock.patch.object(verifier, "fiber", wraps=verifier.fiber) as spy_fiber, \
+            mock.patch.object(verifier, "pposet_barcodes", wraps=verifier.pposet_barcodes) as spy_barcodes:
+        fiber_defects(f, FieldSpec(2))
+    assert spy_fiber.call_count == spy_barcodes.call_count == connected

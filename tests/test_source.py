@@ -139,38 +139,49 @@ def test_complexes_has_one_form():
 UNCALLED_API = {"constant_pposet", "cover_to_doc", "pposet_from_doc", "verify_puncture_lemma"}
 
 
+def names_in(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """The identifiers a module names, and the subset of them that it reads as attributes."""
+    names, attributes = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            attributes.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names | attributes, attributes
+
+
 def test_every_public_function_is_used():
-    """Every public function and method is named somewhere in the package besides its re-export.
+    """Every public function and method is named in its own module or in one that imports it.
 
     A name that only __init__ and the tests mention is dead code in the
     library; it belongs in tests/reference.py, or on UNCALLED_API if it
-    is library API.  Names are matched as identifiers, so a method that
-    shares its name with a used one passes.
+    is library API.  Names are matched per module: a function or method
+    of module D counts as used only where D or a module importing from D
+    names it, and a method only where it is read as an attribute.  So a
+    dead method is caught although a module that cannot reach its class
+    uses a name it shares, or a function of that name is called.
     """
-    named = set()
-    for path in SOURCES:
-        if path.stem == "__init__":
-            continue
-        for node in ast.walk(parse(path)):
-            if isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
-            elif isinstance(node, ast.alias):
-                named.add(node.name)
+    stems = [path.stem for path in SOURCES if path.stem != "__init__"]
+    named = {stem: names_in(parse(module_path(stem))) for stem in stems}
+    readers = {stem: [m for m in stems if m == stem or stem in package_imports(module_path(m))] for stem in stems}
     unused = []
-    for path in SOURCES:
-        for top in parse(path).body:
+    for stem in stems:
+        functions = set().union(*(named[m][0] for m in readers[stem]))
+        methods = set().union(*(named[m][1] for m in readers[stem]))
+        for top in parse(module_path(stem)).body:
             if isinstance(top, ast.FunctionDef):
-                defs = [(top.name, top.name)]
+                defs = [(top.name, top.name, functions)]
             elif isinstance(top, ast.ClassDef) and not top.name.startswith("_"):
-                defs = [(f"{top.name}.{node.name}", node.name) for node in top.body if isinstance(node, ast.FunctionDef)]
+                defs = [(f"{top.name}.{node.name}", node.name, methods) for node in top.body
+                        if isinstance(node, ast.FunctionDef)]
             else:
                 continue
             unused += [
-                f"{path.stem}.{qualname}"
-                for qualname, name in defs
-                if not name.startswith("_") and name not in named | UNCALLED_API
+                f"{stem}.{qualname}"
+                for qualname, name, used in defs
+                if not name.startswith("_") and name not in used | UNCALLED_API
             ]
     assert unused == []
 
