@@ -2,9 +2,9 @@
 
 Single time-slice building blocks: validated strict partial orders,
 the one check of monotone maps, deterministic linear extensions,
-beat-point cores, connected subsets, and the poset mapping cylinder of
-a monotone map.  All values are immutable after construction and safe
-to share.
+beat-point cores, connected and coned subsets, and the poset mapping
+cylinder of a monotone map.  All values are immutable after construction
+and safe to share.
 
 Only new_poset validates and closes a relation.  Everything derived from
 a poset that is already closed (induced subposets, cores, cylinders)
@@ -115,28 +115,30 @@ def new_poset(elements: Iterable[str], strict_pairs: Iterable[tuple[str, str]]) 
     return FinitePoset(elements=tuple(sorted(elems)), relation=relation)
 
 
-def linear_extension(P: FinitePoset) -> list[str]:
-    """Deterministic topological sort: always pop the lexicographically
-    smallest currently-minimal element.
+def linear_extension(P: FinitePoset, group: dict[str, int] | None = None) -> list[str]:
+    """Deterministic topological sort: always pop the currently-minimal
+    element of the smallest group, and among those the lexicographically
+    smallest.  Without group every element is in one group.
 
     Kahn's algorithm with a heap of the ready elements.  The relation is
     closed, so an element is ready once all its strict predecessors are out.
     """
+    key = (lambda e: (0, e)) if group is None else (lambda e: (group[e], e))
     waiting = {e: 0 for e in P.elements}
     succ: dict[str, list[str]] = {e: [] for e in P.elements}
     for a, b in P.relation:
         waiting[b] += 1
         succ[a].append(b)
-    ready = [e for e, n in waiting.items() if n == 0]
+    ready = [key(e) for e, n in waiting.items() if n == 0]
     heapq.heapify(ready)
     out: list[str] = []
     while ready:
-        nxt = heapq.heappop(ready)
+        _, nxt = heapq.heappop(ready)
         out.append(nxt)
         for b in succ[nxt]:
             waiting[b] -= 1
             if waiting[b] == 0:
-                heapq.heappush(ready, b)
+                heapq.heappush(ready, key(b))
     return out
 
 
@@ -289,6 +291,22 @@ def is_connected(P: FinitePoset, subset: Iterable[str]) -> bool:
                 parent[ra] = rb
                 components -= 1
     return components == 1
+
+
+def is_cone(P: FinitePoset, subset: Iterable[str]) -> bool:
+    """Whether subset has an element comparable to every other element of it; the empty subset has none.
+
+    The order complex of such a subset is a cone on that element, so it
+    is contractible.  Comparable pairs are counted off the closed relation.
+    """
+    partners = dict.fromkeys(subset, 0)
+    if not partners:
+        return False
+    for a, b in P.relation:
+        if a in partners and b in partners:
+            partners[a] += 1
+            partners[b] += 1
+    return len(partners) - 1 in partners.values()
 
 
 def longest_chain(P: FinitePoset) -> int:

@@ -12,17 +12,19 @@ Only validate checks a persistence poset.  restrict checks that its
 subsets are closed; every other derived persistence poset (chain
 members, the cylinder, ordinal sums) is valid by construction and is
 built without either check.  Subposets of a trajectory row are read off
-the closed relation of each slice.  Whether the last slice of a fiber or
-of a comparison set is connected is read off that slice alone
-(fiber_ends_connected, comparison_ends_connected), without building the
-subposet: the verifier's defect of one whose last slice is not is
-infinite.
+the closed relation of each slice.  Whether the last slice of a fiber is
+connected is read off that slice alone (fiber_ends_connected), without
+building the fiber: the verifier's defect of one whose last slice is not
+is infinite.  A comparison set's status (comparison_status) is read off
+its strict sets the same way: its defect is infinite when the set is not
+closed or its last slice is empty or disconnected, finite when the set
+is closed and its last slice is a cone, and only otherwise undecided.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Literal, Sequence
 
 from .errors import (
     EmptyAfterNonempty,
@@ -42,6 +44,7 @@ from .posets import (
     MonotoneMap,
     check_map,
     identity_map,
+    is_cone,
     is_connected,
     linear_extension,
     longest_chain,
@@ -167,18 +170,26 @@ def restrict(pp: PersistencePoset, subsets: Sequence[Iterable[str]]) -> Persiste
         extra = s.difference(pp.components[i].elements)
         if extra:
             raise UnknownElement(f"slice {i}: {sorted(extra)!r} not in component")
-    for i in range(pp.T):
-        f, kept = pp.maps[i].assignment, sets[i + 1]
-        leaving = [x for x in sets[i] if f[x] not in kept]
-        if leaving:
-            x = min(leaving)
-            raise NotASubposet(f"slice {i}: image {f[x]!r} of {x!r} leaves the subset")
+    leaving = _leaving(pp, sets)
+    if leaving is not None:
+        i, x = leaving
+        raise NotASubposet(f"slice {i}: image {pp.maps[i].assignment[x]!r} of {x!r} leaves the subset")
     comps = tuple(pp.components[i].restrict(sets[i]) for i in range(pp.T + 1))
     maps = tuple(
         MonotoneMap(comps[i], comps[i + 1], {x: pp.maps[i].assignment[x] for x in comps[i].elements})
         for i in range(pp.T)
     )
     return _valid_by_construction(comps, maps)
+
+
+def _leaving(pp: PersistencePoset, sets: Sequence[set[str]]) -> tuple[int, str] | None:
+    """The first slice i, and its least element, whose image under structure map i is not in sets[i + 1]."""
+    for i in range(pp.T):
+        f, kept = pp.maps[i].assignment, sets[i + 1]
+        leaving = [x for x in sets[i] if f[x] not in kept]
+        if leaving:
+            return i, min(leaving)
+    return None
 
 
 def _valid_by_construction(components: tuple[FinitePoset, ...], maps: tuple[MonotoneMap, ...]) -> PersistencePoset:
@@ -192,24 +203,22 @@ def persistence_linear_extension(pp: PersistencePoset) -> list[list[str]]:
     """Total orders per component making every structure map monotone.
 
     The last component is extended by the deterministic topological
-    sort.  Walking right to left, each component lists the fibers of its
-    structure map in the order of their images in the already-extended
-    next component, and extends each fiber with the same tie-break.  This
-    is the extension of the component's order enriched by every pair
-    whose images are strictly ordered: a path in the enriched order
-    between two elements of one fiber never leaves that fiber.
+    sort.  Walking right to left, each component is extended in one pass
+    of the same sort, with each element grouped by the rank of its image
+    in the already-extended next component.  This lists the fibers of
+    the structure map in image order, each extended with the same
+    tie-break: an element never lies below an element of an earlier
+    fiber, since a < b gives f(a) <= f(b).  It is the extension of the
+    component's order enriched by every pair whose images are strictly
+    ordered.
     """
     T = pp.T
     extended: list[list[str]] = [[] for _ in range(T + 1)]
     extended[T] = linear_extension(pp.components[T])
     for i in range(T - 1, -1, -1):
-        comp = pp.components[i]
-        fibers: dict[str, list[str]] = {}
-        for a in comp.elements:
-            fibers.setdefault(pp.maps[i].assignment[a], []).append(a)
-        extended[i] = [
-            a for y in extended[i + 1] if y in fibers for a in linear_extension(comp.restrict(fibers[y]))
-        ]
+        rank = {y: r for r, y in enumerate(extended[i + 1])}
+        f = pp.maps[i].assignment
+        extended[i] = linear_extension(pp.components[i], {a: rank[f[a]] for a in pp.components[i].elements})
     return extended
 
 
@@ -438,32 +447,57 @@ def comparison_set(
     Used for the side hypotheses of puncture steps; the trajectory may
     extend past the removed piece.  Each slice's set is read off one scan
     of its relation.  Raises UnknownElement when a trajectory value is not
-    in its slice, and NotASubposet when an element merges into the
-    trajectory.
-    """
-    _check_row(pp, trajectory)
-    return restrict(pp, [
-        set() if v is None else _strict_set(pp.components[i], v, direction) for i, v in enumerate(trajectory)
-    ])
-
-
-def comparison_ends_connected(pp: PersistencePoset, trajectory: Sequence[str | None], direction: Direction) -> bool:
-    """Whether the last slice of comparison_set(pp, trajectory, direction) is connected, read without building it.
-
-    Raises UnknownElement as comparison_set does, before anything else.
-    A row without one value per slice has no comparison set: False.
+    in its slice, and NotASubposet when the row does not have one value
+    per slice or an element merges into the trajectory.
     """
     _check_row(pp, trajectory)
     if len(trajectory) != pp.T + 1:
-        return False
-    last, v = pp.components[pp.T], trajectory[pp.T]
-    return v is not None and is_connected(last, _strict_set(last, v, direction))
+        raise NotASubposet(f"expected {pp.T + 1} subsets")
+    return restrict(pp, [_row_slice(pp, i, v, direction) for i, v in enumerate(trajectory)])
+
+
+SideStatus = Literal["infinite", "finite", "undecided"]
+
+
+def comparison_status(
+    pp: PersistencePoset, trajectory: Sequence[str | None], direction: Direction, k_max: int
+) -> SideStatus:
+    """Whether the defect up to degree k_max of comparison_set(pp, trajectory, direction) is INF or finite.
+
+    Read off the row's strict sets, without building the set.  The
+    essential bars of degree k count H_k of the last slice, so the defect
+    is finite exactly when the set is a subposet and its last slice has
+    the homology of a point up to degree k_max.  "infinite": the row has
+    no comparison set (a wrong length or an element merging into the
+    trajectory), or its last slice is empty or disconnected.  "finite":
+    a subposet whose last slice is a cone, or is connected when k_max is
+    at most 0.  "undecided" otherwise: only the barcodes tell.  Raises
+    UnknownElement as comparison_set does, before anything else.
+    """
+    _check_row(pp, trajectory)
+    if len(trajectory) != pp.T + 1:
+        return "infinite"
+    last = pp.components[pp.T]
+    ends = _row_slice(pp, pp.T, trajectory[pp.T], direction)
+    cone = is_cone(last, ends)
+    if not cone and not is_connected(last, ends):
+        return "infinite"
+    sets = [_row_slice(pp, i, v, direction) for i, v in enumerate(trajectory[:-1])] + [ends]
+    if _leaving(pp, sets) is not None:
+        return "infinite"
+    return "finite" if cone or k_max <= 0 else "undecided"
 
 
 def _check_row(pp: PersistencePoset, trajectory: Sequence[str | None]) -> None:
-    for i, v in enumerate(trajectory):
-        if v is not None and v not in pp.components[i]:
+    """Raise UnknownElement for a value not in its slice; values past the last slice are not read."""
+    for i, (P, v) in enumerate(zip(pp.components, trajectory)):
+        if v is not None and v not in P:
             raise UnknownElement(f"slice {i}: trajectory value {v!r} not in component")
+
+
+def _row_slice(pp: PersistencePoset, i: int, v: str | None, direction: Direction) -> set[str]:
+    """Slice i of a comparison set: the strict down- or up-set of v, empty for None."""
+    return set() if v is None else _strict_set(pp.components[i], v, direction)
 
 
 def up_set_of_image_track(

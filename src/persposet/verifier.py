@@ -19,13 +19,21 @@ slice.  So this module builds no complex.
 
 A defect is INF whenever its degree-0 barcode does not have exactly one
 essential bar, and the essential bars of degree 0 count the components
-of the last slice.  So a fiber or a comparison set whose last slice is
-empty or disconnected has defect INF, and is not built: no subposet, no
-cores, no barcodes (the last-slice rule, read by
-pposets.fiber_ends_connected and pposets.comparison_ends_connected).
-For a comparison set this is exact even when the set is not closed,
-since a set that is not a subposet counts as INF too.  The distance of
-degree 0 to a point is read in closed form
+of the last slice.  So a fiber whose last slice is empty or disconnected
+has defect INF, and is not built: no subposet, no cores, no barcodes
+(the last-slice rule, read by pposets.fiber_ends_connected).  The
+essential bars of degree k count H_k of the last slice, because the
+tower is constant past T, so a comparison set's defect is finite exactly
+when the set is a subposet and its last slice has the homology of a
+point.  pposets.comparison_status reads that off the strict sets of the
+row: infinite, finite (a cone, or connected at k_max 0), or undecided.
+verify_puncture_lemma builds every side that is not infinite and
+reports both defects exactly.  The puncture suite reports only each
+step's outcome, so it builds a side only when the outcome depends on its
+value: when no side is finite, or when a distance is positive, since a
+zero distance is within 4 * eps for every finite eps.  On both paths a
+built side's defect comes from _side_defect and the distances from
+_distances.  The distance of degree 0 to a point is read in closed form
 (modules.point_comparison_defect), with no matching search.
 """
 
@@ -34,7 +42,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import HypothesisUnmet, NotASubposet
+from .errors import HypothesisUnmet
 from .homology import FieldSpec, induced_ranks, pposet_barcodes
 from .modules import (
     INF,
@@ -53,8 +61,8 @@ from .pposets import (
     PersistenceMap,
     PersistencePoset,
     chain_filtrations,
-    comparison_ends_connected,
     comparison_set,
+    comparison_status,
     fiber,
     fiber_ends_connected,
     ordinal_sum,
@@ -178,6 +186,10 @@ class PunctureReport:
     ok: bool
 
 
+_DIRECTIONS = ("below", "above")
+_UNMET = "both comparison sets have infinite acyclicity defect"
+
+
 def verify_puncture_lemma(
     pp: PersistencePoset,
     removal,
@@ -192,49 +204,74 @@ def verify_puncture_lemma(
     closed under the structure maps (an element merges into the
     trajectory) contributes INF.  Raises HypothesisUnmet when both sides
     are INF, and NotClosed when the complement itself is not closed.
+    Both defects are exact: a side is built unless its status is
+    infinite, and an unknown trajectory value raises UnknownElement
+    before that.
     """
     if trajectory is None:
         trajectory = removal
     if k_max is None:
         k_max = top_degree(pp)
-    return _puncture_step(pp, puncture(pp, removal), trajectory, field, k_max)
-
-
-def _puncture_step(
-    larger: PersistencePoset, smaller: PersistencePoset, trajectory, field: FieldSpec, k_max: int
-) -> PunctureReport:
-    """The puncture bound of one step from larger to its complement smaller.
-
-    A comparison set whose last slice is empty or disconnected has defect
-    INF and is not built; an unknown trajectory value raises
-    UnknownElement before that.  The barcodes of both members are asked
-    for only once the hypothesis holds, so a step whose hypothesis fails
-    builds none.
-    """
-    side: dict[str, int | float] = {}
-    for direction in ("below", "above"):
-        side[direction] = INF
-        if comparison_ends_connected(larger, trajectory, direction):
-            try:
-                sub = comparison_set(larger, trajectory, direction)
-            except NotASubposet:
-                continue
-            side[direction] = _defect(pposet_barcodes(sub, field, max(k_max, 0)))
-    epsilon = min(side["below"], side["above"])
+    smaller = puncture(pp, removal)
+    side = {
+        direction: INF
+        if comparison_status(pp, trajectory, direction, k_max) == "infinite"
+        else _side_defect(pp, trajectory, direction, field, k_max)
+        for direction in _DIRECTIONS
+    }
+    epsilon = min(side.values())
     if epsilon == INF:
-        raise HypothesisUnmet("both comparison sets have infinite acyclicity defect")
-
+        raise HypothesisUnmet(_UNMET)
     bound = 4 * epsilon
-    distances = _distances(pposet_barcodes(larger, field, k_max), pposet_barcodes(smaller, field, k_max))
-    ok = all(d <= bound for d in distances.values())
+    distances = _distances(pposet_barcodes(pp, field, k_max), pposet_barcodes(smaller, field, k_max))
     return PunctureReport(
         epsilon=epsilon,
         below_defect=side["below"],
         above_defect=side["above"],
         bound=bound,
         distances=distances,
-        ok=ok,
+        ok=all(d <= bound for d in distances.values()),
     )
+
+
+def _side_defect(pp: PersistencePoset, trajectory, direction: str, field: FieldSpec, k_max: int) -> int | float:
+    """The defect of a comparison set whose status is not infinite, so it is a subposet, off its barcodes."""
+    return _defect(pposet_barcodes(comparison_set(pp, trajectory, direction), field, max(k_max, 0)))
+
+
+def _step_violation(
+    larger: PersistencePoset, smaller: PersistencePoset, trajectory, field: FieldSpec, k_max: int
+) -> str | None:
+    """The puncture bound at one step from larger to its complement smaller: None when it holds, else why not.
+
+    Decided with the least work that gives verify_puncture_lemma's
+    outcome.  A side whose status is infinite is INF and never built.
+    When a side's status is finite the hypothesis holds, and when every
+    distance is 0 the bound holds for every finite eps, so neither side
+    is built.  An undecided side is built when no side is finite, since
+    it decides whether the hypothesis holds, and every side that is not
+    infinite is built when a distance is positive, since the bound and
+    the message need the exact eps.  Raises HypothesisUnmet when both
+    sides are INF; the barcodes of both members are asked for only once
+    the hypothesis holds.
+    """
+    status = {d: comparison_status(larger, trajectory, d, k_max) for d in _DIRECTIONS}
+    open_sides = [d for d in _DIRECTIONS if status[d] != "infinite"]
+    defects: dict[str, int | float] = {}
+    if "finite" not in status.values():
+        defects = {d: _side_defect(larger, trajectory, d, field, k_max) for d in open_sides}
+        if min(defects.values(), default=INF) == INF:
+            raise HypothesisUnmet(_UNMET)
+    distances = _distances(pposet_barcodes(larger, field, k_max), pposet_barcodes(smaller, field, k_max))
+    if all(d == 0 for d in distances.values()):
+        return None
+    for d in open_sides:
+        if d not in defects:
+            defects[d] = _side_defect(larger, trajectory, d, field, k_max)
+    bound = 4 * min(defects.values())
+    if all(d <= bound for d in distances.values()):
+        return None
+    return f"distances {distances} exceed bound {bound}"
 
 
 @dataclass(eq=False)
@@ -385,16 +422,13 @@ def chain_puncture_suite(
                 trivial += 1
                 continue
             try:
-                report = _puncture_step(step.larger, step.smaller, step.trajectory, field, k_max)
+                violation = _step_violation(step.larger, step.smaller, step.trajectory, field, k_max)
             except HypothesisUnmet:
                 skipped += 1
                 continue
             checked += 1
-            if not report.ok:
-                violations.append(
-                    f"{name} step {idx} (track {step.track.label}): "
-                    f"distances {report.distances} exceed bound {report.bound}"
-                )
+            if violation is not None:
+                violations.append(f"{name} step {idx} (track {step.track.label}): {violation}")
     return ChainSuiteReport(checked=checked, trivial=trivial, skipped=skipped, violations=violations)
 
 

@@ -22,11 +22,15 @@ slower dense paths they replaced, over numpy int64 matrices:
   predicate (comparison sets, fibers, weak up-sets), which the library
   reads off the closed relation instead;
 - a slice restriction that always filters into a new poset, where the
-  library shares the empty poset and the whole one, and a connectivity
-  search that tests each pair with leq;
+  library shares the empty poset and the whole one, and connectivity and
+  cone tests that test each pair with leq;
 - the verifier's fiber and comparison-set defects and its puncture step
   with every subposet and its barcodes built, where the library reads an
-  INF defect off a last slice that is empty or disconnected;
+  INF defect off a last slice that is empty or disconnected and a finite
+  one off a closed row whose last slice is a cone;
+- the puncture suite as a loop of verify_puncture_lemma calls, one per
+  step, where the suite builds a side only when the step's outcome
+  depends on it;
 - simplicial maps and towers of complexes (SimplicialMap, ComplexTower),
   which check every vertex and simplex image when built; the library
   hands tower_barcodes and _induced_rank plain vertex maps of monotone
@@ -101,7 +105,7 @@ from persposet.pposets import (
     top_degree,
     tracks,
 )
-from persposet.verifier import DEFAULT_FIELD, JoinReport, _defect, _distances
+from persposet.verifier import DEFAULT_FIELD, JoinReport, _defect, _distances, verify_puncture_lemma
 
 
 class TooLarge(PersistenceError):
@@ -766,6 +770,12 @@ def is_connected(P: FinitePoset, subset: Iterable[str]) -> bool:
     return not rest
 
 
+def is_cone(P: FinitePoset, subset: Iterable[str]) -> bool:
+    """Whether some element of subset is comparable with every other one, testing each pair with leq."""
+    inside = list(subset)
+    return any(all(P.leq(a, b) or P.leq(b, a) for b in inside) for a in inside)
+
+
 def restrict_slice(P: FinitePoset, subset: Iterable[str]) -> FinitePoset:
     """Induced subposet, always filtered into a new poset."""
     keep = set(subset)
@@ -803,6 +813,36 @@ def puncture_step(larger: PersistencePoset, smaller: PersistencePoset, trajector
     if min(below, above) == INF:
         raise HypothesisUnmet("both comparison sets have infinite acyclicity defect")
     return below, above, _distances(pposet_barcodes(larger, field, k_max), pposet_barcodes(smaller, field, k_max))
+
+
+def puncture_suite_by_lemma(f: PersistenceMap, field: FieldSpec, k_max: int | None = None):
+    """chain_puncture_suite as a loop of verify_puncture_lemma calls, one per nontrivial step.
+
+    The steps come from the two-loop chain_filtrations below.  Returns
+    (checked, trivial, skipped, violations) and a list of (step, report)
+    for the nontrivial steps, report None where the hypothesis fails.
+    """
+    chains = chain_filtrations(f)
+    if k_max is None:
+        k_max = top_degree(chains.cylinder)
+    trivial, violations, reports = 0, [], []
+    for name, steps in (("grow", chains.target_steps), ("shrink", chains.source_steps)):
+        for idx, step in enumerate(steps):
+            if all(r is None for r in step.removed):
+                trivial += 1
+                continue
+            try:
+                report = verify_puncture_lemma(step.larger, step.removed, field, k_max, trajectory=step.trajectory)
+            except HypothesisUnmet:
+                report = None
+            reports.append((step, report))
+            if report is not None and not report.ok:
+                violations.append(
+                    f"{name} step {idx} (track {step.track.label}): "
+                    f"distances {report.distances} exceed bound {report.bound}"
+                )
+    checked = sum(r is not None for _, r in reports)
+    return (checked, trivial, len(reports) - checked, violations), reports
 
 
 # -- interpolation chains and coherent linear extensions ------------------------

@@ -3,9 +3,9 @@
 - chain_filtrations builds both chains with one track-adding routine; the
   reference builds them with two mirrored loops, the shrinking one asking
   of each target track which values a later track shares.
-- persistence_linear_extension extends one fiber at a time; the reference
-  enriches the whole component with every image-ordered pair and closes
-  it again.
+- persistence_linear_extension extends each component in one heap pass
+  keyed by the rank of each element's image; the reference enriches the
+  whole component with every image-ordered pair and closes it again.
 """
 
 from hypothesis import given, settings

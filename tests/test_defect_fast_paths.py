@@ -2,34 +2,43 @@
 
 - point_comparison_defect is a closed form; the reference is the
   bottleneck distance to the barcode of a point, with its matching search.
-- The verifier reads an INF defect off a fiber or a comparison set whose
-  last slice is empty or disconnected, and builds nothing for it; the
-  references build every subposet and its barcodes.
+- The verifier reads an INF defect off a fiber whose last slice is empty
+  or disconnected, and builds nothing for it.  It reads a comparison
+  set's status off its row: INF when the row is not closed or its last
+  slice is empty or disconnected, finite when the row is closed and its
+  last slice a cone (connected, at k_max 0).  The references build every
+  subposet and its barcodes, and the suite's outcomes equal a loop of
+  verify_puncture_lemma over its steps.
 - FinitePoset.restrict shares the empty poset and the poset itself; the
   reference filters every subset into a new poset.
 """
+
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from persposet import posets
+from persposet import posets, verifier
 from persposet.documents import GeneratorLimits, parse_instance, random_instance
 from persposet.errors import HypothesisUnmet, NotASubposet, UnknownElement
 from persposet.homology import FieldSpec, pposet_barcodes
 from persposet.modules import INF, Barcode, bottleneck_distance, point_comparison_defect
 from persposet.posets import is_connected
+from persposet.posets import MonotoneMap, new_poset
 from persposet.pposets import (
+    PersistencePoset,
     chain_filtrations,
-    comparison_ends_connected,
     comparison_set,
+    comparison_status,
     fiber,
     fiber_ends_connected,
+    puncture,
     top_degree,
     tracks,
 )
-from persposet.verifier import _puncture_step, fiber_defects, verify_puncture_lemma
+from persposet.verifier import chain_puncture_suite, fiber_defects, verify_puncture_lemma
 
 TIERS = {
     "S": GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4),
@@ -103,50 +112,66 @@ def test_fiber_rule_equals_the_built_defects(case):
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_comparison_rule_equals_the_built_defects(case):
-    """Every comparison set of every step, in the step's larger and smaller member.
+    """Every comparison set of every step, in the step's larger and smaller member, at the default k_max and 0.
 
-    Where the set is a subposet, its last slice is connected exactly when
-    its degree-0 barcode has one essential bar; where its last slice is
-    not, the built defect is INF, closed or not.  In the smaller member a
-    removed value raises UnknownElement from both.  Every step's report
-    equals the one built in full.
+    Where the status is finite the built defect is finite, and where it
+    is infinite the built defect is INF, closed or not.  In the smaller
+    member a removed value raises UnknownElement from both.  Every step's
+    lemma equals the step built in full, and the suite's outcomes equal
+    the per-step lemma loop.
     """
     tier, field = case
+    seen = set()
     for seed in SEEDS[tier]:
-        chains = chain_filtrations(instance(tier, seed))
-        k_max = top_degree(chains.cylinder)
-        for step in chains.target_steps + chains.source_steps:
-            check_step(step, field, k_max)
+        f = instance(tier, seed)
+        chains = chain_filtrations(f)
+        for k_max in (top_degree(chains.cylinder), 0):
+            for step in chains.target_steps + chains.source_steps:
+                seen |= check_step(step, field, k_max)
+            suite = chain_puncture_suite(f, field, k_max)
+            outcomes, _ = reference.puncture_suite_by_lemma(f, field, k_max)
+            assert (suite.checked, suite.trivial, suite.skipped, suite.violations) == outcomes
+    # Undecided sides are rare at these tiers; the crown case below has one.
+    assert {"infinite", "finite"} <= seen
 
 
 def check_step(step, field, k_max):
+    """Check both sides of a step in both members, and the step's lemma; the statuses seen."""
+    seen = set()
     for pp in (step.larger, step.smaller):
         for direction in ("below", "above"):
             try:
-                connected = comparison_ends_connected(pp, step.trajectory, direction)
+                status = comparison_status(pp, step.trajectory, direction, k_max)
             except UnknownElement as exc:
                 with pytest.raises(UnknownElement, match=str(exc)):
                     comparison_set(pp, step.trajectory, direction)
                 continue
-            try:
-                codes = pposet_barcodes(comparison_set(pp, step.trajectory, direction), field, k_max)
-                assert connected == (codes[0].essential_count() == 1)
-            except NotASubposet:
-                pass
-            if not connected:
-                assert reference.comparison_defect(pp, step.trajectory, direction, field, k_max) == INF
-    assert outcome(_puncture_step, step, field, k_max) == outcome(reference.puncture_step, step, field, k_max)
+            seen.add(status)
+            defect = reference.comparison_defect(pp, step.trajectory, direction, field, k_max)
+            if status == "finite":
+                assert defect != INF
+            elif status == "infinite":
+                assert defect == INF
+    assert lemma_outcome(step, field, k_max, step.trajectory) == built_outcome(step, field, k_max)
+    return seen
 
 
-def outcome(run, step, field, k_max):
-    """The defects and distances of one step, or HypothesisUnmet."""
+def lemma_outcome(step, field, k_max, trajectory):
+    """verify_puncture_lemma's defects and distances for a step, or HypothesisUnmet."""
     try:
-        report = run(step.larger, step.smaller, step.trajectory, field, k_max)
+        report = verify_puncture_lemma(step.larger, step.removed, field, k_max, trajectory=trajectory)
     except HypothesisUnmet:
         return HypothesisUnmet
-    if isinstance(report, tuple):
-        return report
     return report.below_defect, report.above_defect, report.distances
+
+
+def built_outcome(step, field, k_max, trajectory=None):
+    """The step with every subposet built: its defects and distances, or HypothesisUnmet."""
+    trajectory = step.trajectory if trajectory is None else trajectory
+    try:
+        return reference.puncture_step(step.larger, step.smaller, trajectory, field, k_max)
+    except HypothesisUnmet:
+        return HypothesisUnmet
 
 
 def truncated_steps():
@@ -171,20 +196,11 @@ def test_a_removal_that_ends_in_none():
     for step in steps:
         k_max = top_degree(step.larger)
         for direction in ("below", "above"):
-            assert not comparison_ends_connected(step.larger, step.removed, direction)
+            assert comparison_status(step.larger, step.removed, direction, k_max) == "infinite"
         with pytest.raises(HypothesisUnmet):
             verify_puncture_lemma(step.larger, step.removed)
-        with pytest.raises(HypothesisUnmet):
-            reference.puncture_step(step.larger, step.smaller, step.removed, FieldSpec(2), k_max)
-        try:
-            report = verify_puncture_lemma(step.larger, step.removed, trajectory=step.trajectory)
-        except HypothesisUnmet:
-            report = HypothesisUnmet
-        expected = outcome(reference.puncture_step, step, FieldSpec(2), k_max)
-        if report is HypothesisUnmet:
-            assert expected is HypothesisUnmet
-        else:
-            assert (report.below_defect, report.above_defect, report.distances) == expected
+        assert built_outcome(step, FieldSpec(2), k_max, step.removed) is HypothesisUnmet
+        assert lemma_outcome(step, FieldSpec(2), k_max, step.trajectory) == built_outcome(step, FieldSpec(2), k_max)
 
 
 def test_an_unknown_trajectory_value_raises_before_the_rule():
@@ -193,6 +209,72 @@ def test_an_unknown_trajectory_value_raises_before_the_rule():
     trajectory = ("nowhere", *[None] * step.larger.T)
     with pytest.raises(UnknownElement, match="nowhere"):
         verify_puncture_lemma(step.larger, step.removed, trajectory=trajectory)
+
+
+def test_a_row_of_the_wrong_length_has_no_comparison_set():
+    """A row one value short or one value long: NotASubposet, status infinite, and HypothesisUnmet."""
+    chains = chain_filtrations(instance("S", 1))
+    steps = [step for step in chains.target_steps + chains.source_steps if any(v is not None for v in step.removed)]
+    assert steps
+    for step in steps:
+        row = step.trajectory
+        for wrong in (row[:-1], (*row, row[-1])):
+            for direction in ("below", "above"):
+                with pytest.raises(NotASubposet, match=f"expected {step.larger.T + 1} subsets"):
+                    comparison_set(step.larger, wrong, direction)
+                assert comparison_status(step.larger, wrong, direction, 1) == "infinite"
+            with pytest.raises(HypothesisUnmet):
+                verify_puncture_lemma(step.larger, step.removed, trajectory=wrong)
+
+
+def pposet(components, maps):
+    comps = [new_poset(elements, pairs) for elements, pairs in components]
+    return PersistencePoset(
+        tuple(comps), tuple(MonotoneMap(comps[i], comps[i + 1], dict(m)) for i, m in enumerate(maps))
+    )
+
+
+CROWN = ("abcdv", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "v"), ("d", "v")])
+
+
+def test_a_crown_last_slice_is_finite_only_in_degree_zero():
+    """Below v lies a crown, a circle: connected, so finite at k_max 0, but with H_1, so INF at 1."""
+    pp = pposet([CROWN], [])
+    assert comparison_status(pp, ("v",), "below", 0) == "finite"
+    assert comparison_status(pp, ("v",), "below", 1) == "undecided"
+    assert comparison_status(pp, ("v",), "above", 0) == "infinite"
+    assert reference.comparison_defect(pp, ("v",), "below", FieldSpec(2), 0) == 0
+    assert reference.comparison_defect(pp, ("v",), "below", FieldSpec(2), 1) == INF
+    report = verify_puncture_lemma(pp, ("v",), k_max=0)
+    assert (report.below_defect, report.above_defect, report.distances, report.ok) == (0, INF, {0: 0}, True)
+    with pytest.raises(HypothesisUnmet):
+        verify_puncture_lemma(pp, ("v",), k_max=1)
+
+
+def test_a_cone_row_that_is_not_closed_is_infinite():
+    """Below w lies the single point u, a cone, but x below v maps to w itself, so the row is not closed."""
+    pp = pposet([("vx", [("x", "v")]), ("uw", [("u", "w")])], [{"v": "w", "x": "w"}])
+    for k_max in (0, 1):
+        assert comparison_status(pp, ("v", "w"), "below", k_max) == "infinite"
+    with pytest.raises(NotASubposet):
+        comparison_set(pp, ("v", "w"), "below")
+    assert reference.comparison_defect(pp, ("v", "w"), "below", FieldSpec(2), 1) == INF
+
+
+def test_a_step_with_a_positive_distance_is_built():
+    """Removing v at index 0 splits a from c until m joins them at 1: distance 1 against eps 1 below v."""
+    a_c_v = ("acv", [("a", "v"), ("c", "v")])
+    a_c_m_v = ("acmv", [("a", "m"), ("c", "m"), ("m", "v"), ("a", "v"), ("c", "v")])
+    pp = pposet([a_c_v, a_c_m_v], [{"a": "a", "c": "c", "v": "v"}])
+    removal, trajectory = ("v", None), ("v", "v")
+    assert comparison_status(pp, trajectory, "below", 1) == "finite"
+    report = verify_puncture_lemma(pp, removal, k_max=1, trajectory=trajectory)
+    assert (report.below_defect, report.above_defect, report.bound, report.distances, report.ok) == (
+        1, INF, 4, {0: 1, 1: 0}, True,
+    )
+    with mock.patch.object(verifier, "_side_defect", wraps=verifier._side_defect) as spy:
+        assert verifier._step_violation(pp, puncture(pp, removal), trajectory, FieldSpec(2), 1) is None
+    assert [c.args[2] for c in spy.call_args_list] == ["below"]
 
 
 @pytest.mark.parametrize("tier", TIERS)

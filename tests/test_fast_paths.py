@@ -2,10 +2,11 @@
 
 - FinitePoset.restrict filters the stored closed relation; the reference
   rebuilds the induced order with new_poset.
-- chain_puncture_suite takes each step's complement from the chain and
-  computes each member's barcodes once; the reference runs
-  verify_puncture_lemma on every step, which punctures and computes both
-  sides afresh, and the full towers give both sides' barcodes.
+- chain_puncture_suite takes each step's complement from the chain,
+  computes each member's barcodes once and builds a side only when the
+  step's outcome depends on it; the reference runs verify_puncture_lemma
+  on every step, which punctures and computes both sides afresh, and the
+  full towers give both sides' barcodes.
 - chain_filtrations starts the shrinking chain from the growing chain's
   last member, the full cylinder, so the suite builds its barcodes once;
   the reference gives the shrinking chain its own equal copy.
@@ -26,7 +27,8 @@ from persposet.homology import FieldSpec, pposet_barcodes
 from persposet.modules import INF, Barcode, _matching_feasible, bottleneck_distance
 from persposet.posets import new_poset
 from persposet.pposets import PersistencePoset, chain_filtrations, puncture, top_degree
-from persposet.verifier import chain_puncture_suite, verify_puncture_lemma
+from persposet.verifier import chain_puncture_suite
+import reference
 from reference import barcodes_of, order_complex_tower
 
 TIER_S = GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4)
@@ -62,63 +64,49 @@ def test_step_complement_is_the_smaller_member(seed):
         assert [m.assignment for m in complement.maps] == [m.assignment for m in step.smaller.maps]
 
 
-def reference_suite(f, field):
-    """The suite as a loop of verify_puncture_lemma calls, one per nontrivial step."""
-    chains = chain_filtrations(f)
-    k_max = top_degree(chains.cylinder)
-    every = chains.target_steps + chains.source_steps
-    steps = [s for s in every if any(r is not None for r in s.removed)]
-    reports = []
-    for step in steps:
-        try:
-            reports.append(
-                verify_puncture_lemma(step.larger, step.removed, field, k_max, trajectory=step.trajectory)
-            )
-        except HypothesisUnmet:
-            reports.append(None)
-    return k_max, len(every), steps, reports
-
-
 def recorded_suite(f, field):
-    """The suite's report, and the arguments and report of every step it evaluated."""
+    """The suite's report, and for every step it evaluated its arguments and the side defects it built.
+
+    Each entry is (step arguments, {direction: defect}, outcome), the
+    outcome HypothesisUnmet or what _step_violation returned.
+    """
     calls = []
-    step = verifier._puncture_step
+    step, side_defect = verifier._step_violation, verifier._side_defect
+
+    def recording_side(pp, trajectory, direction, *rest):
+        value = side_defect(pp, trajectory, direction, *rest)
+        calls[-1][1][direction] = value
+        return value
 
     def recording_step(*args):
-        try:
-            report = step(*args)
-        except HypothesisUnmet:
-            calls.append((args, None))
-            raise
-        calls.append((args, report))
-        return report
+        calls.append((args, {}, HypothesisUnmet))
+        outcome = step(*args)
+        calls[-1] = (*calls[-1][:2], outcome)
+        return outcome
 
-    with mock.patch.object(verifier, "_puncture_step", recording_step):
+    with mock.patch.object(verifier, "_step_violation", recording_step), \
+            mock.patch.object(verifier, "_side_defect", recording_side):
         suite = chain_puncture_suite(f, field)
     return suite, calls
-
-
-def summary(report):
-    if report is None:
-        return None
-    return (report.epsilon, report.below_defect, report.above_defect, report.bound, report.distances, report.ok)
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from(FIELDS))
 def test_suite_equals_per_step_lemma_loop(seed, p):
+    """Same outcomes as verify_puncture_lemma step by step, and its exact defect wherever the suite builds a side."""
     f = tier_s_map(seed)
     field = FieldSpec(p)
     suite, calls = recorded_suite(f, field)
-    k_max, total, steps, reports = reference_suite(f, field)
-    checked = [r for r in reports if r is not None]
-    assert (suite.checked, suite.skipped) == (len(checked), len(reports) - len(checked))
-    assert suite.trivial == total - len(steps)
-    assert len(suite.violations) == sum(not r.ok for r in checked)
-    assert [summary(r) for _, r in calls] == [summary(r) for r in reports]
-    # Each step is handed the step's two sides, whose barcodes are those of their full towers.
-    for ((larger, smaller, _, _, step_k_max), _), step in zip(calls, steps):
-        assert step_k_max == k_max
+    outcomes, reports = reference.puncture_suite_by_lemma(f, field)
+    assert (suite.checked, suite.trivial, suite.skipped, suite.violations) == outcomes
+    assert len(calls) == len(reports)
+    k_max = top_degree(chain_filtrations(f).cylinder)
+    for ((larger, smaller, trajectory, _, step_k_max), built, outcome), (step, report) in zip(calls, reports):
+        assert (outcome is HypothesisUnmet) == (report is None)
+        assert step_k_max == k_max and trajectory == step.trajectory
+        for direction, defect in built.items():
+            assert defect == (INF if report is None else getattr(report, f"{direction}_defect"))
+        # Each step is handed the step's two sides, whose barcodes are those of their full towers.
         assert larger.components == step.larger.components
         complement = puncture(step.larger, step.removed)
         assert smaller.components == complement.components
@@ -154,9 +142,13 @@ def test_chains_share_the_full_cylinder(seed, p):
 
 
 def test_suite_steps_have_nonzero_distances():
-    """Comparing distances is only sharp if some step moves a barcode."""
-    _, calls = recorded_suite(tier_s_map(1), FieldSpec(2))
-    assert any(d > 0 for _, r in calls if r is not None for d in r.distances.values())
+    """Comparing distances is only sharp if some step moves a barcode; the suite builds that step's sides."""
+    f, field = tier_s_map(1), FieldSpec(2)
+    _, reports = reference.puncture_suite_by_lemma(f, field)
+    _, calls = recorded_suite(f, field)
+    moved = [i for i, (_, r) in enumerate(reports) if r is not None and any(d > 0 for d in r.distances.values())]
+    assert moved
+    assert all(calls[i][1] for i in moved)
 
 
 bars = st.lists(

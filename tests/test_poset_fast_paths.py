@@ -12,9 +12,10 @@
   relation; the references test each element with a predicate.
 - chain members after the first are built from the member before them,
   restricting only the slices a step changes.
-- the puncture suite and fiber_defects build only the comparison sets
-  and fibers whose last slice is connected; the counts come from the
-  reference connectivity search.
+- fiber_defects builds only the fibers whose last slice is connected, and
+  the puncture suite only the comparison sets whose exact defect decides
+  a step's outcome; the counts come from the reference connectivity and
+  cone searches and the full towers' distances.
 """
 
 import sys
@@ -31,6 +32,7 @@ from persposet.complexes import order_complex
 from persposet.documents import GeneratorLimits, parse_instance, random_instance
 from persposet.errors import NotASubposet, UnknownElement
 from persposet.homology import FieldSpec, _chains, _core_barcodes
+from persposet.modules import bottleneck_distance
 from persposet.posets import FinitePoset, core, linear_extension, longest_chain, mapping_cylinder, new_poset
 from persposet.pposets import (
     chain_filtrations,
@@ -38,6 +40,7 @@ from persposet.pposets import (
     fiber,
     ordinal_sum,
     persistence_mapping_cylinder,
+    top_degree,
     tracks,
     up_set_of_image_track,
     validate,
@@ -160,22 +163,46 @@ def test_chain_members_pass_validate(tier):
     check()
 
 
-def last_slice_connected(pp, row, direction):
-    """Whether the last slice of a row's comparison set is connected, by the reference search."""
+def last_slice(pp, row, direction):
+    """The last slice of a row's comparison set, by the reference predicate."""
     P, v = pp.components[-1], row[-1]
     if v is None:
-        return False
-    ends = [a for a in P.elements if a != v and (P.leq(a, v) if direction == "below" else P.leq(v, a))]
-    return reference.is_connected(P, ends)
+        return P, []
+    return P, [a for a in P.elements if a != v and (P.leq(a, v) if direction == "below" else P.leq(v, a))]
+
+
+def needs_exact_defect(step, field, k_max):
+    """The sides of a step whose exact defect decides its outcome, by the reference helpers.
+
+    A side is open when its row is closed and its last slice connected,
+    and finite when it is open and its last slice a cone (or k_max is 0).
+    An open side is needed when no side is finite, or when a distance is
+    positive.
+    """
+    open_sides, finite = [], False
+    for direction in ("below", "above"):
+        try:
+            reference.comparison_set(step.larger, step.trajectory, direction)
+        except NotASubposet:
+            continue
+        P, ends = last_slice(step.larger, step.trajectory, direction)
+        if reference.is_connected(P, ends):
+            open_sides.append(direction)
+            finite = finite or k_max <= 0 or reference.is_cone(P, ends)
+    codes = [
+        reference.barcodes_of(reference.order_complex_tower(pp), field, k_max) for pp in (step.larger, step.smaller)
+    ]
+    moved = any(bottleneck_distance(a, b) > 0 for a, b in zip(*codes))
+    return open_sides if moved or not finite else []
 
 
 def test_puncture_suite_traffic():
     """A cold puncture suite builds no poset through new_poset and restricts only what changed.
 
     pposets.restrict builds each chain's first member and the comparison
-    sets whose last slice is connected; every later member restricts only
-    the slices its step adds to, and shares the other components with the
-    member before it.
+    sets whose exact defect decides a step's outcome; every later member
+    restricts only the slices its step adds to, and shares the other
+    components with the member before it.
     """
     f = instance("S", 3)
     chains = chain_filtrations(f)
@@ -210,14 +237,16 @@ def test_puncture_suite_traffic():
         report = chain_puncture_suite(f, FieldSpec(2))
     steps = [step for step in build_order if any(v is not None for v in step.removed)]
     assert len(steps) == report.checked + report.skipped > 0
+    k_max = top_degree(chains.cylinder)
+    needed = sum(len(needs_exact_defect(step, FieldSpec(2), k_max)) for step in steps)
     connected = sum(
-        last_slice_connected(step.larger, step.trajectory, direction)
+        reference.is_connected(*last_slice(step.larger, step.trajectory, direction))
         for step in steps
         for direction in ("below", "above")
     )
-    assert 0 < connected < 2 * len(steps)
+    assert 0 < needed < connected
     assert spy_new.call_count == 0
-    assert Counter(restrict_callers) == {"_grow": len(firsts), "comparison_set": connected}
+    assert Counter(restrict_callers) == {"_grow": len(firsts), "comparison_set": needed}
     assert Counter(slice_callers)["_extend"] == changed
 
 
