@@ -7,7 +7,8 @@ document next to the human-readable text on stdout.
 
 The table _COMMANDS defines the command line, and parse_args reads argv
 against it: `--flag value` or `--flag=value` anywhere after the command,
-in full and at most once.  A lemma suite takes only the flags it reads
+in full and at most once.  `-h` or `--help` asks for help anywhere before
+`--`, except as a flag's value.  A lemma suite takes only the flags it reads
 (_SUITES).  Every rejection raises ValidationError, so it
 exits 2 with one `error:` line and nothing on stdout.  Handlers return
 their stdout text and report; main writes --report before it prints.
@@ -309,14 +310,18 @@ def _integer(flag: str, text: str, least: int | None, greatest: int | None) -> i
 def parse_args(argv: list[str]) -> SimpleNamespace:
     """Read argv against _COMMANDS: the handler, then one attribute per positional and flag."""
     name = argv[0] if argv else None
-    if "-h" in argv or "--help" in argv:
+    cut = argv.index("--") if "--" in argv else len(argv)  # every word after "--" is a positional
+    # A help word before "--" asks for help, unless it is the value of the flag before it.
+    flags = _COMMANDS[name][2] if name in _COMMANDS else {}
+    valued = {flag for flag, (kind, _, _) in flags.items() if kind is not None}
+    head = argv[:cut]
+    if any(word == "--help" or word == "-h" and before not in valued for before, word in zip([None, *head], head)):
         text = _usage(name if name in _COMMANDS else None)
         return SimpleNamespace(handler=lambda args: (text, None, 0))
     if name not in _COMMANDS:
         what = f"unknown command {name!r}" if argv else "no command given"
         raise ValidationError(f"{what}; the commands are {', '.join(_COMMANDS)}")
-    _, slots, flags, handler = _COMMANDS[name]
-    cut = argv.index("--") if "--" in argv else len(argv)  # every word after "--" is a positional
+    _, slots, _, handler = _COMMANDS[name]
     given, words, rest = {}, [], iter(argv[1:cut])
     for word in rest:
         if not word.startswith("--"):

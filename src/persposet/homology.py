@@ -4,10 +4,11 @@ The library's one view of homology: persistence posets and monotone maps
 go in, barcodes and ranks come out.  Homology is a homotopy invariant,
 so every complex is the order complex of a beat-point core (posets.core):
 a slice's core for the barcodes of a persistence poset (pposet_barcodes),
-computed once per distinct set of cores and maps between them, and the
-cores of a map's source and target for its ranks on homology
-(induced_ranks).  Every barcode and rank in the verifier and the CLI
-comes from these two.
+and the cores of a map's source and target for its ranks on homology
+(induced_ranks), which are the bars through 0 and 1 of the two-slice
+tower from one core to the other.  Every barcode and rank in the
+verifier and the CLI comes from these two, and both read one memo
+(_core_barcodes), filled once per distinct set of cores and maps.
 
 Most cores are antichains.  The order complex of an antichain is a set
 of vertices, whose only homology is H_0, free on the elements over every
@@ -20,8 +21,7 @@ Otherwise simplices come from complexes.order_complex in a fixed order,
 so every reduction, barcode and rank is bit-reproducible.  Each complex's
 boundary matrices are reduced once over F_p and cached per complex
 (_chains); the cycle bases and boundary pivot tables it keeps serve the
-barcodes of towers (tower_barcodes) and the rank of a map on homology
-(_induced_rank), which both take maps as plain vertex maps.
+barcodes of towers (tower_barcodes), which take maps as plain vertex maps.
 """
 
 from __future__ import annotations
@@ -168,17 +168,18 @@ def induced_ranks(g: posets.MonotoneMap, field: FieldSpec, k_max: int) -> list[i
 
     Computed on the cores through r . g . incl, where incl includes the
     source's core and r retracts the target onto its core: both are
-    isomorphisms on homology, so the ranks are g's.  When both cores are
+    isomorphisms on homology, so the ranks are g's.  rank H_k of a map
+    counts the bars through 0 and 1 in the barcode of the two-slice tower
+    it forms, read from the memo (_core_barcodes).  When both cores are
     antichains, H_0 of each is free on its elements and nothing lies
     above, so the rank is the number of distinct images in degree 0 and
-    0 above, with no complex built.
+    0 above, with no complex built and no memo entry.
     """
     (core_x, _), (core_y, retract_y) = posets.core(g.source), posets.core(g.target)
     pairs = _onto_cores(g, core_x, retract_y)
     if not (core_x.relation or core_y.relation):
         return [len({y for _, y in pairs}) if k == 0 else 0 for k in range(k_max + 1)]
-    source, target, vertex_map = order_complex(core_x), order_complex(core_y), dict(pairs)
-    return [_induced_rank(source, target, vertex_map, k, field.p) for k in range(k_max + 1)]
+    return [code.count_through(0, 1) for code in _core_barcodes((core_x, core_y), (pairs,), field, k_max)]
 
 
 def _onto_cores(
@@ -236,23 +237,3 @@ def _discrete_barcode(
             raise InternalError(f"index {i}: {len(live)} classes on {len(C)} elements")
     bars.extend((birth, INF) for birth, _ in live)
     return Barcode.of(bars)
-
-
-def _induced_rank(K: SimplicialComplex, L: SimplicialComplex, vertex_map: dict[str, str], k: int, p: int) -> int:
-    """rank H_k of a simplicial vertex map K -> L, from the cached reductions of K and L.
-
-    A chain map sends B_k(K) into B_k(L), so the rank is the number of
-    cycles of Z_k(K) whose images stay independent modulo B_k(L): each is
-    pushed through the chain map and reduced against the boundary pivots
-    of L and the survivors so far.
-    """
-    simplices, _, cycles, _ = _chains(K, p).degree(k)
-    _, index, _, boundaries = _chains(L, p).degree(k)
-    columns = _chain_columns(vertex_map, simplices, index, p)
-    table = dict(boundaries)
-    for cycle in cycles:
-        reduced = linalg.reduce_column(linalg.apply(columns, cycle, p), table, p)
-        if reduced:
-            linalg.insert_pivot(reduced, table, p)
-    return len(table) - len(boundaries)
-

@@ -33,9 +33,9 @@ slower dense paths they replaced, over numpy int64 matrices:
   depends on it;
 - simplicial maps and towers of complexes (SimplicialMap, ComplexTower),
   which check every vertex and simplex image when built; the library
-  hands tower_barcodes and _induced_rank plain vertex maps of monotone
-  maps, which are simplicial by construction, and the tests pass those
-  maps through SimplicialMap instead;
+  hands tower_barcodes plain vertex maps of monotone maps, which are
+  simplicial by construction, and the tests pass those maps through
+  SimplicialMap instead;
 - the full order-complex tower of a persistence poset, with the induced
   simplicial maps, the simplicial join, the slicewise join of towers and
   the relabelling of a persistence poset;

@@ -64,6 +64,22 @@ def test_command_help_matches_full_parser(capsys, name):
     assert set(re.findall(r"^  (--[\w-]+)", captured.out, re.MULTILINE)) == FLAGS[name]
 
 
+def test_help_word_after_the_separator_is_a_positional(capsys):
+    """Every word after `--` is a positional, so `verify -- -h` reads a file named -h."""
+    assert main(["verify", "--", "-h"]) == 2
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured)
+    assert "'-h'" in captured.err
+
+
+def test_help_word_as_a_flag_value_is_the_value(instance_file, tmp_path, monkeypatch, capsys):
+    """`--report -h` writes the report to the file -h instead of printing the help."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", str(instance_file), "--report", "-h"]) == 0
+    assert "verdict:" in capsys.readouterr().out
+    assert json.loads((tmp_path / "-h").read_text(encoding="utf-8"))["verdict"] == "holds"
+
+
 @pytest.mark.parametrize("name", COMMANDS)
 def test_command_takes_exactly_its_flags(capsys, name):
     """The parser reads each of the command's flags, and rejects every other one before anything runs."""

@@ -6,7 +6,8 @@ field.  homology._core_barcodes then runs the elder rule on the element
 maps (homology._discrete_barcode) and induced_ranks counts distinct
 images, with no complex built.  The references are the complex paths
 those shortcuts skip: tower_barcodes of the full order-complex tower, and
-homology._induced_rank on the order complexes of the cores.
+the dense rank of the map induced on homology of the order complexes of
+the cores (reference.induced_on_homology).
 """
 
 import pytest
@@ -21,7 +22,8 @@ from persposet.modules import INF
 from persposet.posets import MonotoneMap, new_poset
 from persposet.pposets import PersistenceMap, PersistencePoset, constant_pposet
 from persposet.verifier import verify_theorem
-from reference import SimplicialMap, barcodes_of, order_complex_tower
+from reference import SimplicialMap, barcodes_of, induced_on_homology, order_complex_tower, rank
+from reference import homology as homology_basis
 
 FIELDS = (2, 3, 5)
 TIERS = {
@@ -96,10 +98,12 @@ def test_crown_tower_still_builds_its_complexes():
 
 
 def core_ranks(g, p, k_max):
-    """rank H_k of r . g . incl on the order complexes of the cores, by the sparse reduction."""
+    """rank H_k of r . g . incl on the order complexes of the cores, by the dense reference."""
     (core_x, _), (core_y, retract_y) = posets.core(g.source), posets.core(g.target)
     sm = SimplicialMap(order_complex(core_x), order_complex(core_y), dict(homology._onto_cores(g, core_x, retract_y)))
-    return [homology._induced_rank(sm.source, sm.target, sm.vertex_map, k, p) for k in range(k_max + 1)]
+    field = FieldSpec(p)
+    bases = [(homology_basis(sm.source, k, field), homology_basis(sm.target, k, field)) for k in range(k_max + 1)]
+    return [rank(induced_on_homology(sm, k, field, *bases[k]), p) for k in range(k_max + 1)]
 
 
 def is_discrete(g):

@@ -1,9 +1,9 @@
 """The certificate's rank table and reduced Betti numbers against the dense reference.
 
 The library reads both from the sparse reduction of each complex
-(homology._chains): rank H_k(f) by reducing the images of a cycle basis of
-the source against the boundary pivots of the target (homology._induced_rank),
-and the reduced Betti number as dim Z_k - rank B_k, less one in degree 0.
+(homology._chains): rank H_k(f) as the bars through 0 and 1 in the barcode
+of the two-slice tower f.source -> f.target (homology.tower_barcodes), and
+the reduced Betti number as dim Z_k - rank B_k, less one in degree 0.
 The reference is the dense path of tests/reference.py: homology bases,
 the matrix induced on homology and its rank.
 """
@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persposet.documents import GeneratorLimits, parse_instance, random_instance
-from persposet.homology import FieldSpec, _induced_rank
+from persposet.homology import FieldSpec, tower_barcodes
 from persposet.verifier import verify_theorem
 from reference import (
     SimplicialMap,
@@ -50,7 +50,7 @@ def instance(tier, seed):
 
 @pytest.mark.parametrize("tier", TIERS)
 def test_rank_table_matches_dense(tier):
-    """Every slice and degree of the certificate, and the helper on the full slice maps."""
+    """Every slice and degree of the certificate, and tower_barcodes on the full slice maps."""
 
     @given(st.integers(0, 10_000), st.sampled_from(FIELDS))
     @settings(max_examples=EXAMPLES[tier], deadline=None)
@@ -61,10 +61,11 @@ def test_rank_table_matches_dense(tier):
         tx, ty = order_complex_tower(f.source), order_complex_tower(f.target)
         slice_maps = [induced_map(f.slices[i], tx.complexes[i], ty.complexes[i]) for i in range(f.T + 1)]
         assert sorted(cert.induced_ranks) == list(range(cert.k_max + 1))
-        for k, ranks in cert.induced_ranks.items():
+        tables = [ranks(sm, p, cert.k_max + 1) for sm in slice_maps]
+        for k, reported in cert.induced_ranks.items():
             expected = [dense_rank(sm, k, field) for sm in slice_maps]
-            assert ranks == expected
-            assert [_induced_rank(sm.source, sm.target, sm.vertex_map, k, p) for sm in slice_maps] == expected
+            assert reported == expected
+            assert [table[k] for table in tables] == expected
 
     check()
 
@@ -103,7 +104,9 @@ def identity(K):
 
 
 def ranks(sm, p, degrees):
-    return tuple(_induced_rank(sm.source, sm.target, sm.vertex_map, k, p) for k in range(degrees))
+    """rank H_k(sm) in degrees 0..degrees - 1: the bars through 0 and 1 of the tower source -> target."""
+    codes = tower_barcodes([sm.source, sm.target], [sm.vertex_map], FieldSpec(p), degrees - 1)
+    return tuple(code.count_through(0, 1) for code in codes)
 
 
 @pytest.mark.parametrize("p", FIELDS)

@@ -1,13 +1,15 @@
 """Every vertex map that the library reduces is simplicial.
 
-homology.tower_barcodes and homology._induced_rank take plain vertex
-maps between order complexes of cores, with no check: each is r . g on a
-core, for a structure or slice map g that passed posets.check_map and a
-retraction r, so it is monotone and sends chains to chains.  Here every
-map they receive on tiers S and M is passed through reference.SimplicialMap,
-which checks each vertex image and each simplex image when built.
+homology.tower_barcodes takes plain vertex maps between order complexes
+of cores, with no check: each is r . g on a core, for a structure or slice
+map g that passed posets.check_map and a retraction r, so it is monotone
+and sends chains to chains.  The rank table's maps reach it too, as
+two-slice towers.  Here every map it receives on tiers S and M is passed
+through reference.SimplicialMap, which checks each vertex image and each
+simplex image when built.
 """
 
+import contextlib
 from collections import Counter
 from unittest import mock
 
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from persposet import complexes, homology, posets
+from persposet import complexes, homology, posets, verifier
 from persposet.documents import GeneratorLimits, parse_instance, random_instance
 from persposet.homology import FieldSpec
 from persposet.verifier import chain_puncture_suite, verify_theorem
@@ -29,21 +31,31 @@ EXAMPLES = {"S": 100, "M": 40}
 FIELDS = (2, 3)
 
 
+@contextlib.contextmanager
 def checked(seen: Counter):
-    """Wrappers of tower_barcodes and _induced_rank that build the checked reference objects first."""
-    tower_barcodes, induced_rank = homology.tower_barcodes, homology._induced_rank
+    """A wrapper of tower_barcodes that builds the checked reference objects first.
+
+    Maps that arrive while verifier.induced_ranks runs are the rank table's,
+    and are counted apart.
+    """
+    tower_barcodes, induced_ranks = homology.tower_barcodes, verifier.induced_ranks
+    in_rank_table = []
 
     def checked_tower_barcodes(cs, maps, field, k_max):
         ComplexTower(tuple(cs), tuple(SimplicialMap(cs[i], cs[i + 1], dict(m)) for i, m in enumerate(maps)))
-        seen["tower maps"] += len(maps)
+        seen["rank maps" if in_rank_table else "tower maps"] += len(maps)
         return tower_barcodes(cs, maps, field, k_max)
 
-    def checked_induced_rank(source, target, vertex_map, k, p):
-        SimplicialMap(source, target, dict(vertex_map))
-        seen["rank maps"] += 1
-        return induced_rank(source, target, vertex_map, k, p)
+    def marked_induced_ranks(*args):
+        in_rank_table.append(True)
+        try:
+            return induced_ranks(*args)
+        finally:
+            in_rank_table.pop()
 
-    return mock.patch.multiple(homology, tower_barcodes=checked_tower_barcodes, _induced_rank=checked_induced_rank)
+    with mock.patch.object(homology, "tower_barcodes", checked_tower_barcodes), \
+            mock.patch.object(verifier, "induced_ranks", marked_induced_ranks):
+        yield
 
 
 @pytest.mark.parametrize("tier", TIERS)

@@ -67,6 +67,25 @@ def test_tower_barcodes_has_one_caller():
     assert sorted(found) == [("homology", "_core_barcodes")]
 
 
+def test_one_elimination_loop_per_kind_of_sweep():
+    """Only _chains (the reduction of a complex) and elder_barcode (the sweep of a tower) eliminate.
+
+    Every rank on homology is read off a barcode, so a second routine
+    calling linalg.reduce_column or linalg.insert_pivot would be a second
+    path from complexes to homology.
+    """
+    found = set()
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name in ("reduce_column", "insert_pivot"):
+                        found.add((path.stem, getattr(top, "name", "<module>")))
+    assert sorted(found) == [("homology", "_chains"), ("modules", "elder_barcode")]
+
+
 def parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"))
 

@@ -1,10 +1,12 @@
 """Every verdict of the CLI, reached by injecting the numbers its decision reads.
 
-Valid instances never violate the bound, so the `violated` branch of
-verify_theorem and the violation branch of the puncture suite are reached
+Valid inputs never violate the bound, so the `violated` branch of
+verify_theorem and the violation branches of the lemma suites are reached
 here by monkeypatching their inputs (verifier._distances, fiber_defects,
-_defect) on a real tier-S instance and running cli.main.  Seed 0 has
-m = 4 target tracks, every fiber defect 1, so its bound is 16.
+_defect, _is_join_of, bottleneck_distance) on real inputs and running
+cli.main: a tier-S instance for verify, puncture and cylinder, and the
+suites' own random cases for join and ses.  Seed 0 has m = 4 target
+tracks, every fiber defect 1, so its bound is 16.
 """
 
 import json
@@ -84,3 +86,33 @@ def test_puncture_step_reports_a_distance_above_its_bound(instance_file, tmp_pat
     assert doc["checked"] > 0
     assert len(doc["violations"]) == (doc["checked"] if distance else 0)
     assert out.count("VIOLATION") == len(doc["violations"])
+
+
+# Each suite's argv, the verifier name whose numbers are injected, and the injected function.
+SUITES = {
+    "cylinder": (["lemma", "cylinder", "INSTANCE"], "_distances", lambda a, b: {0: 1}),
+    "join": (["lemma", "join", "--count", "10"], "_is_join_of", lambda a, b, joined: False),
+    "ses": (["lemma", "ses", "--count", "10"], "bottleneck_distance", lambda a, b: 10**6),
+}
+
+
+@pytest.mark.parametrize("patched", [False, True], ids=["unpatched", "injected"])
+@pytest.mark.parametrize("suite", SUITES)
+def test_lemma_suite_reports_an_injected_violation(instance_file, tmp_path, capsys, monkeypatch, suite, patched):
+    """A cylinder distance of 1, a failed join identity or a large ses distance is a violation, with exit 1."""
+    argv, name, injected = SUITES[suite]
+    if patched:
+        monkeypatch.setattr(verifier, name, injected)
+    report = tmp_path / "lemma.json"
+    code = main([str(instance_file) if word == "INSTANCE" else word for word in argv] + ["--report", str(report)])
+    out = capsys.readouterr().out
+    doc = json.loads(report.read_text(encoding="utf-8"))
+    assert code == (1 if patched else 0)
+    if suite == "cylinder":
+        assert (doc["ok"], doc["distances"]["0"]) == (not patched, 1 if patched else 0)
+    elif suite == "join":
+        assert doc["applicable"] > 0
+        assert doc["violations"] == (doc["applicable"] if patched else 0)
+    else:
+        assert (len(doc["violations"]) > 0) == patched
+        assert out.count("VIOLATION") == len(doc["violations"])
