@@ -8,7 +8,6 @@ from .errors import (
     InternalError,
     NonMonotoneStructureMap,
     NotASubposet,
-    NotClosed,
     NotNested,
     PartialStructureMap,
     PersistenceError,
@@ -32,7 +31,6 @@ from .pposets import (
     fiber,
     persistence_linear_extension,
     persistence_mapping_cylinder,
-    puncture,
     tracks,
     validate,
 )
@@ -53,7 +51,6 @@ from .verifier import (
     fiber_defects,
     verify_cylinder_retraction,
     verify_join_acyclicity,
-    verify_puncture_lemma,
     verify_split_ses_properties,
     verify_theorem,
 )

@@ -24,6 +24,8 @@ PPOSET_SCHEMA = "pposet/1"
 COVER_SCHEMA = "cover/1"
 # Joins the set names of an intersection into its element label, so no set name may contain it.
 _LABEL_SEPARATOR = "&"
+_MERGE_ATTEMPTS = 2  # merges the generator tries between consecutive slices
+_MAX_FRESH = 2  # most elements the generator adds at one slice
 
 
 @dataclass(frozen=True)
@@ -148,14 +150,6 @@ def pposet_to_doc(pp: PersistencePoset) -> dict:
     return doc
 
 
-def pposet_from_doc(obj: Any) -> PersistencePoset:
-    _require(isinstance(obj, dict), "expected a JSON object")
-    _require(obj.get("schema") == PPOSET_SCHEMA, f"schema must be {PPOSET_SCHEMA!r}")
-    T = obj.get("T")
-    _require(_is_count(T), "T must be a non-negative integer")
-    return _parse_poset_block(obj, "poset", T)
-
-
 # -- instances --------------------------------------------------------------------
 
 
@@ -247,14 +241,6 @@ def cover_from_doc(obj: Any) -> CoverTower:
     return CoverTower(T=T, sets=sets)
 
 
-def cover_to_doc(cover: CoverTower) -> dict:
-    return {
-        "schema": COVER_SCHEMA,
-        "T": cover.T,
-        "sets": {name: [sorted(stage) for stage in seq] for name, seq in sorted(cover.sets.items())},
-    }
-
-
 def cover_to_pposet(cover: CoverTower, max_arity: int | None = None) -> PersistencePoset:
     """Intersection poset of a nested cover, one component per index.
 
@@ -306,8 +292,6 @@ class GeneratorLimits:
     max_slice: int = 6
     max_y_tracks: int = 4
     pair_prob: float = 0.4
-    merge_attempts: int = 2
-    max_fresh: int = 2
 
 
 def _random_linear_order(rng: random.Random, P: FinitePoset) -> list[str]:
@@ -407,10 +391,10 @@ def random_pposet(
     maps = []
     for _ in range(T):
         prev = comps[-1]
-        rep = _try_merges(rng, prev, limits.merge_attempts if len(prev) > 1 else 0)
+        rep = _try_merges(rng, prev, _MERGE_ATTEMPTS if len(prev) > 1 else 0)
         classes = sorted(set(rep.values()))
         room = max(0, max_slice - len(classes))
-        fresh_count = rng.randint(0, min(limits.max_fresh, room, budget)) if budget > 0 else 0
+        fresh_count = rng.randint(0, min(_MAX_FRESH, room, budget)) if budget > 0 else 0
         budget -= fresh_count
         fresh = fresh_names(fresh_count)
         quotient_pairs = {(rep[u], rep[v]) for (u, v) in prev.relation if rep[u] != rep[v]}
@@ -458,12 +442,12 @@ def random_instance(seed: int, limits: GeneratorLimits = GeneratorLimits()) -> d
         psi = y.maps[i].assignment
         y_next = y.components[i + 1]
         rep = _try_merges(
-            rng, prev, limits.merge_attempts if len(prev) > 1 else 0,
+            rng, prev, _MERGE_ATTEMPTS if len(prev) > 1 else 0,
             mergeable=lambda a, b: psi[lab[a]] == psi[lab[b]],
         )
         classes = sorted(set(rep.values()))
         room = max(0, limits.max_slice - len(classes))
-        fresh_count = rng.randint(0, min(limits.max_fresh, room))
+        fresh_count = rng.randint(0, min(_MAX_FRESH, room))
         fresh = fresh_names(fresh_count)
         next_lab = {c: psi[lab[c]] for c in classes}
         for e in fresh:

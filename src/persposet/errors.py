@@ -51,10 +51,6 @@ class NotASubposet(PersistenceError):
     """Component subsets are not closed under the structure maps."""
 
 
-class NotClosed(PersistenceError):
-    """A surviving element maps into the removed set."""
-
-
 # -- persistence modules -------------------------------------------------------
 
 class ShapeMismatch(PersistenceError):

@@ -2,7 +2,7 @@
 
 Components are connected by total monotone structure maps and extend
 constantly beyond the last explicit index.  This module also provides
-element tracks, persistence subposets (comparison sets, fibers, punctures),
+element tracks, persistence subposets (comparison sets, fibers),
 coherent linear extensions, the persistence mapping cylinder, the two
 interpolation chains used to compare a map's source and target inside
 the cylinder, and the slicewise ordinal sum, whose order-complex tower is
@@ -31,7 +31,6 @@ from .errors import (
     NaturalityError,
     NonMonotoneStructureMap,
     NotASubposet,
-    NotClosed,
     PartialStructureMap,
     ShapeMismatch,
     UnknownElement,
@@ -43,7 +42,6 @@ from .posets import (
     FinitePoset,
     MonotoneMap,
     check_map,
-    identity_map,
     is_cone,
     is_connected,
     linear_extension,
@@ -96,12 +94,6 @@ def _check_arrow(f: MonotoneMap, source: FinitePoset, target: FinitePoset, name:
         check_map(f)
     except (PartialStructureMap, NonMonotoneStructureMap) as exc:
         raise type(exc)(f"{name}: {exc}") from None
-
-
-def constant_pposet(P: FinitePoset, T: int) -> PersistencePoset:
-    comps = tuple(P for _ in range(T + 1))
-    maps = tuple(identity_map(P) for _ in range(T))
-    return PersistencePoset(comps, maps)
 
 
 @dataclass(frozen=True)
@@ -416,25 +408,6 @@ def chain_filtrations(f: PersistenceMap) -> ChainFiltrations:
         source_chain=source_chain[::-1],
         source_steps=source_steps[::-1],
     )
-
-
-def puncture(pp: PersistencePoset, removal: Sequence[str | None]) -> PersistencePoset:
-    """Remove at most one element per component; the complement must be closed."""
-    if len(removal) != pp.T + 1:
-        raise NotClosed(f"expected {pp.T + 1} removal entries")
-    subsets = []
-    for i in range(pp.T + 1):
-        keep = set(pp.components[i].elements)
-        r = removal[i]
-        if r is not None:
-            if r not in keep:
-                raise UnknownElement(f"slice {i}: {r!r} not in component")
-            keep.discard(r)
-        subsets.append(keep)
-    try:
-        return restrict(pp, subsets)
-    except NotASubposet as exc:
-        raise NotClosed(str(exc)) from exc
 
 
 def comparison_set(

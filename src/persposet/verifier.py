@@ -27,14 +27,13 @@ tower is constant past T, so a comparison set's defect is finite exactly
 when the set is a subposet and its last slice has the homology of a
 point.  pposets.comparison_status reads that off the strict sets of the
 row: infinite, finite (a cone, or connected at k_max 0), or undecided.
-verify_puncture_lemma builds every side that is not infinite and
-reports both defects exactly.  The puncture suite reports only each
-step's outcome, so it builds a side only when the outcome depends on its
-value: when no side is finite, or when a distance is positive, since a
-zero distance is within 4 * eps for every finite eps.  On both paths a
-built side's defect comes from _side_defect and the distances from
-_distances.  The distance of degree 0 to a point is read in closed form
-(modules.point_comparison_defect), with no matching search.
+The puncture step (_step_violation) reports only its outcome, so it
+builds a side only when the outcome depends on its value: when no side
+is finite, or when a distance is positive, since a zero distance is
+within 4 * eps for every finite eps.  A built side's defect comes from
+_side_defect and the distances from _distances.  The distance of degree
+0 to a point is read in closed form (modules.point_comparison_defect),
+with no matching search.
 """
 
 from __future__ import annotations
@@ -67,7 +66,6 @@ from .pposets import (
     fiber_ends_connected,
     ordinal_sum,
     persistence_mapping_cylinder,
-    puncture,
     top_degree,
     tracks,
     up_set_of_image_track,
@@ -176,62 +174,7 @@ def verify_theorem(
     )
 
 
-@dataclass(eq=False)
-class PunctureReport:
-    epsilon: int | float
-    below_defect: int | float
-    above_defect: int | float
-    bound: int | float
-    distances: dict[int, int | float]
-    ok: bool
-
-
 _DIRECTIONS = ("below", "above")
-_UNMET = "both comparison sets have infinite acyclicity defect"
-
-
-def verify_puncture_lemma(
-    pp: PersistencePoset,
-    removal,
-    field: FieldSpec = DEFAULT_FIELD,
-    k_max: int | None = None,
-    trajectory=None,
-) -> PunctureReport:
-    """Check the 4*eps bound for removing one (possibly truncated) trajectory.
-
-    eps is the smaller acyclicity defect of the strict down-set and the
-    strict up-set of the full trajectory.  A side whose subsets are not
-    closed under the structure maps (an element merges into the
-    trajectory) contributes INF.  Raises HypothesisUnmet when both sides
-    are INF, and NotClosed when the complement itself is not closed.
-    Both defects are exact: a side is built unless its status is
-    infinite, and an unknown trajectory value raises UnknownElement
-    before that.
-    """
-    if trajectory is None:
-        trajectory = removal
-    if k_max is None:
-        k_max = top_degree(pp)
-    smaller = puncture(pp, removal)
-    side = {
-        direction: INF
-        if comparison_status(pp, trajectory, direction, k_max) == "infinite"
-        else _side_defect(pp, trajectory, direction, field, k_max)
-        for direction in _DIRECTIONS
-    }
-    epsilon = min(side.values())
-    if epsilon == INF:
-        raise HypothesisUnmet(_UNMET)
-    bound = 4 * epsilon
-    distances = _distances(pposet_barcodes(pp, field, k_max), pposet_barcodes(smaller, field, k_max))
-    return PunctureReport(
-        epsilon=epsilon,
-        below_defect=side["below"],
-        above_defect=side["above"],
-        bound=bound,
-        distances=distances,
-        ok=all(d <= bound for d in distances.values()),
-    )
 
 
 def _side_defect(pp: PersistencePoset, trajectory, direction: str, field: FieldSpec, k_max: int) -> int | float:
@@ -244,7 +187,8 @@ def _step_violation(
 ) -> str | None:
     """The puncture bound at one step from larger to its complement smaller: None when it holds, else why not.
 
-    Decided with the least work that gives verify_puncture_lemma's
+    eps is the smaller defect of the strict down- and up-set of the full
+    trajectory in larger, found with the least work that decides the
     outcome.  A side whose status is infinite is INF and never built.
     When a side's status is finite the hypothesis holds, and when every
     distance is 0 the bound holds for every finite eps, so neither side
@@ -261,7 +205,7 @@ def _step_violation(
     if "finite" not in status.values():
         defects = {d: _side_defect(larger, trajectory, d, field, k_max) for d in open_sides}
         if min(defects.values(), default=INF) == INF:
-            raise HypothesisUnmet(_UNMET)
+            raise HypothesisUnmet("both comparison sets have infinite acyclicity defect")
     distances = _distances(pposet_barcodes(larger, field, k_max), pposet_barcodes(smaller, field, k_max))
     if all(d == 0 for d in distances.values()):
         return None

@@ -28,8 +28,9 @@ slower dense paths they replaced, over numpy int64 matrices:
   with every subposet and its barcodes built, where the library reads an
   INF defect off a last slice that is empty or disconnected and a finite
   one off a closed row whose last slice is a cone;
-- the puncture suite as a loop of verify_puncture_lemma calls, one per
-  step, where the suite builds a side only when the step's outcome
+- the complement of a removed row through restrict, and the puncture
+  suite as a loop of puncture_step calls, one per step, each on that
+  complement, where the suite builds a side only when the step's outcome
   depends on it;
 - simplicial maps and towers of complexes (SimplicialMap, ComplexTower),
   which check every vertex and simplex image when built; the library
@@ -50,8 +51,10 @@ slower dense paths they replaced, over numpy int64 matrices:
   a complex closed downward from its simplices (in the library's form:
   name-sorted simplex tuples, by degree and then lexicographically), a
   complex's top degree, a degree's simplices in order, the zero module,
-  a module's dimension at any index, and the boolean form of
-  posets.check_map.
+  a module's dimension at any index, the boolean form of
+  posets.check_map, a constant persistence poset, and the inverses of
+  the pposet and cover documents (pposet_from_doc, cover_to_doc) for
+  round-trip tests.
 
 Elimination is deterministic (the first nonzero entry in a fixed scan
 order is the pivot).  FieldSpec keeps p below 2**16, so every int64 dot
@@ -68,6 +71,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from persposet.complexes import SimplicialComplex, order_complex
+from persposet.documents import COVER_SCHEMA, PPOSET_SCHEMA, CoverTower, _is_count, _parse_poset_block, _require
 from persposet.errors import (
     DuplicateElement,
     HypothesisUnmet,
@@ -90,6 +94,7 @@ from persposet.posets import (
     _extreme,
     check_map,
     core,
+    identity_map,
     new_poset,
 )
 from persposet.pposets import (
@@ -105,7 +110,7 @@ from persposet.pposets import (
     top_degree,
     tracks,
 )
-from persposet.verifier import DEFAULT_FIELD, JoinReport, _defect, _distances, verify_puncture_lemma
+from persposet.verifier import DEFAULT_FIELD, JoinReport, _defect, _distances
 
 
 class TooLarge(PersistenceError):
@@ -153,6 +158,29 @@ def zero_module(field: FieldSpec, T: int) -> PersistenceModule:
 def dim_at(M: PersistenceModule, i: int) -> int:
     """Dimension at any index i >= 0; the module is constant beyond T."""
     return M.dims[min(i, M.T)]
+
+
+def constant_pposet(P: FinitePoset, T: int) -> PersistencePoset:
+    """P at every index 0..T, with identity structure maps."""
+    return PersistencePoset(tuple(P for _ in range(T + 1)), tuple(identity_map(P) for _ in range(T)))
+
+
+def pposet_from_doc(obj) -> PersistencePoset:
+    """The persistence poset of a pposet document, the inverse of documents.pposet_to_doc."""
+    _require(isinstance(obj, dict), "expected a JSON object")
+    _require(obj.get("schema") == PPOSET_SCHEMA, f"schema must be {PPOSET_SCHEMA!r}")
+    T = obj.get("T")
+    _require(_is_count(T), "T must be a non-negative integer")
+    return _parse_poset_block(obj, "poset", T)
+
+
+def cover_to_doc(cover: CoverTower) -> dict:
+    """The cover document of a cover tower, the inverse of documents.cover_from_doc."""
+    return {
+        "schema": COVER_SCHEMA,
+        "T": cover.T,
+        "sets": {name: [sorted(stage) for stage in seq] for name, seq in sorted(cover.sets.items())},
+    }
 
 
 def is_monotone(f: MonotoneMap) -> bool:
@@ -742,10 +770,12 @@ def fiber(f: PersistenceMap, y: ElementTrack) -> PersistencePoset:
 
 
 def comparison_set(pp: PersistencePoset, trajectory: Sequence[str | None], direction: str) -> PersistencePoset:
-    """Strict down- or up-set of a trajectory row, element by element."""
-    for i, v in enumerate(trajectory):
+    """Strict down- or up-set of a trajectory row, element by element; NotASubposet for a row of the wrong length."""
+    for i, v in enumerate(trajectory[: pp.T + 1]):
         if v is not None and v not in pp.components[i]:
             raise UnknownElement(f"slice {i}: trajectory value {v!r} not in component")
+    if len(trajectory) != pp.T + 1:
+        raise NotASubposet(f"expected {pp.T + 1} subsets")
     if direction == "below":
         return _restrict_along(pp, trajectory, lambda i, a, v: (a, v) in pp.components[i].relation)
     return _restrict_along(pp, trajectory, lambda i, b, v: (v, b) in pp.components[i].relation)
@@ -804,8 +834,13 @@ def comparison_defect(pp: PersistencePoset, trajectory, direction: str, field: F
     return _defect(pposet_barcodes(sub, field, max(k_max, 0)))
 
 
+def complement(pp: PersistencePoset, removed: Sequence[str | None]) -> PersistencePoset:
+    """pp without the removed value of each slice (None removes nothing), through restrict, which checks closure."""
+    return restrict(pp, [set(c.elements) - {r} for c, r in zip(pp.components, removed, strict=True)])
+
+
 def puncture_step(larger: PersistencePoset, smaller: PersistencePoset, trajectory, field: FieldSpec, k_max: int):
-    """verifier._puncture_step with both comparison sets built: (eps below, eps above, distances).
+    """verifier._step_violation with both comparison sets built: (eps below, eps above, distances).
 
     Raises HypothesisUnmet when both defects are INF.
     """
@@ -816,33 +851,40 @@ def puncture_step(larger: PersistencePoset, smaller: PersistencePoset, trajector
 
 
 def puncture_suite_by_lemma(f: PersistenceMap, field: FieldSpec, k_max: int | None = None):
-    """chain_puncture_suite as a loop of verify_puncture_lemma calls, one per nontrivial step.
+    """chain_puncture_suite as a loop of puncture_step calls, one per nontrivial step.
 
-    The steps come from the two-loop chain_filtrations below.  Returns
-    (checked, trivial, skipped, violations) and a list of (step, report)
-    for the nontrivial steps, report None where the hypothesis fails.
+    The steps come from the two-loop chain_filtrations below, and each
+    step's smaller member is built afresh as the complement of its
+    removed row.  Returns (checked, trivial, skipped, violations) and a
+    list of (step, result) for the nontrivial steps, result
+    puncture_step's (eps below, eps above, distances), or None where the
+    hypothesis fails.
     """
     chains = chain_filtrations(f)
     if k_max is None:
         k_max = top_degree(chains.cylinder)
-    trivial, violations, reports = 0, [], []
+    trivial, violations, results = 0, [], []
     for name, steps in (("grow", chains.target_steps), ("shrink", chains.source_steps)):
         for idx, step in enumerate(steps):
             if all(r is None for r in step.removed):
                 trivial += 1
                 continue
+            smaller = complement(step.larger, step.removed)
             try:
-                report = verify_puncture_lemma(step.larger, step.removed, field, k_max, trajectory=step.trajectory)
+                result = puncture_step(step.larger, smaller, step.trajectory, field, k_max)
             except HypothesisUnmet:
-                report = None
-            reports.append((step, report))
-            if report is not None and not report.ok:
-                violations.append(
-                    f"{name} step {idx} (track {step.track.label}): "
-                    f"distances {report.distances} exceed bound {report.bound}"
-                )
-    checked = sum(r is not None for _, r in reports)
-    return (checked, trivial, len(reports) - checked, violations), reports
+                result = None
+            results.append((step, result))
+            if result is not None:
+                below, above, distances = result
+                bound = 4 * min(below, above)
+                if any(d > bound for d in distances.values()):
+                    violations.append(
+                        f"{name} step {idx} (track {step.track.label}): "
+                        f"distances {distances} exceed bound {bound}"
+                    )
+    checked = sum(r is not None for _, r in results)
+    return (checked, trivial, len(results) - checked, violations), results
 
 
 # -- interpolation chains and coherent linear extensions ------------------------

@@ -25,13 +25,12 @@ from persposet.pposets import (
     PersistencePoset,
     chain_filtrations,
     comparison_set,
-    constant_pposet,
     fiber,
     top_degree,
     tracks,
 )
 from persposet.verifier import verify_theorem
-from reference import acyclicity_defect, barcodes_of, order_complex_tower
+from reference import acyclicity_defect, barcodes_of, constant_pposet, order_complex_tower
 
 TIERS = {
     "S": GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4),

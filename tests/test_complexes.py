@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from persposet.complexes import SimplicialComplex, order_complex
 from persposet.errors import DuplicateElement, ShapeMismatch
 from persposet.posets import MonotoneMap, new_poset
-from persposet.pposets import PersistencePoset, constant_pposet
+from persposet.pposets import PersistencePoset
 from reference import (
     complex_top_degree,
+    constant_pposet,
     from_simplices,
     induced_map,
     is_monotone,

@@ -19,11 +19,12 @@ from persposet.errors import NotASubposet
 from persposet.homology import FieldSpec, _core_barcodes, pposet_barcodes
 from persposet.posets import check_map, new_poset
 from persposet.posets import core as poset_core
-from persposet.pposets import comparison_set, constant_pposet, fiber, tracks
+from persposet.pposets import comparison_set, fiber, tracks
 from persposet.verifier import verify_theorem
 from reference import (
     barcodes_of,
     complex_top_degree,
+    constant_pposet,
     core_pposet,
     core_tower,
     homology,

@@ -7,8 +7,9 @@
   set's status off its row: INF when the row is not closed or its last
   slice is empty or disconnected, finite when the row is closed and its
   last slice a cone (connected, at k_max 0).  The references build every
-  subposet and its barcodes, and the suite's outcomes equal a loop of
-  verify_puncture_lemma over its steps.
+  subposet and its barcodes: every step's outcome equals the step built
+  in full (reference.puncture_step), and the suite's outcomes equal a
+  loop of it over its steps.
 - FinitePoset.restrict shares the empty poset and the poset itself; the
   reference filters every subset into a new poset.
 """
@@ -34,11 +35,10 @@ from persposet.pposets import (
     comparison_status,
     fiber,
     fiber_ends_connected,
-    puncture,
     top_degree,
     tracks,
 )
-from persposet.verifier import chain_puncture_suite, fiber_defects, verify_puncture_lemma
+from persposet.verifier import chain_puncture_suite, fiber_defects
 
 TIERS = {
     "S": GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4),
@@ -117,8 +117,8 @@ def test_comparison_rule_equals_the_built_defects(case):
     Where the status is finite the built defect is finite, and where it
     is infinite the built defect is INF, closed or not.  In the smaller
     member a removed value raises UnknownElement from both.  Every step's
-    lemma equals the step built in full, and the suite's outcomes equal
-    the per-step lemma loop.
+    outcome equals the step built in full, and the suite's outcomes equal
+    the per-step reference loop.
     """
     tier, field = case
     seen = set()
@@ -136,7 +136,7 @@ def test_comparison_rule_equals_the_built_defects(case):
 
 
 def check_step(step, field, k_max):
-    """Check both sides of a step in both members, and the step's lemma; the statuses seen."""
+    """Check both sides of a step in both members, and the step's outcome; the statuses seen."""
     seen = set()
     for pp in (step.larger, step.smaller):
         for direction in ("below", "above"):
@@ -152,17 +152,35 @@ def check_step(step, field, k_max):
                 assert defect != INF
             elif status == "infinite":
                 assert defect == INF
-    assert lemma_outcome(step, field, k_max, step.trajectory) == built_outcome(step, field, k_max)
+    check_step_against_built(step, field, k_max)
     return seen
 
 
-def lemma_outcome(step, field, k_max, trajectory):
-    """verify_puncture_lemma's defects and distances for a step, or HypothesisUnmet."""
-    try:
-        report = verify_puncture_lemma(step.larger, step.removed, field, k_max, trajectory=trajectory)
-    except HypothesisUnmet:
-        return HypothesisUnmet
-    return report.below_defect, report.above_defect, report.distances
+def check_step_against_built(step, field, k_max):
+    """_step_violation's outcome is the one the step built in full decides, and each side it builds has the exact defect."""
+    built = {}
+    side_defect = verifier._side_defect
+
+    def recording_side(pp, trajectory, direction, *rest):
+        built[direction] = side_defect(pp, trajectory, direction, *rest)
+        return built[direction]
+
+    with mock.patch.object(verifier, "_side_defect", recording_side):
+        try:
+            outcome = verifier._step_violation(step.larger, step.smaller, step.trajectory, field, k_max)
+        except HypothesisUnmet:
+            outcome = HypothesisUnmet
+    full = built_outcome(step, field, k_max)
+    if full is HypothesisUnmet:
+        assert outcome is HypothesisUnmet
+        assert all(defect == INF for defect in built.values())
+        return
+    below, above, distances = full
+    bound = 4 * min(below, above)
+    assert outcome == (None if all(d <= bound for d in distances.values())
+                       else f"distances {distances} exceed bound {bound}")
+    for direction, defect in built.items():
+        assert defect == {"below": below, "above": above}[direction]
 
 
 def built_outcome(step, field, k_max, trajectory=None):
@@ -189,7 +207,7 @@ def truncated_steps():
 def test_a_removal_that_ends_in_none():
     """With the removal as its own trajectory, both last slices are empty, so the hypothesis fails.
 
-    With the full trajectory, the lemma equals the step built in full.
+    With the full trajectory, the step's outcome equals the step built in full.
     """
     steps = truncated_steps()
     assert steps
@@ -198,17 +216,20 @@ def test_a_removal_that_ends_in_none():
         for direction in ("below", "above"):
             assert comparison_status(step.larger, step.removed, direction, k_max) == "infinite"
         with pytest.raises(HypothesisUnmet):
-            verify_puncture_lemma(step.larger, step.removed)
+            verifier._step_violation(step.larger, step.smaller, step.removed, FieldSpec(2), k_max)
         assert built_outcome(step, FieldSpec(2), k_max, step.removed) is HypothesisUnmet
-        assert lemma_outcome(step, FieldSpec(2), k_max, step.trajectory) == built_outcome(step, FieldSpec(2), k_max)
+        check_step_against_built(step, FieldSpec(2), k_max)
 
 
 def test_an_unknown_trajectory_value_raises_before_the_rule():
     """The value is unknown at slice 0 and the last slice is empty: UnknownElement, not HypothesisUnmet."""
     step = truncated_steps()[0]
     trajectory = ("nowhere", *[None] * step.larger.T)
+    k_max = top_degree(step.larger)
     with pytest.raises(UnknownElement, match="nowhere"):
-        verify_puncture_lemma(step.larger, step.removed, trajectory=trajectory)
+        verifier._step_violation(step.larger, step.smaller, trajectory, FieldSpec(2), k_max)
+    with pytest.raises(UnknownElement, match="nowhere"):
+        built_outcome(step, FieldSpec(2), k_max, trajectory)
 
 
 def test_a_row_of_the_wrong_length_has_no_comparison_set():
@@ -223,8 +244,10 @@ def test_a_row_of_the_wrong_length_has_no_comparison_set():
                 with pytest.raises(NotASubposet, match=f"expected {step.larger.T + 1} subsets"):
                     comparison_set(step.larger, wrong, direction)
                 assert comparison_status(step.larger, wrong, direction, 1) == "infinite"
+            k_max = top_degree(step.larger)
             with pytest.raises(HypothesisUnmet):
-                verify_puncture_lemma(step.larger, step.removed, trajectory=wrong)
+                verifier._step_violation(step.larger, step.smaller, wrong, FieldSpec(2), k_max)
+            assert built_outcome(step, FieldSpec(2), k_max, wrong) is HypothesisUnmet
 
 
 def pposet(components, maps):
@@ -245,10 +268,13 @@ def test_a_crown_last_slice_is_finite_only_in_degree_zero():
     assert comparison_status(pp, ("v",), "above", 0) == "infinite"
     assert reference.comparison_defect(pp, ("v",), "below", FieldSpec(2), 0) == 0
     assert reference.comparison_defect(pp, ("v",), "below", FieldSpec(2), 1) == INF
-    report = verify_puncture_lemma(pp, ("v",), k_max=0)
-    assert (report.below_defect, report.above_defect, report.distances, report.ok) == (0, INF, {0: 0}, True)
+    smaller = reference.complement(pp, ("v",))
+    assert reference.puncture_step(pp, smaller, ("v",), FieldSpec(2), 0) == (0, INF, {0: 0})
+    assert verifier._step_violation(pp, smaller, ("v",), FieldSpec(2), 0) is None
     with pytest.raises(HypothesisUnmet):
-        verify_puncture_lemma(pp, ("v",), k_max=1)
+        reference.puncture_step(pp, smaller, ("v",), FieldSpec(2), 1)
+    with pytest.raises(HypothesisUnmet):
+        verifier._step_violation(pp, smaller, ("v",), FieldSpec(2), 1)
 
 
 def test_a_cone_row_that_is_not_closed_is_infinite():
@@ -268,12 +294,10 @@ def test_a_step_with_a_positive_distance_is_built():
     pp = pposet([a_c_v, a_c_m_v], [{"a": "a", "c": "c", "v": "v"}])
     removal, trajectory = ("v", None), ("v", "v")
     assert comparison_status(pp, trajectory, "below", 1) == "finite"
-    report = verify_puncture_lemma(pp, removal, k_max=1, trajectory=trajectory)
-    assert (report.below_defect, report.above_defect, report.bound, report.distances, report.ok) == (
-        1, INF, 4, {0: 1, 1: 0}, True,
-    )
+    smaller = reference.complement(pp, removal)
+    assert reference.puncture_step(pp, smaller, trajectory, FieldSpec(2), 1) == (1, INF, {0: 1, 1: 0})
     with mock.patch.object(verifier, "_side_defect", wraps=verifier._side_defect) as spy:
-        assert verifier._step_violation(pp, puncture(pp, removal), trajectory, FieldSpec(2), 1) is None
+        assert verifier._step_violation(pp, smaller, trajectory, FieldSpec(2), 1) is None
     assert [c.args[2] for c in spy.call_args_list] == ["below"]
 
 

@@ -20,9 +20,9 @@ from persposet.documents import GeneratorLimits, parse_instance, random_instance
 from persposet.homology import FieldSpec, induced_ranks, pposet_barcodes
 from persposet.modules import INF
 from persposet.posets import MonotoneMap, new_poset
-from persposet.pposets import PersistenceMap, PersistencePoset, constant_pposet
+from persposet.pposets import PersistenceMap, PersistencePoset
 from persposet.verifier import verify_theorem
-from reference import SimplicialMap, barcodes_of, induced_on_homology, order_complex_tower, rank
+from reference import SimplicialMap, barcodes_of, constant_pposet, induced_on_homology, order_complex_tower, rank
 from reference import homology as homology_basis
 
 FIELDS = (2, 3, 5)

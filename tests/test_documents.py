@@ -9,10 +9,8 @@ from persposet.documents import (
     Scale,
     canonical_json,
     cover_from_doc,
-    cover_to_doc,
     cover_to_pposet,
     parse_instance,
-    pposet_from_doc,
     pposet_to_doc,
     random_instance,
     random_pposet,
@@ -20,6 +18,7 @@ from persposet.documents import (
 )
 from persposet.errors import NotNested, SchemaError, ValidationError
 from persposet.pposets import tracks, validate
+from reference import cover_to_doc, pposet_from_doc
 
 
 MINIMAL = {

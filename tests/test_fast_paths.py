@@ -4,9 +4,9 @@
   rebuilds the induced order with new_poset.
 - chain_puncture_suite takes each step's complement from the chain,
   computes each member's barcodes once and builds a side only when the
-  step's outcome depends on it; the reference runs verify_puncture_lemma
-  on every step, which punctures and computes both sides afresh, and the
-  full towers give both sides' barcodes.
+  step's outcome depends on it; the reference runs puncture_step on
+  every step, against a complement rebuilt through restrict and with
+  both sides built, and the full towers give both sides' barcodes.
 - chain_filtrations starts the shrinking chain from the growing chain's
   last member, the full cylinder, so the suite builds its barcodes once;
   the reference gives the shrinking chain its own equal copy.
@@ -26,7 +26,7 @@ from persposet.errors import HypothesisUnmet
 from persposet.homology import FieldSpec, pposet_barcodes
 from persposet.modules import INF, Barcode, _matching_feasible, bottleneck_distance
 from persposet.posets import new_poset
-from persposet.pposets import PersistencePoset, chain_filtrations, puncture, top_degree
+from persposet.pposets import PersistencePoset, chain_filtrations, top_degree
 from persposet.verifier import chain_puncture_suite
 import reference
 from reference import barcodes_of, order_complex_tower
@@ -59,7 +59,7 @@ def test_restrict_equals_rebuilt_induced_order(seed, data):
 def test_step_complement_is_the_smaller_member(seed):
     chains = chain_filtrations(tier_s_map(seed))
     for step in chains.target_steps + chains.source_steps:
-        complement = puncture(step.larger, step.removed)
+        complement = reference.complement(step.larger, step.removed)
         assert complement.components == step.smaller.components
         assert [m.assignment for m in complement.maps] == [m.assignment for m in step.smaller.maps]
 
@@ -93,22 +93,22 @@ def recorded_suite(f, field):
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from(FIELDS))
 def test_suite_equals_per_step_lemma_loop(seed, p):
-    """Same outcomes as verify_puncture_lemma step by step, and its exact defect wherever the suite builds a side."""
+    """Same outcomes as puncture_step with both sides built, and its exact defect wherever the suite builds a side."""
     f = tier_s_map(seed)
     field = FieldSpec(p)
     suite, calls = recorded_suite(f, field)
-    outcomes, reports = reference.puncture_suite_by_lemma(f, field)
+    outcomes, results = reference.puncture_suite_by_lemma(f, field)
     assert (suite.checked, suite.trivial, suite.skipped, suite.violations) == outcomes
-    assert len(calls) == len(reports)
+    assert len(calls) == len(results)
     k_max = top_degree(chain_filtrations(f).cylinder)
-    for ((larger, smaller, trajectory, _, step_k_max), built, outcome), (step, report) in zip(calls, reports):
-        assert (outcome is HypothesisUnmet) == (report is None)
+    for ((larger, smaller, trajectory, _, step_k_max), built, outcome), (step, result) in zip(calls, results):
+        assert (outcome is HypothesisUnmet) == (result is None)
         assert step_k_max == k_max and trajectory == step.trajectory
         for direction, defect in built.items():
-            assert defect == (INF if report is None else getattr(report, f"{direction}_defect"))
+            assert defect == (INF if result is None else dict(zip(("below", "above"), result))[direction])
         # Each step is handed the step's two sides, whose barcodes are those of their full towers.
         assert larger.components == step.larger.components
-        complement = puncture(step.larger, step.removed)
+        complement = reference.complement(step.larger, step.removed)
         assert smaller.components == complement.components
         assert [m.assignment for m in smaller.maps] == [m.assignment for m in complement.maps]
         for side in (larger, smaller):
@@ -144,9 +144,9 @@ def test_chains_share_the_full_cylinder(seed, p):
 def test_suite_steps_have_nonzero_distances():
     """Comparing distances is only sharp if some step moves a barcode; the suite builds that step's sides."""
     f, field = tier_s_map(1), FieldSpec(2)
-    _, reports = reference.puncture_suite_by_lemma(f, field)
+    _, results = reference.puncture_suite_by_lemma(f, field)
     _, calls = recorded_suite(f, field)
-    moved = [i for i, (_, r) in enumerate(reports) if r is not None and any(d > 0 for d in r.distances.values())]
+    moved = [i for i, (_, r) in enumerate(results) if r is not None and any(d > 0 for d in r[2].values())]
     assert moved
     assert all(calls[i][1] for i in moved)
 

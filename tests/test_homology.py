@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from persposet.complexes import SimplicialComplex, order_complex
 from persposet.homology import FieldSpec
 from persposet.posets import MonotoneMap, new_poset
-from persposet.pposets import PersistencePoset, constant_pposet
+from persposet.pposets import PersistencePoset
 import reference
 from reference import (
     SimplicialMap,
     boundary_matrix,
     complex_top_degree,
+    constant_pposet,
     from_simplices,
     homology,
     homology_tower,

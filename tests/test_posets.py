@@ -19,8 +19,8 @@ from persposet.posets import (
     new_poset,
     transitive_closure,
 )
-from persposet.pposets import PersistenceMap, comparison_set, constant_pposet, fiber, tracks
-from reference import is_monotone
+from persposet.pposets import PersistenceMap, comparison_set, fiber, tracks
+from reference import constant_pposet, is_monotone
 
 
 def closure_oracle(elements, pairs):

@@ -10,7 +10,6 @@ from persposet.errors import (
     EmptyAfterNonempty,
     NonMonotoneStructureMap,
     NotASubposet,
-    NotClosed,
     PartialStructureMap,
     ShapeMismatch,
 )
@@ -20,18 +19,18 @@ from persposet.pposets import (
     PersistencePoset,
     chain_filtrations,
     comparison_set,
-    constant_pposet,
     fiber,
     ordinal_sum,
     persistence_linear_extension,
     persistence_mapping_cylinder,
-    puncture,
     top_degree,
     restrict,
     tracks,
     up_set_of_image_track,
     validate,
 )
+import reference
+from reference import constant_pposet
 
 
 def pposet(components, maps):
@@ -283,24 +282,6 @@ class TestCylinderAndChains:
         ]
 
 
-class TestPuncture:
-    def test_remove_top_of_chain(self):
-        pp = constant_pposet(new_poset("at", [("a", "t")]), 1)
-        out = puncture(pp, ["t", "t"])
-        assert all(c.elements == ("a",) for c in out.components)
-
-    def test_full_track_removal_can_break_totality(self):
-        pp = pposet([(["a", "b"], []), ("z", [])], [{"a": "z", "b": "z"}])
-        with pytest.raises(NotClosed):
-            puncture(pp, ["a", "z"])
-
-    def test_truncated_removal_ok(self):
-        pp = pposet([(["a", "b"], []), ("z", [])], [{"a": "z", "b": "z"}])
-        out = puncture(pp, ["b", None])
-        assert out.components[0].elements == ("a",)
-        assert out.components[1].elements == ("z",)
-
-
 def test_comparison_set_uses_full_trajectory():
     pp = pposet([(["a", "b"], [("a", "b")]), (["z", "w"], [("z", "w")])],
                 [{"a": "z", "b": "w"}])
@@ -336,8 +317,9 @@ def test_restricted_pposets_pass_validate(tier):
     """restrict builds its result without validate; every kind it returns would pass it.
 
     A spy records each result of restrict while the fibers, the first
-    member of each chain, comparison sets, punctures and up-sets of an
-    instance are built, and each is then validated.  The later chain
+    member of each chain, comparison sets and up-sets of an instance are
+    built, and each is then validated with every step's complement, which
+    reference.complement builds through restrict.  The later chain
     members skip restrict; tests/test_poset_fast_paths.py validates them.
     """
 
@@ -361,7 +343,7 @@ def test_restricted_pposets_pass_validate(tier):
                         comparison_set(step.larger, step.trajectory, direction)
                     except NotASubposet:
                         pass
-                puncture(step.larger, step.removed)
+                built.append(reference.complement(step.larger, step.removed))
             for tr in tracks(f.source):
                 row = [f.slices[i].assignment[tr.value(i)] if i >= tr.birth else None for i in range(f.T + 1)]
                 up_set_of_image_track(f.target, row)

@@ -19,10 +19,10 @@ from persposet.documents import GeneratorLimits, parse_instance, random_instance
 from persposet.errors import HypothesisUnmet
 from persposet.homology import FieldSpec, pposet_barcodes
 from persposet.posets import MonotoneMap, new_poset
-from persposet.pposets import PersistencePoset, constant_pposet, fiber, ordinal_sum, restrict, top_degree, tracks
+from persposet.pposets import PersistencePoset, fiber, ordinal_sum, restrict, top_degree, tracks
 from persposet.verifier import _is_join_of, _is_point_from, _reduced_bettis, verify_join_acyclicity
 import reference
-from reference import complex_top_degree, homology
+from reference import complex_top_degree, constant_pposet, homology
 
 TIERS = {
     "S": GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4),

@@ -154,10 +154,6 @@ def test_complexes_has_one_form():
     assert named == []
 
 
-# Library API that no module of the package calls.
-UNCALLED_API = {"constant_pposet", "cover_to_doc", "pposet_from_doc", "verify_puncture_lemma"}
-
-
 def names_in(tree: ast.Module) -> tuple[set[str], set[str]]:
     """The identifiers a module names, and the subset of them that it reads as attributes."""
     names, attributes = set(), set()
@@ -172,35 +168,38 @@ def names_in(tree: ast.Module) -> tuple[set[str], set[str]]:
 
 
 def test_every_public_function_is_used():
-    """Every public function and method is named in its own module or in one that imports it.
+    """Every public function, class and method is named in its own module or in one that imports it.
 
     A name that only __init__ and the tests mention is dead code in the
-    library; it belongs in tests/reference.py, or on UNCALLED_API if it
-    is library API.  Names are matched per module: a function or method
-    of module D counts as used only where D or a module importing from D
-    names it, and a method only where it is read as an attribute.  So a
-    dead method is caught although a module that cannot reach its class
-    uses a name it shares, or a function of that name is called.
+    library; it belongs in tests/reference.py.  Names are matched per
+    module: a function, class or method of module D counts as used only
+    where D or a module importing from D names it, and a method only
+    where it is read as an attribute.  A class's own definition does not
+    name it.  So a dead method is caught although a module that cannot
+    reach its class uses a name it shares, or a function of that name is
+    called.
     """
     stems = [path.stem for path in SOURCES if path.stem != "__init__"]
     named = {stem: names_in(parse(module_path(stem))) for stem in stems}
     readers = {stem: [m for m in stems if m == stem or stem in package_imports(module_path(m))] for stem in stems}
     unused = []
     for stem in stems:
-        functions = set().union(*(named[m][0] for m in readers[stem]))
+        names = set().union(*(named[m][0] for m in readers[stem]))
         methods = set().union(*(named[m][1] for m in readers[stem]))
         for top in parse(module_path(stem)).body:
             if isinstance(top, ast.FunctionDef):
-                defs = [(top.name, top.name, functions)]
+                defs = [(top.name, top.name, names)]
             elif isinstance(top, ast.ClassDef) and not top.name.startswith("_"):
-                defs = [(f"{top.name}.{node.name}", node.name, methods) for node in top.body
-                        if isinstance(node, ast.FunctionDef)]
+                defs = [(top.name, top.name, names)] + [
+                    (f"{top.name}.{node.name}", node.name, methods) for node in top.body
+                    if isinstance(node, ast.FunctionDef)
+                ]
             else:
                 continue
             unused += [
                 f"{stem}.{qualname}"
                 for qualname, name, used in defs
-                if not name.startswith("_") and name not in used | UNCALLED_API
+                if not name.startswith("_") and name not in used
             ]
     assert unused == []
 

@@ -7,19 +7,18 @@ from persposet.posets import MonotoneMap, new_poset
 from persposet.pposets import (
     PersistenceMap,
     PersistencePoset,
-    constant_pposet,
     top_degree,
 )
 from persposet.verifier import (
+    _step_violation,
     chain_puncture_suite,
     fiber_defects,
     verify_cylinder_retraction,
     verify_join_acyclicity,
-    verify_puncture_lemma,
     verify_split_ses_properties,
     verify_theorem,
 )
-from reference import acyclicity_defect, order_complex_tower
+from reference import acyclicity_defect, complement, constant_pposet, order_complex_tower, puncture_step
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -106,35 +105,48 @@ class TestVerifyTheorem:
         assert c1.distances == c2.distances and c1.fiber_eps == c2.fiber_eps
 
 
+def both_outcomes(pp, removal):
+    """Remove a row that is also the trajectory: what reference.puncture_step and _step_violation return.
+
+    Each is HypothesisUnmet where that step raises it.
+    """
+    smaller, k_max = complement(pp, removal), top_degree(pp)
+    outcomes = []
+    for step in (puncture_step, _step_violation):
+        try:
+            outcomes.append(step(pp, smaller, removal, F2, k_max))
+        except HypothesisUnmet:
+            outcomes.append(HypothesisUnmet)
+    return outcomes
+
+
 class TestPunctureLemma:
     def test_remove_top_of_constant_chain(self):
         pp = constant_pposet(new_poset("at", [("a", "t")]), 1)
-        report = verify_puncture_lemma(pp, ["t", "t"], F2)
-        assert report.epsilon == 0
-        assert all(d == 0 for d in report.distances.values())
-        assert report.ok
+        (below, above, distances), outcome = both_outcomes(pp, ["t", "t"])
+        assert min(below, above) == 0
+        assert all(d == 0 for d in distances.values())
+        assert outcome is None
 
     def test_hypothesis_unmet(self):
         # isolated point in an antichain: both comparison sets are empty forever
         pp = constant_pposet(new_poset(["a", "b"], []), 0)
-        with pytest.raises(HypothesisUnmet):
-            verify_puncture_lemma(pp, ["b"], F2)
+        assert both_outcomes(pp, ["b"]) == [HypothesisUnmet, HypothesisUnmet]
 
     def test_bound_on_growing_example(self):
         # remove a circle vertex once the top has appeared: the up-set side
         # is empty then a point, so eps = 1 and the distances stay within 4
         X = PersistencePoset((S, S_TOP), (MonotoneMap(S, S_TOP, {e: e for e in S.elements}),))
-        report = verify_puncture_lemma(X, ["c", "c"], F2)
-        assert report.above_defect == 1 and report.epsilon == 1
-        assert report.distances[1] == 1
-        assert report.ok
+        (below, above, distances), outcome = both_outcomes(X, ["c", "c"])
+        assert above == 1 and min(below, above) == 1
+        assert distances[1] == 1
+        assert outcome is None
 
     def test_apex_removal_hypothesis_unmet(self):
         # below the apex sits a circle forever, above it nothing: no side
         # ever becomes acyclic, so the statement does not apply
         X = PersistencePoset((S, S_TOP), (MonotoneMap(S, S_TOP, {e: e for e in S.elements}),))
-        with pytest.raises(HypothesisUnmet):
-            verify_puncture_lemma(X, [None, "t"], F2)
+        assert both_outcomes(X, [None, "t"]) == [HypothesisUnmet, HypothesisUnmet]
 
 
 class TestJoinAcyclicity:
