@@ -187,12 +187,11 @@ def _cmd_lemma(args):
         ok = report.ok
     elif args.suite == "join":
         violations = applicable = 0
-        limits = GeneratorLimits()
         for i in range(args.count):
             rng = random.Random(args.seed + i)
-            T = rng.randint(0, limits.t_max)
-            A = random_pposet(rng, T, 3, 3, limits, name_prefix="a")
-            B = random_pposet(rng, T, 3, 3, limits, name_prefix="b")
+            T = rng.randint(0, GeneratorLimits.t_max)
+            A = random_pposet(rng, T, 3, 3, name_prefix="a")
+            B = random_pposet(rng, T, 3, 3, name_prefix="b")
             try:
                 report = verify_join_acyclicity(A, B, field, args.kmax)
             except HypothesisUnmet:
@@ -232,7 +231,8 @@ MAX_KMAX = 256
 
 # A flag is (kind, default, help).  Its kind is None for a switch, a
 # metavar for a string, or (least, greatest) for an integer, None meaning
-# unbounded; a generated slice needs an element, hence --max-slice >= 1.
+# unbounded; a generated slice needs an element, hence --max-slice >= 1,
+# and the target's first slice one to label into, hence --max-y-tracks >= 1.
 _REPORT = {"--report": ("PATH", None, "write the machine-readable report here")}
 _FIELD = {"--field": ((None, None), 2, "prime characteristic (default 2)")}
 _COMMON = {**_FIELD, "--kmax": ((0, MAX_KMAX), None, "top homology degree to check"), **_REPORT}
@@ -266,7 +266,7 @@ _COMMANDS = {
     "random": ("generate a random instance document", (), {
         **_SEED, "--t-max": ((0, None), 4, "last index T (default 4)"),
         "--max-slice": ((1, None), 6, "most elements in a source slice (default 6)"),
-        "--max-y-tracks": ((0, None), 4, "most target tracks (default 4)"), **_REPORT}, _cmd_random),
+        "--max-y-tracks": ((1, None), 4, "most target tracks (default 4)"), **_REPORT}, _cmd_random),
 }
 
 

@@ -107,6 +107,15 @@ def _scale_value(block: dict, key: str) -> float:
         raise ValidationError(f"scale: {key} is too large for a float") from None
 
 
+def _name_table(obj: Any, where: str) -> dict[str, str]:
+    """A structure or slice map's table, checked to map names to names."""
+    _require(
+        isinstance(obj, dict) and all(isinstance(k, str) and isinstance(v, str) for k, v in obj.items()),
+        f"{where}: expected a name-to-name table",
+    )
+    return dict(obj)
+
+
 def _parse_poset_block(obj: Any, where: str, T: int) -> PersistencePoset:
     _require(isinstance(obj, dict), f"{where}: expected an object")
     comps_raw = obj.get("components")
@@ -131,13 +140,7 @@ def _parse_poset_block(obj: Any, where: str, T: int) -> PersistencePoset:
             comps.append(new_poset(elements, [tuple(p) for p in pairs]))
         except PersistenceError as exc:
             raise ValidationError(f"{where}.components[{i}]: {exc}") from exc
-    maps = []
-    for i, m in enumerate(maps_raw):
-        _require(
-            isinstance(m, dict) and all(isinstance(k, str) and isinstance(v, str) for k, v in m.items()),
-            f"{where}.maps[{i}]: expected a name-to-name table",
-        )
-        maps.append(MonotoneMap(comps[i], comps[i + 1], dict(m)))
+    maps = [MonotoneMap(comps[i], comps[i + 1], _name_table(m, f"{where}.maps[{i}]")) for i, m in enumerate(maps_raw)]
     try:
         return PersistencePoset(tuple(comps), tuple(maps))
     except PersistenceError as exc:
@@ -179,15 +182,11 @@ def parse_instance(document: Any) -> InstanceDocument:
     y = _parse_poset_block(document.get("y"), "y", T)
     map_raw = document.get("map")
     _require(isinstance(map_raw, list) and len(map_raw) == T + 1, f"map: need {T + 1} slice tables")
-    slices = []
-    for i, m in enumerate(map_raw):
-        _require(
-            isinstance(m, dict) and all(isinstance(k, str) and isinstance(v, str) for k, v in m.items()),
-            f"map[{i}]: expected a name-to-name table",
-        )
-        slices.append(MonotoneMap(x.components[i], y.components[i], dict(m)))
+    slices = tuple(
+        MonotoneMap(x.components[i], y.components[i], _name_table(m, f"map[{i}]")) for i, m in enumerate(map_raw)
+    )
     try:
-        pm = PersistenceMap(x, y, tuple(slices))
+        pm = PersistenceMap(x, y, slices)
     except PersistenceError as exc:
         raise ValidationError(f"map: {exc}") from exc
     scale = None
@@ -335,8 +334,7 @@ def _enrich_poset(rng: random.Random, base: FinitePoset, pair_prob: float, compa
     return new_poset(base.elements, [*base.relation, *_forward_pairs(rng, order, pair_prob, compatible)])
 
 
-def _try_merges(rng: random.Random, P: FinitePoset, attempts: int,
-                mergeable=None) -> dict[str, str]:
+def _try_merges(rng: random.Random, P: FinitePoset, mergeable=None) -> dict[str, str]:
     """Pick a representative map collapsing a few classes, keeping the quotient acyclic."""
     rep = {e: e for e in P.elements}
 
@@ -345,7 +343,7 @@ def _try_merges(rng: random.Random, P: FinitePoset, attempts: int,
             e = rep[e]
         return e
 
-    for _ in range(attempts):
+    for _ in range(_MERGE_ATTEMPTS):
         reps = sorted({find(e) for e in P.elements})
         if len(reps) < 2:
             break
@@ -368,103 +366,71 @@ def _try_merges(rng: random.Random, P: FinitePoset, attempts: int,
     return {e: find(e) for e in P.elements}
 
 
-def random_pposet(
-    rng: random.Random,
-    T: int,
-    max_slice: int,
-    track_budget: int,
-    limits: GeneratorLimits = GeneratorLimits(),
-    name_prefix: str = "v",
-) -> PersistencePoset:
-    """Seeded persistence poset with births, merges, and growing orders."""
+def _random_tower(rng: random.Random, T: int, max_slice: int, budget: float, pair_prob: float, prefix: str,
+                  over: PersistencePoset | None = None) -> tuple[PersistencePoset, list[dict[str, str]]]:
+    """Seeded persistence poset with births, merges and growing orders, and its labels per slice.
+
+    A slice holds at most max_slice elements, and the tower at most budget
+    tracks (at least one).  Over a persistence poset, each new element
+    draws a label in over's slice after the names are drawn; merges join
+    only elements whose labels merge and every drawn pair is compatible
+    with the labels, so they are the slice maps of a persistence map into
+    over.  Without over, every label table is empty.
+    """
     counter = 0
 
-    def fresh_names(n: int) -> list[str]:
+    def fresh(n: int, i: int, lab: dict[str, str]) -> list[str]:
         nonlocal counter
-        names = [f"{name_prefix}{counter + k}" for k in range(n)]
+        names = [f"{prefix}{counter + k}" for k in range(n)]
         counter += n
+        if over is not None:
+            choices = sorted(over.components[i].elements)
+            lab.update((e, rng.choice(choices)) for e in names)
         return names
 
-    size0 = rng.randint(1, max(1, min(max_slice, track_budget)))
-    budget = track_budget - size0
-    comps = [_random_poset(rng, fresh_names(size0), limits.pair_prob)]
+    def compatible(i: int, lab: dict[str, str]):
+        return None if over is None else lambda a, b: over.components[i].leq(lab[a], lab[b])
+
+    size = rng.randint(1, max(1, min(max_slice, budget)))
+    budget -= size
+    labels: list[dict[str, str]] = [{}]
+    comps = [_random_poset(rng, fresh(size, 0, labels[0]), pair_prob, compatible(0, labels[0]))]
     maps = []
-    for _ in range(T):
-        prev = comps[-1]
-        rep = _try_merges(rng, prev, _MERGE_ATTEMPTS if len(prev) > 1 else 0)
+    for i in range(T):
+        prev, lab = comps[-1], labels[i]
+        psi = None if over is None else over.maps[i].assignment
+        rep = _try_merges(rng, prev, None if psi is None else lambda a, b: psi[lab[a]] == psi[lab[b]])
         classes = sorted(set(rep.values()))
         room = max(0, max_slice - len(classes))
-        fresh_count = rng.randint(0, min(_MAX_FRESH, room, budget)) if budget > 0 else 0
-        budget -= fresh_count
-        fresh = fresh_names(fresh_count)
+        count = rng.randint(0, min(_MAX_FRESH, room, budget)) if budget > 0 else 0
+        budget -= count
+        next_lab = {} if psi is None else {c: psi[lab[c]] for c in classes}
+        names = fresh(count, i + 1, next_lab)
         quotient_pairs = {(rep[u], rep[v]) for (u, v) in prev.relation if rep[u] != rep[v]}
-        base = new_poset(classes + fresh, quotient_pairs)
-        comp = _enrich_poset(rng, base, limits.pair_prob)
+        base = new_poset(classes + names, quotient_pairs)
+        comp = _enrich_poset(rng, base, pair_prob, compatible(i + 1, next_lab))
         comps.append(comp)
         maps.append(MonotoneMap(prev, comp, {e: rep[e] for e in prev.elements}))
-    return PersistencePoset(tuple(comps), tuple(maps))
+        labels.append(next_lab)
+    return PersistencePoset(tuple(comps), tuple(maps)), labels
+
+
+def random_pposet(rng: random.Random, T: int, max_slice: int, track_budget: int,
+                  name_prefix: str = "v") -> PersistencePoset:
+    """Seeded persistence poset: at most max_slice elements a slice, track_budget tracks (at least one)."""
+    return _random_tower(rng, T, max_slice, track_budget, GeneratorLimits.pair_prob, name_prefix)[0]
 
 
 def random_instance(seed: int, limits: GeneratorLimits = GeneratorLimits()) -> dict:
     """Deterministic random instance document: Y first, then X over it.
 
-    Every X element carries a label in the matching Y component; merges
-    in X are restricted to elements whose labels merge, and every order
-    relation generated for X is compatible with the labels, so the slice
-    maps are monotone and natural by construction.
+    Both are drawn by one tower routine.  Y has at most max_y_tracks
+    tracks; X has no track budget, and every X element carries a label in
+    the matching Y component, which gives the slice maps.
     """
     rng = random.Random(seed)
     T = rng.randint(0, limits.t_max)
-    y = random_pposet(rng, T, max_slice=limits.max_y_tracks, track_budget=limits.max_y_tracks,
-                      limits=limits, name_prefix="y")
-
-    counter = 0
-
-    def fresh_names(n: int) -> list[str]:
-        nonlocal counter
-        names = [f"x{counter + k}" for k in range(n)]
-        counter += n
-        return names
-
-    size0 = rng.randint(1, limits.max_slice)
-    names0 = fresh_names(size0)
-    y0 = y.components[0]
-    labels: list[dict[str, str]] = [{e: rng.choice(sorted(y0.elements)) for e in names0}]
-    comp0 = _random_poset(
-        rng, names0, limits.pair_prob,
-        compatible=lambda a, b: y0.leq(labels[0][a], labels[0][b]),
-    )
-    comps = [comp0]
-    maps = []
-    for i in range(T):
-        prev = comps[-1]
-        lab = labels[i]
-        psi = y.maps[i].assignment
-        y_next = y.components[i + 1]
-        rep = _try_merges(
-            rng, prev, _MERGE_ATTEMPTS if len(prev) > 1 else 0,
-            mergeable=lambda a, b: psi[lab[a]] == psi[lab[b]],
-        )
-        classes = sorted(set(rep.values()))
-        room = max(0, limits.max_slice - len(classes))
-        fresh_count = rng.randint(0, min(_MAX_FRESH, room))
-        fresh = fresh_names(fresh_count)
-        next_lab = {c: psi[lab[c]] for c in classes}
-        for e in fresh:
-            next_lab[e] = rng.choice(sorted(y_next.elements))
-        quotient_pairs = {(rep[u], rep[v]) for (u, v) in prev.relation if rep[u] != rep[v]}
-        base = new_poset(classes + fresh, quotient_pairs)
-        comp = _enrich_poset(
-            rng, base, limits.pair_prob,
-            compatible=lambda a, b: y_next.leq(next_lab[a], next_lab[b]),
-        )
-        comps.append(comp)
-        maps.append(MonotoneMap(prev, comp, {e: rep[e] for e in prev.elements}))
-        labels.append(next_lab)
-
-    x = PersistencePoset(tuple(comps), tuple(maps))
-    slices = tuple(
-        MonotoneMap(x.components[i], y.components[i], dict(labels[i])) for i in range(T + 1)
-    )
-    inst = InstanceDocument(map=PersistenceMap(x, y, slices))
-    return serialize_instance(inst)
+    y, _ = _random_tower(rng, T, limits.max_y_tracks, limits.max_y_tracks, limits.pair_prob, "y")
+    x, labels = _random_tower(rng, T, limits.max_slice, math.inf, limits.pair_prob, "x", over=y)
+    slices = tuple(MonotoneMap(x.components[i], y.components[i], labels[i]) for i in range(T + 1))
+    return serialize_instance(InstanceDocument(map=PersistenceMap(x, y, slices)))

@@ -328,14 +328,12 @@ def _grow(
     cylinder: PersistencePoset,
     start: Sequence[set[str]],
     tracks: Iterable[ElementTrack],
-    members: dict[tuple[frozenset[str], ...], PersistencePoset],
 ) -> tuple[list[PersistencePoset], list[ChainStep]]:
     """Add tracks to the subposet on start one at a time: the members and the steps.
 
     A step adds only the part of the trajectory not already present, so
-    every member is a persistence subposet of the cylinder.  Members are
-    looked up in members by their element sets, so a subposet reached
-    twice is one object.
+    every member is a persistence subposet of the cylinder, and a step
+    that adds nothing keeps the member before it.
 
     Only the first member goes through restrict.  Each later one is built
     from the member before it: the slices where the step adds a value are
@@ -347,11 +345,7 @@ def _grow(
     at i gains or keeps one at every later index.
     """
     current = [set(s) for s in start]
-    slice_keys = [frozenset(s) for s in current]
-    key = tuple(slice_keys)
-    if key not in members:
-        members[key] = restrict(cylinder, current)
-    chain = [members[key]]
+    chain = [restrict(cylinder, current)]
     steps: list[ChainStep] = []
     for tr in tracks:
         row = _trajectory_row(tr, cylinder.T)
@@ -359,11 +353,7 @@ def _grow(
         changed = [i for i, v in enumerate(added) if v is not None]
         for i in changed:
             current[i].add(added[i])
-            slice_keys[i] = frozenset(current[i])
-        key = tuple(slice_keys)
-        member = members.get(key)
-        if member is None:
-            member = members[key] = _extend(cylinder, chain[-1], current, changed)
+        member = _extend(cylinder, chain[-1], current, changed) if changed else chain[-1]
         chain.append(member)
         steps.append(ChainStep(larger=member, smaller=chain[-2], removed=added, trajectory=row, track=tr))
     return chain, steps
@@ -390,17 +380,15 @@ def chain_filtrations(f: PersistenceMap) -> ChainFiltrations:
     order; the shrinking chain removes the target tracks in track order,
     so each step removes the part of its trajectory not shared with a
     later target track.  That is the growing of the source copy by the
-    target tracks in reverse order, read backwards.  Both chains reach the
-    full cylinder as one object, so its barcodes can be shared.
+    target tracks in reverse order, read backwards.
     """
     cylinder = persistence_mapping_cylinder(f)
     x_tracks = [_tagged_track(t, CYLINDER_SOURCE_TAG) for t in tracks(f.source)]
     y_tracks = [_tagged_track(t, CYLINDER_TARGET_TAG) for t in tracks(f.target)]
     x_part = [{CYLINDER_SOURCE_TAG + e for e in c.elements} for c in f.source.components]
     y_part = [{CYLINDER_TARGET_TAG + e for e in c.elements} for c in f.target.components]
-    members: dict[tuple[frozenset[str], ...], PersistencePoset] = {}
-    target_chain, target_steps = _grow(cylinder, y_part, x_tracks, members)
-    source_chain, source_steps = _grow(cylinder, x_part, reversed(y_tracks), members)
+    target_chain, target_steps = _grow(cylinder, y_part, x_tracks)
+    source_chain, source_steps = _grow(cylinder, x_part, reversed(y_tracks))
     return ChainFiltrations(
         cylinder=cylinder,
         target_chain=target_chain,

@@ -324,11 +324,12 @@ def test_verify_rejects_bad_flags(instance_file, capsys, flags):
         ["random", "--max-slice", "-1"],
         ["random", "--max-slice", "0"],
         ["random", "--max-y-tracks", "-1"],
+        ["random", "--max-y-tracks", "0"],
         ["lemma", "ses", "--count", "-5"],
         ["lemma", "join", "--count", "-1"],
     ],
     ids=["t-max-negative", "max-slice-negative", "max-slice-zero", "max-y-tracks-negative",
-         "ses-count-negative", "join-count-negative"],
+         "max-y-tracks-zero", "ses-count-negative", "join-count-negative"],
 )
 def test_rejects_bad_generator_flags(capsys, argv):
     assert main(argv) == 2

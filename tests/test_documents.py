@@ -1,4 +1,6 @@
+import hashlib
 import random
+import re
 
 import pytest
 
@@ -27,6 +29,14 @@ MINIMAL = {
     "x": {"components": [{"elements": ["a"], "pairs": []}], "maps": []},
     "y": {"components": [{"elements": ["p"], "pairs": []}], "maps": []},
     "map": [{"a": "p"}],
+}
+
+ONE_STEP = {
+    "schema": "instance/1",
+    "T": 1,
+    "x": {"components": [{"elements": ["a"]}] * 2, "maps": [{"a": "a"}]},
+    "y": {"components": [{"elements": ["p"]}] * 2, "maps": [{"p": "p"}]},
+    "map": [{"a": "p"}] * 2,
 }
 
 
@@ -64,6 +74,19 @@ class TestInstanceDocuments:
             parse_instance({"schema": "instance/1", "T": -1})
         with pytest.raises(SchemaError):
             parse_instance("not json {{")
+
+    @pytest.mark.parametrize(
+        "part, message",
+        [
+            ({"x": {"components": [{"elements": ["a"]}] * 2, "maps": [{"a": 0}]}}, "x.maps[0]"),
+            ({"map": [["a", "p"], {"a": "p"}]}, "map[0]"),
+        ],
+        ids=["structure-map", "slice-map"],
+    )
+    def test_map_tables_must_map_names_to_names(self, part, message):
+        assert parse_instance(ONE_STEP).map.T == 1
+        with pytest.raises(SchemaError, match=re.escape(f"{message}: expected a name-to-name table")):
+            parse_instance({**ONE_STEP, **part})
 
     def test_scale_validation(self):
         doc = dict(MINIMAL)
@@ -181,3 +204,19 @@ class TestGenerator:
             pp = random_pposet(rng, rng.randint(0, 3), 4, 4)
             validate(pp)
             assert len(tracks(pp)) <= 4
+
+    def test_generated_documents_are_pinned(self):
+        """One digest pins the generator's exact output: instances on tiers S, M
+        and T = 0, and the cases `lemma join --seed 0 --count 20` draws.
+
+        The goldens and the bench reference pools depend on every draw."""
+        digest = hashlib.sha256()
+        for limits in (GeneratorLimits(5, 6, 4), GeneratorLimits(8, 10, 6), GeneratorLimits(t_max=0)):
+            for seed in range(50):
+                digest.update(canonical_json(random_instance(seed, limits)).encode())
+        for seed in range(20):
+            rng = random.Random(seed)
+            T = rng.randint(0, GeneratorLimits().t_max)
+            for prefix in "ab":
+                digest.update(canonical_json(pposet_to_doc(random_pposet(rng, T, 3, 3, name_prefix=prefix))).encode())
+        assert digest.hexdigest() == "17651ce9e966a7894f50cb62af1cf1cfc0b859dc9fabe38e5e71d820965ee70d"
