@@ -292,6 +292,10 @@ class GeneratorLimits:
     max_y_tracks: int = 4
     pair_prob: float = 0.4
 
+    def __post_init__(self) -> None:
+        if self.t_max < 0 or self.max_slice < 1 or self.max_y_tracks < 1:
+            raise ValidationError(f"generator limits need t_max >= 0 and max_slice, max_y_tracks >= 1, got {self}")
+
 
 def _random_linear_order(rng: random.Random, P: FinitePoset) -> list[str]:
     """A random-but-seeded topological order of P."""
@@ -391,7 +395,7 @@ def _random_tower(rng: random.Random, T: int, max_slice: int, budget: float, pai
     def compatible(i: int, lab: dict[str, str]):
         return None if over is None else lambda a, b: over.components[i].leq(lab[a], lab[b])
 
-    size = rng.randint(1, max(1, min(max_slice, budget)))
+    size = rng.randint(1, min(max_slice, budget))
     budget -= size
     labels: list[dict[str, str]] = [{}]
     comps = [_random_poset(rng, fresh(size, 0, labels[0]), pair_prob, compatible(0, labels[0]))]
@@ -418,6 +422,8 @@ def _random_tower(rng: random.Random, T: int, max_slice: int, budget: float, pai
 def random_pposet(rng: random.Random, T: int, max_slice: int, track_budget: int,
                   name_prefix: str = "v") -> PersistencePoset:
     """Seeded persistence poset: at most max_slice elements a slice, track_budget tracks (at least one)."""
+    if max_slice < 1 or track_budget < 1:
+        raise ValidationError(f"random_pposet needs max_slice, track_budget >= 1, got {max_slice}, {track_budget}")
     return _random_tower(rng, T, max_slice, track_budget, GeneratorLimits.pair_prob, name_prefix)[0]
 
 

@@ -2,11 +2,11 @@
 
 Components are connected by total monotone structure maps and extend
 constantly beyond the last explicit index.  This module also provides
-element tracks, persistence subposets (comparison sets, fibers),
-coherent linear extensions, the persistence mapping cylinder, the two
-interpolation chains used to compare a map's source and target inside
-the cylinder, and the slicewise ordinal sum, whose order-complex tower is
-the join of the factors' towers.
+element tracks as trajectory rows, persistence subposets (comparison
+sets, fibers), coherent linear extensions, the persistence mapping
+cylinder, the steps of the two interpolation chains used to compare a
+map's source and target inside the cylinder, and the slicewise ordinal
+sum, whose order-complex tower is the join of the factors' towers.
 
 Only validate checks a persistence poset.  restrict checks that its
 subsets are closed; every other derived persistence poset (chain
@@ -98,20 +98,14 @@ def _check_arrow(f: MonotoneMap, source: FinitePoset, target: FinitePoset, name:
 
 @dataclass(frozen=True)
 class ElementTrack:
-    """An element of a persistence poset: birth index plus its image trajectory."""
+    """An element of a persistence poset: birth index plus its row of values 0..T, None before birth."""
 
     birth: int
-    trajectory: tuple[str, ...]
+    trajectory: tuple[str | None, ...]
 
     @property
     def initial(self) -> str:
-        return self.trajectory[0]
-
-    def value(self, i: int) -> str:
-        """Trajectory value at index i >= birth (constant beyond the end)."""
-        if i < self.birth:
-            raise IndexError(f"track born at {self.birth} has no value at {i}")
-        return self.trajectory[min(i - self.birth, len(self.trajectory) - 1)]
+        return self.trajectory[self.birth]
 
     @property
     def label(self) -> str:
@@ -218,9 +212,10 @@ def tracks(pp: PersistencePoset) -> list[ElementTrack]:
     """All maximal element tracks, one per fresh element.
 
     A fresh element is born at index 0 or is outside the image of the
-    previous structure map.  Tracks are ordered by birth index and then
-    by the rank of the initial element in the coherent linear extension
-    of the birth component, so downstream enumerations are reproducible.
+    previous structure map; its track's row is None before that index.
+    Tracks are ordered by birth index and then by the rank of the initial
+    element in the coherent linear extension of the birth component, so
+    downstream enumerations are reproducible.
     """
     extended = persistence_linear_extension(pp)
     out: list[ElementTrack] = []
@@ -233,7 +228,7 @@ def tracks(pp: PersistencePoset) -> list[ElementTrack]:
             fresh = [e for e in comp.elements if e not in image]
         rank = {e: r for r, e in enumerate(extended[i])}
         for e in sorted(fresh, key=lambda e: rank[e]):
-            traj = [e]
+            traj = [None] * i + [e]
             for j in range(i, pp.T):
                 traj.append(pp.maps[j].assignment[traj[-1]])
             out.append(ElementTrack(birth=i, trajectory=tuple(traj)))
@@ -247,12 +242,12 @@ def fiber(f: PersistenceMap, y: ElementTrack) -> PersistencePoset:
     target's relation, where v is the track's value; it is empty before
     the track's birth.
     """
-    return restrict(f.source, [_fiber_slice(f, i, v) for i, v in enumerate(_trajectory_row(y, f.T))])
+    return restrict(f.source, [_fiber_slice(f, i, v) for i, v in enumerate(y.trajectory)])
 
 
 def fiber_ends_connected(f: PersistenceMap, y: ElementTrack) -> bool:
     """Whether the last slice of fiber(f, y) is connected, read without building the fiber."""
-    return is_connected(f.source.components[f.T], _fiber_slice(f, f.T, y.value(f.T)))
+    return is_connected(f.source.components[f.T], _fiber_slice(f, f.T, y.trajectory[f.T]))
 
 
 def _fiber_slice(f: PersistenceMap, i: int, v: str | None) -> set[str]:
@@ -292,44 +287,36 @@ def persistence_mapping_cylinder(f: PersistenceMap) -> PersistencePoset:
 class ChainStep:
     """One interpolation step: remove a (possibly truncated) trajectory.
 
-    ``larger`` minus the removed elements equals ``smaller``.  The
-    ``trajectory`` records the full underlying trajectory (None before
-    birth) so that comparison sets can be formed at every index even
-    when the removed piece stops at a merge.
+    ``larger`` minus the removed elements equals ``smaller``.  The full
+    row ``track.trajectory`` lets comparison sets be formed at every
+    index even when the removed piece stops at a merge.
     """
 
     larger: PersistencePoset
     smaller: PersistencePoset
     removed: tuple[str | None, ...]
-    trajectory: tuple[str | None, ...]
     track: ElementTrack
 
 
 @dataclass(eq=False)
 class ChainFiltrations:
-    """The two interpolation chains inside a persistence mapping cylinder."""
+    """The two interpolation chains inside a persistence mapping cylinder: each member is a step's side."""
 
     cylinder: PersistencePoset
-    target_chain: list[PersistencePoset]
     target_steps: list[ChainStep]
-    source_chain: list[PersistencePoset]
     source_steps: list[ChainStep]
 
 
 def _tagged_track(track: ElementTrack, tag: str) -> ElementTrack:
-    return ElementTrack(birth=track.birth, trajectory=tuple(tag + e for e in track.trajectory))
-
-
-def _trajectory_row(track: ElementTrack, T: int) -> tuple[str | None, ...]:
-    return tuple(track.value(i) if i >= track.birth else None for i in range(T + 1))
+    return ElementTrack(birth=track.birth, trajectory=tuple(None if e is None else tag + e for e in track.trajectory))
 
 
 def _grow(
     cylinder: PersistencePoset,
     start: Sequence[set[str]],
     tracks: Iterable[ElementTrack],
-) -> tuple[list[PersistencePoset], list[ChainStep]]:
-    """Add tracks to the subposet on start one at a time: the members and the steps.
+) -> list[ChainStep]:
+    """Add tracks to the subposet on start one at a time: one step per track.
 
     A step adds only the part of the trajectory not already present, so
     every member is a persistence subposet of the cylinder, and a step
@@ -345,18 +332,17 @@ def _grow(
     at i gains or keeps one at every later index.
     """
     current = [set(s) for s in start]
-    chain = [restrict(cylinder, current)]
+    member = restrict(cylinder, current)
     steps: list[ChainStep] = []
     for tr in tracks:
-        row = _trajectory_row(tr, cylinder.T)
-        added = tuple(None if v is None or v in current[i] else v for i, v in enumerate(row))
+        added = tuple(None if v is None or v in current[i] else v for i, v in enumerate(tr.trajectory))
         changed = [i for i, v in enumerate(added) if v is not None]
         for i in changed:
             current[i].add(added[i])
-        member = _extend(cylinder, chain[-1], current, changed) if changed else chain[-1]
-        chain.append(member)
-        steps.append(ChainStep(larger=member, smaller=chain[-2], removed=added, trajectory=row, track=tr))
-    return chain, steps
+        previous = member
+        member = _extend(cylinder, previous, current, changed) if changed else previous
+        steps.append(ChainStep(larger=member, smaller=previous, removed=added, track=tr))
+    return steps
 
 
 def _extend(
@@ -374,7 +360,7 @@ def _extend(
 
 
 def chain_filtrations(f: PersistenceMap) -> ChainFiltrations:
-    """Build Y = Y^0 <= ... <= Y^n = M(f) and M(f) = X^0 >= ... >= X^m = X.
+    """The steps of Y = Y^0 <= ... <= Y^n = M(f) and of M(f) = X^0 >= ... >= X^m = X.
 
     The growing chain adds the source tracks one at a time in track
     order; the shrinking chain removes the target tracks in track order,
@@ -387,14 +373,10 @@ def chain_filtrations(f: PersistenceMap) -> ChainFiltrations:
     y_tracks = [_tagged_track(t, CYLINDER_TARGET_TAG) for t in tracks(f.target)]
     x_part = [{CYLINDER_SOURCE_TAG + e for e in c.elements} for c in f.source.components]
     y_part = [{CYLINDER_TARGET_TAG + e for e in c.elements} for c in f.target.components]
-    target_chain, target_steps = _grow(cylinder, y_part, x_tracks)
-    source_chain, source_steps = _grow(cylinder, x_part, reversed(y_tracks))
     return ChainFiltrations(
         cylinder=cylinder,
-        target_chain=target_chain,
-        target_steps=target_steps,
-        source_chain=source_chain[::-1],
-        source_steps=source_steps[::-1],
+        target_steps=_grow(cylinder, y_part, x_tracks),
+        source_steps=_grow(cylinder, x_part, reversed(y_tracks))[::-1],
     )
 
 

@@ -309,7 +309,7 @@ def verify_cylinder_retraction(
 
     cone_steps_ok = True
     for tr in tracks(f.source):
-        row = [f.slices[i].assignment[tr.value(i)] if i >= tr.birth else None for i in range(f.T + 1)]
+        row = [None if v is None else f.slices[i].assignment[v] for i, v in enumerate(tr.trajectory)]
         upset = up_set_of_image_track(f.target, row)
         if not _is_point_from(pposet_barcodes(upset, field, max(k_max, 0)), tr.birth):
             cone_steps_ok = False
@@ -366,7 +366,7 @@ def chain_puncture_suite(
                 trivial += 1
                 continue
             try:
-                violation = _step_violation(step.larger, step.smaller, step.trajectory, field, k_max)
+                violation = _step_violation(step.larger, step.smaller, step.track.trajectory, field, k_max)
             except HypothesisUnmet:
                 skipped += 1
                 continue

@@ -104,7 +104,6 @@ from persposet.pposets import (
     ElementTrack,
     PersistencePoset,
     _tagged_track,
-    _trajectory_row,
     persistence_mapping_cylinder,
     restrict,
     top_degree,
@@ -764,7 +763,7 @@ def fiber(f: PersistenceMap, y: ElementTrack) -> PersistencePoset:
     """Preimage of the weak down-set of a target track, element by element."""
     return _restrict_along(
         f.source,
-        _trajectory_row(y, f.T),
+        y.trajectory,
         lambda i, x, v: f.target.components[i].leq(f.slices[i].assignment[x], v),
     )
 
@@ -871,7 +870,7 @@ def puncture_suite_by_lemma(f: PersistenceMap, field: FieldSpec, k_max: int | No
                 continue
             smaller = complement(step.larger, step.removed)
             try:
-                result = puncture_step(step.larger, smaller, step.trajectory, field, k_max)
+                result = puncture_step(step.larger, smaller, step.track.trajectory, field, k_max)
             except HypothesisUnmet:
                 result = None
             results.append((step, result))
@@ -917,7 +916,7 @@ def persistence_linear_extension(pp: PersistencePoset) -> list[list[str]]:
 
 
 def chain_filtrations(f: PersistenceMap) -> ChainFiltrations:
-    """Build Y = Y^0 <= ... <= Y^n = M(f) and M(f) = X^0 >= ... >= X^m = X.
+    """The steps of Y = Y^0 <= ... <= Y^n = M(f) and of M(f) = X^0 >= ... >= X^m = X.
 
     The growing chain adds the source tracks one at a time in track
     order; the shrinking chain removes the target tracks in track
@@ -944,19 +943,18 @@ def chain_filtrations(f: PersistenceMap) -> ChainFiltrations:
     for tr in x_tracks:
         removed: list[str | None] = []
         for i in range(T + 1):
-            if i < tr.birth or tr.value(i) in current[i]:
+            if i < tr.birth or tr.trajectory[i] in current[i]:
                 removed.append(None)
             else:
-                removed.append(tr.value(i))
+                removed.append(tr.trajectory[i])
         for i in range(tr.birth, T + 1):
-            current[i].add(tr.value(i))
+            current[i].add(tr.trajectory[i])
         member = restrict(cylinder, current)
         target_steps.append(
             ChainStep(
                 larger=member,
                 smaller=target_chain[-1],
                 removed=tuple(removed),
-                trajectory=_trajectory_row(tr, T),
                 track=tr,
             )
         )
@@ -975,8 +973,8 @@ def chain_filtrations(f: PersistenceMap) -> ChainFiltrations:
             if i < tr.birth:
                 removed.append(None)
                 continue
-            v = tr.value(i)
-            shared = any(lt.birth <= i and lt.value(i) == v for lt in later)
+            v = tr.trajectory[i]
+            shared = any(lt.birth <= i and lt.trajectory[i] == v for lt in later)
             removed.append(None if shared else v)
         nxt = [set(s) for s in current]
         for i in range(T + 1):
@@ -988,20 +986,29 @@ def chain_filtrations(f: PersistenceMap) -> ChainFiltrations:
                 larger=source_chain[-1],
                 smaller=member,
                 removed=tuple(removed),
-                trajectory=_trajectory_row(tr, T),
                 track=tr,
             )
         )
         source_chain.append(member)
         current = nxt
 
-    return ChainFiltrations(
-        cylinder=cylinder,
-        target_chain=target_chain,
-        target_steps=target_steps,
-        source_chain=source_chain,
-        source_steps=source_steps,
-    )
+    return ChainFiltrations(cylinder=cylinder, target_steps=target_steps, source_steps=source_steps)
+
+
+def chain_members(chains: ChainFiltrations) -> tuple[list[PersistencePoset], list[PersistencePoset]]:
+    """The growing chain Y^0 <= ... <= Y^n and the shrinking chain X^0 >= ... >= X^m, read off the steps.
+
+    Y^0 is the first growing step's smaller side and each step's larger
+    side is the next member; X^0 is the first shrinking step's larger
+    side and each step's smaller side is the next member.  A chain with no
+    steps has one member, the cylinder: with no source tracks the source
+    is empty, so Y^0 is the whole cylinder; with no target tracks the
+    target is empty, so the source and the cylinder are too.
+    """
+    grow, shrink = chains.target_steps, chains.source_steps
+    target_chain = [grow[0].smaller, *(s.larger for s in grow)] if grow else [chains.cylinder]
+    source_chain = [shrink[0].larger, *(s.smaller for s in shrink)] if shrink else [chains.cylinder]
+    return target_chain, source_chain
 
 
 # -- full order-complex towers and the join lemma ---------------------------------

@@ -30,7 +30,7 @@ from persposet.pposets import (
     tracks,
 )
 from persposet.verifier import verify_theorem
-from reference import acyclicity_defect, barcodes_of, constant_pposet, order_complex_tower
+from reference import acyclicity_defect, barcodes_of, chain_members, constant_pposet, order_complex_tower
 
 TIERS = {
     "S": GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4),
@@ -114,11 +114,12 @@ def instance_pposets(f):
     chains = chain_filtrations(f)
     out = [f.source, f.target]
     out += [fiber(f, y) for y in tracks(f.target)]
-    out += chains.target_chain + chains.source_chain
+    target_chain, source_chain = chain_members(chains)
+    out += target_chain + source_chain
     for step in chains.target_steps + chains.source_steps:
         for direction in ("below", "above"):
             try:
-                out.append(comparison_set(step.larger, step.trajectory, direction))
+                out.append(comparison_set(step.larger, step.track.trajectory, direction))
             except NotASubposet:
                 pass
     return out

@@ -151,10 +151,9 @@ def tier_s_pposets(seed):
         out.append(fiber(f, y))
     for pp in (f.source, f.target):
         for t in tracks(pp):
-            row = [t.value(i) if i >= t.birth else None for i in range(pp.T + 1)]
             for direction in ("below", "above"):
                 try:
-                    out.append(comparison_set(pp, row, direction))
+                    out.append(comparison_set(pp, t.trajectory, direction))
                 except NotASubposet:
                     pass
     return f, out

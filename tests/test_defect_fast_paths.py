@@ -141,13 +141,13 @@ def check_step(step, field, k_max):
     for pp in (step.larger, step.smaller):
         for direction in ("below", "above"):
             try:
-                status = comparison_status(pp, step.trajectory, direction, k_max)
+                status = comparison_status(pp, step.track.trajectory, direction, k_max)
             except UnknownElement as exc:
                 with pytest.raises(UnknownElement, match=str(exc)):
-                    comparison_set(pp, step.trajectory, direction)
+                    comparison_set(pp, step.track.trajectory, direction)
                 continue
             seen.add(status)
-            defect = reference.comparison_defect(pp, step.trajectory, direction, field, k_max)
+            defect = reference.comparison_defect(pp, step.track.trajectory, direction, field, k_max)
             if status == "finite":
                 assert defect != INF
             elif status == "infinite":
@@ -167,7 +167,7 @@ def check_step_against_built(step, field, k_max):
 
     with mock.patch.object(verifier, "_side_defect", recording_side):
         try:
-            outcome = verifier._step_violation(step.larger, step.smaller, step.trajectory, field, k_max)
+            outcome = verifier._step_violation(step.larger, step.smaller, step.track.trajectory, field, k_max)
         except HypothesisUnmet:
             outcome = HypothesisUnmet
     full = built_outcome(step, field, k_max)
@@ -185,7 +185,7 @@ def check_step_against_built(step, field, k_max):
 
 def built_outcome(step, field, k_max, trajectory=None):
     """The step with every subposet built: its defects and distances, or HypothesisUnmet."""
-    trajectory = step.trajectory if trajectory is None else trajectory
+    trajectory = step.track.trajectory if trajectory is None else trajectory
     try:
         return reference.puncture_step(step.larger, step.smaller, trajectory, field, k_max)
     except HypothesisUnmet:
@@ -238,7 +238,7 @@ def test_a_row_of_the_wrong_length_has_no_comparison_set():
     steps = [step for step in chains.target_steps + chains.source_steps if any(v is not None for v in step.removed)]
     assert steps
     for step in steps:
-        row = step.trajectory
+        row = step.track.trajectory
         for wrong in (row[:-1], (*row, row[-1])):
             for direction in ("below", "above"):
                 with pytest.raises(NotASubposet, match=f"expected {step.larger.T + 1} subsets"):
@@ -312,7 +312,7 @@ def test_restrict_shortcuts_equal_the_filtered_build(tier):
     @settings(max_examples=15, deadline=None)
     def check(seed, data):
         f = instance(tier, seed)
-        for pp in (f.source, f.target, *chain_filtrations(f).target_chain):
+        for pp in (f.source, f.target, *reference.chain_members(chain_filtrations(f))[0]):
             for P in pp.components:
                 part = data.draw(st.sets(st.sampled_from(P.elements))) if P.elements else set()
                 for subset in (set(), set(P.elements), part):

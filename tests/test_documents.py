@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 import re
@@ -197,6 +198,21 @@ class TestGenerator:
         lim = GeneratorLimits(t_max=0)
         inst = parse_instance(random_instance(0, lim))
         assert inst.map.T == 0
+
+    @pytest.mark.parametrize("name, value", [("t_max", -1), ("max_slice", 0), ("max_y_tracks", 0)])
+    def test_limits_out_of_range_rejected(self, name, value):
+        with pytest.raises(ValidationError, match="generator limits"):
+            GeneratorLimits(**{name: value})
+
+    @pytest.mark.parametrize("max_slice, track_budget", [(0, 4), (4, 0)])
+    def test_random_pposet_bounds_rejected(self, max_slice, track_budget):
+        with pytest.raises(ValidationError, match="random_pposet"):
+            random_pposet(random.Random(0), 2, max_slice, track_budget)
+
+    def test_limits_positional_order(self):
+        """Callers build limits positionally, as GeneratorLimits(t_max, max_slice, max_y_tracks)."""
+        names = [f.name for f in dataclasses.fields(GeneratorLimits)]
+        assert names[:3] == ["t_max", "max_slice", "max_y_tracks"]
 
     def test_random_pposet_valid(self):
         for seed in range(30):

@@ -103,7 +103,7 @@ def test_suite_equals_per_step_lemma_loop(seed, p):
     k_max = top_degree(chain_filtrations(f).cylinder)
     for ((larger, smaller, trajectory, _, step_k_max), built, outcome), (step, result) in zip(calls, results):
         assert (outcome is HypothesisUnmet) == (result is None)
-        assert step_k_max == k_max and trajectory == step.trajectory
+        assert step_k_max == k_max and trajectory == step.track.trajectory
         for direction, defect in built.items():
             assert defect == (INF if result is None else dict(zip(("below", "above"), result))[direction])
         # Each step is handed the step's two sides, whose barcodes are those of their full towers.
@@ -121,7 +121,6 @@ def unshared_chains(f):
     if chains.source_steps:
         full = chains.source_steps[0].larger
         copy = PersistencePoset(full.components, full.maps)
-        chains.source_chain[0] = copy
         chains.source_steps[0] = replace(chains.source_steps[0], larger=copy)
     return chains
 

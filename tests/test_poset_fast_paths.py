@@ -60,7 +60,8 @@ def instance(tier, seed):
 def pposets_of(f):
     """The source, the target, the cylinder and every member of both chains."""
     chains = chain_filtrations(f)
-    return [f.source, f.target, chains.cylinder, *chains.target_chain, *chains.source_chain]
+    target_chain, source_chain = reference.chain_members(chains)
+    return [f.source, f.target, chains.cylinder, *target_chain, *source_chain]
 
 
 def shape(pp):
@@ -132,9 +133,9 @@ def test_row_subposets_equal_their_references(tier):
     def check(seed):
         f = instance(tier, seed)
         chains = chain_filtrations(f)
-        rows = [(pp, pposets._trajectory_row(t, f.T)) for pp in (f.source, f.target) for t in tracks(pp)]
+        rows = [(pp, t.trajectory) for pp in (f.source, f.target) for t in tracks(pp)]
         for step in chains.target_steps + chains.source_steps:
-            rows += [(step.larger, step.trajectory), (step.smaller, step.trajectory)]
+            rows += [(step.larger, step.track.trajectory), (step.smaller, step.track.trajectory)]
         for pp, row in rows:
             for direction in ("below", "above"):
                 assert outcome(comparison_set, pp, row, direction) == outcome(
@@ -143,7 +144,7 @@ def test_row_subposets_equal_their_references(tier):
         for y in tracks(f.target):
             assert shape(fiber(f, y)) == shape(reference.fiber(f, y))
         for tr in tracks(f.source):
-            row = [f.slices[i].assignment[tr.value(i)] if i >= tr.birth else None for i in range(f.T + 1)]
+            row = [None if v is None else f.slices[i].assignment[v] for i, v in enumerate(tr.trajectory)]
             assert shape(up_set_of_image_track(f.target, row)) == shape(reference.up_set_of_image_track(f.target, row))
 
     check()
@@ -156,8 +157,8 @@ def test_chain_members_pass_validate(tier):
     @given(st.integers(0, 10_000))
     @settings(max_examples=15, deadline=None)
     def check(seed):
-        chains = chain_filtrations(instance(tier, seed))
-        for member in chains.target_chain + chains.source_chain:
+        target_chain, source_chain = reference.chain_members(chain_filtrations(instance(tier, seed)))
+        for member in target_chain + source_chain:
             validate(member)
 
     check()
@@ -182,10 +183,10 @@ def needs_exact_defect(step, field, k_max):
     open_sides, finite = [], False
     for direction in ("below", "above"):
         try:
-            reference.comparison_set(step.larger, step.trajectory, direction)
+            reference.comparison_set(step.larger, step.track.trajectory, direction)
         except NotASubposet:
             continue
-        P, ends = last_slice(step.larger, step.trajectory, direction)
+        P, ends = last_slice(step.larger, step.track.trajectory, direction)
         if reference.is_connected(P, ends):
             open_sides.append(direction)
             finite = finite or k_max <= 0 or reference.is_cone(P, ends)
@@ -206,7 +207,8 @@ def test_puncture_suite_traffic():
     """
     f = instance("S", 3)
     chains = chain_filtrations(f)
-    firsts = {id(chains.target_chain[0]), id(chains.source_chain[-1])}
+    target_chain, source_chain = reference.chain_members(chains)
+    firsts = {id(target_chain[0]), id(source_chain[-1])}
     seen, changed = set(firsts), 0
     build_order = chains.target_steps + chains.source_steps[::-1]
     for step in build_order:
@@ -240,7 +242,7 @@ def test_puncture_suite_traffic():
     k_max = top_degree(chains.cylinder)
     needed = sum(len(needs_exact_defect(step, FieldSpec(2), k_max)) for step in steps)
     connected = sum(
-        reference.is_connected(*last_slice(step.larger, step.trajectory, direction))
+        reference.is_connected(*last_slice(step.larger, step.track.trajectory, direction))
         for step in steps
         for direction in ("below", "above")
     )

@@ -45,11 +45,6 @@ def pmap(x, y, slices):
     ))
 
 
-def row(track, T):
-    """A track's trajectory per index, None before its birth."""
-    return [track.value(i) if i >= track.birth else None for i in range(T + 1)]
-
-
 def identity(pp):
     return pmap(pp, pp, [{e: e for e in c.elements} for c in pp.components])
 
@@ -92,7 +87,7 @@ class TestTracks:
         ts = tracks(pp)
         assert [(t.birth, t.initial) for t in ts] == [(0, "a"), (1, "b")]
         assert ts[0].trajectory == ("a", "a")
-        assert ts[1].trajectory == ("b",)
+        assert ts[1].trajectory == (None, "b")
 
     def test_constant_all_fresh_at_zero(self):
         pp = constant_pposet(new_poset("abc", [("a", "b")]), 2)
@@ -114,7 +109,7 @@ class TestTracks:
         covered = [set() for _ in range(pp.T + 1)]
         for t in ts:
             for i in range(t.birth, pp.T + 1):
-                covered[i].add(t.value(i))
+                covered[i].add(t.trajectory[i])
         for i in range(pp.T + 1):
             assert covered[i] == set(pp.components[i].elements)
 
@@ -166,7 +161,7 @@ class TestSubDownset:
     def test_constant_chain(self):
         pp = constant_pposet(new_poset("ab", [("a", "b")]), 1)
         tb = [t for t in tracks(pp) if t.initial == "b"][0]
-        sub = comparison_set(pp, row(tb, pp.T), "below")
+        sub = comparison_set(pp, tb.trajectory, "below")
         assert all(c.elements == ("a",) for c in sub.components)
 
     def test_circle_weak(self):
@@ -184,7 +179,7 @@ class TestSubDownset:
         )
         tb = [t for t in tracks(pp) if t.initial == "b"][0]
         assert tb.birth == 2
-        sub = comparison_set(pp, row(tb, pp.T), "below")
+        sub = comparison_set(pp, tb.trajectory, "below")
         assert [c.elements for c in sub.components] == [(), (), ("a",)]
 
     def test_merge_into_track_fails_closure(self):
@@ -193,7 +188,7 @@ class TestSubDownset:
         pp = pposet([(["a", "b"], [("a", "b")]), ("z", [])], [{"a": "z", "b": "z"}])
         tb = [t for t in tracks(pp) if t.initial == "b"][0]
         with pytest.raises(NotASubposet):
-            comparison_set(pp, row(tb, pp.T), "below")
+            comparison_set(pp, tb.trajectory, "below")
 
 
 class TestFiber:
@@ -210,7 +205,7 @@ class TestFiber:
         pp = constant_pposet(P, 1)
         for t in tracks(pp):
             fib = fiber(identity(pp), t)
-            weak = [tuple(e for e in P.elements if P.leq(e, v)) for v in row(t, pp.T)]
+            weak = [tuple(e for e in P.elements if P.leq(e, v)) for v in t.trajectory]
             assert [c.elements for c in fib.components] == weak
 
     def test_constant_map_fiber_is_everything(self):
@@ -237,19 +232,19 @@ class TestCylinderAndChains:
         f = pmap(X, Y, [{}])
         M = persistence_mapping_cylinder(f)
         assert M.components[0].elements == ("Y:b",)
-        chains = chain_filtrations(f)
-        assert len(chains.target_chain) == 1
-        assert len(chains.source_chain) == 2
-        assert all(not c.elements for c in chains.source_chain[-1].components)
+        target_chain, source_chain = reference.chain_members(chain_filtrations(f))
+        assert len(target_chain) == 1
+        assert len(source_chain) == 2
+        assert all(not c.elements for c in source_chain[-1].components)
 
     def test_one_track_each(self):
         X = constant_pposet(new_poset("a", []), 0)
         Y = constant_pposet(new_poset("b", []), 0)
         f = pmap(X, Y, [{"a": "b"}])
-        chains = chain_filtrations(f)
-        assert len(chains.target_chain) == 2
-        assert len(chains.source_chain) == 2
-        assert chains.target_chain[-1].components[0].elements == ("X:a", "Y:b")
+        target_chain, source_chain = reference.chain_members(chain_filtrations(f))
+        assert len(target_chain) == 2
+        assert len(source_chain) == 2
+        assert target_chain[-1].components[0].elements == ("X:a", "Y:b")
 
     def test_merging_tracks_truncate_removals(self):
         X = pposet([(["a", "b"], []), ("z", [])], [{"a": "z", "b": "z"}])
@@ -259,7 +254,7 @@ class TestCylinderAndChains:
         first, second = chains.target_steps
         assert first.removed == ("X:a", "X:z")
         assert second.removed == ("X:b", None)
-        assert second.trajectory == ("X:b", "X:z")
+        assert second.track.trajectory == ("X:b", "X:z")
         # complements stay closed at every step by construction
         for step in chains.target_steps + chains.source_steps:
             assert step.larger.T == step.smaller.T
@@ -272,12 +267,13 @@ class TestCylinderAndChains:
         Y = pposet([("u", []), (["u", "v"], [("u", "v")])], [{"u": "u"}])
         f = pmap(X, Y, [{"a": "u", "b": "u"}, {"z": "u", "w": "u"}])
         chains = chain_filtrations(f)
-        for member in chains.target_chain + chains.source_chain:
+        target_chain, source_chain = reference.chain_members(chains)
+        for member in target_chain + source_chain:
             validate(member)
-        assert [c.elements for c in chains.target_chain[-1].components] == [
+        assert [c.elements for c in target_chain[-1].components] == [
             c.elements for c in chains.cylinder.components
         ]
-        assert [c.elements for c in chains.source_chain[-1].components] == [
+        assert [c.elements for c in source_chain[-1].components] == [
             tuple("X:" + e for e in c.elements) for c in X.components
         ]
 
@@ -313,6 +309,29 @@ TIERS = {
 
 
 @pytest.mark.parametrize("tier", TIERS)
+def test_track_trajectories_are_rows(tier):
+    """Every track of the source, the target and the cylinder is a row of T+1 values, None exactly before birth.
+
+    Each value maps to the next under the structure maps, and the label
+    names the birth index and the value there.
+    """
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=15, deadline=None)
+    def check(seed):
+        f = parse_instance(random_instance(seed, TIERS[tier])).map
+        for pp in (f.source, f.target, persistence_mapping_cylinder(f)):
+            for t in tracks(pp):
+                assert len(t.trajectory) == pp.T + 1
+                assert [v is None for v in t.trajectory] == [i < t.birth for i in range(pp.T + 1)]
+                for i in range(t.birth, pp.T):
+                    assert pp.maps[i].assignment[t.trajectory[i]] == t.trajectory[i + 1]
+                assert t.label == f"{t.birth}:{t.trajectory[t.birth]}"
+
+    check()
+
+
+@pytest.mark.parametrize("tier", TIERS)
 def test_restricted_pposets_pass_validate(tier):
     """restrict builds its result without validate; every kind it returns would pass it.
 
@@ -340,12 +359,12 @@ def test_restricted_pposets_pass_validate(tier):
             for step in chains.target_steps + chains.source_steps:
                 for direction in ("below", "above"):
                     try:
-                        comparison_set(step.larger, step.trajectory, direction)
+                        comparison_set(step.larger, step.track.trajectory, direction)
                     except NotASubposet:
                         pass
                 built.append(reference.complement(step.larger, step.removed))
             for tr in tracks(f.source):
-                row = [f.slices[i].assignment[tr.value(i)] if i >= tr.birth else None for i in range(f.T + 1)]
+                row = [None if v is None else f.slices[i].assignment[v] for i, v in enumerate(tr.trajectory)]
                 up_set_of_image_track(f.target, row)
         assert len(built) > len(tracks(f.target))
         for pp in built:
