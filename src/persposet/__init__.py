@@ -20,7 +20,6 @@ from .posets import (
     FinitePoset,
     MonotoneMap,
     linear_extension,
-    mapping_cylinder,
     new_poset,
 )
 from .pposets import (

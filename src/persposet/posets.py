@@ -2,13 +2,12 @@
 
 Single time-slice building blocks: validated strict partial orders,
 the one check of monotone maps, deterministic linear extensions,
-beat-point cores, connected and coned subsets, and the poset mapping
-cylinder of a monotone map.  All values are immutable after construction
-and safe to share.
+beat-point cores, and connected and coned subsets.  All values are
+immutable after construction and safe to share.
 
 Only new_poset validates and closes a relation.  Everything derived from
-a poset that is already closed (induced subposets, cores, cylinders)
-filters or unions closed relations and is built directly.
+a poset that is already closed (induced subposets, cores) filters closed
+relations and is built directly.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Literal
+from typing import Iterable
 
 from .errors import (
     CycleError,
@@ -25,12 +24,6 @@ from .errors import (
     PartialStructureMap,
     UnknownElement,
 )
-
-Direction = Literal["below", "above"]
-
-CYLINDER_SOURCE_TAG = "X:"
-CYLINDER_TARGET_TAG = "Y:"
-
 
 def transitive_closure(elements: Iterable[str], pairs: Iterable[tuple[str, str]]) -> frozenset[tuple[str, str]]:
     """Close a strict relation transitively; raise CycleError if x < x appears."""
@@ -242,31 +235,6 @@ def core(P: FinitePoset) -> tuple[FinitePoset, MonotoneMap]:
             y = sent[y]
         assignment[x] = y
     return C, MonotoneMap(P, C, assignment)
-
-
-def mapping_cylinder(f: MonotoneMap) -> FinitePoset:
-    """Poset on the tagged disjoint union of source and target.
-
-    The order keeps both original orders and adds x < y exactly when
-    f(x) <= y in the target.  The canonical inclusions send x to
-    CYLINDER_SOURCE_TAG + x and y to CYLINDER_TARGET_TAG + y.
-
-    Built directly, not through new_poset: both orders are closed and f is
-    monotone, so the union is closed (x < x' and f(x') <= y give f(x) <= y;
-    f(x) <= y < y' gives f(x) <= y'), and the source tag sorts before the
-    target tag, so the tagged element lists stay sorted and unique.
-    """
-    check_map(f)
-    X, Y = f.source, f.target
-    weak_up: dict[str, list[str]] = {y: [y] for y in Y.elements}
-    for a, b in Y.relation:
-        weak_up[a].append(b)
-    xs = {x: CYLINDER_SOURCE_TAG + x for x in X.elements}
-    ys = {y: CYLINDER_TARGET_TAG + y for y in Y.elements}
-    relation = [(xs[a], xs[b]) for a, b in X.relation]
-    relation += [(ys[a], ys[b]) for a, b in Y.relation]
-    relation += [(xs[x], ys[y]) for x in X.elements for y in weak_up[f.assignment[x]]]
-    return FinitePoset(elements=(*xs.values(), *ys.values()), relation=frozenset(relation))
 
 
 def is_connected(P: FinitePoset, subset: Iterable[str]) -> bool:

@@ -19,12 +19,16 @@ is infinite.  A comparison set's status (comparison_status) is read off
 its strict sets the same way: its defect is infinite when the set is not
 closed or its last slice is empty or disconnected, finite when the set
 is closed and its last slice is a cone, and only otherwise undecided.
+
+Two builders make every derived persistence poset: the cylinder and the
+ordinal sum are tagged sums of two towers (_tagged_sum), and restrict
+and the chain members are sub-towers (_sub_tower).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Callable, Iterable, Literal, Sequence
 
 from .errors import (
     EmptyAfterNonempty,
@@ -36,9 +40,6 @@ from .errors import (
     UnknownElement,
 )
 from .posets import (
-    CYLINDER_SOURCE_TAG,
-    CYLINDER_TARGET_TAG,
-    Direction,
     FinitePoset,
     MonotoneMap,
     check_map,
@@ -46,8 +47,11 @@ from .posets import (
     is_connected,
     linear_extension,
     longest_chain,
-    mapping_cylinder,
 )
+
+Direction = Literal["below", "above"]
+CYLINDER_SOURCE_TAG = "X:"
+CYLINDER_TARGET_TAG = "Y:"
 
 
 @dataclass(eq=False)
@@ -160,12 +164,7 @@ def restrict(pp: PersistencePoset, subsets: Sequence[Iterable[str]]) -> Persiste
     if leaving is not None:
         i, x = leaving
         raise NotASubposet(f"slice {i}: image {pp.maps[i].assignment[x]!r} of {x!r} leaves the subset")
-    comps = tuple(pp.components[i].restrict(sets[i]) for i in range(pp.T + 1))
-    maps = tuple(
-        MonotoneMap(comps[i], comps[i + 1], {x: pp.maps[i].assignment[x] for x in comps[i].elements})
-        for i in range(pp.T)
-    )
-    return _valid_by_construction(comps, maps)
+    return _sub_tower(pp, pp, sets, range(pp.T + 1))
 
 
 def _leaving(pp: PersistencePoset, sets: Sequence[set[str]]) -> tuple[int, str] | None:
@@ -176,6 +175,20 @@ def _leaving(pp: PersistencePoset, sets: Sequence[set[str]]) -> tuple[int, str] 
         if leaving:
             return i, min(leaving)
     return None
+
+
+def _sub_tower(
+    pp: PersistencePoset, base: PersistencePoset, sets: Sequence[set[str]], changed: Sequence[int]
+) -> PersistencePoset:
+    """The subposet of pp on sets, closed under its maps, from base: only the changed slices and their maps differ."""
+    comps = list(base.components)
+    for i in changed:
+        comps[i] = pp.components[i].restrict(sets[i])
+    maps = list(base.maps)
+    for i in {j for c in changed for j in (c - 1, c) if 0 <= j < pp.T}:
+        assignment = pp.maps[i].assignment
+        maps[i] = MonotoneMap(comps[i], comps[i + 1], {x: assignment[x] for x in comps[i].elements})
+    return _valid_by_construction(tuple(comps), tuple(maps))
 
 
 def _valid_by_construction(components: tuple[FinitePoset, ...], maps: tuple[MonotoneMap, ...]) -> PersistencePoset:
@@ -260,27 +273,49 @@ def _fiber_slice(f: PersistenceMap, i: int, v: str | None) -> set[str]:
     return {x for x in f.source.components[i].elements if g[x] in down}
 
 
-def persistence_mapping_cylinder(f: PersistenceMap) -> PersistencePoset:
-    """Componentwise mapping cylinder, with the source and target copies tagged.
+def _tagged_sum(
+    A: PersistencePoset, B: PersistencePoset, tags: tuple[str, str], across: Callable[[int], Iterable[tuple[str, str]]]
+) -> PersistencePoset:
+    """Slicewise A tagged tags[0], B tagged tags[1], and a < b in slice i for each pair (a, b) of across(i).
 
-    Valid by construction, so validate is skipped: each slice is the
-    union of a source and a target slice, so no empty slice follows a
-    nonempty one; every tagged element gets an image; and the structure
-    maps are monotone, because x < y across the copies means f_i(x) <= y,
-    and then f_{i+1}(phi x) = psi(f_i x) <= psi(y) by naturality.
+    Each structure map is the union of the two tagged maps.  Valid by
+    construction, with neither validate nor new_poset, when across(i) is
+    closed down A and up B (a' < a gives (a', b), b < b' gives (a, b'))
+    and the structure maps send it into across(i + 1): each slice is then
+    closed, and sorted since tags[0] sorts first in one length; two empty
+    prefixes give one; the union map is total, monotone on each copy and
+    keeps each cross pair.
     """
-    cyls = [mapping_cylinder(g) for g in f.slices]
+    ta, tb = tags
+    comps = []
+    for i, (P, Q) in enumerate(zip(A.components, B.components)):
+        xs, ys = {a: ta + a for a in P.elements}, {b: tb + b for b in Q.elements}
+        relation = [(xs[a], xs[b]) for a, b in P.relation] + [(ys[a], ys[b]) for a, b in Q.relation]
+        relation += [(xs[a], ys[b]) for a, b in across(i)]
+        comps.append(FinitePoset(elements=(*xs.values(), *ys.values()), relation=frozenset(relation)))
     maps = []
-    for i in range(f.T):
-        phi = f.source.maps[i].assignment
-        psi = f.target.maps[i].assignment
-        assignment: dict[str, str] = {}
-        for x in f.source.components[i].elements:
-            assignment[CYLINDER_SOURCE_TAG + x] = CYLINDER_SOURCE_TAG + phi[x]
-        for y in f.target.components[i].elements:
-            assignment[CYLINDER_TARGET_TAG + y] = CYLINDER_TARGET_TAG + psi[y]
-        maps.append(MonotoneMap(cyls[i], cyls[i + 1], assignment))
-    return _valid_by_construction(tuple(cyls), tuple(maps))
+    for i, (f, g) in enumerate(zip(A.maps, B.maps)):
+        assignment = {ta + x: ta + y for x, y in f.assignment.items()}
+        assignment.update((tb + x, tb + y) for x, y in g.assignment.items())
+        maps.append(MonotoneMap(comps[i], comps[i + 1], assignment))
+    return _valid_by_construction(tuple(comps), tuple(maps))
+
+
+def persistence_mapping_cylinder(f: PersistenceMap) -> PersistencePoset:
+    """Slicewise mapping cylinder: the source tagged CYLINDER_SOURCE_TAG, the target tagged CYLINDER_TARGET_TAG.
+
+    In slice i, x < y across the copies exactly when f_i(x) <= y: closed
+    down the source since f_i is monotone, up the target, and kept by the
+    maps, since f_{i+1}(phi x) = psi(f_i x) <= psi(y) by naturality.
+    """
+    def across(i: int) -> list[tuple[str, str]]:
+        weak_up: dict[str, list[str]] = {y: [y] for y in f.target.components[i].elements}
+        for a, b in f.target.components[i].relation:
+            weak_up[a].append(b)
+        g = f.slices[i].assignment
+        return [(x, y) for x in f.source.components[i].elements for y in weak_up[g[x]]]
+
+    return _tagged_sum(f.source, f.target, (CYLINDER_SOURCE_TAG, CYLINDER_TARGET_TAG), across)
 
 
 @dataclass(eq=False)
@@ -322,14 +357,13 @@ def _grow(
     every member is a persistence subposet of the cylinder, and a step
     that adds nothing keeps the member before it.
 
-    Only the first member goes through restrict.  Each later one is built
-    from the member before it: the slices where the step adds a value are
-    restricted again, the structure maps next to them are rebuilt, and
-    every other component and map is the previous member's object.  It is
-    valid by construction: the family stays closed, since each added v_i
-    maps to v_{i+1}, which is added or already present, so the maps stay
-    total; restricted maps stay monotone; and a slice that gains a value
-    at i gains or keeps one at every later index.
+    Only the first member goes through restrict.  Each later one is the
+    sub-tower on the member before it whose changed slices are those
+    where the step adds a value.  It is valid by construction: the
+    family stays closed, since each added v_i maps to v_{i+1}, which is
+    added or already present, so the maps stay total; restricted maps
+    stay monotone; and a slice that gains a value at i gains or keeps one
+    at every later index.
     """
     current = [set(s) for s in start]
     member = restrict(cylinder, current)
@@ -340,23 +374,9 @@ def _grow(
         for i in changed:
             current[i].add(added[i])
         previous = member
-        member = _extend(cylinder, previous, current, changed) if changed else previous
+        member = _sub_tower(cylinder, previous, current, changed) if changed else previous
         steps.append(ChainStep(larger=member, smaller=previous, removed=added, track=tr))
     return steps
-
-
-def _extend(
-    cylinder: PersistencePoset, previous: PersistencePoset, current: Sequence[set[str]], changed: Sequence[int]
-) -> PersistencePoset:
-    """The subposet of cylinder on current, from previous, which differs from it only in the changed slices."""
-    comps = list(previous.components)
-    for i in changed:
-        comps[i] = cylinder.components[i].restrict(current[i])
-    maps = list(previous.maps)
-    for i in {j for c in changed for j in (c - 1, c) if 0 <= j < cylinder.T}:
-        assignment = cylinder.maps[i].assignment
-        maps[i] = MonotoneMap(comps[i], comps[i + 1], {x: assignment[x] for x in comps[i].elements})
-    return _valid_by_construction(tuple(comps), tuple(maps))
 
 
 def chain_filtrations(f: PersistenceMap) -> ChainFiltrations:
@@ -464,32 +484,13 @@ def ordinal_sum(A: PersistencePoset, B: PersistencePoset) -> PersistencePoset:
 
     Every element of A's slice lies below every element of B's slice, so
     the order complex of each slice is the join of the factors' order
-    complexes.  Each structure map is the union of the two tagged maps.
-    It is valid by construction, so validate is skipped: the union of two
-    empty prefixes is one, and the tagged maps are total, monotone on each
-    factor, and keep A's tag below B's.  Its slices skip new_poset too:
-    the union of two closed orders and A x B is closed, and "A:" sorts
-    before "B:", so the tagged element lists stay sorted and unique.
+    complexes.  The set of all pairs is closed at both ends and kept by any maps.
     """
     if A.T != B.T:
         raise ShapeMismatch(f"ordinal sum of lengths {A.T + 1} and {B.T + 1}")
-    comps = tuple(
-        FinitePoset(
-            elements=(*("A:" + a for a in P.elements), *("B:" + b for b in Q.elements)),
-            relation=frozenset(
-                [("A:" + a, "A:" + b) for a, b in P.relation]
-                + [("B:" + a, "B:" + b) for a, b in Q.relation]
-                + [("A:" + a, "B:" + b) for a in P.elements for b in Q.elements]
-            ),
-        )
-        for P, Q in zip(A.components, B.components)
+    return _tagged_sum(
+        A, B, ("A:", "B:"), lambda i: [(a, b) for a in A.components[i].elements for b in B.components[i].elements]
     )
-    maps = []
-    for i, (f, g) in enumerate(zip(A.maps, B.maps)):
-        assignment = {"A:" + x: "A:" + y for x, y in f.assignment.items()}
-        assignment.update({"B:" + x: "B:" + y for x, y in g.assignment.items()})
-        maps.append(MonotoneMap(comps[i], comps[i + 1], assignment))
-    return _valid_by_construction(comps, tuple(maps))
 
 
 def top_degree(pp: PersistencePoset) -> int:

@@ -41,7 +41,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import HypothesisUnmet
+from .errors import HypothesisUnmet, ValidationError
 from .homology import FieldSpec, induced_ranks, pposet_barcodes
 from .modules import (
     INF,
@@ -93,6 +93,13 @@ def _distances(codes_a: list[Barcode], codes_b: list[Barcode]) -> dict[int, int 
     return {k: bottleneck_distance(a, b) for k, (a, b) in enumerate(zip(codes_a, codes_b))}
 
 
+def _degree(k_max: int | None, *towers: PersistencePoset) -> int:
+    """k_max, or the largest top degree of towers for None; a negative k_max compares no degree, so it is rejected."""
+    if k_max is not None and k_max < 0:
+        raise ValidationError(f"k_max must be at least 0, got {k_max}")
+    return max(top_degree(pp) for pp in towers) if k_max is None else k_max
+
+
 def fiber_defects(
     f: PersistenceMap, field: FieldSpec = DEFAULT_FIELD, k_max: int | None = None
 ) -> dict[ElementTrack, int | float]:
@@ -101,12 +108,11 @@ def fiber_defects(
     A fiber whose last slice is empty or disconnected has defect INF and
     is not built.
     """
-    if k_max is None:
-        k_max = top_degree(f.source)
+    k_max = _degree(k_max, f.source)
     out: dict[ElementTrack, int | float] = {}
     for y in tracks(f.target):
         if fiber_ends_connected(f, y):
-            out[y] = _defect(pposet_barcodes(fiber(f, y), field, max(k_max, 0)))
+            out[y] = _defect(pposet_barcodes(fiber(f, y), field, k_max))
         else:
             out[y] = INF
     return out
@@ -140,8 +146,7 @@ def verify_theorem(
     bound itself only claims existence of an interleaving, so the verdict
     ignores it.
     """
-    if k_max is None:
-        k_max = max(top_degree(f.source), top_degree(f.target))
+    k_max = _degree(k_max, f.source, f.target)
     defects = fiber_defects(f, field, k_max)
     m = len(defects)
     epsilon: int | float = max(defects.values(), default=0)
@@ -179,7 +184,7 @@ _DIRECTIONS = ("below", "above")
 
 def _side_defect(pp: PersistencePoset, trajectory, direction: str, field: FieldSpec, k_max: int) -> int | float:
     """The defect of a comparison set whose status is not infinite, so it is a subposet, off its barcodes."""
-    return _defect(pposet_barcodes(comparison_set(pp, trajectory, direction), field, max(k_max, 0)))
+    return _defect(pposet_barcodes(comparison_set(pp, trajectory, direction), field, k_max))
 
 
 def _step_violation(
@@ -244,16 +249,15 @@ def verify_join_acyclicity(
     """
     if ppA.T != ppB.T:
         raise HypothesisUnmet("inputs must have the same length")
+    joined = ordinal_sum(ppA, ppB)
+    k_max = _degree(k_max, joined)
     codes_a, codes_b = (pposet_barcodes(pp, field, top_degree(pp)) for pp in (ppA, ppB))
     eps = min(_defect(codes_a), _defect(codes_b))
     if eps == INF:
         raise HypothesisUnmet("neither factor has a finite acyclicity defect")
 
-    joined = ordinal_sum(ppA, ppB)
-    if k_max is None:
-        k_max = top_degree(joined)
-    codes = pposet_barcodes(joined, field, max(k_max, top_degree(joined), 0))
-    join_defect = _defect(codes[: max(k_max, 0) + 1])
+    codes = pposet_barcodes(joined, field, max(k_max, top_degree(joined)))
+    join_defect = _defect(codes[: k_max + 1])
 
     kunneth_ok = all(
         _is_join_of(_reduced_bettis(codes_a, i), _reduced_bettis(codes_b, i), _reduced_bettis(codes, i))
@@ -303,15 +307,14 @@ def verify_cylinder_retraction(
     barcodes of a point born with the track.
     """
     cylinder = persistence_mapping_cylinder(f)
-    if k_max is None:
-        k_max = top_degree(cylinder)
+    k_max = _degree(k_max, cylinder)
     distances = _distances(pposet_barcodes(cylinder, field, k_max), pposet_barcodes(f.target, field, k_max))
 
     cone_steps_ok = True
     for tr in tracks(f.source):
         row = [None if v is None else f.slices[i].assignment[v] for i, v in enumerate(tr.trajectory)]
         upset = up_set_of_image_track(f.target, row)
-        if not _is_point_from(pposet_barcodes(upset, field, max(k_max, 0)), tr.birth):
+        if not _is_point_from(pposet_barcodes(upset, field, k_max), tr.birth):
             cone_steps_ok = False
     ok = all(d == 0 for d in distances.values()) and cone_steps_ok
     return CylinderReport(distances=distances, cone_steps_ok=cone_steps_ok, ok=ok)
@@ -355,8 +358,7 @@ def chain_puncture_suite(
     pposet_barcodes builds each distinct one's barcodes once.
     """
     chains = chain_filtrations(f)
-    if k_max is None:
-        k_max = top_degree(chains.cylinder)
+    k_max = _degree(k_max, chains.cylinder)
     checked = trivial = skipped = 0
     violations: list[str] = []
 

@@ -87,8 +87,6 @@ from persposet.homology import _boundary_column, _chain_columns, _chains, pposet
 from persposet.linalg import Column, _inv_scalar
 from persposet.modules import INF, Barcode, FieldSpec, PersistenceModule, barcode
 from persposet.posets import (
-    CYLINDER_SOURCE_TAG,
-    CYLINDER_TARGET_TAG,
     FinitePoset,
     MonotoneMap,
     _extreme,
@@ -98,6 +96,8 @@ from persposet.posets import (
     new_poset,
 )
 from persposet.pposets import (
+    CYLINDER_SOURCE_TAG,
+    CYLINDER_TARGET_TAG,
     ChainFiltrations,
     ChainStep,
     PersistenceMap,

@@ -6,12 +6,15 @@
   reference walks a linear extension.
 - core returns an antichain with the identity; the reference runs the
   beat-point loop on it.
-- mapping_cylinder and the ordinal-sum slices are built directly; the
-  references close their generating pairs again with new_poset.
+- the slices of the cylinder and of the ordinal sum are built directly,
+  as one tagged sum; the references close their generating pairs again
+  with new_poset.  Their structure maps are the tagged unions of the
+  factors' maps.
 - comparison sets, fibers and weak up-sets are read off the closed
   relation; the references test each element with a predicate.
 - chain members after the first are built from the member before them,
-  restricting only the slices a step changes.
+  restricting only the slices a step changes; restrict restricts every
+  slice through the same sub-tower routine.
 - fiber_defects builds only the fibers whose last slice is connected, and
   the puncture suite only the comparison sets whose exact defect decides
   a step's outcome; the counts come from the reference connectivity and
@@ -33,8 +36,10 @@ from persposet.documents import GeneratorLimits, parse_instance, random_instance
 from persposet.errors import NotASubposet, UnknownElement
 from persposet.homology import FieldSpec, _chains, _core_barcodes
 from persposet.modules import bottleneck_distance
-from persposet.posets import FinitePoset, core, linear_extension, longest_chain, mapping_cylinder, new_poset
+from persposet.posets import FinitePoset, core, linear_extension, longest_chain, new_poset
 from persposet.pposets import (
+    CYLINDER_SOURCE_TAG,
+    CYLINDER_TARGET_TAG,
     chain_filtrations,
     comparison_set,
     fiber,
@@ -88,8 +93,8 @@ def test_slice_routines_equal_their_references(tier):
                 assert longest_chain(P) == reference.longest_chain(P)
                 (C, r), (C_ref, r_ref) = core(P), reference.beat_point_core(P)
                 assert (C, r.source, r.target, r.assignment) == (C_ref, r_ref.source, r_ref.target, r_ref.assignment)
-        for g in f.slices:
-            fast, slow = mapping_cylinder(g), reference.mapping_cylinder(g)
+        for fast, g in zip(persistence_mapping_cylinder(f).components, f.slices):
+            slow = reference.mapping_cylinder(g)
             assert (fast.elements, fast.relation) == (slow.elements, slow.relation)
 
     check()
@@ -106,6 +111,28 @@ def test_ordinal_sum_slices_equal_new_poset(tier):
             for P, Q, joined in zip(A.components, B.components, ordinal_sum(A, B).components):
                 slow = reference.ordinal_sum_slice(P, Q)
                 assert (joined.elements, joined.relation) == (slow.elements, slow.relation)
+
+    check()
+
+
+@pytest.mark.parametrize("tier", TIERS)
+def test_tagged_sum_maps_are_tagged_unions(tier):
+    """Each structure map of the cylinder and of an ordinal sum is the union of the factors' maps, tagged."""
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=15, deadline=None)
+    def check(seed):
+        f = instance(tier, seed)
+        cylinder = persistence_mapping_cylinder(f)
+        sums = [(cylinder, f.source, f.target, CYLINDER_SOURCE_TAG, CYLINDER_TARGET_TAG)] + [
+            (ordinal_sum(A, B), A, B, "A:", "B:") for A, B in [(f.source, f.target), (cylinder, f.source)]
+        ]
+        for total, A, B, ta, tb in sums:
+            assert len(total.maps) == len(A.maps) == len(B.maps) == f.T
+            for i, (h, g, k) in enumerate(zip(total.maps, A.maps, B.maps)):
+                union = {ta + x: ta + y for x, y in g.assignment.items()}
+                union.update((tb + x, tb + y) for x, y in k.assignment.items())
+                assert h.assignment == union
+                assert h.source is total.components[i] and h.target is total.components[i + 1]
 
     check()
 
@@ -201,9 +228,10 @@ def test_puncture_suite_traffic():
     """A cold puncture suite builds no poset through new_poset and restricts only what changed.
 
     pposets.restrict builds each chain's first member and the comparison
-    sets whose exact defect decides a step's outcome; every later member
-    restricts only the slices its step adds to, and shares the other
-    components with the member before it.
+    sets whose exact defect decides a step's outcome, restricting every
+    slice; every later member restricts only the slices its step adds
+    to, and shares the other components with the member before it.  Both
+    restrict through the one sub-tower routine.
     """
     f = instance("S", 3)
     chains = chain_filtrations(f)
@@ -230,7 +258,7 @@ def test_puncture_suite_traffic():
         return pposets_restrict(*args)
 
     def spy_slice(self, subset):
-        slice_callers.append(sys._getframe(1).f_code.co_name)
+        slice_callers.append((sys._getframe(2).f_code.co_name, sys._getframe(1).f_code.co_name))
         return slice_restrict(self, subset)
 
     with mock.patch.object(posets, "new_poset", wraps=posets.new_poset) as spy_new, \
@@ -249,7 +277,9 @@ def test_puncture_suite_traffic():
     assert 0 < needed < connected
     assert spy_new.call_count == 0
     assert Counter(restrict_callers) == {"_grow": len(firsts), "comparison_set": needed}
-    assert Counter(slice_callers)["_extend"] == changed
+    by_caller = Counter(slice_callers)
+    assert by_caller[("restrict", "_sub_tower")] == (len(firsts) + needed) * (f.T + 1)
+    assert by_caller[("_grow", "_sub_tower")] == changed
 
 
 def test_fiber_defects_traffic():

@@ -15,11 +15,10 @@ from persposet.posets import (
     identity_map,
     linear_extension,
     longest_chain,
-    mapping_cylinder,
     new_poset,
     transitive_closure,
 )
-from persposet.pposets import PersistenceMap, comparison_set, fiber, tracks
+from persposet.pposets import PersistenceMap, comparison_set, fiber, persistence_mapping_cylinder, tracks
 from reference import constant_pposet, is_monotone
 
 
@@ -171,6 +170,15 @@ class TestMonotone:
             check_map(f)
 
 
+def cylinder_slice(f):
+    """The one slice of the persistence mapping cylinder of the one-slice map f.
+
+    Building the persistence map checks f, so an invalid f raises there.
+    """
+    g = PersistenceMap(constant_pposet(f.source, 0), constant_pposet(f.target, 0), [f])
+    return persistence_mapping_cylinder(g).components[0]
+
+
 def inclusions(X, Y, M):
     """The canonical inclusions of X and Y into their mapping cylinder M."""
     i_x = MonotoneMap(X, M, {x: "X:" + x for x in X.elements})
@@ -182,7 +190,7 @@ class TestMappingCylinder:
     def test_point_to_point(self):
         X = new_poset("a", [])
         Y = new_poset("b", [])
-        M = mapping_cylinder(MonotoneMap(X, Y, {"a": "b"}))
+        M = cylinder_slice(MonotoneMap(X, Y, {"a": "b"}))
         assert M.elements == ("X:a", "Y:b")
         assert M.relation == frozenset({("X:a", "Y:b")})
         i_x, i_y = inclusions(X, Y, M)
@@ -191,13 +199,13 @@ class TestMappingCylinder:
     def test_constant_from_antichain(self):
         X = new_poset(["a1", "a2"], [])
         Y = new_poset("b", [])
-        M = mapping_cylinder(MonotoneMap(X, Y, {"a1": "b", "a2": "b"}))
+        M = cylinder_slice(MonotoneMap(X, Y, {"a1": "b", "a2": "b"}))
         assert M.relation == frozenset({("X:a1", "Y:b"), ("X:a2", "Y:b")})
 
     def test_empty_source(self):
         X = new_poset([], [])
         Y = new_poset("ab", [("a", "b")])
-        M = mapping_cylinder(MonotoneMap(X, Y, {}))
+        M = cylinder_slice(MonotoneMap(X, Y, {}))
         assert M.elements == ("Y:a", "Y:b")
         i_x, i_y = inclusions(X, Y, M)
         assert is_monotone(i_x) and is_monotone(i_y)
@@ -206,7 +214,7 @@ class TestMappingCylinder:
         P = new_poset("ab", [("a", "b")])
         Q = new_poset("uv", [])
         with pytest.raises(NonMonotoneStructureMap):
-            mapping_cylinder(MonotoneMap(P, Q, {"a": "u", "b": "v"}))
+            cylinder_slice(MonotoneMap(P, Q, {"a": "u", "b": "v"}))
 
     @given(posets(), posets(), st.data())
     @settings(max_examples=40, deadline=None)
@@ -217,7 +225,7 @@ class TestMappingCylinder:
         f = MonotoneMap(X, Y, assignment)
         if not is_monotone(f):
             return
-        M = mapping_cylinder(f)
+        M = cylinder_slice(f)
         i_x, i_y = inclusions(X, Y, M)
         assert is_monotone(i_x) and is_monotone(i_y)
         # restrictions of the cylinder order equal the original orders

@@ -67,6 +67,34 @@ def test_tower_barcodes_has_one_caller():
     assert sorted(found) == [("homology", "_core_barcodes")]
 
 
+def test_two_builders_skip_validate():
+    """Every derived persistence poset comes from a tagged sum or a sub-tower.
+
+    _tagged_sum builds the cylinder and the ordinal sum, and _sub_tower
+    builds restrict's results and the chain members; only they vouch for
+    a tower without running validate.
+    """
+    found = set()
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name == "_valid_by_construction":
+                        found.add((path.stem, getattr(top, "name", "<module>")))
+    assert sorted(found) == [("pposets", "_sub_tower"), ("pposets", "_tagged_sum")]
+
+
+def test_posets_holds_single_slice_notions_only():
+    """The cylinder's tags, its slice and Direction belong to pposets, which alone reads them."""
+    tree = parse(module_path("posets"))
+    names, _ = names_in(tree)
+    defined = {node.name for node in tree.body if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    assert sorted(name for name in names if name.startswith("CYLINDER_") or name == "Direction") == []
+    assert "mapping_cylinder" not in defined
+
+
 def test_one_elimination_loop_per_kind_of_sweep():
     """Only _chains (the reduction of a complex) and elder_barcode (the sweep of a tower) eliminate.
 

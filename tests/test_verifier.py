@@ -1,6 +1,7 @@
 import pytest
 
-from persposet.errors import HypothesisUnmet
+from persposet.documents import GeneratorLimits, parse_instance, random_instance
+from persposet.errors import HypothesisUnmet, ValidationError
 from persposet.homology import FieldSpec
 from persposet.modules import INF
 from persposet.posets import MonotoneMap, new_poset
@@ -225,3 +226,21 @@ def test_poset_acyclicity_defect_of_cone():
 
     assert poset_defect(constant_pposet(new_poset("at", [("a", "t")]), 1)) == 0
     assert poset_defect(pposet([([], [])], [])) == INF
+
+
+def join_of_chains(f, field, k_max):
+    chain = constant_pposet(new_poset("ab", [("a", "b")]), f.T)
+    return verify_join_acyclicity(chain, chain, field, k_max)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [fiber_defects, verify_theorem, join_of_chains, verify_cylinder_retraction, chain_puncture_suite],
+    ids=["fibers", "theorem", "join", "cylinder", "chains"],
+)
+def test_negative_k_max_is_rejected(check):
+    """A negative k_max compares no degree, so no routine may return a verdict for it."""
+    f = parse_instance(random_instance(0, GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4))).map
+    check(f, F2, 0)
+    with pytest.raises(ValidationError, match="k_max must be at least 0"):
+        check(f, F2, -1)
