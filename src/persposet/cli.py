@@ -39,6 +39,7 @@ from .homology import FieldSpec, pposet_barcodes
 from .modules import INF
 from .pposets import persistence_linear_extension, top_degree, tracks
 from .verifier import (
+    MAX_KMAX,
     TheoremCertificate,
     chain_puncture_suite,
     fiber_defects,
@@ -222,12 +223,6 @@ def _cmd_random(args):
     doc = random_instance(args.seed, limits)
     return canonical_json(doc), doc, 0
 
-
-# Largest accepted --kmax.  Homology in degree k needs a chain of k + 1
-# elements in a core slice, whose order complex has 2**(k + 1) - 1
-# simplices, so no instance that can be computed has a class in degree 256;
-# the bound keeps the per-degree lists of barcodes and ranks small.
-MAX_KMAX = 256
 
 # A flag is (kind, default, help).  Its kind is None for a switch, a
 # metavar for a string, or (least, greatest) for an integer, None meaning

@@ -19,6 +19,8 @@ is infinite.  A comparison set's status (comparison_status) is read off
 its strict sets the same way: its defect is infinite when the set is not
 closed or its last slice is empty or disconnected, finite when the set
 is closed and its last slice is a cone, and only otherwise undecided.
+A chain step that removes a weak point from each slice it touches
+(removes_weak_points) leaves the barcodes as they are.
 
 Two builders make every derived persistence poset: the cylinder and the
 ordinal sum are tagged sums of two towers (_tagged_sum), and restrict
@@ -45,6 +47,7 @@ from .posets import (
     check_map,
     is_cone,
     is_connected,
+    is_weak_point,
     linear_extension,
     longest_chain,
 )
@@ -449,6 +452,17 @@ def comparison_status(
     if _leaving(pp, sets) is not None:
         return "infinite"
     return "finite" if cone or k_max <= 0 else "undecided"
+
+
+def removes_weak_points(pp: PersistencePoset, row: Sequence[str | None]) -> bool:
+    """Whether every value of row other than None is a weak point of its slice of pp (posets.is_weak_point).
+
+    When row holds at most one value per slice, pp minus row, with the
+    restricted maps, has the barcodes of pp in every degree: its
+    inclusion into pp is natural and, slice by slice, removes one weak
+    point, a homotopy equivalence.
+    """
+    return all(v is None or is_weak_point(P, v) for P, v in zip(pp.components, row))
 
 
 def _check_row(pp: PersistencePoset, trajectory: Sequence[str | None]) -> None:

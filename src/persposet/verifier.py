@@ -30,10 +30,16 @@ row: infinite, finite (a cone, or connected at k_max 0), or undecided.
 The puncture step (_step_violation) reports only its outcome, so it
 builds a side only when the outcome depends on its value: when no side
 is finite, or when a distance is positive, since a zero distance is
-within 4 * eps for every finite eps.  A built side's defect comes from
-_side_defect and the distances from _distances.  The distance of degree
-0 to a point is read in closed form (modules.point_comparison_defect),
-with no matching search.
+within 4 * eps for every finite eps.  Once the hypothesis holds, a step
+that removes a weak point from each slice it touches
+(pposets.removes_weak_points) has every distance 0 by Quillen's fiber
+lemma, so it asks for no barcode of either member.  A built side's
+defect comes from _side_defect and the distances from _distances.  The
+distance of degree 0 to a point is read in closed form
+(modules.point_comparison_defect), with no matching search.
+
+Every routine takes k_max from 0 to MAX_KMAX, or None for the top
+degree of its towers.
 """
 
 from __future__ import annotations
@@ -66,12 +72,20 @@ from .pposets import (
     fiber_ends_connected,
     ordinal_sum,
     persistence_mapping_cylinder,
+    removes_weak_points,
     top_degree,
     tracks,
     up_set_of_image_track,
 )
 
 DEFAULT_FIELD = FieldSpec(2)
+
+# Largest accepted k_max.  Homology in degree k needs a chain of k + 1
+# elements in a core slice, whose order complex has 2**(k + 1) - 1
+# simplices, so no instance that can be computed has a class in degree 256;
+# the bound keeps the per-degree lists of barcodes and ranks small.  The
+# CLI bounds --kmax by it too.
+MAX_KMAX = 256
 
 
 def _defect(codes: list[Barcode]) -> int | float:
@@ -94,9 +108,15 @@ def _distances(codes_a: list[Barcode], codes_b: list[Barcode]) -> dict[int, int 
 
 
 def _degree(k_max: int | None, *towers: PersistencePoset) -> int:
-    """k_max, or the largest top degree of towers for None; a negative k_max compares no degree, so it is rejected."""
+    """k_max, or the largest top degree of towers for None.
+
+    A negative k_max compares no degree, and one above MAX_KMAX only
+    adds empty degrees at a cost linear in k_max, so both are rejected.
+    """
     if k_max is not None and k_max < 0:
         raise ValidationError(f"k_max must be at least 0, got {k_max}")
+    if k_max is not None and k_max > MAX_KMAX:
+        raise ValidationError(f"k_max must be at most {MAX_KMAX}, got {k_max}")
     return max(top_degree(pp) for pp in towers) if k_max is None else k_max
 
 
@@ -188,9 +208,9 @@ def _side_defect(pp: PersistencePoset, trajectory, direction: str, field: FieldS
 
 
 def _step_violation(
-    larger: PersistencePoset, smaller: PersistencePoset, trajectory, field: FieldSpec, k_max: int
+    larger: PersistencePoset, smaller: PersistencePoset, removed, trajectory, field: FieldSpec, k_max: int
 ) -> str | None:
-    """The puncture bound at one step from larger to its complement smaller: None when it holds, else why not.
+    """The puncture bound at one step from larger to smaller, larger minus removed: None when it holds, else why not.
 
     eps is the smaller defect of the strict down- and up-set of the full
     trajectory in larger, found with the least work that decides the
@@ -202,7 +222,9 @@ def _step_violation(
     infinite is built when a distance is positive, since the bound and
     the message need the exact eps.  Raises HypothesisUnmet when both
     sides are INF; the barcodes of both members are asked for only once
-    the hypothesis holds.
+    the hypothesis holds, and not at all when every removed value is a
+    weak point of its slice (pposets.removes_weak_points): every
+    distance is then 0.
     """
     status = {d: comparison_status(larger, trajectory, d, k_max) for d in _DIRECTIONS}
     open_sides = [d for d in _DIRECTIONS if status[d] != "infinite"]
@@ -211,6 +233,8 @@ def _step_violation(
         defects = {d: _side_defect(larger, trajectory, d, field, k_max) for d in open_sides}
         if min(defects.values(), default=INF) == INF:
             raise HypothesisUnmet("both comparison sets have infinite acyclicity defect")
+    if removes_weak_points(larger, removed):
+        return None
     distances = _distances(pposet_barcodes(larger, field, k_max), pposet_barcodes(smaller, field, k_max))
     if all(d == 0 for d in distances.values()):
         return None
@@ -368,7 +392,9 @@ def chain_puncture_suite(
                 trivial += 1
                 continue
             try:
-                violation = _step_violation(step.larger, step.smaller, step.track.trajectory, field, k_max)
+                violation = _step_violation(
+                    step.larger, step.smaller, step.removed, step.track.trajectory, field, k_max
+                )
             except HypothesisUnmet:
                 skipped += 1
                 continue

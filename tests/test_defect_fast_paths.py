@@ -167,7 +167,9 @@ def check_step_against_built(step, field, k_max):
 
     with mock.patch.object(verifier, "_side_defect", recording_side):
         try:
-            outcome = verifier._step_violation(step.larger, step.smaller, step.track.trajectory, field, k_max)
+            outcome = verifier._step_violation(
+                step.larger, step.smaller, step.removed, step.track.trajectory, field, k_max
+            )
         except HypothesisUnmet:
             outcome = HypothesisUnmet
     full = built_outcome(step, field, k_max)
@@ -216,7 +218,7 @@ def test_a_removal_that_ends_in_none():
         for direction in ("below", "above"):
             assert comparison_status(step.larger, step.removed, direction, k_max) == "infinite"
         with pytest.raises(HypothesisUnmet):
-            verifier._step_violation(step.larger, step.smaller, step.removed, FieldSpec(2), k_max)
+            verifier._step_violation(step.larger, step.smaller, step.removed, step.removed, FieldSpec(2), k_max)
         assert built_outcome(step, FieldSpec(2), k_max, step.removed) is HypothesisUnmet
         check_step_against_built(step, FieldSpec(2), k_max)
 
@@ -227,7 +229,7 @@ def test_an_unknown_trajectory_value_raises_before_the_rule():
     trajectory = ("nowhere", *[None] * step.larger.T)
     k_max = top_degree(step.larger)
     with pytest.raises(UnknownElement, match="nowhere"):
-        verifier._step_violation(step.larger, step.smaller, trajectory, FieldSpec(2), k_max)
+        verifier._step_violation(step.larger, step.smaller, step.removed, trajectory, FieldSpec(2), k_max)
     with pytest.raises(UnknownElement, match="nowhere"):
         built_outcome(step, FieldSpec(2), k_max, trajectory)
 
@@ -246,7 +248,7 @@ def test_a_row_of_the_wrong_length_has_no_comparison_set():
                 assert comparison_status(step.larger, wrong, direction, 1) == "infinite"
             k_max = top_degree(step.larger)
             with pytest.raises(HypothesisUnmet):
-                verifier._step_violation(step.larger, step.smaller, wrong, FieldSpec(2), k_max)
+                verifier._step_violation(step.larger, step.smaller, step.removed, wrong, FieldSpec(2), k_max)
             assert built_outcome(step, FieldSpec(2), k_max, wrong) is HypothesisUnmet
 
 
@@ -270,11 +272,11 @@ def test_a_crown_last_slice_is_finite_only_in_degree_zero():
     assert reference.comparison_defect(pp, ("v",), "below", FieldSpec(2), 1) == INF
     smaller = reference.complement(pp, ("v",))
     assert reference.puncture_step(pp, smaller, ("v",), FieldSpec(2), 0) == (0, INF, {0: 0})
-    assert verifier._step_violation(pp, smaller, ("v",), FieldSpec(2), 0) is None
+    assert verifier._step_violation(pp, smaller, ("v",), ("v",), FieldSpec(2), 0) is None
     with pytest.raises(HypothesisUnmet):
         reference.puncture_step(pp, smaller, ("v",), FieldSpec(2), 1)
     with pytest.raises(HypothesisUnmet):
-        verifier._step_violation(pp, smaller, ("v",), FieldSpec(2), 1)
+        verifier._step_violation(pp, smaller, ("v",), ("v",), FieldSpec(2), 1)
 
 
 def test_a_cone_row_that_is_not_closed_is_infinite():
@@ -297,7 +299,7 @@ def test_a_step_with_a_positive_distance_is_built():
     smaller = reference.complement(pp, removal)
     assert reference.puncture_step(pp, smaller, trajectory, FieldSpec(2), 1) == (1, INF, {0: 1, 1: 0})
     with mock.patch.object(verifier, "_side_defect", wraps=verifier._side_defect) as spy:
-        assert verifier._step_violation(pp, smaller, trajectory, FieldSpec(2), 1) is None
+        assert verifier._step_violation(pp, smaller, removal, trajectory, FieldSpec(2), 1) is None
     assert [c.args[2] for c in spy.call_args_list] == ["below"]
 
 

@@ -7,6 +7,9 @@
   step's outcome depends on it; the reference runs puncture_step on
   every step, against a complement rebuilt through restrict and with
   both sides built, and the full towers give both sides' barcodes.
+- a step whose removed values are all weak points of their slices
+  (removes_weak_points) returns with no barcode; the reference is the
+  distance between both members' barcodes, 0 in every degree.
 - both chains reach the full cylinder, whose barcodes the content-keyed
   memo builds once; the reference gives the shrinking chain its own
   equal copy.
@@ -17,6 +20,7 @@
 from dataclasses import replace
 from unittest import mock
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -26,13 +30,18 @@ from persposet.errors import HypothesisUnmet
 from persposet.homology import FieldSpec, pposet_barcodes
 from persposet.modules import INF, Barcode, _matching_feasible, bottleneck_distance
 from persposet.posets import new_poset
-from persposet.pposets import PersistencePoset, chain_filtrations, top_degree
+from persposet.pposets import PersistencePoset, chain_filtrations, removes_weak_points, top_degree
 from persposet.verifier import chain_puncture_suite
 import reference
 from reference import barcodes_of, order_complex_tower
 
 TIER_S = GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4)
 FIELDS = (2, 3, 5)
+TIERS = {
+    "S": (TIER_S, range(120)),
+    "M": (GeneratorLimits(t_max=8, max_slice=10, max_y_tracks=6), range(40)),
+    "L": (GeneratorLimits(t_max=8, max_slice=12, max_y_tracks=8), range(40)),
+}
 
 
 def tier_s_map(seed):
@@ -101,9 +110,9 @@ def test_suite_equals_per_step_lemma_loop(seed, p):
     assert (suite.checked, suite.trivial, suite.skipped, suite.violations) == outcomes
     assert len(calls) == len(results)
     k_max = top_degree(chain_filtrations(f).cylinder)
-    for ((larger, smaller, trajectory, _, step_k_max), built, outcome), (step, result) in zip(calls, results):
+    for ((larger, smaller, removed, trajectory, _, step_k_max), built, outcome), (step, result) in zip(calls, results):
         assert (outcome is HypothesisUnmet) == (result is None)
-        assert step_k_max == k_max and trajectory == step.track.trajectory
+        assert step_k_max == k_max and trajectory == step.track.trajectory and removed == step.removed
         for direction, defect in built.items():
             assert defect == (INF if result is None else dict(zip(("below", "above"), result))[direction])
         # Each step is handed the step's two sides, whose barcodes are those of their full towers.
@@ -113,6 +122,35 @@ def test_suite_equals_per_step_lemma_loop(seed, p):
         assert [m.assignment for m in smaller.maps] == [m.assignment for m in complement.maps]
         for side in (larger, smaller):
             assert pposet_barcodes(side, field, k_max) == barcodes_of(order_complex_tower(side), field, k_max)
+
+
+@pytest.mark.parametrize("p", (2, 3))
+@pytest.mark.parametrize("tier", TIERS)
+def test_a_step_removing_weak_points_keeps_every_barcode(tier, p):
+    """Wherever removes_weak_points holds, both members' barcodes are at distance 0 up to the cylinder's top degree.
+
+    The sample is sharp: some step that removes a point that is not weak
+    moves a barcode, and some weak step has a bar in degree 1 or more, so
+    a row check that always holds fails here.
+    """
+    limits, seeds = TIERS[tier]
+    field = FieldSpec(p)
+    moved = weak_with_higher_bars = 0
+    for seed in seeds:
+        chains = chain_filtrations(parse_instance(random_instance(seed, limits)).map)
+        k_max = top_degree(chains.cylinder)
+        for step in chains.target_steps + chains.source_steps:
+            if all(v is None for v in step.removed):
+                continue
+            codes = pposet_barcodes(step.larger, field, k_max)
+            distances = verifier._distances(codes, pposet_barcodes(step.smaller, field, k_max))
+            assert sorted(distances) == list(range(k_max + 1))
+            if removes_weak_points(step.larger, step.removed):
+                assert all(d == 0 for d in distances.values()), (seed, step.track.label, distances)
+                weak_with_higher_bars += any(codes[1:])
+            else:
+                moved += any(d > 0 for d in distances.values())
+    assert moved > 0 and weak_with_higher_bars > 0
 
 
 def unshared_chains(f):

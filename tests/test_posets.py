@@ -9,10 +9,13 @@ from persposet.errors import (
     PartialStructureMap,
     UnknownElement,
 )
+from persposet.homology import FieldSpec, pposet_barcodes
 from persposet.posets import (
     MonotoneMap,
     check_map,
+    core,
     identity_map,
+    is_weak_point,
     linear_extension,
     longest_chain,
     new_poset,
@@ -245,3 +248,65 @@ def test_longest_chain():
     assert longest_chain(new_poset("abc", [("a", "b"), ("b", "c")])) == 3
     assert longest_chain(new_poset("ab", [])) == 1
     assert longest_chain(new_poset([], [])) == 0
+
+
+CROWN = new_poset("abcd", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
+
+
+def homology_ranks(P):
+    """dim H_k of the order complex of P over F_2, for k = 0 and 1."""
+    return [len(code) for code in pposet_barcodes(constant_pposet(P, 0), FieldSpec(2), 1)]
+
+
+def covers(P, x):
+    """The elements x covers and the elements that cover x."""
+    below = {a for a, b in P.relation if b == x}
+    above = {b for a, b in P.relation if a == x}
+    return (
+        {y for y in below if not any((y, z) in P.relation for z in below)},
+        {y for y in above if not any((z, y) in P.relation for z in above)},
+    )
+
+
+def is_beat_point(P, x):
+    return any(len(side) == 1 for side in covers(P, x))
+
+
+def test_the_crown_minimum_is_not_weak():
+    """The crown is a circle; removing its minimal a, whose up-set {c, d} is no cone, kills H_1.
+
+    A point v over the crown cones it off, but v is not weak either: its
+    down-set is the crown, connected and no cone, and removing v brings H_1 back.
+    """
+    assert homology_ranks(CROWN) == [1, 1]
+    assert not is_weak_point(CROWN, "a")
+    assert homology_ranks(CROWN.restrict("bcd")) == [1, 0]
+    coned = new_poset("abcdv", [*CROWN.relation, ("c", "v"), ("d", "v")])
+    assert homology_ranks(coned) == [1, 0]
+    assert not is_weak_point(coned, "v")
+
+
+def test_a_weak_point_need_not_be_a_beat_point():
+    """Below x lie c and d over the cone point m: a cone, but x covers two elements and is covered by none."""
+    P = new_poset("abmcdx", [("a", "m"), ("b", "m"), ("m", "c"), ("m", "d"), ("c", "x"), ("d", "x")])
+    assert is_weak_point(P, "x")
+    assert covers(P, "x") == ({"c", "d"}, set())
+    assert not is_beat_point(P, "x")
+    assert homology_ranks(P) == homology_ranks(P.restrict("abmcd")) == [1, 0]
+
+
+def test_an_isolated_point_is_not_weak():
+    """Both strict sets of an isolated point are empty, and the empty set is no cone."""
+    assert not is_weak_point(new_poset("z", []), "z")
+    assert not is_weak_point(new_poset("abz", [("a", "b")]), "z")
+    assert is_weak_point(new_poset("abz", [("a", "b")]), "b")
+
+
+@settings(max_examples=200, deadline=None)
+@given(posets())
+def test_the_first_beat_point_core_removes_is_weak(P):
+    """core scans the elements in order, so the first beat point of P is the first it removes."""
+    beat = [x for x in P.elements if is_beat_point(P, x)]
+    if beat:
+        assert core(P)[1].assignment[beat[0]] != beat[0]
+        assert is_weak_point(P, beat[0])

@@ -57,14 +57,30 @@ def test_tower_barcodes_has_one_caller():
     reads its towers' barcodes off the ordinal sum.  Any other use would
     bypass the memo.
     """
+    assert named_in("tower_barcodes") == [("homology", "_core_barcodes")]
+
+
+def named_in(target: str) -> list[tuple[str, str]]:
+    """(module, top-level definition) of every place in the package that names target, sorted."""
     found = set()
     for path in SOURCES:
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             for node in ast.walk(top):
                 name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
-                if name == "tower_barcodes":
+                if name == target:
                     found.add((path.stem, getattr(top, "name", "<module>")))
-    assert sorted(found) == [("homology", "_core_barcodes")]
+    return sorted(found)
+
+
+def test_weak_point_rows_have_one_caller():
+    """Only the puncture step reads a row of weak points, after its hypothesis decision.
+
+    Removing a weak point from each slice keeps every barcode only for a
+    step whose smaller member is its larger member minus the row, which
+    the chains guarantee; any other caller would skip barcodes that no
+    such argument covers.
+    """
+    assert named_in("removes_weak_points") == [("verifier", "_step_violation")]
 
 
 def test_two_builders_skip_validate():

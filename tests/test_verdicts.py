@@ -15,11 +15,14 @@ import pytest
 
 from persposet import verifier
 from persposet.cli import main
-from persposet.documents import GeneratorLimits, canonical_json, random_instance
+from persposet.documents import GeneratorLimits, canonical_json, parse_instance, random_instance
 from persposet.modules import INF
+from persposet.posets import is_weak_point
+from persposet.pposets import chain_filtrations, comparison_status, top_degree
 
 TIER_S = GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4)
 BOUND = 16
+DIRECTIONS = ("below", "above")
 
 
 @pytest.fixture()
@@ -73,18 +76,39 @@ def test_infinite_epsilon_is_vacuous(instance_file, tmp_path, capsys, monkeypatc
     assert (doc["verdict"], doc["epsilon"], doc["bound"], doc["ratio"]) == ("vacuous", "inf", "inf", None)
 
 
+def checked_steps_weak():
+    """For each nontrivial chain step of seed 0 with a side that is not infinite: whether it removes only weak points.
+
+    With every defect 0 these steps are the checked ones.
+    """
+    chains = chain_filtrations(parse_instance(random_instance(0, TIER_S)).map)
+    k_max = top_degree(chains.cylinder)
+    return [
+        all(v is None or is_weak_point(P, v) for P, v in zip(step.larger.components, step.removed))
+        for step in chains.target_steps + chains.source_steps
+        if any(v is not None for v in step.removed)
+        and any(comparison_status(step.larger, step.track.trajectory, d, k_max) != "infinite" for d in DIRECTIONS)
+    ]
+
+
 @pytest.mark.parametrize("distance, code", [(1, 1), (0, 0)], ids=["above", "equal"])
 def test_puncture_step_reports_a_distance_above_its_bound(instance_file, tmp_path, capsys, monkeypatch,
                                                           distance, code):
-    """Every comparison set reads defect 0, so each checked step's bound is 0."""
+    """Every comparison set reads defect 0, so each checked step's bound is 0.
+
+    A step that removes only weak points has distance 0 without asking
+    for one, so the injected distance reaches exactly the other checked steps.
+    """
     monkeypatch.setattr(verifier, "_defect", lambda codes: 0)
     monkeypatch.setattr(verifier, "_distances", lambda a, b: {0: distance})
     report = tmp_path / "lemma.json"
     assert main(["lemma", "puncture", str(instance_file), "--report", str(report)]) == code
     out = capsys.readouterr().out
     doc = json.loads(report.read_text(encoding="utf-8"))
-    assert doc["checked"] > 0
-    assert len(doc["violations"]) == (doc["checked"] if distance else 0)
+    weak = checked_steps_weak()
+    not_weak = weak.count(False)
+    assert doc["checked"] == len(weak) and not_weak > 0
+    assert len(doc["violations"]) == (not_weak if distance else 0)
     assert out.count("VIOLATION") == len(doc["violations"])
 
 

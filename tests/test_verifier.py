@@ -11,6 +11,7 @@ from persposet.pposets import (
     top_degree,
 )
 from persposet.verifier import (
+    MAX_KMAX,
     _step_violation,
     chain_puncture_suite,
     fiber_defects,
@@ -113,9 +114,13 @@ def both_outcomes(pp, removal):
     """
     smaller, k_max = complement(pp, removal), top_degree(pp)
     outcomes = []
-    for step in (puncture_step, _step_violation):
+    steps = (
+        lambda: puncture_step(pp, smaller, removal, F2, k_max),
+        lambda: _step_violation(pp, smaller, removal, removal, F2, k_max),
+    )
+    for step in steps:
         try:
-            outcomes.append(step(pp, smaller, removal, F2, k_max))
+            outcomes.append(step())
         except HypothesisUnmet:
             outcomes.append(HypothesisUnmet)
     return outcomes
@@ -233,14 +238,26 @@ def join_of_chains(f, field, k_max):
     return verify_join_acyclicity(chain, chain, field, k_max)
 
 
-@pytest.mark.parametrize(
+K_MAX_ROUTINES = pytest.mark.parametrize(
     "check",
     [fiber_defects, verify_theorem, join_of_chains, verify_cylinder_retraction, chain_puncture_suite],
     ids=["fibers", "theorem", "join", "cylinder", "chains"],
 )
+
+
+@K_MAX_ROUTINES
 def test_negative_k_max_is_rejected(check):
     """A negative k_max compares no degree, so no routine may return a verdict for it."""
     f = parse_instance(random_instance(0, GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4))).map
     check(f, F2, 0)
     with pytest.raises(ValidationError, match="k_max must be at least 0"):
         check(f, F2, -1)
+
+
+@K_MAX_ROUTINES
+def test_k_max_above_the_cli_bound_is_rejected(check):
+    """The library takes the --kmax bound of the CLI: MAX_KMAX is accepted, one more is not."""
+    f = parse_instance(random_instance(0, GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4))).map
+    check(f, F2, MAX_KMAX)
+    with pytest.raises(ValidationError, match=f"k_max must be at most {MAX_KMAX}, got {MAX_KMAX + 1}"):
+        check(f, F2, MAX_KMAX + 1)
