@@ -40,6 +40,9 @@ __all__ = ["FieldSpec", "induced_ranks", "pposet_barcodes", "tower_barcodes"]
 
 Simplex = tuple[str, ...]
 
+# The barcode of every degree without homology; a Barcode is frozen, so one serves all.
+_NO_BARS = Barcode(())
+
 
 def _boundary_column(simplex: Simplex, faces: dict[Simplex, int], p: int) -> linalg.Column:
     """The boundary of a simplex, its faces with alternating signs, as a sparse column."""
@@ -142,7 +145,7 @@ def tower_barcodes(
             yield columns, boundaries, cycles
             previous = simplices
 
-    return [elder_barcode(steps(k), p) if k <= top else Barcode.of(()) for k in range(k_max + 1)]
+    return [elder_barcode(steps(k), p) if k <= top else _NO_BARS for k in range(k_max + 1)]
 
 
 def pposet_barcodes(pp: PersistencePoset, field: FieldSpec, k_max: int) -> list[Barcode]:
@@ -205,7 +208,7 @@ def _core_barcodes(
     """
     if not any(C.relation for C in core_components):
         h0 = _discrete_barcode(core_components, core_maps)
-        return tuple(h0 if k == 0 else Barcode.of(()) for k in range(k_max + 1))
+        return tuple(h0 if k == 0 else _NO_BARS for k in range(k_max + 1))
     complexes = [order_complex(C) for C in core_components]
     return tuple(tower_barcodes(complexes, [dict(m) for m in core_maps], field, k_max))
 
@@ -219,6 +222,8 @@ def _discrete_barcode(
     map of antichains sends basis elements to basis elements, so the
     sweep of tower_barcodes never forms a sum: each class, oldest first,
     claims its image or dies, and each unclaimed element opens a bar.
+    A class dies after its birth, so every bar has birth < death and the
+    bars are sorted into a Barcode without Barcode.of's checks.
     """
     bars: list[tuple[int, int | float]] = []
     live: list[tuple[int, str]] = []  # (birth, element), oldest first
@@ -236,4 +241,4 @@ def _discrete_barcode(
         if len(live) != len(C):
             raise InternalError(f"index {i}: {len(live)} classes on {len(C)} elements")
     bars.extend((birth, INF) for birth, _ in live)
-    return Barcode.of(bars)
+    return Barcode(tuple(sorted(bars)))

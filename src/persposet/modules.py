@@ -9,6 +9,13 @@ The distance to the barcode of a point (point_comparison_defect) has a
 closed form: INF unless exactly one bar is essential, and otherwise the
 larger of that bar's birth and max ceil((d - b) / 2) over the finite
 bars.  bottleneck_distance, with its matching search, is its reference.
+
+PersistenceModule checks the shapes of the transitions a caller hands
+in and reduces their entries mod p.  The modules the library builds
+(direct_sum, module_from_barcode, random_module) have the right shapes
+and reduced, nonzero entries by construction, so they skip that pass
+(_reduced_module).  Likewise the elder-rule sweep emits only bars with
+birth < death, so its barcodes skip Barcode.of's checks.
 """
 
 from __future__ import annotations
@@ -74,6 +81,19 @@ class PersistenceModule:
         return len(self.dims) - 1
 
 
+def _reduced_module(
+    field: FieldSpec, dims: tuple[int, ...], transitions: tuple[tuple[linalg.Column, ...], ...]
+) -> PersistenceModule:
+    """A PersistenceModule whose builder has shown it valid, made without __post_init__.
+
+    The builder vouches that dims is a tuple of ints, that transition i
+    has dims[i] columns over rows 0..dims[i + 1] - 1, and that every
+    stored entry is already reduced mod p and nonzero.
+    """
+    M = object.__new__(PersistenceModule)
+    M.field, M.dims, M.transitions = field, dims, transitions
+    return M
+
 
 @dataclass(frozen=True)
 class Barcode:
@@ -117,7 +137,9 @@ def elder_barcode(steps: Iterable[_Step], p: int) -> Barcode:
     and reduced, in that order, against B_i and the survivors so far, so in
     a dependent set the youngest class reduces to zero and dies: a bar
     [birth, i).  The new generators are reduced next, and each survivor
-    opens a bar at i.  Bars alive at T never die.
+    opens a bar at i.  Bars alive at T never die.  Every bar has integer
+    ends with birth < death, so the bars are sorted into a Barcode
+    without Barcode.of's checks.
     """
     bars: list[tuple[int, int | float]] = []
     reps: list[tuple[int, linalg.Column]] = []  # (birth, representative), oldest first
@@ -139,7 +161,7 @@ def elder_barcode(steps: Iterable[_Step], p: int) -> Barcode:
             )
         reps = survivors
     bars.extend((birth, INF) for birth, _ in reps)
-    return Barcode.of(bars)
+    return Barcode(tuple(sorted(bars)))
 
 
 def barcode(M: PersistenceModule) -> Barcode:
@@ -163,7 +185,7 @@ def module_from_barcode(field: FieldSpec, T: int, bars: Iterable[tuple[int, int 
     for i in range(T):
         pos_next = {idx: r for r, idx in enumerate(alive[i + 1])}
         transitions.append(tuple({pos_next[idx]: 1} if idx in pos_next else {} for idx in alive[i]))
-    return PersistenceModule(field, dims, tuple(transitions))
+    return _reduced_module(field, dims, tuple(transitions))
 
 
 def direct_sum(M: PersistenceModule, N: PersistenceModule) -> PersistenceModule:
@@ -177,7 +199,7 @@ def direct_sum(M: PersistenceModule, N: PersistenceModule) -> PersistenceModule:
         shift = M.dims[i + 1]
         lower = tuple({r + shift: v for r, v in column.items()} for column in N.transitions[i])
         transitions.append(M.transitions[i] + lower)
-    return PersistenceModule(M.field, dims, tuple(transitions))
+    return _reduced_module(M.field, dims, tuple(transitions))
 
 
 def triviality_defect(code: Barcode) -> int | float:
@@ -223,13 +245,29 @@ def _skippable(bar: tuple[int, int | float], e: int) -> bool:
 
 
 def _perfect_matching(adjacency: list[list[int]], n_right: int) -> bool:
-    """Kuhn's augmenting paths; True iff every left node can be matched.
+    """True iff every left node can be matched: a greedy pass, then Kuhn's augmenting paths.
+
+    Each left node first takes its first free right node, in adjacency
+    order.  Only the nodes left over search for an augmenting path.
+    That stays exact: a search from an unmatched node that fails has
+    visited a set of left nodes with fewer right neighbours than members
+    (each reached right node is matched to one of them), so no matching
+    covers them all, whatever matching it started from.  The greedy pass
+    spares the windows that overlap in a chain, where every search would
+    otherwise fail down the whole chain before taking its own node.
 
     The depth-first search keeps an explicit stack and visits edges in
     adjacency order, so long augmenting paths need no recursion.
     """
     match_right: list[int | None] = [None] * n_right
-    for root in range(len(adjacency)):
+    left_over = []
+    for u, edges in enumerate(adjacency):
+        v = next((v for v in edges if match_right[v] is None), None)
+        if v is None:
+            left_over.append(u)
+        else:
+            match_right[v] = u
+    for root in left_over:
         seen = [False] * n_right
         stack = [(root, iter(adjacency[root]))]
         via: list[int] = []  # via[d]: the right node through which stack[d + 1] was entered
@@ -284,9 +322,16 @@ def bottleneck_distance(B1: Barcode, B2: Barcode) -> int | float:
 
     Matched bars must agree within eps at both endpoints (infinite
     deaths only match infinite deaths); unmatched bars must have length
-    at most 2*eps.  Found by binary search over eps with a bipartite
-    matching feasibility test.  Equal barcodes are at distance 0 without a
-    search: bars are stored sorted, so equal tuples are equal multisets.
+    at most 2*eps.  Equal barcodes are at distance 0 without a search:
+    bars are stored sorted, so equal tuples are equal multisets.  Unequal
+    ones are never at distance 0, since at eps = 0 only identical bars
+    match and no bar is skippable.  At the largest endpoint every finite
+    bar is skippable and any two essential bars match, which is checked
+    first.  Feasibility is monotone in eps, so the least feasible eps is
+    found by unbounded search upward from 1 (Bentley and Yao, 1976):
+    bipartite matching tests at 1, 2, 4, ... until one holds, then
+    bisection of the last gap.  Distance 1 takes one test after the
+    check, and a distance d about 2 log2(d).
     """
     if B1.bars == B2.bars:
         return 0
@@ -295,9 +340,12 @@ def bottleneck_distance(B1: Barcode, B2: Barcode) -> int | float:
     finite_values = [b for b, _ in B1.bars + B2.bars]
     finite_values += [d for _, d in B1.bars + B2.bars if d != INF]
     hi = max(finite_values, default=0)
-    lo = 0
     if not _matching_feasible(B1.bars, B2.bars, hi):
         raise InternalError("no matching at the largest endpoint, where every bar is skippable")
+    lo, probe = 1, 1  # infeasible below lo, feasible at hi
+    while probe < hi and not _matching_feasible(B1.bars, B2.bars, probe):
+        lo, probe = probe + 1, 2 * probe
+    hi = min(hi, probe)
     while lo < hi:
         mid = (lo + hi) // 2
         if _matching_feasible(B1.bars, B2.bars, mid):
@@ -320,4 +368,4 @@ def random_module(rng, field: FieldSpec, max_dim: int = 4, t_max: int = 6, T: in
         # Entries are drawn row by row, the order seeded suites and digests depend on.
         rows = [[rng.randrange(field.p) for _ in range(dims[i])] for _ in range(dims[i + 1])]
         transitions.append(tuple({r: row[j] for r, row in enumerate(rows) if row[j]} for j in range(dims[i])))
-    return PersistenceModule(field, dims, tuple(transitions))
+    return _reduced_module(field, dims, tuple(transitions))

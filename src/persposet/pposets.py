@@ -9,13 +9,15 @@ map's source and target inside the cylinder, and the slicewise ordinal
 sum, whose order-complex tower is the join of the factors' towers.
 
 Only validate checks a persistence poset.  restrict checks that its
-subsets are closed; every other derived persistence poset (chain
-members, the cylinder, ordinal sums) is valid by construction and is
-built without either check.  Subposets of a trajectory row are read off
-the closed relation of each slice.  Whether the last slice of a fiber is
-connected is read off that slice alone (fiber_ends_connected), without
-building the fiber: the verifier's defect of one whose last slice is not
-is infinite.  A comparison set's status (comparison_status) is read off
+subsets are closed, for callers that hand it subsets (comparison sets,
+whose rows may not be closed, and each chain's first member); every
+other derived persistence poset (fibers and weak up-sets, closed by
+naturality, the later chain members, the cylinder, ordinal sums) is
+valid by construction and is built without either check.  Subposets
+of a trajectory row are read off the closed relation of each slice.
+Whether the last slice of a fiber is connected is read off that slice
+alone (fiber_ends_connected), without building the fiber: the
+verifier's defect of one whose last slice is not is infinite.  A comparison set's status (comparison_status) is read off
 its strict sets the same way: its defect is infinite when the set is not
 closed or its last slice is empty or disconnected, finite when the set
 is closed and its last slice is a cone, and only otherwise undecided.
@@ -23,8 +25,8 @@ A chain step that removes a weak point from each slice it touches
 (removes_weak_points) leaves the barcodes as they are.
 
 Two builders make every derived persistence poset: the cylinder and the
-ordinal sum are tagged sums of two towers (_tagged_sum), and restrict
-and the chain members are sub-towers (_sub_tower).
+ordinal sum are tagged sums of two towers (_tagged_sum), and restrict,
+fibers, weak up-sets and the chain members are sub-towers (_sub_tower).
 """
 
 from __future__ import annotations
@@ -256,9 +258,11 @@ def fiber(f: PersistenceMap, y: ElementTrack) -> PersistencePoset:
 
     Slice i is the preimage under f_i of {v} and the a with (a, v) in the
     target's relation, where v is the track's value; it is empty before
-    the track's birth.
+    the track's birth.  It is closed by naturality: f_i(x) <= v gives
+    f_{i+1}(phi x) = psi(f_i x) <= psi(v), the track's next value.  So it
+    is built as a sub-tower, without restrict's checks.
     """
-    return restrict(f.source, [_fiber_slice(f, i, v) for i, v in enumerate(y.trajectory)])
+    return _sub_tower(f.source, f.source, [_fiber_slice(f, i, v) for i, v in enumerate(y.trajectory)], range(f.T + 1))
 
 
 def fiber_ends_connected(f: PersistenceMap, y: ElementTrack) -> bool:
@@ -480,10 +484,16 @@ def _row_slice(pp: PersistencePoset, i: int, v: str | None, direction: Direction
 def up_set_of_image_track(
     pp: PersistencePoset, track_values: Sequence[str | None]
 ) -> PersistencePoset:
-    """Weak up-set of a trajectory row; always closed under structure maps."""
-    return restrict(pp, [
+    """Weak up-set of a trajectory row; always closed under structure maps.
+
+    The row's values map to each other, and a monotone map keeps v <= b
+    as phi(v) <= phi(b), so it is built as a sub-tower, without
+    restrict's checks.
+    """
+    sets = [
         set() if v is None else _strict_set(pp.components[i], v, "above") | {v} for i, v in enumerate(track_values)
-    ])
+    ]
+    return _sub_tower(pp, pp, sets, range(pp.T + 1))
 
 
 def _strict_set(P: FinitePoset, v: str, direction: Direction) -> set[str]:

@@ -9,6 +9,9 @@ slower dense paths they replaced, over numpy int64 matrices:
 - the module oracles: the rank invariant, eps-triviality cross-checked by
   nilpotency, composite transitions, and the exhaustive interleaving
   search;
+- the bottleneck distance as the least eps with a feasible matching, by
+  linear scan from 0, where the library searches upward from 1 by
+  doubling and bisects;
 - converters between dense matrices and the sparse columns of
   PersistenceModule.transitions;
 - the interpolation chains built as two mirrored loops, and the coherent
@@ -85,7 +88,7 @@ from persposet.errors import (
 )
 from persposet.homology import _boundary_column, _chain_columns, _chains, pposet_barcodes, tower_barcodes
 from persposet.linalg import Column, _inv_scalar
-from persposet.modules import INF, Barcode, FieldSpec, PersistenceModule, barcode
+from persposet.modules import INF, Barcode, FieldSpec, PersistenceModule, _matching_feasible, barcode
 from persposet.posets import (
     FinitePoset,
     MonotoneMap,
@@ -651,6 +654,18 @@ def _search_pairs(M: PersistenceModule, N: PersistenceModule, eps: int) -> bool:
         if solve(reduced, rhs, p) is not None:
             return True
     return False
+
+
+def searched_distance(B1: Barcode, B2: Barcode) -> int | float:
+    """The least eps in 0..hi with a feasible matching, by linear scan; hi is the largest finite endpoint.
+
+    INF when the essential counts differ, since essential bars match only
+    essential bars.
+    """
+    if B1.essential_count() != B2.essential_count():
+        return INF
+    hi = max((v for bar in B1.bars + B2.bars for v in bar if v != INF), default=0)
+    return next(eps for eps in range(hi + 1) if _matching_feasible(B1.bars, B2.bars, eps))
 
 
 # -- slice routines and subposets of a trajectory row ---------------------------

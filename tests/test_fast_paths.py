@@ -13,15 +13,16 @@
 - both chains reach the full cylinder, whose barcodes the content-keyed
   memo builds once; the reference gives the shrinking chain its own
   equal copy.
-- bottleneck_distance returns 0 for equal barcodes; the reference is the
-  feasibility search itself.
+- bottleneck_distance returns 0 for equal barcodes, and searches upward
+  from 1 for unequal ones; the reference is the feasibility test run at
+  every eps from 0 (reference.searched_distance).
 """
 
 from dataclasses import replace
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from persposet import verifier
@@ -192,16 +193,6 @@ bars = st.lists(
 )
 
 
-def searched_distance(B1, B2):
-    """The least eps with a feasible matching, by linear scan; INF on essential mismatch."""
-    if B1.essential_count() != B2.essential_count():
-        return INF
-    eps = 0
-    while not _matching_feasible(B1.bars, B2.bars, eps):
-        eps += 1
-    return eps
-
-
 @settings(max_examples=200, deadline=None)
 @given(bars)
 def test_equal_barcodes_are_at_distance_zero(raw):
@@ -217,4 +208,25 @@ def test_unequal_barcodes_take_the_search_path(raw1, raw2):
     assume(B1 != B2)
     d = bottleneck_distance(B1, B2)
     assert d > 0
-    assert d == searched_distance(B1, B2)
+    assert d == reference.searched_distance(B1, B2)
+
+
+# Births up to 30 and lengths up to 30, so distances of 5 and more occur:
+# the search then doubles past 4 and bisects the last gap.
+wide_bars = st.lists(
+    st.tuples(st.integers(0, 30), st.one_of(st.integers(1, 30), st.just(INF))).map(
+        lambda bd: (bd[0], bd[1] if bd[1] == INF else bd[0] + bd[1])
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_bars, wide_bars)
+@example([(0, 10)], [(5, 15)])  # 5: tests at 1, 2, 4 fail, 8 holds, then 6 and 5
+@example([(0, INF), (3, 20)], [(7, INF)])  # 9: the essential bars cost 7, skipping (3, 20) costs 9
+@example([(0, INF), (2, INF)], [(1, INF), (30, INF)])  # 28: no doubling holds below 30, the largest endpoint
+def test_upward_search_equals_linear_scan(raw1, raw2):
+    """bottleneck_distance searches upward from 1 by doubling and bisects; the reference scans from 0."""
+    B1, B2 = Barcode.of(raw1), Barcode.of(raw2)
+    assert bottleneck_distance(B1, B2) == reference.searched_distance(B1, B2)

@@ -1,4 +1,5 @@
 import random
+import time
 
 import numpy as np
 import pytest
@@ -82,6 +83,25 @@ class TestSparseTransitions:
             for i in range(3):
                 rows = [[rng.randrange(p) for _ in range(dims[i])] for _ in range(dims[i + 1])]
                 assert transition(M, i).tolist() == rows
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_builders_equal_validated_modules(self, p):
+        """direct_sum, module_from_barcode and random_module skip __post_init__.
+
+        Each result has the dims and the reduced transitions that the
+        validated PersistenceModule of the same data has.
+        """
+        field = FieldSpec(p)
+        rng = random.Random(p)
+        for _ in range(40):
+            T = rng.randint(0, 5)
+            M, N = random_module(rng, field, max_dim=3, T=T), random_module(rng, field, max_dim=3, T=T)
+            births = [rng.randint(0, T) for _ in range(rng.randint(0, 5))]
+            bars = [(b, INF if b == T or rng.random() < 0.3 else rng.randint(b + 1, T)) for b in births]
+            for built in (M, N, direct_sum(M, N), module_from_barcode(field, T, bars)):
+                validated = PersistenceModule(field, built.dims, built.transitions)
+                assert type(built.dims) is tuple and all(type(d) is int for d in built.dims)
+                assert (built.field, built.dims, built.transitions) == (field, validated.dims, validated.transitions)
 
 
 class TestRankInvariant:
@@ -240,6 +260,22 @@ class TestBottleneck:
     def test_three_thousand_bars(self):
         shifted = Barcode.of([(i + 1, i + 2) for i in range(3000)])
         assert bottleneck_distance(Barcode.of([(i, i + 1) for i in range(3000)]), shifted) == 1
+
+    def test_overlapping_windows(self):
+        """Bars whose windows overlap in a chain, at full size, well within 2 s each.
+
+        Each bar's first candidate is the one its predecessor wants too, so
+        without the greedy pass every augmenting-path search fails down the
+        whole chain before taking its own bar: quadratic in the bars.
+        """
+        shapes = [
+            ([(2 * i, 2 * i + 3) for i in range(3000)], [(2 * i + 1, 2 * i + 4) for i in range(3000)]),
+            ([(2 * i, INF) for i in range(300)], [(2 * i + 1, INF) for i in range(300)]),
+        ]
+        for left, right in shapes:
+            start = time.perf_counter()
+            assert bottleneck_distance(Barcode.of(left), Barcode.of(right)) == 1
+            assert time.perf_counter() - start < 2
 
     def test_deep_augmenting_path(self):
         # Left node i < n-1 first takes right node i; the last left node then

@@ -333,14 +333,22 @@ def test_track_trajectories_are_rows(tier):
 
 @pytest.mark.parametrize("tier", TIERS)
 def test_restricted_pposets_pass_validate(tier):
-    """restrict builds its result without validate; every kind it returns would pass it.
+    """Every persistence subposet built without validate would pass it.
 
-    A spy records each result of restrict while the fibers, the first
-    member of each chain, comparison sets and up-sets of an instance are
-    built, and each is then validated with every step's complement, which
-    reference.complement builds through restrict.  The later chain
-    members skip restrict; tests/test_poset_fast_paths.py validates them.
+    A spy records each result of restrict while the first member of each
+    chain and the comparison sets of an instance are built, and each is
+    then validated, with every step's complement, which
+    reference.complement builds through restrict.  Fibers and weak
+    up-sets are closed by naturality and built as sub-towers, without
+    restrict: each is validated directly and checked, slice by slice and
+    map by map, against reference.fiber and
+    reference.up_set_of_image_track, which go through restrict.  The
+    later chain members skip restrict; tests/test_poset_fast_paths.py
+    validates them.
     """
+
+    def shape(pp):
+        return [(c.elements, c.relation) for c in pp.components], [m.assignment for m in pp.maps]
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=15, deadline=None)
@@ -353,8 +361,6 @@ def test_restricted_pposets_pass_validate(tier):
             return built[-1]
 
         with mock.patch.object(pposets, "restrict", spy):
-            for y in tracks(f.target):
-                fiber(f, y)
             chains = chain_filtrations(f)
             for step in chains.target_steps + chains.source_steps:
                 for direction in ("below", "above"):
@@ -363,12 +369,16 @@ def test_restricted_pposets_pass_validate(tier):
                     except NotASubposet:
                         pass
                 built.append(reference.complement(step.larger, step.removed))
+            assert len(built) > 2
+            subposets = [(fiber(f, y), reference.fiber(f, y)) for y in tracks(f.target)]
             for tr in tracks(f.source):
                 row = [None if v is None else f.slices[i].assignment[v] for i, v in enumerate(tr.trajectory)]
-                up_set_of_image_track(f.target, row)
-        assert len(built) > len(tracks(f.target))
+                subposets.append((up_set_of_image_track(f.target, row), reference.up_set_of_image_track(f.target, row)))
         for pp in built:
             validate(pp)
+        for pp, expected in subposets:
+            validate(pp)
+            assert shape(pp) == shape(expected)
 
     check()
 

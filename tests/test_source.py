@@ -87,9 +87,28 @@ def test_two_builders_skip_validate():
     """Every derived persistence poset comes from a tagged sum or a sub-tower.
 
     _tagged_sum builds the cylinder and the ordinal sum, and _sub_tower
-    builds restrict's results and the chain members; only they vouch for
-    a tower without running validate.
+    builds restrict's results, fibers, weak up-sets and the chain
+    members; only they vouch for a tower without running validate.
     """
+    assert called_in("_valid_by_construction") == [("pposets", "_sub_tower"), ("pposets", "_tagged_sum")]
+
+
+def test_three_module_builders_skip_post_init():
+    """Only the modules the library builds itself skip PersistenceModule's checks.
+
+    direct_sum, module_from_barcode and random_module have the right
+    shapes and reduced, nonzero entries by construction; a module from
+    any other caller is checked and reduced.
+    """
+    assert called_in("_reduced_module") == [
+        ("modules", "direct_sum"),
+        ("modules", "module_from_barcode"),
+        ("modules", "random_module"),
+    ]
+
+
+def called_in(target: str) -> list[tuple[str, str]]:
+    """(module, top-level definition) of every call of target in the package, sorted."""
     found = set()
     for path in SOURCES:
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -97,9 +116,9 @@ def test_two_builders_skip_validate():
                 if isinstance(node, ast.Call):
                     func = node.func
                     name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                    if name == "_valid_by_construction":
+                    if name == target:
                         found.add((path.stem, getattr(top, "name", "<module>")))
-    assert sorted(found) == [("pposets", "_sub_tower"), ("pposets", "_tagged_sum")]
+    return sorted(found)
 
 
 def test_posets_holds_single_slice_notions_only():
@@ -118,15 +137,7 @@ def test_one_elimination_loop_per_kind_of_sweep():
     calling linalg.reduce_column or linalg.insert_pivot would be a second
     path from complexes to homology.
     """
-    found = set()
-    for path in SOURCES:
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            for node in ast.walk(top):
-                if isinstance(node, ast.Call):
-                    func = node.func
-                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                    if name in ("reduce_column", "insert_pivot"):
-                        found.add((path.stem, getattr(top, "name", "<module>")))
+    found = set(called_in("reduce_column")) | set(called_in("insert_pivot"))
     assert sorted(found) == [("homology", "_chains"), ("modules", "elder_barcode")]
 
 

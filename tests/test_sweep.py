@@ -3,19 +3,23 @@
 Every barcode comes from one forward sweep (modules.elder_barcode).  The
 reference is the barcode read from rank_invariant by Moebius inversion,
 for modules directly and for towers through the dense homology_tower.
+The sweeps build their Barcode without Barcode.of, whose normalised
+form is the reference for what they return.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persposet import linalg
+from persposet import complexes, homology, linalg, posets
 from persposet.documents import GeneratorLimits, parse_instance, random_instance
 from persposet.errors import InternalError
-from persposet.homology import FieldSpec
+from persposet.homology import FieldSpec, pposet_barcodes
 from persposet.modules import INF, Barcode, PersistenceModule, barcode
-from persposet.pposets import fiber, tracks
+from persposet.pposets import fiber, persistence_mapping_cylinder, top_degree, tracks
 import reference
 from reference import (
     ComplexTower,
@@ -30,6 +34,7 @@ from reference import (
 )
 
 TIER_S = GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4)
+TIERS = {"S": TIER_S, "M": GeneratorLimits(t_max=8, max_slice=10, max_y_tracks=6)}
 PRIMES = (2, 3, 5, 7)
 
 
@@ -72,6 +77,7 @@ def modules(draw):
 @settings(max_examples=300, deadline=None)
 def test_module_sweep_matches_rank_invariant(M):
     code = barcode(M)
+    assert code == Barcode.of(code.bars)
     r = rank_invariant(M)
     for i in range(M.T + 2):
         for j in range(i, M.T + 2):
@@ -94,6 +100,47 @@ def test_tower_sweep_matches_rank_invariant(seed, p):
         k_top = max(tower.top_degree(), 0)
         expected = [barcode_from_ranks(homology_tower(tower, k, field)) for k in range(k_top + 1)]
         assert barcodes_of(tower, field, k_top) == expected
+
+
+@pytest.mark.parametrize("tier", ["S", "M"])
+def test_sweep_barcodes_need_no_normalising(tier):
+    """elder_barcode and _discrete_barcode skip Barcode.of; each result equals Barcode.of of its bars.
+
+    Both are spied on while the barcodes of an instance's source, target,
+    cylinder and fibers are built from cold caches, on the cores and on
+    the full order-complex towers.
+    """
+    seen = {"elder_barcode": 0, "_discrete_barcode": 0}
+
+    @given(st.integers(0, 10_000), st.sampled_from((2, 3)))
+    @settings(max_examples=15, deadline=None)
+    def check(seed, p):
+        f = parse_instance(random_instance(seed, TIERS[tier])).map
+        built = {"elder_barcode": [], "_discrete_barcode": []}
+
+        def spy(name):
+            original = getattr(homology, name)
+
+            def record(*args):
+                built[name].append(original(*args))
+                return built[name][-1]
+
+            return mock.patch.object(homology, name, record)
+
+        for cache in (complexes.order_complex, homology._chains, homology._core_barcodes, posets.core):
+            cache.cache_clear()
+        with spy("elder_barcode"), spy("_discrete_barcode"):
+            for pp in [f.source, f.target, persistence_mapping_cylinder(f)] + [fiber(f, y) for y in tracks(f.target)]:
+                pposet_barcodes(pp, FieldSpec(p), top_degree(pp))
+                barcodes_of(order_complex_tower(pp), FieldSpec(p), top_degree(pp))
+        for name, codes in built.items():
+            seen[name] += len(codes)
+        for code in built["elder_barcode"] + built["_discrete_barcode"]:
+            assert code == Barcode.of(code.bars)
+            assert all(type(b) is int and (d == INF or type(d) is int) for b, d in code.bars)
+
+    check()
+    assert all(seen.values())
 
 
 def module(dims, transitions, p=2):
