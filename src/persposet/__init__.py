@@ -18,7 +18,6 @@ from .errors import (
 )
 from .posets import (
     FinitePoset,
-    MonotoneMap,
     linear_extension,
     new_poset,
 )

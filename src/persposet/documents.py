@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Any
 
 from .errors import NotNested, PersistenceError, SchemaError, ValidationError
-from .posets import FinitePoset, MonotoneMap, new_poset
+from .posets import FinitePoset, new_poset
 from .pposets import PersistenceMap, PersistencePoset
 
 INSTANCE_SCHEMA = "instance/1"
@@ -74,7 +74,7 @@ def _poset_block(pp: PersistencePoset) -> dict:
             }
             for c in pp.components
         ],
-        "maps": [dict(sorted(m.assignment.items())) for m in pp.maps],
+        "maps": [dict(sorted(m.items())) for m in pp.maps],
     }
 
 
@@ -140,7 +140,7 @@ def _parse_poset_block(obj: Any, where: str, T: int) -> PersistencePoset:
             comps.append(new_poset(elements, [tuple(p) for p in pairs]))
         except PersistenceError as exc:
             raise ValidationError(f"{where}.components[{i}]: {exc}") from exc
-    maps = [MonotoneMap(comps[i], comps[i + 1], _name_table(m, f"{where}.maps[{i}]")) for i, m in enumerate(maps_raw)]
+    maps = [_name_table(m, f"{where}.maps[{i}]") for i, m in enumerate(maps_raw)]
     try:
         return PersistencePoset(tuple(comps), tuple(maps))
     except PersistenceError as exc:
@@ -163,7 +163,7 @@ def serialize_instance(inst: InstanceDocument) -> dict:
         "T": f.T,
         "x": _poset_block(f.source),
         "y": _poset_block(f.target),
-        "map": [dict(sorted(s.assignment.items())) for s in f.slices],
+        "map": [dict(sorted(s.items())) for s in f.slices],
     }
     if inst.scale is not None:
         doc["scale"] = {"origin": inst.scale.origin, "step": inst.scale.step}
@@ -182,9 +182,7 @@ def parse_instance(document: Any) -> InstanceDocument:
     y = _parse_poset_block(document.get("y"), "y", T)
     map_raw = document.get("map")
     _require(isinstance(map_raw, list) and len(map_raw) == T + 1, f"map: need {T + 1} slice tables")
-    slices = tuple(
-        MonotoneMap(x.components[i], y.components[i], _name_table(m, f"map[{i}]")) for i, m in enumerate(map_raw)
-    )
+    slices = tuple(_name_table(m, f"map[{i}]") for i, m in enumerate(map_raw))
     try:
         pm = PersistenceMap(x, y, slices)
     except PersistenceError as exc:
@@ -275,10 +273,7 @@ def cover_to_pposet(cover: CoverTower, max_arity: int | None = None) -> Persiste
             if a != b and set(a) > set(b)
         ]
         comps.append(new_poset([label(c) for c in present], pairs))
-    maps = [
-        MonotoneMap(comps[i], comps[i + 1], {e: e for e in comps[i].elements})
-        for i in range(cover.T)
-    ]
+    maps = [{e: e for e in comps[i].elements} for i in range(cover.T)]
     return PersistencePoset(tuple(comps), tuple(maps))
 
 
@@ -402,7 +397,7 @@ def _random_tower(rng: random.Random, T: int, max_slice: int, budget: float, pai
     maps = []
     for i in range(T):
         prev, lab = comps[-1], labels[i]
-        psi = None if over is None else over.maps[i].assignment
+        psi = None if over is None else over.maps[i]
         rep = _try_merges(rng, prev, None if psi is None else lambda a, b: psi[lab[a]] == psi[lab[b]])
         classes = sorted(set(rep.values()))
         room = max(0, max_slice - len(classes))
@@ -414,7 +409,7 @@ def _random_tower(rng: random.Random, T: int, max_slice: int, budget: float, pai
         base = new_poset(classes + names, quotient_pairs)
         comp = _enrich_poset(rng, base, pair_prob, compatible(i + 1, next_lab))
         comps.append(comp)
-        maps.append(MonotoneMap(prev, comp, {e: rep[e] for e in prev.elements}))
+        maps.append(rep)
         labels.append(next_lab)
     return PersistencePoset(tuple(comps), tuple(maps)), labels
 
@@ -438,5 +433,4 @@ def random_instance(seed: int, limits: GeneratorLimits = GeneratorLimits()) -> d
     T = rng.randint(0, limits.t_max)
     y, _ = _random_tower(rng, T, limits.max_y_tracks, limits.max_y_tracks, limits.pair_prob, "y")
     x, labels = _random_tower(rng, T, limits.max_slice, math.inf, limits.pair_prob, "x", over=y)
-    slices = tuple(MonotoneMap(x.components[i], y.components[i], labels[i]) for i in range(T + 1))
-    return serialize_instance(InstanceDocument(map=PersistenceMap(x, y, slices)))
+    return serialize_instance(InstanceDocument(map=PersistenceMap(x, y, labels)))

@@ -1,7 +1,8 @@
 """Simplicial homology over a prime field, on sparse columns.
 
-The library's one view of homology: persistence posets and monotone maps
-go in, barcodes and ranks come out.  Homology is a homotopy invariant,
+The library's one view of homology: persistence posets and monotone maps,
+each map a name-to-name dict beside its source and target, go in,
+barcodes and ranks come out.  Homology is a homotopy invariant,
 so every complex is the order complex of a beat-point core (posets.core):
 a slice's core for the barcodes of a persistence poset (pposet_barcodes),
 and the cores of a map's source and target for its ranks on homology
@@ -166,8 +167,10 @@ def pposet_barcodes(pp: PersistencePoset, field: FieldSpec, k_max: int) -> list[
     return list(_core_barcodes(tuple(C for C, _ in cores), maps, field, k_max))
 
 
-def induced_ranks(g: posets.MonotoneMap, field: FieldSpec, k_max: int) -> list[int]:
-    """rank H_k of g's map of order complexes in degrees 0..k_max, indexed by degree.
+def induced_ranks(
+    source: posets.FinitePoset, target: posets.FinitePoset, g: dict[str, str], field: FieldSpec, k_max: int
+) -> list[int]:
+    """rank H_k of the map of order complexes of g: source -> target in degrees 0..k_max, indexed by degree.
 
     Computed on the cores through r . g . incl, where incl includes the
     source's core and r retracts the target onto its core: both are
@@ -178,7 +181,7 @@ def induced_ranks(g: posets.MonotoneMap, field: FieldSpec, k_max: int) -> list[i
     above, so the rank is the number of distinct images in degree 0 and
     0 above, with no complex built and no memo entry.
     """
-    (core_x, _), (core_y, retract_y) = posets.core(g.source), posets.core(g.target)
+    (core_x, _), (core_y, retract_y) = posets.core(source), posets.core(target)
     pairs = _onto_cores(g, core_x, retract_y)
     if not (core_x.relation or core_y.relation):
         return [len({y for _, y in pairs}) if k == 0 else 0 for k in range(k_max + 1)]
@@ -186,10 +189,10 @@ def induced_ranks(g: posets.MonotoneMap, field: FieldSpec, k_max: int) -> list[i
 
 
 def _onto_cores(
-    g: posets.MonotoneMap, source_core: posets.FinitePoset, target_retraction: posets.MonotoneMap
+    g: dict[str, str], source_core: posets.FinitePoset, target_retraction: dict[str, str]
 ) -> tuple[tuple[str, str], ...]:
     """r . g on the source's core, as (element, image) pairs in core element order."""
-    return tuple((x, target_retraction.assignment[g.assignment[x]]) for x in source_core.elements)
+    return tuple((x, target_retraction[g[x]]) for x in source_core.elements)
 
 
 @lru_cache(maxsize=4096)

@@ -2,8 +2,11 @@
 
 Single time-slice building blocks: validated strict partial orders,
 the one check of monotone maps, deterministic linear extensions,
-beat-point cores, connected and coned subsets, and weak points.  All
-values are immutable after construction and safe to share.
+beat-point cores, connected and coned subsets, and weak points.  A
+map between two posets is its name-to-name table, a plain dict; its
+source and target travel beside it.  Posets are immutable after
+construction and safe to share, and no caller mutates a map it did
+not build.
 
 Only new_poset validates and closes a relation.  Everything derived from
 a poset that is already closed (induced subposets, cores) filters closed
@@ -135,39 +138,24 @@ def linear_extension(P: FinitePoset, group: dict[str, int] | None = None) -> lis
     return out
 
 
-@dataclass(eq=False)
-class MonotoneMap:
-    """A candidate order-preserving map; validity is checked by check_map."""
-
-    source: FinitePoset
-    target: FinitePoset
-    assignment: dict[str, str]
-
-
-def identity_map(P: FinitePoset) -> MonotoneMap:
-    return MonotoneMap(P, P, {e: e for e in P.elements})
-
-
-def check_map(f: MonotoneMap) -> None:
-    """Raise the specific failure for an invalid map.
+def check_map(source: FinitePoset, target: FinitePoset, f: dict[str, str]) -> None:
+    """Raise the specific failure when f is not an order-preserving map from source to target.
 
     This is the library's only check that a map assigns an image to
     exactly the source elements and is monotone.
     """
-    for x in f.source.elements:
-        y = f.assignment.get(x)
+    for x in source.elements:
+        y = f.get(x)
         if y is None:
             raise PartialStructureMap(f"no image assigned to {x!r}")
-        if y not in f.target:
+        if y not in target:
             raise PartialStructureMap(f"image {y!r} of {x!r} is not a target element")
-    if len(f.assignment) != len(f.source):
-        extra = next(x for x in f.assignment if x not in f.source)
+    if len(f) != len(source):
+        extra = next(x for x in f if x not in source)
         raise PartialStructureMap(f"{extra!r} is assigned an image but is not a source element")
-    for a, b in f.source.relation:
-        if not f.target.leq(f.assignment[a], f.assignment[b]):
-            raise NonMonotoneStructureMap(
-                f"{a!r} < {b!r} but images {f.assignment[a]!r}, {f.assignment[b]!r} are not ordered"
-            )
+    for a, b in source.relation:
+        if not target.leq(f[a], f[b]):
+            raise NonMonotoneStructureMap(f"{a!r} < {b!r} but images {f[a]!r}, {f[b]!r} are not ordered")
 
 
 def _extreme(candidates: set[str], inner: dict[str, set[str]]) -> str | None:
@@ -183,7 +171,7 @@ def _extreme(candidates: set[str], inner: dict[str, set[str]]) -> str | None:
 
 
 @lru_cache(maxsize=4096)
-def core(P: FinitePoset) -> tuple[FinitePoset, MonotoneMap]:
+def core(P: FinitePoset) -> tuple[FinitePoset, dict[str, str]]:
     """Remove beat points until none is left: the core C and the retraction r: P -> C.
 
     A beat point covers exactly one element or is covered by exactly one;
@@ -196,11 +184,10 @@ def core(P: FinitePoset) -> tuple[FinitePoset, MonotoneMap]:
     An antichain has no beat point, so with an empty relation the core is
     P itself and r the identity, with no scan.
 
-    Cached: equal posets share one result, so r.source may be an equal
-    poset rather than P itself, and no caller may mutate r.assignment.
+    Cached: equal posets share one result, so no caller may mutate r.
     """
     if not P.relation:
-        return P, identity_map(P)
+        return P, {e: e for e in P.elements}
     below: dict[str, set[str]] = {e: set() for e in P.elements}
     above: dict[str, set[str]] = {e: set() for e in P.elements}
     for a, b in P.relation:
@@ -228,13 +215,13 @@ def core(P: FinitePoset) -> tuple[FinitePoset, MonotoneMap]:
         elements=tuple(e for e in P.elements if e not in sent),
         relation=frozenset((a, b) for (a, b) in P.relation if a not in sent and b not in sent),
     )
-    assignment = {}
+    r = {}
     for x in P.elements:
         y = x
         while y in sent:
             y = sent[y]
-        assignment[x] = y
-    return C, MonotoneMap(P, C, assignment)
+        r[x] = y
+    return C, r
 
 
 def is_connected(P: FinitePoset, subset: Iterable[str]) -> bool:

@@ -8,20 +8,23 @@ cylinder, the steps of the two interpolation chains used to compare a
 map's source and target inside the cylinder, and the slicewise ordinal
 sum, whose order-complex tower is the join of the factors' towers.
 
-Only validate checks a persistence poset.  restrict checks that its
-subsets are closed, for callers that hand it subsets (comparison sets,
-whose rows may not be closed, and each chain's first member); every
-other derived persistence poset (fibers and weak up-sets, closed by
-naturality, the later chain members, the cylinder, ordinal sums) is
-valid by construction and is built without either check.  Subposets
-of a trajectory row are read off the closed relation of each slice.
-Whether the last slice of a fiber is connected is read off that slice
-alone (fiber_ends_connected), without building the fiber: the
-verifier's defect of one whose last slice is not is infinite.  A comparison set's status (comparison_status) is read off
-its strict sets the same way: its defect is infinite when the set is not
-closed or its last slice is empty or disconnected, finite when the set
-is closed and its last slice is a cone, and only otherwise undecided.
-A chain step that removes a weak point from each slice it touches
+Structure maps and slice maps are plain name-to-name dicts; the
+components they run between travel beside them.  Only validate checks a
+persistence poset, and only PersistenceMap checks a persistence map;
+both go through posets.check_map.  restrict checks that its subsets are
+closed, for its one library caller, comparison sets, whose rows may not
+be closed; every other derived persistence poset (fibers and weak
+up-sets, closed by naturality, the chain members, the cylinder, ordinal
+sums) is valid by construction and is built without either check.
+Subposets of a trajectory row are read off the closed relation of each
+slice.  Whether the last slice of a fiber is connected is read off that
+slice alone (fiber_ends_connected), without building the fiber: the
+verifier's defect of one whose last slice is not is infinite.  A
+comparison set's status (comparison_status) is read off its strict sets
+the same way: its defect is infinite when the set is not closed or its
+last slice is empty or disconnected, finite when the set is closed and
+its last slice is a cone, and only otherwise undecided.  A chain step
+that removes a weak point from each slice it touches
 (removes_weak_points) leaves the barcodes as they are.
 
 Two builders make every derived persistence poset: the cylinder and the
@@ -36,6 +39,7 @@ from typing import Callable, Iterable, Literal, Sequence
 
 from .errors import (
     EmptyAfterNonempty,
+    InternalError,
     NaturalityError,
     NonMonotoneStructureMap,
     NotASubposet,
@@ -45,7 +49,6 @@ from .errors import (
 )
 from .posets import (
     FinitePoset,
-    MonotoneMap,
     check_map,
     is_cone,
     is_connected,
@@ -63,12 +66,14 @@ CYLINDER_TARGET_TAG = "Y:"
 class PersistencePoset:
     """Sequence of posets of length T+1 with monotone structure maps.
 
-    Semantics beyond T are the constant extension: component(j) equals
-    component(T) and the structure maps are identities for j >= T.
+    maps[i] is the name-to-name table of the structure map from
+    components[i] to components[i + 1].  Semantics beyond T are the
+    constant extension: component(j) equals component(T) and the
+    structure maps are identities for j >= T.
     """
 
     components: tuple[FinitePoset, ...]
-    maps: tuple[MonotoneMap, ...]
+    maps: tuple[dict[str, str], ...]
 
     def __post_init__(self) -> None:
         self.components = tuple(self.components)
@@ -92,15 +97,13 @@ def validate(pp: PersistencePoset) -> None:
             raise EmptyAfterNonempty(f"component {i} is empty after a nonempty one")
         seen_nonempty = seen_nonempty or not comp.is_empty()
     for i, f in enumerate(pp.maps):
-        _check_arrow(f, pp.components[i], pp.components[i + 1], f"structure map {i}")
+        _check_arrow(pp.components[i], pp.components[i + 1], f, f"structure map {i}")
 
 
-def _check_arrow(f: MonotoneMap, source: FinitePoset, target: FinitePoset, name: str) -> None:
-    """f runs source -> target and passes check_map; failures are prefixed by name."""
-    if f.source != source or f.target != target:
-        raise PartialStructureMap(f"{name} does not connect the components")
+def _check_arrow(source: FinitePoset, target: FinitePoset, f: dict[str, str], name: str) -> None:
+    """check_map(source, target, f), with every failure prefixed by name."""
     try:
-        check_map(f)
+        check_map(source, target, f)
     except (PartialStructureMap, NonMonotoneStructureMap) as exc:
         raise type(exc)(f"{name}: {exc}") from None
 
@@ -123,11 +126,15 @@ class ElementTrack:
 
 @dataclass(eq=False)
 class PersistenceMap:
-    """A natural family of monotone slice maps between persistence posets."""
+    """A natural family of monotone slice maps between persistence posets.
+
+    slices[i] is the name-to-name table of the slice map from
+    source.components[i] to target.components[i].
+    """
 
     source: PersistencePoset
     target: PersistencePoset
-    slices: tuple[MonotoneMap, ...]
+    slices: tuple[dict[str, str], ...]
 
     def __post_init__(self) -> None:
         self.slices = tuple(self.slices)
@@ -136,13 +143,13 @@ class PersistenceMap:
         if len(self.slices) != self.source.T + 1:
             raise PartialStructureMap(f"expected {self.source.T + 1} slice maps")
         for i, f in enumerate(self.slices):
-            _check_arrow(f, self.source.components[i], self.target.components[i], f"slice map {i}")
+            _check_arrow(self.source.components[i], self.target.components[i], f, f"slice map {i}")
         for i in range(self.source.T):
             phi = self.source.maps[i]
             psi = self.target.maps[i]
             f_i, f_next = self.slices[i], self.slices[i + 1]
             for x in self.source.components[i].elements:
-                if psi.assignment[f_i.assignment[x]] != f_next.assignment[phi.assignment[x]]:
+                if psi[f_i[x]] != f_next[phi[x]]:
                     raise NaturalityError(f"naturality square fails at slice {i}, element {x!r}")
 
     @property
@@ -168,14 +175,14 @@ def restrict(pp: PersistencePoset, subsets: Sequence[Iterable[str]]) -> Persiste
     leaving = _leaving(pp, sets)
     if leaving is not None:
         i, x = leaving
-        raise NotASubposet(f"slice {i}: image {pp.maps[i].assignment[x]!r} of {x!r} leaves the subset")
+        raise NotASubposet(f"slice {i}: image {pp.maps[i][x]!r} of {x!r} leaves the subset")
     return _sub_tower(pp, pp, sets, range(pp.T + 1))
 
 
 def _leaving(pp: PersistencePoset, sets: Sequence[set[str]]) -> tuple[int, str] | None:
     """The first slice i, and its least element, whose image under structure map i is not in sets[i + 1]."""
     for i in range(pp.T):
-        f, kept = pp.maps[i].assignment, sets[i + 1]
+        f, kept = pp.maps[i], sets[i + 1]
         leaving = [x for x in sets[i] if f[x] not in kept]
         if leaving:
             return i, min(leaving)
@@ -191,12 +198,12 @@ def _sub_tower(
         comps[i] = pp.components[i].restrict(sets[i])
     maps = list(base.maps)
     for i in {j for c in changed for j in (c - 1, c) if 0 <= j < pp.T}:
-        assignment = pp.maps[i].assignment
-        maps[i] = MonotoneMap(comps[i], comps[i + 1], {x: assignment[x] for x in comps[i].elements})
+        f = pp.maps[i]
+        maps[i] = {x: f[x] for x in comps[i].elements}
     return _valid_by_construction(tuple(comps), tuple(maps))
 
 
-def _valid_by_construction(components: tuple[FinitePoset, ...], maps: tuple[MonotoneMap, ...]) -> PersistencePoset:
+def _valid_by_construction(components: tuple[FinitePoset, ...], maps: tuple[dict[str, str], ...]) -> PersistencePoset:
     """A PersistencePoset that its builder has shown valid, made without running validate."""
     pp = object.__new__(PersistencePoset)
     pp.components, pp.maps = components, maps
@@ -221,7 +228,7 @@ def persistence_linear_extension(pp: PersistencePoset) -> list[list[str]]:
     extended[T] = linear_extension(pp.components[T])
     for i in range(T - 1, -1, -1):
         rank = {y: r for r, y in enumerate(extended[i + 1])}
-        f = pp.maps[i].assignment
+        f = pp.maps[i]
         extended[i] = linear_extension(pp.components[i], {a: rank[f[a]] for a in pp.components[i].elements})
     return extended
 
@@ -242,13 +249,13 @@ def tracks(pp: PersistencePoset) -> list[ElementTrack]:
         if i == 0:
             fresh = list(comp.elements)
         else:
-            image = {pp.maps[i - 1].assignment[x] for x in pp.components[i - 1].elements}
+            image = set(pp.maps[i - 1].values())
             fresh = [e for e in comp.elements if e not in image]
         rank = {e: r for r, e in enumerate(extended[i])}
         for e in sorted(fresh, key=lambda e: rank[e]):
             traj = [None] * i + [e]
             for j in range(i, pp.T):
-                traj.append(pp.maps[j].assignment[traj[-1]])
+                traj.append(pp.maps[j][traj[-1]])
             out.append(ElementTrack(birth=i, trajectory=tuple(traj)))
     return out
 
@@ -276,7 +283,7 @@ def _fiber_slice(f: PersistenceMap, i: int, v: str | None) -> set[str]:
         return set()
     down = _strict_set(f.target.components[i], v, "below")
     down.add(v)
-    g = f.slices[i].assignment
+    g = f.slices[i]
     return {x for x in f.source.components[i].elements if g[x] in down}
 
 
@@ -301,10 +308,10 @@ def _tagged_sum(
         relation += [(xs[a], ys[b]) for a, b in across(i)]
         comps.append(FinitePoset(elements=(*xs.values(), *ys.values()), relation=frozenset(relation)))
     maps = []
-    for i, (f, g) in enumerate(zip(A.maps, B.maps)):
-        assignment = {ta + x: ta + y for x, y in f.assignment.items()}
-        assignment.update((tb + x, tb + y) for x, y in g.assignment.items())
-        maps.append(MonotoneMap(comps[i], comps[i + 1], assignment))
+    for f, g in zip(A.maps, B.maps):
+        union = {ta + x: ta + y for x, y in f.items()}
+        union.update((tb + x, tb + y) for x, y in g.items())
+        maps.append(union)
     return _valid_by_construction(tuple(comps), tuple(maps))
 
 
@@ -319,7 +326,7 @@ def persistence_mapping_cylinder(f: PersistenceMap) -> PersistencePoset:
         weak_up: dict[str, list[str]] = {y: [y] for y in f.target.components[i].elements}
         for a, b in f.target.components[i].relation:
             weak_up[a].append(b)
-        g = f.slices[i].assignment
+        g = f.slices[i]
         return [(x, y) for x in f.source.components[i].elements for y in weak_up[g[x]]]
 
     return _tagged_sum(f.source, f.target, (CYLINDER_SOURCE_TAG, CYLINDER_TARGET_TAG), across)
@@ -358,30 +365,34 @@ def _grow(
     start: Sequence[set[str]],
     tracks: Iterable[ElementTrack],
 ) -> list[ChainStep]:
-    """Add tracks to the subposet on start one at a time: one step per track.
+    """Add tracks to the subposet on start, one copy of the cylinder, one at a time: one step per track.
 
-    A step adds only the part of the trajectory not already present, so
-    every member is a persistence subposet of the cylinder, and a step
-    that adds nothing keeps the member before it.
+    The first member is the sub-tower on start, closed by construction.
+    A step adds the part of its trajectory not already present, and at
+    least its first value, fresh at the track's birth index: a track
+    added before it was born earlier, so its value there is an image, or
+    at the same index with another fresh value, and start holds the
+    other copy.  A track that adds nothing raises InternalError.
 
-    Only the first member goes through restrict.  Each later one is the
-    sub-tower on the member before it whose changed slices are those
-    where the step adds a value.  It is valid by construction: the
-    family stays closed, since each added v_i maps to v_{i+1}, which is
-    added or already present, so the maps stay total; restricted maps
-    stay monotone; and a slice that gains a value at i gains or keeps one
-    at every later index.
+    Each later member is the sub-tower on the member before it whose
+    changed slices are those where the step adds a value.  It is valid
+    by construction: the family stays closed, since each added v_i maps
+    to v_{i+1}, which is added or already present, so the maps stay
+    total; restricted maps stay monotone; and a slice that gains a value
+    at i gains or keeps one at every later index.
     """
     current = [set(s) for s in start]
-    member = restrict(cylinder, current)
+    member = _sub_tower(cylinder, cylinder, current, range(cylinder.T + 1))
     steps: list[ChainStep] = []
     for tr in tracks:
         added = tuple(None if v is None or v in current[i] else v for i, v in enumerate(tr.trajectory))
         changed = [i for i, v in enumerate(added) if v is not None]
+        if not changed:
+            raise InternalError(f"track {tr.label} adds no value to its chain")
         for i in changed:
             current[i].add(added[i])
         previous = member
-        member = _sub_tower(cylinder, previous, current, changed) if changed else previous
+        member = _sub_tower(cylinder, previous, current, changed)
         steps.append(ChainStep(larger=member, smaller=previous, removed=added, track=tr))
     return steps
 

@@ -173,7 +173,9 @@ def verify_theorem(
     bound: int | float = INF if epsilon == INF else 4 * m * epsilon
 
     distances = _distances(pposet_barcodes(f.source, field, k_max), pposet_barcodes(f.target, field, k_max))
-    ranks = [induced_ranks(g, field, k_max) for g in f.slices]
+    ranks = [
+        induced_ranks(X, Y, g, field, k_max) for X, Y, g in zip(f.source.components, f.target.components, f.slices)
+    ]
 
     max_d = max(distances.values(), default=0)
     if epsilon == INF:
@@ -336,7 +338,7 @@ def verify_cylinder_retraction(
 
     cone_steps_ok = True
     for tr in tracks(f.source):
-        row = [None if v is None else f.slices[i].assignment[v] for i, v in enumerate(tr.trajectory)]
+        row = [None if v is None else f.slices[i][v] for i, v in enumerate(tr.trajectory)]
         upset = up_set_of_image_track(f.target, row)
         if not _is_point_from(pposet_barcodes(upset, field, k_max), tr.birth):
             cone_steps_ok = False
@@ -371,10 +373,10 @@ def chain_puncture_suite(
 ) -> ChainSuiteReport:
     """Run the puncture bound at every step of both interpolation chains.
 
-    Steps that remove nothing (the trajectory was already shared) are
-    counted as trivial; steps whose hypothesis cannot be evaluated (both
-    comparison sets fail to be subposets or have infinite defect) are
-    counted as skipped.
+    Every step removes at least its track's first value (pposets._grow),
+    so the trivial count, of steps that remove nothing, is always 0.
+    Steps whose hypothesis cannot be evaluated (both comparison sets fail
+    to be subposets or have infinite defect) are counted as skipped.
 
     A step's smaller member is its complement.  Each chain member is the
     larger side of one step and the smaller side of the next, and the
@@ -383,14 +385,11 @@ def chain_puncture_suite(
     """
     chains = chain_filtrations(f)
     k_max = _degree(k_max, chains.cylinder)
-    checked = trivial = skipped = 0
+    checked = skipped = 0
     violations: list[str] = []
 
     for name, steps in (("grow", chains.target_steps), ("shrink", chains.source_steps)):
         for idx, step in enumerate(steps):
-            if all(r is None for r in step.removed):
-                trivial += 1
-                continue
             try:
                 violation = _step_violation(
                     step.larger, step.smaller, step.removed, step.track.trajectory, field, k_max
@@ -401,7 +400,7 @@ def chain_puncture_suite(
             checked += 1
             if violation is not None:
                 violations.append(f"{name} step {idx} (track {step.track.label}): {violation}")
-    return ChainSuiteReport(checked=checked, trivial=trivial, skipped=skipped, violations=violations)
+    return ChainSuiteReport(checked=checked, trivial=0, skipped=skipped, violations=violations)
 
 
 @dataclass(eq=False)

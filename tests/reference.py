@@ -91,11 +91,9 @@ from persposet.linalg import Column, _inv_scalar
 from persposet.modules import INF, Barcode, FieldSpec, PersistenceModule, _matching_feasible, barcode
 from persposet.posets import (
     FinitePoset,
-    MonotoneMap,
     _extreme,
     check_map,
     core,
-    identity_map,
     new_poset,
 )
 from persposet.pposets import (
@@ -164,7 +162,7 @@ def dim_at(M: PersistenceModule, i: int) -> int:
 
 def constant_pposet(P: FinitePoset, T: int) -> PersistencePoset:
     """P at every index 0..T, with identity structure maps."""
-    return PersistencePoset(tuple(P for _ in range(T + 1)), tuple(identity_map(P) for _ in range(T)))
+    return PersistencePoset(tuple(P for _ in range(T + 1)), tuple({e: e for e in P.elements} for _ in range(T)))
 
 
 def pposet_from_doc(obj) -> PersistencePoset:
@@ -185,10 +183,10 @@ def cover_to_doc(cover: CoverTower) -> dict:
     }
 
 
-def is_monotone(f: MonotoneMap) -> bool:
-    """True iff f is total, lands in its target, and preserves strict order."""
+def is_monotone(source: FinitePoset, target: FinitePoset, f: dict[str, str]) -> bool:
+    """True iff f is total on source, lands in target, and preserves strict order."""
     try:
-        check_map(f)
+        check_map(source, target, f)
     except (PartialStructureMap, NonMonotoneStructureMap):
         return False
     return True
@@ -698,7 +696,7 @@ def longest_chain(P: FinitePoset) -> int:
     return top
 
 
-def beat_point_core(P: FinitePoset) -> tuple[FinitePoset, MonotoneMap]:
+def beat_point_core(P: FinitePoset) -> tuple[FinitePoset, dict[str, str]]:
     """posets.core by its removal loop alone, uncached and with no antichain shortcut."""
     below: dict[str, set[str]] = {e: set() for e in P.elements}
     above: dict[str, set[str]] = {e: set() for e in P.elements}
@@ -727,25 +725,24 @@ def beat_point_core(P: FinitePoset) -> tuple[FinitePoset, MonotoneMap]:
         elements=tuple(e for e in P.elements if e not in sent),
         relation=frozenset((a, b) for (a, b) in P.relation if a not in sent and b not in sent),
     )
-    assignment = {}
+    r = {}
     for x in P.elements:
         y = x
         while y in sent:
             y = sent[y]
-        assignment[x] = y
-    return C, MonotoneMap(P, C, assignment)
+        r[x] = y
+    return C, r
 
 
-def mapping_cylinder(f: MonotoneMap) -> FinitePoset:
-    """The poset mapping cylinder of f, its generating pairs closed again by new_poset."""
-    check_map(f)
-    X, Y = f.source, f.target
+def mapping_cylinder(X: FinitePoset, Y: FinitePoset, f: dict[str, str]) -> FinitePoset:
+    """The poset mapping cylinder of f: X -> Y, its generating pairs closed again by new_poset."""
+    check_map(X, Y, f)
     elems = [CYLINDER_SOURCE_TAG + x for x in X.elements] + [CYLINDER_TARGET_TAG + y for y in Y.elements]
     pairs: list[tuple[str, str]] = []
     pairs += [(CYLINDER_SOURCE_TAG + a, CYLINDER_SOURCE_TAG + b) for (a, b) in X.relation]
     pairs += [(CYLINDER_TARGET_TAG + a, CYLINDER_TARGET_TAG + b) for (a, b) in Y.relation]
     for x in X.elements:
-        fx = f.assignment[x]
+        fx = f[x]
         for y in Y.elements:
             if Y.leq(fx, y):
                 pairs.append((CYLINDER_SOURCE_TAG + x, CYLINDER_TARGET_TAG + y))
@@ -779,7 +776,7 @@ def fiber(f: PersistenceMap, y: ElementTrack) -> PersistencePoset:
     return _restrict_along(
         f.source,
         y.trajectory,
-        lambda i, x, v: f.target.components[i].leq(f.slices[i].assignment[x], v),
+        lambda i, x, v: f.target.components[i].leq(f.slices[i][x], v),
     )
 
 
@@ -918,7 +915,7 @@ def persistence_linear_extension(pp: PersistencePoset) -> list[list[str]]:
     extended[T] = linear_extension(pp.components[T])
     for i in range(T - 1, -1, -1):
         comp = pp.components[i]
-        f = pp.maps[i].assignment
+        f = pp.maps[i]
         pos = {e: r for r, e in enumerate(extended[i + 1])}
         pairs = set(comp.relation)
         for a in comp.elements:
@@ -1030,15 +1027,17 @@ def chain_members(chains: ChainFiltrations) -> tuple[list[PersistencePoset], lis
 
 
 def induced_map(
-    f: MonotoneMap,
+    source: FinitePoset,
+    target: FinitePoset,
+    f: dict[str, str],
     source_complex: SimplicialComplex | None = None,
     target_complex: SimplicialComplex | None = None,
 ) -> SimplicialMap:
-    """Simplicial map of order complexes induced by a monotone map."""
-    check_map(f)
-    K = source_complex if source_complex is not None else order_complex(f.source)
-    L = target_complex if target_complex is not None else order_complex(f.target)
-    return SimplicialMap(K, L, dict(f.assignment))
+    """Simplicial map of order complexes induced by a monotone map f: source -> target."""
+    check_map(source, target, f)
+    K = source_complex if source_complex is not None else order_complex(source)
+    L = target_complex if target_complex is not None else order_complex(target)
+    return SimplicialMap(K, L, dict(f))
 
 
 def join(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialComplex:
@@ -1053,7 +1052,8 @@ def join(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialComplex:
 def order_complex_tower(pp: PersistencePoset) -> ComplexTower:
     complexes = tuple(order_complex(c) for c in pp.components)
     maps = tuple(
-        induced_map(pp.maps[i], complexes[i], complexes[i + 1]) for i in range(pp.T)
+        induced_map(pp.components[i], pp.components[i + 1], pp.maps[i], complexes[i], complexes[i + 1])
+        for i in range(pp.T)
     )
     return ComplexTower(complexes, maps)
 
@@ -1080,14 +1080,7 @@ def relabel(pp: PersistencePoset, prefix: str) -> PersistencePoset:
         )
         for c in pp.components
     )
-    maps = tuple(
-        MonotoneMap(
-            comps[i],
-            comps[i + 1],
-            {prefix + x: prefix + pp.maps[i].assignment[x] for x in pp.components[i].elements},
-        )
-        for i in range(pp.T)
-    )
+    maps = tuple({prefix + x: prefix + y for x, y in f.items()} for f in pp.maps)
     return PersistencePoset(comps, maps)
 
 
@@ -1162,7 +1155,7 @@ def verify_join_acyclicity(
 # -- slicewise beat-point cores ---------------------------------------------------
 
 
-def core_pposet(pp: PersistencePoset) -> tuple[PersistencePoset, tuple[MonotoneMap, ...]]:
+def core_pposet(pp: PersistencePoset) -> tuple[PersistencePoset, tuple[dict[str, str], ...]]:
     """Slicewise beat-point cores C_i with maps g_i = r_{i+1} . phi_i restricted to C_i.
 
     Also returns the retractions r_i: P_i -> C_i.  The result is a
@@ -1170,14 +1163,7 @@ def core_pposet(pp: PersistencePoset) -> tuple[PersistencePoset, tuple[MonotoneM
     """
     cores = [core(c) for c in pp.components]
     comps = tuple(C for C, _ in cores)
-    maps = tuple(
-        MonotoneMap(
-            comps[i],
-            comps[i + 1],
-            {x: cores[i + 1][1].assignment[pp.maps[i].assignment[x]] for x in comps[i].elements},
-        )
-        for i in range(pp.T)
-    )
+    maps = tuple({x: cores[i + 1][1][pp.maps[i][x]] for x in comps[i].elements} for i in range(pp.T))
     return PersistencePoset(comps, maps), tuple(r for _, r in cores)
 
 

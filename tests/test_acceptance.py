@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+import tiers
 from persposet.documents import GeneratorLimits, parse_instance, random_instance, random_pposet
 from persposet.errors import HypothesisUnmet
 from persposet.homology import FieldSpec
@@ -33,7 +34,7 @@ from reference import (
     reduced_dim,
 )
 
-MAIN_LIMITS = GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4)
+MAIN_LIMITS = tiers.S
 MAIN_COUNT = 500
 
 
@@ -256,7 +257,7 @@ def test_criterion_9_linear_extension(main_batch):
             for i in range(pp.T):
                 pos = {e: r for r, e in enumerate(orders[i])}
                 nxt = {e: r for r, e in enumerate(orders[i + 1])}
-                f = pp.maps[i].assignment
+                f = pp.maps[i]
                 for a in pp.components[i].elements:
                     for b in pp.components[i].elements:
                         if pos[a] < pos[b] and nxt[f[a]] > nxt[f[b]]:

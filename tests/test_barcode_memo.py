@@ -15,11 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persposet import homology
-from persposet.documents import GeneratorLimits, parse_instance, random_instance
 from persposet.errors import NotASubposet
 from persposet.homology import FieldSpec, pposet_barcodes
 from persposet.modules import INF, bottleneck_distance
-from persposet.posets import MonotoneMap, new_poset
+from persposet.posets import new_poset
 from persposet.pposets import (
     PersistenceMap,
     PersistencePoset,
@@ -31,11 +30,9 @@ from persposet.pposets import (
 )
 from persposet.verifier import verify_theorem
 from reference import acyclicity_defect, barcodes_of, chain_members, constant_pposet, order_complex_tower
+from tiers import instance
 
-TIERS = {
-    "S": GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4),
-    "M": GeneratorLimits(t_max=8, max_slice=10, max_y_tracks=6),
-}
+TIERS = ("S", "M")
 FIELDS = (2, 3, 5)
 
 
@@ -46,7 +43,7 @@ def reference(pp, field, k_max):
 def two_points(images):
     """Two points a, b at indices 0 and 1; the structure map sends them to images."""
     P = new_poset("ab", [])
-    return PersistencePoset((P, P), (MonotoneMap(P, P, dict(zip("ab", images))),))
+    return PersistencePoset((P, P), (dict(zip("ab", images)),))
 
 
 def face_poset(facets):
@@ -94,7 +91,7 @@ def test_degree_bound_is_in_the_key():
 
 
 def test_equal_content_is_one_miss():
-    f = parse_instance(random_instance(3, TIERS["S"])).map
+    f = instance("S", 3)
     y = tracks(f.target)[0]
     first, second = fiber(f, y), fiber(f, y)
     assert first is not second
@@ -134,7 +131,7 @@ def warm_cache():
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from(sorted(TIERS)), st.sampled_from(FIELDS))
 def test_memo_equals_full_tower_barcodes(warm_cache, seed, tier, p):
-    f = parse_instance(random_instance(seed, TIERS[tier])).map
+    f = instance(tier, seed)
     field = FieldSpec(p)
     for pp in instance_pposets(f):
         k_max = top_degree(pp)
@@ -145,7 +142,7 @@ def test_memo_equals_full_tower_barcodes(warm_cache, seed, tier, p):
 @given(st.integers(0, 10_000), st.sampled_from(sorted(TIERS)), st.sampled_from(FIELDS))
 def test_certificate_equals_full_tower_reference(warm_cache, seed, tier, p):
     """The certificate's distances and fiber defects, from the full towers of source, target and fibers."""
-    f = parse_instance(random_instance(seed, TIERS[tier])).map
+    f = instance(tier, seed)
     field = FieldSpec(p)
     cert = verify_theorem(f, field)
     codes_x = reference(f.source, field, cert.k_max)
@@ -166,7 +163,7 @@ def test_source_sharing_a_fiber_core_is_one_miss():
     """
     X = new_poset("abc", [("a", "b"), ("c", "b")])
     Y = new_poset("pq", [("p", "q")])
-    g = MonotoneMap(X, Y, {"a": "q", "b": "q", "c": "p"})
+    g = {"a": "q", "b": "q", "c": "p"}
     f = PersistenceMap(constant_pposet(X, 1), constant_pposet(Y, 1), (g, g))
     over_p = fiber(f, tracks(f.target)[0])
     assert over_p.components[0].elements == ("c",)

@@ -16,10 +16,10 @@ import json
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+import tiers
 from persposet.cli import MAX_KMAX, main
-from persposet.documents import GeneratorLimits, random_instance
+from persposet.documents import random_instance
 
-TIER_S = GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4)
 
 # Values json.dumps cannot write are spliced into the text after dumping.
 RAW = {
@@ -27,7 +27,7 @@ RAW = {
     '"__DEEP__"': "[" * 100_000 + "]" * 100_000,
 }
 
-BASES = [random_instance(seed, TIER_S) for seed in range(3)]
+BASES = [random_instance(seed, tiers.S) for seed in range(3)]
 BASES += [{**doc, "scale": {"origin": 0, "step": 1}} for doc in BASES[:2]]
 
 values = st.one_of(

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from persposet.complexes import SimplicialComplex, order_complex
 from persposet.errors import DuplicateElement, ShapeMismatch
-from persposet.posets import MonotoneMap, new_poset
+from persposet.posets import new_poset
 from persposet.pposets import PersistencePoset
 from reference import (
     complex_top_degree,
@@ -79,34 +79,33 @@ class TestOrderComplex:
 class TestInducedMap:
     def test_identity(self):
         P = new_poset("ab", [("a", "b")])
-        sm = induced_map(MonotoneMap(P, P, {"a": "a", "b": "b"}))
+        sm = induced_map(P, P, {"a": "a", "b": "b"})
         assert sm.vertex_map == {"a": "a", "b": "b"}
 
     def test_collapse(self):
         P = new_poset("ab", [("a", "b")])
         Q = new_poset("z", [])
-        sm = induced_map(MonotoneMap(P, Q, {"a": "z", "b": "z"}))
+        sm = induced_map(P, Q, {"a": "z", "b": "z"})
         assert sm.apply_simplex(["a", "b"]) == ("z",)
 
     def test_inclusion_into_cone(self):
         St = new_poset("abcdt", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
                                  ("c", "t"), ("d", "t"), ("a", "t"), ("b", "t")])
-        sm = induced_map(MonotoneMap(S, St, {e: e for e in S.elements}))
+        sm = induced_map(S, St, {e: e for e in S.elements})
         assert all(s in sm.target.simplices for s in sm.source.simplices)
 
     @given(posets(), st.data())
     @settings(max_examples=30, deadline=None)
     def test_functoriality(self, P, data):
         Q = data.draw(posets(), label="Q")
-        f_assign = {x: data.draw(st.sampled_from(Q.elements), label=f"f({x})") for x in P.elements}
-        f = MonotoneMap(P, Q, f_assign)
+        f = {x: data.draw(st.sampled_from(Q.elements), label=f"f({x})") for x in P.elements}
 
-        if not is_monotone(f):
+        if not is_monotone(P, Q, f):
             return
-        g = MonotoneMap(Q, Q, {y: y for y in Q.elements})
-        left = induced_map(MonotoneMap(P, Q, {x: g.assignment[f.assignment[x]] for x in P.elements}))
-        right_f = induced_map(f)
-        right_g = induced_map(g)
+        g = {y: y for y in Q.elements}
+        left = induced_map(P, Q, {x: g[f[x]] for x in P.elements})
+        right_f = induced_map(P, Q, f)
+        right_g = induced_map(Q, Q, g)
         assert left.vertex_map == {
             v: right_g.vertex_map[right_f.vertex_map[v]] for v in P.elements
         }
@@ -146,9 +145,7 @@ class TestTowers:
     def test_growth_to_cone(self):
         St = new_poset("abcdt", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
                                  ("c", "t"), ("d", "t"), ("a", "t"), ("b", "t")])
-        pp = PersistencePoset(
-            (S, St), (MonotoneMap(S, St, {e: e for e in S.elements}),)
-        )
+        pp = PersistencePoset((S, St), ({e: e for e in S.elements},))
         tower = order_complex_tower(pp)
         assert complex_top_degree(tower.complexes[0]) == 1
         assert complex_top_degree(tower.complexes[1]) == 2
@@ -156,7 +153,7 @@ class TestTowers:
     def test_empty_prefix(self):
         empty = new_poset([], [])
         pt = new_poset("a", [])
-        pp = PersistencePoset((empty, pt), (MonotoneMap(empty, pt, {}),))
+        pp = PersistencePoset((empty, pt), ({},))
         tower = order_complex_tower(pp)
         assert not tower.complexes[0].simplices and tower.complexes[1].simplices
 

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tiers
 from persposet.complexes import order_complex
-from persposet.documents import GeneratorLimits, parse_instance, random_instance
+from persposet.documents import parse_instance, random_instance
 from persposet.errors import NotASubposet
 from persposet.homology import FieldSpec, _core_barcodes, pposet_barcodes
 from persposet.posets import check_map, new_poset
@@ -35,7 +36,6 @@ from reference import (
     reduced_dim,
 )
 
-TIER_S = GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4)
 FIELDS = (2, 3, 5)
 
 
@@ -72,7 +72,7 @@ class TestPosetCore:
     def test_chain_reduces_to_a_point(self):
         C, r = poset_core(new_poset("abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")]))
         assert len(C) == 1
-        assert set(r.assignment.values()) == set(C.elements)
+        assert set(r.values()) == set(C.elements)
 
     def test_cone_reduces_to_a_point(self):
         cone = new_poset("abcdt", list(CROWN.relation) + [(x, "t") for x in "abcd"])
@@ -82,25 +82,25 @@ class TestPosetCore:
     def test_crown_is_its_own_core(self):
         C, r = poset_core(CROWN)
         assert C == CROWN
-        assert r.assignment == {e: e for e in CROWN.elements}
+        assert r == {e: e for e in CROWN.elements}
 
     def test_empty_and_point(self):
         for P in (new_poset([], []), new_poset("a", [])):
             C, r = poset_core(P)
-            assert C == P and r.assignment == {e: e for e in P.elements}
+            assert C == P and r == {e: e for e in P.elements}
 
     @settings(max_examples=150, deadline=None)
     @given(posets())
     def test_retraction_properties(self, P):
         C, r = poset_core(P)
-        check_map(r)
-        assert r.source == P and r.target == C
+        check_map(P, C, r)
+        assert set(r) == set(P.elements) and set(r.values()) == set(C.elements)
         assert set(C.elements) <= set(P.elements)
         assert C.relation == frozenset((a, b) for (a, b) in P.relation if a in C and b in C)
-        assert all(r.assignment[c] == c for c in C.elements)
+        assert all(r[c] == c for c in C.elements)
         assert not any(is_beat_point(C, x) for x in C.elements)
         C2, r2 = poset_core(C)
-        assert C2 == C and r2.assignment == {c: c for c in C.elements}
+        assert C2 == C and r2 == {c: c for c in C.elements}
         assert (len(C) == 0) == (len(P) == 0)
 
     @settings(max_examples=60, deadline=None)
@@ -128,24 +128,24 @@ class TestPersistenceCore:
         assert components == pp.components
         assert maps == tuple(tuple((e, e) for e in CROWN.elements) for _ in range(pp.T))
         _, retractions = core_pposet(pp)
-        assert all(r.assignment == {e: e for e in CROWN.elements} for r in retractions)
+        assert all(r == {e: e for e in CROWN.elements} for r in retractions)
 
     def test_maps_compose_structure_with_retraction(self):
-        doc = random_instance(3, TIER_S)
+        doc = random_instance(3, tiers.S)
         pp = parse_instance(doc).x
         components, maps = memo_key(pp)
         C, retractions = core_pposet(pp)
         assert len(retractions) == pp.T + 1
         assert components == C.components
-        assert maps == tuple(tuple(m.assignment.items()) for m in C.maps)
+        assert maps == tuple(tuple(m.items()) for m in C.maps)
         for i in range(pp.T):
             for x, image in maps[i]:
-                assert image == retractions[i + 1].assignment[pp.maps[i].assignment[x]]
+                assert image == retractions[i + 1][pp.maps[i][x]]
 
 
 def tier_s_pposets(seed):
     """Source, target, fibers and closed comparison sets of one tier-S instance."""
-    f = parse_instance(random_instance(seed, TIER_S)).map
+    f = tiers.instance("S", seed)
     out = [f.source, f.target]
     for y in tracks(f.target):
         out.append(fiber(f, y))
@@ -182,14 +182,16 @@ def test_induced_ranks_equal_full_ranks(seed, p):
     for k, ranks in cert.induced_ranks.items():
         expected = []
         for i in range(f.T + 1):
-            sm = induced_map(f.slices[i], tx.complexes[i], ty.complexes[i])
+            sm = induced_map(
+                f.source.components[i], f.target.components[i], f.slices[i], tx.complexes[i], ty.complexes[i]
+            )
             mat = induced_on_homology(sm, k, field, homology(sm.source, k, field), homology(sm.target, k, field))
             expected.append(rank(mat, p))
         assert ranks == expected
 
 
 def test_core_shrinks_tier_m_complexes():
-    doc = random_instance(7, GeneratorLimits(t_max=8, max_slice=10, max_y_tracks=6))
+    doc = random_instance(7, tiers.M)
     pp = parse_instance(doc).x
     full = sum(len(K.simplices) for K in order_complex_tower(pp).complexes)
     small = sum(len(K.simplices) for K in core_tower(pp).complexes)

@@ -16,20 +16,17 @@ from hypothesis import strategies as st
 
 from persposet import complexes, homology, posets
 from persposet.complexes import order_complex
-from persposet.documents import GeneratorLimits, parse_instance, random_instance
 from persposet.homology import FieldSpec, induced_ranks, pposet_barcodes
 from persposet.modules import INF
-from persposet.posets import MonotoneMap, new_poset
+from persposet.posets import new_poset
 from persposet.pposets import PersistenceMap, PersistencePoset
 from persposet.verifier import verify_theorem
 from reference import SimplicialMap, barcodes_of, constant_pposet, induced_on_homology, order_complex_tower, rank
 from reference import homology as homology_basis
+from tiers import instance
 
 FIELDS = (2, 3, 5)
-TIERS = {
-    "S": GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4),
-    "M": GeneratorLimits(t_max=8, max_slice=10, max_y_tracks=6),
-}
+TIERS = ("S", "M")
 CROWN = new_poset("abcd", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
 
 
@@ -41,10 +38,7 @@ def clear_caches():
 def discrete_pposet(sizes, images):
     """Antichains of the given sizes; images[i][j] is the index of element j's image at i + 1."""
     comps = [new_poset([f"e{j}" for j in range(n)], []) for n in sizes]
-    maps = [
-        MonotoneMap(comps[i], comps[i + 1], {f"e{j}": f"e{k}" for j, k in enumerate(row)})
-        for i, row in enumerate(images)
-    ]
+    maps = [{f"e{j}": f"e{k}" for j, k in enumerate(row)} for row in images]
     return PersistencePoset(tuple(comps), tuple(maps))
 
 
@@ -97,17 +91,17 @@ def test_crown_tower_still_builds_its_complexes():
     assert homology._chains.cache_info().misses == 1
 
 
-def core_ranks(g, p, k_max):
-    """rank H_k of r . g . incl on the order complexes of the cores, by the dense reference."""
-    (core_x, _), (core_y, retract_y) = posets.core(g.source), posets.core(g.target)
+def core_ranks(X, Y, g, p, k_max):
+    """rank H_k of r . g . incl on the order complexes of the cores of X and Y, by the dense reference."""
+    (core_x, _), (core_y, retract_y) = posets.core(X), posets.core(Y)
     sm = SimplicialMap(order_complex(core_x), order_complex(core_y), dict(homology._onto_cores(g, core_x, retract_y)))
     field = FieldSpec(p)
     bases = [(homology_basis(sm.source, k, field), homology_basis(sm.target, k, field)) for k in range(k_max + 1)]
     return [rank(induced_on_homology(sm, k, field, *bases[k]), p) for k in range(k_max + 1)]
 
 
-def is_discrete(g):
-    return not (posets.core(g.source)[0].relation or posets.core(g.target)[0].relation)
+def is_discrete(X, Y):
+    return not (posets.core(X)[0].relation or posets.core(Y)[0].relation)
 
 
 @pytest.mark.parametrize("tier", TIERS)
@@ -124,11 +118,11 @@ def test_induced_ranks_equal_core_ranks(tier):
     @example(71, 5)
     @settings(max_examples=20, deadline=None)
     def check(seed, p):
-        f = parse_instance(random_instance(seed, TIERS[tier])).map
-        for g in f.slices:
-            seen[is_discrete(g)] += 1
+        f = instance(tier, seed)
+        for X, Y, g in zip(f.source.components, f.target.components, f.slices):
+            seen[is_discrete(X, Y)] += 1
             for k_max in (0, 2):
-                assert induced_ranks(g, FieldSpec(p), k_max) == core_ranks(g, p, k_max)
+                assert induced_ranks(X, Y, g, FieldSpec(p), k_max) == core_ranks(X, Y, g, p, k_max)
 
     check()
     assert seen[True] and seen[False]
@@ -138,17 +132,17 @@ def test_induced_ranks_equal_core_ranks(tier):
 def test_rank_counts_distinct_images(p):
     """Three points onto two, two of them merged: rank 2 in degree 0, not 3."""
     X, Y = new_poset("abc", []), new_poset("xy", [])
-    g = MonotoneMap(X, Y, {"a": "x", "b": "x", "c": "y"})
-    assert induced_ranks(g, FieldSpec(p), 2) == [2, 0, 0] == core_ranks(g, p, 2)
+    g = {"a": "x", "b": "x", "c": "y"}
+    assert induced_ranks(X, Y, g, FieldSpec(p), 2) == [2, 0, 0] == core_ranks(X, Y, g, p, 2)
 
 
 def test_cold_verify_on_a_discrete_instance_builds_no_complex():
     """Every core of the source, the target and the fibers is an antichain."""
     X, Y = new_poset("abc", []), new_poset("xy", [])
     Z = new_poset("z", [])
-    source = PersistencePoset((X, X), (MonotoneMap(X, X, {"a": "a", "b": "a", "c": "c"}),))
-    target = PersistencePoset((Y, Z), (MonotoneMap(Y, Z, {"x": "z", "y": "z"}),))
-    slices = (MonotoneMap(X, Y, {"a": "x", "b": "x", "c": "y"}), MonotoneMap(X, Z, {"a": "z", "b": "z", "c": "z"}))
+    source = PersistencePoset((X, X), ({"a": "a", "b": "a", "c": "c"},))
+    target = PersistencePoset((Y, Z), ({"x": "z", "y": "z"},))
+    slices = ({"a": "x", "b": "x", "c": "y"}, {"a": "z", "b": "z", "c": "z"})
     f = PersistenceMap(source, target, slices)
     clear_caches()
     cert = verify_theorem(f, FieldSpec(2), 1)

@@ -26,7 +26,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from persposet import verifier
-from persposet.documents import GeneratorLimits, parse_instance, random_instance
 from persposet.errors import HypothesisUnmet
 from persposet.homology import FieldSpec, pposet_barcodes
 from persposet.modules import INF, Barcode, _matching_feasible, bottleneck_distance
@@ -35,24 +34,16 @@ from persposet.pposets import PersistencePoset, chain_filtrations, removes_weak_
 from persposet.verifier import chain_puncture_suite
 import reference
 from reference import barcodes_of, order_complex_tower
+from tiers import instance
 
-TIER_S = GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4)
 FIELDS = (2, 3, 5)
-TIERS = {
-    "S": (TIER_S, range(120)),
-    "M": (GeneratorLimits(t_max=8, max_slice=10, max_y_tracks=6), range(40)),
-    "L": (GeneratorLimits(t_max=8, max_slice=12, max_y_tracks=8), range(40)),
-}
-
-
-def tier_s_map(seed):
-    return parse_instance(random_instance(seed, TIER_S)).map
+SEEDS = {"S": range(120), "M": range(40), "L": range(40)}
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.data())
 def test_restrict_equals_rebuilt_induced_order(seed, data):
-    f = tier_s_map(seed)
+    f = instance("S", seed)
     cylinder = chain_filtrations(f).cylinder
     for pp in (f.source, f.target, cylinder):
         for P in pp.components:
@@ -67,11 +58,11 @@ def test_restrict_equals_rebuilt_induced_order(seed, data):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000))
 def test_step_complement_is_the_smaller_member(seed):
-    chains = chain_filtrations(tier_s_map(seed))
+    chains = chain_filtrations(instance("S", seed))
     for step in chains.target_steps + chains.source_steps:
         complement = reference.complement(step.larger, step.removed)
         assert complement.components == step.smaller.components
-        assert [m.assignment for m in complement.maps] == [m.assignment for m in step.smaller.maps]
+        assert list(complement.maps) == list(step.smaller.maps)
 
 
 def recorded_suite(f, field):
@@ -104,7 +95,7 @@ def recorded_suite(f, field):
 @given(st.integers(0, 10_000), st.sampled_from(FIELDS))
 def test_suite_equals_per_step_lemma_loop(seed, p):
     """Same outcomes as puncture_step with both sides built, and its exact defect wherever the suite builds a side."""
-    f = tier_s_map(seed)
+    f = instance("S", seed)
     field = FieldSpec(p)
     suite, calls = recorded_suite(f, field)
     outcomes, results = reference.puncture_suite_by_lemma(f, field)
@@ -120,13 +111,13 @@ def test_suite_equals_per_step_lemma_loop(seed, p):
         assert larger.components == step.larger.components
         complement = reference.complement(step.larger, step.removed)
         assert smaller.components == complement.components
-        assert [m.assignment for m in smaller.maps] == [m.assignment for m in complement.maps]
+        assert list(smaller.maps) == list(complement.maps)
         for side in (larger, smaller):
             assert pposet_barcodes(side, field, k_max) == barcodes_of(order_complex_tower(side), field, k_max)
 
 
 @pytest.mark.parametrize("p", (2, 3))
-@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("tier", SEEDS)
 def test_a_step_removing_weak_points_keeps_every_barcode(tier, p):
     """Wherever removes_weak_points holds, both members' barcodes are at distance 0 up to the cylinder's top degree.
 
@@ -134,15 +125,12 @@ def test_a_step_removing_weak_points_keeps_every_barcode(tier, p):
     moves a barcode, and some weak step has a bar in degree 1 or more, so
     a row check that always holds fails here.
     """
-    limits, seeds = TIERS[tier]
     field = FieldSpec(p)
     moved = weak_with_higher_bars = 0
-    for seed in seeds:
-        chains = chain_filtrations(parse_instance(random_instance(seed, limits)).map)
+    for seed in SEEDS[tier]:
+        chains = chain_filtrations(instance(tier, seed))
         k_max = top_degree(chains.cylinder)
         for step in chains.target_steps + chains.source_steps:
-            if all(v is None for v in step.removed):
-                continue
             codes = pposet_barcodes(step.larger, field, k_max)
             distances = verifier._distances(codes, pposet_barcodes(step.smaller, field, k_max))
             assert sorted(distances) == list(range(k_max + 1))
@@ -167,7 +155,7 @@ def unshared_chains(f):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from(FIELDS))
 def test_chains_share_the_full_cylinder(seed, p):
-    f = tier_s_map(seed)
+    f = instance("S", seed)
     field = FieldSpec(p)
     shared = chain_puncture_suite(f, field)
     with mock.patch.object(verifier, "chain_filtrations", unshared_chains):
@@ -177,7 +165,7 @@ def test_chains_share_the_full_cylinder(seed, p):
 
 def test_suite_steps_have_nonzero_distances():
     """Comparing distances is only sharp if some step moves a barcode; the suite builds that step's sides."""
-    f, field = tier_s_map(1), FieldSpec(2)
+    f, field = instance("S", 1), FieldSpec(2)
     _, results = reference.puncture_suite_by_lemma(f, field)
     _, calls = recorded_suite(f, field)
     moved = [i for i, (_, r) in enumerate(results) if r is not None and any(d > 0 for d in r[2].values())]

@@ -12,7 +12,8 @@
   factors' maps.
 - comparison sets, fibers and weak up-sets are read off the closed
   relation; the references test each element with a predicate.
-- chain members after the first are built from the member before them,
+- each chain's first member restricts every slice of the cylinder, and
+  the members after it are built from the member before them,
   restricting only the slices a step changes; restrict restricts every
   slice through the same sub-tower routine.
 - fiber_defects builds only the fibers whose last slice is connected, and
@@ -32,7 +33,6 @@ from hypothesis import strategies as st
 import reference
 from persposet import posets, pposets, verifier
 from persposet.complexes import order_complex
-from persposet.documents import GeneratorLimits, parse_instance, random_instance
 from persposet.errors import NotASubposet, UnknownElement
 from persposet.homology import FieldSpec, _chains, _core_barcodes
 from persposet.modules import bottleneck_distance
@@ -51,15 +51,9 @@ from persposet.pposets import (
     validate,
 )
 from persposet.verifier import chain_puncture_suite, fiber_defects
+from tiers import instance
 
-TIERS = {
-    "S": GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4),
-    "M": GeneratorLimits(t_max=8, max_slice=10, max_y_tracks=6),
-}
-
-
-def instance(tier, seed):
-    return parse_instance(random_instance(seed, TIERS[tier])).map
+TIERS = ("S", "M")
 
 
 def pposets_of(f):
@@ -70,7 +64,7 @@ def pposets_of(f):
 
 
 def shape(pp):
-    return [(c.elements, c.relation) for c in pp.components], [m.assignment for m in pp.maps]
+    return [(c.elements, c.relation) for c in pp.components], list(pp.maps)
 
 
 def outcome(build, *args):
@@ -92,9 +86,11 @@ def test_slice_routines_equal_their_references(tier):
                 assert linear_extension(P) == reference.linear_extension(P)
                 assert longest_chain(P) == reference.longest_chain(P)
                 (C, r), (C_ref, r_ref) = core(P), reference.beat_point_core(P)
-                assert (C, r.source, r.target, r.assignment) == (C_ref, r_ref.source, r_ref.target, r_ref.assignment)
-        for fast, g in zip(persistence_mapping_cylinder(f).components, f.slices):
-            slow = reference.mapping_cylinder(g)
+                assert (C, r) == (C_ref, r_ref)
+                assert list(r) == list(P.elements) and set(r.values()) == set(C.elements)
+        slices = zip(persistence_mapping_cylinder(f).components, f.source.components, f.target.components, f.slices)
+        for fast, X, Y, g in slices:
+            slow = reference.mapping_cylinder(X, Y, g)
             assert (fast.elements, fast.relation) == (slow.elements, slow.relation)
 
     check()
@@ -129,10 +125,11 @@ def test_tagged_sum_maps_are_tagged_unions(tier):
         for total, A, B, ta, tb in sums:
             assert len(total.maps) == len(A.maps) == len(B.maps) == f.T
             for i, (h, g, k) in enumerate(zip(total.maps, A.maps, B.maps)):
-                union = {ta + x: ta + y for x, y in g.assignment.items()}
-                union.update((tb + x, tb + y) for x, y in k.assignment.items())
-                assert h.assignment == union
-                assert h.source is total.components[i] and h.target is total.components[i + 1]
+                union = {ta + x: ta + y for x, y in g.items()}
+                union.update((tb + x, tb + y) for x, y in k.items())
+                assert h == union
+                assert set(h) == set(total.components[i].elements)
+                assert set(h.values()) <= set(total.components[i + 1].elements)
 
     check()
 
@@ -143,7 +140,8 @@ def test_core_of_an_antichain_is_the_loop_result():
         P = new_poset(elements, [])
         C, r = core(P)
         C_ref, r_ref = reference.beat_point_core(P)
-        assert (C, r.source, r.target, r.assignment) == (C_ref, r_ref.source, r_ref.target, r_ref.assignment)
+        assert (C, r) == (C_ref, r_ref)
+        assert list(r) == list(P.elements) and set(r.values()) == set(C.elements)
 
 
 @pytest.mark.parametrize("tier", TIERS)
@@ -171,7 +169,7 @@ def test_row_subposets_equal_their_references(tier):
         for y in tracks(f.target):
             assert shape(fiber(f, y)) == shape(reference.fiber(f, y))
         for tr in tracks(f.source):
-            row = [None if v is None else f.slices[i].assignment[v] for i, v in enumerate(tr.trajectory)]
+            row = [None if v is None else f.slices[i][v] for i, v in enumerate(tr.trajectory)]
             assert shape(up_set_of_image_track(f.target, row)) == shape(reference.up_set_of_image_track(f.target, row))
 
     check()
@@ -227,11 +225,12 @@ def needs_exact_defect(step, field, k_max):
 def test_puncture_suite_traffic():
     """A cold puncture suite builds no poset through new_poset and restricts only what changed.
 
-    pposets.restrict builds each chain's first member and the comparison
-    sets whose exact defect decides a step's outcome, restricting every
-    slice; every later member restricts only the slices its step adds
-    to, and shares the other components with the member before it.  Both
-    restrict through the one sub-tower routine.
+    pposets.restrict builds only the comparison sets whose exact defect
+    decides a step's outcome, restricting every slice.  _grow builds each
+    chain's first member as the sub-tower of the cylinder on one copy,
+    restricting every slice, and every later member restricts only the
+    slices its step adds to, sharing the other components with the
+    member before it.  All restrict through the one sub-tower routine.
     """
     f = instance("S", 3)
     chains = chain_filtrations(f)
@@ -265,21 +264,20 @@ def test_puncture_suite_traffic():
             mock.patch.object(pposets, "restrict", spy_restrict), \
             mock.patch.object(FinitePoset, "restrict", spy_slice):
         report = chain_puncture_suite(f, FieldSpec(2))
-    steps = [step for step in build_order if any(v is not None for v in step.removed)]
-    assert len(steps) == report.checked + report.skipped > 0
+    assert len(build_order) == report.checked + report.skipped > 0
     k_max = top_degree(chains.cylinder)
-    needed = sum(len(needs_exact_defect(step, FieldSpec(2), k_max)) for step in steps)
+    needed = sum(len(needs_exact_defect(step, FieldSpec(2), k_max)) for step in build_order)
     connected = sum(
         reference.is_connected(*last_slice(step.larger, step.track.trajectory, direction))
-        for step in steps
+        for step in build_order
         for direction in ("below", "above")
     )
     assert 0 < needed < connected
     assert spy_new.call_count == 0
-    assert Counter(restrict_callers) == {"_grow": len(firsts), "comparison_set": needed}
+    assert Counter(restrict_callers) == {"comparison_set": needed}
     by_caller = Counter(slice_callers)
-    assert by_caller[("restrict", "_sub_tower")] == (len(firsts) + needed) * (f.T + 1)
-    assert by_caller[("_grow", "_sub_tower")] == changed
+    assert by_caller[("restrict", "_sub_tower")] == needed * (f.T + 1)
+    assert by_caller[("_grow", "_sub_tower")] == len(firsts) * (f.T + 1) + changed
 
 
 def test_fiber_defects_traffic():

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persposet import pposets
-from persposet.documents import GeneratorLimits, parse_instance, random_instance
 from persposet.errors import (
     EmptyAfterNonempty,
     NonMonotoneStructureMap,
@@ -13,7 +12,7 @@ from persposet.errors import (
     PartialStructureMap,
     ShapeMismatch,
 )
-from persposet.posets import MonotoneMap, new_poset
+from persposet.posets import new_poset
 from persposet.pposets import (
     PersistenceMap,
     PersistencePoset,
@@ -31,18 +30,16 @@ from persposet.pposets import (
 )
 import reference
 from reference import constant_pposet
+from tiers import instance
 
 
 def pposet(components, maps):
     comps = [new_poset(els, pairs) for els, pairs in components]
-    mm = [MonotoneMap(comps[i], comps[i + 1], dict(m)) for i, m in enumerate(maps)]
-    return PersistencePoset(tuple(comps), tuple(mm))
+    return PersistencePoset(tuple(comps), tuple(dict(m) for m in maps))
 
 
 def pmap(x, y, slices):
-    return PersistenceMap(x, y, tuple(
-        MonotoneMap(x.components[i], y.components[i], dict(s)) for i, s in enumerate(slices)
-    ))
+    return PersistenceMap(x, y, tuple(dict(s) for s in slices))
 
 
 def identity(pp):
@@ -146,7 +143,7 @@ class TestLinearExtension:
         orders = persistence_linear_extension(pp)
         for i in range(pp.T):
             pos = {e: r for r, e in enumerate(orders[i + 1])}
-            f = pp.maps[i].assignment
+            f = pp.maps[i]
             prev = {e: r for r, e in enumerate(orders[i])}
             for a in pp.components[i].elements:
                 for b in pp.components[i].elements:
@@ -294,7 +291,7 @@ def test_ordinal_sum_and_top_degree():
     assert total.components[0].elements == ("A:a", "A:b")
     assert total.components[1].elements == ("A:a", "A:b", "B:x")
     assert ("A:a", "B:x") in total.components[1].relation and ("A:b", "B:x") in total.components[1].relation
-    assert total.maps[0].assignment == {"A:a": "A:a", "A:b": "A:b"}
+    assert total.maps[0] == {"A:a": "A:a", "A:b": "A:b"}
     assert top_degree(pp) == 1
     assert top_degree(total) == 2
     assert top_degree(pposet([([], [])], [])) == 0
@@ -302,10 +299,7 @@ def test_ordinal_sum_and_top_degree():
         ordinal_sum(pp, constant_pposet(new_poset("x", []), 2))
 
 
-TIERS = {
-    "S": GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4),
-    "M": GeneratorLimits(t_max=8, max_slice=10, max_y_tracks=6),
-}
+TIERS = ("S", "M")
 
 
 @pytest.mark.parametrize("tier", TIERS)
@@ -319,13 +313,13 @@ def test_track_trajectories_are_rows(tier):
     @given(st.integers(0, 10_000))
     @settings(max_examples=15, deadline=None)
     def check(seed):
-        f = parse_instance(random_instance(seed, TIERS[tier])).map
+        f = instance(tier, seed)
         for pp in (f.source, f.target, persistence_mapping_cylinder(f)):
             for t in tracks(pp):
                 assert len(t.trajectory) == pp.T + 1
                 assert [v is None for v in t.trajectory] == [i < t.birth for i in range(pp.T + 1)]
                 for i in range(t.birth, pp.T):
-                    assert pp.maps[i].assignment[t.trajectory[i]] == t.trajectory[i + 1]
+                    assert pp.maps[i][t.trajectory[i]] == t.trajectory[i + 1]
                 assert t.label == f"{t.birth}:{t.trajectory[t.birth]}"
 
     check()
@@ -335,25 +329,25 @@ def test_track_trajectories_are_rows(tier):
 def test_restricted_pposets_pass_validate(tier):
     """Every persistence subposet built without validate would pass it.
 
-    A spy records each result of restrict while the first member of each
-    chain and the comparison sets of an instance are built, and each is
-    then validated, with every step's complement, which
+    A spy records each result of restrict while the comparison sets of
+    an instance are built, and each is then validated, with the first
+    member of each chain and every step's complement, which
     reference.complement builds through restrict.  Fibers and weak
     up-sets are closed by naturality and built as sub-towers, without
     restrict: each is validated directly and checked, slice by slice and
     map by map, against reference.fiber and
     reference.up_set_of_image_track, which go through restrict.  The
-    later chain members skip restrict; tests/test_poset_fast_paths.py
-    validates them.
+    chain members skip restrict too; tests/test_poset_fast_paths.py
+    validates every one of them.
     """
 
     def shape(pp):
-        return [(c.elements, c.relation) for c in pp.components], [m.assignment for m in pp.maps]
+        return [(c.elements, c.relation) for c in pp.components], list(pp.maps)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=15, deadline=None)
     def check(seed):
-        f = parse_instance(random_instance(seed, TIERS[tier])).map
+        f = instance(tier, seed)
         built = []
 
         def spy(*args):
@@ -362,6 +356,7 @@ def test_restricted_pposets_pass_validate(tier):
 
         with mock.patch.object(pposets, "restrict", spy):
             chains = chain_filtrations(f)
+            built += [chains.target_steps[0].smaller, chains.source_steps[-1].smaller]
             for step in chains.target_steps + chains.source_steps:
                 for direction in ("below", "above"):
                     try:
@@ -372,7 +367,7 @@ def test_restricted_pposets_pass_validate(tier):
             assert len(built) > 2
             subposets = [(fiber(f, y), reference.fiber(f, y)) for y in tracks(f.target)]
             for tr in tracks(f.source):
-                row = [None if v is None else f.slices[i].assignment[v] for i, v in enumerate(tr.trajectory)]
+                row = [None if v is None else f.slices[i][v] for i, v in enumerate(tr.trajectory)]
                 subposets.append((up_set_of_image_track(f.target, row), reference.up_set_of_image_track(f.target, row)))
         for pp in built:
             validate(pp)
@@ -394,7 +389,7 @@ def test_cylinders_and_ordinal_sums_pass_validate(tier):
     @given(st.integers(0, 10_000))
     @settings(max_examples=15, deadline=None)
     def check(seed):
-        f = parse_instance(random_instance(seed, TIERS[tier])).map
+        f = instance(tier, seed)
         cylinder = persistence_mapping_cylinder(f)
         validate(cylinder)
         fibers = [fiber(f, y) for y in tracks(f.target)]

@@ -2,7 +2,7 @@
 
 The library reads both from the sparse reduction of each complex
 (homology._chains): rank H_k(f) as the bars through 0 and 1 in the barcode
-of the two-slice tower f.source -> f.target (homology.tower_barcodes), and
+of the two-slice tower from f's source to its target (homology.tower_barcodes), and
 the reduced Betti number as dim Z_k - rank B_k, less one in degree 0.
 The reference is the dense path of tests/reference.py: homology bases,
 the matrix induced on homology and its rank.
@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persposet.documents import GeneratorLimits, parse_instance, random_instance
 from persposet.homology import FieldSpec, tower_barcodes
 from persposet.verifier import verify_theorem
 from reference import (
@@ -27,12 +26,9 @@ from reference import (
     rank,
     reduced_dim,
 )
+from tiers import instance
 
-TIERS = {
-    "S": GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4),
-    "M": GeneratorLimits(t_max=8, max_slice=10, max_y_tracks=6),
-    "L": GeneratorLimits(t_max=8, max_slice=12, max_y_tracks=8),
-}
+TIERS = ("S", "M", "L")
 # Tier L order complexes reach about 2,000 simplices, where the dense path is slow.
 EXAMPLES = {"S": 30, "M": 15, "L": 4}
 FIELDS = (2, 3, 5)
@@ -42,10 +38,6 @@ def dense_rank(sm, k, field):
     """rank H_k(sm) from dense homology bases and the induced matrix."""
     mat = induced_on_homology(sm, k, field, homology(sm.source, k, field), homology(sm.target, k, field))
     return rank(mat, field.p)
-
-
-def instance(tier, seed):
-    return parse_instance(random_instance(seed, TIERS[tier])).map
 
 
 @pytest.mark.parametrize("tier", TIERS)
@@ -59,7 +51,10 @@ def test_rank_table_matches_dense(tier):
         field = FieldSpec(p)
         cert = verify_theorem(f, field)
         tx, ty = order_complex_tower(f.source), order_complex_tower(f.target)
-        slice_maps = [induced_map(f.slices[i], tx.complexes[i], ty.complexes[i]) for i in range(f.T + 1)]
+        slice_maps = [
+            induced_map(f.source.components[i], f.target.components[i], f.slices[i], tx.complexes[i], ty.complexes[i])
+            for i in range(f.T + 1)
+        ]
         assert sorted(cert.induced_ranks) == list(range(cert.k_max + 1))
         tables = [ranks(sm, p, cert.k_max + 1) for sm in slice_maps]
         for k, reported in cert.induced_ranks.items():

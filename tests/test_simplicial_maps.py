@@ -18,15 +18,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from persposet import complexes, homology, posets, verifier
-from persposet.documents import GeneratorLimits, parse_instance, random_instance
 from persposet.homology import FieldSpec
 from persposet.verifier import chain_puncture_suite, verify_theorem
 from reference import ComplexTower, SimplicialMap
+from tiers import instance
 
-TIERS = {
-    "S": GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4),
-    "M": GeneratorLimits(t_max=8, max_slice=10, max_y_tracks=6),
-}
+TIERS = ("S", "M")
 EXAMPLES = {"S": 100, "M": 40}
 FIELDS = (2, 3)
 
@@ -72,7 +69,7 @@ def test_every_reduced_map_is_simplicial(tier):
     @example(71, 2)
     @settings(max_examples=EXAMPLES[tier], deadline=None)
     def check(seed, p):
-        f = parse_instance(random_instance(seed, TIERS[tier])).map
+        f = instance(tier, seed)
         for cache in (complexes.order_complex, homology._chains, homology._core_barcodes, posets.core):
             cache.cache_clear()
         with checked(seen):

@@ -14,20 +14,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tiers
 from persposet.complexes import order_complex
-from persposet.documents import GeneratorLimits, parse_instance, random_instance, random_pposet
+from persposet.documents import random_pposet
 from persposet.errors import HypothesisUnmet
 from persposet.homology import FieldSpec, pposet_barcodes
-from persposet.posets import MonotoneMap, new_poset
+from persposet.posets import new_poset
 from persposet.pposets import PersistencePoset, fiber, ordinal_sum, restrict, top_degree, tracks
 from persposet.verifier import _is_join_of, _is_point_from, _reduced_bettis, verify_join_acyclicity
 import reference
 from reference import complex_top_degree, constant_pposet, homology
 
-TIERS = {
-    "S": GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4),
-    "M": GeneratorLimits(t_max=8, max_slice=10, max_y_tracks=6),
-}
+TIERS = ("S", "M")
 EXAMPLES = {"S": 40, "M": 20}
 FIELDS = (2, 3, 5)
 
@@ -48,8 +46,8 @@ def pposets_of(tier, seed):
     slice, so the full complexes of their joins stay small enough for the
     dense reference.
     """
-    limits = TIERS[tier]
-    f = parse_instance(random_instance(seed, limits)).map
+    limits = tiers.TIERS[tier]
+    f = tiers.instance(tier, seed)
     rng = random.Random(seed)
     A, B = cut_pair(rng, rng.randint(0, limits.t_max), limits.max_y_tracks)
     return [f.source, f.target, *(fiber(f, y) for y in tracks(f.target)), ordinal_sum(A, B)]
@@ -120,9 +118,7 @@ def test_join_lemma_with_empty_slices_equals_full_tower_reference(seed, p):
 
 def pposet(components, maps):
     comps = [new_poset(elements, pairs) for elements, pairs in components]
-    return PersistencePoset(
-        tuple(comps), tuple(MonotoneMap(comps[i], comps[i + 1], dict(m)) for i, m in enumerate(maps))
-    )
+    return PersistencePoset(tuple(comps), tuple(dict(m) for m in maps))
 
 
 CROWN = (["a", "b", "c", "d"], [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])

@@ -4,6 +4,7 @@ import ast
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,8 @@ import pytest
 
 import persposet
 import persposet.cli  # noqa: F401  (not imported by the package itself)
-from persposet.documents import GeneratorLimits, canonical_json, random_instance
+import tiers
+from persposet.documents import canonical_json, random_instance
 from persposet.errors import InternalError, PersistenceError
 
 SOURCES = sorted(Path(persposet.__file__).parent.glob("*.py"))
@@ -119,6 +121,17 @@ def called_in(target: str) -> list[tuple[str, str]]:
                     if name == target:
                         found.add((path.stem, getattr(top, "name", "<module>")))
     return sorted(found)
+
+
+def test_poset_maps_are_plain_dicts():
+    """No package module names MonotoneMap or identity_map: every map between posets is its name-to-name dict."""
+    for name in ("MonotoneMap", "identity_map"):
+        assert [path.name for path in SOURCES if re.search(rf"\b{name}\b", path.read_text(encoding="utf-8"))] == []
+
+
+def test_check_map_has_one_caller():
+    """Only pposets._check_arrow checks a map, so every failure carries its structure or slice map prefix."""
+    assert called_in("check_map") == [("pposets", "_check_arrow")]
 
 
 def test_posets_holds_single_slice_notions_only():
@@ -300,8 +313,7 @@ def test_caches_clear_and_repeat_cold(tmp_path, command):
     hits and misses, so each cold run costs what a fresh process pays.
     """
     path = tmp_path / "instance.json"
-    tier_s = GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4)
-    path.write_text(canonical_json(random_instance(1, tier_s)), encoding="utf-8")
+    path.write_text(canonical_json(random_instance(1, tiers.S)), encoding="utf-8")
     caches = functools_caches()
     traffic = []
     for _ in range(2):
@@ -319,8 +331,7 @@ def test_caches_clear_and_repeat_cold(tmp_path, command):
 def test_cli_runs_without_numpy(tmp_path):
     """Importing the CLI and verifying an instance loads no numpy; only the tests use it."""
     path = tmp_path / "instance.json"
-    tier_s = GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4)
-    path.write_text(canonical_json(random_instance(5, tier_s)), encoding="utf-8")
+    path.write_text(canonical_json(random_instance(5, tiers.S)), encoding="utf-8")
     script = (
         "import sys\n"
         "from persposet.cli import main\n"

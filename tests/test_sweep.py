@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persposet import complexes, homology, linalg, posets
-from persposet.documents import GeneratorLimits, parse_instance, random_instance
 from persposet.errors import InternalError
 from persposet.homology import FieldSpec, pposet_barcodes
 from persposet.modules import INF, Barcode, PersistenceModule, barcode
@@ -32,9 +31,8 @@ from reference import (
     rank_invariant,
     zero_module,
 )
+from tiers import instance
 
-TIER_S = GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4)
-TIERS = {"S": TIER_S, "M": GeneratorLimits(t_max=8, max_slice=10, max_y_tracks=6)}
 PRIMES = (2, 3, 5, 7)
 
 
@@ -86,7 +84,7 @@ def test_module_sweep_matches_rank_invariant(M):
 
 def tier_s_towers(seed):
     """Full and core towers of the source, target and fibers of one tier-S instance."""
-    f = parse_instance(random_instance(seed, TIER_S)).map
+    f = instance("S", seed)
     for pp in [f.source, f.target] + [fiber(f, y) for y in tracks(f.target)]:
         yield order_complex_tower(pp)
         yield core_tower(pp)
@@ -115,7 +113,7 @@ def test_sweep_barcodes_need_no_normalising(tier):
     @given(st.integers(0, 10_000), st.sampled_from((2, 3)))
     @settings(max_examples=15, deadline=None)
     def check(seed, p):
-        f = parse_instance(random_instance(seed, TIERS[tier])).map
+        f = instance(tier, seed)
         built = {"elder_barcode": [], "_discrete_barcode": []}
 
         def spy(name):

@@ -1,10 +1,9 @@
 import pytest
 
-from persposet.documents import GeneratorLimits, parse_instance, random_instance
 from persposet.errors import HypothesisUnmet, ValidationError
 from persposet.homology import FieldSpec
 from persposet.modules import INF
-from persposet.posets import MonotoneMap, new_poset
+from persposet.posets import new_poset
 from persposet.pposets import (
     PersistenceMap,
     PersistencePoset,
@@ -21,6 +20,7 @@ from persposet.verifier import (
     verify_theorem,
 )
 from reference import acyclicity_defect, complement, constant_pposet, order_complex_tower, puncture_step
+from tiers import instance
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -28,14 +28,11 @@ F3 = FieldSpec(3)
 
 def pposet(components, maps):
     comps = [new_poset(els, pairs) for els, pairs in components]
-    mm = [MonotoneMap(comps[i], comps[i + 1], dict(m)) for i, m in enumerate(maps)]
-    return PersistencePoset(tuple(comps), tuple(mm))
+    return PersistencePoset(tuple(comps), tuple(dict(m) for m in maps))
 
 
 def pmap(x, y, slices):
-    return PersistenceMap(x, y, tuple(
-        MonotoneMap(x.components[i], y.components[i], dict(s)) for i, s in enumerate(slices)
-    ))
+    return PersistenceMap(x, y, tuple(dict(s) for s in slices))
 
 
 def identity_instance(pp):
@@ -48,7 +45,7 @@ S_TOP = new_poset("abcdt", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
 
 
 def s_to_point_instance():
-    X = PersistencePoset((S, S_TOP), (MonotoneMap(S, S_TOP, {e: e for e in S.elements}),))
+    X = PersistencePoset((S, S_TOP), ({e: e for e in S.elements},))
     Y = constant_pposet(new_poset("p", []), 1)
     return pmap(X, Y, [{e: "p" for e in S.elements}, {e: "p" for e in S_TOP.elements}])
 
@@ -142,7 +139,7 @@ class TestPunctureLemma:
     def test_bound_on_growing_example(self):
         # remove a circle vertex once the top has appeared: the up-set side
         # is empty then a point, so eps = 1 and the distances stay within 4
-        X = PersistencePoset((S, S_TOP), (MonotoneMap(S, S_TOP, {e: e for e in S.elements}),))
+        X = PersistencePoset((S, S_TOP), ({e: e for e in S.elements},))
         (below, above, distances), outcome = both_outcomes(X, ["c", "c"])
         assert above == 1 and min(below, above) == 1
         assert distances[1] == 1
@@ -151,7 +148,7 @@ class TestPunctureLemma:
     def test_apex_removal_hypothesis_unmet(self):
         # below the apex sits a circle forever, above it nothing: no side
         # ever becomes acyclic, so the statement does not apply
-        X = PersistencePoset((S, S_TOP), (MonotoneMap(S, S_TOP, {e: e for e in S.elements}),))
+        X = PersistencePoset((S, S_TOP), ({e: e for e in S.elements},))
         assert both_outcomes(X, [None, "t"]) == [HypothesisUnmet, HypothesisUnmet]
 
 
@@ -173,7 +170,7 @@ class TestJoinAcyclicity:
 
     def test_defect_one_side(self):
         # A's classifying space is a circle that gets coned off: defect 1
-        A = PersistencePoset((S, S_TOP), (MonotoneMap(S, S_TOP, {e: e for e in S.elements}),))
+        A = PersistencePoset((S, S_TOP), ({e: e for e in S.elements},))
         B = constant_pposet(new_poset(["u", "v"], []), 1)
         report = verify_join_acyclicity(A, B, F2)
         assert report.epsilon == 1
@@ -248,7 +245,7 @@ K_MAX_ROUTINES = pytest.mark.parametrize(
 @K_MAX_ROUTINES
 def test_negative_k_max_is_rejected(check):
     """A negative k_max compares no degree, so no routine may return a verdict for it."""
-    f = parse_instance(random_instance(0, GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4))).map
+    f = instance("S", 0)
     check(f, F2, 0)
     with pytest.raises(ValidationError, match="k_max must be at least 0"):
         check(f, F2, -1)
@@ -257,7 +254,7 @@ def test_negative_k_max_is_rejected(check):
 @K_MAX_ROUTINES
 def test_k_max_above_the_cli_bound_is_rejected(check):
     """The library takes the --kmax bound of the CLI: MAX_KMAX is accepted, one more is not."""
-    f = parse_instance(random_instance(0, GeneratorLimits(t_max=5, max_slice=6, max_y_tracks=4))).map
+    f = instance("S", 0)
     check(f, F2, MAX_KMAX)
     with pytest.raises(ValidationError, match=f"k_max must be at most {MAX_KMAX}, got {MAX_KMAX + 1}"):
         check(f, F2, MAX_KMAX + 1)
