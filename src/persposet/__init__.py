@@ -26,7 +26,7 @@ from .pposets import (
     PersistenceMap,
     PersistencePoset,
     chain_filtrations,
-    fiber,
+    fibers,
     persistence_linear_extension,
     persistence_mapping_cylinder,
     tracks,

@@ -109,11 +109,50 @@ def _scale_value(block: dict, key: str) -> float:
 
 def _name_table(obj: Any, where: str) -> dict[str, str]:
     """A structure or slice map's table, checked to map names to names."""
-    _require(
-        isinstance(obj, dict) and all(isinstance(k, str) and isinstance(v, str) for k, v in obj.items()),
-        f"{where}: expected a name-to-name table",
-    )
-    return dict(obj)
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            if not (isinstance(k, str) and isinstance(v, str)):
+                break
+        else:
+            return dict(obj)
+    raise SchemaError(f"{where}: expected a name-to-name table")
+
+
+def _element_names(elements: Any, where: str) -> list[str]:
+    """A component's element list, checked to hold names that UTF-8 can write.
+
+    str.join accepts exactly a list of strings.  A lone surrogate (the
+    JSON escape "\\ud800") parses as a str that no UTF-8 stream can
+    print, so it is rejected here, before any output; only a list that is
+    not all ASCII is encoded name by name.
+    """
+    if isinstance(elements, list):
+        try:
+            text = "".join(elements)
+        except TypeError:
+            pass
+        else:
+            if not text.isascii():
+                for e in elements:
+                    try:
+                        e.encode("utf-8")
+                    except UnicodeEncodeError:
+                        raise SchemaError(f"{where}: element {e!r} is not valid UTF-8") from None
+            return elements
+    raise SchemaError(f"{where}: elements must be strings")
+
+
+def _strict_pairs(pairs: Any, where: str) -> list[tuple[str, str]]:
+    """A component's pair list as tuples, checked to hold [a, b] string lists."""
+    out = []
+    if isinstance(pairs, list):
+        for p in pairs:
+            if not (isinstance(p, list) and len(p) == 2 and isinstance(p[0], str) and isinstance(p[1], str)):
+                break
+            out.append((p[0], p[1]))
+        else:
+            return out
+    raise SchemaError(f"{where}: pairs must be [a, b] string lists")
 
 
 def _parse_poset_block(obj: Any, where: str, T: int) -> PersistencePoset:
@@ -125,19 +164,10 @@ def _parse_poset_block(obj: Any, where: str, T: int) -> PersistencePoset:
     comps = []
     for i, c in enumerate(comps_raw):
         _require(isinstance(c, dict), f"{where}.components[{i}]: expected an object")
-        elements = c.get("elements")
-        pairs = c.get("pairs", [])
-        _require(
-            isinstance(elements, list) and all(isinstance(e, str) for e in elements),
-            f"{where}.components[{i}]: elements must be strings",
-        )
-        _require(
-            isinstance(pairs, list)
-            and all(isinstance(p, list) and len(p) == 2 and all(isinstance(e, str) for e in p) for p in pairs),
-            f"{where}.components[{i}]: pairs must be [a, b] string lists",
-        )
+        elements = _element_names(c.get("elements"), f"{where}.components[{i}]")
+        pairs = _strict_pairs(c.get("pairs", []), f"{where}.components[{i}]")
         try:
-            comps.append(new_poset(elements, [tuple(p) for p in pairs]))
+            comps.append(new_poset(elements, pairs))
         except PersistenceError as exc:
             raise ValidationError(f"{where}.components[{i}]: {exc}") from exc
     maps = [_name_table(m, f"{where}.maps[{i}]") for i, m in enumerate(maps_raw)]

@@ -153,21 +153,26 @@ def check_map(source: FinitePoset, target: FinitePoset, f: dict[str, str]) -> No
     if len(f) != len(source):
         extra = next(x for x in f if x not in source)
         raise PartialStructureMap(f"{extra!r} is assigned an image but is not a source element")
+    ordered = target.relation
     for a, b in source.relation:
-        if not target.leq(f[a], f[b]):
-            raise NonMonotoneStructureMap(f"{a!r} < {b!r} but images {f[a]!r}, {f[b]!r} are not ordered")
+        fa, fb = f[a], f[b]
+        if fa != fb and (fa, fb) not in ordered:
+            raise NonMonotoneStructureMap(f"{a!r} < {b!r} but images {fa!r}, {fb!r} are not ordered")
 
 
 def _extreme(candidates: set[str], inner: dict[str, set[str]]) -> str | None:
     """The element of candidates whose inner set holds all the others, if any.
 
     With inner = strictly-below sets this is the maximum of candidates,
-    with strictly-above sets the minimum.
+    with strictly-above sets the minimum.  The relation is closed, so each
+    inner set of a candidate lies in the other candidates, and at most one
+    candidate has all of them.
     """
-    if not candidates:
-        return None
-    best = max(candidates, key=lambda e: len(inner[e]))
-    return best if len(inner[best]) == len(candidates) - 1 else None
+    others = len(candidates) - 1
+    for e in candidates:
+        if len(inner[e]) == others:
+            return e
+    return None
 
 
 @lru_cache(maxsize=4096)
@@ -287,12 +292,15 @@ def longest_chain(P: FinitePoset) -> int:
 
     The relation is closed, so a < b gives below(a) a proper subset of
     below(b): sorted by the size of their down-sets, the elements come in
-    an order where every element follows all those below it.
+    an order where every element follows all those below it.  An
+    antichain, the empty poset included, has no pair and needs no sort.
     """
+    if not P.relation:
+        return min(len(P.elements), 1)
     below: dict[str, list[str]] = {e: [] for e in P.elements}
     for a, b in P.relation:
         below[b].append(a)
     best: dict[str, int] = {}
     for e in sorted(P.elements, key=lambda e: len(below[e])):
-        best[e] = 1 + max((best[a] for a in below[e]), default=0)
-    return max(best.values(), default=0)
+        best[e] = 1 + max([best[a] for a in below[e]], default=0)
+    return max(best.values())

@@ -17,8 +17,9 @@ be closed; every other derived persistence poset (fibers and weak
 up-sets, closed by naturality, the chain members, the cylinder, ordinal
 sums) is valid by construction and is built without either check.
 Subposets of a trajectory row are read off the closed relation of each
-slice.  Whether the last slice of a fiber is connected is read off that
-slice alone (fiber_ends_connected), without building the fiber: the
+slice, and consecutive fibers share every slice where their tracks agree
+(fibers).  Whether the last slice of a fiber is connected is read off
+that slice alone (fiber_ends_connected), without building the fiber: the
 verifier's defect of one whose last slice is not is infinite.  A
 comparison set's status (comparison_status) is read off its strict sets
 the same way: its defect is infinite when the set is not closed or its
@@ -35,7 +36,7 @@ fibers, weak up-sets and the chain members are sub-towers (_sub_tower).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Literal, Sequence
+from typing import Callable, Iterable, Literal, Mapping, Sequence
 
 from .errors import (
     EmptyAfterNonempty,
@@ -190,9 +191,15 @@ def _leaving(pp: PersistencePoset, sets: Sequence[set[str]]) -> tuple[int, str] 
 
 
 def _sub_tower(
-    pp: PersistencePoset, base: PersistencePoset, sets: Sequence[set[str]], changed: Sequence[int]
+    pp: PersistencePoset,
+    base: PersistencePoset,
+    sets: Sequence[set[str]] | Mapping[int, set[str]],
+    changed: Sequence[int],
 ) -> PersistencePoset:
-    """The subposet of pp on sets, closed under its maps, from base: only the changed slices and their maps differ."""
+    """The subposet of pp on sets, closed under its maps, from base: only the changed slices and their maps differ.
+
+    Only sets[i] for i in changed is read.
+    """
     comps = list(base.components)
     for i in changed:
         comps[i] = pp.components[i].restrict(sets[i])
@@ -260,20 +267,33 @@ def tracks(pp: PersistencePoset) -> list[ElementTrack]:
     return out
 
 
-def fiber(f: PersistenceMap, y: ElementTrack) -> PersistencePoset:
-    """Preimage of the weak down-set of a target track; always a subposet.
+def fibers(f: PersistenceMap, ys: Sequence[ElementTrack]) -> list[PersistencePoset]:
+    """The fiber over each target track of ys, in order: the preimage of the track's weak down-set.
 
-    Slice i is the preimage under f_i of {v} and the a with (a, v) in the
-    target's relation, where v is the track's value; it is empty before
-    the track's birth.  It is closed by naturality: f_i(x) <= v gives
-    f_{i+1}(phi x) = psi(f_i x) <= psi(v), the track's next value.  So it
-    is built as a sub-tower, without restrict's checks.
+    Slice i of a fiber is the preimage under f_i of {v} and the a with
+    (a, v) in the target's relation, where v is the track's value; it is
+    empty before the track's birth.  It is closed by naturality: f_i(x)
+    <= v gives f_{i+1}(phi x) = psi(f_i x) <= psi(v), the track's next
+    value.  So each fiber is a sub-tower, without restrict's checks.
+
+    Slice i depends only on the value at i, so each fiber after the first
+    is the sub-tower on the fiber before it whose changed slices are the
+    indices where the two tracks' values differ: every other slice, and
+    every structure map between two such slices, is the same object in
+    both, and the cached core of a shared slice is found by identity.
     """
-    return _sub_tower(f.source, f.source, [_fiber_slice(f, i, v) for i, v in enumerate(y.trajectory)], range(f.T + 1))
+    out: list[PersistencePoset] = []
+    fib, row = f.source, None
+    for y in ys:
+        changed = [i for i, v in enumerate(y.trajectory) if row is None or row[i] != v]
+        fib = _sub_tower(f.source, fib, {i: _fiber_slice(f, i, y.trajectory[i]) for i in changed}, changed)
+        row = y.trajectory
+        out.append(fib)
+    return out
 
 
 def fiber_ends_connected(f: PersistenceMap, y: ElementTrack) -> bool:
-    """Whether the last slice of fiber(f, y) is connected, read without building the fiber."""
+    """Whether the last slice of the fiber over y is connected, read without building the fiber."""
     return is_connected(f.source.components[f.T], _fiber_slice(f, f.T, y.trajectory[f.T]))
 
 

@@ -68,8 +68,8 @@ from .pposets import (
     chain_filtrations,
     comparison_set,
     comparison_status,
-    fiber,
     fiber_ends_connected,
+    fibers,
     ordinal_sum,
     persistence_mapping_cylinder,
     removes_weak_points,
@@ -98,7 +98,8 @@ def _defect(codes: list[Barcode]) -> int | float:
     """
     worst = point_comparison_defect(codes[0])
     for code in codes[1:]:
-        worst = max(worst, triviality_defect(code))
+        if code:  # an empty barcode is 0-trivial
+            worst = max(worst, triviality_defect(code))
     return worst
 
 
@@ -126,16 +127,14 @@ def fiber_defects(
     """Acyclicity defect of the fiber over every track of the target.
 
     A fiber whose last slice is empty or disconnected has defect INF and
-    is not built.
+    is not built; the others are built in track order, each from the one
+    before it (pposets.fibers).
     """
     k_max = _degree(k_max, f.source)
-    out: dict[ElementTrack, int | float] = {}
-    for y in tracks(f.target):
-        if fiber_ends_connected(f, y):
-            out[y] = _defect(pposet_barcodes(fiber(f, y), field, k_max))
-        else:
-            out[y] = INF
-    return out
+    ys = tracks(f.target)
+    connected = [y for y in ys if fiber_ends_connected(f, y)]
+    built = dict(zip(connected, fibers(f, connected)))
+    return {y: _defect(pposet_barcodes(built[y], field, k_max)) if y in built else INF for y in ys}
 
 
 @dataclass(eq=False)

@@ -19,8 +19,9 @@ slower dense paths they replaced, over numpy int64 matrices:
   closed again with Warshall;
 - the slice routines the poset layer replaced: the topological sort that
   re-scans every remaining element at each step, the longest chain over
-  it, the beat-point loop without the antichain shortcut, and the poset
-  mapping cylinder and ordinal-sum slice rebuilt through new_poset;
+  it, the beat-point loop without the antichain shortcut and with the
+  max-based search for an extreme element, and the poset mapping
+  cylinder and ordinal-sum slice rebuilt through new_poset;
 - the subposets of a trajectory row selected element by element with a
   predicate (comparison sets, fibers, weak up-sets), which the library
   reads off the closed relation instead;
@@ -91,7 +92,6 @@ from persposet.linalg import Column, _inv_scalar
 from persposet.modules import INF, Barcode, FieldSpec, PersistenceModule, _matching_feasible, barcode
 from persposet.posets import (
     FinitePoset,
-    _extreme,
     check_map,
     core,
     new_poset,
@@ -696,8 +696,16 @@ def longest_chain(P: FinitePoset) -> int:
     return top
 
 
+def _extreme(candidates: set[str], inner: dict[str, set[str]]) -> str | None:
+    """posets._extreme through max: the candidate with the largest inner set, if that set holds all the others."""
+    if not candidates:
+        return None
+    best = max(candidates, key=lambda e: len(inner[e]))
+    return best if len(inner[best]) == len(candidates) - 1 else None
+
+
 def beat_point_core(P: FinitePoset) -> tuple[FinitePoset, dict[str, str]]:
-    """posets.core by its removal loop alone, uncached and with no antichain shortcut."""
+    """posets.core by its removal loop alone, uncached, with no antichain shortcut and _extreme through max."""
     below: dict[str, set[str]] = {e: set() for e in P.elements}
     above: dict[str, set[str]] = {e: set() for e in P.elements}
     for a, b in P.relation:

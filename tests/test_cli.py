@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -550,3 +554,30 @@ def test_unwritable_report_prints_nothing(instance_file, tmp_path, capsys, argv)
     argv = [paths.get(word, word) for word in argv]
     assert main([*argv, "--report", str(tmp_path / "missing" / "report.json")]) == 2
     _assert_one_error_line(capsys.readouterr())
+
+
+@pytest.mark.parametrize("command", ["validate", "verify", "fibers", "extend"])
+def test_lone_surrogate_name_exits_2_in_a_utf8_process(tmp_path, command):
+    """An element name with a lone surrogate is rejected before any output, in a process whose stdout is UTF-8.
+
+    The JSON escape parses into a str that a UTF-8 stream cannot write;
+    in-process tests capture stdout in a StringIO, which accepts it, so
+    the command runs in a subprocess.  Both a source and a target name
+    carry one, so extend (source names) and fibers and verify (target
+    track labels) would each print one.  verify writes no report either.
+    """
+    doc = random_instance(1, GeneratorLimits(t_max=2))
+    text = json.dumps(doc).replace('"x0"', '"x0\\ud800"').replace('"y0"', '"y0\\ud800"')
+    assert text.count("x0\\ud800") > 1 and text.count("y0\\ud800") > 1
+    path, report = tmp_path / "instance.json", tmp_path / "report.json"
+    path.write_text(text, encoding="utf-8")
+    argv = [command, str(path)] + (["--report", str(report)] if command == "verify" else [])
+    src = str(Path(cli.__file__).parent.parent)
+    env = {**os.environ, "PYTHONIOENCODING": "utf-8", "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "persposet.cli", *argv], capture_output=True, env=env)
+    assert done.returncode == 2
+    assert done.stdout == b""
+    lines = done.stderr.decode("utf-8").splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: x.components[")
+    assert lines[0].endswith("element 'x0\\ud800' is not valid UTF-8")
+    assert not report.exists()

@@ -2,7 +2,8 @@
 
 Every run of cli.main must end with exit code 0, 1 or 2; an exception
 escaping it (a traceback) fails the test.  Exit 2 always comes with exactly
-one `error:` line on stderr and nothing on stdout.  About half of the argv
+one `error:` line on stderr and nothing on stdout, and everything written
+must be valid UTF-8, which a lone surrogate in a name is not.  About half of the argv
 lists carry one syntax change: the `--flag=value` form, or one of the
 rejections in REJECTED, which must exit 2.  Documents stay at tier S and
 --kmax stays small, so no example computes much.
@@ -37,6 +38,7 @@ values = st.one_of(
     st.just(10**400),
     st.floats(),
     st.text(max_size=4),
+    st.sampled_from(["\ud800", "y0\udfff"]),  # lone surrogates, which st.text() never draws
     st.just([]),
     st.just({}),
     st.sampled_from(list(RAW)).map(lambda key: key.strip('"')),
@@ -141,6 +143,8 @@ def test_cli_exits_0_1_or_2_without_traceback(tmp_path_factory, text, drawn):
         code = main(argv)
     event(f"{change or 'no change'}: exit {code}")
     assert code in (0, 1, 2)
+    out.getvalue().encode("utf-8")  # a UTF-8 stream could write what was captured
+    err.getvalue().encode("utf-8")
     if change in REJECTED:
         assert code == 2
     if code == 2:

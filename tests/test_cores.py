@@ -20,7 +20,7 @@ from persposet.errors import NotASubposet
 from persposet.homology import FieldSpec, _core_barcodes, pposet_barcodes
 from persposet.posets import check_map, new_poset
 from persposet.posets import core as poset_core
-from persposet.pposets import comparison_set, fiber, tracks
+from persposet.pposets import comparison_set, fibers, tracks
 from persposet.verifier import verify_theorem
 from reference import (
     barcodes_of,
@@ -146,9 +146,7 @@ class TestPersistenceCore:
 def tier_s_pposets(seed):
     """Source, target, fibers and closed comparison sets of one tier-S instance."""
     f = tiers.instance("S", seed)
-    out = [f.source, f.target]
-    for y in tracks(f.target):
-        out.append(fiber(f, y))
+    out = [f.source, f.target, *fibers(f, tracks(f.target))]
     for pp in (f.source, f.target):
         for t in tracks(pp):
             for direction in ("below", "above"):

@@ -89,6 +89,51 @@ class TestInstanceDocuments:
         with pytest.raises(SchemaError, match=re.escape(f"{message}: expected a name-to-name table")):
             parse_instance({**ONE_STEP, **part})
 
+    @pytest.mark.parametrize(
+        "component, message",
+        [
+            ({"elements": ["a", 1]}, "elements must be strings"),
+            ({"elements": "ab"}, "elements must be strings"),
+            ({"elements": ["a", 1], "pairs": [["a"]]}, "elements must be strings"),
+            ({"pairs": [["a"], ["a", "b"]]}, "pairs must be [a, b] string lists"),
+            ({"pairs": [["a", "b"], ["b", "c"], ["a", 1]]}, "pairs must be [a, b] string lists"),
+            ({"pairs": [["a", "b", "c"]]}, "pairs must be [a, b] string lists"),
+            ({"pairs": [[None, "b"]]}, "pairs must be [a, b] string lists"),
+            ({"pairs": [("a", "b")]}, "pairs must be [a, b] string lists"),
+            ({"pairs": {"a": "b"}}, "pairs must be [a, b] string lists"),
+            ({"elements": ["a", "\ud800"]}, "element '\\ud800' is not valid UTF-8"),
+            ({"elements": ["a", "b\udfffc"]}, "element 'b\\udfffc' is not valid UTF-8"),
+        ],
+        ids=[
+            "element-not-a-string", "elements-not-a-list", "elements-before-pairs", "first-pair-short",
+            "last-pair-member", "pair-of-three", "pair-member-none", "pair-not-a-list", "pairs-not-a-list",
+            "lone-surrogate", "surrogate-inside-a-name",
+        ],
+    )
+    def test_component_rejections_keep_their_messages(self, component, message):
+        """Each component rejection is one SchemaError with the component's location and its exact message."""
+        doc = {**MINIMAL, "x": {"components": [{"elements": ["a", "b", "c"], **component}], "maps": []}}
+        doc["map"] = [{"a": "p", "b": "p", "c": "p"}]
+        with pytest.raises(SchemaError) as raised:
+            parse_instance(doc)
+        assert str(raised.value) == f"x.components[0]: {message}"
+
+    @pytest.mark.parametrize(
+        "table",
+        [{1: "p"}, {"a": 0}, {"a": "p", "b": None}, ["a", "p"], "ap"],
+        ids=["key-not-a-string", "value-not-a-string", "last-value", "list", "string"],
+    )
+    def test_table_rejections_keep_their_message(self, table):
+        for part, where in [({"x": {**ONE_STEP["x"], "maps": [table]}}, "x.maps[0]"), ({"map": [{"a": "p"}, table]}, "map[1]")]:
+            with pytest.raises(SchemaError) as raised:
+                parse_instance({**ONE_STEP, **part})
+            assert str(raised.value) == f"{where}: expected a name-to-name table"
+
+    def test_non_ascii_names_that_utf8_writes_are_accepted(self):
+        doc = {**MINIMAL, "x": {"components": [{"elements": ["\u00e4", "\U0001f600"], "pairs": []}], "maps": []}}
+        doc["map"] = [{"\u00e4": "p", "\U0001f600": "p"}]
+        assert parse_instance(doc).x.components[0].elements == ("\u00e4", "\U0001f600")
+
     def test_scale_validation(self):
         doc = dict(MINIMAL)
         doc["scale"] = {"origin": 0.0, "step": 0.0}

@@ -2,21 +2,26 @@
 
 - linear_extension is Kahn's algorithm with a heap; the reference
   re-scans every remaining element at each step.
-- longest_chain is a DP over the elements sorted by down-set size; the
-  reference walks a linear extension.
-- core returns an antichain with the identity; the reference runs the
-  beat-point loop on it.
+- longest_chain is a DP over the elements sorted by down-set size, and
+  answers an antichain without it; the reference walks a linear
+  extension.
+- core returns an antichain with the identity, and finds an extreme
+  element by the size of its inner set in one loop; the reference runs
+  the beat-point loop on every poset and finds that element through max.
 - the slices of the cylinder and of the ordinal sum are built directly,
   as one tagged sum; the references close their generating pairs again
   with new_poset.  Their structure maps are the tagged unions of the
   factors' maps.
 - comparison sets, fibers and weak up-sets are read off the closed
-  relation; the references test each element with a predicate.
+  relation; the references test each element with a predicate.  Each
+  fiber after the first is built from the one before it and shares its
+  slices where the two tracks agree.
 - each chain's first member restricts every slice of the cylinder, and
   the members after it are built from the member before them,
   restricting only the slices a step changes; restrict restricts every
   slice through the same sub-tower routine.
-- fiber_defects builds only the fibers whose last slice is connected, and
+- fiber_defects builds only the fibers whose last slice is connected, in
+  one call of pposets.fibers, and
   the puncture suite only the comparison sets whose exact defect decides
   a step's outcome; the counts come from the reference connectivity and
   cone searches and the full towers' distances.
@@ -42,7 +47,7 @@ from persposet.pposets import (
     CYLINDER_TARGET_TAG,
     chain_filtrations,
     comparison_set,
-    fiber,
+    fibers,
     ordinal_sum,
     persistence_mapping_cylinder,
     top_degree,
@@ -54,6 +59,7 @@ from persposet.verifier import chain_puncture_suite, fiber_defects
 from tiers import instance
 
 TIERS = ("S", "M")
+ALL_TIERS = ("S", "M", "L")
 
 
 def pposets_of(f):
@@ -134,10 +140,79 @@ def test_tagged_sum_maps_are_tagged_unions(tier):
     check()
 
 
+@st.composite
+def drawn_posets(draw, most=8):
+    """A poset on up to most elements: random forward pairs along a drawn order, closed by new_poset."""
+    names = draw(st.lists(st.sampled_from("abcdefghij"), max_size=most, unique=True))
+    pairs = [
+        (a, b) for i, a in enumerate(names) for b in names[i + 1:] if draw(st.booleans())
+    ]
+    return new_poset(names, pairs)
+
+
+@given(drawn_posets())
+@settings(max_examples=300, deadline=None)
+def test_core_and_longest_chain_equal_their_references_on_drawn_posets(P):
+    """The loop-based _extreme gives the core and retraction of the max-based one; the chain DP the walk's length."""
+    core.cache_clear()
+    assert core(P) == reference.beat_point_core(P)
+    assert longest_chain(P) == reference.longest_chain(P)
+
+
+@pytest.mark.parametrize("tier", ALL_TIERS)
+def test_core_equals_max_based_loop_on_every_tier_slice(tier):
+    """Every slice of the source, the target and the fibers of 20 instances, as verify meets them."""
+    for seed in range(20):
+        f = instance(tier, seed)
+        for pp in [f.source, f.target, *fibers(f, tracks(f.target))]:
+            for P in pp.components:
+                assert core(P) == reference.beat_point_core(P)
+                assert longest_chain(P) == reference.longest_chain(P)
+
+
+@pytest.mark.parametrize("tier", ALL_TIERS)
+def test_fibers_equal_reference_and_share_unchanged_slices(tier):
+    """Each fiber equals reference.fiber slice by slice and map by map.
+
+    A fiber after the first holds the same slice objects as the fiber
+    before it wherever the two tracks take the same value, and the same
+    structure map objects between two such slices.  (Elsewhere they may
+    still be one object: restricting to every element or to none gives
+    the whole slice or the shared empty poset.)  Its defects, over
+    fields 2 and 3, are those of every fiber built by the reference.
+    """
+    shared = 0
+    for seed in range(20):
+        f = instance(tier, seed)
+        ys = tracks(f.target)
+        built = fibers(f, ys)
+        assert len(built) == len(ys)
+        for y, fib in zip(ys, built):
+            assert shape(fib) == shape(reference.fiber(f, y))
+        for (x, before), (y, fib) in zip(zip(ys, built), zip(ys[1:], built[1:])):
+            same = [u == v for u, v in zip(x.trajectory, y.trajectory)]
+            for i, kept in enumerate(same):
+                if kept:
+                    assert fib.components[i] is before.components[i]
+                    shared += 1
+            for i in range(f.T):
+                if same[i] and same[i + 1]:
+                    assert fib.maps[i] is before.maps[i]
+        k_max = top_degree(f.source)
+        for field in (FieldSpec(2), FieldSpec(3)):
+            assert fiber_defects(f, field) == reference.fiber_defects(f, field, k_max)
+    assert shared > 0
+
+
 def test_core_of_an_antichain_is_the_loop_result():
-    """Includes the empty poset, which the tier instances rarely have as a slice."""
+    """Includes the empty poset, which the tier instances rarely have as a slice.
+
+    longest_chain answers the same antichains without its DP, with the
+    reference's value.
+    """
     for elements in ["", "a", "abc", ["x:1", "x:10", "y"]]:
         P = new_poset(elements, [])
+        assert longest_chain(P) == reference.longest_chain(P) == min(len(P), 1)
         C, r = core(P)
         C_ref, r_ref = reference.beat_point_core(P)
         assert (C, r) == (C_ref, r_ref)
@@ -166,8 +241,8 @@ def test_row_subposets_equal_their_references(tier):
                 assert outcome(comparison_set, pp, row, direction) == outcome(
                     reference.comparison_set, pp, row, direction
                 )
-        for y in tracks(f.target):
-            assert shape(fiber(f, y)) == shape(reference.fiber(f, y))
+        for y, fib in zip(tracks(f.target), fibers(f, tracks(f.target))):
+            assert shape(fib) == shape(reference.fiber(f, y))
         for tr in tracks(f.source):
             row = [None if v is None else f.slices[i][v] for i, v in enumerate(tr.trajectory)]
             assert shape(up_set_of_image_track(f.target, row)) == shape(reference.up_set_of_image_track(f.target, row))
@@ -281,14 +356,21 @@ def test_puncture_suite_traffic():
 
 
 def test_fiber_defects_traffic():
-    """fiber_defects builds, and asks barcodes for, exactly the fibers whose last slice is connected."""
+    """fiber_defects builds, and asks barcodes for, exactly the fibers whose last slice is connected.
+
+    It calls pposets.fibers once, on those tracks in track order, and
+    every fiber comes out of _sub_tower.
+    """
     f = instance("M", 6)
-    connected = sum(
-        reference.is_connected(f.source.components[-1], reference.fiber(f, y).components[-1].elements)
-        for y in tracks(f.target)
-    )
-    assert 0 < connected < len(tracks(f.target))
-    with mock.patch.object(verifier, "fiber", wraps=verifier.fiber) as spy_fiber, \
+    ys = tracks(f.target)
+    connected = [
+        y for y in ys if reference.is_connected(f.source.components[-1], reference.fiber(f, y).components[-1].elements)
+    ]
+    assert 0 < len(connected) < len(ys)
+    with mock.patch.object(verifier, "fibers", wraps=verifier.fibers) as spy_fibers, \
+            mock.patch.object(pposets, "_sub_tower", wraps=pposets._sub_tower) as spy_sub_tower, \
             mock.patch.object(verifier, "pposet_barcodes", wraps=verifier.pposet_barcodes) as spy_barcodes:
         fiber_defects(f, FieldSpec(2))
-    assert spy_fiber.call_count == spy_barcodes.call_count == connected
+    assert spy_fibers.call_count == 1
+    assert spy_fibers.call_args.args[1] == connected
+    assert spy_sub_tower.call_count == spy_barcodes.call_count == len(connected)

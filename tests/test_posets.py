@@ -19,7 +19,7 @@ from persposet.posets import (
     new_poset,
     transitive_closure,
 )
-from persposet.pposets import PersistenceMap, comparison_set, fiber, persistence_mapping_cylinder, tracks
+from persposet.pposets import PersistenceMap, comparison_set, fibers, persistence_mapping_cylinder, tracks
 from reference import constant_pposet, is_monotone
 
 
@@ -111,7 +111,7 @@ class TestDownset:
         P = new_poset("ab", [("a", "b")])
         pp = constant_pposet(P, 0)
         track_b = [t for t in tracks(pp) if t.initial == "b"][0]
-        weak = fiber(PersistenceMap(pp, pp, ({e: e for e in P.elements},)), track_b)
+        (weak,) = fibers(PersistenceMap(pp, pp, ({e: e for e in P.elements},)), [track_b])
         assert weak.components[0].elements == ("a", "b")
 
     def test_above(self):

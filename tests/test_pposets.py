@@ -18,7 +18,7 @@ from persposet.pposets import (
     PersistencePoset,
     chain_filtrations,
     comparison_set,
-    fiber,
+    fibers,
     ordinal_sum,
     persistence_linear_extension,
     persistence_mapping_cylinder,
@@ -165,7 +165,7 @@ class TestSubDownset:
         S = new_poset("abcd", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
         pp = constant_pposet(S, 1)
         tc = [t for t in tracks(pp) if t.initial == "c"][0]
-        sub = fiber(identity(pp), tc)
+        (sub,) = fibers(identity(pp), [tc])
         assert all(c.elements == ("a", "b", "c") for c in sub.components)
         assert all(c.relation == frozenset({("a", "c"), ("b", "c")}) for c in sub.components)
 
@@ -194,14 +194,14 @@ class TestFiber:
         X = constant_pposet(new_poset("pq", []), 0)
         f = pmap(X, Y, [{"p": "u", "q": "v"}])
         tu, tv = tracks(Y)
-        assert fiber(f, tu).components[0].elements == ("p",)
-        assert fiber(f, tv).components[0].elements == ("p", "q")
+        over_u, over_v = fibers(f, [tu, tv])
+        assert over_u.components[0].elements == ("p",)
+        assert over_v.components[0].elements == ("p", "q")
 
     def test_identity_fiber_is_weak_downset(self):
         P = new_poset("abc", [("a", "b"), ("b", "c")])
         pp = constant_pposet(P, 1)
-        for t in tracks(pp):
-            fib = fiber(identity(pp), t)
+        for t, fib in zip(tracks(pp), fibers(identity(pp), tracks(pp))):
             weak = [tuple(e for e in P.elements if P.leq(e, v)) for v in t.trajectory]
             assert [c.elements for c in fib.components] == weak
 
@@ -210,7 +210,7 @@ class TestFiber:
         Y = constant_pposet(new_poset("p", []), 0)
         f = pmap(X, Y, [{"a": "p", "b": "p"}])
         (t,) = tracks(Y)
-        assert fiber(f, t).components[0].elements == ("a", "b")
+        assert fibers(f, [t])[0].components[0].elements == ("a", "b")
 
 
 class TestCylinderAndChains:
@@ -365,7 +365,7 @@ def test_restricted_pposets_pass_validate(tier):
                         pass
                 built.append(reference.complement(step.larger, step.removed))
             assert len(built) > 2
-            subposets = [(fiber(f, y), reference.fiber(f, y)) for y in tracks(f.target)]
+            subposets = [(fib, reference.fiber(f, y)) for y, fib in zip(tracks(f.target), fibers(f, tracks(f.target)))]
             for tr in tracks(f.source):
                 row = [None if v is None else f.slices[i][v] for i, v in enumerate(tr.trajectory)]
                 subposets.append((up_set_of_image_track(f.target, row), reference.up_set_of_image_track(f.target, row)))
@@ -392,8 +392,8 @@ def test_cylinders_and_ordinal_sums_pass_validate(tier):
         f = instance(tier, seed)
         cylinder = persistence_mapping_cylinder(f)
         validate(cylinder)
-        fibers = [fiber(f, y) for y in tracks(f.target)]
-        for A, B in [(f.source, f.target), (f.target, f.source), (cylinder, f.source)] + [(fb, f.target) for fb in fibers]:
+        pairs = [(f.source, f.target), (f.target, f.source), (cylinder, f.source)]
+        for A, B in pairs + [(fb, f.target) for fb in fibers(f, tracks(f.target))]:
             validate(ordinal_sum(A, B))
             validate(ordinal_sum(B, A))
 

@@ -20,7 +20,7 @@ from persposet.documents import random_pposet
 from persposet.errors import HypothesisUnmet
 from persposet.homology import FieldSpec, pposet_barcodes
 from persposet.posets import new_poset
-from persposet.pposets import PersistencePoset, fiber, ordinal_sum, restrict, top_degree, tracks
+from persposet.pposets import PersistencePoset, fibers, ordinal_sum, restrict, top_degree, tracks
 from persposet.verifier import _is_join_of, _is_point_from, _reduced_bettis, verify_join_acyclicity
 import reference
 from reference import complex_top_degree, constant_pposet, homology
@@ -50,7 +50,7 @@ def pposets_of(tier, seed):
     f = tiers.instance(tier, seed)
     rng = random.Random(seed)
     A, B = cut_pair(rng, rng.randint(0, limits.t_max), limits.max_y_tracks)
-    return [f.source, f.target, *(fiber(f, y) for y in tracks(f.target)), ordinal_sum(A, B)]
+    return [f.source, f.target, *fibers(f, tracks(f.target)), ordinal_sum(A, B)]
 
 
 @pytest.mark.parametrize("tier", TIERS)

@@ -95,6 +95,16 @@ def test_two_builders_skip_validate():
     assert called_in("_valid_by_construction") == [("pposets", "_sub_tower"), ("pposets", "_tagged_sum")]
 
 
+def test_fibers_have_one_caller():
+    """Only fiber_defects builds fibers, one call for every fiber whose last slice is connected.
+
+    pposets.fibers builds each fiber from the one before it in the order
+    given; fiber_defects gives the tracks in track order, so tracks that
+    merge share the slices after their merge.
+    """
+    assert called_in("fibers") == [("verifier", "fiber_defects")]
+
+
 def test_three_module_builders_skip_post_init():
     """Only the modules the library builds itself skip PersistenceModule's checks.
 
