@@ -7,7 +7,6 @@ from .errors import (
     HypothesisUnmet,
     InternalError,
     NonMonotoneStructureMap,
-    NotASubposet,
     NotNested,
     PartialStructureMap,
     PersistenceError,

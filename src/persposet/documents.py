@@ -259,6 +259,10 @@ def cover_from_doc(obj: Any) -> CoverTower:
     _require(isinstance(sets_raw, dict) and sets_raw, "sets: expected a nonempty object")
     sets = {}
     for name, seq in sets_raw.items():
+        try:
+            name.encode("utf-8")  # a lone surrogate would reach the element labels
+        except UnicodeEncodeError:
+            raise SchemaError(f"sets: set name {name!r} is not valid UTF-8") from None
         _require(
             isinstance(seq, list)
             and all(isinstance(stage, list) and all(isinstance(e, str) for e in stage) for stage in seq),

@@ -47,10 +47,6 @@ class EmptyAfterNonempty(PersistenceError):
     """A component is empty although an earlier component is nonempty."""
 
 
-class NotASubposet(PersistenceError):
-    """Component subsets are not closed under the structure maps."""
-
-
 # -- persistence modules -------------------------------------------------------
 
 class ShapeMismatch(PersistenceError):

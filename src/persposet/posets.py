@@ -2,11 +2,10 @@
 
 Single time-slice building blocks: validated strict partial orders,
 the one check of monotone maps, deterministic linear extensions,
-beat-point cores, connected and coned subsets, and weak points.  A
-map between two posets is its name-to-name table, a plain dict; its
-source and target travel beside it.  Posets are immutable after
-construction and safe to share, and no caller mutates a map it did
-not build.
+beat-point cores, and connected and coned subsets.  A map between two
+posets is its name-to-name table, a plain dict; its source and target
+travel beside it.  Posets are immutable after construction and safe to
+share, and no caller mutates a map it did not build.
 
 Only new_poset validates and closes a relation.  Everything derived from
 a poset that is already closed (induced subposets, cores) filters closed
@@ -267,24 +266,6 @@ def is_cone(P: FinitePoset, subset: Iterable[str]) -> bool:
             partners[a] += 1
             partners[b] += 1
     return len(partners) - 1 in partners.values()
-
-
-def is_weak_point(P: FinitePoset, x: str) -> bool:
-    """Whether x is a weak point of P: its strict down-set or its strict up-set is a cone.
-
-    Removing a weak point keeps the homotopy type (Barmak and Minian,
-    "Simple homotopy types and finite spaces", Adv. Math. 2008), by
-    Quillen's fiber lemma for the inclusion of P minus x into P: the
-    fiber over an element y other than x, the elements of P minus x
-    below y, has the maximum y, and the fiber over x is the strict
-    down-set of x; dually with up-sets.  When that set is a cone every
-    fiber is contractible, so the inclusion is a homotopy equivalence of
-    order complexes.  Every beat point is weak; an isolated point is not,
-    since the empty set is no cone.
-    """
-    if is_cone(P, {a for a, b in P.relation if b == x}):
-        return True
-    return is_cone(P, {b for a, b in P.relation if a == x})
 
 
 def longest_chain(P: FinitePoset) -> int:

@@ -2,35 +2,22 @@
 
 Components are connected by total monotone structure maps and extend
 constantly beyond the last explicit index.  This module also provides
-element tracks as trajectory rows, persistence subposets (comparison
-sets, fibers), coherent linear extensions, the persistence mapping
-cylinder, the steps of the two interpolation chains used to compare a
-map's source and target inside the cylinder, and the slicewise ordinal
-sum, whose order-complex tower is the join of the factors' towers.
+element tracks as trajectory rows and the subposets of a row (fibers,
+comparison sets, weak up-sets), coherent linear extensions, the
+persistence mapping cylinder, the two interpolation chains inside it,
+and the slicewise ordinal sum, whose tower is the join of the factors'.
 
-Structure maps and slice maps are plain name-to-name dicts; the
-components they run between travel beside them.  Only validate checks a
-persistence poset, and only PersistenceMap checks a persistence map;
-both go through posets.check_map.  restrict checks that its subsets are
-closed, for its one library caller, comparison sets, whose rows may not
-be closed; every other derived persistence poset (fibers and weak
-up-sets, closed by naturality, the chain members, the cylinder, ordinal
-sums) is valid by construction and is built without either check.
-Subposets of a trajectory row are read off the closed relation of each
-slice, and consecutive fibers share every slice where their tracks agree
-(fibers).  Whether the last slice of a fiber is connected is read off
-that slice alone (fiber_ends_connected), without building the fiber: the
-verifier's defect of one whose last slice is not is infinite.  A
-comparison set's status (comparison_status) is read off its strict sets
-the same way: its defect is infinite when the set is not closed or its
-last slice is empty or disconnected, finite when the set is closed and
-its last slice is a cone, and only otherwise undecided.  A chain step
-that removes a weak point from each slice it touches
-(removes_weak_points) leaves the barcodes as they are.
+Structure maps and slice maps are plain name-to-name dicts.  Only
+validate and PersistenceMap check, both through posets.check_map; every
+derived persistence poset is valid by construction and comes from one
+of two builders, _tagged_sum (the cylinder, the ordinal sum) or
+_sub_tower (the subposets of a row and the chain members).
 
-Two builders make every derived persistence poset: the cylinder and the
-ordinal sum are tagged sums of two towers (_tagged_sum), and restrict,
-fibers, weak up-sets and the chain members are sub-towers (_sub_tower).
+A row is read once, off the closed relation of each slice: row_sets
+gives a puncture step's strict sets, which decide each side's status
+(comparison_status), give the slices of a side it builds, and tell
+whether the step removes only weak points (removes_weak_points); fibers
+reads each fiber's last slice once and builds only the connected ones.
 """
 
 from __future__ import annotations
@@ -43,7 +30,6 @@ from .errors import (
     InternalError,
     NaturalityError,
     NonMonotoneStructureMap,
-    NotASubposet,
     PartialStructureMap,
     ShapeMismatch,
     UnknownElement,
@@ -53,7 +39,6 @@ from .posets import (
     check_map,
     is_cone,
     is_connected,
-    is_weak_point,
     linear_extension,
     longest_chain,
 )
@@ -158,28 +143,6 @@ class PersistenceMap:
         return self.source.T
 
 
-def restrict(pp: PersistencePoset, subsets: Sequence[Iterable[str]]) -> PersistencePoset:
-    """Persistence subposet on per-component subsets.
-
-    Raises NotASubposet when the subsets are not closed under the
-    structure maps.  Closure makes the restricted maps total and forbids
-    an empty slice after a nonempty one, and restricted monotone maps are
-    monotone, so the result skips validate.
-    """
-    if len(subsets) != pp.T + 1:
-        raise NotASubposet(f"expected {pp.T + 1} subsets")
-    sets = [set(s) for s in subsets]
-    for i, s in enumerate(sets):
-        extra = s.difference(pp.components[i].elements)
-        if extra:
-            raise UnknownElement(f"slice {i}: {sorted(extra)!r} not in component")
-    leaving = _leaving(pp, sets)
-    if leaving is not None:
-        i, x = leaving
-        raise NotASubposet(f"slice {i}: image {pp.maps[i][x]!r} of {x!r} leaves the subset")
-    return _sub_tower(pp, pp, sets, range(pp.T + 1))
-
-
 def _leaving(pp: PersistencePoset, sets: Sequence[set[str]]) -> tuple[int, str] | None:
     """The first slice i, and its least element, whose image under structure map i is not in sets[i + 1]."""
     for i in range(pp.T):
@@ -267,34 +230,37 @@ def tracks(pp: PersistencePoset) -> list[ElementTrack]:
     return out
 
 
-def fibers(f: PersistenceMap, ys: Sequence[ElementTrack]) -> list[PersistencePoset]:
-    """The fiber over each target track of ys, in order: the preimage of the track's weak down-set.
+def fibers(f: PersistenceMap, ys: Sequence[ElementTrack]) -> list[PersistencePoset | None]:
+    """The fiber over each target track of ys, in order, or None where its last slice is not connected.
 
     Slice i of a fiber is the preimage under f_i of {v} and the a with
     (a, v) in the target's relation, where v is the track's value; it is
     empty before the track's birth.  It is closed by naturality: f_i(x)
     <= v gives f_{i+1}(phi x) = psi(f_i x) <= psi(v), the track's next
-    value.  So each fiber is a sub-tower, without restrict's checks.
+    value.  So each fiber is a sub-tower, without a closure check.
 
-    Slice i depends only on the value at i, so each fiber after the first
-    is the sub-tower on the fiber before it whose changed slices are the
-    indices where the two tracks' values differ: every other slice, and
-    every structure map between two such slices, is the same object in
-    both, and the cached core of a shared slice is found by identity.
+    The last slice of each fiber is read first, once: a fiber whose last
+    slice is empty or disconnected is not built.  Slice i depends only on
+    the value at i, so each fiber after the first built is the sub-tower
+    on the fiber built before it whose changed slices are the indices
+    where the two tracks' values differ: every other slice, and every
+    structure map between two such slices, is the same object in both,
+    and the cached core of a shared slice is found by identity.
     """
-    out: list[PersistencePoset] = []
+    T = f.T
+    out: list[PersistencePoset | None] = []
     fib, row = f.source, None
     for y in ys:
+        last = _fiber_slice(f, T, y.trajectory[T])
+        if not is_connected(f.source.components[T], last):
+            out.append(None)
+            continue
         changed = [i for i, v in enumerate(y.trajectory) if row is None or row[i] != v]
-        fib = _sub_tower(f.source, fib, {i: _fiber_slice(f, i, y.trajectory[i]) for i in changed}, changed)
+        sets = {i: last if i == T else _fiber_slice(f, i, y.trajectory[i]) for i in changed}
+        fib = _sub_tower(f.source, fib, sets, changed)
         row = y.trajectory
         out.append(fib)
     return out
-
-
-def fiber_ends_connected(f: PersistenceMap, y: ElementTrack) -> bool:
-    """Whether the last slice of the fiber over y is connected, read without building the fiber."""
-    return is_connected(f.source.components[f.T], _fiber_slice(f, f.T, y.trajectory[f.T]))
 
 
 def _fiber_slice(f: PersistenceMap, i: int, v: str | None) -> set[str]:
@@ -438,78 +404,84 @@ def chain_filtrations(f: PersistenceMap) -> ChainFiltrations:
     )
 
 
-def comparison_set(
-    pp: PersistencePoset,
-    trajectory: Sequence[str | None],
-    direction: Direction,
-) -> PersistencePoset:
-    """Strict down- or up-set of a trajectory row, empty before its birth.
+def row_sets(pp: PersistencePoset, trajectory: Sequence[str | None]) -> dict[Direction, list[set[str]]]:
+    """The strict down- and up-set of each value of a trajectory row in its slice, by direction, empty for None.
 
-    Used for the side hypotheses of puncture steps; the trajectory may
-    extend past the removed piece.  Each slice's set is read off one scan
-    of its relation.  Raises UnknownElement when a trajectory value is not
-    in its slice, and NotASubposet when the row does not have one value
-    per slice or an element merges into the trajectory.
+    These are the slices of the row's comparison sets, the sides of a
+    puncture step; the row may extend past the removed piece.  One scan
+    of a slice's closed relation gives both sets.  Raises UnknownElement
+    for a value not in its slice (values past the last slice are not
+    read); a row without one value per slice gets no sets.
     """
-    _check_row(pp, trajectory)
+    below: list[set[str]] = []
+    above: list[set[str]] = []
+    for i, (P, v) in enumerate(zip(pp.components, trajectory)):
+        down: set[str] = set()
+        up: set[str] = set()
+        if v is not None:
+            if v not in P:
+                raise UnknownElement(f"slice {i}: trajectory value {v!r} not in component")
+            for a, b in P.relation:
+                if b == v:
+                    down.add(a)
+                elif a == v:
+                    up.add(b)
+        below.append(down)
+        above.append(up)
     if len(trajectory) != pp.T + 1:
-        raise NotASubposet(f"expected {pp.T + 1} subsets")
-    return restrict(pp, [_row_slice(pp, i, v, direction) for i, v in enumerate(trajectory)])
+        return {"below": [], "above": []}
+    return {"below": below, "above": above}
 
 
 SideStatus = Literal["infinite", "finite", "undecided"]
 
 
-def comparison_status(
-    pp: PersistencePoset, trajectory: Sequence[str | None], direction: Direction, k_max: int
-) -> SideStatus:
-    """Whether the defect up to degree k_max of comparison_set(pp, trajectory, direction) is INF or finite.
+def comparison_status(pp: PersistencePoset, sets: Sequence[set[str]], k_max: int) -> SideStatus:
+    """The status of a comparison set's defect up to degree k_max, read off its sets (one side of row_sets).
 
-    Read off the row's strict sets, without building the set.  The
-    essential bars of degree k count H_k of the last slice, so the defect
-    is finite exactly when the set is a subposet and its last slice has
-    the homology of a point up to degree k_max.  "infinite": the row has
-    no comparison set (a wrong length or an element merging into the
-    trajectory), or its last slice is empty or disconnected.  "finite":
-    a subposet whose last slice is a cone, or is connected when k_max is
-    at most 0.  "undecided" otherwise: only the barcodes tell.  Raises
-    UnknownElement as comparison_set does, before anything else.
+    The essential bars of degree k count H_k of the last slice, so the
+    defect is finite exactly when the sets are closed under the maps and
+    the last slice has the homology of a point up to k_max.  "infinite":
+    no sets (a row of the wrong length), sets not closed (an element
+    merges into the trajectory), or an empty or disconnected last slice.
+    "finite": closed, with a cone last slice, or a connected one at k_max
+    0.  "undecided" otherwise: only the barcodes tell.  Closed sets need
+    no other check: the side is _sub_tower(pp, pp, sets, range(pp.T + 1)).
     """
-    _check_row(pp, trajectory)
-    if len(trajectory) != pp.T + 1:
+    if len(sets) != pp.T + 1:
         return "infinite"
-    last = pp.components[pp.T]
-    ends = _row_slice(pp, pp.T, trajectory[pp.T], direction)
+    last, ends = pp.components[pp.T], sets[pp.T]
     cone = is_cone(last, ends)
     if not cone and not is_connected(last, ends):
         return "infinite"
-    sets = [_row_slice(pp, i, v, direction) for i, v in enumerate(trajectory[:-1])] + [ends]
     if _leaving(pp, sets) is not None:
         return "infinite"
     return "finite" if cone or k_max <= 0 else "undecided"
 
 
-def removes_weak_points(pp: PersistencePoset, row: Sequence[str | None]) -> bool:
-    """Whether every value of row other than None is a weak point of its slice of pp (posets.is_weak_point).
+def removes_weak_points(
+    pp: PersistencePoset, removed: Sequence[str | None], sets: Mapping[Direction, Sequence[set[str]]]
+) -> bool:
+    """Whether every value of removed other than None is a weak point of its slice of pp, read off sets.
 
-    When row holds at most one value per slice, pp minus row, with the
-    restricted maps, has the barcodes of pp in every degree: its
-    inclusion into pp is natural and, slice by slice, removes one weak
-    point, a homotopy equivalence.
+    sets is row_sets of a row equal to removed wherever removed is not
+    None, as a chain step's trajectory is (_grow).  x is weak when its
+    strict down-set or up-set is a cone.  Removing it keeps the homotopy
+    type (Barmak and Minian, "Simple homotopy types and finite spaces",
+    Adv. Math. 2008), by Quillen's fiber lemma for the inclusion of P
+    minus x: the fiber over y other than x has the maximum y, and the
+    fiber over x is its strict down-set (dually, up-sets), so every fiber
+    is contractible.  Every beat point is weak; an isolated point is not,
+    since the empty set is no cone.  So when removed holds at most one
+    value per slice, pp minus removed has the barcodes of pp in every
+    degree: its inclusion is natural and a homotopy equivalence slice by
+    slice.
     """
-    return all(v is None or is_weak_point(P, v) for P, v in zip(pp.components, row))
-
-
-def _check_row(pp: PersistencePoset, trajectory: Sequence[str | None]) -> None:
-    """Raise UnknownElement for a value not in its slice; values past the last slice are not read."""
-    for i, (P, v) in enumerate(zip(pp.components, trajectory)):
-        if v is not None and v not in P:
-            raise UnknownElement(f"slice {i}: trajectory value {v!r} not in component")
-
-
-def _row_slice(pp: PersistencePoset, i: int, v: str | None, direction: Direction) -> set[str]:
-    """Slice i of a comparison set: the strict down- or up-set of v, empty for None."""
-    return set() if v is None else _strict_set(pp.components[i], v, direction)
+    below, above = sets["below"], sets["above"]
+    return all(
+        v is None or is_cone(P, below[i]) or is_cone(P, above[i])
+        for i, (P, v) in enumerate(zip(pp.components, removed))
+    )
 
 
 def up_set_of_image_track(
@@ -518,8 +490,8 @@ def up_set_of_image_track(
     """Weak up-set of a trajectory row; always closed under structure maps.
 
     The row's values map to each other, and a monotone map keeps v <= b
-    as phi(v) <= phi(b), so it is built as a sub-tower, without
-    restrict's checks.
+    as phi(v) <= phi(b), so it is built as a sub-tower, without a
+    closure check.
     """
     sets = [
         set() if v is None else _strict_set(pp.components[i], v, "above") | {v} for i, v in enumerate(track_values)

@@ -19,23 +19,12 @@ slice.  So this module builds no complex.
 
 A defect is INF whenever its degree-0 barcode does not have exactly one
 essential bar, and the essential bars of degree 0 count the components
-of the last slice.  So a fiber whose last slice is empty or disconnected
-has defect INF, and is not built: no subposet, no cores, no barcodes
-(the last-slice rule, read by pposets.fiber_ends_connected).  The
-essential bars of degree k count H_k of the last slice, because the
-tower is constant past T, so a comparison set's defect is finite exactly
-when the set is a subposet and its last slice has the homology of a
-point.  pposets.comparison_status reads that off the strict sets of the
-row: infinite, finite (a cone, or connected at k_max 0), or undecided.
-The puncture step (_step_violation) reports only its outcome, so it
-builds a side only when the outcome depends on its value: when no side
-is finite, or when a distance is positive, since a zero distance is
-within 4 * eps for every finite eps.  Once the hypothesis holds, a step
-that removes a weak point from each slice it touches
-(pposets.removes_weak_points) has every distance 0 by Quillen's fiber
-lemma, so it asks for no barcode of either member.  A built side's
-defect comes from _side_defect and the distances from _distances.  The
-distance of degree 0 to a point is read in closed form
+of the last slice, so pposets.fibers builds no fiber whose last slice is
+empty or disconnected.  The puncture step (_step_violation) reads its
+track's row once (pposets.row_sets) and asks every question of those
+sets.  It builds a side only when the outcome depends on its value, and
+a step that removes only weak points asks for no barcode.  The distance
+of degree 0 to a point is read in closed form
 (modules.point_comparison_defect), with no matching search.
 
 Every routine takes k_max from 0 to MAX_KMAX, or None for the top
@@ -65,14 +54,14 @@ from .pposets import (
     ElementTrack,
     PersistenceMap,
     PersistencePoset,
+    _sub_tower,
     chain_filtrations,
-    comparison_set,
     comparison_status,
-    fiber_ends_connected,
     fibers,
     ordinal_sum,
     persistence_mapping_cylinder,
     removes_weak_points,
+    row_sets,
     top_degree,
     tracks,
     up_set_of_image_track,
@@ -128,13 +117,11 @@ def fiber_defects(
 
     A fiber whose last slice is empty or disconnected has defect INF and
     is not built; the others are built in track order, each from the one
-    before it (pposets.fibers).
+    built before it (pposets.fibers).
     """
     k_max = _degree(k_max, f.source)
     ys = tracks(f.target)
-    connected = [y for y in ys if fiber_ends_connected(f, y)]
-    built = dict(zip(connected, fibers(f, connected)))
-    return {y: _defect(pposet_barcodes(built[y], field, k_max)) if y in built else INF for y in ys}
+    return {y: INF if fib is None else _defect(pposet_barcodes(fib, field, k_max)) for y, fib in zip(ys, fibers(f, ys))}
 
 
 @dataclass(eq=False)
@@ -203,9 +190,9 @@ def verify_theorem(
 _DIRECTIONS = ("below", "above")
 
 
-def _side_defect(pp: PersistencePoset, trajectory, direction: str, field: FieldSpec, k_max: int) -> int | float:
-    """The defect of a comparison set whose status is not infinite, so it is a subposet, off its barcodes."""
-    return _defect(pposet_barcodes(comparison_set(pp, trajectory, direction), field, k_max))
+def _side_defect(pp: PersistencePoset, sets, direction: str, field: FieldSpec, k_max: int) -> int | float:
+    """The defect of a row's comparison set in direction, built off the row's sets, whose status is not infinite."""
+    return _defect(pposet_barcodes(_sub_tower(pp, pp, sets[direction], range(pp.T + 1)), field, k_max))
 
 
 def _step_violation(
@@ -214,34 +201,34 @@ def _step_violation(
     """The puncture bound at one step from larger to smaller, larger minus removed: None when it holds, else why not.
 
     eps is the smaller defect of the strict down- and up-set of the full
-    trajectory in larger, found with the least work that decides the
-    outcome.  A side whose status is infinite is INF and never built.
-    When a side's status is finite the hypothesis holds, and when every
-    distance is 0 the bound holds for every finite eps, so neither side
-    is built.  An undecided side is built when no side is finite, since
-    it decides whether the hypothesis holds, and every side that is not
-    infinite is built when a distance is positive, since the bound and
-    the message need the exact eps.  Raises HypothesisUnmet when both
-    sides are INF; the barcodes of both members are asked for only once
-    the hypothesis holds, and not at all when every removed value is a
-    weak point of its slice (pposets.removes_weak_points): every
+    trajectory in larger, all read off one pposets.row_sets, with the
+    least work that decides the outcome.  An infinite side is never
+    built.  A finite side means the hypothesis holds, and when every
+    distance is 0 the bound holds for every finite eps, so no side is
+    built.  Undecided sides are built when no side is finite; every side
+    that is not infinite is built when a distance is positive, for the
+    exact eps that the bound and the message need.  Raises
+    HypothesisUnmet when both sides are INF.  The members' barcodes are
+    asked for only once the hypothesis holds, and not at all when the
+    step removes only weak points (pposets.removes_weak_points): every
     distance is then 0.
     """
-    status = {d: comparison_status(larger, trajectory, d, k_max) for d in _DIRECTIONS}
+    sets = row_sets(larger, trajectory)
+    status = {d: comparison_status(larger, sets[d], k_max) for d in _DIRECTIONS}
     open_sides = [d for d in _DIRECTIONS if status[d] != "infinite"]
     defects: dict[str, int | float] = {}
     if "finite" not in status.values():
-        defects = {d: _side_defect(larger, trajectory, d, field, k_max) for d in open_sides}
+        defects = {d: _side_defect(larger, sets, d, field, k_max) for d in open_sides}
         if min(defects.values(), default=INF) == INF:
             raise HypothesisUnmet("both comparison sets have infinite acyclicity defect")
-    if removes_weak_points(larger, removed):
+    if removes_weak_points(larger, removed, sets):
         return None
     distances = _distances(pposet_barcodes(larger, field, k_max), pposet_barcodes(smaller, field, k_max))
     if all(d == 0 for d in distances.values()):
         return None
     for d in open_sides:
         if d not in defects:
-            defects[d] = _side_defect(larger, trajectory, d, field, k_max)
+            defects[d] = _side_defect(larger, sets, d, field, k_max)
     bound = 4 * min(defects.values())
     if all(d <= bound for d in distances.values()):
         return None

@@ -24,7 +24,11 @@ slower dense paths they replaced, over numpy int64 matrices:
   cylinder and ordinal-sum slice rebuilt through new_poset;
 - the subposets of a trajectory row selected element by element with a
   predicate (comparison sets, fibers, weak up-sets), which the library
-  reads off the closed relation instead;
+  reads off the closed relation instead, built through restrict, which
+  checks that the subsets are closed and raises NotASubposet when they
+  are not; the library builds only subsets it has shown closed;
+- the weak-point test of one slice element off its strict sets, which
+  the library reads off a row's sets (pposets.removes_weak_points);
 - a slice restriction that always filters into a new poset, where the
   library shares the empty poset and the whole one, and connectivity and
   cone tests that test each pair with leq;
@@ -81,7 +85,6 @@ from persposet.errors import (
     HypothesisUnmet,
     InternalError,
     NonMonotoneStructureMap,
-    NotASubposet,
     PartialStructureMap,
     PersistenceError,
     ShapeMismatch,
@@ -104,9 +107,10 @@ from persposet.pposets import (
     PersistenceMap,
     ElementTrack,
     PersistencePoset,
+    _leaving,
+    _sub_tower,
     _tagged_track,
     persistence_mapping_cylinder,
-    restrict,
     top_degree,
     tracks,
 )
@@ -115,6 +119,10 @@ from persposet.verifier import DEFAULT_FIELD, JoinReport, _defect, _distances
 
 class TooLarge(PersistenceError):
     """Input exceeds the scale the exhaustive search is meant for."""
+
+
+class NotASubposet(PersistenceError):
+    """Component subsets are not closed under the structure maps."""
 
 
 # -- small constructors and accessors ------------------------------------------
@@ -767,6 +775,28 @@ def ordinal_sum_slice(P: FinitePoset, Q: FinitePoset) -> FinitePoset:
     )
 
 
+def restrict(pp: PersistencePoset, subsets: Sequence[Iterable[str]]) -> PersistencePoset:
+    """Persistence subposet on per-component subsets.
+
+    Raises NotASubposet when the subsets are not closed under the
+    structure maps.  Closure makes the restricted maps total and forbids
+    an empty slice after a nonempty one, and restricted monotone maps are
+    monotone, so the result is built as a sub-tower, without validate.
+    """
+    if len(subsets) != pp.T + 1:
+        raise NotASubposet(f"expected {pp.T + 1} subsets")
+    sets = [set(s) for s in subsets]
+    for i, s in enumerate(sets):
+        extra = s.difference(pp.components[i].elements)
+        if extra:
+            raise UnknownElement(f"slice {i}: {sorted(extra)!r} not in component")
+    leaving = _leaving(pp, sets)
+    if leaving is not None:
+        i, x = leaving
+        raise NotASubposet(f"slice {i}: image {pp.maps[i][x]!r} of {x!r} leaves the subset")
+    return _sub_tower(pp, pp, sets, range(pp.T + 1))
+
+
 def _restrict_along(
     pp: PersistencePoset,
     row: Sequence[str | None],
@@ -823,6 +853,13 @@ def is_cone(P: FinitePoset, subset: Iterable[str]) -> bool:
     """Whether some element of subset is comparable with every other one, testing each pair with leq."""
     inside = list(subset)
     return any(all(P.leq(a, b) or P.leq(b, a) for b in inside) for a in inside)
+
+
+def is_weak_point(P: FinitePoset, x: str) -> bool:
+    """Whether x is a weak point of P: its strict down-set or its strict up-set is a cone (reference is_cone)."""
+    return is_cone(P, [a for a in P.elements if (a, x) in P.relation]) or is_cone(
+        P, [b for b in P.elements if (x, b) in P.relation]
+    )
 
 
 def restrict_slice(P: FinitePoset, subset: Iterable[str]) -> FinitePoset:

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persposet import homology
-from persposet.errors import NotASubposet
 from persposet.homology import FieldSpec, pposet_barcodes
 from persposet.modules import INF, bottleneck_distance
 from persposet.posets import new_poset
@@ -23,13 +22,21 @@ from persposet.pposets import (
     PersistenceMap,
     PersistencePoset,
     chain_filtrations,
-    comparison_set,
     fibers,
     top_degree,
     tracks,
 )
 from persposet.verifier import verify_theorem
-from reference import acyclicity_defect, barcodes_of, chain_members, constant_pposet, order_complex_tower
+from reference import (
+    NotASubposet,
+    acyclicity_defect,
+    barcodes_of,
+    chain_members,
+    comparison_set,
+    constant_pposet,
+    fiber,
+    order_complex_tower,
+)
 from tiers import instance
 
 TIERS = ("S", "M")
@@ -93,7 +100,7 @@ def test_degree_bound_is_in_the_key():
 def test_equal_content_is_one_miss():
     f = instance("S", 3)
     y = tracks(f.target)[0]
-    first, second = fibers(f, [y])[0], fibers(f, [y])[0]
+    first, second = fiber(f, y), fiber(f, y)
     assert first is not second
     field = FieldSpec(2)
     homology._core_barcodes.cache_clear()
@@ -107,10 +114,10 @@ def test_equal_content_is_one_miss():
 
 
 def instance_pposets(f):
-    """Source, target, fibers, chain members and their closed comparison sets."""
+    """Source, target, every fiber, chain members and their closed comparison sets."""
     chains = chain_filtrations(f)
     out = [f.source, f.target]
-    out += fibers(f, tracks(f.target))
+    out += [fiber(f, y) for y in tracks(f.target)]
     target_chain, source_chain = chain_members(chains)
     out += target_chain + source_chain
     for step in chains.target_steps + chains.source_steps:
@@ -149,8 +156,8 @@ def test_certificate_equals_full_tower_reference(warm_cache, seed, tier, p):
     codes_y = reference(f.target, field, cert.k_max)
     assert cert.distances == {k: bottleneck_distance(a, b) for k, (a, b) in enumerate(zip(codes_x, codes_y))}
     assert cert.fiber_eps == {
-        y.label: acyclicity_defect(order_complex_tower(fib), field, cert.k_max)
-        for y, fib in zip(tracks(f.target), fibers(f, tracks(f.target)))
+        y.label: acyclicity_defect(order_complex_tower(fiber(f, y)), field, cert.k_max)
+        for y in tracks(f.target)
     }
 
 

@@ -581,3 +581,20 @@ def test_lone_surrogate_name_exits_2_in_a_utf8_process(tmp_path, command):
     assert len(lines) == 1 and lines[0].startswith("error: x.components[")
     assert lines[0].endswith("element 'x0\\ud800' is not valid UTF-8")
     assert not report.exists()
+
+
+def test_cover_set_name_with_a_lone_surrogate_exits_2_in_a_utf8_process(tmp_path):
+    """A cover set name becomes part of every element label, so one with a lone surrogate is rejected first.
+
+    parse_instance rejects the same name, so without this a pipeline
+    from cover to an instance would fail only at its second step.
+    """
+    path = tmp_path / "cover.json"
+    path.write_text('{"schema": "cover/1", "T": 0, "sets": {"a\\ud800": [["p"]], "b": [["p"]]}}', encoding="utf-8")
+    src = str(Path(cli.__file__).parent.parent)
+    env = {**os.environ, "PYTHONIOENCODING": "utf-8", "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "persposet.cli", "cover", str(path)], capture_output=True, env=env)
+    assert done.returncode == 2
+    assert done.stdout == b""
+    lines = done.stderr.decode("utf-8").splitlines()
+    assert lines == ["error: sets: set name 'a\\ud800' is not valid UTF-8"]

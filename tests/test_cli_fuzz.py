@@ -1,12 +1,14 @@
-"""Fuzzing the CLI with mutated instance documents and flag values near their bounds.
+"""Fuzzing the CLI with mutated instance and cover documents and flag values near their bounds.
 
 Every run of cli.main must end with exit code 0, 1 or 2; an exception
 escaping it (a traceback) fails the test.  Exit 2 always comes with exactly
 one `error:` line on stderr and nothing on stdout, and everything written
 must be valid UTF-8, which a lone surrogate in a name is not.  About half of the argv
 lists carry one syntax change: the `--flag=value` form, or one of the
-rejections in REJECTED, which must exit 2.  Documents stay at tier S and
---kmax stays small, so no example computes much.
+rejections in REJECTED, which must exit 2.  Documents stay at tier S,
+covers have at most three sets, and --kmax stays small, so no example
+computes much.  The `cover` command reads a cover document, whose set
+names include lone surrogates, the label separator `&` and the empty name.
 """
 
 import contextlib
@@ -45,10 +47,8 @@ values = st.one_of(
 )
 
 
-@st.composite
-def documents(draw):
-    """A tier-S document with up to three keys dropped or values replaced."""
-    doc = copy.deepcopy(draw(st.sampled_from(BASES)))
+def mutated(draw, doc):
+    """doc as JSON text, with up to three keys dropped or values replaced."""
     for _ in range(draw(st.integers(0, 3))):
         node = doc
         while True:
@@ -71,6 +71,28 @@ def documents(draw):
     return text
 
 
+@st.composite
+def documents(draw):
+    """A tier-S instance document, mutated."""
+    return mutated(draw, copy.deepcopy(draw(st.sampled_from(BASES))))
+
+
+set_names = st.one_of(st.text(max_size=3), st.sampled_from(["\ud800", "U\udfff", "&", "U&V", ""]))
+
+
+@st.composite
+def covers(draw):
+    """A nested cover/1 document of one to three sets over the points p, q, r, mutated."""
+    T = draw(st.integers(0, 2))
+    sets = {}
+    for name in draw(st.lists(set_names, min_size=1, max_size=3, unique=True)):
+        stages = [draw(st.sets(st.sampled_from("pqr")))]
+        for _ in range(T):
+            stages.append(stages[-1] | draw(st.sets(st.sampled_from("pqr"))))
+        sets[name] = [sorted(stage) for stage in stages]
+    return mutated(draw, {"schema": "cover/1", "T": T, "sets": sets})
+
+
 def flag(name, valid, invalid):
     """Absent, a value in range, or a value just past a bound."""
     values = st.one_of(st.sampled_from(valid), st.sampled_from(invalid))
@@ -81,6 +103,7 @@ fields = flag("--field", [2, 3, 5, 65521], [1, 4, 0, -2, 65536, 65537])
 kmaxes = flag("--kmax", [0, 1, 2, 3], [-1, MAX_KMAX + 1])
 scales = flag("--scale", ["0,1", "10,0.5"], ["abc", "1,0", "0,-1", "nan,1", "1e309,1", "1,2,3"])
 counts = flag("--count", [0, 1, 3], [-1])
+arities = flag("--max-arity", [1, 2, 3], [0, -1])
 
 
 # Syntax changes that the parser must reject, whatever the document.
@@ -101,7 +124,7 @@ def argvs(draw):
     """An argv (None marks the document's path) and the syntax change drawn for it, if any."""
     command = draw(st.sampled_from(
         [["validate"], ["extend"], ["barcode"], ["fibers"], ["verify"],
-         ["lemma", "puncture"], ["lemma", "cylinder"], ["lemma", "ses"], ["lemma", "join"]]
+         ["lemma", "puncture"], ["lemma", "cylinder"], ["lemma", "ses"], ["lemma", "join"], ["cover"]]
     ))
     argv = list(command)
     if command[-1] not in ("ses", "join"):
@@ -110,6 +133,8 @@ def argvs(draw):
         argv += draw(fields) + draw(kmaxes) + draw(scales)
     elif command[0] == "lemma":
         argv += draw(fields) + draw(kmaxes) + draw(counts)
+    elif command[0] == "cover":
+        argv += draw(arities)
     change = draw(st.one_of(st.none(), st.sampled_from(("equals-form", *REJECTED))))
     if change == "equals-form":
         argv = equals_form(argv)
@@ -132,11 +157,11 @@ def argvs(draw):
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(documents(), argvs())
-def test_cli_exits_0_1_or_2_without_traceback(tmp_path_factory, text, drawn):
+@given(documents(), covers(), argvs())
+def test_cli_exits_0_1_or_2_without_traceback(tmp_path_factory, text, cover, drawn):
     argv, change = drawn
-    path = tmp_path_factory.mktemp("fuzz") / "instance.json"
-    path.write_text(text, encoding="utf-8")
+    path = tmp_path_factory.mktemp("fuzz") / "document.json"
+    path.write_text(cover if argv[0] == "cover" else text, encoding="utf-8")
     argv = [str(path) if a is None else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

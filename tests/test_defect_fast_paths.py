@@ -3,10 +3,11 @@
 - point_comparison_defect is a closed form; the reference is the
   bottleneck distance to the barcode of a point, with its matching search.
 - The verifier reads an INF defect off a fiber whose last slice is empty
-  or disconnected, and builds nothing for it.  It reads a comparison
-  set's status off its row: INF when the row is not closed or its last
-  slice is empty or disconnected, finite when the row is closed and its
-  last slice a cone (connected, at k_max 0).  The references build every
+  or disconnected, and builds nothing for it (pposets.fibers gives None).
+  It reads a comparison set's status off its row's sets (row_sets): INF
+  when the row is not closed or its last slice is empty or disconnected,
+  finite when the row is closed and its last slice a cone (connected, at
+  k_max 0).  The references build every
   subposet and its barcodes: every step's outcome equals the step built
   in full (reference.puncture_step), and the suite's outcomes equal a
   loop of it over its steps.
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 import reference
 from persposet import posets, verifier
-from persposet.errors import HypothesisUnmet, NotASubposet, UnknownElement
+from persposet.errors import HypothesisUnmet, UnknownElement
 from persposet.homology import FieldSpec, pposet_barcodes
 from persposet.modules import INF, Barcode, bottleneck_distance, point_comparison_defect
 from persposet.posets import is_connected
@@ -30,10 +31,9 @@ from persposet.posets import new_poset
 from persposet.pposets import (
     PersistencePoset,
     chain_filtrations,
-    comparison_set,
     comparison_status,
-    fiber_ends_connected,
     fibers,
+    row_sets,
     top_degree,
     tracks,
 )
@@ -47,6 +47,11 @@ POINT = Barcode.of([(0, INF)])
 
 
 CASES = [(tier, field) for tier in TIERS for field in FIELDS]
+
+
+def status(pp, row, direction, k_max):
+    """The status of a row's comparison set in direction, read off its row_sets."""
+    return comparison_status(pp, row_sets(pp, row)[direction], k_max)
 
 
 def case_id(case):
@@ -88,18 +93,18 @@ def test_point_comparison_defect_by_hand(bars, expected):
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_fiber_rule_equals_the_built_defects(case):
-    """A fiber's last slice is connected exactly when its degree-0 barcode has one essential bar.
+    """fibers builds a fiber exactly when its degree-0 barcode, built in full, has one essential bar.
 
-    fiber_defects, which builds no fiber whose last slice is not, equals
-    the defects of every fiber built.
+    fiber_defects, which builds no fiber whose last slice is not
+    connected, equals the defects of every fiber built.
     """
     tier, field = case
     for seed in SEEDS[tier]:
         f = instance(tier, seed)
         k_max = top_degree(f.source)
         for y, fib in zip(tracks(f.target), fibers(f, tracks(f.target))):
-            codes = pposet_barcodes(fib, field, k_max)
-            assert fiber_ends_connected(f, y) == (codes[0].essential_count() == 1)
+            codes = pposet_barcodes(reference.fiber(f, y), field, k_max)
+            assert (fib is not None) == (codes[0].essential_count() == 1)
         assert fiber_defects(f, field) == reference.fiber_defects(f, field, k_max)
 
 
@@ -134,16 +139,16 @@ def check_step(step, field, k_max):
     for pp in (step.larger, step.smaller):
         for direction in ("below", "above"):
             try:
-                status = comparison_status(pp, step.track.trajectory, direction, k_max)
+                read = status(pp, step.track.trajectory, direction, k_max)
             except UnknownElement as exc:
                 with pytest.raises(UnknownElement, match=str(exc)):
-                    comparison_set(pp, step.track.trajectory, direction)
+                    reference.comparison_set(pp, step.track.trajectory, direction)
                 continue
-            seen.add(status)
+            seen.add(read)
             defect = reference.comparison_defect(pp, step.track.trajectory, direction, field, k_max)
-            if status == "finite":
+            if read == "finite":
                 assert defect != INF
-            elif status == "infinite":
+            elif read == "infinite":
                 assert defect == INF
     check_step_against_built(step, field, k_max)
     return seen
@@ -154,8 +159,8 @@ def check_step_against_built(step, field, k_max):
     built = {}
     side_defect = verifier._side_defect
 
-    def recording_side(pp, trajectory, direction, *rest):
-        built[direction] = side_defect(pp, trajectory, direction, *rest)
+    def recording_side(pp, sets, direction, *rest):
+        built[direction] = side_defect(pp, sets, direction, *rest)
         return built[direction]
 
     with mock.patch.object(verifier, "_side_defect", recording_side):
@@ -206,7 +211,7 @@ def test_a_removal_that_ends_in_none():
     for step in steps:
         k_max = top_degree(step.larger)
         for direction in ("below", "above"):
-            assert comparison_status(step.larger, step.removed, direction, k_max) == "infinite"
+            assert status(step.larger, step.removed, direction, k_max) == "infinite"
         with pytest.raises(HypothesisUnmet):
             verifier._step_violation(step.larger, step.smaller, step.removed, step.removed, FieldSpec(2), k_max)
         assert built_outcome(step, FieldSpec(2), k_max, step.removed) is HypothesisUnmet
@@ -225,7 +230,10 @@ def test_an_unknown_trajectory_value_raises_before_the_rule():
 
 
 def test_a_row_of_the_wrong_length_has_no_comparison_set():
-    """A row one value short or one value long: NotASubposet, status infinite, and HypothesisUnmet."""
+    """A row one value short or one value long: no sets, status infinite, and HypothesisUnmet.
+
+    The reference raises NotASubposet for it.
+    """
     chains = chain_filtrations(instance("S", 1))
     steps = chains.target_steps + chains.source_steps
     assert steps
@@ -233,9 +241,10 @@ def test_a_row_of_the_wrong_length_has_no_comparison_set():
         row = step.track.trajectory
         for wrong in (row[:-1], (*row, row[-1])):
             for direction in ("below", "above"):
-                with pytest.raises(NotASubposet, match=f"expected {step.larger.T + 1} subsets"):
-                    comparison_set(step.larger, wrong, direction)
-                assert comparison_status(step.larger, wrong, direction, 1) == "infinite"
+                with pytest.raises(reference.NotASubposet, match=f"expected {step.larger.T + 1} subsets"):
+                    reference.comparison_set(step.larger, wrong, direction)
+                assert row_sets(step.larger, wrong)[direction] == []
+                assert status(step.larger, wrong, direction, 1) == "infinite"
             k_max = top_degree(step.larger)
             with pytest.raises(HypothesisUnmet):
                 verifier._step_violation(step.larger, step.smaller, step.removed, wrong, FieldSpec(2), k_max)
@@ -253,9 +262,9 @@ CROWN = ("abcdv", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "v"), (
 def test_a_crown_last_slice_is_finite_only_in_degree_zero():
     """Below v lies a crown, a circle: connected, so finite at k_max 0, but with H_1, so INF at 1."""
     pp = pposet([CROWN], [])
-    assert comparison_status(pp, ("v",), "below", 0) == "finite"
-    assert comparison_status(pp, ("v",), "below", 1) == "undecided"
-    assert comparison_status(pp, ("v",), "above", 0) == "infinite"
+    assert status(pp, ("v",), "below", 0) == "finite"
+    assert status(pp, ("v",), "below", 1) == "undecided"
+    assert status(pp, ("v",), "above", 0) == "infinite"
     assert reference.comparison_defect(pp, ("v",), "below", FieldSpec(2), 0) == 0
     assert reference.comparison_defect(pp, ("v",), "below", FieldSpec(2), 1) == INF
     smaller = reference.complement(pp, ("v",))
@@ -271,9 +280,9 @@ def test_a_cone_row_that_is_not_closed_is_infinite():
     """Below w lies the single point u, a cone, but x below v maps to w itself, so the row is not closed."""
     pp = pposet([("vx", [("x", "v")]), ("uw", [("u", "w")])], [{"v": "w", "x": "w"}])
     for k_max in (0, 1):
-        assert comparison_status(pp, ("v", "w"), "below", k_max) == "infinite"
-    with pytest.raises(NotASubposet):
-        comparison_set(pp, ("v", "w"), "below")
+        assert status(pp, ("v", "w"), "below", k_max) == "infinite"
+    with pytest.raises(reference.NotASubposet):
+        reference.comparison_set(pp, ("v", "w"), "below")
     assert reference.comparison_defect(pp, ("v", "w"), "below", FieldSpec(2), 1) == INF
 
 
@@ -283,7 +292,7 @@ def test_a_step_with_a_positive_distance_is_built():
     a_c_m_v = ("acmv", [("a", "m"), ("c", "m"), ("m", "v"), ("a", "v"), ("c", "v")])
     pp = pposet([a_c_v, a_c_m_v], [{"a": "a", "c": "c", "v": "v"}])
     removal, trajectory = ("v", None), ("v", "v")
-    assert comparison_status(pp, trajectory, "below", 1) == "finite"
+    assert status(pp, trajectory, "below", 1) == "finite"
     smaller = reference.complement(pp, removal)
     assert reference.puncture_step(pp, smaller, trajectory, FieldSpec(2), 1) == (1, INF, {0: 1, 1: 0})
     with mock.patch.object(verifier, "_side_defect", wraps=verifier._side_defect) as spy:

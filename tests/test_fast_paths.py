@@ -8,8 +8,9 @@
   every step, against a complement rebuilt through restrict and with
   both sides built, and the full towers give both sides' barcodes.
 - a step whose removed values are all weak points of their slices
-  (removes_weak_points) returns with no barcode; the reference is the
-  distance between both members' barcodes, 0 in every degree.
+  (removes_weak_points, read off the row_sets of the step's trajectory)
+  returns with no barcode; the reference is the distance between both
+  members' barcodes, 0 in every degree.
 - both chains reach the full cylinder, whose barcodes the content-keyed
   memo builds once; the reference gives the shrinking chain its own
   equal copy.
@@ -30,7 +31,7 @@ from persposet.errors import HypothesisUnmet
 from persposet.homology import FieldSpec, pposet_barcodes
 from persposet.modules import INF, Barcode, _matching_feasible, bottleneck_distance
 from persposet.posets import new_poset
-from persposet.pposets import PersistencePoset, chain_filtrations, removes_weak_points, top_degree
+from persposet.pposets import PersistencePoset, chain_filtrations, removes_weak_points, row_sets, top_degree
 from persposet.verifier import chain_puncture_suite
 import reference
 from reference import barcodes_of, order_complex_tower
@@ -74,8 +75,8 @@ def recorded_suite(f, field):
     calls = []
     step, side_defect = verifier._step_violation, verifier._side_defect
 
-    def recording_side(pp, trajectory, direction, *rest):
-        value = side_defect(pp, trajectory, direction, *rest)
+    def recording_side(pp, sets, direction, *rest):
+        value = side_defect(pp, sets, direction, *rest)
         calls[-1][1][direction] = value
         return value
 
@@ -134,7 +135,7 @@ def test_a_step_removing_weak_points_keeps_every_barcode(tier, p):
             codes = pposet_barcodes(step.larger, field, k_max)
             distances = verifier._distances(codes, pposet_barcodes(step.smaller, field, k_max))
             assert sorted(distances) == list(range(k_max + 1))
-            if removes_weak_points(step.larger, step.removed):
+            if removes_weak_points(step.larger, step.removed, row_sets(step.larger, step.track.trajectory)):
                 assert all(d == 0 for d in distances.values()), (seed, step.track.label, distances)
                 weak_with_higher_bars += any(codes[1:])
             else:

@@ -13,18 +13,21 @@
   with new_poset.  Their structure maps are the tagged unions of the
   factors' maps.
 - comparison sets, fibers and weak up-sets are read off the closed
-  relation; the references test each element with a predicate.  Each
-  fiber after the first is built from the one before it and shares its
-  slices where the two tracks agree.
+  relation; the references test each element with a predicate.  A
+  comparison set is built off its row's row_sets once its status shows
+  it closed; the reference checks closure itself.  Each fiber after the
+  first built is built from the one before it and shares its slices
+  where the two tracks agree.
 - each chain's first member restricts every slice of the cylinder, and
   the members after it are built from the member before them,
-  restricting only the slices a step changes; restrict restricts every
-  slice through the same sub-tower routine.
-- fiber_defects builds only the fibers whose last slice is connected, in
-  one call of pposets.fibers, and
-  the puncture suite only the comparison sets whose exact defect decides
-  a step's outcome; the counts come from the reference connectivity and
-  cone searches and the full towers' distances.
+  restricting only the slices a step changes; a built comparison set
+  restricts every slice through the same sub-tower routine.
+- fiber_defects reads each track's last fiber slice once, in one call of
+  pposets.fibers, and builds only the fibers whose last slice is
+  connected, and the puncture suite builds only the comparison sets whose
+  exact defect decides a step's outcome; the counts come from the
+  reference connectivity and cone searches and the full towers'
+  distances.
 """
 
 import sys
@@ -38,18 +41,20 @@ from hypothesis import strategies as st
 import reference
 from persposet import posets, pposets, verifier
 from persposet.complexes import order_complex
-from persposet.errors import NotASubposet, UnknownElement
+from persposet.errors import UnknownElement
 from persposet.homology import FieldSpec, _chains, _core_barcodes
 from persposet.modules import bottleneck_distance
 from persposet.posets import FinitePoset, core, linear_extension, longest_chain, new_poset
 from persposet.pposets import (
     CYLINDER_SOURCE_TAG,
     CYLINDER_TARGET_TAG,
+    _leaving,
+    _sub_tower,
     chain_filtrations,
-    comparison_set,
     fibers,
     ordinal_sum,
     persistence_mapping_cylinder,
+    row_sets,
     top_degree,
     tracks,
     up_set_of_image_track,
@@ -77,7 +82,7 @@ def outcome(build, *args):
     """The shape of what build returns, or the type and message of what it raises."""
     try:
         return shape(build(*args))
-    except (NotASubposet, UnknownElement) as exc:
+    except (reference.NotASubposet, UnknownElement) as exc:
         return type(exc), str(exc)
 
 
@@ -161,10 +166,10 @@ def test_core_and_longest_chain_equal_their_references_on_drawn_posets(P):
 
 @pytest.mark.parametrize("tier", ALL_TIERS)
 def test_core_equals_max_based_loop_on_every_tier_slice(tier):
-    """Every slice of the source, the target and the fibers of 20 instances, as verify meets them."""
+    """Every slice of the source, the target and the built fibers of 20 instances, as verify meets them."""
     for seed in range(20):
         f = instance(tier, seed)
-        for pp in [f.source, f.target, *fibers(f, tracks(f.target))]:
+        for pp in [f.source, f.target, *(fib for fib in fibers(f, tracks(f.target)) if fib is not None)]:
             for P in pp.components:
                 assert core(P) == reference.beat_point_core(P)
                 assert longest_chain(P) == reference.longest_chain(P)
@@ -172,24 +177,32 @@ def test_core_equals_max_based_loop_on_every_tier_slice(tier):
 
 @pytest.mark.parametrize("tier", ALL_TIERS)
 def test_fibers_equal_reference_and_share_unchanged_slices(tier):
-    """Each fiber equals reference.fiber slice by slice and map by map.
+    """Each fiber is None exactly where the reference fiber's last slice is disconnected, and otherwise equals it.
 
-    A fiber after the first holds the same slice objects as the fiber
+    It equals reference.fiber slice by slice and map by map.  A fiber
+    after the first built holds the same slice objects as the fiber built
     before it wherever the two tracks take the same value, and the same
     structure map objects between two such slices.  (Elsewhere they may
     still be one object: restricting to every element or to none gives
     the whole slice or the shared empty poset.)  Its defects, over
     fields 2 and 3, are those of every fiber built by the reference.
     """
-    shared = 0
+    shared = skipped = 0
     for seed in range(20):
         f = instance(tier, seed)
         ys = tracks(f.target)
         built = fibers(f, ys)
         assert len(built) == len(ys)
         for y, fib in zip(ys, built):
-            assert shape(fib) == shape(reference.fiber(f, y))
-        for (x, before), (y, fib) in zip(zip(ys, built), zip(ys[1:], built[1:])):
+            expected = reference.fiber(f, y)
+            connected = reference.is_connected(f.source.components[-1], expected.components[-1].elements)
+            assert (fib is not None) == connected
+            if fib is None:
+                skipped += 1
+            else:
+                assert shape(fib) == shape(expected)
+        pairs = [(y, fib) for y, fib in zip(ys, built) if fib is not None]
+        for (x, before), (y, fib) in zip(pairs, pairs[1:]):
             same = [u == v for u, v in zip(x.trajectory, y.trajectory)]
             for i, kept in enumerate(same):
                 if kept:
@@ -201,7 +214,7 @@ def test_fibers_equal_reference_and_share_unchanged_slices(tier):
         k_max = top_degree(f.source)
         for field in (FieldSpec(2), FieldSpec(3)):
             assert fiber_defects(f, field) == reference.fiber_defects(f, field, k_max)
-    assert shared > 0
+    assert shared > 0 and skipped > 0
 
 
 def test_core_of_an_antichain_is_the_loop_result():
@@ -224,8 +237,10 @@ def test_row_subposets_equal_their_references(tier):
     """Comparison sets, fibers and up-sets equal the predicate-built references, failures included.
 
     Each step's comparison sets are taken in its larger member, where an
-    element that merges into the trajectory raises NotASubposet, and in
-    its smaller one, where a removed value raises UnknownElement.
+    element that merges into the trajectory leaves the row's sets not
+    closed and the reference raises NotASubposet, and in its smaller one,
+    where a removed value raises UnknownElement from both.  Closed sets
+    are built as the puncture step builds a side.
     """
 
     @given(st.integers(0, 10_000))
@@ -238,11 +253,19 @@ def test_row_subposets_equal_their_references(tier):
             rows += [(step.larger, step.track.trajectory), (step.smaller, step.track.trajectory)]
         for pp, row in rows:
             for direction in ("below", "above"):
-                assert outcome(comparison_set, pp, row, direction) == outcome(
-                    reference.comparison_set, pp, row, direction
-                )
+                expected = outcome(reference.comparison_set, pp, row, direction)
+                try:
+                    sets = row_sets(pp, row)[direction]
+                except UnknownElement as exc:
+                    assert expected == (UnknownElement, str(exc))
+                    continue
+                if _leaving(pp, sets) is None:
+                    assert shape(_sub_tower(pp, pp, sets, range(pp.T + 1))) == expected
+                else:
+                    assert expected[0] is reference.NotASubposet
         for y, fib in zip(tracks(f.target), fibers(f, tracks(f.target))):
-            assert shape(fib) == shape(reference.fiber(f, y))
+            if fib is not None:
+                assert shape(fib) == shape(reference.fiber(f, y))
         for tr in tracks(f.source):
             row = [None if v is None else f.slices[i][v] for i, v in enumerate(tr.trajectory)]
             assert shape(up_set_of_image_track(f.target, row)) == shape(reference.up_set_of_image_track(f.target, row))
@@ -284,7 +307,7 @@ def needs_exact_defect(step, field, k_max):
     for direction in ("below", "above"):
         try:
             reference.comparison_set(step.larger, step.track.trajectory, direction)
-        except NotASubposet:
+        except reference.NotASubposet:
             continue
         P, ends = last_slice(step.larger, step.track.trajectory, direction)
         if reference.is_connected(P, ends):
@@ -300,12 +323,13 @@ def needs_exact_defect(step, field, k_max):
 def test_puncture_suite_traffic():
     """A cold puncture suite builds no poset through new_poset and restricts only what changed.
 
-    pposets.restrict builds only the comparison sets whose exact defect
-    decides a step's outcome, restricting every slice.  _grow builds each
-    chain's first member as the sub-tower of the cylinder on one copy,
-    restricting every slice, and every later member restricts only the
-    slices its step adds to, sharing the other components with the
-    member before it.  All restrict through the one sub-tower routine.
+    _side_defect builds only the comparison sets whose exact defect
+    decides a step's outcome, off the row's sets, restricting every
+    slice.  _grow builds each chain's first member as the sub-tower of
+    the cylinder on one copy, restricting every slice, and every later
+    member restricts only the slices its step adds to, sharing the other
+    components with the member before it.  All restrict through the one
+    sub-tower routine.
     """
     f = instance("S", 3)
     chains = chain_filtrations(f)
@@ -324,19 +348,14 @@ def test_puncture_suite_traffic():
 
     for cache in (core, order_complex, _chains, _core_barcodes):
         cache.cache_clear()
-    restrict_callers, slice_callers = [], []
-    pposets_restrict, slice_restrict = pposets.restrict, FinitePoset.restrict
-
-    def spy_restrict(*args):
-        restrict_callers.append(sys._getframe(1).f_code.co_name)
-        return pposets_restrict(*args)
+    slice_callers = []
+    slice_restrict = FinitePoset.restrict
 
     def spy_slice(self, subset):
         slice_callers.append((sys._getframe(2).f_code.co_name, sys._getframe(1).f_code.co_name))
         return slice_restrict(self, subset)
 
     with mock.patch.object(posets, "new_poset", wraps=posets.new_poset) as spy_new, \
-            mock.patch.object(pposets, "restrict", spy_restrict), \
             mock.patch.object(FinitePoset, "restrict", spy_slice):
         report = chain_puncture_suite(f, FieldSpec(2))
     assert len(build_order) == report.checked + report.skipped > 0
@@ -349,17 +368,18 @@ def test_puncture_suite_traffic():
     )
     assert 0 < needed < connected
     assert spy_new.call_count == 0
-    assert Counter(restrict_callers) == {"comparison_set": needed}
     by_caller = Counter(slice_callers)
-    assert by_caller[("restrict", "_sub_tower")] == needed * (f.T + 1)
+    assert by_caller[("_side_defect", "_sub_tower")] == needed * (f.T + 1)
     assert by_caller[("_grow", "_sub_tower")] == len(firsts) * (f.T + 1) + changed
+    assert sum(by_caller.values()) == (needed + len(firsts)) * (f.T + 1) + changed
 
 
 def test_fiber_defects_traffic():
     """fiber_defects builds, and asks barcodes for, exactly the fibers whose last slice is connected.
 
-    It calls pposets.fibers once, on those tracks in track order, and
-    every fiber comes out of _sub_tower.
+    It calls pposets.fibers once, on every track in track order, which
+    reads each track's last fiber slice once, and every fiber comes out
+    of _sub_tower.
     """
     f = instance("M", 6)
     ys = tracks(f.target)
@@ -368,9 +388,12 @@ def test_fiber_defects_traffic():
     ]
     assert 0 < len(connected) < len(ys)
     with mock.patch.object(verifier, "fibers", wraps=verifier.fibers) as spy_fibers, \
+            mock.patch.object(pposets, "_fiber_slice", wraps=pposets._fiber_slice) as spy_slice, \
             mock.patch.object(pposets, "_sub_tower", wraps=pposets._sub_tower) as spy_sub_tower, \
             mock.patch.object(verifier, "pposet_barcodes", wraps=verifier.pposet_barcodes) as spy_barcodes:
         fiber_defects(f, FieldSpec(2))
     assert spy_fibers.call_count == 1
-    assert spy_fibers.call_args.args[1] == connected
+    assert spy_fibers.call_args.args[1] == ys
+    last_reads = [c.args[2] for c in spy_slice.call_args_list if c.args[1] == f.T]
+    assert last_reads == [y.trajectory[f.T] for y in ys]
     assert spy_sub_tower.call_count == spy_barcodes.call_count == len(connected)

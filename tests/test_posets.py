@@ -13,14 +13,13 @@ from persposet.homology import FieldSpec, pposet_barcodes
 from persposet.posets import (
     check_map,
     core,
-    is_weak_point,
     linear_extension,
     longest_chain,
     new_poset,
     transitive_closure,
 )
-from persposet.pposets import PersistenceMap, comparison_set, fibers, persistence_mapping_cylinder, tracks
-from reference import constant_pposet, is_monotone
+from persposet.pposets import PersistenceMap, fibers, persistence_mapping_cylinder, row_sets, tracks
+from reference import constant_pposet, is_monotone, is_weak_point
 
 
 def closure_oracle(elements, pairs):
@@ -87,8 +86,8 @@ class TestNewPoset:
 
 
 def strict_set(P, x, direction):
-    """Strict down- or up-set of x, as the comparison set of a one-slice row."""
-    return comparison_set(constant_pposet(P, 0), [x], direction).components[0]
+    """Strict down- or up-set of x, as the induced subposet on the row_sets of a one-slice row."""
+    return P.restrict(row_sets(constant_pposet(P, 0), [x])[direction][0])
 
 
 class TestDownset:

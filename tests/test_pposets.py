@@ -1,14 +1,10 @@
-from unittest import mock
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persposet import pposets
 from persposet.errors import (
     EmptyAfterNonempty,
     NonMonotoneStructureMap,
-    NotASubposet,
     PartialStructureMap,
     ShapeMismatch,
 )
@@ -16,14 +12,15 @@ from persposet.posets import new_poset
 from persposet.pposets import (
     PersistenceMap,
     PersistencePoset,
+    _sub_tower,
     chain_filtrations,
-    comparison_set,
+    comparison_status,
     fibers,
     ordinal_sum,
     persistence_linear_extension,
     persistence_mapping_cylinder,
+    row_sets,
     top_degree,
-    restrict,
     tracks,
     up_set_of_image_track,
     validate,
@@ -152,14 +149,13 @@ class TestLinearExtension:
 
 
 class TestSubDownset:
-    """Down-sets of a track: strict ones are comparison sets of its trajectory
+    """Down-sets of a track: strict ones are the row_sets of its trajectory
     row, the weak one is the fiber of the identity over it."""
 
     def test_constant_chain(self):
         pp = constant_pposet(new_poset("ab", [("a", "b")]), 1)
         tb = [t for t in tracks(pp) if t.initial == "b"][0]
-        sub = comparison_set(pp, tb.trajectory, "below")
-        assert all(c.elements == ("a",) for c in sub.components)
+        assert row_sets(pp, tb.trajectory)["below"] == [{"a"}, {"a"}]
 
     def test_circle_weak(self):
         S = new_poset("abcd", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
@@ -176,16 +172,17 @@ class TestSubDownset:
         )
         tb = [t for t in tracks(pp) if t.initial == "b"][0]
         assert tb.birth == 2
-        sub = comparison_set(pp, tb.trajectory, "below")
-        assert [c.elements for c in sub.components] == [(), (), ("a",)]
+        assert row_sets(pp, tb.trajectory)["below"] == [set(), set(), {"a"}]
 
     def test_merge_into_track_fails_closure(self):
         # a < b at time 0, both map to z: the strict down-set of track b
         # would be {a} then {}, which no structure map can realize
         pp = pposet([(["a", "b"], [("a", "b")]), ("z", [])], [{"a": "z", "b": "z"}])
         tb = [t for t in tracks(pp) if t.initial == "b"][0]
-        with pytest.raises(NotASubposet):
-            comparison_set(pp, tb.trajectory, "below")
+        assert row_sets(pp, tb.trajectory)["below"] == [{"a"}, set()]
+        assert comparison_status(pp, row_sets(pp, tb.trajectory)["below"], 0) == "infinite"
+        with pytest.raises(reference.NotASubposet):
+            reference.comparison_set(pp, tb.trajectory, "below")
 
 
 class TestFiber:
@@ -196,7 +193,9 @@ class TestFiber:
         tu, tv = tracks(Y)
         over_u, over_v = fibers(f, [tu, tv])
         assert over_u.components[0].elements == ("p",)
-        assert over_v.components[0].elements == ("p", "q")
+        # The preimage of v's down-set is the antichain {p, q}: not connected, so not built.
+        assert over_v is None
+        assert reference.fiber(f, tv).components[0].elements == ("p", "q")
 
     def test_identity_fiber_is_weak_downset(self):
         P = new_poset("abc", [("a", "b"), ("b", "c")])
@@ -278,10 +277,8 @@ class TestCylinderAndChains:
 def test_comparison_set_uses_full_trajectory():
     pp = pposet([(["a", "b"], [("a", "b")]), (["z", "w"], [("z", "w")])],
                 [{"a": "z", "b": "w"}])
-    below = comparison_set(pp, ["b", "w"], "below")
-    assert [c.elements for c in below.components] == [("a",), ("z",)]
-    above = comparison_set(pp, ["a", "z"], "above")
-    assert [c.elements for c in above.components] == [("b",), ("w",)]
+    assert row_sets(pp, ["b", "w"]) == {"below": [{"a"}, {"z"}], "above": [set(), set()]}
+    assert row_sets(pp, ["a", "z"]) == {"below": [set(), set()], "above": [{"b"}, {"w"}]}
 
 
 def test_ordinal_sum_and_top_degree():
@@ -329,15 +326,15 @@ def test_track_trajectories_are_rows(tier):
 def test_restricted_pposets_pass_validate(tier):
     """Every persistence subposet built without validate would pass it.
 
-    A spy records each result of restrict while the comparison sets of
-    an instance are built, and each is then validated, with the first
-    member of each chain and every step's complement, which
-    reference.complement builds through restrict.  Fibers and weak
-    up-sets are closed by naturality and built as sub-towers, without
-    restrict: each is validated directly and checked, slice by slice and
-    map by map, against reference.fiber and
-    reference.up_set_of_image_track, which go through restrict.  The
-    chain members skip restrict too; tests/test_poset_fast_paths.py
+    Every comparison set of every step whose status is not infinite is
+    built as the puncture step builds it, off its row_sets, and each is
+    then validated, with the first member of each chain and every step's
+    complement, which reference.complement builds through the reference
+    restrict.  Fibers and weak up-sets are closed by naturality and built
+    as sub-towers: each is validated directly and checked, slice by slice
+    and map by map, against reference.fiber and
+    reference.up_set_of_image_track, which check closure first.  The
+    chain members skip validate too; tests/test_poset_fast_paths.py
     validates every one of them.
     """
 
@@ -348,27 +345,24 @@ def test_restricted_pposets_pass_validate(tier):
     @settings(max_examples=15, deadline=None)
     def check(seed):
         f = instance(tier, seed)
-        built = []
-
-        def spy(*args):
-            built.append(restrict(*args))
-            return built[-1]
-
-        with mock.patch.object(pposets, "restrict", spy):
-            chains = chain_filtrations(f)
-            built += [chains.target_steps[0].smaller, chains.source_steps[-1].smaller]
-            for step in chains.target_steps + chains.source_steps:
-                for direction in ("below", "above"):
-                    try:
-                        comparison_set(step.larger, step.track.trajectory, direction)
-                    except NotASubposet:
-                        pass
-                built.append(reference.complement(step.larger, step.removed))
-            assert len(built) > 2
-            subposets = [(fib, reference.fiber(f, y)) for y, fib in zip(tracks(f.target), fibers(f, tracks(f.target)))]
-            for tr in tracks(f.source):
-                row = [None if v is None else f.slices[i][v] for i, v in enumerate(tr.trajectory)]
-                subposets.append((up_set_of_image_track(f.target, row), reference.up_set_of_image_track(f.target, row)))
+        chains = chain_filtrations(f)
+        built = [chains.target_steps[0].smaller, chains.source_steps[-1].smaller]
+        subposets = []
+        for step in chains.target_steps + chains.source_steps:
+            pp, row = step.larger, step.track.trajectory
+            sets = row_sets(pp, row)
+            for direction in ("below", "above"):
+                if comparison_status(pp, sets[direction], 0) != "infinite":
+                    side = _sub_tower(pp, pp, sets[direction], range(pp.T + 1))
+                    subposets.append((side, reference.comparison_set(pp, row, direction)))
+            built.append(reference.complement(step.larger, step.removed))
+        assert subposets
+        subposets += [
+            (fib, reference.fiber(f, y)) for y, fib in zip(tracks(f.target), fibers(f, tracks(f.target))) if fib is not None
+        ]
+        for tr in tracks(f.source):
+            row = [None if v is None else f.slices[i][v] for i, v in enumerate(tr.trajectory)]
+            subposets.append((up_set_of_image_track(f.target, row), reference.up_set_of_image_track(f.target, row)))
         for pp in built:
             validate(pp)
         for pp, expected in subposets:
@@ -393,7 +387,7 @@ def test_cylinders_and_ordinal_sums_pass_validate(tier):
         cylinder = persistence_mapping_cylinder(f)
         validate(cylinder)
         pairs = [(f.source, f.target), (f.target, f.source), (cylinder, f.source)]
-        for A, B in pairs + [(fb, f.target) for fb in fibers(f, tracks(f.target))]:
+        for A, B in pairs + [(reference.fiber(f, y), f.target) for y in tracks(f.target)]:
             validate(ordinal_sum(A, B))
             validate(ordinal_sum(B, A))
 

@@ -20,7 +20,7 @@ from persposet.documents import random_pposet
 from persposet.errors import HypothesisUnmet
 from persposet.homology import FieldSpec, pposet_barcodes
 from persposet.posets import new_poset
-from persposet.pposets import PersistencePoset, fibers, ordinal_sum, restrict, top_degree, tracks
+from persposet.pposets import PersistencePoset, ordinal_sum, top_degree, tracks
 from persposet.verifier import _is_join_of, _is_point_from, _reduced_bettis, verify_join_acyclicity
 import reference
 from reference import complex_top_degree, constant_pposet, homology
@@ -34,11 +34,11 @@ def cut_pair(rng, T, max_slice):
     """Two random persistence posets as long as each other; the second is empty before a random index."""
     A, B = (random_pposet(rng, T, max_slice, 2 * max_slice) for _ in range(2))
     start = rng.randint(0, T)
-    return A, restrict(B, [c.elements if i >= start else () for i, c in enumerate(B.components)])
+    return A, reference.restrict(B, [c.elements if i >= start else () for i, c in enumerate(B.components)])
 
 
 def pposets_of(tier, seed):
-    """An instance's source, target and fibers, and the ordinal sum of a cut pair.
+    """An instance's source, target and every fiber, and the ordinal sum of a cut pair.
 
     A fiber is empty before its track's birth, and so is the pair's
     second factor before its cut, so degree -1 is read on empty slices
@@ -50,7 +50,7 @@ def pposets_of(tier, seed):
     f = tiers.instance(tier, seed)
     rng = random.Random(seed)
     A, B = cut_pair(rng, rng.randint(0, limits.t_max), limits.max_y_tracks)
-    return [f.source, f.target, *fibers(f, tracks(f.target)), ordinal_sum(A, B)]
+    return [f.source, f.target, *(reference.fiber(f, y) for y in tracks(f.target)), ordinal_sum(A, B)]
 
 
 @pytest.mark.parametrize("tier", TIERS)

@@ -85,22 +85,41 @@ def test_weak_point_rows_have_one_caller():
     assert named_in("removes_weak_points") == [("verifier", "_step_violation")]
 
 
+def test_a_row_is_read_once_per_step():
+    """Only the puncture step reads a row's sets, once, and every question it asks reads them.
+
+    A second reader of the strict sets of a row (a comparison set built
+    and checked again, a weak-point test per value, a last-slice test per
+    fiber) would scan the same relations again; none of them is defined.
+    """
+    assert called_in("row_sets") == [("verifier", "_step_violation")]
+    gone = {"restrict", "comparison_set", "fiber_ends_connected", "is_weak_point", "NotASubposet"}
+    defined = [
+        f"{path.stem}.{top.name}"
+        for path in SOURCES
+        for top in parse(path).body
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name in gone
+    ]
+    assert defined == []
+
+
 def test_two_builders_skip_validate():
     """Every derived persistence poset comes from a tagged sum or a sub-tower.
 
     _tagged_sum builds the cylinder and the ordinal sum, and _sub_tower
-    builds restrict's results, fibers, weak up-sets and the chain
-    members; only they vouch for a tower without running validate.
+    builds comparison sets, fibers, weak up-sets and the chain members;
+    only they vouch for a tower without running validate.
     """
     assert called_in("_valid_by_construction") == [("pposets", "_sub_tower"), ("pposets", "_tagged_sum")]
 
 
 def test_fibers_have_one_caller():
-    """Only fiber_defects builds fibers, one call for every fiber whose last slice is connected.
+    """Only fiber_defects builds fibers, in one call over every target track.
 
-    pposets.fibers builds each fiber from the one before it in the order
-    given; fiber_defects gives the tracks in track order, so tracks that
-    merge share the slices after their merge.
+    pposets.fibers builds each fiber whose last slice is connected from
+    the one built before it in the order given; fiber_defects gives the
+    tracks in track order, so tracks that merge share the slices after
+    their merge.
     """
     assert called_in("fibers") == [("verifier", "fiber_defects")]
 

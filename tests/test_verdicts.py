@@ -18,8 +18,8 @@ from persposet import verifier
 from persposet.cli import main
 from persposet.documents import canonical_json, random_instance
 from persposet.modules import INF
-from persposet.posets import is_weak_point
-from persposet.pposets import chain_filtrations, comparison_status, top_degree
+from persposet.pposets import chain_filtrations, comparison_status, row_sets, top_degree
+from reference import is_weak_point
 
 BOUND = 16
 DIRECTIONS = ("below", "above")
@@ -86,7 +86,10 @@ def checked_steps_weak():
     return [
         all(v is None or is_weak_point(P, v) for P, v in zip(step.larger.components, step.removed))
         for step in chains.target_steps + chains.source_steps
-        if any(comparison_status(step.larger, step.track.trajectory, d, k_max) != "infinite" for d in DIRECTIONS)
+        if any(
+            comparison_status(step.larger, row_sets(step.larger, step.track.trajectory)[d], k_max) != "infinite"
+            for d in DIRECTIONS
+        )
     ]
 
 
