@@ -32,7 +32,7 @@ from .pposets import (
     validate,
 )
 from .complexes import SimplicialComplex, order_complex
-from .homology import FieldSpec, pposet_barcodes, tower_barcodes
+from .homology import FieldSpec, pposet_barcodes
 from .modules import (
     Barcode,
     PersistenceModule,

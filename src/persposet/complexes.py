@@ -3,24 +3,24 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .posets import FinitePoset
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SimplicialComplex:
     """Simplices as name-sorted vertex tuples, ordered by dimension, then lexicographically.
 
-    Hashed by identity: a tuple does not cache its hash, and order_complex
-    is cached per poset, so equal cores share one complex.
+    Compared and hashed by value.  No cache is keyed on a complex (the
+    reduction cache, homology._core_chains, is keyed on the core poset the
+    complex comes from), so nothing needs an identity hash, which would
+    make two equal complexes unequal.
     """
 
     vertices: tuple[str, ...]
     simplices: tuple[tuple[str, ...], ...]
 
 
-@lru_cache(maxsize=4096)
 def order_complex(P: FinitePoset) -> SimplicialComplex:
     """Simplices are exactly the nonempty chains of the poset."""
     above: dict[str, list[str]] = {e: [] for e in P.elements}

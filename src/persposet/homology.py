@@ -8,8 +8,8 @@ a slice's core for the barcodes of a persistence poset (pposet_barcodes),
 and the cores of a map's source and target for its ranks on homology
 (induced_ranks), which are the bars through 0 and 1 of the two-slice
 tower from one core to the other.  Every barcode and rank in the
-verifier and the CLI comes from these two, and both read one memo
-(_core_barcodes), filled once per distinct set of cores and maps.
+verifier and the CLI comes from these two, through _core_barcodes, the
+one place a tower's model is picked.
 
 Most cores are antichains.  The order complex of an antichain is a set
 of vertices, whose only homology is H_0, free on the elements over every
@@ -19,10 +19,11 @@ rank the number of distinct images in degree 0 and 0 above.  Neither
 builds a complex.
 
 Otherwise simplices come from complexes.order_complex in a fixed order,
-so every reduction, barcode and rank is bit-reproducible.  Each complex's
-boundary matrices are reduced once over F_p and cached per complex
-(_chains); the cycle bases and boundary pivot tables it keeps serve the
-barcodes of towers (tower_barcodes), which take maps as plain vertex maps.
+so every reduction, barcode and rank is bit-reproducible.  Each core's
+boundary matrices are reduced once per field and cached per core
+(_core_chains); the cycle bases and boundary pivot tables that the
+reduction (_chains) keeps serve every sweep of a tower (_sweep), which
+takes maps as plain vertex maps and runs fresh each time.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ from .complexes import SimplicialComplex, order_complex
 from .errors import InternalError
 from .modules import INF, Barcode, FieldSpec, elder_barcode
 from .pposets import PersistencePoset
-
-__all__ = ["FieldSpec", "induced_ranks", "pposet_barcodes", "tower_barcodes"]
 
 Simplex = tuple[str, ...]
 
@@ -88,7 +87,6 @@ class _Chains(NamedTuple):
         return self.simplices[k], self.index[k], self.cycles[k], self.boundaries[k]
 
 
-@lru_cache(maxsize=4096)
 def _chains(K: SimplicialComplex, p: int) -> _Chains:
     """Reduce d_1..d_top once, with the transform carried in negative rows.
 
@@ -120,23 +118,27 @@ def _chains(K: SimplicialComplex, p: int) -> _Chains:
     return _Chains(simplices, index, tuple(cycles), tuple(boundaries))
 
 
-def tower_barcodes(
-    complexes: Sequence[SimplicialComplex], maps: Sequence[dict[str, str]], field: FieldSpec, k_max: int
-) -> list[Barcode]:
+@lru_cache(maxsize=4096)
+def _core_chains(C: posets.FinitePoset, p: int) -> _Chains:
+    """The reduction of C's order complex over F_p, cached per core and field.
+
+    The library's one cache of homology: equal cores share one reduction,
+    and every sweep reads it.
+    """
+    return _chains(order_complex(C), p)
+
+
+def _sweep(chains: Sequence[_Chains], maps: Sequence[dict[str, str]], p: int, k_max: int) -> list[Barcode]:
     """Barcodes of a tower's homology in degrees 0..k_max, indexed by degree.
 
-    maps[i] is a simplicial vertex map from complexes[i] to complexes[i + 1].
-    Its one caller in the library is the memo's miss (_core_barcodes).
-    Each complex's boundary matrices are reduced once (and cached per
-    complex); each degree is then one elder-rule sweep
-    (modules.elder_barcode) of the cycles, pushed along the chain maps,
-    against the boundaries.  Degree 0 is unreduced.  A degree above the
-    tower's top degree has no homology, so its barcode is empty and
-    nothing is built for it.
+    chains[i] is the reduction of the i-th complex, and maps[i] a
+    simplicial vertex map from the i-th complex to the next.  Each degree
+    is one elder-rule sweep (modules.elder_barcode) of the cycles, pushed
+    along the chain maps, against the boundaries.  Degree 0 is
+    unreduced.  A degree above the tower's top degree has no homology, so
+    its barcode is empty and nothing is swept for it.
     """
-    p = field.p
-    top = max((len(K.simplices[-1]) for K in complexes if K.simplices), default=0) - 1
-    chains = [_chains(K, p) for K in complexes] if min(k_max, top) >= 0 else []
+    top = max((len(c.simplices) for c in chains), default=0) - 1
 
     def steps(k: int):
         previous: tuple[Simplex, ...] = ()
@@ -158,13 +160,11 @@ def pposet_barcodes(pp: PersistencePoset, field: FieldSpec, k_max: int) -> list[
     inclusions of the cores are homotopy equivalences with the
     retractions as inverses, and they commute with the structure maps on
     homology.  Each structure map becomes the next retraction after it,
-    restricted to the core.  The barcodes then depend only on the cores,
-    those maps, the field and k_max, and are built once per distinct key
-    while the cache holds it.  The list returned is the caller's own.
+    restricted to the core.
     """
     cores = [posets.core(c) for c in pp.components]
-    maps = tuple(_onto_cores(f, cores[i][0], cores[i + 1][1]) for i, f in enumerate(pp.maps))
-    return list(_core_barcodes(tuple(C for C, _ in cores), maps, field, k_max))
+    maps = [_onto_cores(f, cores[i][0], cores[i + 1][1]) for i, f in enumerate(pp.maps)]
+    return _core_barcodes([C for C, _ in cores], maps, field, k_max)
 
 
 def induced_ranks(
@@ -176,62 +176,54 @@ def induced_ranks(
     source's core and r retracts the target onto its core: both are
     isomorphisms on homology, so the ranks are g's.  rank H_k of a map
     counts the bars through 0 and 1 in the barcode of the two-slice tower
-    it forms, read from the memo (_core_barcodes).  When both cores are
-    antichains, H_0 of each is free on its elements and nothing lies
-    above, so the rank is the number of distinct images in degree 0 and
-    0 above, with no complex built and no memo entry.
+    it forms (_core_barcodes).  When both cores are antichains, H_0 of
+    each is free on its elements and nothing lies above, so the rank is
+    the number of distinct images in degree 0 and 0 above, with no
+    complex built and no sweep run.
     """
     (core_x, _), (core_y, retract_y) = posets.core(source), posets.core(target)
-    pairs = _onto_cores(g, core_x, retract_y)
+    image = _onto_cores(g, core_x, retract_y)
     if not (core_x.relation or core_y.relation):
-        return [len({y for _, y in pairs}) if k == 0 else 0 for k in range(k_max + 1)]
-    return [code.count_through(0, 1) for code in _core_barcodes((core_x, core_y), (pairs,), field, k_max)]
+        return [len(set(image.values())) if k == 0 else 0 for k in range(k_max + 1)]
+    return [code.count_through(0, 1) for code in _core_barcodes([core_x, core_y], [image], field, k_max)]
 
 
-def _onto_cores(
-    g: dict[str, str], source_core: posets.FinitePoset, target_retraction: dict[str, str]
-) -> tuple[tuple[str, str], ...]:
-    """r . g on the source's core, as (element, image) pairs in core element order."""
-    return tuple((x, target_retraction[g[x]]) for x in source_core.elements)
+def _onto_cores(g: dict[str, str], source_core: posets.FinitePoset, retraction: dict[str, str]) -> dict[str, str]:
+    """r . g on the source's core, in core element order."""
+    return {x: retraction[g[x]] for x in source_core.elements}
 
 
-@lru_cache(maxsize=4096)
 def _core_barcodes(
-    core_components: tuple[posets.FinitePoset, ...],
-    core_maps: tuple[tuple[tuple[str, str], ...], ...],
-    field: FieldSpec,
-    k_max: int,
-) -> tuple[Barcode, ...]:
-    """tower_barcodes of the order-complex tower of cores joined by (element, image) maps.
+    cores: Sequence[posets.FinitePoset], maps: Sequence[dict[str, str]], field: FieldSpec, k_max: int
+) -> list[Barcode]:
+    """Barcodes in degrees 0..k_max of the order-complex tower of cores joined by maps.
 
-    A tower of antichains builds no complex: its barcode in degree 0 is
-    _discrete_barcode, the same bars tower_barcodes gives over every
-    field, and its barcodes above are empty.  tower_barcodes stays the
-    reference for it.
+    The one place a tower's model is picked.  A tower of antichains
+    builds no complex: its barcode in degree 0 is _discrete_barcode, the
+    same bars the sweep gives over every field, and its barcodes above
+    are empty.  Any other tower is swept over its cores' cached
+    reductions (_core_chains).
     """
-    if not any(C.relation for C in core_components):
-        h0 = _discrete_barcode(core_components, core_maps)
-        return tuple(h0 if k == 0 else _NO_BARS for k in range(k_max + 1))
-    complexes = [order_complex(C) for C in core_components]
-    return tuple(tower_barcodes(complexes, [dict(m) for m in core_maps], field, k_max))
+    if not any(C.relation for C in cores):
+        h0 = _discrete_barcode(cores, maps)
+        return [h0 if k == 0 else _NO_BARS for k in range(k_max + 1)]
+    return _sweep([_core_chains(C, field.p) for C in cores], maps, field.p, k_max)
 
 
-def _discrete_barcode(
-    components: tuple[posets.FinitePoset, ...], maps: tuple[tuple[tuple[str, str], ...], ...]
-) -> Barcode:
+def _discrete_barcode(components: Sequence[posets.FinitePoset], maps: Sequence[dict[str, str]]) -> Barcode:
     """The H_0 barcode of a tower of antichains, by the elder rule on the element maps.
 
     H_0 of an antichain is free on its elements over every field, and a
     map of antichains sends basis elements to basis elements, so the
-    sweep of tower_barcodes never forms a sum: each class, oldest first,
-    claims its image or dies, and each unclaimed element opens a bar.
-    A class dies after its birth, so every bar has birth < death and the
-    bars are sorted into a Barcode without Barcode.of's checks.
+    sweep never forms a sum: each class, oldest first, claims its image
+    or dies, and each unclaimed element opens a bar.  A class dies after
+    its birth, so every bar has birth < death and the bars are sorted
+    into a Barcode without Barcode.of's checks.
     """
     bars: list[tuple[int, int | float]] = []
     live: list[tuple[int, str]] = []  # (birth, element), oldest first
     for i, C in enumerate(components):
-        image = dict(maps[i - 1]) if i else {}
+        image = maps[i - 1] if i else {}
         claimed: dict[str, int] = {}
         for birth, x in live:
             y = image[x]

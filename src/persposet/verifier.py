@@ -9,9 +9,9 @@ cylinder retraction, and the split/exact sequence bounds.
 
 Every barcode of a persistence poset, the certificate's and the join
 lemma's included, comes from homology.pposet_barcodes, which computes it
-on the slicewise beat-point cores, with the same barcodes, once per
-distinct set of cores and maps.  The join of two towers is the tower of
-their ordinal sum.  The certificate's rank table comes from
+on the slicewise beat-point cores, with the same barcodes, reducing
+each distinct core at most once per field.  The join of two towers is
+the tower of their ordinal sum.  The certificate's rank table comes from
 homology.induced_ranks.  The cylinder's cone check and the join lemma's
 Kunneth identity read barcodes too: a tower of cones has the barcode of
 a point, and the bars through an index count the Betti numbers of that
@@ -366,8 +366,9 @@ def chain_puncture_suite(
 
     A step's smaller member is its complement.  Each chain member is the
     larger side of one step and the smaller side of the next, and the
-    members, their complements and comparison sets share many cores;
-    pposet_barcodes builds each distinct one's barcodes once.
+    members, their complements and comparison sets share many slices;
+    posets.core finds each distinct slice's core once, and
+    pposet_barcodes reduces each distinct core at most once per field.
     """
     chains = chain_filtrations(f)
     k_max = _degree(k_max, chains.cylinder)

@@ -41,10 +41,14 @@ slower dense paths they replaced, over numpy int64 matrices:
   complement, where the suite builds a side only when the step's outcome
   depends on it;
 - simplicial maps and towers of complexes (SimplicialMap, ComplexTower),
-  which check every vertex and simplex image when built; the library
-  hands tower_barcodes plain vertex maps of monotone maps, which are
-  simplicial by construction, and the tests pass those maps through
+  which check every vertex and simplex image when built; the library's
+  sweep (homology._sweep) takes plain vertex maps of monotone maps, which
+  are simplicial by construction, and the tests pass those maps through
   SimplicialMap instead;
+- the barcodes of any tower of complexes (tower_barcodes): the library's
+  sweep over each complex's reduction, memoized here per complex, where
+  the library sweeps only towers of cores, over reductions cached per
+  core;
 - the full order-complex tower of a persistence poset, with the induced
   simplicial maps, the simplicial join, the slicewise join of towers and
   the relabelling of a persistence poset;
@@ -55,6 +59,8 @@ slower dense paths they replaced, over numpy int64 matrices:
   its retractions, and its order-complex tower;
 - the reduced Betti number of a complex off its sparse reduction
   (reduced_dim), which the join lemma reference reads;
+- the functools caches of the library, found by a scan of the persposet
+  modules, and one call that clears them all;
 - small constructors and accessors the library itself no longer needs:
   a complex closed downward from its simplices (in the library's form:
   name-sorted simplex tuples, by degree and then lexicographically), a
@@ -72,6 +78,7 @@ product of n < 2**31 terms is exact.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
@@ -90,7 +97,7 @@ from persposet.errors import (
     ShapeMismatch,
     UnknownElement,
 )
-from persposet.homology import _boundary_column, _chain_columns, _chains, pposet_barcodes, tower_barcodes
+from persposet.homology import _boundary_column, _chain_columns, _chains, _sweep, pposet_barcodes
 from persposet.linalg import Column, _inv_scalar
 from persposet.modules import INF, Barcode, FieldSpec, PersistenceModule, _matching_feasible, barcode
 from persposet.posets import (
@@ -123,6 +130,31 @@ class TooLarge(PersistenceError):
 
 class NotASubposet(PersistenceError):
     """Component subsets are not closed under the structure maps."""
+
+
+# -- the library's caches -------------------------------------------------------
+
+
+def library_caches() -> dict[str, object]:
+    """Every functools cache among the attributes of the persposet modules and their classes, by name."""
+    caches = {}
+    for modname, module in sorted(sys.modules.items()):
+        if module is None or not modname.startswith("persposet."):
+            continue
+        for name, obj in vars(module).items():
+            candidates = [(f"{modname}.{name}", obj)]
+            if isinstance(obj, type) and obj.__module__ == modname:
+                candidates += [(f"{modname}.{name}.{attr}", getattr(obj, attr)) for attr in vars(obj)]
+            for qualname, candidate in candidates:
+                if hasattr(candidate, "cache_info"):
+                    caches.setdefault(id(candidate), (qualname, candidate))
+    return dict(sorted(caches.values(), key=lambda item: item[0]))
+
+
+def clear_library_caches() -> None:
+    """Clear every functools cache of the library, so that the next call runs cold."""
+    for cache in library_caches().values():
+        cache.cache_clear()
 
 
 # -- small constructors and accessors ------------------------------------------
@@ -379,6 +411,29 @@ class ComplexTower:
 
     def top_degree(self) -> int:
         return max((complex_top_degree(K) for K in self.complexes), default=-1)
+
+
+def tower_barcodes(
+    complexes: Sequence[SimplicialComplex], maps: Sequence[dict[str, str]], field: FieldSpec, k_max: int
+) -> list[Barcode]:
+    """Barcodes of a tower of complexes in degrees 0..k_max: the library's sweep over each complex's reduction.
+
+    maps[i] is a simplicial vertex map from complexes[i] to complexes[i + 1].
+    The library sweeps only towers of cores, over reductions cached per
+    core (homology._core_barcodes); this is the complex-level reference for
+    it, and its reductions are this module's own (reduction).
+    """
+    return _sweep([reduction(K, field.p) for K in complexes], maps, field.p, k_max)
+
+
+@lru_cache(maxsize=4096)
+def reduction(K: SimplicialComplex, p: int):
+    """homology._chains, which the library does not cache per complex, memoized per complex and p.
+
+    Complexes compare by value, so equal complexes built apart share one
+    reduction; the tests reduce the same complexes many times over.
+    """
+    return _chains(K, p)
 
 
 def barcodes_of(tower: ComplexTower, field: FieldSpec, k_max: int) -> list[Barcode]:
@@ -1138,7 +1193,7 @@ def reduced_dim(K: SimplicialComplex, k: int, field: FieldSpec) -> int:
         return 1 if not K.simplices else 0
     if k < -1:
         return 0
-    _, _, cycles, boundaries = _chains(K, field.p).degree(k)
+    _, _, cycles, boundaries = reduction(K, field.p).degree(k)
     return len(cycles) - len(boundaries) - (k == 0 and bool(K.simplices))
 
 

@@ -1,14 +1,17 @@
-"""pposet_barcodes, the core-keyed path from a persistence poset to its barcodes.
+"""pposet_barcodes on warm caches, and what the library reuses between barcodes.
 
-The memo (homology._core_barcodes) is keyed on the slicewise beat-point
-cores, the structure maps carried onto them, the field and k_max.  The
-reference for every barcode is the full order-complex tower,
-``reference.barcodes_of(reference.order_complex_tower(pp), ...)``.  The lookups here run in
-one warm cache on purpose: a key that forgets part of the content (the
-structure maps, the field or k_max) hands out another poset's barcodes.
+The library reuses two things: each poset's beat-point core
+(posets.core) and each core's reduction over F_p (homology._core_chains,
+keyed on the core and p).  Every sweep of a tower runs fresh, so the
+structure maps and k_max reach every barcode.  The reference for every
+barcode is the full order-complex tower,
+``reference.barcodes_of(reference.order_complex_tower(pp), ...)``.  The
+comparisons here run in one warm cache on purpose: a reduction key that
+forgets the field hands out another field's cycles and boundaries.
 """
 
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 from persposet import homology
 from persposet.homology import FieldSpec, pposet_barcodes
 from persposet.modules import INF, bottleneck_distance
-from persposet.posets import new_poset
+from persposet.posets import core, new_poset
 from persposet.pposets import (
     PersistenceMap,
     PersistencePoset,
@@ -32,6 +35,7 @@ from reference import (
     acyclicity_defect,
     barcodes_of,
     chain_members,
+    clear_library_caches,
     comparison_set,
     constant_pposet,
     fiber,
@@ -65,10 +69,11 @@ RP2 = face_poset(["123", "134", "145", "156", "126", "235", "346", "245", "356",
 
 
 def test_structure_maps_are_in_the_key():
+    """Two towers on the same cores, joined by different maps: each sweep reads its own maps."""
     apart, merged = two_points("ab"), two_points("aa")
     assert apart.components == merged.components
     field = FieldSpec(2)
-    homology._core_barcodes.cache_clear()
+    clear_library_caches()
     kept, joined = ((0, INF), (0, INF)), ((0, 1), (0, INF), (1, INF))
     for pp, bars in ((apart, kept), (merged, joined), (apart, kept)):
         codes = pposet_barcodes(pp, field, 0)
@@ -77,37 +82,43 @@ def test_structure_maps_are_in_the_key():
 
 
 def test_field_is_in_the_key():
+    """One reduction of RP2's one core per field; the second visit of F_2 makes none."""
     pp = constant_pposet(RP2, 1)
-    homology._core_barcodes.cache_clear()
+    clear_library_caches()
     betti = {}
     for p in (2, 3, 2, 5):
         codes = pposet_barcodes(pp, FieldSpec(p), 2)
         assert codes == reference(pp, FieldSpec(p), 2)
         betti[p] = [len(code) for code in codes]
     assert betti == {2: [1, 1, 1], 3: [1, 0, 0], 5: [1, 0, 0]}
+    assert homology._core_chains.cache_info().misses == 3
 
 
 def test_degree_bound_is_in_the_key():
+    """k_max is not in the reduction key, but every sweep reads it: the crown tower is reduced once."""
     crown = constant_pposet(new_poset("abcd", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")]), 1)
     field = FieldSpec(3)
-    homology._core_barcodes.cache_clear()
+    clear_library_caches()
     for k_max in (0, 2, 1, 0):
         codes = pposet_barcodes(crown, field, k_max)
         assert len(codes) == k_max + 1
         assert codes == reference(crown, field, k_max)
+    assert homology._core_chains.cache_info().misses == 1
 
 
 def test_equal_content_is_one_miss():
-    f = instance("S", 3)
-    y = tracks(f.target)[0]
+    """Two equal fibers, built apart, with a core that has relations: the second makes no reduction."""
+    f = instance("M", 10)
+    y = tracks(f.target)[3]
     first, second = fiber(f, y), fiber(f, y)
     assert first is not second
+    assert any(core(P)[0].relation for P in first.components)
     field = FieldSpec(2)
-    homology._core_barcodes.cache_clear()
+    clear_library_caches()
     codes = pposet_barcodes(first, field, 1)
+    misses = homology._core_chains.cache_info().misses
     again = pposet_barcodes(second, field, 1)
-    info = homology._core_barcodes.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert homology._core_chains.cache_info().misses == misses > 0
     assert codes == again and codes is not again
     codes.clear()
     assert pposet_barcodes(second, field, 1) == again
@@ -131,13 +142,13 @@ def instance_pposets(f):
 
 @pytest.fixture(scope="module")
 def warm_cache():
-    """Clear the memo once; every example of the reference tests then shares it."""
-    homology._core_barcodes.cache_clear()
+    """Clear the caches once; every example of the reference tests then shares them, across fields."""
+    clear_library_caches()
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from(sorted(TIERS)), st.sampled_from(FIELDS))
-def test_memo_equals_full_tower_barcodes(warm_cache, seed, tier, p):
+def test_warm_cache_equals_full_tower_barcodes(warm_cache, seed, tier, p):
     f = instance(tier, seed)
     field = FieldSpec(p)
     for pp in instance_pposets(f):
@@ -161,13 +172,13 @@ def test_certificate_equals_full_tower_reference(warm_cache, seed, tier, p):
     }
 
 
-def test_source_sharing_a_fiber_core_is_one_miss():
-    """The source is not its fiber over p, but both retract to the point c: one miss serves both.
+def test_point_cores_make_no_reduction():
+    """A cold verify whose every core is a point: the source and its fibers retract to c, the target to q.
 
     X is the cone a < b > c and Y the chain p < q, constant over two
     indices; c goes to p and a, b to q.  The fiber over p is {c}, the
     fiber over q is all of X, and every one of them has the core {c}.
-    The target's core {q} is the only other miss.
+    Every tower is a tower of antichains, so nothing is reduced.
     """
     X = new_poset("abc", [("a", "b"), ("c", "b")])
     Y = new_poset("pq", [("p", "q")])
@@ -176,10 +187,36 @@ def test_source_sharing_a_fiber_core_is_one_miss():
     over_p = fibers(f, tracks(f.target)[:1])[0]
     assert over_p.components[0].elements == ("c",)
     field = FieldSpec(2)
-    homology._core_barcodes.cache_clear()
+    clear_library_caches()
     cert = verify_theorem(f, field)
-    info = homology._core_barcodes.cache_info()
-    assert (info.misses, info.hits) == (2, 2)
+    assert homology._core_chains.cache_info().misses == 0
     assert cert.fiber_eps == {"0:p": 0, "0:q": 0}
     assert cert.distances == {0: 0, 1: 0}
     assert pposet_barcodes(f.source, field, cert.k_max) == reference(over_p, field, cert.k_max)
+
+
+@pytest.mark.parametrize("tier, seed", [("S", 67), ("S", 71), ("M", 10), ("M", 11), ("M", 38), ("M", 44)])
+def test_cold_verify_reduces_each_core_once_per_field(tier, seed):
+    """Over F_2 and then F_3 in one cache: one reduction per distinct core of the swept towers and field.
+
+    The swept towers are those with a core that has relations; a tower of
+    antichains is read off its element maps.  Each reduction is one miss
+    of the cache on (core, p), and no miss reduces twice.
+    """
+    f = instance(tier, seed)
+    swept = set()
+
+    def record(cores, maps, field, k_max):
+        if any(C.relation for C in cores):
+            swept.update((C, field.p) for C in cores)
+        return core_barcodes(cores, maps, field, k_max)
+
+    core_barcodes = homology._core_barcodes
+    clear_library_caches()
+    with mock.patch.object(homology, "_core_barcodes", record), \
+            mock.patch.object(homology, "_chains", wraps=homology._chains) as reductions:
+        for p in (2, 3):
+            verify_theorem(f, FieldSpec(p))
+    info = homology._core_chains.cache_info()
+    assert {p for _, p in swept} == {2, 3}
+    assert info.misses == info.currsize == reductions.call_count == len(swept)

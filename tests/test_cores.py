@@ -3,7 +3,8 @@
 The reference for every barcode is the full order-complex tower,
 ``reference.barcodes_of(reference.order_complex_tower(pp), ...)``; the library itself only
 computes barcodes of persistence posets on their cores.  The persistence
-core exists in the library only as the key of homology.pposet_barcodes;
+core exists in the library only as the cores and maps that
+homology.pposet_barcodes hands to homology._core_barcodes;
 tests/reference.py builds it as a validated persistence poset.
 """
 
@@ -115,33 +116,33 @@ class TestPosetCore:
             assert reduced_dim(K, k, field) == reduced_dim(L, k, field)
 
 
-def memo_key(pp):
-    """The cores and (element, image) maps that pposet_barcodes looks pp's barcodes up by."""
+def core_tower_of(pp):
+    """The cores and maps that pposet_barcodes reads pp's barcodes off."""
     with mock.patch("persposet.homology._core_barcodes", wraps=_core_barcodes) as spy:
         pposet_barcodes(pp, FieldSpec(2), 0)
     components, maps, _, _ = spy.call_args.args
-    return components, maps
+    return tuple(components), maps
 
 
 class TestPersistenceCore:
     def test_constant_crown(self):
         pp = constant_pposet(CROWN, 2)
-        components, maps = memo_key(pp)
+        components, maps = core_tower_of(pp)
         assert components == pp.components
-        assert maps == tuple(tuple((e, e) for e in CROWN.elements) for _ in range(pp.T))
+        assert maps == [{e: e for e in CROWN.elements} for _ in range(pp.T)]
         _, retractions = core_pposet(pp)
         assert all(r == {e: e for e in CROWN.elements} for r in retractions)
 
     def test_maps_compose_structure_with_retraction(self):
         doc = random_instance(3, tiers.S)
         pp = parse_instance(doc).x
-        components, maps = memo_key(pp)
+        components, maps = core_tower_of(pp)
         C, retractions = core_pposet(pp)
         assert len(retractions) == pp.T + 1
         assert components == C.components
-        assert maps == tuple(tuple(m.items()) for m in C.maps)
+        assert [list(m.items()) for m in maps] == [list(m.items()) for m in C.maps]
         for i in range(pp.T):
-            for x, image in maps[i]:
+            for x, image in maps[i].items():
                 assert image == retractions[i + 1][pp.maps[i][x]]
 
 

@@ -4,35 +4,41 @@ When every slice core is an antichain, its order complex is a set of
 vertices, so the only homology is H_0, free on the elements over every
 field.  homology._core_barcodes then runs the elder rule on the element
 maps (homology._discrete_barcode) and induced_ranks counts distinct
-images, with no complex built.  The references are the complex paths
-those shortcuts skip: tower_barcodes of the full order-complex tower, and
-the dense rank of the map induced on homology of the order complexes of
-the cores (reference.induced_on_homology).
+images, with no complex built and no reduction made.  The references are
+the complex paths those shortcuts skip: reference.tower_barcodes of the
+full order-complex tower, and the dense rank of the map induced on
+homology of the order complexes of the cores
+(reference.induced_on_homology).
 """
+
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from persposet import complexes, homology, posets
+from persposet import homology, posets
 from persposet.complexes import order_complex
 from persposet.homology import FieldSpec, induced_ranks, pposet_barcodes
 from persposet.modules import INF
 from persposet.posets import new_poset
 from persposet.pposets import PersistenceMap, PersistencePoset
 from persposet.verifier import verify_theorem
-from reference import SimplicialMap, barcodes_of, constant_pposet, induced_on_homology, order_complex_tower, rank
+from reference import (
+    SimplicialMap,
+    barcodes_of,
+    clear_library_caches,
+    constant_pposet,
+    induced_on_homology,
+    order_complex_tower,
+    rank,
+)
 from reference import homology as homology_basis
 from tiers import instance
 
 FIELDS = (2, 3, 5)
 TIERS = ("S", "M")
 CROWN = new_poset("abcd", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
-
-
-def clear_caches():
-    for cache in (complexes.order_complex, homology._chains, homology._core_barcodes, posets.core):
-        cache.cache_clear()
 
 
 def discrete_pposet(sizes, images):
@@ -56,7 +62,6 @@ def antichain_towers(draw):
 @given(antichain_towers(), st.integers(0, 3), st.sampled_from(FIELDS))
 def test_discrete_barcodes_equal_tower_barcodes(pp, k_max, p):
     field = FieldSpec(p)
-    homology._core_barcodes.cache_clear()
     codes = pposet_barcodes(pp, field, k_max)
     assert codes == barcodes_of(order_complex_tower(pp), field, k_max)
     assert len(codes) == k_max + 1 and all(not code.bars for code in codes[1:])
@@ -76,25 +81,29 @@ def test_empty_tower_has_no_bars():
 
 def test_discrete_tower_builds_no_complex():
     pp = discrete_pposet([2, 3, 1], [[0, 2], [0, 0, 0]])
-    clear_caches()
+    clear_library_caches()
     assert pposet_barcodes(pp, FieldSpec(3), 2)[0].bars == ((0, 2), (0, INF), (1, 2))
-    assert complexes.order_complex.cache_info().misses == 0
-    assert homology._chains.cache_info().misses == 0
+    assert homology._core_chains.cache_info().misses == 0
 
 
 def test_crown_tower_still_builds_its_complexes():
-    """The crown is its own core and has relations, so it takes the complex path."""
-    clear_caches()
-    codes = pposet_barcodes(constant_pposet(CROWN, 1), FieldSpec(2), 2)
+    """The crown is its own core and has relations, so it takes the complex path.
+
+    Both slices have the one core, so one reduction serves both.
+    """
+    clear_library_caches()
+    with mock.patch.object(homology, "_chains", wraps=homology._chains) as reductions:
+        codes = pposet_barcodes(constant_pposet(CROWN, 1), FieldSpec(2), 2)
     assert [len(code) for code in codes] == [1, 1, 0]
-    assert complexes.order_complex.cache_info().misses == 1
-    assert homology._chains.cache_info().misses == 1
+    info = homology._core_chains.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert reductions.call_count == 1
 
 
 def core_ranks(X, Y, g, p, k_max):
     """rank H_k of r . g . incl on the order complexes of the cores of X and Y, by the dense reference."""
     (core_x, _), (core_y, retract_y) = posets.core(X), posets.core(Y)
-    sm = SimplicialMap(order_complex(core_x), order_complex(core_y), dict(homology._onto_cores(g, core_x, retract_y)))
+    sm = SimplicialMap(order_complex(core_x), order_complex(core_y), homology._onto_cores(g, core_x, retract_y))
     field = FieldSpec(p)
     bases = [(homology_basis(sm.source, k, field), homology_basis(sm.target, k, field)) for k in range(k_max + 1)]
     return [rank(induced_on_homology(sm, k, field, *bases[k]), p) for k in range(k_max + 1)]
@@ -144,9 +153,9 @@ def test_cold_verify_on_a_discrete_instance_builds_no_complex():
     target = PersistencePoset((Y, Z), ({"x": "z", "y": "z"},))
     slices = ({"a": "x", "b": "x", "c": "y"}, {"a": "z", "b": "z", "c": "z"})
     f = PersistenceMap(source, target, slices)
-    clear_caches()
-    cert = verify_theorem(f, FieldSpec(2), 1)
-    assert complexes.order_complex.cache_info().misses == 0
-    assert homology._chains.cache_info().misses == 0
-    assert homology._core_barcodes.cache_info().misses > 0
+    clear_library_caches()
+    with mock.patch.object(homology, "_discrete_barcode", wraps=homology._discrete_barcode) as discrete:
+        cert = verify_theorem(f, FieldSpec(2), 1)
+    assert homology._core_chains.cache_info().misses == 0
+    assert discrete.call_count > 0
     assert cert.induced_ranks == {0: [2, 1], 1: [0, 0]}

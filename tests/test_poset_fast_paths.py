@@ -40,9 +40,8 @@ from hypothesis import strategies as st
 
 import reference
 from persposet import posets, pposets, verifier
-from persposet.complexes import order_complex
 from persposet.errors import UnknownElement
-from persposet.homology import FieldSpec, _chains, _core_barcodes
+from persposet.homology import FieldSpec
 from persposet.modules import bottleneck_distance
 from persposet.posets import FinitePoset, core, linear_extension, longest_chain, new_poset
 from persposet.pposets import (
@@ -159,7 +158,7 @@ def drawn_posets(draw, most=8):
 @settings(max_examples=300, deadline=None)
 def test_core_and_longest_chain_equal_their_references_on_drawn_posets(P):
     """The loop-based _extreme gives the core and retraction of the max-based one; the chain DP the walk's length."""
-    core.cache_clear()
+    reference.clear_library_caches()
     assert core(P) == reference.beat_point_core(P)
     assert longest_chain(P) == reference.longest_chain(P)
 
@@ -346,8 +345,7 @@ def test_puncture_suite_traffic():
         assert all(step.larger.components[i] is step.smaller.components[i] for i in kept)
     assert changed > 0
 
-    for cache in (core, order_complex, _chains, _core_barcodes):
-        cache.cache_clear()
+    reference.clear_library_caches()
     slice_callers = []
     slice_restrict = FinitePoset.restrict
 

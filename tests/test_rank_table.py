@@ -2,8 +2,9 @@
 
 The library reads both from the sparse reduction of each complex
 (homology._chains): rank H_k(f) as the bars through 0 and 1 in the barcode
-of the two-slice tower from f's source to its target (homology.tower_barcodes), and
-the reduced Betti number as dim Z_k - rank B_k, less one in degree 0.
+of the two-slice tower from f's source to its target (reference.tower_barcodes,
+the library's sweep over uncached reductions), and the reduced Betti
+number as dim Z_k - rank B_k, less one in degree 0.
 The reference is the dense path of tests/reference.py: homology bases,
 the matrix induced on homology and its rank.
 """
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persposet.homology import FieldSpec, tower_barcodes
+from persposet.homology import FieldSpec
 from persposet.verifier import verify_theorem
 from reference import (
     SimplicialMap,
@@ -25,6 +26,7 @@ from reference import (
     order_complex_tower,
     rank,
     reduced_dim,
+    tower_barcodes,
 )
 from tiers import instance
 

@@ -1,12 +1,13 @@
-"""Every vertex map that the library reduces is simplicial.
+"""Every vertex map that the library sweeps is simplicial.
 
-homology.tower_barcodes takes plain vertex maps between order complexes
-of cores, with no check: each is r . g on a core, for a structure or slice
-map g that passed posets.check_map and a retraction r, so it is monotone
-and sends chains to chains.  The rank table's maps reach it too, as
-two-slice towers.  Here every map it receives on tiers S and M is passed
-through reference.SimplicialMap, which checks each vertex image and each
-simplex image when built.
+homology._sweep takes the reductions of the order complexes of cores and
+plain vertex maps between them, with no check: each map is r . g on a
+core, for a structure or slice map g that passed posets.check_map and a
+retraction r, so it is monotone and sends chains to chains.  The rank
+table's maps reach it too, as two-slice towers.  Here every map it
+receives on tiers S and M is passed through reference.SimplicialMap,
+between the complexes the reductions were made from, which checks each
+vertex image and each simplex image when built.
 """
 
 import contextlib
@@ -17,10 +18,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from persposet import complexes, homology, posets, verifier
+from persposet import homology, verifier
+from persposet.complexes import SimplicialComplex
 from persposet.homology import FieldSpec
 from persposet.verifier import chain_puncture_suite, verify_theorem
-from reference import ComplexTower, SimplicialMap
+from reference import ComplexTower, SimplicialMap, clear_library_caches
 from tiers import instance
 
 TIERS = ("S", "M")
@@ -28,20 +30,27 @@ EXAMPLES = {"S": 100, "M": 40}
 FIELDS = (2, 3)
 
 
+def reduced_complex(chains) -> SimplicialComplex:
+    """The complex a reduction was made from: its simplices, degree by degree."""
+    vertices = tuple(v for (v,) in chains.simplices[0]) if chains.simplices else ()
+    return SimplicialComplex(vertices, tuple(s for group in chains.simplices for s in group))
+
+
 @contextlib.contextmanager
 def checked(seen: Counter):
-    """A wrapper of tower_barcodes that builds the checked reference objects first.
+    """A wrapper of the sweep that builds the checked reference objects first.
 
     Maps that arrive while verifier.induced_ranks runs are the rank table's,
     and are counted apart.
     """
-    tower_barcodes, induced_ranks = homology.tower_barcodes, verifier.induced_ranks
+    sweep, induced_ranks = homology._sweep, verifier.induced_ranks
     in_rank_table = []
 
-    def checked_tower_barcodes(cs, maps, field, k_max):
+    def checked_sweep(chains, maps, p, k_max):
+        cs = [reduced_complex(c) for c in chains]
         ComplexTower(tuple(cs), tuple(SimplicialMap(cs[i], cs[i + 1], dict(m)) for i, m in enumerate(maps)))
         seen["rank maps" if in_rank_table else "tower maps"] += len(maps)
-        return tower_barcodes(cs, maps, field, k_max)
+        return sweep(chains, maps, p, k_max)
 
     def marked_induced_ranks(*args):
         in_rank_table.append(True)
@@ -50,14 +59,14 @@ def checked(seen: Counter):
         finally:
             in_rank_table.pop()
 
-    with mock.patch.object(homology, "tower_barcodes", checked_tower_barcodes), \
+    with mock.patch.object(homology, "_sweep", checked_sweep), \
             mock.patch.object(verifier, "induced_ranks", marked_induced_ranks):
         yield
 
 
 @pytest.mark.parametrize("tier", TIERS)
 def test_every_reduced_map_is_simplicial(tier):
-    """verify_theorem, and on tier S the puncture suite, from cold caches so every key reaches the reduction.
+    """verify_theorem, and on tier S the puncture suite, from cold caches.
 
     Few tier-S slice maps have cores with relations, so the seeds of two
     that do are always run; both kinds of map must be seen.
@@ -70,8 +79,7 @@ def test_every_reduced_map_is_simplicial(tier):
     @settings(max_examples=EXAMPLES[tier], deadline=None)
     def check(seed, p):
         f = instance(tier, seed)
-        for cache in (complexes.order_complex, homology._chains, homology._core_barcodes, posets.core):
-            cache.cache_clear()
+        clear_library_caches()
         with checked(seen):
             verify_theorem(f, FieldSpec(p))
             if tier == "S":

@@ -13,6 +13,7 @@ import pytest
 
 import persposet
 import persposet.cli  # noqa: F401  (not imported by the package itself)
+import reference
 import tiers
 from persposet.documents import canonical_json, random_instance
 from persposet.errors import InternalError, PersistenceError
@@ -52,14 +53,19 @@ def test_every_leaf_error_is_raised():
     assert sorted({node.name for node in classes} - bases - raised) == []
 
 
-def test_tower_barcodes_has_one_caller():
-    """Every barcode goes through the memo of homology.pposet_barcodes.
+def test_the_sweep_has_one_caller():
+    """Every sweep of a tower runs on the reductions of cores, each reduced once per field.
 
-    Only the memo's miss calls tower_barcodes, on cores; the join lemma
-    reads its towers' barcodes off the ordinal sum.  Any other use would
-    bypass the memo.
+    Only _core_barcodes, which picks a tower's model, calls the sweep; the
+    join lemma reads its towers' barcodes off the ordinal sum.  Only the
+    reduction cache (_core_chains) builds an order complex and reduces it,
+    so no complex is reduced twice while the cache holds its core, and no
+    library code sweeps a tower of arbitrary complexes.
     """
-    assert named_in("tower_barcodes") == [("homology", "_core_barcodes")]
+    assert called_in("_sweep") == [("homology", "_core_barcodes")]
+    assert called_in("order_complex") == called_in("_chains") == [("homology", "_core_chains")]
+    defined = [top.name for path in SOURCES for top in parse(path).body if isinstance(top, ast.FunctionDef)]
+    assert "tower_barcodes" not in defined
 
 
 def named_in(target: str) -> list[tuple[str, str]]:
@@ -208,7 +214,7 @@ def module_path(stem: str) -> Path:
 
 
 def test_complexes_does_not_import_pposets():
-    """Complexes are built from posets; persistence posets reach them only through the memo."""
+    """Complexes are built from posets; persistence posets reach them only through their cores."""
     assert "pposets" not in package_imports(module_path("complexes"))
 
 
@@ -232,7 +238,7 @@ def test_homology_is_the_only_view_of_complexes():
 
 
 def test_complexes_has_one_form():
-    """complexes defines the complex and the cached order complex, and nothing else.
+    """complexes defines the complex and the order complex, and nothing else.
 
     Simplicial maps and towers, with their checks, live in tests/reference.py:
     the library hands the reduction plain vertex maps of monotone maps.
@@ -301,35 +307,16 @@ def test_every_public_function_is_used():
     assert unused == []
 
 
-def functools_caches():
-    """Every functools cache among the attributes of the persposet modules and their classes, by name."""
-    caches = {}
-    for modname, module in sorted(sys.modules.items()):
-        if module is None or not modname.startswith("persposet."):
-            continue
-        for name, obj in vars(module).items():
-            candidates = [(f"{modname}.{name}", obj)]
-            if isinstance(obj, type) and obj.__module__ == modname:
-                candidates += [(f"{modname}.{name}.{attr}", getattr(obj, attr)) for attr in vars(obj)]
-            for qualname, candidate in candidates:
-                if hasattr(candidate, "cache_info"):
-                    caches.setdefault(id(candidate), (qualname, candidate))
-    return dict(sorted(caches.values(), key=lambda item: item[0]))
-
-
 def test_every_cache_is_bounded():
     """An unbounded functools cache grows for the life of the process.
 
     The set of caches is pinned exactly, so a cache that is added or
     removed (or that this scan stops finding) fails here until it is named.
+    The library reuses two things: each poset's core, and each core's
+    reduction over F_p.
     """
-    caches = functools_caches()
-    assert sorted(caches) == [
-        "persposet.complexes.order_complex",
-        "persposet.homology._chains",
-        "persposet.homology._core_barcodes",
-        "persposet.posets.core",
-    ]
+    caches = reference.library_caches()
+    assert sorted(caches) == ["persposet.homology._core_chains", "persposet.posets.core"]
     unbounded = [qualname for qualname, cache in caches.items() if cache.cache_info().maxsize is None]
     assert unbounded == []
 
@@ -343,11 +330,10 @@ def test_caches_clear_and_repeat_cold(tmp_path, command):
     """
     path = tmp_path / "instance.json"
     path.write_text(canonical_json(random_instance(1, tiers.S)), encoding="utf-8")
-    caches = functools_caches()
+    caches = reference.library_caches()
     traffic = []
     for _ in range(2):
-        for cache in caches.values():
-            cache.cache_clear()
+        reference.clear_library_caches()
         infos = {name: cache.cache_info() for name, cache in caches.items()}
         assert [name for name, info in infos.items() if (info.hits, info.misses, info.currsize) != (0, 0, 0)] == []
         with contextlib.redirect_stdout(io.StringIO()):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persposet import complexes, homology, linalg, posets
+from persposet import homology, linalg
 from persposet.errors import InternalError
 from persposet.homology import FieldSpec, pposet_barcodes
 from persposet.modules import INF, Barcode, PersistenceModule, barcode
@@ -125,8 +125,7 @@ def test_sweep_barcodes_need_no_normalising(tier):
 
             return mock.patch.object(homology, name, record)
 
-        for cache in (complexes.order_complex, homology._chains, homology._core_barcodes, posets.core):
-            cache.cache_clear()
+        reference.clear_library_caches()
         with spy("elder_barcode"), spy("_discrete_barcode"):
             fibers = [reference.fiber(f, y) for y in tracks(f.target)]
             for pp in [f.source, f.target, persistence_mapping_cylinder(f), *fibers]:
