@@ -39,6 +39,7 @@ from .homology import FieldSpec, pposet_barcodes
 from .modules import INF
 from .pposets import persistence_linear_extension, top_degree, tracks
 from .verifier import (
+    DEFAULT_FIELD,
     MAX_KMAX,
     TheoremCertificate,
     chain_puncture_suite,
@@ -226,14 +227,16 @@ def _cmd_random(args):
 
 # A flag is (kind, default, help).  Its kind is None for a switch, a
 # metavar for a string, or (least, greatest) for an integer, None meaning
-# unbounded; a generated slice needs an element, hence --max-slice >= 1,
-# and the target's first slice one to label into, hence --max-y-tracks >= 1.
+# unbounded; --help adds an integer's default to its help.  A generated
+# slice needs an element, hence --max-slice >= 1, and the target's first
+# slice one to label into, hence --max-y-tracks >= 1.
+_LIMITS = GeneratorLimits()
 _REPORT = {"--report": ("PATH", None, "write the machine-readable report here")}
-_FIELD = {"--field": ((None, None), 2, "prime characteristic (default 2)")}
+_FIELD = {"--field": ((None, None), DEFAULT_FIELD.p, "prime characteristic")}
 _COMMON = {**_FIELD, "--kmax": ((0, MAX_KMAX), None, "top homology degree to check"), **_REPORT}
 _MEASURE = {**_COMMON, "--scale": ("ORIGIN,STEP", None, "report distances also as timestamps t = origin + step*i")}
-_SEED = {"--seed": ((None, None), 0, "random seed (default 0)")}
-_CASES = {**_SEED, "--count": ((0, None), 100, "number of random cases (default 100)")}
+_SEED = {"--seed": ((None, None), 0, "random seed")}
+_CASES = {**_SEED, "--count": ((0, None), 100, "number of random cases")}
 
 # Each lemma suite's positionals and flags: puncture and cylinder read one
 # instance, join and ses draw their own cases, and ses takes no degree.
@@ -259,9 +262,9 @@ _COMMANDS = {
     "cover": ("intersection poset of a nested cover", ("cover",),
               {"--max-arity": ((1, None), None, "deepest intersection to keep"), **_REPORT}, _cmd_cover),
     "random": ("generate a random instance document", (), {
-        **_SEED, "--t-max": ((0, None), 4, "last index T (default 4)"),
-        "--max-slice": ((1, None), 6, "most elements in a source slice (default 6)"),
-        "--max-y-tracks": ((1, None), 4, "most target tracks (default 4)"), **_REPORT}, _cmd_random),
+        **_SEED, "--t-max": ((0, None), _LIMITS.t_max, "last index T"),
+        "--max-slice": ((1, None), _LIMITS.max_slice, "most elements in a source slice"),
+        "--max-y-tracks": ((1, None), _LIMITS.max_y_tracks, "most target tracks"), **_REPORT}, _cmd_random),
 }
 
 
@@ -279,8 +282,10 @@ def _usage(name: str | None) -> str:
     help_text, positionals, flags, _ = _COMMANDS[name]
     words = ["usage: persposet", name, *map(_slot, positionals), "[flags]" if flags else ""]
     rows = [" ".join(words).rstrip(), "", help_text, "", "flags:"]
-    for flag, (kind, _, text) in flags.items():
+    for flag, (kind, default, text) in flags.items():
         metavar = "" if kind is None else kind if isinstance(kind, str) else "N"
+        if isinstance(kind, tuple) and default is not None:
+            text += f" (default {default})"
         rows.append(f"  {flag + ' ' + metavar:<26}{text}")
     rows.append("  -h, --help                show this help")
     for slot in positionals:

@@ -26,6 +26,7 @@ COVER_SCHEMA = "cover/1"
 _LABEL_SEPARATOR = "&"
 _MERGE_ATTEMPTS = 2  # merges the generator tries between consecutive slices
 _MAX_FRESH = 2  # most elements the generator adds at one slice
+_PAIR_PROB = 0.4  # chance that the generator draws a forward pair into a slice's order
 
 
 @dataclass(frozen=True)
@@ -319,7 +320,6 @@ class GeneratorLimits:
     t_max: int = 4
     max_slice: int = 6
     max_y_tracks: int = 4
-    pair_prob: float = 0.4
 
     def __post_init__(self) -> None:
         if self.t_max < 0 or self.max_slice < 1 or self.max_y_tracks < 1:
@@ -341,33 +341,22 @@ def _random_linear_order(rng: random.Random, P: FinitePoset) -> list[str]:
     return out
 
 
-def _forward_pairs(rng: random.Random, order: list[str], pair_prob: float, compatible) -> list[tuple[str, str]]:
-    """Pairs (a, b) with a before b in order, each kept with probability pair_prob.
+def _draw_poset(rng: random.Random, elements, pairs, order: list[str], compatible) -> FinitePoset:
+    """The poset on elements generated by pairs and by forward pairs of order (a before b), each drawn with _PAIR_PROB.
 
-    One draw per pair, in order, whether or not the pair is compatible.
+    One draw per forward pair, in order, whether or not compatible (None,
+    or a test of the pair) keeps the pair.
     """
-    return [
+    drawn = [
         (a, b)
         for i, a in enumerate(order)
         for b in order[i + 1 :]
-        if rng.random() < pair_prob and (compatible is None or compatible(a, b))
+        if rng.random() < _PAIR_PROB and (compatible is None or compatible(a, b))
     ]
+    return new_poset(elements, [*pairs, *drawn])
 
 
-def _random_poset(rng: random.Random, elements: list[str], pair_prob: float,
-                  compatible=None) -> FinitePoset:
-    order = list(elements)
-    rng.shuffle(order)
-    return new_poset(elements, _forward_pairs(rng, order, pair_prob, compatible))
-
-
-def _enrich_poset(rng: random.Random, base: FinitePoset, pair_prob: float, compatible=None) -> FinitePoset:
-    """Add random forward pairs along a random topological order of base."""
-    order = _random_linear_order(rng, base)
-    return new_poset(base.elements, [*base.relation, *_forward_pairs(rng, order, pair_prob, compatible)])
-
-
-def _try_merges(rng: random.Random, P: FinitePoset, mergeable=None) -> dict[str, str]:
+def _try_merges(rng: random.Random, P: FinitePoset, mergeable) -> dict[str, str]:
     """Pick a representative map collapsing a few classes, keeping the quotient acyclic."""
     rep = {e: e for e in P.elements}
 
@@ -399,7 +388,7 @@ def _try_merges(rng: random.Random, P: FinitePoset, mergeable=None) -> dict[str,
     return {e: find(e) for e in P.elements}
 
 
-def _random_tower(rng: random.Random, T: int, max_slice: int, budget: float, pair_prob: float, prefix: str,
+def _random_tower(rng: random.Random, T: int, max_slice: int, budget: float, prefix: str,
                   over: PersistencePoset | None = None) -> tuple[PersistencePoset, list[dict[str, str]]]:
     """Seeded persistence poset with births, merges and growing orders, and its labels per slice.
 
@@ -427,7 +416,10 @@ def _random_tower(rng: random.Random, T: int, max_slice: int, budget: float, pai
     size = rng.randint(1, min(max_slice, budget))
     budget -= size
     labels: list[dict[str, str]] = [{}]
-    comps = [_random_poset(rng, fresh(size, 0, labels[0]), pair_prob, compatible(0, labels[0]))]
+    names = fresh(size, 0, labels[0])
+    order = list(names)
+    rng.shuffle(order)
+    comps = [_draw_poset(rng, names, (), order, compatible(0, labels[0]))]
     maps = []
     for i in range(T):
         prev, lab = comps[-1], labels[i]
@@ -441,8 +433,8 @@ def _random_tower(rng: random.Random, T: int, max_slice: int, budget: float, pai
         names = fresh(count, i + 1, next_lab)
         quotient_pairs = {(rep[u], rep[v]) for (u, v) in prev.relation if rep[u] != rep[v]}
         base = new_poset(classes + names, quotient_pairs)
-        comp = _enrich_poset(rng, base, pair_prob, compatible(i + 1, next_lab))
-        comps.append(comp)
+        comps.append(_draw_poset(rng, base.elements, base.relation, _random_linear_order(rng, base),
+                                 compatible(i + 1, next_lab)))
         maps.append(rep)
         labels.append(next_lab)
     return PersistencePoset(tuple(comps), tuple(maps)), labels
@@ -453,7 +445,7 @@ def random_pposet(rng: random.Random, T: int, max_slice: int, track_budget: int,
     """Seeded persistence poset: at most max_slice elements a slice, track_budget tracks (at least one)."""
     if max_slice < 1 or track_budget < 1:
         raise ValidationError(f"random_pposet needs max_slice, track_budget >= 1, got {max_slice}, {track_budget}")
-    return _random_tower(rng, T, max_slice, track_budget, GeneratorLimits.pair_prob, name_prefix)[0]
+    return _random_tower(rng, T, max_slice, track_budget, name_prefix)[0]
 
 
 def random_instance(seed: int, limits: GeneratorLimits = GeneratorLimits()) -> dict:
@@ -465,6 +457,6 @@ def random_instance(seed: int, limits: GeneratorLimits = GeneratorLimits()) -> d
     """
     rng = random.Random(seed)
     T = rng.randint(0, limits.t_max)
-    y, _ = _random_tower(rng, T, limits.max_y_tracks, limits.max_y_tracks, limits.pair_prob, "y")
-    x, labels = _random_tower(rng, T, limits.max_slice, math.inf, limits.pair_prob, "x", over=y)
+    y, _ = _random_tower(rng, T, limits.max_y_tracks, limits.max_y_tracks, "y")
+    x, labels = _random_tower(rng, T, limits.max_slice, math.inf, "x", over=y)
     return serialize_instance(InstanceDocument(map=PersistenceMap(x, y, labels)))

@@ -410,9 +410,12 @@ def row_sets(pp: PersistencePoset, trajectory: Sequence[str | None]) -> dict[Dir
     These are the slices of the row's comparison sets, the sides of a
     puncture step; the row may extend past the removed piece.  One scan
     of a slice's closed relation gives both sets.  Raises UnknownElement
-    for a value not in its slice (values past the last slice are not
-    read); a row without one value per slice gets no sets.
+    for a value not in its slice.  Every row is a track's trajectory, one
+    value per slice, so a row of another length is a library fault
+    (InternalError).
     """
+    if len(trajectory) != pp.T + 1:
+        raise InternalError(f"a row of {len(trajectory)} values for {pp.T + 1} slices")
     below: list[set[str]] = []
     above: list[set[str]] = []
     for i, (P, v) in enumerate(zip(pp.components, trajectory)):
@@ -428,8 +431,6 @@ def row_sets(pp: PersistencePoset, trajectory: Sequence[str | None]) -> dict[Dir
                     up.add(b)
         below.append(down)
         above.append(up)
-    if len(trajectory) != pp.T + 1:
-        return {"below": [], "above": []}
     return {"below": below, "above": above}
 
 
@@ -442,14 +443,12 @@ def comparison_status(pp: PersistencePoset, sets: Sequence[set[str]], k_max: int
     The essential bars of degree k count H_k of the last slice, so the
     defect is finite exactly when the sets are closed under the maps and
     the last slice has the homology of a point up to k_max.  "infinite":
-    no sets (a row of the wrong length), sets not closed (an element
-    merges into the trajectory), or an empty or disconnected last slice.
+    sets not closed (an element merges into the trajectory), or an empty
+    or disconnected last slice.
     "finite": closed, with a cone last slice, or a connected one at k_max
     0.  "undecided" otherwise: only the barcodes tell.  Closed sets need
     no other check: the side is _sub_tower(pp, pp, sets, range(pp.T + 1)).
     """
-    if len(sets) != pp.T + 1:
-        return "infinite"
     last, ends = pp.components[pp.T], sets[pp.T]
     cone = is_cone(last, ends)
     if not cone and not is_connected(last, ends):

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 import reference
 from persposet import posets, verifier
-from persposet.errors import HypothesisUnmet, UnknownElement
+from persposet.errors import HypothesisUnmet, InternalError, UnknownElement
 from persposet.homology import FieldSpec, pposet_barcodes
 from persposet.modules import INF, Barcode, bottleneck_distance, point_comparison_defect
 from persposet.posets import is_connected
@@ -230,9 +230,10 @@ def test_an_unknown_trajectory_value_raises_before_the_rule():
 
 
 def test_a_row_of_the_wrong_length_has_no_comparison_set():
-    """A row one value short or one value long: no sets, status infinite, and HypothesisUnmet.
+    """A row one value short or one value long is a library fault: InternalError, before any status is read.
 
-    The reference raises NotASubposet for it.
+    Every row is a track's trajectory, one value per slice; the reference
+    raises NotASubposet for such a row.
     """
     chains = chain_filtrations(instance("S", 1))
     steps = chains.target_steps + chains.source_steps
@@ -243,12 +244,11 @@ def test_a_row_of_the_wrong_length_has_no_comparison_set():
             for direction in ("below", "above"):
                 with pytest.raises(reference.NotASubposet, match=f"expected {step.larger.T + 1} subsets"):
                     reference.comparison_set(step.larger, wrong, direction)
-                assert row_sets(step.larger, wrong)[direction] == []
-                assert status(step.larger, wrong, direction, 1) == "infinite"
+            with pytest.raises(InternalError, match=f"a row of {len(wrong)} values for {step.larger.T + 1} slices"):
+                row_sets(step.larger, wrong)
             k_max = top_degree(step.larger)
-            with pytest.raises(HypothesisUnmet):
+            with pytest.raises(InternalError):
                 verifier._step_violation(step.larger, step.smaller, step.removed, wrong, FieldSpec(2), k_max)
-            assert built_outcome(step, FieldSpec(2), k_max, wrong) is HypothesisUnmet
 
 
 def pposet(components, maps):

@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import dataclasses
 import io
 import os
 import re
@@ -15,8 +16,9 @@ import persposet
 import persposet.cli  # noqa: F401  (not imported by the package itself)
 import reference
 import tiers
-from persposet.documents import canonical_json, random_instance
+from persposet.documents import GeneratorLimits, canonical_json, random_instance
 from persposet.errors import InternalError, PersistenceError
+from persposet.verifier import DEFAULT_FIELD
 
 SOURCES = sorted(Path(persposet.__file__).parent.glob("*.py"))
 
@@ -394,3 +396,33 @@ def test_numpy_is_only_a_test_dependency():
     assert not numpy_in(project.get("dependencies", []))
     extras = project["optional-dependencies"]
     assert [name for name, deps in extras.items() if numpy_in(deps)] == ["test"]
+
+
+def test_random_takes_the_generator_limits():
+    """persposet random has one value flag per field of GeneratorLimits, besides --seed and --report.
+
+    Each flag's default is the field's default, and each flag sets its own
+    field; the library holds every default, and the CLI reads it.
+    """
+    flags = persposet.cli._COMMANDS["random"][2]
+    names = sorted(flag[2:].replace("-", "_") for flag in flags if flag not in ("--seed", "--report"))
+    fields = [field.name for field in dataclasses.fields(GeneratorLimits)]
+    assert names == sorted(fields)
+    args = persposet.cli.parse_args(["random"])
+    assert {name: getattr(args, name) for name in fields} == dataclasses.asdict(GeneratorLimits())
+    for name in fields:
+        value = getattr(GeneratorLimits(), name) + 1
+        args = persposet.cli.parse_args(["random", f"--{name.replace('_', '-')}", str(value)])
+        limits = dataclasses.replace(GeneratorLimits(), **{name: value})
+        assert args.handler(args)[1] == random_instance(0, limits)
+
+
+def test_the_default_field_is_the_library_default():
+    """Every command that takes --field, each lemma suite included, defaults to verifier.DEFAULT_FIELD."""
+    commands = persposet.cli._COMMANDS
+    assert sorted(name for name, entry in commands.items() if "--field" in entry[2]) == [
+        "barcode", "fibers", "lemma", "verify"
+    ]
+    argvs = [[name, "instance.json"] for name in ("barcode", "fibers", "verify")]
+    argvs += [["lemma", suite, *["instance.json"] * len(rest)] for suite, (rest, _) in persposet.cli._SUITES.items()]
+    assert {persposet.cli.parse_args(argv).field for argv in argvs} == {DEFAULT_FIELD.p}
