@@ -37,11 +37,12 @@ from .documents import (
 from .errors import HypothesisUnmet, PersistenceError, ValidationError
 from .homology import FieldSpec, pposet_barcodes
 from .modules import INF
-from .pposets import persistence_linear_extension, top_degree, tracks
+from .pposets import persistence_linear_extension, tracks
 from .verifier import (
     DEFAULT_FIELD,
     MAX_KMAX,
     TheoremCertificate,
+    _degree,
     chain_puncture_suite,
     fiber_defects,
     verify_cylinder_retraction,
@@ -123,7 +124,7 @@ def _cmd_extend(args):
 def _cmd_barcode(args):
     inst = _load_instance(args.instance, args.scale)
     field = FieldSpec(args.field)
-    k_max = args.kmax if args.kmax is not None else max(top_degree(inst.x), top_degree(inst.y))
+    k_max = _degree(args.kmax, inst.x, inst.y)
     report = {"schema": "barcode/1", "field": field.p, "k_max": k_max, "x": {}, "y": {}}
     lines = []
     for name, pp in (("x", inst.x), ("y", inst.y)):

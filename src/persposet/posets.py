@@ -1,11 +1,11 @@
 """Finite posets and order-preserving maps.
 
-Single time-slice building blocks: validated strict partial orders,
-the one check of monotone maps, deterministic linear extensions,
-beat-point cores, and connected and coned subsets.  A map between two
-posets is its name-to-name table, a plain dict; its source and target
-travel beside it.  Posets are immutable after construction and safe to
-share, and no caller mutates a map it did not build.
+Single time-slice building blocks: validated strict partial orders, the
+one check of monotone maps, deterministic linear extensions, beat-point
+cores, weak down- and up-sets, and connected and coned subsets.  A map
+between two posets is its name-to-name table, a plain dict; its source
+and target travel beside it.  Posets are immutable after construction
+and safe to share, and no caller mutates a map it did not build.
 
 Only new_poset validates and closes a relation.  Everything derived from
 a poset that is already closed (induced subposets, cores) filters closed
@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Literal
 
 from .errors import (
     CycleError,
@@ -228,6 +228,18 @@ def core(P: FinitePoset) -> tuple[FinitePoset, dict[str, str]]:
     return C, r
 
 
+def weak_sets(P: FinitePoset, direction: Literal["below", "above"]) -> dict[str, set[str]]:
+    """Each element's weak down-set ("below") or weak up-set ("above"), from one scan of the closed relation."""
+    sets = {e: {e} for e in P.elements}
+    if direction == "below":
+        for a, b in P.relation:
+            sets[b].add(a)
+    else:
+        for a, b in P.relation:
+            sets[a].add(b)
+    return sets
+
+
 def is_connected(P: FinitePoset, subset: Iterable[str]) -> bool:
     """Whether subset induces a connected subposet of P: one component, so not empty.
 
@@ -272,16 +284,15 @@ def longest_chain(P: FinitePoset) -> int:
     """Number of elements in a longest chain (0 for the empty poset).
 
     The relation is closed, so a < b gives below(a) a proper subset of
-    below(b): sorted by the size of their down-sets, the elements come in
-    an order where every element follows all those below it.  An
-    antichain, the empty poset included, has no pair and needs no sort.
+    below(b).  Sorted by the down-set size of their lower element, the
+    pairs ending at a come before those leaving a, so one pass gives each
+    element the height of its longest chain from below.
     """
-    if not P.relation:
-        return min(len(P.elements), 1)
-    below: dict[str, list[str]] = {e: [] for e in P.elements}
+    size = dict.fromkeys(P.elements, 0)
     for a, b in P.relation:
-        below[b].append(a)
-    best: dict[str, int] = {}
-    for e in sorted(P.elements, key=lambda e: len(below[e])):
-        best[e] = 1 + max([best[a] for a in below[e]], default=0)
-    return max(best.values())
+        size[b] += 1
+    height = dict.fromkeys(P.elements, 1)
+    for a, b in sorted(P.relation, key=lambda pair: size[pair[0]]):
+        if height[b] <= height[a]:
+            height[b] = height[a] + 1
+    return max(height.values(), default=0)

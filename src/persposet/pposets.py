@@ -16,8 +16,10 @@ _sub_tower (the subposets of a row and the chain members).
 A row is read once, off the closed relation of each slice: row_sets
 gives a puncture step's strict sets, which decide each side's status
 (comparison_status), give the slices of a side it builds, and tell
-whether the step removes only weak points (removes_weak_points); fibers
-reads each fiber's last slice once and builds only the connected ones.
+whether the step removes only weak points (removes_weak_points).
+Fibers, the cylinder's cross pairs and up_set_of_image_track read whole
+posets.weak_sets tables, one scan per slice; fibers reads each fiber's
+last slice first and builds only the connected fibers.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .posets import (
     is_connected,
     linear_extension,
     longest_chain,
+    weak_sets,
 )
 
 Direction = Literal["below", "above"]
@@ -143,14 +146,9 @@ class PersistenceMap:
         return self.source.T
 
 
-def _leaving(pp: PersistencePoset, sets: Sequence[set[str]]) -> tuple[int, str] | None:
-    """The first slice i, and its least element, whose image under structure map i is not in sets[i + 1]."""
-    for i in range(pp.T):
-        f, kept = pp.maps[i], sets[i + 1]
-        leaving = [x for x in sets[i] if f[x] not in kept]
-        if leaving:
-            return i, min(leaving)
-    return None
+def _closed(pp: PersistencePoset, sets: Sequence[set[str]]) -> bool:
+    """Whether every structure map i sends sets[i] into sets[i + 1]; stops at the first element that leaves."""
+    return all(pp.maps[i][x] in sets[i + 1] for i in range(pp.T) for x in sets[i])
 
 
 def _sub_tower(
@@ -233,11 +231,12 @@ def tracks(pp: PersistencePoset) -> list[ElementTrack]:
 def fibers(f: PersistenceMap, ys: Sequence[ElementTrack]) -> list[PersistencePoset | None]:
     """The fiber over each target track of ys, in order, or None where its last slice is not connected.
 
-    Slice i of a fiber is the preimage under f_i of {v} and the a with
-    (a, v) in the target's relation, where v is the track's value; it is
-    empty before the track's birth.  It is closed by naturality: f_i(x)
-    <= v gives f_{i+1}(phi x) = psi(f_i x) <= psi(v), the track's next
-    value.  So each fiber is a sub-tower, without a closure check.
+    Slice i of a fiber is the preimage under f_i of the weak down-set of
+    v, the track's value; it is empty before the track's birth.  Every
+    weak down-set of target slice i comes from one table, built once per
+    call.  A fiber is closed by naturality: f_i(x) <= v gives
+    f_{i+1}(phi x) = psi(f_i x) <= psi(v), the track's next value.  So
+    each fiber is a sub-tower, without a closure check.
 
     The last slice of each fiber is read first, once: a fiber whose last
     slice is empty or disconnected is not built.  Slice i depends only on
@@ -248,29 +247,27 @@ def fibers(f: PersistenceMap, ys: Sequence[ElementTrack]) -> list[PersistencePos
     and the cached core of a shared slice is found by identity.
     """
     T = f.T
+    downs = [weak_sets(Q, "below") for Q in f.target.components]
+
+    def preimage(i: int, v: str | None) -> set[str]:
+        if v is None:
+            return set()
+        down, g = downs[i][v], f.slices[i]
+        return {x for x in f.source.components[i].elements if g[x] in down}
+
     out: list[PersistencePoset | None] = []
     fib, row = f.source, None
     for y in ys:
-        last = _fiber_slice(f, T, y.trajectory[T])
+        last = preimage(T, y.trajectory[T])
         if not is_connected(f.source.components[T], last):
             out.append(None)
             continue
         changed = [i for i, v in enumerate(y.trajectory) if row is None or row[i] != v]
-        sets = {i: last if i == T else _fiber_slice(f, i, y.trajectory[i]) for i in changed}
+        sets = {i: last if i == T else preimage(i, y.trajectory[i]) for i in changed}
         fib = _sub_tower(f.source, fib, sets, changed)
         row = y.trajectory
         out.append(fib)
     return out
-
-
-def _fiber_slice(f: PersistenceMap, i: int, v: str | None) -> set[str]:
-    """Slice i of a fiber: the preimage under f_i of the weak down-set of v, empty for None."""
-    if v is None:
-        return set()
-    down = _strict_set(f.target.components[i], v, "below")
-    down.add(v)
-    g = f.slices[i]
-    return {x for x in f.source.components[i].elements if g[x] in down}
 
 
 def _tagged_sum(
@@ -309,11 +306,8 @@ def persistence_mapping_cylinder(f: PersistenceMap) -> PersistencePoset:
     maps, since f_{i+1}(phi x) = psi(f_i x) <= psi(y) by naturality.
     """
     def across(i: int) -> list[tuple[str, str]]:
-        weak_up: dict[str, list[str]] = {y: [y] for y in f.target.components[i].elements}
-        for a, b in f.target.components[i].relation:
-            weak_up[a].append(b)
-        g = f.slices[i]
-        return [(x, y) for x in f.source.components[i].elements for y in weak_up[g[x]]]
+        up, g = weak_sets(f.target.components[i], "above"), f.slices[i]
+        return [(x, y) for x in f.source.components[i].elements for y in up[g[x]]]
 
     return _tagged_sum(f.source, f.target, (CYLINDER_SOURCE_TAG, CYLINDER_TARGET_TAG), across)
 
@@ -453,7 +447,7 @@ def comparison_status(pp: PersistencePoset, sets: Sequence[set[str]], k_max: int
     cone = is_cone(last, ends)
     if not cone and not is_connected(last, ends):
         return "infinite"
-    if _leaving(pp, sets) is not None:
+    if not _closed(pp, sets):
         return "infinite"
     return "finite" if cone or k_max <= 0 else "undecided"
 
@@ -488,21 +482,12 @@ def up_set_of_image_track(
 ) -> PersistencePoset:
     """Weak up-set of a trajectory row; always closed under structure maps.
 
-    The row's values map to each other, and a monotone map keeps v <= b
-    as phi(v) <= phi(b), so it is built as a sub-tower, without a
-    closure check.
+    Slice i is read off the weak up-set table of slice i.  The row's
+    values map to each other, and a monotone map keeps v <= b as phi(v)
+    <= phi(b), so it is built as a sub-tower, without a closure check.
     """
-    sets = [
-        set() if v is None else _strict_set(pp.components[i], v, "above") | {v} for i, v in enumerate(track_values)
-    ]
+    sets = [set() if v is None else weak_sets(P, "above")[v] for P, v in zip(pp.components, track_values)]
     return _sub_tower(pp, pp, sets, range(pp.T + 1))
-
-
-def _strict_set(P: FinitePoset, v: str, direction: Direction) -> set[str]:
-    """The elements strictly below or above v in P, from one scan of the closed relation."""
-    if direction == "below":
-        return {a for a, b in P.relation if b == v}
-    return {b for a, b in P.relation if a == v}
 
 
 def ordinal_sum(A: PersistencePoset, B: PersistencePoset) -> PersistencePoset:

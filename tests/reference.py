@@ -114,7 +114,6 @@ from persposet.pposets import (
     PersistenceMap,
     ElementTrack,
     PersistencePoset,
-    _leaving,
     _sub_tower,
     _tagged_track,
     persistence_mapping_cylinder,
@@ -845,10 +844,11 @@ def restrict(pp: PersistencePoset, subsets: Sequence[Iterable[str]]) -> Persiste
         extra = s.difference(pp.components[i].elements)
         if extra:
             raise UnknownElement(f"slice {i}: {sorted(extra)!r} not in component")
-    leaving = _leaving(pp, sets)
-    if leaving is not None:
-        i, x = leaving
-        raise NotASubposet(f"slice {i}: image {pp.maps[i][x]!r} of {x!r} leaves the subset")
+    for i in range(pp.T):
+        leaving = [x for x in sets[i] if pp.maps[i][x] not in sets[i + 1]]
+        if leaving:
+            x = min(leaving)
+            raise NotASubposet(f"slice {i}: image {pp.maps[i][x]!r} of {x!r} leaves the subset")
     return _sub_tower(pp, pp, sets, range(pp.T + 1))
 
 

@@ -11,6 +11,7 @@ import pytest
 from persposet import cli
 from persposet.cli import MAX_KMAX, main
 from persposet.documents import GeneratorLimits, canonical_json, random_instance
+from tiers import TIERS
 
 
 @pytest.fixture()
@@ -198,6 +199,21 @@ def test_fibers(instance_file, capsys):
     assert main(["fibers", str(instance_file)]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert out and all("\t" in line for line in out)
+
+
+def test_barcode_and_verify_default_to_one_k_max(tmp_path, capsys):
+    """Without --kmax, barcode and verify report the same k_max, the largest top degree of the two towers."""
+    path, report = tmp_path / "instance.json", tmp_path / "bars.json"
+    seen = set()
+    for seed in range(10):
+        path.write_text(canonical_json(random_instance(seed, TIERS["M"])), encoding="utf-8")
+        assert main(["barcode", str(path), "--report", str(report)]) == 0
+        capsys.readouterr()
+        main(["verify", str(path), "--json"])
+        k_max = json.loads(report.read_text(encoding="utf-8"))["k_max"]
+        assert json.loads(capsys.readouterr().out)["k_max"] == k_max
+        seen.add(k_max)
+    assert len(seen) > 1
 
 
 def test_verify_text_json_and_exit_codes(instance_file, tmp_path, capsys):

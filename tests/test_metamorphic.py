@@ -1,4 +1,4 @@
-"""Metamorphic relations: a change to an instance that must not change its certificate.
+"""Metamorphic relations: a change to an instance or a tower that must not change its certificate or barcodes.
 
 Renaming: every element is renamed through a bijection that reverses the
 sort order of the names, in the elements, the pairs, the structure-map
@@ -6,14 +6,24 @@ tables and the slice-map tables.  The certificate is a function of the
 isomorphism class of the instance, so every value that names no element
 stays equal.  The relation exercises the tie-breaks by name order in
 posets.core, the linear extensions and the track order.
+
+Opposite: reversing every slice's relation, with the same structure
+maps, gives a persistence poset pp^op whose maps are still monotone.  A
+chain of P is a chain of P^op, so the order complexes are equal, and
+pp^op has the barcodes of pp.  The relation exercises every step of
+pposet_barcodes that reads which way a pair points: the beat-point scan,
+which tries down-sets before up-sets, and the order complex, which grows
+each chain upward.
 """
 
 import pytest
 
 from persposet.documents import parse_instance, random_instance
-from persposet.homology import FieldSpec
+from persposet.homology import FieldSpec, pposet_barcodes
+from persposet.posets import FinitePoset
+from persposet.pposets import PersistencePoset, persistence_mapping_cylinder, top_degree
 from persposet.verifier import verify_theorem
-from tiers import TIERS
+from tiers import TIERS, instance
 
 SEEDS = range(40)
 
@@ -73,3 +83,23 @@ def test_the_renaming_reverses_the_order():
     old = sorted(rename)
     assert len(set(rename.values())) == len(rename)
     assert [rename[name] for name in old] == sorted(rename.values(), reverse=True)
+
+
+def opposite(pp: PersistencePoset) -> PersistencePoset:
+    """pp with every slice's relation reversed and the same structure maps."""
+    slices = [FinitePoset(P.elements, frozenset((b, a) for a, b in P.relation)) for P in pp.components]
+    return PersistencePoset(tuple(slices), pp.maps)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("tier", ["S", "M"])
+def test_the_opposite_keeps_the_barcodes(tier, p):
+    """The source, the target and the cylinder of each instance have the barcodes of their opposites."""
+    mismatches = []
+    for seed in SEEDS:
+        f = instance(tier, seed)
+        for name, pp in (("source", f.source), ("target", f.target), ("cylinder", persistence_mapping_cylinder(f))):
+            k_max = top_degree(pp)
+            if pposet_barcodes(opposite(pp), FieldSpec(p), k_max) != pposet_barcodes(pp, FieldSpec(p), k_max):
+                mismatches.append((seed, name))
+    assert mismatches == []

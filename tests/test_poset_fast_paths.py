@@ -2,9 +2,8 @@
 
 - linear_extension is Kahn's algorithm with a heap; the reference
   re-scans every remaining element at each step.
-- longest_chain is a DP over the elements sorted by down-set size, and
-  answers an antichain without it; the reference walks a linear
-  extension.
+- longest_chain is a DP over the pairs sorted by the down-set size of
+  their lower element; the reference walks a linear extension.
 - core returns an antichain with the identity, and finds an extreme
   element by the size of its inner set in one loop; the reference runs
   the beat-point loop on every poset and finds that element through max.
@@ -12,17 +11,18 @@
   as one tagged sum; the references close their generating pairs again
   with new_poset.  Their structure maps are the tagged unions of the
   factors' maps.
-- comparison sets, fibers and weak up-sets are read off the closed
-  relation; the references test each element with a predicate.  A
-  comparison set is built off its row's row_sets once its status shows
-  it closed; the reference checks closure itself.  Each fiber after the
-  first built is built from the one before it and shares its slices
-  where the two tracks agree.
+- comparison sets are read off the closed relation, and fibers and weak
+  up-sets off posets.weak_sets tables; the references test each element
+  with a predicate.  A comparison set is built off its row's row_sets
+  once its status shows it closed; the reference checks closure itself.
+  Each fiber after the first built is built from the one before it and
+  shares its slices where the two tracks agree.
 - each chain's first member restricts every slice of the cylinder, and
   the members after it are built from the member before them,
   restricting only the slices a step changes; a built comparison set
   restricts every slice through the same sub-tower routine.
-- fiber_defects reads each track's last fiber slice once, in one call of
+- fiber_defects builds one weak down-set table per target slice and
+  tests each track's last fiber slice once, in one call of
   pposets.fibers, and builds only the fibers whose last slice is
   connected, and the puncture suite builds only the comparison sets whose
   exact defect decides a step's outcome; the counts come from the
@@ -47,7 +47,7 @@ from persposet.posets import FinitePoset, core, linear_extension, longest_chain,
 from persposet.pposets import (
     CYLINDER_SOURCE_TAG,
     CYLINDER_TARGET_TAG,
-    _leaving,
+    _closed,
     _sub_tower,
     chain_filtrations,
     fibers,
@@ -219,8 +219,8 @@ def test_fibers_equal_reference_and_share_unchanged_slices(tier):
 def test_core_of_an_antichain_is_the_loop_result():
     """Includes the empty poset, which the tier instances rarely have as a slice.
 
-    longest_chain answers the same antichains without its DP, with the
-    reference's value.
+    longest_chain's DP gives an antichain the reference's value: 1, or 0
+    when empty.
     """
     for elements in ["", "a", "abc", ["x:1", "x:10", "y"]]:
         P = new_poset(elements, [])
@@ -258,7 +258,7 @@ def test_row_subposets_equal_their_references(tier):
                 except UnknownElement as exc:
                     assert expected == (UnknownElement, str(exc))
                     continue
-                if _leaving(pp, sets) is None:
+                if _closed(pp, sets):
                     assert shape(_sub_tower(pp, pp, sets, range(pp.T + 1))) == expected
                 else:
                     assert expected[0] is reference.NotASubposet
@@ -376,8 +376,9 @@ def test_fiber_defects_traffic():
     """fiber_defects builds, and asks barcodes for, exactly the fibers whose last slice is connected.
 
     It calls pposets.fibers once, on every track in track order, which
-    reads each track's last fiber slice once, and every fiber comes out
-    of _sub_tower.
+    builds one weak down-set table per target slice, tests each track's
+    last fiber slice once for connectivity, and builds every connected
+    fiber with one _sub_tower.
     """
     f = instance("M", 6)
     ys = tracks(f.target)
@@ -386,12 +387,14 @@ def test_fiber_defects_traffic():
     ]
     assert 0 < len(connected) < len(ys)
     with mock.patch.object(verifier, "fibers", wraps=verifier.fibers) as spy_fibers, \
-            mock.patch.object(pposets, "_fiber_slice", wraps=pposets._fiber_slice) as spy_slice, \
+            mock.patch.object(pposets, "weak_sets", wraps=pposets.weak_sets) as spy_tables, \
+            mock.patch.object(pposets, "is_connected", wraps=pposets.is_connected) as spy_connected, \
             mock.patch.object(pposets, "_sub_tower", wraps=pposets._sub_tower) as spy_sub_tower, \
             mock.patch.object(verifier, "pposet_barcodes", wraps=verifier.pposet_barcodes) as spy_barcodes:
         fiber_defects(f, FieldSpec(2))
     assert spy_fibers.call_count == 1
     assert spy_fibers.call_args.args[1] == ys
-    last_reads = [c.args[2] for c in spy_slice.call_args_list if c.args[1] == f.T]
-    assert last_reads == [y.trajectory[f.T] for y in ys]
+    assert [c.args for c in spy_tables.call_args_list] == [(Q, "below") for Q in f.target.components]
+    assert spy_connected.call_count == len(ys)
+    assert all(c.args[0] is f.source.components[f.T] for c in spy_connected.call_args_list)
     assert spy_sub_tower.call_count == spy_barcodes.call_count == len(connected)

@@ -111,6 +111,32 @@ def test_a_row_is_read_once_per_step():
     assert defined == []
 
 
+def test_weak_sets_have_one_builder():
+    """posets.weak_sets is the only reader of a slice's weak sets, whole-slice, one scan per table.
+
+    Fibers read weak down-set tables; the cylinder's cross pairs and the
+    up-sets of image tracks read weak up-set tables.  In pposets only
+    row_sets (a puncture step's row) and _tagged_sum (which copies both
+    factors' relations) read a slice's relation.  The per-value scans
+    that the tables replaced, and the closure witness that a yes/no
+    closure test replaced, are defined nowhere.
+    """
+    assert called_in("weak_sets") == [
+        ("pposets", "fibers"),
+        ("pposets", "persistence_mapping_cylinder"),
+        ("pposets", "up_set_of_image_track"),
+    ]
+    assert [top for module, top in named_in("relation") if module == "pposets"] == ["_tagged_sum", "row_sets"]
+    gone = {"_strict_set", "_fiber_slice", "_leaving"}
+    defined = [
+        f"{path.stem}.{node.name}"
+        for path in SOURCES
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.FunctionDef) and node.name in gone
+    ]
+    assert defined == []
+
+
 def test_two_builders_skip_validate():
     """Every derived persistence poset comes from a tagged sum or a sub-tower.
 
