@@ -21,9 +21,10 @@ builds a complex.
 Otherwise simplices come from complexes.order_complex in a fixed order,
 so every reduction, barcode and rank is bit-reproducible.  Each core's
 boundary matrices are reduced once per field and cached per core
-(_core_chains); the cycle bases and boundary pivot tables that the
-reduction (_chains) keeps serve every sweep of a tower (_sweep), which
-takes maps as plain vertex maps and runs fresh each time.
+(_core_chains); the H_k generators and boundary pivot tables that the
+reduction (_chains) keeps, top degree first and clearing paired
+columns, serve every sweep of a tower (_sweep), which takes maps as
+plain vertex maps and runs fresh each time.
 """
 
 from __future__ import annotations
@@ -71,39 +72,43 @@ def _chain_columns(
 class _Chains(NamedTuple):
     """A complex's simplices and its boundary matrices reduced once over F_p, per degree.
 
-    cycles[k] spans Z_k as sparse columns over the k-simplices; boundaries[k]
-    is the pivot table of the reduced columns of d_{k+1}, which span B_k.
+    generators[k], sparse cycles over the k-simplices, are a basis of H_k;
+    boundaries[k] is the pivot table of the reduced d_{k+1}, spanning B_k.
     """
 
     simplices: tuple[tuple[Simplex, ...], ...]
     index: tuple[dict[Simplex, int], ...]
-    cycles: tuple[tuple[linalg.Column, ...], ...]
+    generators: tuple[tuple[linalg.Column, ...], ...]
     boundaries: tuple[dict[int, linalg.Column], ...]
 
     def degree(self, k: int) -> tuple:
-        """Simplices, their index, the cycle basis and the boundary pivots in degree k."""
+        """Simplices, their index, the homology generators and the boundary pivots in degree k."""
         if k >= len(self.simplices):
             return (), {}, (), {}
-        return self.simplices[k], self.index[k], self.cycles[k], self.boundaries[k]
+        return self.simplices[k], self.index[k], self.generators[k], self.boundaries[k]
 
 
 def _chains(K: SimplicialComplex, p: int) -> _Chains:
-    """Reduce d_1..d_top once, with the transform carried in negative rows.
+    """Reduce d_top..d_1 once, top degree first, with the transform carried in negative rows.
 
     Column j of d_k gets the extra entry -1 - j -> 1.  Every boundary row is
     non-negative, so a column whose boundary part reduces to zero has a
     negative lowest row, is never filed as a pivot, and its negative rows
-    are the cycle it came from.  In degree 0 every vertex is a cycle.
-    K's simplices are already in degree, then lexicographic, order.
+    are a cycle whose largest simplex is j.  Clearing (Chen-Kerber 2011)
+    skips the columns at the pivots of the reduced d_{k+1}, whose cycles
+    are paired; the cycles kept are a basis of H_k next to B_k (the
+    pairing lemma).  K's simplices are in degree, then lexicographic, order.
     """
     simplices = tuple(tuple(group) for _, group in groupby(K.simplices, len))
     index = tuple({s: j for j, s in enumerate(group)} for group in simplices)
-    cycles: list[tuple[linalg.Column, ...]] = []
-    boundaries: list[dict[int, linalg.Column]] = []
-    for k, group in enumerate(simplices):
+    generators: list[tuple[linalg.Column, ...]] = [()] * len(simplices)
+    boundaries: list[dict[int, linalg.Column]] = [{}] * len(simplices)
+    for k in reversed(range(len(simplices))):
         pivots: dict[int, linalg.Column] = {}
         found = []
-        for j, simplex in enumerate(group):
+        for j, simplex in enumerate(simplices[k]):
+            if j in boundaries[k]:
+                continue
             column = _boundary_column(simplex, index[k - 1] if k else {}, p)
             column[-1 - j] = 1
             reduced = linalg.reduce_column(column, pivots, p)
@@ -111,11 +116,10 @@ def _chains(K: SimplicialComplex, p: int) -> _Chains:
                 found.append({-1 - r: v for r, v in reduced.items()})
             else:
                 linalg.insert_pivot(reduced, pivots, p)
-        cycles.append(tuple(found))
+        generators[k] = tuple(found)
         if k:
-            boundaries.append({low: {r: v for r, v in col.items() if r >= 0} for low, col in pivots.items()})
-    boundaries.append({})
-    return _Chains(simplices, index, tuple(cycles), tuple(boundaries))
+            boundaries[k - 1] = {low: {r: v for r, v in col.items() if r >= 0} for low, col in pivots.items()}
+    return _Chains(simplices, index, tuple(generators), tuple(boundaries))
 
 
 @lru_cache(maxsize=4096)
@@ -133,22 +137,21 @@ def _sweep(chains: Sequence[_Chains], maps: Sequence[dict[str, str]], p: int, k_
 
     chains[i] is the reduction of the i-th complex, and maps[i] a
     simplicial vertex map from the i-th complex to the next.  Each degree
-    is one elder-rule sweep (modules.elder_barcode) of the cycles, pushed
-    along the chain maps, against the boundaries.  Degree 0 is
-    unreduced.  A degree above the tower's top degree has no homology, so
-    its barcode is empty and nothing is swept for it.
+    is one elder-rule sweep (modules.elder_barcode) of the H_k generators,
+    pushed along the chain maps, against the boundaries.  Degree 0 is
+    unreduced.  A degree with no generator at any index has no bars and
+    is not swept.
     """
-    top = max((len(c.simplices) for c in chains), default=0) - 1
 
     def steps(k: int):
         previous: tuple[Simplex, ...] = ()
         for i, c in enumerate(chains):
-            simplices, index, cycles, boundaries = c.degree(k)
+            simplices, index, generators, boundaries = c.degree(k)
             columns = _chain_columns(maps[i - 1], previous, index, p) if i else []
-            yield columns, boundaries, cycles
+            yield columns, boundaries, generators
             previous = simplices
 
-    return [elder_barcode(steps(k), p) if k <= top else _NO_BARS for k in range(k_max + 1)]
+    return [elder_barcode(steps(k), p) if any(c.degree(k)[2] for c in chains) else _NO_BARS for k in range(k_max + 1)]
 
 
 def pposet_barcodes(pp: PersistencePoset, field: FieldSpec, k_max: int) -> list[Barcode]:

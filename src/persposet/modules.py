@@ -130,16 +130,17 @@ _Step = tuple[Sequence[linalg.Column], dict[int, linalg.Column], Sequence[linalg
 def elder_barcode(steps: Iterable[_Step], p: int) -> Barcode:
     """Barcode of V_0 -> V_1 -> ... -> V_T from one forward sweep with the elder rule.
 
-    Step i is (map, boundaries, generators): the map V_{i-1} -> V_i as
-    sparse columns (ignored at i = 0), the pivot table of a subspace B_i,
-    and sparse generators of a space Z_i with V_i = Z_i / B_i.
-    Representatives are kept oldest first.  Each is pushed through the map
-    and reduced, in that order, against B_i and the survivors so far, so in
-    a dependent set the youngest class reduces to zero and dies: a bar
-    [birth, i).  The new generators are reduced next, and each survivor
-    opens a bar at i.  Bars alive at T never die.  Every bar has integer
-    ends with birth < death, so the bars are sorted into a Barcode
-    without Barcode.of's checks.
+    Step i is (map, boundaries, generators): the map Z_{i-1} -> Z_i as
+    sparse columns (ignored at i = 0), the pivot table of a subspace B_i
+    of Z_i, and sparse generators whose classes are a basis of V_i =
+    Z_i / B_i.  Representatives are kept oldest first.  Each is pushed
+    through the map and reduced, in that order, against B_i and the
+    survivors so far, so in a dependent set the youngest class reduces to
+    zero and dies: a bar [birth, i).  The new generators are reduced
+    next, and each survivor opens a bar at i.  With B_i they span Z_i, so
+    exactly the generators' count survives, or InternalError is raised.
+    Bars alive at T never die.  Every bar has birth < death, both
+    integers, so the bars are sorted into a Barcode without Barcode.of.
     """
     bars: list[tuple[int, int | float]] = []
     reps: list[tuple[int, linalg.Column]] = []  # (birth, representative), oldest first
@@ -155,10 +156,8 @@ def elder_barcode(steps: Iterable[_Step], p: int) -> Barcode:
                 survivors.append((birth, reduced))
             elif birth < i:
                 bars.append((birth, i))
-        if len(survivors) != len(generators) - len(boundaries):
-            raise InternalError(
-                f"index {i}: {len(survivors)} classes, but dim Z - rank B = {len(generators) - len(boundaries)}"
-            )
+        if len(survivors) != len(generators):
+            raise InternalError(f"index {i}: {len(survivors)} classes on {len(generators)} generators")
         reps = survivors
     bars.extend((birth, INF) for birth, _ in reps)
     return Barcode(tuple(sorted(bars)))
@@ -358,10 +357,8 @@ def bottleneck_distance(B1: Barcode, B2: Barcode) -> int | float:
 # -- random module generation (for property suites) ------------------------------
 
 
-def random_module(rng, field: FieldSpec, max_dim: int = 4, t_max: int = 6, T: int | None = None) -> PersistenceModule:
-    """Seeded random module with arbitrary transition matrices."""
-    if T is None:
-        T = rng.randint(0, t_max)
+def random_module(rng, field: FieldSpec, max_dim: int, T: int) -> PersistenceModule:
+    """Seeded random module on 0..T, each dimension at most max_dim, with arbitrary transition matrices."""
     dims = tuple(rng.randint(0, max_dim) for _ in range(T + 1))
     transitions = []
     for i in range(T):

@@ -17,9 +17,9 @@ A row is read once, off the closed relation of each slice: row_sets
 gives a puncture step's strict sets, which decide each side's status
 (comparison_status), give the slices of a side it builds, and tell
 whether the step removes only weak points (removes_weak_points).
-Fibers, the cylinder's cross pairs and up_set_of_image_track read whole
-posets.weak_sets tables, one scan per slice; fibers reads each fiber's
-last slice first and builds only the connected fibers.
+Fibers, the cylinder's cross pairs and up_sets_of_image_tracks read whole
+posets.weak_sets tables, one scan per slice per call; fibers reads each
+fiber's last slice first and builds only the connected fibers.
 """
 
 from __future__ import annotations
@@ -477,17 +477,16 @@ def removes_weak_points(
     )
 
 
-def up_set_of_image_track(
-    pp: PersistencePoset, track_values: Sequence[str | None]
-) -> PersistencePoset:
-    """Weak up-set of a trajectory row; always closed under structure maps.
+def up_sets_of_image_tracks(pp: PersistencePoset, rows: Sequence[Sequence[str | None]]) -> list[PersistencePoset]:
+    """The weak up-set of each trajectory row, in order; each is closed under structure maps.
 
-    Slice i is read off the weak up-set table of slice i.  The row's
-    values map to each other, and a monotone map keeps v <= b as phi(v)
-    <= phi(b), so it is built as a sub-tower, without a closure check.
+    Slice i of every up-set is read off one weak up-set table of slice i.
+    A row's values map to each other, and a monotone map keeps v <= b as
+    phi(v) <= phi(b), so each is a sub-tower, built without a closure check.
     """
-    sets = [set() if v is None else weak_sets(P, "above")[v] for P, v in zip(pp.components, track_values)]
-    return _sub_tower(pp, pp, sets, range(pp.T + 1))
+    ups = [weak_sets(P, "above") for P in pp.components]
+    sets = ([set() if v is None else ups[i][v] for i, v in enumerate(row)] for row in rows)
+    return [_sub_tower(pp, pp, s, range(pp.T + 1)) for s in sets]
 
 
 def ordinal_sum(A: PersistencePoset, B: PersistencePoset) -> PersistencePoset:

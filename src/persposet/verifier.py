@@ -64,7 +64,7 @@ from .pposets import (
     row_sets,
     top_degree,
     tracks,
-    up_set_of_image_track,
+    up_sets_of_image_tracks,
 )
 
 DEFAULT_FIELD = FieldSpec(2)
@@ -322,12 +322,12 @@ def verify_cylinder_retraction(
     k_max = _degree(k_max, cylinder)
     distances = _distances(pposet_barcodes(cylinder, field, k_max), pposet_barcodes(f.target, field, k_max))
 
-    cone_steps_ok = True
-    for tr in tracks(f.source):
-        row = [None if v is None else f.slices[i][v] for i, v in enumerate(tr.trajectory)]
-        upset = up_set_of_image_track(f.target, row)
-        if not _is_point_from(pposet_barcodes(upset, field, k_max), tr.birth):
-            cone_steps_ok = False
+    sources = tracks(f.source)
+    rows = [[None if v is None else f.slices[i][v] for i, v in enumerate(tr.trajectory)] for tr in sources]
+    upsets = up_sets_of_image_tracks(f.target, rows)
+    cone_steps_ok = all(
+        _is_point_from(pposet_barcodes(upset, field, k_max), tr.birth) for tr, upset in zip(sources, upsets)
+    )
     ok = all(d == 0 for d in distances.values()) and cone_steps_ok
     return CylinderReport(distances=distances, cone_steps_ok=cone_steps_ok, ok=ok)
 

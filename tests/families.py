@@ -1,4 +1,4 @@
-"""Posets with known homology: face posets of triangulated surfaces.
+"""Posets with known homology: face posets of triangulated surfaces and spheres.
 
 The order complex of a simplicial complex's face poset is its barycentric
 subdivision, so the poset has the homology of the complex.  A face is
@@ -6,7 +6,7 @@ named by its sorted vertex names joined with FACE_SEPARATOR: plain
 concatenation would give the faces {1, 12} and {11, 2} one name.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 from persposet.posets import FinitePoset, new_poset
 
@@ -50,3 +50,12 @@ def grid_torus(n: int) -> list[tuple[str, str, str]]:
         for j in range(n)
         for triangle in ((v(i, j), v(i + 1, j), v(i + 1, j + 1)), (v(i, j), v(i, j + 1), v(i + 1, j + 1)))
     ]
+
+
+def cross_polytope(n: int) -> list[tuple[str, ...]]:
+    """The boundary of the n-dimensional cross-polytope, a triangulated (n - 1)-sphere.
+
+    A facet takes one signed vertex per coordinate, "+i" or "-i"; the
+    vertices +i and -i are never in one face.
+    """
+    return [tuple(f"{sign}{i}" for i, sign in enumerate(signs)) for signs in product("+-", repeat=n)]

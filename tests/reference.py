@@ -1185,7 +1185,7 @@ def relabel(pp: PersistencePoset, prefix: str) -> PersistencePoset:
 
 
 def reduced_dim(K: SimplicialComplex, k: int, field: FieldSpec) -> int:
-    """Reduced Betti number dim Z_k - rank B_k, less one in degree 0 of a nonempty complex.
+    """Reduced Betti number: the reduction's H_k generators, less one in degree 0 of a nonempty complex.
 
     Degree -1 is 1 for the empty complex and 0 otherwise, by convention.
     """
@@ -1193,8 +1193,7 @@ def reduced_dim(K: SimplicialComplex, k: int, field: FieldSpec) -> int:
         return 1 if not K.simplices else 0
     if k < -1:
         return 0
-    _, _, cycles, boundaries = reduction(K, field.p).degree(k)
-    return len(cycles) - len(boundaries) - (k == 0 and bool(K.simplices))
+    return len(reduction(K, field.p).degree(k)[2]) - (k == 0 and bool(K.simplices))
 
 
 def acyclicity_defect(tower: ComplexTower, field: FieldSpec, k_max: int) -> int | float:

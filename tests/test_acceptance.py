@@ -105,7 +105,7 @@ def module_batch():
     out = []
     for i in range(1000):
         field = FieldSpec(2 if i % 2 == 0 else 3)
-        out.append(random_module(rng, field, max_dim=4, t_max=6))
+        out.append(random_module(rng, field, max_dim=4, T=rng.randint(0, 6)))
     return out
 
 

@@ -56,7 +56,7 @@ from persposet.pposets import (
     row_sets,
     top_degree,
     tracks,
-    up_set_of_image_track,
+    up_sets_of_image_tracks,
     validate,
 )
 from persposet.verifier import chain_puncture_suite, fiber_defects
@@ -265,9 +265,9 @@ def test_row_subposets_equal_their_references(tier):
         for y, fib in zip(tracks(f.target), fibers(f, tracks(f.target))):
             if fib is not None:
                 assert shape(fib) == shape(reference.fiber(f, y))
-        for tr in tracks(f.source):
-            row = [None if v is None else f.slices[i][v] for i, v in enumerate(tr.trajectory)]
-            assert shape(up_set_of_image_track(f.target, row)) == shape(reference.up_set_of_image_track(f.target, row))
+        rows = [[None if v is None else f.slices[i][v] for i, v in enumerate(tr.trajectory)] for tr in tracks(f.source)]
+        for row, upset in zip(rows, up_sets_of_image_tracks(f.target, rows)):
+            assert shape(upset) == shape(reference.up_set_of_image_track(f.target, row))
 
     check()
 

@@ -22,7 +22,7 @@ from persposet.pposets import (
     row_sets,
     top_degree,
     tracks,
-    up_set_of_image_track,
+    up_sets_of_image_tracks,
     validate,
 )
 import reference
@@ -360,9 +360,11 @@ def test_restricted_pposets_pass_validate(tier):
         subposets += [
             (fib, reference.fiber(f, y)) for y, fib in zip(tracks(f.target), fibers(f, tracks(f.target))) if fib is not None
         ]
-        for tr in tracks(f.source):
-            row = [None if v is None else f.slices[i][v] for i, v in enumerate(tr.trajectory)]
-            subposets.append((up_set_of_image_track(f.target, row), reference.up_set_of_image_track(f.target, row)))
+        rows = [[None if v is None else f.slices[i][v] for i, v in enumerate(tr.trajectory)] for tr in tracks(f.source)]
+        subposets += [
+            (upset, reference.up_set_of_image_track(f.target, row))
+            for row, upset in zip(rows, up_sets_of_image_tracks(f.target, rows))
+        ]
         for pp in built:
             validate(pp)
         for pp, expected in subposets:

@@ -4,7 +4,9 @@ The library reads both from the sparse reduction of each complex
 (homology._chains): rank H_k(f) as the bars through 0 and 1 in the barcode
 of the two-slice tower from f's source to its target (reference.tower_barcodes,
 the library's sweep over uncached reductions), and the reduced Betti
-number as dim Z_k - rank B_k, less one in degree 0.
+number as the count of H_k generators the reduction keeps, less one in
+degree 0.  The reduction keeps exactly the cycles that the pairing lemma
+leaves unpaired, which the tests pin here too.
 The reference is the dense path of tests/reference.py: homology bases,
 the matrix induced on homology and its rank.
 """
@@ -13,7 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persposet.homology import FieldSpec
+from families import PROJECTIVE_PLANE, SPHERE, cross_polytope, face_poset, grid_torus
+from persposet import posets
+from persposet.complexes import order_complex
+from persposet.homology import FieldSpec, _core_chains
 from persposet.verifier import verify_theorem
 from reference import (
     SimplicialMap,
@@ -26,6 +31,7 @@ from reference import (
     order_complex_tower,
     rank,
     reduced_dim,
+    reduction,
     tower_barcodes,
 )
 from tiers import instance
@@ -84,6 +90,46 @@ def test_reduced_dim_matches_dense(tier):
                         assert reduced_dim(K, k, field) == homology(K, k, field, reduced=True).dimension
 
     check()
+
+
+def assert_unpaired(chains):
+    """No generator's largest simplex is a pivot of the reduced boundaries of one degree up.
+
+    By the pairing lemma those are the cycles that span H_k next to B_k;
+    the paired ones are cleared, never reduced.
+    """
+    for k in range(len(chains.simplices)):
+        _, _, generators, boundaries = chains.degree(k)
+        assert all(g and max(g) not in boundaries for g in generators)
+
+
+@pytest.mark.parametrize("tier", ["S", "M"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_core_generators_are_unpaired(tier, p):
+    """On the core reduction of every slice of source and target, seeds 0-39."""
+    for seed in range(40):
+        f = instance(tier, seed)
+        for pp in (f.source, f.target):
+            for P in pp.components:
+                assert_unpaired(_core_chains(posets.core(P)[0], p))
+
+
+FAMILIES = {
+    "sphere": SPHERE,
+    "projective-plane": PROJECTIVE_PLANE,
+    "torus-4x4": grid_torus(4),
+    "octahedron": cross_polytope(3),
+}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("facets", FAMILIES.values(), ids=FAMILIES.keys())
+def test_family_generators_are_unpaired(facets, p):
+    """On the order complexes of the family face posets, whose generators count the dense reduced Betti numbers."""
+    K, field = order_complex(face_poset(facets)), FieldSpec(p)
+    assert_unpaired(reduction(K, p))
+    for k in range(complex_top_degree(K) + 2):
+        assert reduced_dim(K, k, field) == homology(K, k, field, reduced=True).dimension
 
 
 EMPTY = from_simplices([])

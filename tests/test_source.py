@@ -115,7 +115,8 @@ def test_weak_sets_have_one_builder():
     """posets.weak_sets is the only reader of a slice's weak sets, whole-slice, one scan per table.
 
     Fibers read weak down-set tables; the cylinder's cross pairs and the
-    up-sets of image tracks read weak up-set tables.  In pposets only
+    up-sets of image tracks read weak up-set tables, one per slice per
+    call, whatever the number of rows.  In pposets only
     row_sets (a puncture step's row) and _tagged_sum (which copies both
     factors' relations) read a slice's relation.  The per-value scans
     that the tables replaced, and the closure witness that a yes/no
@@ -124,7 +125,7 @@ def test_weak_sets_have_one_builder():
     assert called_in("weak_sets") == [
         ("pposets", "fibers"),
         ("pposets", "persistence_mapping_cylinder"),
-        ("pposets", "up_set_of_image_track"),
+        ("pposets", "up_sets_of_image_tracks"),
     ]
     assert [top for module, top in named_in("relation") if module == "pposets"] == ["_tagged_sum", "row_sets"]
     gone = {"_strict_set", "_fiber_slice", "_leaving"}

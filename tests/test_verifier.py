@@ -1,5 +1,8 @@
+from unittest import mock
+
 import pytest
 
+from persposet import pposets
 from persposet.errors import HypothesisUnmet, ValidationError
 from persposet.homology import FieldSpec
 from persposet.modules import INF
@@ -199,6 +202,18 @@ class TestCylinderRetraction:
     def test_circle_instance(self):
         report = verify_cylinder_retraction(s_to_point_instance(), F3)
         assert report.ok and report.cone_steps_ok
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_cone_checks_build_one_table_per_slice(self, seed):
+        """A run builds T + 1 weak up-set tables for the cylinder's cross pairs and at most T + 1 for its cone checks.
+
+        Not one set of tables per source track: the up-sets of every
+        track's image are read off the same tables.
+        """
+        f = instance("M", seed)
+        with mock.patch.object(pposets, "weak_sets", wraps=pposets.weak_sets) as tables:
+            verify_cylinder_retraction(f, F2)
+        assert tables.call_count <= 2 * (f.T + 1)
 
 
 class TestChainSuite:
