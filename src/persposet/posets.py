@@ -215,10 +215,7 @@ def core(P: FinitePoset) -> tuple[FinitePoset, dict[str, str]]:
             for b in above[x]:
                 below[b].discard(x)
             removed = True
-    C = FinitePoset(
-        elements=tuple(e for e in P.elements if e not in sent),
-        relation=frozenset((a, b) for (a, b) in P.relation if a not in sent and b not in sent),
-    )
+    C = P.restrict(e for e in P.elements if e not in sent)
     r = {}
     for x in P.elements:
         y = x

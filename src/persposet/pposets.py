@@ -18,8 +18,8 @@ gives a puncture step's strict sets, which decide each side's status
 (comparison_status), give the slices of a side it builds, and tell
 whether the step removes only weak points (removes_weak_points).
 Fibers, the cylinder's cross pairs and up_sets_of_image_tracks read whole
-posets.weak_sets tables, one scan per slice per call; fibers reads each
-fiber's last slice first and builds only the connected fibers.
+posets.weak_sets tables, one scan per slice per call; fibers builds the
+fiber over every track, each from the one before it.
 """
 
 from __future__ import annotations
@@ -228,25 +228,23 @@ def tracks(pp: PersistencePoset) -> list[ElementTrack]:
     return out
 
 
-def fibers(f: PersistenceMap, ys: Sequence[ElementTrack]) -> list[PersistencePoset | None]:
-    """The fiber over each target track of ys, in order, or None where its last slice is not connected.
+def fibers(f: PersistenceMap, ys: Sequence[ElementTrack]) -> list[PersistencePoset]:
+    """The fiber over each target track of ys, in order.
 
     Slice i of a fiber is the preimage under f_i of the weak down-set of
     v, the track's value; it is empty before the track's birth.  Every
     weak down-set of target slice i comes from one table, built once per
     call.  A fiber is closed by naturality: f_i(x) <= v gives
     f_{i+1}(phi x) = psi(f_i x) <= psi(v), the track's next value.  So
-    each fiber is a sub-tower, without a closure check.
+    each fiber is a sub-tower, without a closure check, even where its
+    last slice is empty: then every slice is.
 
-    The last slice of each fiber is read first, once: a fiber whose last
-    slice is empty or disconnected is not built.  Slice i depends only on
-    the value at i, so each fiber after the first built is the sub-tower
-    on the fiber built before it whose changed slices are the indices
-    where the two tracks' values differ: every other slice, and every
-    structure map between two such slices, is the same object in both,
-    and the cached core of a shared slice is found by identity.
+    Slice i depends only on the value at i, so each fiber after the first
+    is the sub-tower on the fiber before it whose changed slices are the
+    indices where the two tracks' values differ: every other slice, and
+    every structure map between two such slices, is the same object in
+    both, and the cached core of a shared slice is found by identity.
     """
-    T = f.T
     downs = [weak_sets(Q, "below") for Q in f.target.components]
 
     def preimage(i: int, v: str | None) -> set[str]:
@@ -255,16 +253,11 @@ def fibers(f: PersistenceMap, ys: Sequence[ElementTrack]) -> list[PersistencePos
         down, g = downs[i][v], f.slices[i]
         return {x for x in f.source.components[i].elements if g[x] in down}
 
-    out: list[PersistencePoset | None] = []
+    out: list[PersistencePoset] = []
     fib, row = f.source, None
     for y in ys:
-        last = preimage(T, y.trajectory[T])
-        if not is_connected(f.source.components[T], last):
-            out.append(None)
-            continue
         changed = [i for i, v in enumerate(y.trajectory) if row is None or row[i] != v]
-        sets = {i: last if i == T else preimage(i, y.trajectory[i]) for i in changed}
-        fib = _sub_tower(f.source, fib, sets, changed)
+        fib = _sub_tower(f.source, fib, {i: preimage(i, y.trajectory[i]) for i in changed}, changed)
         row = y.trajectory
         out.append(fib)
     return out
@@ -431,25 +424,23 @@ def row_sets(pp: PersistencePoset, trajectory: Sequence[str | None]) -> dict[Dir
 SideStatus = Literal["infinite", "finite", "undecided"]
 
 
-def comparison_status(pp: PersistencePoset, sets: Sequence[set[str]], k_max: int) -> SideStatus:
-    """The status of a comparison set's defect up to degree k_max, read off its sets (one side of row_sets).
+def comparison_status(pp: PersistencePoset, sets: Sequence[set[str]]) -> SideStatus:
+    """The status of a comparison set's defect, read off its sets (one side of row_sets).
 
     The essential bars of degree k count H_k of the last slice, so the
     defect is finite exactly when the sets are closed under the maps and
-    the last slice has the homology of a point up to k_max.  "infinite":
-    sets not closed (an element merges into the trajectory), or an empty
-    or disconnected last slice.
-    "finite": closed, with a cone last slice, or a connected one at k_max
-    0.  "undecided" otherwise: only the barcodes tell.  Closed sets need
-    no other check: the side is _sub_tower(pp, pp, sets, range(pp.T + 1)).
+    the last slice has the homology of a point in every degree compared.
+    "infinite": sets not closed (an element merges into the trajectory),
+    or an empty or disconnected last slice.  "finite": closed, with a
+    cone last slice, so in every degree.  "undecided" otherwise: only the
+    barcodes tell.  Closed sets need no other check: the side is
+    _sub_tower(pp, pp, sets, range(pp.T + 1)).
     """
     last, ends = pp.components[pp.T], sets[pp.T]
     cone = is_cone(last, ends)
-    if not cone and not is_connected(last, ends):
+    if not (cone or is_connected(last, ends)) or not _closed(pp, sets):
         return "infinite"
-    if not _closed(pp, sets):
-        return "infinite"
-    return "finite" if cone or k_max <= 0 else "undecided"
+    return "finite" if cone else "undecided"
 
 
 def removes_weak_points(

@@ -17,13 +17,13 @@ Kunneth identity read barcodes too: a tower of cones has the barcode of
 a point, and the bars through an index count the Betti numbers of that
 slice.  So this module builds no complex.
 
-A defect is INF whenever its degree-0 barcode does not have exactly one
-essential bar, and the essential bars of degree 0 count the components
-of the last slice, so pposets.fibers builds no fiber whose last slice is
-empty or disconnected.  The puncture step (_step_violation) reads its
-track's row once (pposets.row_sets) and asks every question of those
-sets.  It builds a side only when the outcome depends on its value, and
-a step that removes only weak points asks for no barcode.  The distance
+Every fiber is built, and _defect reads each one's value off its
+barcodes: INF whenever the degree-0 barcode does not have exactly one
+essential bar, as for a fiber whose last slice is empty or disconnected.
+The puncture step (_step_violation) reads its track's row once
+(pposets.row_sets) and asks every question of those sets.  It builds a
+side only when the outcome depends on its value, and a step that
+removes only weak points asks for no barcode.  The distance
 of degree 0 to a point is read in closed form
 (modules.point_comparison_defect), with no matching search.
 
@@ -115,13 +115,13 @@ def fiber_defects(
 ) -> dict[ElementTrack, int | float]:
     """Acyclicity defect of the fiber over every track of the target.
 
-    A fiber whose last slice is empty or disconnected has defect INF and
-    is not built; the others are built in track order, each from the one
-    built before it (pposets.fibers).
+    Every fiber is built, in track order, each from the one before it
+    (pposets.fibers); one whose last slice is empty or disconnected gets
+    INF from _defect.
     """
     k_max = _degree(k_max, f.source)
     ys = tracks(f.target)
-    return {y: INF if fib is None else _defect(pposet_barcodes(fib, field, k_max)) for y, fib in zip(ys, fibers(f, ys))}
+    return {y: _defect(pposet_barcodes(fib, field, k_max)) for y, fib in zip(ys, fibers(f, ys))}
 
 
 @dataclass(eq=False)
@@ -214,7 +214,7 @@ def _step_violation(
     distance is then 0.
     """
     sets = row_sets(larger, trajectory)
-    status = {d: comparison_status(larger, sets[d], k_max) for d in _DIRECTIONS}
+    status = {d: comparison_status(larger, sets[d]) for d in _DIRECTIONS}
     open_sides = [d for d in _DIRECTIONS if status[d] != "infinite"]
     defects: dict[str, int | float] = {}
     if "finite" not in status.values():

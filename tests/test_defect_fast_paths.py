@@ -2,15 +2,14 @@
 
 - point_comparison_defect is a closed form; the reference is the
   bottleneck distance to the barcode of a point, with its matching search.
-- The verifier reads an INF defect off a fiber whose last slice is empty
-  or disconnected, and builds nothing for it (pposets.fibers gives None).
-  It reads a comparison set's status off its row's sets (row_sets): INF
-  when the row is not closed or its last slice is empty or disconnected,
-  finite when the row is closed and its last slice a cone (connected, at
-  k_max 0).  The references build every
-  subposet and its barcodes: every step's outcome equals the step built
-  in full (reference.puncture_step), and the suite's outcomes equal a
-  loop of it over its steps.
+- The verifier builds every fiber, each from the one before it; the
+  reference builds each fiber on its own (reference.fiber_defects).
+- The verifier reads a comparison set's status off its row's sets
+  (row_sets): INF when the row is not closed or its last slice is empty
+  or disconnected, finite when the row is closed and its last slice a
+  cone.  The references build every subposet and its barcodes: every
+  step's outcome equals the step built in full (reference.puncture_step),
+  and the suite's outcomes equal a loop of it over its steps.
 - FinitePoset.restrict shares the empty poset and the poset itself; the
   reference filters every subset into a new poset.
 """
@@ -24,24 +23,16 @@ from hypothesis import strategies as st
 import reference
 from persposet import posets, verifier
 from persposet.errors import HypothesisUnmet, InternalError, UnknownElement
-from persposet.homology import FieldSpec, pposet_barcodes
+from persposet.homology import FieldSpec
 from persposet.modules import INF, Barcode, bottleneck_distance, point_comparison_defect
 from persposet.posets import is_connected
 from persposet.posets import new_poset
-from persposet.pposets import (
-    PersistencePoset,
-    chain_filtrations,
-    comparison_status,
-    fibers,
-    row_sets,
-    top_degree,
-    tracks,
-)
+from persposet.pposets import PersistencePoset, chain_filtrations, comparison_status, row_sets, top_degree
 from persposet.verifier import chain_puncture_suite, fiber_defects
 from tiers import instance
 
 TIERS = ("S", "M")
-SEEDS = {"S": range(12), "M": range(6)}
+SEEDS = {"S": range(12), "M": range(6), "L": range(4)}
 FIELDS = [FieldSpec(2), FieldSpec(3), FieldSpec(5)]
 POINT = Barcode.of([(0, INF)])
 
@@ -49,9 +40,9 @@ POINT = Barcode.of([(0, INF)])
 CASES = [(tier, field) for tier in TIERS for field in FIELDS]
 
 
-def status(pp, row, direction, k_max):
+def status(pp, row, direction):
     """The status of a row's comparison set in direction, read off its row_sets."""
-    return comparison_status(pp, row_sets(pp, row)[direction], k_max)
+    return comparison_status(pp, row_sets(pp, row)[direction])
 
 
 def case_id(case):
@@ -91,21 +82,13 @@ def test_point_comparison_defect_by_hand(bars, expected):
     assert point_comparison_defect(code) == expected == bottleneck_distance(code, POINT)
 
 
-@pytest.mark.parametrize("case", CASES, ids=case_id)
-def test_fiber_rule_equals_the_built_defects(case):
-    """fibers builds a fiber exactly when its degree-0 barcode, built in full, has one essential bar.
-
-    fiber_defects, which builds no fiber whose last slice is not
-    connected, equals the defects of every fiber built.
-    """
+@pytest.mark.parametrize("case", [(tier, field) for tier in ("S", "M", "L") for field in FIELDS], ids=case_id)
+def test_fiber_defects_equal_the_reference(case):
+    """fiber_defects, which builds each fiber from the one before it, equals the defects of every fiber built alone."""
     tier, field = case
     for seed in SEEDS[tier]:
         f = instance(tier, seed)
-        k_max = top_degree(f.source)
-        for y, fib in zip(tracks(f.target), fibers(f, tracks(f.target))):
-            codes = pposet_barcodes(reference.fiber(f, y), field, k_max)
-            assert (fib is not None) == (codes[0].essential_count() == 1)
-        assert fiber_defects(f, field) == reference.fiber_defects(f, field, k_max)
+        assert fiber_defects(f, field) == reference.fiber_defects(f, field, top_degree(f.source))
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
@@ -139,7 +122,7 @@ def check_step(step, field, k_max):
     for pp in (step.larger, step.smaller):
         for direction in ("below", "above"):
             try:
-                read = status(pp, step.track.trajectory, direction, k_max)
+                read = status(pp, step.track.trajectory, direction)
             except UnknownElement as exc:
                 with pytest.raises(UnknownElement, match=str(exc)):
                     reference.comparison_set(pp, step.track.trajectory, direction)
@@ -211,7 +194,7 @@ def test_a_removal_that_ends_in_none():
     for step in steps:
         k_max = top_degree(step.larger)
         for direction in ("below", "above"):
-            assert status(step.larger, step.removed, direction, k_max) == "infinite"
+            assert status(step.larger, step.removed, direction) == "infinite"
         with pytest.raises(HypothesisUnmet):
             verifier._step_violation(step.larger, step.smaller, step.removed, step.removed, FieldSpec(2), k_max)
         assert built_outcome(step, FieldSpec(2), k_max, step.removed) is HypothesisUnmet
@@ -260,13 +243,14 @@ CROWN = ("abcdv", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "v"), (
 
 
 def test_a_crown_last_slice_is_finite_only_in_degree_zero():
-    """Below v lies a crown, a circle: connected, so finite at k_max 0, but with H_1, so INF at 1."""
+    """Below v lies a crown, a circle: connected but no cone, so undecided; built, it is 0 at k_max 0 and INF at 1."""
     pp = pposet([CROWN], [])
-    assert status(pp, ("v",), "below", 0) == "finite"
-    assert status(pp, ("v",), "below", 1) == "undecided"
-    assert status(pp, ("v",), "above", 0) == "infinite"
-    assert reference.comparison_defect(pp, ("v",), "below", FieldSpec(2), 0) == 0
-    assert reference.comparison_defect(pp, ("v",), "below", FieldSpec(2), 1) == INF
+    assert status(pp, ("v",), "below") == "undecided"
+    assert status(pp, ("v",), "above") == "infinite"
+    sets = row_sets(pp, ("v",))
+    for k_max, expected in ((0, 0), (1, INF)):
+        assert verifier._side_defect(pp, sets, "below", FieldSpec(2), k_max) == expected
+        assert reference.comparison_defect(pp, ("v",), "below", FieldSpec(2), k_max) == expected
     smaller = reference.complement(pp, ("v",))
     assert reference.puncture_step(pp, smaller, ("v",), FieldSpec(2), 0) == (0, INF, {0: 0})
     assert verifier._step_violation(pp, smaller, ("v",), ("v",), FieldSpec(2), 0) is None
@@ -279,8 +263,7 @@ def test_a_crown_last_slice_is_finite_only_in_degree_zero():
 def test_a_cone_row_that_is_not_closed_is_infinite():
     """Below w lies the single point u, a cone, but x below v maps to w itself, so the row is not closed."""
     pp = pposet([("vx", [("x", "v")]), ("uw", [("u", "w")])], [{"v": "w", "x": "w"}])
-    for k_max in (0, 1):
-        assert status(pp, ("v", "w"), "below", k_max) == "infinite"
+    assert status(pp, ("v", "w"), "below") == "infinite"
     with pytest.raises(reference.NotASubposet):
         reference.comparison_set(pp, ("v", "w"), "below")
     assert reference.comparison_defect(pp, ("v", "w"), "below", FieldSpec(2), 1) == INF
@@ -292,7 +275,7 @@ def test_a_step_with_a_positive_distance_is_built():
     a_c_m_v = ("acmv", [("a", "m"), ("c", "m"), ("m", "v"), ("a", "v"), ("c", "v")])
     pp = pposet([a_c_v, a_c_m_v], [{"a": "a", "c": "c", "v": "v"}])
     removal, trajectory = ("v", None), ("v", "v")
-    assert status(pp, trajectory, "below", 1) == "finite"
+    assert status(pp, trajectory, "below") == "finite"
     smaller = reference.complement(pp, removal)
     assert reference.puncture_step(pp, smaller, trajectory, FieldSpec(2), 1) == (1, INF, {0: 1, 1: 0})
     with mock.patch.object(verifier, "_side_defect", wraps=verifier._side_defect) as spy:

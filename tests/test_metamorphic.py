@@ -14,15 +14,25 @@ pp^op has the barcodes of pp.  The relation exercises every step of
 pposet_barcodes that reads which way a pair points: the beat-point scan,
 which tries down-sets before up-sets, and the order complex, which grows
 each chain upward.
+
+Disjoint union: a tower beside a renamed copy of itself, with no pair
+between them, has the order complex of the tower twice in every slice,
+so every bar twice.
+
+Cone: the ordinal sum of a tower with a one-point tower puts a maximum
+over every slice, so every slice is contractible and the structure maps
+are maps of cones: the single bar [0, inf) in degree 0 and nothing above.
 """
 
 import pytest
 
 from persposet.documents import parse_instance, random_instance
 from persposet.homology import FieldSpec, pposet_barcodes
-from persposet.posets import FinitePoset
-from persposet.pposets import PersistencePoset, persistence_mapping_cylinder, top_degree
+from persposet.modules import INF, Barcode
+from persposet.posets import FinitePoset, new_poset
+from persposet.pposets import PersistencePoset, ordinal_sum, persistence_mapping_cylinder, top_degree
 from persposet.verifier import verify_theorem
+from reference import constant_pposet
 from tiers import TIERS, instance
 
 SEEDS = range(40)
@@ -101,5 +111,54 @@ def test_the_opposite_keeps_the_barcodes(tier, p):
         for name, pp in (("source", f.source), ("target", f.target), ("cylinder", persistence_mapping_cylinder(f))):
             k_max = top_degree(pp)
             if pposet_barcodes(opposite(pp), FieldSpec(p), k_max) != pposet_barcodes(pp, FieldSpec(p), k_max):
+                mismatches.append((seed, name))
+    assert mismatches == []
+
+
+def towers(f) -> list[tuple[str, PersistencePoset]]:
+    """The source, the target and the cylinder of an instance, by name."""
+    return [("source", f.source), ("target", f.target), ("cylinder", persistence_mapping_cylinder(f))]
+
+
+def beside_a_copy(pp: PersistencePoset) -> PersistencePoset:
+    """The disjoint union of pp with a copy whose names carry the prefix "copy:"."""
+
+    def tag(name: str) -> str:
+        return f"copy:{name}"
+
+    slices = [
+        FinitePoset(
+            tuple(sorted(P.elements + tuple(map(tag, P.elements)))),
+            P.relation | {(tag(a), tag(b)) for a, b in P.relation},
+        )
+        for P in pp.components
+    ]
+    maps = [{**m, **{tag(x): tag(y) for x, y in m.items()}} for m in pp.maps]
+    return PersistencePoset(tuple(slices), tuple(maps))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("tier", ["S", "M"])
+def test_the_union_with_a_copy_doubles_every_bar(tier, p):
+    mismatches = []
+    for seed in SEEDS:
+        for name, pp in towers(instance(tier, seed)):
+            k_max = top_degree(pp)
+            doubled = [Barcode.of(code.bars * 2) for code in pposet_barcodes(pp, FieldSpec(p), k_max)]
+            if pposet_barcodes(beside_a_copy(pp), FieldSpec(p), k_max) != doubled:
+                mismatches.append((seed, name))
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("tier", ["S", "M"])
+def test_the_cone_has_the_barcodes_of_a_point(tier, p):
+    """Each tower's ordinal sum with a point in every slice: one bar [0, inf) in degree 0, and none above."""
+    mismatches = []
+    for seed in SEEDS:
+        for name, pp in towers(instance(tier, seed)):
+            coned = ordinal_sum(pp, constant_pposet(new_poset("o", []), pp.T))
+            codes = pposet_barcodes(coned, FieldSpec(p), top_degree(coned))
+            if codes != [Barcode.of([(0, INF)])] + [Barcode.of([])] * (len(codes) - 1):
                 mismatches.append((seed, name))
     assert mismatches == []

@@ -15,19 +15,17 @@
   up-sets off posets.weak_sets tables; the references test each element
   with a predicate.  A comparison set is built off its row's row_sets
   once its status shows it closed; the reference checks closure itself.
-  Each fiber after the first built is built from the one before it and
-  shares its slices where the two tracks agree.
+  Each fiber after the first is built from the one before it and shares
+  its slices where the two tracks agree.
 - each chain's first member restricts every slice of the cylinder, and
   the members after it are built from the member before them,
   restricting only the slices a step changes; a built comparison set
   restricts every slice through the same sub-tower routine.
 - fiber_defects builds one weak down-set table per target slice and
-  tests each track's last fiber slice once, in one call of
-  pposets.fibers, and builds only the fibers whose last slice is
-  connected, and the puncture suite builds only the comparison sets whose
-  exact defect decides a step's outcome; the counts come from the
-  reference connectivity and cone searches and the full towers'
-  distances.
+  every fiber, in one call of pposets.fibers, and the puncture suite
+  builds only the comparison sets whose exact defect decides a step's
+  outcome; the counts come from the reference connectivity and cone
+  searches and the full towers' distances.
 """
 
 import sys
@@ -165,10 +163,10 @@ def test_core_and_longest_chain_equal_their_references_on_drawn_posets(P):
 
 @pytest.mark.parametrize("tier", ALL_TIERS)
 def test_core_equals_max_based_loop_on_every_tier_slice(tier):
-    """Every slice of the source, the target and the built fibers of 20 instances, as verify meets them."""
+    """Every slice of the source, the target and the fibers of 20 instances, as verify meets them."""
     for seed in range(20):
         f = instance(tier, seed)
-        for pp in [f.source, f.target, *(fib for fib in fibers(f, tracks(f.target)) if fib is not None)]:
+        for pp in [f.source, f.target, *fibers(f, tracks(f.target))]:
             for P in pp.components:
                 assert core(P) == reference.beat_point_core(P)
                 assert longest_chain(P) == reference.longest_chain(P)
@@ -176,17 +174,17 @@ def test_core_equals_max_based_loop_on_every_tier_slice(tier):
 
 @pytest.mark.parametrize("tier", ALL_TIERS)
 def test_fibers_equal_reference_and_share_unchanged_slices(tier):
-    """Each fiber is None exactly where the reference fiber's last slice is disconnected, and otherwise equals it.
+    """Every fiber equals reference.fiber, the ones whose last slice is empty or disconnected included.
 
     It equals reference.fiber slice by slice and map by map.  A fiber
-    after the first built holds the same slice objects as the fiber built
-    before it wherever the two tracks take the same value, and the same
-    structure map objects between two such slices.  (Elsewhere they may
-    still be one object: restricting to every element or to none gives
-    the whole slice or the shared empty poset.)  Its defects, over
-    fields 2 and 3, are those of every fiber built by the reference.
+    after the first holds the same slice objects as the fiber before it
+    wherever the two tracks take the same value, and the same structure
+    map objects between two such slices.  (Elsewhere they may still be
+    one object: restricting to every element or to none gives the whole
+    slice or the shared empty poset.)  Its defects, over fields 2 and 3,
+    are those of every fiber built by the reference.
     """
-    shared = skipped = 0
+    shared = disconnected = 0
     for seed in range(20):
         f = instance(tier, seed)
         ys = tracks(f.target)
@@ -194,13 +192,9 @@ def test_fibers_equal_reference_and_share_unchanged_slices(tier):
         assert len(built) == len(ys)
         for y, fib in zip(ys, built):
             expected = reference.fiber(f, y)
-            connected = reference.is_connected(f.source.components[-1], expected.components[-1].elements)
-            assert (fib is not None) == connected
-            if fib is None:
-                skipped += 1
-            else:
-                assert shape(fib) == shape(expected)
-        pairs = [(y, fib) for y, fib in zip(ys, built) if fib is not None]
+            assert shape(fib) == shape(expected)
+            disconnected += not reference.is_connected(f.source.components[-1], expected.components[-1].elements)
+        pairs = list(zip(ys, built))
         for (x, before), (y, fib) in zip(pairs, pairs[1:]):
             same = [u == v for u, v in zip(x.trajectory, y.trajectory)]
             for i, kept in enumerate(same):
@@ -213,7 +207,7 @@ def test_fibers_equal_reference_and_share_unchanged_slices(tier):
         k_max = top_degree(f.source)
         for field in (FieldSpec(2), FieldSpec(3)):
             assert fiber_defects(f, field) == reference.fiber_defects(f, field, k_max)
-    assert shared > 0 and skipped > 0
+    assert shared > 0 and disconnected > 0
 
 
 def test_core_of_an_antichain_is_the_loop_result():
@@ -263,8 +257,7 @@ def test_row_subposets_equal_their_references(tier):
                 else:
                     assert expected[0] is reference.NotASubposet
         for y, fib in zip(tracks(f.target), fibers(f, tracks(f.target))):
-            if fib is not None:
-                assert shape(fib) == shape(reference.fiber(f, y))
+            assert shape(fib) == shape(reference.fiber(f, y))
         rows = [[None if v is None else f.slices[i][v] for i, v in enumerate(tr.trajectory)] for tr in tracks(f.source)]
         for row, upset in zip(rows, up_sets_of_image_tracks(f.target, rows)):
             assert shape(upset) == shape(reference.up_set_of_image_track(f.target, row))
@@ -298,9 +291,8 @@ def needs_exact_defect(step, field, k_max):
     """The sides of a step whose exact defect decides its outcome, by the reference helpers.
 
     A side is open when its row is closed and its last slice connected,
-    and finite when it is open and its last slice a cone (or k_max is 0).
-    An open side is needed when no side is finite, or when a distance is
-    positive.
+    and finite when it is open and its last slice a cone.  An open side
+    is needed when no side is finite, or when a distance is positive.
     """
     open_sides, finite = [], False
     for direction in ("below", "above"):
@@ -311,7 +303,7 @@ def needs_exact_defect(step, field, k_max):
         P, ends = last_slice(step.larger, step.track.trajectory, direction)
         if reference.is_connected(P, ends):
             open_sides.append(direction)
-            finite = finite or k_max <= 0 or reference.is_cone(P, ends)
+            finite = finite or reference.is_cone(P, ends)
     codes = [
         reference.barcodes_of(reference.order_complex_tower(pp), field, k_max) for pp in (step.larger, step.smaller)
     ]
@@ -327,8 +319,9 @@ def test_puncture_suite_traffic():
     slice.  _grow builds each chain's first member as the sub-tower of
     the cylinder on one copy, restricting every slice, and every later
     member restricts only the slices its step adds to, sharing the other
-    components with the member before it.  All restrict through the one
-    sub-tower routine.
+    components with the member before it.  All these restrict through the
+    one sub-tower routine.  posets.core restricts each distinct poset with
+    a relation at most once, to its core.
     """
     f = instance("S", 3)
     chains = chain_filtrations(f)
@@ -346,11 +339,14 @@ def test_puncture_suite_traffic():
     assert changed > 0
 
     reference.clear_library_caches()
-    slice_callers = []
+    slice_callers, cored = [], []
     slice_restrict = FinitePoset.restrict
 
     def spy_slice(self, subset):
-        slice_callers.append((sys._getframe(2).f_code.co_name, sys._getframe(1).f_code.co_name))
+        if sys._getframe(1).f_code.co_name == "core":
+            cored.append(self)
+        else:
+            slice_callers.append((sys._getframe(2).f_code.co_name, sys._getframe(1).f_code.co_name))
         return slice_restrict(self, subset)
 
     with mock.patch.object(posets, "new_poset", wraps=posets.new_poset) as spy_new, \
@@ -370,15 +366,15 @@ def test_puncture_suite_traffic():
     assert by_caller[("_side_defect", "_sub_tower")] == needed * (f.T + 1)
     assert by_caller[("_grow", "_sub_tower")] == len(firsts) * (f.T + 1) + changed
     assert sum(by_caller.values()) == (needed + len(firsts)) * (f.T + 1) + changed
+    assert cored and all(P.relation for P in cored) and len(set(cored)) == len(cored)
 
 
 def test_fiber_defects_traffic():
-    """fiber_defects builds, and asks barcodes for, exactly the fibers whose last slice is connected.
+    """fiber_defects builds, and asks barcodes for, the fiber over every track, connected last slice or not.
 
     It calls pposets.fibers once, on every track in track order, which
-    builds one weak down-set table per target slice, tests each track's
-    last fiber slice once for connectivity, and builds every connected
-    fiber with one _sub_tower.
+    builds one weak down-set table per target slice and every fiber with
+    one _sub_tower, and tests no slice for connectivity.
     """
     f = instance("M", 6)
     ys = tracks(f.target)
@@ -395,6 +391,5 @@ def test_fiber_defects_traffic():
     assert spy_fibers.call_count == 1
     assert spy_fibers.call_args.args[1] == ys
     assert [c.args for c in spy_tables.call_args_list] == [(Q, "below") for Q in f.target.components]
-    assert spy_connected.call_count == len(ys)
-    assert all(c.args[0] is f.source.components[f.T] for c in spy_connected.call_args_list)
-    assert spy_sub_tower.call_count == spy_barcodes.call_count == len(connected)
+    assert spy_connected.call_count == 0
+    assert spy_sub_tower.call_count == spy_barcodes.call_count == len(ys)

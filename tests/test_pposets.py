@@ -25,6 +25,8 @@ from persposet.pposets import (
     up_sets_of_image_tracks,
     validate,
 )
+from persposet.modules import INF
+from persposet.verifier import fiber_defects
 import reference
 from reference import constant_pposet
 from tiers import instance
@@ -180,7 +182,7 @@ class TestSubDownset:
         pp = pposet([(["a", "b"], [("a", "b")]), ("z", [])], [{"a": "z", "b": "z"}])
         tb = [t for t in tracks(pp) if t.initial == "b"][0]
         assert row_sets(pp, tb.trajectory)["below"] == [{"a"}, set()]
-        assert comparison_status(pp, row_sets(pp, tb.trajectory)["below"], 0) == "infinite"
+        assert comparison_status(pp, row_sets(pp, tb.trajectory)["below"]) == "infinite"
         with pytest.raises(reference.NotASubposet):
             reference.comparison_set(pp, tb.trajectory, "below")
 
@@ -193,9 +195,9 @@ class TestFiber:
         tu, tv = tracks(Y)
         over_u, over_v = fibers(f, [tu, tv])
         assert over_u.components[0].elements == ("p",)
-        # The preimage of v's down-set is the antichain {p, q}: not connected, so not built.
-        assert over_v is None
-        assert reference.fiber(f, tv).components[0].elements == ("p", "q")
+        # The preimage of v's down-set is the antichain {p, q}: not connected, so its defect is INF.
+        assert (over_v.components[0].elements, over_v.components[0].relation) == (("p", "q"), frozenset())
+        assert fiber_defects(f) == {tu: 0, tv: INF}
 
     def test_identity_fiber_is_weak_downset(self):
         P = new_poset("abc", [("a", "b"), ("b", "c")])
@@ -352,13 +354,13 @@ def test_restricted_pposets_pass_validate(tier):
             pp, row = step.larger, step.track.trajectory
             sets = row_sets(pp, row)
             for direction in ("below", "above"):
-                if comparison_status(pp, sets[direction], 0) != "infinite":
+                if comparison_status(pp, sets[direction]) != "infinite":
                     side = _sub_tower(pp, pp, sets[direction], range(pp.T + 1))
                     subposets.append((side, reference.comparison_set(pp, row, direction)))
             built.append(reference.complement(step.larger, step.removed))
         assert subposets
         subposets += [
-            (fib, reference.fiber(f, y)) for y, fib in zip(tracks(f.target), fibers(f, tracks(f.target))) if fib is not None
+            (fib, reference.fiber(f, y)) for y, fib in zip(tracks(f.target), fibers(f, tracks(f.target)))
         ]
         rows = [[None if v is None else f.slices[i][v] for i, v in enumerate(tr.trajectory)] for tr in tracks(f.source)]
         subposets += [

@@ -151,10 +151,9 @@ def test_two_builders_skip_validate():
 def test_fibers_have_one_caller():
     """Only fiber_defects builds fibers, in one call over every target track.
 
-    pposets.fibers builds each fiber whose last slice is connected from
-    the one built before it in the order given; fiber_defects gives the
-    tracks in track order, so tracks that merge share the slices after
-    their merge.
+    pposets.fibers builds each fiber from the one before it in the order
+    given; fiber_defects gives the tracks in track order, so tracks that
+    merge share the slices after their merge.
     """
     assert called_in("fibers") == [("verifier", "fiber_defects")]
 

@@ -18,7 +18,7 @@ from persposet import verifier
 from persposet.cli import main
 from persposet.documents import canonical_json, random_instance
 from persposet.modules import INF
-from persposet.pposets import chain_filtrations, comparison_status, row_sets, top_degree
+from persposet.pposets import chain_filtrations, comparison_status, row_sets
 from reference import is_weak_point
 
 BOUND = 16
@@ -82,12 +82,11 @@ def checked_steps_weak():
     With every defect 0 these steps are the checked ones.
     """
     chains = chain_filtrations(tiers.instance("S", 0))
-    k_max = top_degree(chains.cylinder)
     return [
         all(v is None or is_weak_point(P, v) for P, v in zip(step.larger.components, step.removed))
         for step in chains.target_steps + chains.source_steps
         if any(
-            comparison_status(step.larger, row_sets(step.larger, step.track.trajectory)[d], k_max) != "infinite"
+            comparison_status(step.larger, row_sets(step.larger, step.track.trajectory)[d]) != "infinite"
             for d in DIRECTIONS
         )
     ]

@@ -3,15 +3,13 @@ from unittest import mock
 import pytest
 
 from persposet import pposets
+from persposet.cli import main
+from persposet.documents import canonical_json, parse_instance
 from persposet.errors import HypothesisUnmet, ValidationError
 from persposet.homology import FieldSpec
 from persposet.modules import INF
 from persposet.posets import new_poset
-from persposet.pposets import (
-    PersistenceMap,
-    PersistencePoset,
-    top_degree,
-)
+from persposet.pposets import PersistenceMap, PersistencePoset, fibers, top_degree, tracks
 from persposet.verifier import (
     MAX_KMAX,
     _step_violation,
@@ -70,6 +68,24 @@ class TestFiberDefects:
         f = pmap(X, Y, [{"x": "v"}])
         defects = {t.initial: v for t, v in fiber_defects(f, F2).items()}
         assert defects["u"] == INF and defects["v"] == 0
+
+    def test_an_empty_last_preimage_is_built_empty_and_vacuous(self, tmp_path, capsys):
+        """Nothing maps to or below u at either index: the fiber over u is built, empty in every slice, and INF."""
+
+        def antichains(elements):
+            return {"components": [{"elements": elements, "pairs": []}] * 2, "maps": [{e: e for e in elements}]}
+
+        doc = {"schema": "instance/1", "T": 1, "x": antichains(["x"]), "y": antichains(["u", "v"])}
+        doc["map"] = [{"x": "v"}] * 2
+        f = parse_instance(doc).map
+        ys = tracks(f.target)
+        over = {y.initial: fib for y, fib in zip(ys, fibers(f, ys))}
+        assert [c.is_empty() for c in over["u"].components] == [True, True]
+        assert {t.initial: v for t, v in fiber_defects(f, F2).items()} == {"u": INF, "v": 0}
+        path = tmp_path / "instance.json"
+        path.write_text(canonical_json(doc), encoding="utf-8")
+        assert main(["verify", str(path)]) == 1
+        assert "verdict: vacuous" in capsys.readouterr().out
 
 
 class TestVerifyTheorem:
