@@ -12,14 +12,19 @@ in full and at most once.  `-h` or `--help` asks for help anywhere before
 (_SUITES).  Every rejection raises ValidationError, so it
 exits 2 with one `error:` line and nothing on stdout.  Handlers return
 their stdout text and report; main writes --report before it prints.
+
+Every document is read by _read and written by _write, with plain
+system calls: at a few kilobytes a document, the io stack's layers cost
+more than the bytes.  _read decodes UTF-8 and translates line ends as
+text mode does, and an OSError names the path.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import random
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 from .documents import (
@@ -68,8 +73,33 @@ def _scaled(v, scale: Scale, timestamp: bool = False):
     return t
 
 
+def _read(path: str) -> str:
+    """The UTF-8 text of a file, with \\r\\n and lone \\r read as \\n, as text mode reads it."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+    except OSError as exc:  # e.g. reading a directory; say which file, as open() does
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+    finally:
+        os.close(fd)
+    return b"".join(chunks).decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _write(path: str, text: str) -> None:
+    """Write text to a file as UTF-8, creating it or truncating it first."""
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
+
+
 def _load_instance(path: str, scale_flag: str | None = None) -> InstanceDocument:
-    inst = parse_instance(Path(path).read_text(encoding="utf-8"))
+    inst = parse_instance(_read(path))
     if scale_flag is not None:
         try:
             origin, step = (float(part) for part in scale_flag.split(","))
@@ -215,7 +245,7 @@ def _cmd_lemma(args):
 
 
 def _cmd_cover(args):
-    cover = cover_from_doc(Path(args.cover).read_text(encoding="utf-8"))
+    cover = cover_from_doc(_read(args.cover))
     doc = pposet_to_doc(cover_to_pposet(cover, args.max_arity))
     return canonical_json(doc), doc, 0
 
@@ -345,22 +375,25 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
         given[flag] = _integer(flag, value, *kind) if isinstance(kind, tuple) else value
     words += argv[cut + 1:]
     args, slots = {}, list(slots)
+
+    def said() -> str:  # the words read so far, which prefix an error about the next one
+        return " ".join([name, *args.values()])
+
     for word in words:
-        said = " ".join([name, *args.values()])
         if not slots:
-            raise ValidationError(f"{said}: unexpected argument {word!r}")
+            raise ValidationError(f"{said()}: unexpected argument {word!r}")
         slot = slots.pop(0)
         if not isinstance(slot, str):
             slot, choices = slot
             if word not in choices:
-                raise ValidationError(f"{said}: {slot} must be one of {', '.join(choices)}, got {word!r}")
+                raise ValidationError(f"{said()}: {slot} must be one of {', '.join(choices)}, got {word!r}")
             slots, taken = list(choices[word][0]), choices[word][1]
             extra = next((flag for flag in given if flag not in taken), None)
             if extra is not None:
                 raise ValidationError(f"{name} {word} takes no flag {extra}")
         args[slot] = word
     if slots:
-        raise ValidationError(f"{' '.join([name, *args.values()])}: missing {_slot(slots[0])}")
+        raise ValidationError(f"{said()}: missing {_slot(slots[0])}")
     for flag, (_, default, _) in flags.items():
         args[flag[2:].replace("-", "_")] = given.get(flag, default)
     return SimpleNamespace(handler=handler, **args)
@@ -371,7 +404,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         text, report, code = args.handler(args)
         if getattr(args, "report", None):
-            Path(args.report).write_text(canonical_json(report), encoding="utf-8")
+            _write(args.report, canonical_json(report))
         print(text, end="")
         return code
     except (OSError, UnicodeDecodeError, PersistenceError) as exc:

@@ -4,6 +4,10 @@ A column is a ``dict[int, int]``, a row index to a nonzero coefficient
 mod p.  A pivot table maps a row to the normalised column whose lowest
 (largest) nonzero row it is.  Columns are reduced in a fixed order and
 pivot on their lowest row, so every result is reproducible.
+
+The kernel copies nothing it is not asked to: the caller hands over each
+column it reduces, which is reduced in place, and a reduced column whose
+lowest coefficient is already 1 (every column over F_2) is filed as it is.
 """
 
 from __future__ import annotations
@@ -33,27 +37,36 @@ def apply(columns: Sequence[Column], column: Column, p: int) -> Column:
 
 
 def reduce_column(column: Column, pivots: dict[int, Column], p: int) -> Column:
-    """A new column: column minus pivot columns until it is zero or its lowest row has no pivot."""
-    col = dict(column)
-    while col:
-        low = max(col)
+    """Subtract pivot columns from column, in place, until it is zero or its lowest row has no pivot.
+
+    The caller hands the column over: it is changed, and returned.
+    """
+    while column:
+        low = max(column)
         pivot = pivots.get(low)
         if pivot is None:
             break
-        c = col[low]
+        c = column[low]
         for r, v in pivot.items():
-            x = (col.get(r, 0) - c * v) % p
+            x = (column.get(r, 0) - c * v) % p
             if x:
-                col[r] = x
+                column[r] = x
             else:
-                del col[r]
-    return col
+                del column[r]
+    return column
 
 
 def insert_pivot(column: Column, pivots: dict[int, Column], p: int) -> None:
-    """File a nonzero reduced column, scaled to 1 at its lowest row, under that row."""
+    """File a nonzero reduced column under its lowest row, scaled to 1 there.
+
+    A column whose lowest coefficient is already 1 is filed as it is, so
+    the caller must not change it afterwards; any other is filed as a
+    scaled copy.
+    """
     low = max(column)
     if low in pivots:
         raise InternalError(f"row {low} already has a pivot; the column was not reduced")
-    inv = _inv_scalar(column[low], p)
-    pivots[low] = {r: v * inv % p for r, v in column.items()}
+    if column[low] != 1:
+        inv = _inv_scalar(column[low], p)
+        column = {r: v * inv % p for r, v in column.items()}
+    pivots[low] = column

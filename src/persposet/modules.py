@@ -141,21 +141,30 @@ def elder_barcode(steps: Iterable[_Step], p: int) -> Barcode:
     exactly the generators' count survives, or InternalError is raised.
     Bars alive at T never die.  Every bar has birth < death, both
     integers, so the bars are sorted into a Barcode without Barcode.of.
+
+    The kernel reduces in place and files unit-lead columns as they are,
+    so it is handed columns the sweep owns: each pushed representative is
+    fresh from linalg.apply, and each generator is copied, since the
+    caller may share generators between sweeps (homology._core_chains).
+    The boundary tables are only read.
     """
     bars: list[tuple[int, int | float]] = []
     reps: list[tuple[int, linalg.Column]] = []  # (birth, representative), oldest first
     for i, (columns, boundaries, generators) in enumerate(steps):
         table = dict(boundaries)
         survivors = []
-        candidates = [(birth, linalg.apply(columns, rep, p)) for birth, rep in reps]
-        candidates += [(i, g) for g in generators]
-        for birth, column in candidates:
-            reduced = linalg.reduce_column(column, table, p)
+        for birth, rep in reps:
+            reduced = linalg.reduce_column(linalg.apply(columns, rep, p), table, p)
             if reduced:
                 linalg.insert_pivot(reduced, table, p)
                 survivors.append((birth, reduced))
-            elif birth < i:
+            else:
                 bars.append((birth, i))
+        for g in generators:
+            reduced = linalg.reduce_column(dict(g), table, p)
+            if reduced:
+                linalg.insert_pivot(reduced, table, p)
+                survivors.append((i, reduced))
         if len(survivors) != len(generators):
             raise InternalError(f"index {i}: {len(survivors)} classes on {len(generators)} generators")
         reps = survivors

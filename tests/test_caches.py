@@ -10,6 +10,8 @@ comparisons here run in one warm cache on purpose: a reduction key that
 forgets the field hands out another field's cycles and boundaries.
 """
 
+import copy
+import random
 from itertools import combinations
 from unittest import mock
 
@@ -19,13 +21,14 @@ from hypothesis import strategies as st
 
 from persposet import homology
 from persposet.homology import FieldSpec, pposet_barcodes
-from persposet.modules import INF, bottleneck_distance
+from persposet.modules import INF, barcode, bottleneck_distance, random_module
 from persposet.posets import core, new_poset
 from persposet.pposets import (
     PersistenceMap,
     PersistencePoset,
     chain_filtrations,
     fibers,
+    persistence_mapping_cylinder,
     top_degree,
     tracks,
 )
@@ -220,3 +223,33 @@ def test_cold_verify_reduces_each_core_once_per_field(tier, seed):
     info = homology._core_chains.cache_info()
     assert {p for _, p in swept} == {2, 3}
     assert info.misses == info.currsize == reductions.call_count == len(swept)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("tier", ["S", "M"])
+def test_sweeps_leave_what_they_are_handed_as_it_was(tier, p):
+    """The sweep reduces in place and files unit-lead columns as they are, so it must copy what it is handed.
+
+    Every core of the source, target and cylinder is reduced first and
+    its generators and boundaries copied; two runs of pposet_barcodes
+    then leave each cached reduction equal to its copy, add none, and
+    give equal barcodes.  modules.barcode leaves a module's transitions
+    as they were.
+    """
+    field = FieldSpec(p)
+    for seed in range(20):
+        f = instance(tier, seed)
+        towers = [f.source, f.target, persistence_mapping_cylinder(f)]
+        clear_library_caches()
+        entries = [homology._core_chains(core(C)[0], p) for pp in towers for C in pp.components]
+        copies = [copy.deepcopy((c.generators, c.boundaries)) for c in entries]
+        misses = homology._core_chains.cache_info().misses
+        first = [pposet_barcodes(pp, field, top_degree(pp)) for pp in towers]
+        second = [pposet_barcodes(pp, field, top_degree(pp)) for pp in towers]
+        assert homology._core_chains.cache_info().misses == misses
+        assert [(c.generators, c.boundaries) for c in entries] == copies, (tier, seed)
+        assert second == first, (tier, seed)
+        M = random_module(random.Random(seed), field, max_dim=3, T=4)
+        transitions = copy.deepcopy(M.transitions)
+        barcode(M)
+        assert M.transitions == transitions, (tier, seed)

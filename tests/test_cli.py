@@ -10,7 +10,8 @@ import pytest
 
 from persposet import cli
 from persposet.cli import MAX_KMAX, main
-from persposet.documents import GeneratorLimits, canonical_json, random_instance
+from persposet.documents import GeneratorLimits, canonical_json, parse_instance, random_instance
+from persposet.errors import PersistenceError
 from tiers import TIERS
 
 
@@ -178,6 +179,67 @@ def test_non_utf8_file(tmp_path, capsys):
     path.write_bytes(b"\xcc\xff")
     assert main(["validate", str(path)]) == 2
     _assert_one_error_line(capsys.readouterr())
+
+
+# Documents that _read must read as text mode does: each path is prepared in tmp_path.
+_DOCUMENT = canonical_json(random_instance(1, GeneratorLimits(t_max=2))).encode("utf-8")
+_READ_CASES = {
+    "lf": lambda path: path.write_bytes(_DOCUMENT),
+    "crlf": lambda path: path.write_bytes(_DOCUMENT.replace(b"\n", b"\r\n")),
+    "lone-cr": lambda path: path.write_bytes(_DOCUMENT.replace(b"\n", b"\r")),
+    "bom": lambda path: path.write_bytes(b"\xef\xbb\xbf" + _DOCUMENT),
+    "invalid-utf8": lambda path: path.write_bytes(_DOCUMENT[:40] + b"\xcc\xff" + _DOCUMENT[40:]),
+    "empty": lambda path: path.write_bytes(b""),
+    "directory": lambda path: path.mkdir(),
+    "missing": lambda path: None,
+}
+
+
+@pytest.mark.parametrize("case", list(_READ_CASES))
+def test_read_is_text_mode_read(tmp_path, capsys, case):
+    """_read gives Path.read_text's text, or raises its error, and validate reports that error the same way."""
+    path = tmp_path / "doc.json"
+    _READ_CASES[case](path)
+    try:
+        expected = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        with pytest.raises(type(exc)) as raised:
+            cli._read(str(path))
+        assert str(raised.value) == str(exc)
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        _assert_one_error_line(captured)
+        assert captured.err == f"error: {exc}\n"
+    else:
+        assert cli._read(str(path)) == expected
+
+
+def test_malformed_crlf_document_reports_its_text_mode_position(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{\r\n  "schema": "instance/1",\r\n  "T": \r\n}\r\n')
+    with pytest.raises(PersistenceError) as raised:
+        parse_instance(path.read_text(encoding="utf-8"))
+    assert "line 4 column 1 (char 36)" in str(raised.value)
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {raised.value}\n"
+
+
+def test_report_replaces_a_longer_file(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    report.write_text("x" * 100_000, encoding="utf-8")
+    assert main(["random", "--seed", "3", "--report", str(report)]) == 0
+    assert report.read_bytes() == capsys.readouterr().out.encode("utf-8")
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o000])
+def test_report_mode_is_text_mode_mode(tmp_path, capsys, umask):
+    previous = os.umask(umask)
+    try:
+        assert main(["random", "--report", str(tmp_path / "report.json")]) == 0
+        (tmp_path / "text.json").write_text(capsys.readouterr().out, encoding="utf-8")
+    finally:
+        os.umask(previous)
+    assert os.stat(tmp_path / "report.json").st_mode == os.stat(tmp_path / "text.json").st_mode
 
 
 def test_extend(instance_file, capsys):

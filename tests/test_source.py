@@ -217,6 +217,15 @@ def test_one_elimination_loop_per_kind_of_sweep():
     assert sorted(found) == [("homology", "_chains"), ("modules", "elder_barcode")]
 
 
+def test_one_io_path():
+    """Only cli._read and cli._write open files; nothing else in the package reads or writes one."""
+    assert called_in("open") == [("cli", "_read"), ("cli", "_write")]
+    for name in ("read_text", "write_text", "read_bytes", "write_bytes", "fdopen"):
+        assert called_in(name) == [], name
+    imports = re.compile(r"^\s*(from|import) pathlib\b", re.M)
+    assert [path.name for path in SOURCES if imports.search(path.read_text(encoding="utf-8"))] == []
+
+
 def parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"))
 
