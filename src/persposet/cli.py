@@ -9,14 +9,18 @@ The table _COMMANDS defines the command line, and parse_args reads argv
 against it: `--flag value` or `--flag=value` anywhere after the command,
 in full and at most once.  `-h` or `--help` asks for help anywhere before
 `--`, except as a flag's value.  A lemma suite takes only the flags it reads
-(_SUITES).  Every rejection raises ValidationError, so it
+(_SUITES).  Two tables are built from _COMMANDS once, at import: each
+command's flags that take a value (_VALUED), which the help scan reads,
+and each flag's (flag, attribute, default) row (_ROWS), which gives the
+parsed arguments their defaults.  Every rejection raises ValidationError, so it
 exits 2 with one `error:` line and nothing on stdout.  Handlers return
 their stdout text and report; main writes --report before it prints.
 
 Every document is read by _read and written by _write, with plain
 system calls: at a few kilobytes a document, the io stack's layers cost
 more than the bytes.  _read decodes UTF-8 and translates line ends as
-text mode does, and an OSError names the path.
+text mode does; an OSError names the path, and so does the error for a
+file that is not UTF-8.
 """
 
 from __future__ import annotations
@@ -74,7 +78,11 @@ def _scaled(v, scale: Scale, timestamp: bool = False):
 
 
 def _read(path: str) -> str:
-    """The UTF-8 text of a file, with \\r\\n and lone \\r read as \\n, as text mode reads it."""
+    """The UTF-8 text of a file, with \\r\\n and lone \\r read as \\n, as text mode reads it.
+
+    A file that is not UTF-8 raises ValidationError, naming the path and
+    the position of the first byte that does not decode.
+    """
     fd = os.open(path, os.O_RDONLY)
     try:
         chunks = []
@@ -84,7 +92,11 @@ def _read(path: str) -> str:
         raise type(exc)(exc.errno, exc.strerror, path) from None
     finally:
         os.close(fd)
-    return b"".join(chunks).decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        text = b"".join(chunks).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path!r} is not UTF-8: {exc}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _write(path: str, text: str) -> None:
@@ -298,6 +310,17 @@ _COMMANDS = {
         "--max-y-tracks": ((1, None), _LIMITS.max_y_tracks, "most target tracks"), **_REPORT}, _cmd_random),
 }
 
+# Read by every parse_args call, so built once: each command's flags that
+# take a value, and each flag's (flag, attribute, default) row.
+_VALUED = {
+    name: frozenset(flag for flag, (kind, _, _) in entry[2].items() if kind is not None)
+    for name, entry in _COMMANDS.items()
+}
+_ROWS = {
+    name: tuple((flag, flag[2:].replace("-", "_"), default) for flag, (_, default, _) in entry[2].items())
+    for name, entry in _COMMANDS.items()
+}
+
 
 def _slot(slot) -> str:
     if isinstance(slot, str):
@@ -342,17 +365,17 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
     """Read argv against _COMMANDS: the handler, then one attribute per positional and flag."""
     name = argv[0] if argv else None
     cut = argv.index("--") if "--" in argv else len(argv)  # every word after "--" is a positional
-    # A help word before "--" asks for help, unless it is the value of the flag before it.
-    flags = _COMMANDS[name][2] if name in _COMMANDS else {}
-    valued = {flag for flag, (kind, _, _) in flags.items() if kind is not None}
     head = argv[:cut]
-    if any(word == "--help" or word == "-h" and before not in valued for before, word in zip([None, *head], head)):
-        text = _usage(name if name in _COMMANDS else None)
-        return SimpleNamespace(handler=lambda args: (text, None, 0))
+    # A help word before "--" asks for help, unless it is the value of the flag before it.
+    if "--help" in head or "-h" in head:
+        valued = _VALUED.get(name, ())
+        if any(word == "--help" or word == "-h" and before not in valued for before, word in zip([None, *head], head)):
+            text = _usage(name if name in _COMMANDS else None)
+            return SimpleNamespace(handler=lambda args: (text, None, 0))
     if name not in _COMMANDS:
         what = f"unknown command {name!r}" if argv else "no command given"
         raise ValidationError(f"{what}; the commands are {', '.join(_COMMANDS)}")
-    _, slots, _, handler = _COMMANDS[name]
+    _, slots, flags, handler = _COMMANDS[name]
     given, words, rest = {}, [], iter(argv[1:cut])
     for word in rest:
         if not word.startswith("--"):
@@ -394,8 +417,8 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
         args[slot] = word
     if slots:
         raise ValidationError(f"{said()}: missing {_slot(slots[0])}")
-    for flag, (_, default, _) in flags.items():
-        args[flag[2:].replace("-", "_")] = given.get(flag, default)
+    for flag, attribute, default in _ROWS[name]:
+        args[attribute] = given.get(flag, default)
     return SimpleNamespace(handler=handler, **args)
 
 
@@ -407,7 +430,7 @@ def main(argv: list[str] | None = None) -> int:
             _write(args.report, canonical_json(report))
         print(text, end="")
         return code
-    except (OSError, UnicodeDecodeError, PersistenceError) as exc:
+    except (OSError, PersistenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

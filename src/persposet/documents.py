@@ -4,6 +4,11 @@ Documents are UTF-8 JSON in one canonical schema: poset components as
 sorted element lists plus sorted strict-pair lists (the full transitive
 closure), maps as name-to-name tables.  Canonical serialization sorts
 every list so a round trip is bit-exact.
+
+The canonical text of a document is the bytes of json.dumps(doc,
+sort_keys=True, indent=2) plus a newline.  canonical_json writes them in
+one recursive pass: with an indent, json runs its pure-Python generator
+encoder, which costs more than the short reports it writes.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from .errors import NotNested, PersistenceError, SchemaError, ValidationError
@@ -59,8 +65,94 @@ class InstanceDocument:
         return self.map.target
 
 
-def canonical_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+def canonical_json(doc: Any) -> str:
+    """The canonical text of doc: json.dumps(doc, sort_keys=True, indent=2) and a newline, byte for byte.
+
+    Written by hand because json encodes with an indent in pure Python,
+    one generator step per value.  The rules are json's: strings are
+    quoted by its C quoter (ASCII, with \\u escapes); bool and None are
+    tested before int, and an int or float subclass is written as its
+    base type; floats are float.__repr__, with NaN, Infinity and
+    -Infinity spelled as json spells them; tuples are lists; a dict's
+    items are sorted by their original keys, and each key is then written
+    as json writes it; anything json rejects raises TypeError.  Unlike
+    json, a container that holds itself is not detected: it exceeds the
+    recursion limit.
+    """
+    return _json(doc, "\n") + "\n"
+
+
+def _json(o: Any, nl: str) -> str:
+    """The JSON text of o, where nl is a newline and the indent of o's line."""
+    t = type(o)
+    if t is str:
+        return _quote(o)
+    if t is int:
+        return int.__repr__(o)
+    if t is dict:
+        return _object(o, nl)
+    if t is list or t is tuple:
+        return _array(o, nl)
+    # Every other type in json's order of tests, which catches the subclasses.
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float(o)
+    if isinstance(o, (list, tuple)):
+        return _array(o, nl)
+    if isinstance(o, dict):
+        return _object(o, nl)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _array(o: list | tuple, nl: str) -> str:
+    if not o:
+        return "[]"
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join([_json(v, inner) for v in o]) + nl + "]"
+
+
+def _object(o: dict, nl: str) -> str:
+    if not o:
+        return "{}"
+    inner = nl + "  "
+    items = [(_quote(k) if type(k) is str else _key(k)) + ": " + _json(v, inner) for k, v in sorted(o.items())]
+    return "{" + inner + ("," + inner).join(items) + nl + "}"
+
+
+def _key(k: Any) -> str:
+    """A dict key that is not exactly a str, written as json writes it: the text of the key, quoted."""
+    if isinstance(k, str):
+        return _quote(k)
+    if isinstance(k, float):
+        return _quote(_float(k))
+    if k is True:
+        return '"true"'
+    if k is False:
+        return '"false"'
+    if k is None:
+        return '"null"'
+    if isinstance(k, int):
+        return _quote(int.__repr__(k))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _float(o: float) -> str:
+    if o != o:
+        return "NaN"
+    if o == math.inf:
+        return "Infinity"
+    if o == -math.inf:
+        return "-Infinity"
+    return float.__repr__(o)
 
 
 # -- poset blocks ---------------------------------------------------------------

@@ -88,7 +88,7 @@ class FinitePoset:
         if len(keep) == len(self.elements):
             return self
         return FinitePoset(
-            elements=tuple(e for e in self.elements if e in keep),
+            elements=tuple(filter(keep.__contains__, self.elements)),
             relation=frozenset((a, b) for (a, b) in self.relation if a in keep and b in keep),
         )
 

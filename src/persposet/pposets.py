@@ -159,15 +159,18 @@ def _sub_tower(
 ) -> PersistencePoset:
     """The subposet of pp on sets, closed under its maps, from base: only the changed slices and their maps differ.
 
-    Only sets[i] for i in changed is read.
+    Only sets[i] for i in changed is read.  Only the maps out of changed
+    slices are rebuilt: a map out of an unchanged slice keeps its domain,
+    and closure keeps its values in the next slice, changed or not.
     """
     comps = list(base.components)
-    for i in changed:
-        comps[i] = pp.components[i].restrict(sets[i])
     maps = list(base.maps)
-    for i in {j for c in changed for j in (c - 1, c) if 0 <= j < pp.T}:
-        f = pp.maps[i]
-        maps[i] = {x: f[x] for x in comps[i].elements}
+    T = pp.T
+    for i in changed:
+        comps[i] = P = pp.components[i].restrict(sets[i])
+        if i < T:
+            f = pp.maps[i]
+            maps[i] = {x: f[x] for x in P.elements}
     return _valid_by_construction(tuple(comps), tuple(maps))
 
 
@@ -242,8 +245,8 @@ def fibers(f: PersistenceMap, ys: Sequence[ElementTrack]) -> list[PersistencePos
     Slice i depends only on the value at i, so each fiber after the first
     is the sub-tower on the fiber before it whose changed slices are the
     indices where the two tracks' values differ: every other slice, and
-    every structure map between two such slices, is the same object in
-    both, and the cached core of a shared slice is found by identity.
+    every structure map out of one, is the same object in both, and the
+    cached core of a shared slice is found by identity.
     """
     downs = [weak_sets(Q, "below") for Q in f.target.components]
 

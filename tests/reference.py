@@ -68,7 +68,9 @@ slower dense paths they replaced, over numpy int64 matrices:
   a module's dimension at any index, the boolean form of
   posets.check_map, a constant persistence poset, and the inverses of
   the pposet and cover documents (pposet_from_doc, cover_to_doc) for
-  round-trip tests.
+  round-trip tests;
+- the canonical text of a document as json's own encoder writes it
+  (canonical_json), which documents.canonical_json writes by hand.
 
 Elimination is deterministic (the first nonzero entry in a fixed scan
 order is the pivot).  FieldSpec keeps p below 2**16, so every int64 dot
@@ -78,6 +80,7 @@ product of n < 2**31 terms is exact.
 from __future__ import annotations
 
 import itertools
+import json
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -220,6 +223,11 @@ def cover_to_doc(cover: CoverTower) -> dict:
         "T": cover.T,
         "sets": {name: [sorted(stage) for stage in seq] for name, seq in sorted(cover.sets.items())},
     }
+
+
+def canonical_json(doc) -> str:
+    """The canonical text of doc by json.dumps, which documents.canonical_json must equal byte for byte."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def is_monotone(source: FinitePoset, target: FinitePoset, f: dict[str, str]) -> bool:

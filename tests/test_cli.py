@@ -11,7 +11,7 @@ import pytest
 from persposet import cli
 from persposet.cli import MAX_KMAX, main
 from persposet.documents import GeneratorLimits, canonical_json, parse_instance, random_instance
-from persposet.errors import PersistenceError
+from persposet.errors import PersistenceError, ValidationError
 from tiers import TIERS
 
 
@@ -84,6 +84,38 @@ def test_help_word_as_a_flag_value_is_the_value(instance_file, tmp_path, monkeyp
     assert main(["verify", str(instance_file), "--report", "-h"]) == 0
     assert "verdict:" in capsys.readouterr().out
     assert json.loads((tmp_path / "-h").read_text(encoding="utf-8"))["verdict"] == "holds"
+
+
+@pytest.mark.parametrize(
+    "argv, usage",
+    [
+        (["verify", "PATH", "--report", "--help"], "persposet verify"),  # --help is never a flag's value
+        (["verify", "PATH", "--report=r.json", "-h"], "persposet verify"),  # the value came with "="
+        (["verify", "PATH", "--json", "-h"], "persposet verify"),  # a switch takes no value
+        (["lemma", "--kmax", "1", "-h", "--", "ses"], "persposet lemma"),
+        (["bogus", "--report", "-h"], "persposet COMMAND"),  # no command, so no flag takes a value
+    ],
+)
+def test_help_word_before_the_separator_asks_for_help(tmp_path, monkeypatch, capsys, argv, usage):
+    """A help word before `--` prints the usage, and nothing is read or written, unless it is a flag's value."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.startswith(f"usage: {usage} ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_argument_tables_follow_the_command_table():
+    """The tables parse_args reads hold each command's flags: those that take a value, and each one's default."""
+    assert cli._VALUED.keys() == cli._ROWS.keys() == set(COMMANDS)
+    for name in COMMANDS:
+        assert cli._VALUED[name] == FLAGS[name] - {"--json"}
+        assert {flag for flag, _, _ in cli._ROWS[name]} == FLAGS[name]
+        positionals = {"lemma": ["join"], "random": []}.get(name, ["PATH"])
+        args = cli.parse_args([name, *positionals])
+        for flag, attribute, default in cli._ROWS[name]:
+            assert attribute == flag[2:].replace("-", "_")
+            assert getattr(args, attribute) == default == cli._COMMANDS[name][2][flag][1]
 
 
 @pytest.mark.parametrize("name", COMMANDS)
@@ -175,10 +207,16 @@ def test_missing_file(capsys):
 
 
 def test_non_utf8_file(tmp_path, capsys):
+    """The one error line names the file and the position of the byte that does not decode."""
     path = tmp_path / "binary.json"
     path.write_bytes(b"\xcc\xff")
     assert main(["validate", str(path)]) == 2
-    _assert_one_error_line(capsys.readouterr())
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured)
+    assert captured.err == (
+        f"error: {str(path)!r} is not UTF-8: 'utf-8' codec can't decode byte 0xcc in position 0: "
+        "invalid continuation byte\n"
+    )
 
 
 # Documents that _read must read as text mode does: each path is prepared in tmp_path.
@@ -197,21 +235,29 @@ _READ_CASES = {
 
 @pytest.mark.parametrize("case", list(_READ_CASES))
 def test_read_is_text_mode_read(tmp_path, capsys, case):
-    """_read gives Path.read_text's text, or raises its error, and validate reports that error the same way."""
+    """_read gives Path.read_text's text, or raises its OSError, and validate reports that error the same way.
+
+    Where text mode's decode error names no file, _read's names the path
+    and keeps the decode position.
+    """
     path = tmp_path / "doc.json"
     _READ_CASES[case](path)
     try:
         expected = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        with pytest.raises(type(exc)) as raised:
-            cli._read(str(path))
-        assert str(raised.value) == str(exc)
-        assert main(["validate", str(path)]) == 2
-        captured = capsys.readouterr()
-        _assert_one_error_line(captured)
-        assert captured.err == f"error: {exc}\n"
+    except UnicodeDecodeError as exc:
+        error = ValidationError(f"{str(path)!r} is not UTF-8: {exc}")
+    except OSError as exc:
+        error = exc
     else:
         assert cli._read(str(path)) == expected
+        return
+    with pytest.raises(type(error)) as raised:
+        cli._read(str(path))
+    assert str(raised.value) == str(error)
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured)
+    assert captured.err == f"error: {error}\n"
 
 
 def test_malformed_crlf_document_reports_its_text_mode_position(tmp_path, capsys):

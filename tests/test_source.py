@@ -226,6 +226,12 @@ def test_one_io_path():
     assert [path.name for path in SOURCES if imports.search(path.read_text(encoding="utf-8"))] == []
 
 
+def test_one_serializer():
+    """Every document the package writes is written by documents.canonical_json: nothing calls json's encoders."""
+    for name in ("dumps", "dump", "JSONEncoder", "iterencode"):
+        assert called_in(name) == [], name
+
+
 def parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"))
 

@@ -11,12 +11,16 @@ trees is cleared and the garbage collector runs.  The two trees
 alternate operation by operation, and which tree goes first alternates
 too.  Each operation's time is its best of ``ROUNDS`` rounds, and each report
 is checked against the workload's reference in ``bench/reference/``.
-Giving the same tree twice is an A/A run, which shows the noise floor.
+The report files of the first round are also compared byte for byte
+between the two trees, since the reference compares parsed fields only
+and reports must stay byte-identical canonical JSON.  Giving the same
+tree twice is an A/A run, which shows the noise floor.
 
 Prints each tree's summed best time, the ratio change/base, and the
 number of operations on which each tree was faster.  Exits 1 if an
-operation's report differs from the reference.  Only the standard
-library is used; ``bench/`` is read, never written.
+operation's report differs from the reference, or if the two trees'
+report bytes differ.  Only the standard library is used; ``bench/`` is
+read, never written.
 """
 
 from __future__ import annotations
@@ -97,6 +101,7 @@ def main(argv: list[str] | None = None) -> int:
     entries = harness.select(harness.load_reference(args.workload), args.seed)
     trees = [Tree(args.base.resolve(), "ab_base"), Tree(args.change.resolve(), "ab_change")]
     best = [[float("inf")] * len(entries) for _ in trees]
+    written = [[None] * len(entries) for _ in trees]  # each tree's report bytes, first round
     failed = []
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
@@ -116,6 +121,8 @@ def main(argv: list[str] | None = None) -> int:
                     report.unlink(missing_ok=True)
                     seconds, code = trees[t].run(argv_i)
                     best[t][i] = min(best[t][i], seconds)
+                    if rnd == 0 and report.exists():
+                        written[t][i] = report.read_bytes()
                     try:
                         got = harness.observed(workload, code, report)
                     except (OSError, ValueError, KeyError):
@@ -130,9 +137,13 @@ def main(argv: list[str] | None = None) -> int:
     print(f"change  {args.change}: {change:.2f} ms")
     print(f"ratio   change/base {change / base:.4f} ({(change / base - 1) * 100:+.1f}%)")
     print(f"faster  change on {wins[0]}, base on {wins[1]} of {len(entries)} operations")
+    unequal = [entries[i]["seed"] for i, (b, c) in enumerate(zip(*written)) if b != c]
+    print(f"bytes   reports of the two trees differ on {len(unequal)} of {len(entries)} operations")
     for line in sorted(set(failed))[:5]:
         print(f"differs from reference: {line}", file=sys.stderr)
-    return 1 if failed else 0
+    for seed in unequal[:5]:
+        print(f"report bytes differ between the trees: instance seed {seed}", file=sys.stderr)
+    return 1 if failed or unequal else 0
 
 
 if __name__ == "__main__":
