@@ -131,20 +131,20 @@ def _certificate_doc(cert: TheoremCertificate, scale: Scale | None) -> dict:
         "field": cert.field.p,
         "k_max": cert.k_max,
         "m": cert.m,
-        "fiber_defects": {label: _enc(v) for label, v in sorted(cert.fiber_eps.items())},
+        "fiber_defects": {label: _enc(v) for label, v in cert.fiber_eps.items()},
         "epsilon": _enc(cert.epsilon),
         "bound": _enc(cert.bound),
-        "distances": {str(k): _enc(v) for k, v in sorted(cert.distances.items())},
+        "distances": {str(k): _enc(v) for k, v in cert.distances.items()},
         "verdict": cert.verdict,
         "ratio": cert.ratio,
-        "induced_ranks": {str(k): v for k, v in sorted(cert.induced_ranks.items())},
+        "induced_ranks": {str(k): v for k, v in cert.induced_ranks.items()},
     }
     if scale is not None:
         doc["scale"] = {"origin": scale.origin, "step": scale.step}
         doc["scaled"] = {
             "epsilon": _scaled(cert.epsilon, scale),
             "bound": _scaled(cert.bound, scale),
-            "distances": {str(k): _scaled(v, scale) for k, v in sorted(cert.distances.items())},
+            "distances": {str(k): _scaled(v, scale) for k, v in cert.distances.items()},
         }
     return doc
 

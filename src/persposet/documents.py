@@ -6,9 +6,10 @@ closure), maps as name-to-name tables.  Canonical serialization sorts
 every list so a round trip is bit-exact.
 
 The canonical text of a document is the bytes of json.dumps(doc,
-sort_keys=True, indent=2) plus a newline.  canonical_json writes them in
-one recursive pass: with an indent, json runs its pure-Python generator
-encoder, which costs more than the short reports it writes.
+sort_keys=True, indent=2) plus a newline, which canonical_json writes in
+one recursive pass.  It alone orders a document's keys, and takes only a
+document's value types: any other value or key raises TypeError, and a
+NaN or infinite float raises ValueError.
 """
 
 from __future__ import annotations
@@ -69,14 +70,12 @@ def canonical_json(doc: Any) -> str:
     """The canonical text of doc: json.dumps(doc, sort_keys=True, indent=2) and a newline, byte for byte.
 
     Written by hand because json encodes with an indent in pure Python,
-    one generator step per value.  The rules are json's: strings are
-    quoted by its C quoter (ASCII, with \\u escapes); bool and None are
-    tested before int, and an int or float subclass is written as its
-    base type; floats are float.__repr__, with NaN, Infinity and
-    -Infinity spelled as json spells them; tuples are lists; a dict's
-    items are sorted by their original keys, and each key is then written
-    as json writes it; anything json rejects raises TypeError.  Unlike
-    json, a container that holds itself is not detected: it exceeds the
+    one generator step per value.  Each value is tested by exact type:
+    dicts with str keys, lists, tuples (written as lists), str, int, bool,
+    None and finite floats, written as json writes them, a dict's items in
+    the order of their keys.  Any other value or key, a subclass of an
+    accepted type included, raises TypeError, and a NaN or infinite float
+    raises ValueError.  A container that holds itself exceeds the
     recursion limit.
     """
     return _json(doc, "\n") + "\n"
@@ -93,24 +92,15 @@ def _json(o: Any, nl: str) -> str:
         return _object(o, nl)
     if t is list or t is tuple:
         return _array(o, nl)
-    # Every other type in json's order of tests, which catches the subclasses.
-    if isinstance(o, str):
-        return _quote(o)
+    if t is float:
+        if not math.isfinite(o):
+            raise ValueError(f"Out of range float values are not JSON compliant: {o!r}")
+        return float.__repr__(o)
+    if t is bool:
+        return "true" if o else "false"
     if o is None:
         return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return _float(o)
-    if isinstance(o, (list, tuple)):
-        return _array(o, nl)
-    if isinstance(o, dict):
-        return _object(o, nl)
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def _array(o: list | tuple, nl: str) -> str:
@@ -124,35 +114,12 @@ def _object(o: dict, nl: str) -> str:
     if not o:
         return "{}"
     inner = nl + "  "
-    items = [(_quote(k) if type(k) is str else _key(k)) + ": " + _json(v, inner) for k, v in sorted(o.items())]
+    items = []
+    for k, v in sorted(o.items()):
+        if type(k) is not str:
+            raise TypeError(f"keys must be str, not {type(k).__name__}")
+        items.append(_quote(k) + ": " + _json(v, inner))
     return "{" + inner + ("," + inner).join(items) + nl + "}"
-
-
-def _key(k: Any) -> str:
-    """A dict key that is not exactly a str, written as json writes it: the text of the key, quoted."""
-    if isinstance(k, str):
-        return _quote(k)
-    if isinstance(k, float):
-        return _quote(_float(k))
-    if k is True:
-        return '"true"'
-    if k is False:
-        return '"false"'
-    if k is None:
-        return '"null"'
-    if isinstance(k, int):
-        return _quote(int.__repr__(k))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
-
-
-def _float(o: float) -> str:
-    if o != o:
-        return "NaN"
-    if o == math.inf:
-        return "Infinity"
-    if o == -math.inf:
-        return "-Infinity"
-    return float.__repr__(o)
 
 
 # -- poset blocks ---------------------------------------------------------------
@@ -167,7 +134,7 @@ def _poset_block(pp: PersistencePoset) -> dict:
             }
             for c in pp.components
         ],
-        "maps": [dict(sorted(m.items())) for m in pp.maps],
+        "maps": [dict(m) for m in pp.maps],
     }
 
 
@@ -271,9 +238,7 @@ def _parse_poset_block(obj: Any, where: str, T: int) -> PersistencePoset:
 
 
 def pposet_to_doc(pp: PersistencePoset) -> dict:
-    doc = {"schema": PPOSET_SCHEMA, "T": pp.T}
-    doc.update(_poset_block(pp))
-    return doc
+    return {"schema": PPOSET_SCHEMA, "T": pp.T, **_poset_block(pp)}
 
 
 # -- instances --------------------------------------------------------------------
@@ -286,7 +251,7 @@ def serialize_instance(inst: InstanceDocument) -> dict:
         "T": f.T,
         "x": _poset_block(f.source),
         "y": _poset_block(f.target),
-        "map": [dict(sorted(s.items())) for s in f.slices],
+        "map": [dict(s) for s in f.slices],
     }
     if inst.scale is not None:
         doc["scale"] = {"origin": inst.scale.origin, "step": inst.scale.step}

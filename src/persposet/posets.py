@@ -143,11 +143,12 @@ def check_map(source: FinitePoset, target: FinitePoset, f: dict[str, str]) -> No
     This is the library's only check that a map assigns an image to
     exactly the source elements and is monotone.
     """
+    targets = set(target.elements)  # FinitePoset.__contains__ scans its element tuple
     for x in source.elements:
         y = f.get(x)
         if y is None:
             raise PartialStructureMap(f"no image assigned to {x!r}")
-        if y not in target:
+        if y not in targets:
             raise PartialStructureMap(f"image {y!r} of {x!r} is not a target element")
     if len(f) != len(source):
         extra = next(x for x in f if x not in source)

@@ -11,6 +11,7 @@ from persposet.errors import (
 )
 from persposet.homology import FieldSpec, pposet_barcodes
 from persposet.posets import (
+    FinitePoset,
     check_map,
     core,
     linear_extension,
@@ -168,6 +169,20 @@ class TestMonotone:
         assert not is_monotone(P, P, f)
         with pytest.raises(PartialStructureMap, match="'ghost'"):
             check_map(P, P, f)
+
+    def test_a_valid_map_is_checked_without_scanning_the_target(self, monkeypatch):
+        """Each image is looked up in a set, not in the target's element tuple, so the check is linear."""
+        calls = []
+
+        def spy(poset, x):
+            calls.append(x)
+            return x in poset.elements
+
+        monkeypatch.setattr(FinitePoset, "__contains__", spy)
+        P = new_poset("abc", [("a", "b"), ("a", "c")])
+        Q = new_poset("uv", [("u", "v")])
+        check_map(P, Q, {"a": "u", "b": "v", "c": "v"})
+        assert calls == []
 
 
 def cylinder_slice(X, Y, f):

@@ -6,8 +6,10 @@
 BASE and CHANGE are repository roots, each holding ``src/persposet``.
 Both trees are imported into this one process under their own package
 names.  The operations are the ones ``bench/run.py`` picks for the
-workload and seed.  Before each operation every functools cache of both
-trees is cleared and the garbage collector runs.  The two trees
+workload and seed.  Once the instances are written, the heap is frozen
+(``gc.freeze()``) as the benchmark freezes it before its timed phase.
+Before each operation every functools cache of both trees is cleared and
+the garbage collector runs.  The two trees
 alternate operation by operation, and which tree goes first alternates
 too.  Each operation's time is its best of ``ROUNDS`` rounds, and each report
 is checked against the workload's reference in ``bench/reference/``.
@@ -111,6 +113,8 @@ def main(argv: list[str] | None = None) -> int:
             for entry in entries:
                 instance = documents.random_instance(entry["seed"], documents.GeneratorLimits(*workload.limits))
                 (workdir / f"{entry['seed']}.json").write_text(documents.canonical_json(instance), encoding="utf-8")
+        gc.collect()
+        gc.freeze()  # as bench/harness.run_workload does before its timed phase
         for rnd in range(ROUNDS):
             order = list(range(len(entries)))
             random.Random(f"{args.seed}:{rnd}").shuffle(order)
@@ -129,6 +133,7 @@ def main(argv: list[str] | None = None) -> int:
                         got = None
                     if got != {"exit": entry["exit"], "report": entry["report"]}:
                         failed.append(f"{trees[t].name}: {' '.join(argv_i)}")
+        gc.unfreeze()
 
     base, change = (sum(b) * 1000 for b in best)
     wins = [sum(c < b for b, c in zip(*best)), sum(b < c for b, c in zip(*best))]
